@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-fast bench bench-smoke bench-hotpath fuzz clean-testcache serve-demo upgrade-demo
+.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-smoke bench-hotpath fuzz clean-testcache serve-demo upgrade-demo
 
 all: test
 
@@ -12,8 +12,8 @@ vet:
 
 # Static analysis: go vet plus hennlint, the repo's own invariant
 # analyzers (pool acquire/release pairing, registry refcount balance,
-# math/rand scoping, constant-time secret comparison, wire-format magic
-# and length bounds). See internal/lint and `go run ./cmd/hennlint -list`.
+# math/rand scoping, constant-time secret comparison, wire-decoder
+# framing). See internal/lint and `go run ./cmd/hennlint -list`.
 lint: vet
 	$(GO) run ./cmd/hennlint ./...
 
@@ -38,6 +38,12 @@ clean-testcache:
 
 bench:
 	$(GO) test -bench . -benchmem -run XXX .
+
+# bench/ (hennbench, the repo's benchmark) is its own module, so the root
+# `go vet`/`go test ./...` never compile it: check it against this tree
+# whenever the client/server or marshal API it drives changes.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark in the repo: not a measurement, a compile-
 # and-run smoke so perf paths (scheduler, batch inference, NTT fan-out)
@@ -72,9 +78,10 @@ serve-demo:
 upgrade-demo:
 	$(GO) run ./cmd/experiments -id upgrade
 
-# Short fuzz pass over the modular-arithmetic primitives and the three
+# Short fuzz pass over the modular-arithmetic primitives and the four
 # wire decoders an endpoint exposes (one target per invocation is a
-# `go test` restriction).
+# `go test` restriction). The registration frame's seeds are hundreds of
+# kilobytes, so its minimizer is capped or it would eat the whole pass.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzAddSubMod -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzMulModShoup -fuzztime 10s ./internal/ring/
@@ -82,3 +89,4 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzCiphertextUnmarshal -fuzztime 10s ./internal/ckks/
 	$(GO) test -run XXX -fuzz FuzzMLPUnmarshal -fuzztime 10s ./internal/henn/
 	$(GO) test -run XXX -fuzz FuzzModelBundleUnmarshal -fuzztime 10s ./internal/registry/
+	$(GO) test -run XXX -fuzz FuzzRegisterFrame -fuzztime 10s -fuzzminimizetime 2s ./internal/server/

@@ -2,8 +2,8 @@
 //
 //  1. fetch the server's model catalog and pick a model — each entry carries
 //     its prescribed CKKS parameters and required rotation steps,
-//  2. generate a key set locally and register the public half (public key,
-//     relinearization key, rotation keys) over HTTP, bound to that model,
+//  2. generate a key set locally and register its evaluation keys
+//     (relinearization key, rotation keys) over HTTP, bound to that model,
 //  3. encrypt inputs, POST the ciphertexts, decrypt the returned
 //     predictions — the server never sees a plaintext or the secret key,
 //  4. fire a burst of concurrent requests to show the server coalescing

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzCiphertextUnmarshal throws arbitrary bytes at the ciphertext wire
 // decoder: it must reject garbage with an error (never panic or
-// over-allocate — wiremagic's bounds are what keep a hostile length
+// over-allocate — the internal/wire Reader is what keeps a hostile length
 // field from becoming a multi-gigabyte make), and anything it accepts
 // must survive a re-marshal round trip.
 func FuzzCiphertextUnmarshal(f *testing.F) {

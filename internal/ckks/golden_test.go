@@ -1,0 +1,83 @@
+package ckks
+
+import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
+	"testing"
+)
+
+// goldenDigests pins the bytes of every ckks wire format: SHA-256 of the
+// payloads goldenPayloads builds from fixed seeds, generated at the commit
+// before the formats moved onto internal/wire. A digest that changes means
+// deployed clients, servers and stored artifacts no longer agree.
+var goldenDigests = map[string]string{
+	"params":        "b3059cf161d8b33053bb2f2161b4afd645ce47c1f72291b3cf995962c87d8d27",
+	"ciphertext":    "7d6b6194c343653a307fc2c186b6a36e94d239f19095a1851fac04d1c5095ce2",
+	"relin-key":     "4079cc611f7d9130e10d579c3721d32c1092e98adcb85cb6ceac3eb27f5c3406",
+	"switching-key": "9fff6cc60be0881c02933bfc0b24680595378807c91d73d680b577b6924040e1",
+	"rotation-keys": "bfeb61524b17d464b4543f10c790b761a13484c0a984c64ff82446c5daa99b89",
+}
+
+// wireValue is a marshalable value paired with a fresh decode target.
+type wireValue struct {
+	value encoding.BinaryMarshaler
+	fresh func() encoding.BinaryUnmarshaler
+}
+
+// goldenPayloads builds one value of every ckks wire type, deterministically.
+func goldenPayloads(t testing.TB) map[string]wireValue {
+	tc := newTestContext(t, testLit)
+	values := make([]complex128, tc.params.Slots())
+	for i := range values {
+		values[i] = complex(float64(i%7)/7-0.4, float64(i%5)/5-0.3)
+	}
+	pt, err := tc.enc.Encode(values, 2, tc.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rks := tc.kg.GenRotationKeys(tc.sk, []int{1, 5, 2}, true)
+	return map[string]wireValue{
+		"params":        {testLit, func() encoding.BinaryUnmarshaler { return new(ParametersLiteral) }},
+		"ciphertext":    {tc.encr.Encrypt(pt), func() encoding.BinaryUnmarshaler { return new(Ciphertext) }},
+		"relin-key":     {tc.rlk, func() encoding.BinaryUnmarshaler { return new(RelinearizationKey) }},
+		"switching-key": {rks.keys[5], func() encoding.BinaryUnmarshaler { return new(SwitchingKey) }},
+		"rotation-keys": {rks, func() encoding.BinaryUnmarshaler { return new(RotationKeySet) }},
+	}
+}
+
+func TestWireFormatsGolden(t *testing.T) {
+	for name, v := range goldenPayloads(t) {
+		data, err := v.value.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != goldenDigests[name] {
+			t.Errorf("%s: %d bytes digest %s, want %s", name, len(data), got, goldenDigests[name])
+		}
+		// The large formats size their buffer up front; a formula that
+		// drifts from the layout would silently regrow it.
+		if name != "params" && cap(data) != len(data) {
+			t.Errorf("%s: marshaled into %d bytes of a %d-byte buffer; the size formula is off", name, len(data), cap(data))
+		}
+	}
+}
+
+// TestWireFormatsRejectTrailingBytes: a payload with anything after its last
+// field is not that format. The decoders used to stop reading and return
+// success, so the infer endpoint took a ciphertext with garbage appended.
+func TestWireFormatsRejectTrailingBytes(t *testing.T) {
+	for name, v := range goldenPayloads(t) {
+		data, err := v.value.MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := v.fresh().UnmarshalBinary(data); err != nil {
+			t.Errorf("%s: valid payload rejected: %v", name, err)
+		}
+		if err := v.fresh().UnmarshalBinary(append(data, 0)); err == nil {
+			t.Errorf("%s: payload with a trailing byte decoded cleanly", name)
+		}
+	}
+}

@@ -1,338 +1,209 @@
 package ckks
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Binary serialization for the objects that cross the network in a private
-// inference deployment: the client ships an encrypted input and the public
+// inference deployment: the client ships an encrypted input and its
 // evaluation keys; the server returns an encrypted result. Parameters
 // serialize as their literal — prime generation is deterministic, so both
-// sides derive identical chains.
-
-const marshalMagic = uint32(0x5AF7CC05)
-
-// Per-object magics: every wire format leads with its own constant so a
-// mis-routed or corrupted payload is rejected at the front door instead
-// of deep inside a length-prefixed structure (enforced by hennlint's
-// wiremagic analyzer). 0x5AF7CC06 is rotationKeyMagic below; 07 and 08
-// belong to the henn and registry packages.
+// sides derive identical chains. The codec and the magic registry live in
+// internal/wire. A decoder checks only what the bytes alone can show (counts,
+// shapes that agree with each other, a sane scale); whether the shapes and
+// residues fit a parameter set is Validate's job (validate.go).
+//
+// Layouts (little-endian; poly = u32 limbs | u32 N | limbs×N u64,
+// digits = u32 count | per digit: poly BQ | AQ | BP | AP):
+//
+//	ParametersLiteral:  magic | u32 LogN | u32 LogP | u32 LogScale | u32 nq | nq×u32 LogQ
+//	Ciphertext:         magic | u32 level | f64 scale | poly C0 | poly C1
+//	RelinearizationKey: magic | digits
+//	SwitchingKey:       magic | digits
+//	RotationKeySet:     magic | u32 n | n×(u32 step | digits), ascending | u32 conj | [digits]
 const (
+	paramsMagic       = uint32(0x5AF7CC05)
+	rotationKeyMagic  = uint32(0x5AF7CC06)
 	ciphertextMagic   = uint32(0x5AF7CC09)
-	publicKeyMagic    = uint32(0x5AF7CC0A)
 	relinKeyMagic     = uint32(0x5AF7CC0B)
 	switchingKeyMagic = uint32(0x5AF7CC0C)
+
+	maxLimbs        = 64 // chain length, and so also gadget digits per key
+	maxDegree       = 1 << 20
+	maxRotationKeys = 1 << 16
 )
 
-// readMagic consumes and checks a leading magic constant.
-func readMagic(r io.Reader, want uint32, what string) error {
-	magic, err := readU32(r)
-	if err != nil {
-		return err
+// polySize and digitsSize are exact wire sizes: ciphertexts and key sets are
+// the payloads big enough that growing the Writer would copy megabytes, so
+// their marshalers allocate once.
+func polySize(p *ring.Poly) int { return 8 + 8*len(p.Coeffs)*len(p.Coeffs[0]) }
+
+func digitsSize(digits []EvaluationKeyDigit) int {
+	n := 4
+	for i := range digits {
+		d := &digits[i]
+		n += polySize(d.BQ) + polySize(d.AQ) + polySize(d.BP) + polySize(d.AP)
 	}
-	if magic != want {
-		return fmt.Errorf("ckks: bad %s magic %#x", what, magic)
-	}
-	return nil
+	return n
 }
 
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func writeU64(w io.Writer, v uint64) error { return binary.Write(w, binary.LittleEndian, v) }
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-func readU64(r io.Reader) (uint64, error) {
-	var v uint64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writePoly(w io.Writer, p *ring.Poly) error {
-	if err := writeU32(w, uint32(len(p.Coeffs))); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(len(p.Coeffs[0]))); err != nil {
-		return err
-	}
+func writePoly(w *wire.Writer, p *ring.Poly) {
+	w.U32(uint32(len(p.Coeffs)))
+	w.U32(uint32(len(p.Coeffs[0])))
 	for _, limb := range p.Coeffs {
-		if err := binary.Write(w, binary.LittleEndian, limb); err != nil {
-			return err
-		}
+		w.U64s(limb)
 	}
-	return nil
 }
 
-func readPoly(r io.Reader) (*ring.Poly, error) {
-	limbs, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if limbs == 0 || limbs > 64 || n == 0 || n > 1<<20 {
-		return nil, fmt.Errorf("ckks: implausible poly header (%d limbs, N=%d)", limbs, n)
+// readPoly returns nil once r has failed.
+func readPoly(r *wire.Reader) *ring.Poly {
+	limbs, n := r.Count(maxLimbs), r.Count(maxDegree)
+	if limbs == 0 || n == 0 {
+		r.Fail("implausible poly header (%d limbs, N=%d)", limbs, n)
 	}
 	p := &ring.Poly{Coeffs: make([][]uint64, limbs)}
 	for i := range p.Coeffs {
-		p.Coeffs[i] = make([]uint64, n)
-		if err := binary.Read(r, binary.LittleEndian, p.Coeffs[i]); err != nil {
-			return nil, err
-		}
+		p.Coeffs[i] = r.U64s(n)
 	}
-	return p, nil
+	if r.Err() != nil {
+		return nil
+	}
+	return p
 }
 
-// checkSameDegree rejects deserialized structures whose component polynomials
-// disagree on the ring degree N. readPoly validates each poly in isolation;
-// without this cross-check a hostile payload can pair components from
-// different rings and corrupt later arithmetic instead of erroring at the
-// boundary.
-func checkSameDegree(ps ...*ring.Poly) error {
-	n := len(ps[0].Coeffs[0])
-	for _, p := range ps[1:] {
-		if len(p.Coeffs[0]) != n {
-			return fmt.Errorf("ckks: component ring degrees disagree (%d vs %d)", n, len(p.Coeffs[0]))
-		}
-	}
-	return nil
+// sameShape reports whether two decoded polys agree on limb count and ring
+// degree. Decoders demand it of every pair of components the evaluator
+// indexes in lockstep: a payload mixing rings must fail at the boundary, not
+// corrupt (or panic) later arithmetic.
+func sameShape(a, b *ring.Poly) bool {
+	return len(a.Coeffs) == len(b.Coeffs) && len(a.Coeffs[0]) == len(b.Coeffs[0])
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (lit ParametersLiteral) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, marshalMagic); err != nil {
-		return nil, err
-	}
-	for _, v := range []uint32{uint32(lit.LogN), uint32(lit.LogP), uint32(lit.LogScale), uint32(len(lit.LogQ))} {
-		if err := writeU32(&buf, v); err != nil {
-			return nil, err
-		}
+	var w wire.Writer
+	w.U32(paramsMagic)
+	for _, v := range []int{lit.LogN, lit.LogP, lit.LogScale, len(lit.LogQ)} {
+		w.U32(uint32(v))
 	}
 	for _, q := range lit.LogQ {
-		if err := writeU32(&buf, uint32(q)); err != nil {
-			return nil, err
-		}
+		w.U32(uint32(q))
 	}
-	return buf.Bytes(), nil
+	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (lit *ParametersLiteral) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
+	r := wire.NewReader("ckks: parameter literal", data)
+	r.Magic(paramsMagic)
+	out := ParametersLiteral{LogN: int(r.U32()), LogP: int(r.U32()), LogScale: int(r.U32())}
+	out.LogQ = make([]int, r.Count(maxLimbs))
+	for i := range out.LogQ {
+		out.LogQ[i] = int(r.U32())
+	}
+	if len(out.LogQ) == 0 {
+		r.Fail("empty modulus chain")
+	}
+	if err := r.Done(); err != nil {
 		return err
 	}
-	if magic != marshalMagic {
-		return fmt.Errorf("ckks: bad magic %#x", magic)
-	}
-	var hdr [4]uint32
-	for i := range hdr {
-		if hdr[i], err = readU32(r); err != nil {
-			return err
-		}
-	}
-	lit.LogN, lit.LogP, lit.LogScale = int(hdr[0]), int(hdr[1]), int(hdr[2])
-	nq := int(hdr[3])
-	if nq <= 0 || nq > 64 {
-		return fmt.Errorf("ckks: implausible chain length %d", nq)
-	}
-	lit.LogQ = make([]int, nq)
-	for i := range lit.LogQ {
-		v, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		lit.LogQ[i] = int(v)
-	}
+	*lit = out
 	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, ciphertextMagic); err != nil {
-		return nil, err
-	}
-	if err := writeU32(&buf, uint32(ct.Level)); err != nil {
-		return nil, err
-	}
-	if err := writeU64(&buf, uint64(floatBits(ct.Scale))); err != nil {
-		return nil, err
-	}
-	if err := writePoly(&buf, ct.C0); err != nil {
-		return nil, err
-	}
-	if err := writePoly(&buf, ct.C1); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w := make(wire.Writer, 0, 16+polySize(ct.C0)+polySize(ct.C1))
+	w.U32(ciphertextMagic)
+	w.U32(uint32(ct.Level))
+	w.F64(ct.Scale)
+	writePoly(&w, ct.C0)
+	writePoly(&w, ct.C1)
+	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := readMagic(r, ciphertextMagic, "ciphertext"); err != nil {
+	r := wire.NewReader("ckks: ciphertext", data)
+	r.Magic(ciphertextMagic)
+	out := Ciphertext{Level: int(r.U32()), Scale: r.F64()}
+	out.C0, out.C1 = readPoly(r), readPoly(r)
+	if err := r.Done(); err != nil {
 		return err
 	}
-	lvl, err := readU32(r)
-	if err != nil {
-		return err
+	if math.IsNaN(out.Scale) || math.IsInf(out.Scale, 0) || out.Scale <= 0 {
+		return fmt.Errorf("ckks: implausible ciphertext scale %g", out.Scale)
 	}
-	bits, err := readU64(r)
-	if err != nil {
-		return err
+	if out.C0.Level() != out.Level || !sameShape(out.C0, out.C1) {
+		return fmt.Errorf("ckks: ciphertext level %d does not match its components (%d/%d limbs, N=%d/%d)",
+			out.Level, len(out.C0.Coeffs), len(out.C1.Coeffs), len(out.C0.Coeffs[0]), len(out.C1.Coeffs[0]))
 	}
-	if ct.C0, err = readPoly(r); err != nil {
-		return err
-	}
-	if ct.C1, err = readPoly(r); err != nil {
-		return err
-	}
-	ct.Level = int(lvl)
-	ct.Scale = floatFromBits(bits)
-	if math.IsNaN(ct.Scale) || math.IsInf(ct.Scale, 0) || ct.Scale <= 0 {
-		return fmt.Errorf("ckks: implausible ciphertext scale %g", ct.Scale)
-	}
-	if ct.C0.Level() != ct.Level || ct.C1.Level() != ct.Level {
-		return fmt.Errorf("ckks: ciphertext level %d does not match %d/%d limbs",
-			ct.Level, ct.C0.Level(), ct.C1.Level())
-	}
-	return checkSameDegree(ct.C0, ct.C1)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (pk *PublicKey) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, publicKeyMagic); err != nil {
-		return nil, err
-	}
-	if err := writePoly(&buf, pk.B); err != nil {
-		return nil, err
-	}
-	if err := writePoly(&buf, pk.A); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := readMagic(r, publicKeyMagic, "public-key"); err != nil {
-		return err
-	}
-	var err error
-	if pk.B, err = readPoly(r); err != nil {
-		return err
-	}
-	if pk.A, err = readPoly(r); err != nil {
-		return err
-	}
-	if pk.B.Level() != pk.A.Level() {
-		return fmt.Errorf("ckks: public key components have %d/%d limbs", pk.B.Level()+1, pk.A.Level()+1)
-	}
-	return checkSameDegree(pk.B, pk.A)
+	*ct = out
+	return nil
 }
 
 // writeDigits serializes a gadget digit list (shared by relinearization and
 // switching keys, which have identical wire layouts).
-func writeDigits(w io.Writer, digits []EvaluationKeyDigit) error {
-	if err := writeU32(w, uint32(len(digits))); err != nil {
-		return err
-	}
+func writeDigits(w *wire.Writer, digits []EvaluationKeyDigit) {
+	w.U32(uint32(len(digits)))
 	for i := range digits {
 		d := &digits[i]
 		for _, p := range []*ring.Poly{d.BQ, d.AQ, d.BP, d.AP} {
-			if err := writePoly(w, p); err != nil {
-				return err
-			}
+			writePoly(w, p)
 		}
 	}
-	return nil
 }
 
-// readDigits deserializes a gadget digit list, enforcing one ring degree
-// across every component of every digit.
-func readDigits(r io.Reader) ([]EvaluationKeyDigit, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
+// readDigits deserializes a gadget digit list; it returns nil once r has
+// failed. The key-switch loop indexes all four components of every digit in
+// lockstep, so each Q (and each P) component must match the first digit's.
+func readDigits(r *wire.Reader) []EvaluationKeyDigit {
+	digits := make([]EvaluationKeyDigit, r.Count(maxLimbs))
+	if len(digits) == 0 {
+		r.Fail("evaluation key has no gadget digits")
 	}
-	if n == 0 || n > 64 {
-		return nil, fmt.Errorf("ckks: implausible digit count %d", n)
-	}
-	digits := make([]EvaluationKeyDigit, n)
 	for i := range digits {
 		d := &digits[i]
-		for _, dst := range []**ring.Poly{&d.BQ, &d.AQ, &d.BP, &d.AP} {
-			if *dst, err = readPoly(r); err != nil {
-				return nil, err
-			}
+		d.BQ, d.AQ, d.BP, d.AP = readPoly(r), readPoly(r), readPoly(r), readPoly(r)
+		if r.Err() != nil {
+			return nil
 		}
-		if err := checkSameDegree(d.BQ, d.AQ, d.BP, d.AP); err != nil {
-			return nil, err
-		}
-		if err := checkSameDegree(digits[0].BQ, d.BQ); err != nil {
-			return nil, err
-		}
-		// The key-switch loop indexes all four components in lockstep, so
-		// limb counts must agree within a digit and across the digit list.
-		if d.BQ.Level() != d.AQ.Level() || d.BP.Level() != d.AP.Level() ||
-			d.BQ.Level() != digits[0].BQ.Level() || d.BP.Level() != digits[0].BP.Level() {
-			return nil, fmt.Errorf("ckks: digit %d limb counts disagree (%d/%d Q, %d/%d P)",
-				i, d.BQ.Level()+1, d.AQ.Level()+1, d.BP.Level()+1, d.AP.Level()+1)
+		q, p := digits[0].BQ, digits[0].BP
+		if !sameShape(d.BQ, q) || !sameShape(d.AQ, q) || !sameShape(d.BP, p) || !sameShape(d.AP, p) ||
+			len(p.Coeffs[0]) != len(q.Coeffs[0]) {
+			r.Fail("digit %d disagrees in shape with the rest of its key", i)
+			return nil
 		}
 	}
-	return digits, nil
+	return digits
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (rlk *RelinearizationKey) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, relinKeyMagic); err != nil {
-		return nil, err
-	}
-	if err := writeDigits(&buf, rlk.Digits); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w := make(wire.Writer, 0, 4+digitsSize(rlk.Digits))
+	w.U32(relinKeyMagic)
+	writeDigits(&w, rlk.Digits)
+	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := readMagic(r, relinKeyMagic, "relinearization-key"); err != nil {
-		return err
-	}
-	digits, err := readDigits(r)
-	if err != nil {
-		return err
-	}
-	rlk.Digits = digits
-	return nil
+	r := wire.NewReader("ckks: relinearization key", data)
+	r.Magic(relinKeyMagic)
+	rlk.Digits = readDigits(r)
+	return r.Done()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (swk *SwitchingKey) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, switchingKeyMagic); err != nil {
-		return nil, err
-	}
-	if err := writeDigits(&buf, swk.Digits); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w := make(wire.Writer, 0, 4+digitsSize(swk.Digits))
+	w.U32(switchingKeyMagic)
+	writeDigits(&w, swk.Digits)
+	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -340,135 +211,77 @@ func (swk *SwitchingKey) MarshalBinary() ([]byte, error) {
 // its members itself (the set-level magic covers them) and writes digit
 // lists directly.
 func (swk *SwitchingKey) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	if err := readMagic(r, switchingKeyMagic, "switching-key"); err != nil {
-		return err
-	}
-	digits, err := readDigits(r)
-	if err != nil {
-		return err
-	}
-	swk.Digits = digits
-	return nil
+	r := wire.NewReader("ckks: switching key", data)
+	r.Magic(switchingKeyMagic)
+	swk.Digits = readDigits(r)
+	return r.Done()
 }
-
-// rotationKeyMagic distinguishes a rotation-key-set payload; the set is the
-// largest object a client uploads, so a cheap front check beats failing deep
-// inside a digit list.
-const rotationKeyMagic = uint32(0x5AF7CC06)
 
 // MarshalBinary implements encoding.BinaryMarshaler. Steps are written in
 // sorted order so equal sets serialize identically.
 func (rks *RotationKeySet) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, rotationKeyMagic); err != nil {
-		return nil, err
-	}
 	steps := rks.Steps()
-	if err := writeU32(&buf, uint32(len(steps))); err != nil {
-		return nil, err
+	size := 12 // magic, key count, conjugation flag
+	for _, key := range rks.keys {
+		size += 4 + digitsSize(key.Digits)
 	}
+	if rks.conjugation != nil {
+		size += digitsSize(rks.conjugation.Digits)
+	}
+	w := make(wire.Writer, 0, size)
+	w.U32(rotationKeyMagic)
+	w.U32(uint32(len(steps)))
 	for _, step := range steps {
-		if err := writeU32(&buf, uint32(step)); err != nil {
-			return nil, err
-		}
-		if err := writeDigits(&buf, rks.keys[step].Digits); err != nil {
-			return nil, err
-		}
+		w.U32(uint32(step))
+		writeDigits(&w, rks.keys[step].Digits)
 	}
-	conj := uint32(0)
-	if rks.conjugation != nil {
-		conj = 1
+	if rks.conjugation == nil {
+		w.U32(0)
+	} else {
+		w.U32(1)
+		writeDigits(&w, rks.conjugation.Digits)
 	}
-	if err := writeU32(&buf, conj); err != nil {
-		return nil, err
-	}
-	if rks.conjugation != nil {
-		if err := writeDigits(&buf, rks.conjugation.Digits); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	return w, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Keys must agree on
+// one shape across the whole set (readDigits only checks within a key): a
+// set mixing ring degrees or chain lengths would panic the key-switch loop
+// instead of erroring here.
 func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if magic != rotationKeyMagic {
-		return fmt.Errorf("ckks: bad rotation-key magic %#x", magic)
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if n > 1<<16 {
-		return fmt.Errorf("ckks: implausible rotation-key count %d", n)
-	}
-	// Keys must agree on one shape across the whole set (readDigits only
-	// checks within a key) — a set mixing ring degrees or chain lengths
-	// would panic the key-switch loop instead of erroring here.
+	r := wire.NewReader("ckks: rotation keys", data)
+	r.Magic(rotationKeyMagic)
 	var ref []EvaluationKeyDigit
-	checkShape := func(digits []EvaluationKeyDigit) error {
+	readKey := func() *SwitchingKey {
+		digits := readDigits(r)
 		if ref == nil {
 			ref = digits
-			return nil
 		}
-		if len(digits) != len(ref) {
-			return fmt.Errorf("ckks: rotation keys disagree on digit count (%d vs %d)", len(digits), len(ref))
+		if r.Err() == nil && (len(digits) != len(ref) ||
+			!sameShape(digits[0].BQ, ref[0].BQ) || !sameShape(digits[0].BP, ref[0].BP)) {
+			r.Fail("rotation keys disagree on digit count, limb counts or ring degree")
 		}
-		if digits[0].BQ.Level() != ref[0].BQ.Level() || digits[0].BP.Level() != ref[0].BP.Level() {
-			return fmt.Errorf("ckks: rotation keys disagree on limb counts")
-		}
-		return checkSameDegree(ref[0].BQ, digits[0].BQ)
+		return &SwitchingKey{Digits: digits}
 	}
-	keys := make(map[int]*SwitchingKey, n)
-	for i := uint32(0); i < n; i++ {
-		step, err := readU32(r)
-		if err != nil {
-			return err
+	keys := map[int]*SwitchingKey{}
+	for n := r.Count(maxRotationKeys); n > 0 && r.Err() == nil; n-- {
+		step := int(r.U32())
+		if _, dup := keys[step]; dup || step == 0 || step > maxDegree {
+			r.Fail("rotation step %d is zero, implausible or repeated", step)
 		}
-		if step == 0 || step > 1<<20 {
-			return fmt.Errorf("ckks: implausible rotation step %d", step)
-		}
-		if _, dup := keys[int(step)]; dup {
-			return fmt.Errorf("ckks: duplicate rotation step %d", step)
-		}
-		digits, err := readDigits(r)
-		if err != nil {
-			return err
-		}
-		if err := checkShape(digits); err != nil {
-			return err
-		}
-		keys[int(step)] = &SwitchingKey{Digits: digits}
+		keys[step] = readKey()
 	}
-	conj, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	var conjKey *SwitchingKey
-	switch conj {
+	var conjugation *SwitchingKey
+	switch conj := r.U32(); conj {
 	case 0:
 	case 1:
-		digits, err := readDigits(r)
-		if err != nil {
-			return err
-		}
-		if err := checkShape(digits); err != nil {
-			return err
-		}
-		conjKey = &SwitchingKey{Digits: digits}
+		conjugation = readKey()
 	default:
-		return fmt.Errorf("ckks: implausible conjugation flag %d", conj)
+		r.Fail("implausible conjugation flag %d", conj)
 	}
-	rks.keys = keys
-	rks.conjugation = conjKey
+	if err := r.Done(); err != nil {
+		return err
+	}
+	rks.keys, rks.conjugation = keys, conjugation
 	return nil
 }
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

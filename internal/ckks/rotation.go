@@ -32,19 +32,6 @@ func (rks *RotationKeySet) Steps() []int {
 	return out
 }
 
-// HasConjugation reports whether the set carries a conjugation key.
-func (rks *RotationKeySet) HasConjugation() bool { return rks.conjugation != nil }
-
-// Key returns the switching key for a normalized step, if present. Servers
-// use it to validate untrusted key material before first use.
-func (rks *RotationKeySet) Key(step int) (*SwitchingKey, bool) {
-	k, ok := rks.keys[step]
-	return k, ok
-}
-
-// ConjugationKey returns the conjugation switching key, or nil.
-func (rks *RotationKeySet) ConjugationKey() *SwitchingKey { return rks.conjugation }
-
 // galoisElement returns the Galois exponent k of X→X^k implementing a left
 // rotation of the slot vector by step positions: k = 5^step mod 2N, by
 // square-and-multiply — Rotate computes this per call, so the O(step) naive

@@ -1,0 +1,110 @@
+package ckks
+
+import (
+	"fmt"
+	"slices"
+
+	"github.com/efficientfhe/smartpaf/internal/ring"
+)
+
+// Decoding proves a payload is well-formed; it cannot prove the payload fits
+// the parameters it will be evaluated under, because the moduli are not on
+// the wire. The Validate methods close that gap for everything a server
+// accepts from a client. Each checks exact limb counts, the ring degree and
+// that every residue is canonical (below its modulus): the modular multiply
+// divides a 128-bit product by the modulus, so a residue at or above it
+// overflows the quotient and panics deep inside the evaluator.
+
+// checkPoly reports whether p has one limb of n canonical residues per
+// modulus.
+func checkPoly(p *ring.Poly, n int, moduli []uint64) error {
+	if p == nil || len(p.Coeffs) != len(moduli) {
+		return fmt.Errorf("component does not have the %d limbs the parameters need", len(moduli))
+	}
+	for i, limb := range p.Coeffs {
+		if len(limb) != n {
+			return fmt.Errorf("ring degree %d, parameters use %d", len(limb), n)
+		}
+		for _, c := range limb {
+			if c >= moduli[i] {
+				return fmt.Errorf("limb %d holds a residue not below its modulus", i)
+			}
+		}
+	}
+	return nil
+}
+
+// Validate checks that the ciphertext can be evaluated under params by a
+// circuit that consumes minLevel levels.
+func (ct *Ciphertext) Validate(params *Parameters, minLevel int) error {
+	if ct.Level < minLevel {
+		return fmt.Errorf("ckks: ciphertext level %d is below the %d the circuit consumes", ct.Level, minLevel)
+	}
+	if ct.Level > params.MaxLevel() {
+		return fmt.Errorf("ckks: ciphertext level %d exceeds the parameters' max %d", ct.Level, params.MaxLevel())
+	}
+	for _, p := range []*ring.Poly{ct.C0, ct.C1} {
+		if err := checkPoly(p, params.N(), params.Q()[:ct.Level+1]); err != nil {
+			return fmt.Errorf("ckks: ciphertext: %w", err)
+		}
+	}
+	return nil
+}
+
+// EvaluationKeySet is the key material a client hands a server so it can
+// evaluate on the client's ciphertexts: everything NewEvaluator and
+// WithRotationKeys take, and nothing that can encrypt or decrypt.
+type EvaluationKeySet struct {
+	Relin     *RelinearizationKey
+	Rotations *RotationKeySet
+}
+
+// Validate checks the set against params and the rotation steps the circuit
+// uses: every key has one gadget digit per chain prime, shaped and reduced
+// for params, and the rotation keys cover exactly steps — a client may not
+// pin key material the circuit never touches — with no conjugation key.
+func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
+	if ek.Relin == nil || ek.Rotations == nil {
+		return fmt.Errorf("ckks: evaluation key set is incomplete")
+	}
+	if err := validateDigits(params, ek.Relin.Digits); err != nil {
+		return fmt.Errorf("ckks: relinearization key: %w", err)
+	}
+	want := slices.Clone(steps)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	have := ek.Rotations.Steps()
+	if !slices.Equal(have, want) {
+		return fmt.Errorf("ckks: rotation keys cover steps %v, the model uses exactly %v", have, want)
+	}
+	if ek.Rotations.conjugation != nil {
+		return fmt.Errorf("ckks: the model does not use conjugation; drop the conjugation key")
+	}
+	for _, step := range have {
+		if err := validateDigits(params, ek.Rotations.keys[step].Digits); err != nil {
+			return fmt.Errorf("ckks: rotation key for step %d: %w", step, err)
+		}
+	}
+	return nil
+}
+
+// validateDigits rejects a key that decoded cleanly but was built for other
+// parameters, or carries residues the key-switch loop cannot multiply.
+func validateDigits(params *Parameters, digits []EvaluationKeyDigit) error {
+	if got, want := len(digits), params.MaxLevel()+1; got != want {
+		return fmt.Errorf("%d gadget digits, parameters need %d", got, want)
+	}
+	q, p := params.Q(), []uint64{params.P()}
+	for i := range digits {
+		d := &digits[i]
+		for _, err := range []error{
+			checkPoly(d.BQ, params.N(), q), checkPoly(d.AQ, params.N(), q),
+			checkPoly(d.BP, params.N(), p), checkPoly(d.AP, params.N(), p),
+		} {
+			if err != nil {
+				return fmt.Errorf("digit %d: %w", i, err)
+			}
+		}
+	}
+	return nil
+}

@@ -1,21 +1,19 @@
 package henn
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/efficientfhe/smartpaf/internal/paf"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Binary serialization for the deployed model artifact. A frozen MLP is what
 // a registry hot-deploys over the network, so it gets the same wire-format
-// discipline as the internal/ckks key material: a leading magic, explicit
-// bounds on every count before allocation, and finiteness checks on every
-// float — a hostile payload must fail at the boundary, never panic (or NaN-
-// poison) the inference loop.
+// discipline as the internal/ckks key material, on the same internal/wire
+// codec: a leading magic, explicit bounds on every count before allocation,
+// and finiteness checks on every float — a hostile payload must fail at the
+// boundary, never panic (or NaN-poison) the inference loop.
 //
 // Layout (little-endian):
 //
@@ -28,7 +26,7 @@ import (
 //	                       u32 stageCount | per stage: u32 nCoeffs | f64 coeffs
 
 const (
-	mlpMagic = uint32(0x5AF7CC07) // next in the repo's 0x5AF7CCxx magic sequence
+	mlpMagic = uint32(0x5AF7CC07)
 
 	layerKindLinear     = uint32(1)
 	layerKindActivation = uint32(2)
@@ -43,86 +41,32 @@ const (
 	maxNameLen  = 128
 )
 
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writeF64s(w io.Writer, vs []float64) error {
-	return binary.Write(w, binary.LittleEndian, vs)
-}
-
-// readF64s reads n floats, rejecting NaN/Inf: non-finite weights would not
-// crash inference, they would silently corrupt every result that flows
-// through the layer.
-func readF64s(r io.Reader, n int, what string) ([]float64, error) {
-	vs := make([]float64, n)
-	if err := binary.Read(r, binary.LittleEndian, vs); err != nil {
-		return nil, err
-	}
-	for i, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("henn: non-finite %s value %g at index %d", what, v, i)
-		}
-	}
-	return vs, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader, what string) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxNameLen {
-		return "", fmt.Errorf("henn: implausible %s length %d", what, n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (mlp *MLP) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeU32(&buf, mlpMagic); err != nil {
-		return nil, err
-	}
 	if len(mlp.Layers) == 0 || len(mlp.Layers) > maxLayers {
 		return nil, fmt.Errorf("henn: cannot marshal an MLP with %d layers", len(mlp.Layers))
 	}
-	if err := writeU32(&buf, uint32(len(mlp.Layers))); err != nil {
-		return nil, err
-	}
+	var w wire.Writer
+	w.U32(mlpMagic)
+	w.U32(uint32(len(mlp.Layers)))
 	for i, l := range mlp.Layers {
+		var err error
 		switch v := l.(type) {
 		case *Linear:
-			if err := writeLinear(&buf, v); err != nil {
-				return nil, fmt.Errorf("henn: layer %d: %w", i, err)
-			}
+			err = writeLinear(&w, v)
 		case *Activation:
-			if err := writeActivation(&buf, v); err != nil {
-				return nil, fmt.Errorf("henn: layer %d: %w", i, err)
-			}
+			err = writeActivation(&w, v)
 		default:
-			return nil, fmt.Errorf("henn: layer %d has unserializable type %T", i, l)
+			err = fmt.Errorf("unserializable type %T", l)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("henn: layer %d: %w", i, err)
 		}
 	}
-	return buf.Bytes(), nil
+	return w, nil
 }
 
-func writeLinear(w io.Writer, l *Linear) error {
+func writeLinear(w *wire.Writer, l *Linear) error {
 	if l.In <= 0 || l.In > maxLayerDim || l.Out <= 0 || l.Out > maxLayerDim {
 		return fmt.Errorf("linear layer dimensions %dx%d out of range", l.Out, l.In)
 	}
@@ -137,59 +81,41 @@ func writeLinear(w io.Writer, l *Linear) error {
 		bias = 1
 	}
 	for _, v := range []uint32{layerKindLinear, uint32(l.In), uint32(l.Out), bias} {
-		if err := writeU32(w, v); err != nil {
-			return err
-		}
+		w.U32(v)
 	}
 	for _, row := range l.W {
 		if len(row) != l.In {
 			return fmt.Errorf("linear layer weight row has %d entries for In=%d", len(row), l.In)
 		}
-		if err := writeF64s(w, row); err != nil {
-			return err
-		}
+		w.F64s(row)
 	}
-	if l.B != nil {
-		return writeF64s(w, l.B)
-	}
+	w.F64s(l.B)
 	return nil
 }
 
-func readLinear(r io.Reader) (*Linear, error) {
-	var hdr [3]uint32 // In, Out, biasFlag
-	for i := range hdr {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		hdr[i] = v
+// readLinear reads the weight matrix as one block (its rows are views into
+// it), so the row table is only allocated once the payload has proven it
+// holds Out×In floats. The result is meaningless once r has failed.
+func readLinear(r *wire.Reader) *Linear {
+	in, out, bias := r.Count(maxLayerDim), r.Count(maxLayerDim), r.U32()
+	if in == 0 || out == 0 || bias > 1 {
+		r.Fail("implausible linear layer header (%dx%d, bias flag %d)", out, in, bias)
 	}
-	in, out, bias := int(hdr[0]), int(hdr[1]), hdr[2]
-	if in <= 0 || in > maxLayerDim || out <= 0 || out > maxLayerDim {
-		return nil, fmt.Errorf("henn: implausible linear dimensions %dx%d", out, in)
-	}
-	if bias > 1 {
-		return nil, fmt.Errorf("henn: implausible bias flag %d", bias)
+	flat := r.F64s(out * in)
+	if r.Err() != nil {
+		return nil
 	}
 	l := &Linear{In: in, Out: out, W: make([][]float64, out)}
 	for i := range l.W {
-		row, err := readF64s(r, in, "weight")
-		if err != nil {
-			return nil, err
-		}
-		l.W[i] = row
+		l.W[i] = flat[i*in : (i+1)*in : (i+1)*in]
 	}
 	if bias == 1 {
-		b, err := readF64s(r, out, "bias")
-		if err != nil {
-			return nil, err
-		}
-		l.B = b
+		l.B = r.F64s(out)
 	}
-	return l, nil
+	return l
 }
 
-func writeActivation(w io.Writer, a *Activation) error {
+func writeActivation(w *wire.Writer, a *Activation) error {
 	if a.PAF == nil || len(a.PAF.Stages) == 0 {
 		return fmt.Errorf("activation has no PAF stages")
 	}
@@ -199,119 +125,65 @@ func writeActivation(w io.Writer, a *Activation) error {
 	if math.IsNaN(a.Scale) || math.IsInf(a.Scale, 0) || a.Scale <= 0 {
 		return fmt.Errorf("activation has implausible scale %g", a.Scale)
 	}
-	if err := writeU32(w, layerKindActivation); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, a.Scale); err != nil {
-		return err
-	}
-	if err := writeString(w, a.PAF.Name); err != nil {
-		return err
-	}
-	if err := writeString(w, a.PAF.Label); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(len(a.PAF.Stages))); err != nil {
-		return err
-	}
+	w.U32(layerKindActivation)
+	w.F64(a.Scale)
+	w.Blob([]byte(a.PAF.Name))
+	w.Blob([]byte(a.PAF.Label))
+	w.U32(uint32(len(a.PAF.Stages)))
 	for _, s := range a.PAF.Stages {
 		if len(s.Coeffs) == 0 || len(s.Coeffs) > maxCoeffs {
 			return fmt.Errorf("PAF stage has %d coefficients (max %d)", len(s.Coeffs), maxCoeffs)
 		}
-		if err := writeU32(w, uint32(len(s.Coeffs))); err != nil {
-			return err
-		}
-		if err := writeF64s(w, s.Coeffs); err != nil {
-			return err
-		}
+		w.U32(uint32(len(s.Coeffs)))
+		w.F64s(s.Coeffs)
 	}
 	return nil
 }
 
-func readActivation(r io.Reader) (*Activation, error) {
-	var scale float64
-	if err := binary.Read(r, binary.LittleEndian, &scale); err != nil {
-		return nil, err
-	}
+// readActivation's result is meaningless once r has failed.
+func readActivation(r *wire.Reader) *Activation {
+	scale := r.F64()
 	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-		return nil, fmt.Errorf("henn: implausible activation scale %g", scale)
+		r.Fail("implausible activation scale %g", scale)
 	}
-	name, err := readString(r, "PAF name")
-	if err != nil {
-		return nil, err
+	c := &paf.Composite{Name: string(r.Blob(maxNameLen)), Label: string(r.Blob(maxNameLen))}
+	c.Stages = make([]*paf.OddPoly, r.Count(maxStages))
+	if len(c.Stages) == 0 {
+		r.Fail("activation has no PAF stages")
 	}
-	label, err := readString(r, "PAF label")
-	if err != nil {
-		return nil, err
-	}
-	nStages, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if nStages == 0 || nStages > maxStages {
-		return nil, fmt.Errorf("henn: implausible PAF stage count %d", nStages)
-	}
-	c := &paf.Composite{Name: name, Label: label, Stages: make([]*paf.OddPoly, nStages)}
 	for i := range c.Stages {
-		nc, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if nc == 0 || nc > maxCoeffs {
-			return nil, fmt.Errorf("henn: implausible PAF coefficient count %d", nc)
-		}
-		coeffs, err := readF64s(r, int(nc), "PAF coefficient")
-		if err != nil {
-			return nil, err
+		coeffs := r.F64s(r.Count(maxCoeffs))
+		if len(coeffs) == 0 {
+			r.Fail("PAF stage %d has no coefficients", i)
+			return nil
 		}
 		c.Stages[i] = paf.NewOddPoly(coeffs)
 	}
-	return &Activation{PAF: c, Scale: scale}, nil
+	return &Activation{PAF: c, Scale: scale}
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded MLP has
 // cold caches; a registry deploy warms them before serving traffic.
 func (mlp *MLP) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if magic != mlpMagic {
-		return fmt.Errorf("henn: bad MLP magic %#x", magic)
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if n == 0 || n > maxLayers {
-		return fmt.Errorf("henn: implausible layer count %d", n)
+	r := wire.NewReader("henn: MLP", data)
+	r.Magic(mlpMagic)
+	n := r.Count(maxLayers)
+	if n == 0 {
+		r.Fail("network has no layers")
 	}
 	layers := make([]any, 0, n)
-	for i := uint32(0); i < n; i++ {
-		kind, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		switch kind {
+	for ; n > 0 && r.Err() == nil; n-- {
+		switch kind := r.U32(); kind {
 		case layerKindLinear:
-			l, err := readLinear(r)
-			if err != nil {
-				return err
-			}
-			layers = append(layers, l)
+			layers = append(layers, readLinear(r))
 		case layerKindActivation:
-			a, err := readActivation(r)
-			if err != nil {
-				return err
-			}
-			layers = append(layers, a)
+			layers = append(layers, readActivation(r))
 		default:
-			return fmt.Errorf("henn: unknown layer kind %d", kind)
+			r.Fail("unknown layer kind %d", kind)
 		}
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("henn: %d trailing bytes after MLP payload", r.Len())
+	if err := r.Done(); err != nil {
+		return err
 	}
 	mlp.Layers = layers
 	return nil

@@ -2,7 +2,9 @@ package henn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -190,5 +192,20 @@ func TestDropCaches(t *testing.T) {
 	after := mlp.RequiredRotations(64)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("rotations changed across DropCaches: %v vs %v", after, before)
+	}
+}
+
+// TestMLPWireFormatGolden pins the bytes of the MLP wire format: SHA-256 of
+// testMLP(5), generated at the commit before the format moved onto
+// internal/wire. Stored .hemodel files embed these bytes.
+func TestMLPWireFormatGolden(t *testing.T) {
+	const want = "d608bd6ee142e50ed3e9fc0a3995618bb7f606ebf69f8e7bee55d692e89ea7bd"
+	data, err := testMLP(5).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("%d bytes digest %s, want %s", len(data), got, want)
 	}
 }

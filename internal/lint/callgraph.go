@@ -18,8 +18,7 @@ import (
 // later" counts. Call sites carry their lexical context (go, defer,
 // inside a non-invoked closure) because the whole-program analyzers
 // weigh them differently: a goroutine does not run on its spawner's
-// stack, so lockorder must not thread the held-set through it, while
-// errsink cares about every call wherever it appears.
+// stack, so lockorder must not thread the held-set through it.
 //
 // On top of the graph, Program offers a cycle-aware bottom-up fixpoint
 // (Fixpoint) for per-function effect summaries — recursion simply

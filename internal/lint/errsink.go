@@ -6,24 +6,21 @@ import (
 	"strings"
 )
 
-// Errsink finds discarded wire-decode and wire-I/O errors: a truncated
-// read that is ignored becomes a zero length, a silently failed write
-// becomes a corrupt artifact, and both bypass every bound wiremagic
-// proves. The base sink set is encoding/binary.Read/Write, io.ReadFull,
-// the (Un)MarshalBinary/Gob method family, and Encoder.Encode /
-// Decoder.Decode; on top of that, the shared call graph propagates
-// wire-ness through this repo's helper idiom — a function with an error
-// result that transitively performs wire I/O (readU32, writeU32,
-// writePoly and friends) is itself a sink, computed to a fixpoint so
-// helpers stacked on helpers still count. A call whose error result is
-// ignored — `_ =`, a blank in the tuple position, a bare expression
-// statement, or a defer/go that drops the results — is reported unless
-// the line (or the line above) carries //hennlint:err-ok with a
-// justification.
+// Errsink finds discarded wire-decode errors. Every wire format decodes
+// through an internal/wire Reader whose reads cannot fail one by one — the
+// failure is sticky and surfaces exactly once, from Reader.Done inside the
+// decoder and from the (Un)MarshalBinary method to its caller. Dropping
+// either turns a truncated or hostile payload into a zero value that every
+// later check trusts. The sink set is therefore small: Reader.Done, the
+// (Un)MarshalBinary/Gob method family, and Encoder.Encode / Decoder.Decode.
+// A call whose error result is ignored — `_ =`, a blank in the tuple
+// position, a bare expression statement, or a defer/go that drops the
+// results — is reported unless the line (or the line above) carries
+// //hennlint:err-ok with a justification.
 var Errsink = &Analyzer{
-	Name:       "errsink",
-	Doc:        "wire-decode and wire-I/O errors must not be silently discarded",
-	RunProgram: runErrsink,
+	Name: "errsink",
+	Doc:  "wire-decode errors must not be silently discarded",
+	Run:  runErrsink,
 }
 
 // errsinkMethodFamily are method names that serialize or deserialize
@@ -36,100 +33,63 @@ var errsinkMethodFamily = map[string]bool{
 	"GobDecode":       true,
 }
 
-func runErrsink(pp *ProgramPass) error {
-	prog := pp.Prog
-	// wire marks analyzed functions that transitively perform wire I/O
-	// and surface an error result.
-	wire := map[*types.Func]bool{}
-	prog.Fixpoint(func(n *FuncNode) bool {
-		if wire[n.Fn] || !hasErrorResult(n.Fn) {
-			return false
+func runErrsink(p *Pass) error {
+	for _, f := range p.Files {
+		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
 		}
-		for _, site := range n.Calls {
-			if site.Go || site.InClosure {
-				continue
+		ok := directiveLines(p.Fset, f, "err-ok")
+		report := func(call *ast.CallExpr, fn *types.Func, how string) {
+			if ok[p.Fset.Position(call.Pos()).Line] {
+				return
 			}
-			for _, callee := range site.Callees {
-				if isWireBase(callee) || wire[callee] {
-					wire[n.Fn] = true
-					return true
+			p.Reportf(call.Pos(), "error from %s is %s; wire-decode errors must be handled (audit with %serr-ok if discarding is intended)",
+				wireCallName(fn), how, directivePrefix)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if call, isCall := ast.Unparen(n.X).(*ast.CallExpr); isCall {
+					if fn := wireSink(p.Info, call); fn != nil {
+						report(call, fn, "discarded (results unused)")
+					}
 				}
-			}
-		}
-		return false
-	})
-
-	isWire := func(call *ast.CallExpr, info *types.Info) (*types.Func, bool) {
-		fn := calleeFunc(info, call)
-		if fn == nil || !hasErrorResult(fn) {
-			return nil, false
-		}
-		if isWireBase(fn) || wire[fn] {
-			return fn, true
-		}
-		return nil, false
-	}
-
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			if strings.HasSuffix(prog.Fset.Position(f.Pos()).Filename, "_test.go") {
-				continue
-			}
-			ok := directiveLines(prog.Fset, f, "err-ok")
-			report := func(call *ast.CallExpr, fn *types.Func, how string) {
-				if ok[prog.Fset.Position(call.Pos()).Line] {
-					return
+			case *ast.DeferStmt:
+				if fn := wireSink(p.Info, n.Call); fn != nil {
+					report(n.Call, fn, "discarded by defer")
 				}
-				pp.Reportf(call.Pos(), "error from %s is %s; wire-decode and I/O errors must be handled (audit with %serr-ok if discarding is intended)",
-					wireCallName(fn), how, directivePrefix)
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ExprStmt:
-					if call, isCall := ast.Unparen(n.X).(*ast.CallExpr); isCall {
-						if fn, w := isWire(call, pkg.Info); w {
-							report(call, fn, "discarded (results unused)")
-						}
-					}
-				case *ast.DeferStmt:
-					if fn, w := isWire(n.Call, pkg.Info); w {
-						report(n.Call, fn, "discarded by defer")
-					}
-				case *ast.GoStmt:
-					if fn, w := isWire(n.Call, pkg.Info); w {
-						report(n.Call, fn, "discarded by go statement")
-					}
-				case *ast.AssignStmt:
-					checkErrsinkAssign(pkg.Info, n.Lhs, n.Rhs, isWire, report)
-				case *ast.DeclStmt:
-					if gd, isGen := n.Decl.(*ast.GenDecl); isGen {
-						for _, spec := range gd.Specs {
-							if vs, isVal := spec.(*ast.ValueSpec); isVal && len(vs.Values) > 0 {
-								checkErrsinkAssign(pkg.Info, identsAsExprs(vs.Names), vs.Values, isWire, report)
-							}
+			case *ast.GoStmt:
+				if fn := wireSink(p.Info, n.Call); fn != nil {
+					report(n.Call, fn, "discarded by go statement")
+				}
+			case *ast.AssignStmt:
+				checkErrsinkAssign(p.Info, n.Lhs, n.Rhs, report)
+			case *ast.DeclStmt:
+				if gd, isGen := n.Decl.(*ast.GenDecl); isGen {
+					for _, spec := range gd.Specs {
+						if vs, isVal := spec.(*ast.ValueSpec); isVal && len(vs.Values) > 0 {
+							checkErrsinkAssign(p.Info, identsAsExprs(vs.Names), vs.Values, report)
 						}
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	return nil
 }
 
 // checkErrsinkAssign reports wire calls whose error-typed results land
 // in blank identifiers.
-func checkErrsinkAssign(info *types.Info, lhs, rhs []ast.Expr,
-	isWire func(*ast.CallExpr, *types.Info) (*types.Func, bool),
-	report func(*ast.CallExpr, *types.Func, string)) {
+func checkErrsinkAssign(info *types.Info, lhs, rhs []ast.Expr, report func(*ast.CallExpr, *types.Func, string)) {
 	// v, _ := call() — one multi-result call.
 	if len(rhs) == 1 && len(lhs) > 1 {
 		call, isCall := ast.Unparen(rhs[0]).(*ast.CallExpr)
 		if !isCall {
 			return
 		}
-		fn, w := isWire(call, info)
-		if !w {
+		fn := wireSink(info, call)
+		if fn == nil {
 			return
 		}
 		sig, isSig := fn.Type().(*types.Signature)
@@ -152,8 +112,8 @@ func checkErrsinkAssign(info *types.Info, lhs, rhs []ast.Expr,
 		if !isCall || !isBlank(lhs[i]) {
 			continue
 		}
-		fn, w := isWire(call, info)
-		if !w {
+		fn := wireSink(info, call)
+		if fn == nil {
 			continue
 		}
 		sig, isSig := fn.Type().(*types.Signature)
@@ -163,40 +123,31 @@ func checkErrsinkAssign(info *types.Info, lhs, rhs []ast.Expr,
 	}
 }
 
-// isWireBase matches the built-in wire sink set.
-func isWireBase(fn *types.Func) bool {
-	pkgPath := ""
-	if fn.Pkg() != nil {
-		pkgPath = fn.Pkg().Path()
+// wireSink returns the function a call invokes when it belongs to the sink
+// set — an error-returning method of the wire method family,
+// Encoder.Encode / Decoder.Decode, or Reader.Done — and nil otherwise.
+func wireSink(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(info, call)
+	if fn == nil || !hasErrorResult(fn) {
+		return nil
 	}
-	switch {
-	case pkgPath == "encoding/binary" && (fn.Name() == "Read" || fn.Name() == "Write"):
-		return true
-	case pkgPath == "io" && fn.Name() == "ReadFull":
-		return true
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	if errsinkMethodFamily[fn.Name()] {
-		return true
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return nil
 	}
 	recv := namedTypeName(sig.Recv().Type())
-	return (fn.Name() == "Encode" && recv == "Encoder") || (fn.Name() == "Decode" && recv == "Decoder")
+	if errsinkMethodFamily[fn.Name()] ||
+		fn.Name() == "Encode" && recv == "Encoder" ||
+		fn.Name() == "Decode" && recv == "Decoder" ||
+		fn.Name() == "Done" && recv == "Reader" {
+		return fn
+	}
+	return nil
 }
 
-// wireCallName renders Type.Method or pkg.Func for messages.
+// wireCallName renders Type.Method for messages.
 func wireCallName(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if tn := namedTypeName(sig.Recv().Type()); tn != "" {
-			return tn + "." + fn.Name()
-		}
-	}
-	if fn.Pkg() != nil && fn.Pkg().Name() != "" {
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return fn.Name()
+	return namedTypeName(fn.Type().(*types.Signature).Recv().Type()) + "." + fn.Name()
 }
 
 func hasErrorResult(fn *types.Func) bool {

@@ -15,8 +15,9 @@
 //     why deterministic sampling is intended.
 //   - ctcompare: secrets and tokens must be compared in constant time
 //     (crypto/subtle), never with == or bytes.Equal.
-//   - wiremagic: every UnmarshalBinary must check a magic constant and
-//     bound every length it reads from the wire before allocating.
+//   - wiremagic: every UnmarshalBinary must lead with the internal/wire
+//     Reader's Magic check and finish with its Done (the Reader itself
+//     bounds every length in between).
 //   - lockguard: struct fields annotated `// guarded by mu` (or
 //     //hennlint:guarded-by(mu)) may only be read or written while that
 //     mutex is held, tracked flow-sensitively through Lock/Unlock/RLock/
@@ -40,10 +41,9 @@
 //     label values, and functions annotated //hennlint:read-path
 //     (scrape/stats handlers) must never reach the series-creating
 //     With, only Find.
-//   - errsink: wire-decode and I/O errors must not be discarded — an
-//     ignored error from binary.Read/Write, an (Un)MarshalBinary-family
-//     method, or any helper that transitively performs wire I/O
-//     (readU32 and friends) is a finding unless audited with
+//   - errsink: wire-decode errors must not be discarded — an ignored
+//     error from Reader.Done, an (Un)MarshalBinary-family method or an
+//     Encoder.Encode / Decoder.Decode is a finding unless audited with
 //     //hennlint:err-ok.
 //
 // The suite runs as `make lint` (via cmd/hennlint) and is enforced in CI.
@@ -65,7 +65,7 @@ import (
 // Analyzer is one named invariant check. Run sees one package at a time;
 // RunProgram (either may be nil, at least one must be set) sees every
 // analyzed package at once through the shared call-graph engine
-// (callgraph.go) — the whole-program analyzers (lockorder, errsink,
+// (callgraph.go) — the whole-program analyzers (lockorder,
 // obsdiscipline's read-path check) live there.
 type Analyzer struct {
 	Name       string

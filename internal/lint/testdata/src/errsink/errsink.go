@@ -1,34 +1,14 @@
-// Package errsink is the errsink analyzer's test fixture: helpers in
-// this repo's readU32 idiom, a wire type with the (Un)MarshalBinary
-// family, and every way an error can be silently dropped.
+// Package errsink is the errsink analyzer's test fixture: a stand-in for
+// the internal/wire Reader, a wire type with the (Un)MarshalBinary family,
+// and every way an error can be silently dropped.
 package errsink
 
-import (
-	"encoding/binary"
-	"io"
-)
+import "io"
 
-// readU32 is the repo's wire-helper idiom: errsink marks it as a wire
-// sink transitively, because it has an error result and calls
-// binary.Read.
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
+type Reader struct{ err error }
 
-// loadHeader stacks on readU32: wire-ness reaches it at the fixpoint's
-// second round.
-func loadHeader(r io.Reader) (uint32, uint32, error) {
-	a, err := readU32(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := readU32(r)
-	return a, b, err
-}
+func (r *Reader) U32() uint32 { return 0 }
+func (r *Reader) Done() error { return r.err }
 
 type blob struct{ data []byte }
 
@@ -48,14 +28,10 @@ func (e *Encoder) Encode(v []byte) error {
 	return err
 }
 
-func badTupleBlank(r io.Reader) uint32 {
-	n, _ := readU32(r) // want "error from errsink.readU32 is assigned to _"
+func badDone(r *Reader) uint32 {
+	n := r.U32()
+	r.Done() // want "error from Reader.Done is discarded .results unused."
 	return n
-}
-
-func badTransitive(r io.Reader) (uint32, uint32) {
-	a, b, _ := loadHeader(r) // want "error from errsink.loadHeader is assigned to _"
-	return a, b
 }
 
 func badExprStmt(b *blob, p []byte) {
@@ -79,35 +55,21 @@ func badGo(e *Encoder, v []byte) {
 	go e.Encode(v) // want "error from Encoder.Encode is discarded by go statement"
 }
 
-func badDecl(r io.Reader) uint32 {
-	var n, _ = readU32(r) // want "error from errsink.readU32 is assigned to _"
-	return n
+func badDecl(b *blob) []byte {
+	var data, _ = b.MarshalBinary() // want "error from blob.MarshalBinary is assigned to _"
+	return data
 }
 
 // good checks every error it gets.
-func good(r io.Reader, b *blob, p []byte) (uint32, error) {
-	n, err := readU32(r)
-	if err != nil {
+func good(r *Reader, b *blob, p []byte) (uint32, error) {
+	n := r.U32()
+	if err := r.Done(); err != nil {
 		return 0, err
 	}
 	if err := b.UnmarshalBinary(p); err != nil {
 		return 0, err
 	}
 	return n, nil
-}
-
-// mustReadU32 panics instead of returning the error: it has no error
-// result, so it is not a wire sink and its callers owe nothing.
-func mustReadU32(r io.Reader) uint32 {
-	v, err := readU32(r)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-func goodMust(r io.Reader) uint32 {
-	return mustReadU32(r)
 }
 
 // audited is a best-effort path with a written-down justification.

@@ -1,124 +1,66 @@
-// Package wiremagic is the wiremagic analyzer's test fixture: wire
-// readers, unmarshalers with and without magic checks, and allocations
-// with and without length bounds.
+// Package wiremagic is the wiremagic analyzer's test fixture: a stand-in
+// for the internal/wire Reader and unmarshalers that do and do not frame
+// their decode with Magic and Done.
 package wiremagic
-
-import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"io"
-)
 
 const blobMagic = uint32(0xB10B)
 
-var (
-	errBadMagic = errors.New("bad magic")
-	errTooBig   = errors.New("implausible length")
-)
-
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
+type Reader struct {
+	buf []byte
+	err error
 }
 
-// Blob checks its magic and bounds its length: fully compliant.
+func (r *Reader) Magic(want uint32)   {}
+func (r *Reader) Count(max int) int   { return 0 }
+func (r *Reader) U64s(n int) []uint64 { return nil }
+func (r *Reader) Done() error         { return r.err }
+
+// Blob leads with Magic and finishes with Done: compliant.
 type Blob struct{ words []uint64 }
 
 func (b *Blob) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if magic != blobMagic {
-		return errBadMagic
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if n > 1<<16 {
-		return errTooBig
-	}
-	b.words = make([]uint64, n)
-	return binary.Read(r, binary.LittleEndian, b.words)
+	r := &Reader{buf: data}
+	r.Magic(blobMagic)
+	b.words = r.U64s(r.Count(1 << 16))
+	return r.Done()
 }
 
 // Naked never checks a magic constant.
 type Naked struct{ words []uint64 }
 
-func (nk *Naked) UnmarshalBinary(data []byte) error { // want "does not check a magic constant"
-	r := bytes.NewReader(data)
-	count, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if count > 1<<10 {
-		return errTooBig
-	}
-	nk.words = make([]uint64, count)
-	return binary.Read(r, binary.LittleEndian, nk.words)
+func (nk *Naked) UnmarshalBinary(data []byte) error { // want "does not lead with a Reader.Magic check"
+	r := &Reader{buf: data}
+	nk.words = r.U64s(r.Count(1 << 10))
+	return r.Done()
 }
 
-// Greedy checks its magic but allocates from an unvalidated length.
-type Greedy struct{ words []uint64 }
+// Late checks its magic only after it has already trusted a count.
+type Late struct{ words []uint64 }
 
-func (g *Greedy) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if magic != blobMagic {
-		return errBadMagic
-	}
-	count, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	g.words = make([]uint64, count) // want "unvalidated wire length"
-	return binary.Read(r, binary.LittleEndian, g.words)
+func (l *Late) UnmarshalBinary(data []byte) error { // want "does not lead with a Reader.Magic check"
+	r := &Reader{buf: data}
+	n := r.Count(1 << 10)
+	r.Magic(blobMagic)
+	l.words = r.U64s(n)
+	return r.Done()
 }
 
-// readWords is a helper, not an UnmarshalBinary method — helpers are
-// held to the same length-bounding standard.
-func readWords(r io.Reader) ([]uint64, error) {
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, count) // want "unvalidated wire length"
-	err = binary.Read(r, binary.LittleEndian, out)
-	return out, err
+// Open never asks the Reader whether the decode worked.
+type Open struct{ words []uint64 }
+
+func (o *Open) UnmarshalBinary(data []byte) error { // want "never calls Reader.Done"
+	r := &Reader{buf: data}
+	r.Magic(blobMagic)
+	o.words = r.U64s(r.Count(1 << 10))
+	return nil
 }
 
-// readWordsBounded is the compliant helper shape.
-func readWordsBounded(r io.Reader) ([]uint64, error) {
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<12 {
-		return nil, errTooBig
-	}
-	out := make([]uint64, count)
-	err = binary.Read(r, binary.LittleEndian, out)
-	return out, err
-}
+// Raw parses bytes by hand, with no Reader at all.
+type Raw struct{ b byte }
 
-type header struct {
-	Count uint32
-}
-
-// readPayload taints through a binary.Read destination struct.
-func readPayload(r io.Reader) ([]byte, error) {
-	var h header
-	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
-		return nil, err
+func (rw *Raw) UnmarshalBinary(data []byte) error { // want "does not lead with a Reader.Magic check" "never calls Reader.Done"
+	if len(data) > 0 {
+		rw.b = data[0]
 	}
-	out := make([]byte, h.Count) // want "unvalidated wire length"
-	_, err := io.ReadFull(r, out)
-	return out, err
+	return nil
 }

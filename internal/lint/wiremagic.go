@@ -2,32 +2,26 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// Wiremagic hardens the binary wire formats. Every UnmarshalBinary
-// method must:
+// Wiremagic pins the two ends of every wire decoder. UnmarshalBinary
+// methods decode through an internal/wire Reader, which bounds the middle
+// by construction — Count is the only source of a length, and a slice read
+// refuses to outrun the payload — but cannot see how a decoder starts or
+// finishes. So, in every UnmarshalBinary body:
 //
-//  1. check a magic constant — the function body (not its helpers) must
-//     compare something named like a magic against the payload, so a
-//     mis-routed or truncated payload fails at the front door instead of
-//     deep inside a length-prefixed structure; and
-//  2. bound every length it reads from the wire before allocating —
-//     tracked as a taint analysis: integers produced by the package's
-//     wire readers (readU32/readU64 results, binary.Read destinations)
-//     must flow through a relational comparison before they reach a
-//     make() size argument. The taint check runs over every function in
-//     the package, so length-reading helpers (readPoly, readDigits,
-//     readBytes) are held to the same standard as the methods that call
-//     them.
+//  1. the first Reader call must be Magic: a mis-routed or corrupted
+//     payload fails at the front door, not deep inside a length-prefixed
+//     structure; and
+//  2. the Reader's Done must be called: it is where a sticky read error
+//     surfaces, and where trailing bytes become an error instead of a
+//     payload two decoders disagree about.
 //
-// Without these checks a single hostile u32 can demand a multi-gigabyte
-// allocation before any validation runs.
+// The Reader is matched by type name, so fixtures stay self-contained.
 var Wiremagic = &Analyzer{
 	Name: "wiremagic",
-	Doc:  "UnmarshalBinary must check a magic constant and bound wire lengths before allocating",
+	Doc:  "UnmarshalBinary must lead with the wire Reader's Magic check and finish with its Done",
 	Run:  runWiremagic,
 }
 
@@ -35,176 +29,42 @@ func runWiremagic(p *Pass) error {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != "UnmarshalBinary" {
 				continue
 			}
-			if fd.Name.Name == "UnmarshalBinary" && fd.Recv != nil {
-				checkMagic(p, fd)
+			first, done := "", false
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, isCall := n.(*ast.CallExpr); isCall {
+					if method := readerMethod(p.Info, call); method != "" {
+						if first == "" {
+							first = method
+						}
+						done = done || method == "Done"
+					}
+				}
+				return true
+			})
+			if first != "Magic" {
+				p.Reportf(fd.Name.Pos(), "UnmarshalBinary does not lead with a Reader.Magic check; every wire format must reject mis-routed payloads up front")
 			}
-			checkBoundedLengths(p, fd)
+			if !done {
+				p.Reportf(fd.Name.Pos(), "UnmarshalBinary never calls Reader.Done; read errors and trailing bytes would pass silently")
+			}
 		}
 	}
 	return nil
 }
 
-// checkMagic requires an equality comparison against something named
-// like a magic constant somewhere in the UnmarshalBinary body, or a call
-// to a magic-checking helper (readMagic, checkMagic, ...) — identified
-// by a callee name that itself mentions "magic".
-func checkMagic(p *Pass, fd *ast.FuncDecl) {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			if (n.Op == token.EQL || n.Op == token.NEQ) && (mentionsMagic(n.X) || mentionsMagic(n.Y)) {
-				found = true
-				return false
-			}
-		case *ast.CallExpr:
-			if mentionsMagic(n.Fun) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	if !found {
-		p.Reportf(fd.Name.Pos(), "UnmarshalBinary does not check a magic constant; every wire format must reject mis-routed payloads up front")
-	}
-}
-
-func mentionsMagic(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return strings.Contains(strings.ToLower(e.Name), "magic")
-	case *ast.SelectorExpr:
-		return strings.Contains(strings.ToLower(e.Sel.Name), "magic")
-	}
-	return false
-}
-
-// checkBoundedLengths is the taint walk: wire-read integers must pass a
-// relational bound before sizing an allocation. The walk is lexical
-// (statements in source order), which matches the guard-then-allocate
-// shape this repository's unmarshalers use.
-func checkBoundedLengths(p *Pass, fd *ast.FuncDecl) {
-	tainted := map[string]token.Pos{} // exprKey -> position of the tainting read
-
-	taint := func(e ast.Expr, at token.Pos) {
-		switch e := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if e.Name != "_" {
-				tainted[exprKey(p.Info, e)] = at
-			}
-		case *ast.IndexExpr:
-			// hdr[i] = readU32(...) taints the whole array.
-			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-				tainted[exprKey(p.Info, id)] = at
-			}
-		case *ast.UnaryExpr:
-			if e.Op == token.AND {
-				// binary.Read(r, order, &v) writes through the pointer.
-				if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-					tainted[exprKey(p.Info, id)] = at
-				}
-			}
-		}
-	}
-	taintedExpr := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if _, bad := tainted[exprKey(p.Info, id)]; bad {
-					found = true
-				}
-			}
-			return true
-		})
-		return found
-	}
-	sanitize := func(e ast.Expr) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok {
-				return true
-			}
-			switch be.Op {
-			case token.LSS, token.GTR, token.LEQ, token.GEQ:
-				for _, side := range []ast.Expr{be.X, be.Y} {
-					ast.Inspect(side, func(m ast.Node) bool {
-						if id, ok := m.(*ast.Ident); ok {
-							delete(tainted, exprKey(p.Info, id))
-						}
-						return true
-					})
-				}
-			}
-			return true
-		})
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && isWireRead(p, call) {
-					for _, l := range n.Lhs {
-						taint(l, call.Pos())
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if isBinaryRead(p, n) && len(n.Args) == 3 {
-				taint(n.Args[2], n.Pos())
-			}
-			if isMake(p.Info, n) {
-				for _, size := range n.Args[1:] {
-					if taintedExpr(size) {
-						p.Reportf(n.Pos(), "allocation sized by unvalidated wire length %q; bound it before allocating", exprText(size))
-					}
-				}
-			}
-		case *ast.IfStmt:
-			sanitize(n.Cond)
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				sanitize(n.Cond)
-			}
-		}
-		return true
-	})
-}
-
-// isWireRead matches calls to the package's little-endian header
-// readers. Matching by name keeps fixtures self-contained and catches
-// every readU32/readU64 clone across the marshal files.
-func isWireRead(p *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(p.Info, call)
+// readerMethod returns the method name when call invokes a method of a
+// type named Reader, "" otherwise.
+func readerMethod(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeFunc(info, call)
 	if fn == nil {
-		return false
+		return ""
 	}
-	switch fn.Name() {
-	case "readU32", "readU64":
-		return true
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || namedTypeName(sig.Recv().Type()) != "Reader" {
+		return ""
 	}
-	return false
-}
-
-// isBinaryRead matches encoding/binary.Read.
-func isBinaryRead(p *Pass, call *ast.CallExpr) bool {
-	return isPkgFuncCall(p.Info, call, "binary", "Read")
-}
-
-// isMake matches the builtin make.
-func isMake(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "make"
-}
-
-func exprText(e ast.Expr) string {
-	return types.ExprString(e)
+	return fn.Name()
 }

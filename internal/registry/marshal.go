@@ -1,20 +1,18 @@
 package registry
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/efficientfhe/smartpaf/internal/henn"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Binary wire format for the deployed-model artifact: what POST /v1/models
 // accepts and what a -models directory holds on disk (one .hemodel file per
 // model). It frames the henn.MLP wire format together with the prescribed
-// parameter literal and the declared I/O dimensions, with the same magic and
-// bounds-hardening discipline as internal/ckks — a hostile deploy payload
-// must fail at the boundary.
+// parameter literal and the declared I/O dimensions, on the same internal/wire
+// codec as the formats it nests — a hostile deploy payload must fail at the
+// boundary.
 //
 // Layout (little-endian):
 //
@@ -30,36 +28,6 @@ const (
 	maxBundleDim   = 1 << 16
 )
 
-func writeU32(w io.Writer, v uint32) error { return binary.Write(w, binary.LittleEndian, v) }
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writeBytes(w io.Writer, b []byte) error {
-	if err := writeU32(w, uint32(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-func readBytes(r io.Reader, limit int, what string) ([]byte, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > limit {
-		return nil, fmt.Errorf("registry: implausible %s length %d (max %d)", what, n, limit)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (m *Model) MarshalBinary() ([]byte, error) {
 	if err := m.Validate(); err != nil {
@@ -73,64 +41,27 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := writeU32(&buf, bundleMagic); err != nil {
-		return nil, err
-	}
-	if err := writeBytes(&buf, []byte(m.Name)); err != nil {
-		return nil, err
-	}
-	for _, v := range []uint32{uint32(m.InputDim), uint32(m.OutputDim)} {
-		if err := writeU32(&buf, v); err != nil {
-			return nil, err
-		}
-	}
-	if err := writeBytes(&buf, paramBytes); err != nil {
-		return nil, err
-	}
-	if err := writeBytes(&buf, mlpBytes); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var w wire.Writer
+	w.U32(bundleMagic)
+	w.Blob([]byte(m.Name))
+	w.U32(uint32(m.InputDim))
+	w.U32(uint32(m.OutputDim))
+	w.Blob(paramBytes)
+	w.Blob(mlpBytes)
+	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded model is
 // fully validated (name charset, dimension envelope, finite weights via the
 // henn unmarshaler) — a successful decode is deployable as-is.
 func (m *Model) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic, err := readU32(r)
-	if err != nil {
+	r := wire.NewReader("registry: model bundle", data)
+	r.Magic(bundleMagic)
+	out := Model{Name: string(r.Blob(maxBundleName)), InputDim: r.Count(maxBundleDim), OutputDim: r.Count(maxBundleDim)}
+	paramBytes, mlpBytes := r.Blob(maxParamsBytes), r.Blob(maxMLPBytes)
+	if err := r.Done(); err != nil {
 		return err
 	}
-	if magic != bundleMagic {
-		return fmt.Errorf("registry: bad model-bundle magic %#x", magic)
-	}
-	name, err := readBytes(r, maxBundleName, "model name")
-	if err != nil {
-		return err
-	}
-	var dims [2]uint32
-	for i := range dims {
-		if dims[i], err = readU32(r); err != nil {
-			return err
-		}
-	}
-	if dims[0] == 0 || dims[0] > maxBundleDim || dims[1] == 0 || dims[1] > maxBundleDim {
-		return fmt.Errorf("registry: implausible model dimensions %dx%d", dims[0], dims[1])
-	}
-	paramBytes, err := readBytes(r, maxParamsBytes, "parameter literal")
-	if err != nil {
-		return err
-	}
-	mlpBytes, err := readBytes(r, maxMLPBytes, "MLP payload")
-	if err != nil {
-		return err
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("registry: %d trailing bytes after model bundle", r.Len())
-	}
-	out := Model{Name: string(name), InputDim: int(dims[0]), OutputDim: int(dims[1])}
 	if err := out.Params.UnmarshalBinary(paramBytes); err != nil {
 		return fmt.Errorf("registry: model %q parameters: %w", out.Name, err)
 	}

@@ -219,8 +219,8 @@ func (c *Client) Retire(ctx context.Context, name string) error {
 	return nil
 }
 
-// Session is a registered client session. The secret key never leaves it:
-// encryption and decryption happen locally, only ciphertexts and public
+// Session is a registered client session. The secret and public keys never
+// leave it: encryption and decryption happen locally, only ciphertexts and
 // evaluation keys cross the wire. Safe for concurrent Infer calls.
 type Session struct {
 	c      *Client
@@ -234,7 +234,8 @@ type Session struct {
 
 // NewSession registers against the server's sole deployed model: it fetches
 // the model info, generates a key set under the prescribed parameters and
-// registers the public half. The seed drives the deterministic key
+// uploads the evaluation keys (the public key, like the secret key, stays
+// with the session). The seed drives the deterministic key
 // generation (each client should pick its own). On a multi-model server use
 // NewSessionFor.
 func (c *Client) NewSession(ctx context.Context, seed int64) (*Session, error) {
@@ -275,10 +276,6 @@ func (c *Client) newSession(ctx context.Context, model string, seed int64) (*Ses
 	rlk := kg.GenRelinearizationKey(sk)
 	rks := kg.GenRotationKeys(sk, info.Rotations, false)
 
-	pkBytes, err := pk.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	rlkBytes, err := rlk.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -291,13 +288,8 @@ func (c *Client) newSession(ctx context.Context, model string, seed int64) (*Ses
 	// describe: a supersede landing between the info fetch and this
 	// registration must 410 cleanly instead of silently binding the new
 	// version under the old version's parameters.
-	payload, err := json.Marshal(registerRequest{
-		Model:        info.Ref(),
-		Params:       info.Params,
-		PublicKey:    pkBytes,
-		RelinKey:     rlkBytes,
-		RotationKeys: rksBytes,
-	})
+	frame := registration{Model: info.Ref(), Params: info.Params, RelinKey: rlkBytes, RotationKeys: rksBytes}
+	payload, err := frame.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +297,7 @@ func (c *Client) newSession(ctx context.Context, model string, seed int64) (*Ses
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err

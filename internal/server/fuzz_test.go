@@ -1,0 +1,41 @@
+package server
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// FuzzRegisterFrame throws arbitrary bytes at POST /v1/sessions — frame
+// decode, model resolution, key decode and ckks validation, in one handler.
+// Anything but an honest frame must be refused with a 4xx (never a panic, a
+// 5xx, or an allocation sized by a hostile length), and only a 200 may leave
+// a session behind.
+func FuzzRegisterFrame(f *testing.F) {
+	_, srv, _ := newTestServer(f)
+	dep := srv.reg.List()[0]
+	kg, sk := keyGen(f, srv, 3, nil)
+	honest := frameFor(f, srv, kg, sk, dep.Rotations(), false)
+	seed := mustMarshal(f, honest)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(seed[:4+4+len(honest.Model)+4+len(honest.Params)]) // header only
+	f.Add([]byte{})
+	corrupt := append([]byte(nil), seed...)
+	corrupt[len(corrupt)/2] ^= 0xFF
+	f.Add(corrupt)
+	handler := srv.Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := liveSessions(srv)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(data)))
+		registered := liveSessions(srv) - before
+		switch {
+		case rec.Code == http.StatusOK && registered == 1:
+		case rec.Code >= 400 && rec.Code < 500 && registered == 0:
+		default:
+			t.Fatalf("status %d with %d new sessions: %s", rec.Code, registered, rec.Body)
+		}
+	})
+}

@@ -4,10 +4,11 @@
 // model, one cross-model scheduler and worker budget for the whole server.
 //
 // The deployment story follows the marshal layer's framing: the client owns
-// the secret key and ships only public material — the parameters literal,
-// public key, relinearization key and rotation-key set — when registering a
-// session, then POSTs marshaled ciphertexts to the inference endpoint and
-// decrypts the returned result locally. The server never sees a plaintext.
+// the secret and public keys and ships only evaluation material — the
+// parameters literal, relinearization key and rotation-key set — when
+// registering a session, then POSTs marshaled ciphertexts to the inference
+// endpoint and decrypts the returned result locally. The server never sees a
+// plaintext, and holds no key that could produce or open one.
 // Models themselves are artifacts on the same wire: an admin hot-deploys a
 // marshaled registry.Model bundle and retires models by name, without
 // restarting the server.
@@ -22,8 +23,9 @@
 // "Authorization: Bearer <token>" (401 without a token, 403 with a wrong
 // one).
 //
-// Protocol (all binary payloads use the internal/ckks and internal/henn wire
-// formats; JSON []byte fields are base64 per encoding/json):
+// Protocol (all binary payloads are formats on the internal/wire codec, whose
+// package comment lists their magics; JSON []byte fields in responses are
+// base64 per encoding/json):
 //
 //	GET  /v1/models
 //	    -> [{name, version, draining, inputDim, outputDim, levels, slots,
@@ -56,13 +58,18 @@
 //	    freed once drained. 204 on success.
 //
 //	POST /v1/sessions
-//	    {model, params, publicKey, relinKey, rotationKeys} -> {sessionID, model, weight}
+//	    one binary frame (blob = u32 length | bytes, little-endian):
+//	      u32 0x5AF7CC0D | blob model | blob params | blob relinKey | blob rotationKeys
+//	    -> {sessionID, model, weight}
 //	    Binds the session to a deployed model; the response model is the
 //	    versioned reference ("alpha@2"). model may be a bare or versioned
 //	    name, and may be empty only while exactly one model is live;
-//	    params must byte-match that model's prescribed literal and
-//	    rotationKeys must cover exactly its rotation set. Registering
-//	    against a retired or draining version returns 410.
+//	    params must byte-match that model's prescribed literal; relinKey
+//	    and rotationKeys are the internal/ckks formats, shaped and reduced
+//	    for those parameters, and rotationKeys must cover exactly the
+//	    model's rotation set. Evaluation keys only: no public key is sent,
+//	    and there is no JSON form. Registering against a retired or
+//	    draining version returns 410.
 //
 //	POST /v1/sessions/{id}/infer
 //	    raw marshaled ciphertext -> raw marshaled ciphertext

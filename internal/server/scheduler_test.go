@@ -143,8 +143,9 @@ func floodThenVictim(t *testing.T, policy string) time.Duration {
 	for i := range x {
 		x[i] = float64(i%5)/5 - 0.4
 	}
-	// Deep enough that half the flood is still queued when the victim's
-	// request (poll round-trip + client-side encryption) lands.
+	// Deep enough that a standing backlog remains once the whole flood has
+	// been accepted and the victim's request (poll round-trip + client-side
+	// encryption) lands.
 	const flood = 16
 	var (
 		wg        sync.WaitGroup
@@ -166,10 +167,14 @@ func floodThenVictim(t *testing.T, policy string) time.Duration {
 			mu.Unlock()
 		}()
 	}
-	// Wait until a deep backlog is queued behind the single worker (the
-	// dispatcher holds a claimed quantum out of the queue, so the visible
-	// backlog tops out below the flood size).
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog >= flood/2 }, "flood backlog")
+	// Wait until the server has accepted the whole flood (every job is
+	// either still backlogged or has started running) while a deep backlog
+	// remains behind the single worker. A flood request that arrived after
+	// the victim would rightly finish after it under either policy, and
+	// make the completion-order comparison below mean nothing.
+	pollStats(t, srv, func(st Stats) bool {
+		return st.UnitsRun+int64(st.Backlog) >= flood && st.Backlog >= flood/4
+	}, "flood accepted with a standing backlog")
 	if _, err := b.Infer(ctx, x); err != nil {
 		t.Fatal(err)
 	}

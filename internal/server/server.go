@@ -1,13 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -412,6 +412,23 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// readBody reads a request body of at most limit bytes. When it cannot, it
+// has answered the request (413 over the limit, 400 otherwise) and reports
+// false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds the %d-byte body limit", what, mbe.Limit)
+		} else {
+			writeError(w, http.StatusBadRequest, "reading %s: %v", what, err)
+		}
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
 // live returns the catalog without draining versions — what a new session
 // can still bind to.
 func (s *Server) live() []*registry.Deployed {
@@ -466,14 +483,8 @@ func (s *Server) handleModelNamed(w http.ResponseWriter, r *http.Request) {
 // serving the old stack until they disconnect or TTL out, new registrations
 // bind the new version.
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "model bundle exceeds the %d-byte body limit", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading model bundle: %v", err)
+	data, ok := readBody(w, r, s.opts.MaxBodyBytes, "model bundle")
+	if !ok {
 		return
 	}
 	m := new(registry.Model)
@@ -481,7 +492,10 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "model bundle: %v", err)
 		return
 	}
-	var d *registry.Deployed
+	var (
+		d   *registry.Deployed
+		err error
+	)
 	if r.URL.Query().Get("supersede") == "true" {
 		d, _, err = s.reg.Supersede(m)
 	} else {
@@ -510,16 +524,6 @@ func (s *Server) handleRetire(w http.ResponseWriter, r *http.Request) {
 //hennlint:read-path
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// registerRequest carries the public key material of a new session over the
-// internal/ckks binary wire format, plus the name of the model to bind to.
-type registerRequest struct {
-	Model        string `json:"model"`
-	Params       []byte `json:"params"`
-	PublicKey    []byte `json:"publicKey"`
-	RelinKey     []byte `json:"relinKey"`
-	RotationKeys []byte `json:"rotationKeys"`
 }
 
 type registerResponse struct {
@@ -551,87 +555,43 @@ func (s *Server) resolveModel(name string) (*registry.Deployed, int, string) {
 	return d, 0, ""
 }
 
+// handleRegister is decode → validate → bind → insert. Every check on the
+// shape of the uploaded keys lives in ckks (EvaluationKeySet.Validate), where
+// the shapes are defined; a key set that passes cannot panic the key-switch
+// loop at inference time.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "registration exceeds the %d-byte body limit", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding registration: %v", err)
+	data, ok := readBody(w, r, s.opts.MaxBodyBytes, "registration")
+	if !ok {
 		return
 	}
-	dep, status, msg := s.resolveModel(req.Model)
+	var reg registration
+	if err := reg.UnmarshalBinary(data); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	dep, status, msg := s.resolveModel(reg.Model)
 	if dep == nil {
 		writeError(w, status, "%s", msg)
 		return
 	}
-	params := dep.Params()
-	if string(req.Params) != string(dep.ParamBytes()) {
+	if !bytes.Equal(reg.Params, dep.ParamBytes()) {
 		writeError(w, http.StatusBadRequest,
 			"session parameters do not match model %q's prescribed literal; fetch GET /v1/models/%s",
 			dep.Model().Name, dep.Model().Name)
 		return
 	}
-	// The public key is part of the registration payload (future server-side
-	// uses like result re-randomization encrypt under it); today it is only
-	// validated, not retained.
-	pk := new(ckks.PublicKey)
-	if err := pk.UnmarshalBinary(req.PublicKey); err != nil {
-		writeError(w, http.StatusBadRequest, "public key: %v", err)
+	params := dep.Params()
+	keys := ckks.EvaluationKeySet{Relin: new(ckks.RelinearizationKey), Rotations: new(ckks.RotationKeySet)}
+	err := keys.Relin.UnmarshalBinary(reg.RelinKey)
+	if err == nil {
+		err = keys.Rotations.UnmarshalBinary(reg.RotationKeys)
+	}
+	if err == nil {
+		err = keys.Validate(params, dep.Rotations())
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "evaluation keys: %v", err)
 		return
-	}
-	if pk.B.Level() != params.MaxLevel() || len(pk.B.Coeffs[0]) != params.N() {
-		writeError(w, http.StatusBadRequest, "public key was built for different parameters")
-		return
-	}
-	rlk := new(ckks.RelinearizationKey)
-	if err := rlk.UnmarshalBinary(req.RelinKey); err != nil {
-		writeError(w, http.StatusBadRequest, "relinearization key: %v", err)
-		return
-	}
-	if err := checkDigits(params, rlk.Digits); err != nil {
-		writeError(w, http.StatusBadRequest, "relinearization key: %v", err)
-		return
-	}
-	rks := new(ckks.RotationKeySet)
-	if err := rks.UnmarshalBinary(req.RotationKeys); err != nil {
-		writeError(w, http.StatusBadRequest, "rotation keys: %v", err)
-		return
-	}
-	// The server prescribes the rotation-step set exactly: every uploaded
-	// key must be one the model uses (a session may not pin arbitrary extra
-	// key material), and every key that could reach the key-switch loop
-	// must be shaped for the model's parameters, or a hostile upload
-	// becomes a panic at inference time instead of a 400 here.
-	required := map[int]bool{}
-	for _, step := range dep.Rotations() {
-		required[step] = true
-	}
-	have := map[int]bool{}
-	for _, step := range rks.Steps() {
-		if !required[step] {
-			writeError(w, http.StatusBadRequest, "rotation key for step %d is not in the model's required set", step)
-			return
-		}
-		key, _ := rks.Key(step)
-		if err := checkDigits(params, key.Digits); err != nil {
-			writeError(w, http.StatusBadRequest, "rotation key for step %d: %v", step, err)
-			return
-		}
-		have[step] = true
-	}
-	if rks.HasConjugation() {
-		writeError(w, http.StatusBadRequest, "the model does not use conjugation; drop the conjugation key")
-		return
-	}
-	for _, step := range dep.Rotations() {
-		if !have[step] {
-			writeError(w, http.StatusBadRequest, "rotation keys missing required step %d", step)
-			return
-		}
 	}
 
 	weight := 1
@@ -651,7 +611,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, "model %q retired", dep.Model().Name)
 		return
 	}
-	eval := ckks.NewEvaluator(params, rlk).WithRotationKeys(rks)
+	eval := ckks.NewEvaluator(params, keys.Relin).WithRotationKeys(keys.Rotations)
 	sess := &session{
 		dep:       dep,
 		ctx:       henn.NewContext(params, dep.Encoder(), eval),
@@ -721,24 +681,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, registerResponse{SessionID: sess.id, Model: dep.Ref(), Weight: weight})
 }
 
-// checkDigits rejects key material that deserialized cleanly but was built
-// for different parameters than the model prescribes.
-func checkDigits(params *ckks.Parameters, digits []ckks.EvaluationKeyDigit) error {
-	if got, want := len(digits), params.MaxLevel()+1; got != want {
-		return fmt.Errorf("%d gadget digits, parameters need %d", got, want)
-	}
-	for i := range digits {
-		d := &digits[i]
-		if d.BQ.Level() != params.MaxLevel() || d.BP.Level() != 0 {
-			return fmt.Errorf("digit %d has %d/%d limbs, want %d/1", i, d.BQ.Level()+1, d.BP.Level()+1, params.MaxLevel()+1)
-		}
-		if n := len(d.BQ.Coeffs[0]); n != params.N() {
-			return fmt.Errorf("digit %d has ring degree %d, parameters use %d", i, n, params.N())
-		}
-	}
-	return nil
-}
-
 func (s *Server) lookup(id string) *session {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -762,31 +704,17 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := sess.dep.Params()
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, min(maxCiphertextBytes(params), s.opts.MaxBodyBytes)))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "ciphertext exceeds the %d-byte body limit", mbe.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading ciphertext: %v", err)
+	data, ok := readBody(w, r, min(maxCiphertextBytes(params), s.opts.MaxBodyBytes), "ciphertext")
+	if !ok {
 		return
 	}
 	ct := new(ckks.Ciphertext)
-	if err := ct.UnmarshalBinary(data); err != nil {
-		writeError(w, http.StatusBadRequest, "ciphertext: %v", err)
-		return
+	err := ct.UnmarshalBinary(data)
+	if err == nil {
+		err = ct.Validate(params, sess.dep.Levels())
 	}
-	if n := len(ct.C0.Coeffs[0]); n != params.N() {
-		writeError(w, http.StatusBadRequest, "ciphertext ring degree %d, parameters use %d", n, params.N())
-		return
-	}
-	if ct.Level > params.MaxLevel() {
-		writeError(w, http.StatusBadRequest, "ciphertext level %d exceeds max %d", ct.Level, params.MaxLevel())
-		return
-	}
-	if ct.Level < sess.dep.Levels() {
-		writeError(w, http.StatusBadRequest, "ciphertext level %d below the %d the model consumes", ct.Level, sess.dep.Levels())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

@@ -3,15 +3,18 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // testLogN keeps the ring small (insecure but structurally identical) so the
@@ -127,105 +130,194 @@ func TestConcurrentClientsBatch(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsBadMaterial covers the wire-hardening paths: wrong
-// parameters, truncated keys and missing rotation steps must all 400.
-func TestRegisterRejectsBadMaterial(t *testing.T) {
-	_, _, ts := newTestServer(t)
-	post := func(req registerRequest) *http.Response {
-		payload, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	if resp := post(registerRequest{Params: []byte{1, 2, 3}}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched params: got %s, want 400", resp.Status)
-	}
-
-	info, err := NewClient(ts.URL, nil).Model(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := post(registerRequest{Params: info.Params, PublicKey: []byte{9}}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated public key: got %s, want 400", resp.Status)
-	}
-
-	// Keys that deserialize cleanly but were built for smaller parameters
-	// must be rejected at registration, not panic the key-switch loop at
-	// inference time. Build a full key set under a shallower chain.
+// keyGen returns a key generator (and its secret key) under a variant of the
+// test model's parameter literal.
+func keyGen(t testing.TB, srv *Server, seed int64, vary func(*ckks.ParametersLiteral)) (*ckks.KeyGenerator, *ckks.SecretKey) {
+	t.Helper()
 	var lit ckks.ParametersLiteral
-	if err := lit.UnmarshalBinary(info.Params); err != nil {
+	if err := lit.UnmarshalBinary(srv.reg.List()[0].ParamBytes()); err != nil {
 		t.Fatal(err)
 	}
-	lit.LogQ = lit.LogQ[:3]
-	small, err := ckks.NewParameters(lit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(small, 3)
-	sk := kg.GenSecretKey()
-	pkBytes, err := kg.GenPublicKey(sk).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rlkBytes, err := kg.GenRelinearizationKey(sk).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rksBytes, err := kg.GenRotationKeys(sk, info.Rotations, false).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := registerRequest{Params: info.Params, PublicKey: pkBytes, RelinKey: rlkBytes, RotationKeys: rksBytes}
-	if resp := post(wrong); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("wrong-parameter key set: got %s, want 400", resp.Status)
-	}
-}
-
-// TestRegisterRejectsExtraRotationKeys: the server prescribes the step set
-// exactly; sessions may not pin key material the model never uses.
-func TestRegisterRejectsExtraRotationKeys(t *testing.T) {
-	_, srv, ts := newTestServer(t)
-	info := infoFor(srv.reg.List()[0])
-	var lit ckks.ParametersLiteral
-	if err := lit.UnmarshalBinary(info.Params); err != nil {
-		t.Fatal(err)
+	if vary != nil {
+		vary(&lit)
 	}
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg := ckks.NewKeyGenerator(params, 4)
-	sk := kg.GenSecretKey()
-	pkBytes, err := kg.GenPublicKey(sk).MarshalBinary()
+	kg := ckks.NewKeyGenerator(params, seed)
+	return kg, kg.GenSecretKey()
+}
+
+// frameFor builds the registration frame a client would send for the test
+// server's model with keys from kg covering steps.
+func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int, conj bool) registration {
+	t.Helper()
+	dep := srv.reg.List()[0]
+	rlk, err := kg.GenRelinearizationKey(sk).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rlkBytes, err := kg.GenRelinearizationKey(sk).MarshalBinary()
+	rks, err := kg.GenRotationKeys(sk, steps, conj).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := append(append([]int{}, info.Rotations...), 31) // 31 is not required by the 16x8x4 demo model
-	rksBytes, err := kg.GenRotationKeys(sk, extra, false).MarshalBinary()
+	return registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: rlk, RotationKeys: rks}
+}
+
+func mustMarshal(t testing.TB, reg registration) []byte {
+	t.Helper()
+	data, err := reg.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(registerRequest{Params: info.Params, PublicKey: pkBytes, RelinKey: rlkBytes, RotationKeys: rksBytes})
+	return data
+}
+
+// liveSessions sums the per-model session counts of a stats snapshot.
+func liveSessions(srv *Server) int {
+	n := 0
+	for _, m := range srv.Stats().Models {
+		n += m.Sessions
+	}
+	return n
+}
+
+// TestRegisterRejectsHostileFrames throws every malformed or ill-fitting
+// registration at POST /v1/sessions: each must be a 4xx at the door — never a
+// panic, a session, or a leaked model reference.
+func TestRegisterRejectsHostileFrames(t *testing.T) {
+	_, srv, ts := newTestServer(t)
+	dep := srv.reg.List()[0]
+	steps := dep.Rotations()
+	kg, sk := keyGen(t, srv, 3, nil)
+	honest := frameFor(t, srv, kg, sk, steps, false)
+	honestBytes := mustMarshal(t, honest)
+
+	cases := map[string][]byte{
+		"wrong magic":    append([]byte{0x0E}, honestBytes[1:]...),
+		"legacy JSON":    []byte(`{"model":"","params":"AQID","publicKey":"","relinKey":"","rotationKeys":""}`),
+		"trailing byte":  append(append([]byte(nil), honestBytes...), 0),
+		"empty body":     {},
+		"unknown model":  mustMarshal(t, registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
+		"params differ":  mustMarshal(t, registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
+		"keys swapped":   mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
+		"missing step":   mustMarshal(t, frameFor(t, srv, kg, sk, steps[1:], false)),
+		"extra step":     mustMarshal(t, frameFor(t, srv, kg, sk, append([]int{31}, steps...), false)), // the 16x8x4 demo model never rotates by 31
+		"conjugation":    mustMarshal(t, frameFor(t, srv, kg, sk, steps, true)),
+		"garbage in key": mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
+	}
+
+	// Truncation at every field boundary, and inside every length prefix.
+	for off, fields := 4, [][]byte{[]byte(honest.Model), honest.Params, honest.RelinKey, honest.RotationKeys}; len(fields) > 0; fields = fields[1:] {
+		cases[fmt.Sprintf("cut inside the length at %d", off)] = honestBytes[:off+2]
+		cases[fmt.Sprintf("cut after the length at %d", off)] = honestBytes[:off+4]
+		off += 4 + len(fields[0])
+		if len(fields) > 1 {
+			cases[fmt.Sprintf("cut at the field boundary %d", off)] = honestBytes[:off]
+		}
+	}
+	cases["cut before the magic ends"] = honestBytes[:3]
+	cases["cut one byte short"] = honestBytes[:len(honestBytes)-1]
+
+	// A duplicate step: the single-key set's entry (step | digits), twice.
+	one, err := kg.GenRotationKeys(sk, steps[:1], false).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(payload))
+	entry := one[8 : len(one)-4] // between (magic | count) and the conjugation flag
+	var dup wire.Writer
+	dup.Bytes(one[:4])
+	dup.U32(2)
+	dup.Bytes(entry)
+	dup.Bytes(entry)
+	dup.U32(0)
+	cases["duplicate step"] = mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
+
+	// Keys that decode cleanly but were built for other parameters must be
+	// refused here, not panic the key-switch loop at inference time.
+	kgHalf, skHalf := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogN-- })
+	cases["wrong-N digits"] = mustMarshal(t, frameFor(t, srv, kgHalf, skHalf, steps, false))
+	kgShallow, skShallow := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogQ = lit.LogQ[:3] })
+	cases["shallower chain"] = mustMarshal(t, frameFor(t, srv, kgShallow, skShallow, steps, false))
+
+	// Residues at or above their modulus decode cleanly and would panic the
+	// first modular multiply that touches them. The last coefficient of a
+	// relinearization key is in AP of the last digit; of a rotation-key set,
+	// just before the conjugation flag.
+	hostile := honest
+	hostile.RelinKey = append([]byte(nil), honest.RelinKey...)
+	binary.LittleEndian.PutUint64(hostile.RelinKey[len(hostile.RelinKey)-8:], ^uint64(0))
+	cases["relin residue 2^64-1"] = mustMarshal(t, hostile)
+	hostile = honest
+	hostile.RotationKeys = append([]byte(nil), honest.RotationKeys...)
+	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-12:], ^uint64(0))
+	cases["rotation residue 2^64-1"] = mustMarshal(t, hostile)
+
+	baseline := dep.Refs()
+	for name, body := range cases {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode > 499 {
+			t.Errorf("%s: got %s, want a 4xx", name, resp.Status)
+		}
+		if n, refs := liveSessions(srv), dep.Refs(); n != 0 || refs != baseline {
+			t.Fatalf("%s: left %d sessions and %d model refs (baseline %d)", name, n, refs, baseline)
+		}
+	}
+
+	// The honest frame the cases were derived from registers.
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(honestBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("extra rotation step: got %s, want 400", resp.Status)
+	if resp.StatusCode != http.StatusOK || liveSessions(srv) != 1 {
+		t.Fatalf("honest frame: got %s and %d sessions", resp.Status, liveSessions(srv))
+	}
+}
+
+// TestRegisterLengthClaimDoesNotAllocate: lengths on the wire are claims.
+// A few hundred bytes claiming a gigabyte of key — at the frame level or in a
+// polynomial header inside a key — must be refused before anything is
+// allocated on the claim's say-so.
+func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
+	_, srv, _ := newTestServer(t)
+	dep := srv.reg.List()[0]
+	handler := srv.Handler()
+
+	var frameClaim wire.Writer
+	frameClaim.U32(registrationMagic)
+	frameClaim.Blob([]byte(dep.Ref()))
+	frameClaim.Blob(dep.ParamBytes())
+	frameClaim.U32(1 << 30) // relinKey "length", with nothing behind it
+
+	var polyClaim wire.Writer
+	polyClaim.U32(0x5AF7CC0B) // relinearization-key magic
+	polyClaim.U32(64)         // digits
+	polyClaim.U32(64)         // limbs of the first poly
+	polyClaim.U32(1 << 20)    // N of the first poly, with nothing behind it
+	inKey := mustMarshal(t, registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim})
+
+	for name, body := range map[string][]byte{"frame-level claim": frameClaim, "poly-level claim": inKey} {
+		post := func() int {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+			return rec.Code
+		}
+		if code := post(); code != http.StatusBadRequest { // also warms lazily built state
+			t.Fatalf("%s: got %d, want 400", name, code)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		post()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+			t.Errorf("%s: a %d-byte body made the server allocate %d bytes", name, len(body), got)
+		}
 	}
 }
 
@@ -276,5 +368,30 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("hostile ciphertext: got %s, want 400", resp.Status)
+	}
+
+	// A well-formed ciphertext whose last coefficient is 2^64-1 decodes
+	// cleanly; evaluating it would panic a pool worker. So would one with a
+	// byte appended, which the decoder used to accept.
+	x := make([]float64, sess.params.Slots())
+	pt, err := sess.enc.EncodeReals(x, sess.params.MaxLevel(), sess.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := sess.encr.Encrypt(pt).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	residue := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(residue[len(residue)-8:], ^uint64(0))
+	for name, body := range map[string][]byte{"residue 2^64-1": residue, "trailing byte": append(good, 0)} {
+		resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: got %s, want 400", name, resp.Status)
+		}
 	}
 }

@@ -1,0 +1,159 @@
+// Package wire is the one codec under every binary format in the repository:
+// little-endian scalars, raw slices, and u32-length-prefixed blobs, framed by
+// a leading magic. A Writer appends to a byte slice and cannot fail. A Reader
+// walks a byte slice with a sticky error: after the first failure every read
+// returns zero, so decoders read straight through and check Err (or Done)
+// once. Count is the only source of an allocation size, and every slice read
+// refuses a size larger than the bytes remaining — a decoder's allocation is
+// bounded by its payload, never by a header.
+//
+// Every format leads with its own magic, so a mis-routed payload fails at the
+// front door. The registry, in allocation order:
+//
+//	0x5AF7CC05  ckks.ParametersLiteral
+//	0x5AF7CC06  ckks.RotationKeySet
+//	0x5AF7CC07  henn.MLP
+//	0x5AF7CC08  registry.Model bundle (.hemodel, POST /v1/models)
+//	0x5AF7CC09  ckks.Ciphertext
+//	0x5AF7CC0A  retired (ckks.PublicKey; public keys no longer cross the wire)
+//	0x5AF7CC0B  ckks.RelinearizationKey
+//	0x5AF7CC0C  ckks.SwitchingKey
+//	0x5AF7CC0D  server registration frame (POST /v1/sessions)
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+)
+
+// Writer accumulates a payload; convert it to []byte when done.
+type Writer []byte
+
+func (w *Writer) U32(v uint32)  { *w = binary.LittleEndian.AppendUint32(*w, v) }
+func (w *Writer) U64(v uint64)  { *w = binary.LittleEndian.AppendUint64(*w, v) }
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// Bytes appends b raw; Blob appends it behind a u32 length.
+func (w *Writer) Bytes(b []byte) { *w = append(*w, b...) }
+func (w *Writer) Blob(b []byte)  { w.U32(uint32(len(b))); w.Bytes(b) }
+
+// U64s and F64s append the values raw, without a length.
+func (w *Writer) U64s(vs []uint64) {
+	for _, v := range vs {
+		w.U64(v)
+	}
+}
+
+func (w *Writer) F64s(vs []float64) {
+	for _, v := range vs {
+		w.F64(v)
+	}
+}
+
+// Reader decodes a payload front to back.
+type Reader struct {
+	what string
+	buf  []byte
+	err  error
+}
+
+// NewReader starts a decode of data; what ("ckks: ciphertext") names the
+// format in every error the Reader reports.
+func NewReader(what string, data []byte) *Reader { return &Reader{what: what, buf: data} }
+
+// Err reports the first failure, nil while every read so far succeeded.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records a failure — the Reader's own or a decoder's validation — as
+// the sticky error, unless an earlier one already stands.
+func (r *Reader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%s: %w", r.what, fmt.Errorf(format, args...))
+	}
+}
+
+// Done reports the sticky error, or an error if bytes remain unread.
+func (r *Reader) Done() error {
+	if len(r.buf) != 0 {
+		r.Fail("%d trailing bytes", len(r.buf))
+	}
+	return r.err
+}
+
+// Bytes returns the next n bytes as a view into the payload, not a copy.
+func (r *Reader) Bytes(n int) []byte {
+	if n < 0 || n > len(r.buf) {
+		r.Fail("need %d bytes, %d remain: %w", n, len(r.buf), io.ErrUnexpectedEOF)
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *Reader) U32() uint32  { return uint32(r.scalar(4)) }
+func (r *Reader) U64() uint64  { return r.scalar(8) }
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// scalar reads an n-byte little-endian integer, zero once r has failed.
+func (r *Reader) scalar(n int) (v uint64) {
+	for i, b := range r.Bytes(n) {
+		v |= uint64(b) << (8 * i)
+	}
+	return v
+}
+
+// Magic consumes the leading constant of a format.
+func (r *Reader) Magic(want uint32) {
+	if got := r.U32(); got != want {
+		r.Fail("bad magic %#x, want %#x", got, want)
+	}
+}
+
+// Count reads a u32 element count or length and refuses one above max.
+func (r *Reader) Count(max int) int {
+	n := r.U32()
+	if uint64(n) > uint64(max) {
+		r.Fail("count %d exceeds the limit %d", n, max)
+		return 0
+	}
+	return int(n)
+}
+
+// Blob reads a u32 length of at most max and returns that many bytes.
+func (r *Reader) Blob(max int) []byte { return r.Bytes(r.Count(max)) }
+
+// U64s reads n raw values; n comes from Count.
+func (r *Reader) U64s(n int) []uint64 {
+	b := r.Bytes(8 * n)
+	if b == nil {
+		return nil
+	}
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return vs
+}
+
+// F64s reads n raw values and refuses NaN and Inf: a non-finite weight or
+// scale would not crash a decoder's user, it would silently poison results.
+func (r *Reader) F64s(n int) []float64 {
+	b := r.Bytes(8 * n)
+	if b == nil {
+		return nil
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if math.IsNaN(vs[i]) || math.IsInf(vs[i], 0) {
+			r.Fail("non-finite value %g at index %d", vs[i], i)
+			return nil
+		}
+	}
+	return vs
+}
