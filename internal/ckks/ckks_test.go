@@ -96,15 +96,34 @@ func TestParametersAccessors(t *testing.T) {
 }
 
 func TestParameterValidation(t *testing.T) {
+	chain := func(limbs int) ParametersLiteral {
+		lit := ParametersLiteral{LogN: 4, LogQ: make([]int, limbs), LogP: 40, LogScale: 30}
+		for i := range lit.LogQ {
+			lit.LogQ[i] = 30
+		}
+		return lit
+	}
 	cases := []ParametersLiteral{
 		{LogN: 2, LogQ: []int{40}, LogP: 40, LogScale: 30},
 		{LogN: 10, LogQ: nil, LogP: 40, LogScale: 30},
 		{LogN: 10, LogQ: []int{40}, LogP: 40, LogScale: 10},
+		// One limb more than a key switch's 128-bit accumulator can sum.
+		chain(ring.MaxAcc128Terms + 1),
 	}
 	for i, lit := range cases {
 		if _, err := NewParameters(lit); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	if _, err := NewParameters(chain(ring.MaxAcc128Terms)); err != nil {
+		t.Errorf("a %d-limb chain: %v", ring.MaxAcc128Terms, err)
+	}
+	// The widest primes the substrate supports compile: GenPrimes used to
+	// answer LogQ/LogP = ring.MaxModulusBits with 62-bit primes that
+	// NewModulus then refused.
+	widest := ParametersLiteral{LogN: 10, LogQ: []int{ring.MaxModulusBits, 45, ring.MaxModulusBits}, LogP: ring.MaxModulusBits, LogScale: 45}
+	if _, err := NewParameters(widest); err != nil {
+		t.Errorf("%d-bit primes: %v", ring.MaxModulusBits, err)
 	}
 }
 

@@ -24,6 +24,11 @@ const scaleTol = 1e-6
 // digit accumulation, rescale base extension) is additionally fanned across
 // the internal/ring worker pool, so a single call also exploits multicore;
 // see ring.SetParallelism.
+//
+// Sums of products — a key switch's Σ digit ⊙ key, a linear layer's
+// Σ ciphertext ⊙ diagonal (PlainSum) — are accumulated unreduced in 128 bits
+// and reduced once at the end (ring.MulAcc128); every value an operation
+// returns is a canonical residue, identical under any fan-out width.
 type Evaluator struct {
 	params *Parameters
 	rlk    *RelinearizationKey
@@ -146,11 +151,52 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale, Level: level}, nil
 }
 
+// acc128 is a polynomial's worth of unreduced 128-bit sums: the high and low
+// words live in two pooled polys (see ring.MulAcc128).
+type acc128 struct {
+	hi, lo *ring.Poly
+}
+
+func getAcc128(r *ring.Ring, level int) acc128 {
+	return acc128{hi: r.GetPoly(level), lo: r.GetPoly(level)}
+}
+
+// mulAdd adds x ⊙ y into limb j of the accumulator.
+func (a acc128) mulAdd(j int, x, y []uint64) {
+	ring.MulAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], x, y)
+}
+
+// put returns both polys to the pool.
+func (a acc128) put(r *ring.Ring) {
+	r.PutPoly(a.hi)
+	r.PutPoly(a.lo)
+}
+
+// merge adds b into a and recycles b.
+func (a acc128) merge(r *ring.Ring, b acc128) {
+	for j := range a.lo.Coeffs {
+		ring.AddAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], b.hi.Coeffs[j], b.lo.Coeffs[j])
+	}
+	b.put(r)
+}
+
+// reduce performs the accumulator's one modular reduction, in place in its
+// low-word poly, which it returns; the high-word poly goes back to the pool.
+//
+//hennlint:transfers-ownership the returned poly is pooled; the caller must PutPoly it
+func (a acc128) reduce(r *ring.Ring) *ring.Poly {
+	for j, m := range r.Moduli[:len(a.lo.Coeffs)] {
+		m.ReduceAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], a.lo.Coeffs[j])
+	}
+	r.PutPoly(a.hi)
+	return a.lo
+}
+
 // ksAcc is one worker's key-switch accumulator set: the (c0, c1) partial
-// sums over Q and over the special prime P.
+// sums over Q and over the special prime P, unreduced.
 type ksAcc struct {
-	q0, q1 *ring.Poly
-	p0, p1 *ring.Poly
+	q0, q1 acc128
+	p0, p1 acc128
 }
 
 // newKSAccs draws zeroed accumulator sets for `workers` workers.
@@ -160,32 +206,38 @@ func (ev *Evaluator) newKSAccs(workers, level int) []ksAcc {
 	accs := make([]ksAcc, workers)
 	for w := range accs {
 		accs[w] = ksAcc{
-			q0: rq.GetPoly(level), q1: rq.GetPoly(level),
-			p0: rp.GetPoly(0), p1: rp.GetPoly(0),
+			q0: getAcc128(rq, level), q1: getAcc128(rq, level),
+			p0: getAcc128(rp, 0), p1: getAcc128(rp, 0),
 		}
 	}
 	return accs
 }
 
-// mergeKSAccs folds all partial sums into accs[0] and recycles the rest.
-// Modular addition is exact and commutative, so the merged result does not
-// depend on the digit-to-worker schedule — key-switch output stays
-// bit-deterministic under any fan-out width.
-func (ev *Evaluator) mergeKSAccs(accs []ksAcc) ksAcc {
+// finishKeySwitch merges the workers' partial sums, reduces them — the one
+// reduction a key switch's multiply-accumulate performs per coefficient —
+// and divides by P, returning the (c0, c1) correction over Q. 128-bit
+// addition is exact and commutative, so the result does not depend on the
+// digit-to-worker schedule: key-switch output stays bit-deterministic under
+// any fan-out width.
+//
+//hennlint:transfers-ownership both returned polys are pooled; the caller must PutPoly them
+func (ev *Evaluator) finishKeySwitch(accs []ksAcc, level int) (*ring.Poly, *ring.Poly) {
 	rq := ev.params.RingQ()
 	rp := ev.params.RingP()
 	acc := accs[0]
 	for _, a := range accs[1:] {
-		rq.Add(acc.q0, a.q0, acc.q0)
-		rq.Add(acc.q1, a.q1, acc.q1)
-		rp.Add(acc.p0, a.p0, acc.p0)
-		rp.Add(acc.p1, a.p1, acc.p1)
-		rq.PutPoly(a.q0)
-		rq.PutPoly(a.q1)
-		rp.PutPoly(a.p0)
-		rp.PutPoly(a.p1)
+		acc.q0.merge(rq, a.q0)
+		acc.q1.merge(rq, a.q1)
+		acc.p0.merge(rp, a.p0)
+		acc.p1.merge(rp, a.p1)
 	}
-	return acc
+	q0, q1 := acc.q0.reduce(rq), acc.q1.reduce(rq)
+	p0, p1 := acc.p0.reduce(rp), acc.p1.reduce(rp)
+	ev.modDownByP(q0, p0, level)
+	ev.modDownByP(q1, p1, level)
+	rp.PutPoly(p0)
+	rp.PutPoly(p1)
+	return q0, q1
 }
 
 // keySwitch applies a gadget key (relinearization or rotation) to an
@@ -199,6 +251,9 @@ func (ev *Evaluator) mergeKSAccs(accs []ksAcc) ksAcc {
 // and the accumulated value equals P·d2·s² + small error over QP. Dividing
 // by P (exact centered mod-down, P is a single prime) yields d2·s² + tiny
 // error over Q.
+//
+// The products are summed unreduced in 128-bit accumulators (a chain has at
+// most ring.MaxAcc128Terms digits) and reduced once, in finishKeySwitch.
 //
 // Digits are independent, so the INTT/extend/NTT/multiply-accumulate chain
 // fans across them with per-worker accumulators merged at the end — the
@@ -240,14 +295,8 @@ func (ev *Evaluator) keySwitch(d2 *ring.Poly, digits []EvaluationKeyDigit, level
 				}
 			}
 			rq.Moduli[j].NTT(ext)
-			b := evk.BQ.Coeffs[j]
-			a := evk.AQ.Coeffs[j]
-			o0 := acc.q0.Coeffs[j]
-			o1 := acc.q1.Coeffs[j]
-			for k := 0; k < n; k++ {
-				o0[k] = ring.AddMod(o0[k], ring.MulMod(ext[k], b[k], qj), qj)
-				o1[k] = ring.AddMod(o1[k], ring.MulMod(ext[k], a[k], qj), qj)
-			}
+			acc.q0.mulAdd(j, ext, evk.BQ.Coeffs[j])
+			acc.q1.mulAdd(j, ext, evk.AQ.Coeffs[j])
 		}
 		if qi <= p {
 			copy(ext, digit)
@@ -257,23 +306,12 @@ func (ev *Evaluator) keySwitch(d2 *ring.Poly, digits []EvaluationKeyDigit, level
 			}
 		}
 		rp.Moduli[0].NTT(ext)
-		bP := evk.BP.Coeffs[0]
-		aP := evk.AP.Coeffs[0]
-		o0 := acc.p0.Coeffs[0]
-		o1 := acc.p1.Coeffs[0]
-		for k := 0; k < n; k++ {
-			o0[k] = ring.AddMod(o0[k], ring.MulMod(ext[k], bP[k], p), p)
-			o1[k] = ring.AddMod(o1[k], ring.MulMod(ext[k], aP[k], p), p)
-		}
+		acc.p0.mulAdd(0, ext, evk.BP.Coeffs[0])
+		acc.p1.mulAdd(0, ext, evk.AP.Coeffs[0])
 	})
-	acc := ev.mergeKSAccs(accs)
-
-	ev.modDownByP(acc.q0, acc.p0, level)
-	ev.modDownByP(acc.q1, acc.p1, level)
-	rp.PutPoly(acc.p0)
-	rp.PutPoly(acc.p1)
+	ks0, ks1 := ev.finishKeySwitch(accs, level)
 	stageDone("key_switch", mark)
-	return acc.q0, acc.q1
+	return ks0, ks1
 }
 
 // modDownByP divides accQ (NTT domain over Q_level) by P in place, consuming

@@ -156,63 +156,51 @@ func (ev *Evaluator) applyGaloisHoisted(dec *HoistedDecomposition, k int, swk *S
 	mark := stageClock()
 	ct := dec.ct
 	rq := ev.params.RingQ()
-	rp := ev.params.RingP()
 	n := ev.params.N()
-	p := ev.params.P()
 	level := dec.level
 	idx := ev.params.galoisNTTIndex(k)
 
-	// Per-digit multiply-accumulate against the switching key, gathering the
-	// permuted digit on the fly; fans across digits like keySwitch.
+	// Per-digit multiply-accumulate against the switching key, unreduced like
+	// keySwitch's; the permuted digit limb is gathered into a scratch buffer
+	// first so both key components multiply against it. Fans across digits.
 	var accs []ksAcc
 	ring.ForEachWorker(level+1, (level+2)*n, func(workers int) {
 		accs = ev.newKSAccs(workers, level)
 	}, func(w, i int) {
 		acc := &accs[w]
 		evk := &swk.Digits[i]
+		v := rq.GetScratch()
+		defer rq.PutScratch(v)
 		for j := 0; j <= level; j++ {
-			qj := rq.Moduli[j].Q
-			src := dec.decQ[i].Coeffs[j]
-			b := evk.BQ.Coeffs[j]
-			a := evk.AQ.Coeffs[j]
-			o0 := acc.q0.Coeffs[j]
-			o1 := acc.q1.Coeffs[j]
-			for t := 0; t < n; t++ {
-				v := src[idx[t]]
-				o0[t] = ring.AddMod(o0[t], ring.MulMod(v, b[t], qj), qj)
-				o1[t] = ring.AddMod(o1[t], ring.MulMod(v, a[t], qj), qj)
-			}
+			gather(v, dec.decQ[i].Coeffs[j], idx)
+			acc.q0.mulAdd(j, v, evk.BQ.Coeffs[j])
+			acc.q1.mulAdd(j, v, evk.AQ.Coeffs[j])
 		}
-		srcP := dec.decP[i].Coeffs[0]
-		bP := evk.BP.Coeffs[0]
-		aP := evk.AP.Coeffs[0]
-		o0 := acc.p0.Coeffs[0]
-		o1 := acc.p1.Coeffs[0]
-		for t := 0; t < n; t++ {
-			v := srcP[idx[t]]
-			o0[t] = ring.AddMod(o0[t], ring.MulMod(v, bP[t], p), p)
-			o1[t] = ring.AddMod(o1[t], ring.MulMod(v, aP[t], p), p)
-		}
+		gather(v, dec.decP[i].Coeffs[0], idx)
+		acc.p0.mulAdd(0, v, evk.BP.Coeffs[0])
+		acc.p1.mulAdd(0, v, evk.AP.Coeffs[0])
 	})
-	acc := ev.mergeKSAccs(accs)
-
-	ev.modDownByP(acc.q0, acc.p0, level)
-	ev.modDownByP(acc.q1, acc.p1, level)
-	rp.PutPoly(acc.p0)
-	rp.PutPoly(acc.p1)
+	ks0, ks1 := ev.finishKeySwitch(accs, level)
 
 	// out.C0 = φ(c0) + ks0, with φ(c0) gathered in NTT domain.
-	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: acc.q1, Scale: ct.Scale, Level: level}
+	out := &Ciphertext{C0: ks0, C1: ks1, Scale: ct.Scale, Level: level}
 	ring.ForEachLimb(level+1, n, func(j int) {
 		qj := rq.Moduli[j].Q
 		src := ct.C0.Coeffs[j]
-		ks := acc.q0.Coeffs[j]
 		o := out.C0.Coeffs[j]
 		for t := 0; t < n; t++ {
-			o[t] = ring.AddMod(src[idx[t]], ks[t], qj)
+			o[t] = ring.AddMod(src[idx[t]], o[t], qj)
 		}
 	})
-	rq.PutPoly(acc.q0)
 	stageDone("rotate_hoisted", mark)
 	return out, nil
+}
+
+// gather sets dst[t] = src[idx[t]]: an automorphism applied to one NTT-domain
+// limb.
+func gather(dst, src []uint64, idx []int32) {
+	src = src[:len(dst)]
+	for t, i := range idx[:len(dst)] {
+		dst[t] = src[i]
+	}
 }

@@ -68,6 +68,11 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if len(lit.LogQ) == 0 {
 		return nil, fmt.Errorf("ckks: empty modulus chain")
 	}
+	// A key switch sums one product per limb in an unreduced 128-bit
+	// accumulator (Evaluator.keySwitch).
+	if len(lit.LogQ) > ring.MaxAcc128Terms {
+		return nil, fmt.Errorf("ckks: modulus chain of %d limbs exceeds %d", len(lit.LogQ), ring.MaxAcc128Terms)
+	}
 	if lit.LogScale < 20 || lit.LogScale > 60 {
 		return nil, fmt.Errorf("ckks: LogScale=%d out of range [20,60]", lit.LogScale)
 	}

@@ -112,18 +112,31 @@ func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphe
 	// so each rotation after the first costs only the permuted key
 	// multiply-accumulate. The giant rotations act on per-block inner sums —
 	// all distinct ciphertexts — so they stay on the plain path.
+	//
+	// Every intermediate is pooled and handed back: the baby rotations when
+	// the layer is done, each block's inner sum once it is rotated, each
+	// rotated block once it is added into the running sum.
+	eval := ctx.Eval
 	tr := ctx.trace
 	mark := tr.StageStart()
-	dec := ctx.Eval.DecomposeHoisted(ct)
+	dec := eval.DecomposeHoisted(ct)
 	tr.StageEnd("decompose_hoisted", mark)
 	defer dec.Release()
-	babyCache := map[int]*ckks.Ciphertext{0: ct}
+	babyCache := map[int]*ckks.Ciphertext{}
+	defer func() {
+		for _, r := range babyCache {
+			eval.Recycle(r)
+		}
+	}()
 	baby := func(b int) (*ckks.Ciphertext, error) {
+		if b == 0 {
+			return ct, nil
+		}
 		if r, ok := babyCache[b]; ok {
 			return r, nil
 		}
 		mark := tr.StageStart()
-		r, err := ctx.Eval.RotateHoisted(dec, b)
+		r, err := eval.RotateHoisted(dec, b)
 		tr.StageEnd("rotate_hoisted", mark)
 		if err != nil {
 			return nil, err
@@ -132,10 +145,18 @@ func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphe
 		return r, nil
 	}
 
+	inner := eval.NewPlainSum(ct.Level)
+	defer inner.Release()
 	var acc *ckks.Ciphertext
+	defer func() {
+		if acc != nil {
+			eval.Recycle(acc)
+		}
+	}()
 	for g := 0; g*n1 < slots; g++ {
-		// Inner sum over baby steps for this giant block.
-		var inner *ckks.Ciphertext
+		// Inner sum over baby steps for this giant block: one lazily reduced
+		// accumulation, one reduction per block.
+		terms := 0
 		for b := 0; b < n1; b++ {
 			d := g*n1 + b
 			diag := plan.vec[d]
@@ -163,38 +184,45 @@ func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphe
 				return nil, err
 			}
 			mark = tr.StageStart()
-			term := ctx.Eval.MulPlain(rb, pt)
-			if inner == nil {
-				inner = term
-				tr.StageEnd("mul_plain", mark)
-				continue
-			}
-			inner, err = ctx.Eval.Add(inner, term)
+			err = inner.MulPlainThenAdd(rb, pt)
 			tr.StageEnd("mul_plain", mark)
 			if err != nil {
 				return nil, err
 			}
+			terms++
 		}
-		if inner == nil {
+		if terms == 0 {
 			continue
 		}
 		mark := tr.StageStart()
-		rotated, err := ctx.Eval.Rotate(inner, g*n1)
-		tr.StageEnd("rotate", mark)
+		block, err := inner.Sum()
+		tr.StageEnd("mul_plain", mark)
 		if err != nil {
-			return nil, fmt.Errorf("henn: giant rotation %d: %w", g*n1, err)
+			return nil, err
+		}
+		if g > 0 {
+			mark = tr.StageStart()
+			rotated, err := eval.Rotate(block, g*n1)
+			tr.StageEnd("rotate", mark)
+			eval.Recycle(block)
+			if err != nil {
+				return nil, fmt.Errorf("henn: giant rotation %d: %w", g*n1, err)
+			}
+			block = rotated
 		}
 		if acc == nil {
-			acc = rotated
+			acc = block
 			continue
 		}
-		if acc, err = ctx.Eval.Add(acc, rotated); err != nil {
+		err = eval.AddInPlace(acc, block)
+		eval.Recycle(block)
+		if err != nil {
 			return nil, err
 		}
 	}
 
 	mark = tr.StageStart()
-	out, err := ctx.Eval.Rescale(acc)
+	out, err := eval.Rescale(acc)
 	tr.StageEnd("rescale", mark)
 	if err != nil {
 		return nil, err

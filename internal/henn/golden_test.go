@@ -1,0 +1,80 @@
+package henn
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/paf"
+	"github.com/efficientfhe/smartpaf/internal/ring"
+)
+
+// goldenLayerDigests pins the bytes of the layer evaluators' outputs:
+// SHA-256 of the marshaled ciphertexts goldenLayerOutputs computes from
+// fixed seeds, generated at the commit before the linear layers' inner sums
+// were fused into one lazily reduced accumulation. Fusing changes how often
+// the sums are reduced, never the canonical residues that come out.
+var goldenLayerDigests = map[string]string{
+	"apply-linear":      "bd0eef8eaa31ea42d62f624b02f9f2a430df125c349c4f3bc6d4b5b6c15dc7bc",
+	"apply-linear-bsgs": "3cb0b846cd4467a34d8076eca066a32b5e155bfbff53531d91e797db74dd9d9e",
+	"unit-run":          "fe0852dadcdc5eff472bcda30989311c9999523946245ffc1ac664489bfda087",
+}
+
+func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
+	rng := rand.New(rand.NewSource(17))
+	lin := randomLinear(rng, 20, 12)
+	out := randomLinear(rng, 12, 4)
+	mlp := &MLP{Layers: []any{lin, &Activation{PAF: paf.MustNew(paf.FormF1G2), Scale: 4}, out}}
+	// LogN=9 with this model's ten-limb chain is the smallest ring whose key
+	// switches reach ring.MinParallelWork, so the default-width pass really
+	// fans.
+	const logN, slots = 9, 256
+	if !mlp.PreferBSGS(slots) {
+		t.Fatal("the golden model must take the BSGS serving path")
+	}
+	if l := mlp.LevelsRequired(); (l+1)*(l+2)<<logN < ring.MinParallelWork {
+		t.Fatal("the golden model's key switches no longer reach ring.MinParallelWork")
+	}
+	steps := append(mlp.RequiredRotations(slots), mlp.RequiredRotationsBSGS(slots)...)
+	ctx, encryptor, _ := newHEContextLogN(t, logN, mlp.LevelsRequired(), steps)
+
+	vec := make([]float64, ctx.Params.Slots())
+	for i := 0; i < lin.In; i++ {
+		vec[i] = rng.Float64()*2 - 1
+	}
+	pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := encryptor.Encrypt(pt)
+	must := func(ct *ckks.Ciphertext, err error) *ckks.Ciphertext {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	return map[string]*ckks.Ciphertext{
+		"apply-linear":      must(ctx.ApplyLinear(lin, ct)),
+		"apply-linear-bsgs": must(ctx.ApplyLinearBSGS(lin, ct)),
+		"unit-run":          must(Unit{Ctx: ctx, MLP: mlp, CT: ct}.Run()),
+	}
+}
+
+func TestLayerOutputsGolden(t *testing.T) {
+	for _, width := range []int{1, 0, 4} {
+		ring.SetParallelism(width)
+		for name, ct := range goldenLayerOutputs(t) {
+			data, err := ct.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != goldenLayerDigests[name] {
+				t.Errorf("parallelism %d: %s: digest %s, want %s", width, name, got, goldenLayerDigests[name])
+			}
+		}
+	}
+	ring.SetParallelism(0)
+}

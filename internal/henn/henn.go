@@ -308,42 +308,53 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	constScale := targetScale * ql / ct.Scale // = ql: lands back on targetScale
 
 	plan := l.diagonalPlan(slots)
+	if len(plan.diags) == 0 {
+		return nil, fmt.Errorf("henn: all-zero weight matrix")
+	}
+	eval := ctx.Eval
 	tr := ctx.trace
-	var acc *ckks.Ciphertext
+	// Σ_d u_d ⊙ rot(x, d) as one lazily reduced accumulation; each rotation
+	// goes back to the pool as soon as its term is added.
+	sum := eval.NewPlainSum(ct.Level)
+	defer sum.Release()
 	for _, d := range plan.diags {
-		mark := tr.StageStart()
-		rot, err := ctx.Eval.Rotate(ct, d)
-		tr.StageEnd("rotate", mark)
-		if err != nil {
-			return nil, fmt.Errorf("henn: diagonal %d: %w", d, err)
+		rot := ct
+		if d != 0 {
+			mark := tr.StageStart()
+			var err error
+			rot, err = eval.Rotate(ct, d)
+			tr.StageEnd("rotate", mark)
+			if err != nil {
+				return nil, fmt.Errorf("henn: diagonal %d: %w", d, err)
+			}
 		}
-		mark = tr.StageStart()
+		mark := tr.StageStart()
 		pt, err := l.encodedPlaintext(
 			ptKey{enc: ctx.Enc, d: d, level: rot.Level, scale: constScale},
 			func() []float64 { return plan.vec[d] })
 		tr.StageEnd("encode", mark)
-		if err != nil {
-			return nil, err
-		}
-		mark = tr.StageStart()
-		term := ctx.Eval.MulPlain(rot, pt)
-		if acc == nil {
-			acc = term
+		if err == nil {
+			mark = tr.StageStart()
+			err = sum.MulPlainThenAdd(rot, pt)
 			tr.StageEnd("mul_plain", mark)
-			continue
 		}
-		acc, err = ctx.Eval.Add(acc, term)
-		tr.StageEnd("mul_plain", mark)
+		if d != 0 {
+			eval.Recycle(rot)
+		}
 		if err != nil {
 			return nil, err
 		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("henn: all-zero weight matrix")
 	}
 	mark := tr.StageStart()
-	out, err := ctx.Eval.Rescale(acc)
+	acc, err := sum.Sum()
+	tr.StageEnd("mul_plain", mark)
+	if err != nil {
+		return nil, err
+	}
+	mark = tr.StageStart()
+	out, err := eval.Rescale(acc)
 	tr.StageEnd("rescale", mark)
+	eval.Recycle(acc)
 	if err != nil {
 		return nil, err
 	}

@@ -16,12 +16,17 @@ import (
 // newHEContext builds a small context with rotation keys for the MLP.
 func newHEContext(t testing.TB, levels int, rotations []int) (*Context, *ckks.Encryptor, *ckks.Decryptor) {
 	t.Helper()
+	return newHEContextLogN(t, 8, levels, rotations)
+}
+
+func newHEContextLogN(t testing.TB, logN, levels int, rotations []int) (*Context, *ckks.Encryptor, *ckks.Decryptor) {
+	t.Helper()
 	logQ := make([]int, levels+1)
 	logQ[0] = 55
 	for i := 1; i <= levels; i++ {
 		logQ[i] = 45
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 8, LogQ: logQ, LogP: 55, LogScale: 45})
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: 55, LogScale: 45})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,8 @@
+//go:build race
+
+package henn
+
+// raceEnabled reports whether the race detector is compiled in: under it
+// sync.Pool drops a share of every Put, so pool-backed allocation bounds do
+// not hold.
+const raceEnabled = true

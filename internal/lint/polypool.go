@@ -13,13 +13,14 @@ import (
 //	(*ring.Ring).GetPoly / GetPolyRaw  →  (*ring.Ring).PutPoly
 //	(*ring.Ring).GetScratch            →  (*ring.Ring).PutScratch
 //	(*ckks.Evaluator).DecomposeHoisted →  (*ckks.HoistedDecomposition).Release
+//	(*ckks.Evaluator).NewPlainSum      →  (*ckks.PlainSum).Release
 //
 // A function may hand an acquired resource to its caller through a
 // return value only when annotated //hennlint:transfers-ownership; calls
 // to such annotated functions are themselves treated as acquires in the
 // caller. Matching is by receiver type name (Ring, Evaluator,
-// HoistedDecomposition), which keeps the analyzer's test fixtures
-// self-contained.
+// HoistedDecomposition, PlainSum), which keeps the analyzer's test
+// fixtures self-contained.
 var Polypool = &Analyzer{
 	Name: "polypool",
 	Doc:  "pooled ring polynomials and scratch buffers must be released on every path",
@@ -33,6 +34,7 @@ var polypoolAcquires = []struct {
 	{"Ring", "GetPolyRaw", "pooled poly"},
 	{"Ring", "GetScratch", "pooled scratch buffer"},
 	{"Evaluator", "DecomposeHoisted", "hoisted decomposition"},
+	{"Evaluator", "NewPlainSum", "plaintext-product sum"},
 }
 
 func runPolypool(p *Pass) error {
@@ -54,8 +56,10 @@ func runPolypool(p *Pass) error {
 			if _, ok := methodCall(p.Info, call, "Ring", "PutScratch"); ok && len(call.Args) == 1 {
 				return call.Args[0], true
 			}
-			if recv, ok := methodCall(p.Info, call, "HoistedDecomposition", "Release"); ok {
-				return recv, true
+			for _, owner := range []string{"HoistedDecomposition", "PlainSum"} {
+				if recv, ok := methodCall(p.Info, call, owner, "Release"); ok {
+					return recv, true
+				}
 			}
 			return nil, false
 		},
@@ -65,10 +69,11 @@ func runPolypool(p *Pass) error {
 }
 
 // isPoolResource matches the types polypool tracks: pooled polynomials,
-// hoisted decompositions, and []uint64 scratch buffers.
+// hoisted decompositions, plaintext-product sums, and []uint64 scratch
+// buffers.
 func isPoolResource(t types.Type) bool {
 	switch namedTypeName(t) {
-	case "Poly", "HoistedDecomposition":
+	case "Poly", "HoistedDecomposition", "PlainSum":
 		return true
 	}
 	if s, ok := t.Underlying().(*types.Slice); ok {

@@ -134,3 +134,24 @@ func hoistedLeak(ev *Evaluator, r *Ring, fail bool) error {
 	r.PutPoly(p)
 	return nil
 }
+
+func plainSumDeferred(ev *Evaluator, p *Poly) error {
+	sum := ev.NewPlainSum(2)
+	defer sum.Release()
+	if err := sum.MulPlainThenAdd(p); err != nil {
+		return err
+	}
+	return nil
+}
+
+// Sum empties the accumulators but is not the release: a sum that took a
+// term and bailed out still holds pooled polys.
+func plainSumLeak(ev *Evaluator, p *Poly) error {
+	sum := ev.NewPlainSum(2)
+	if err := sum.MulPlainThenAdd(p); err != nil {
+		return err // want "plaintext-product sum sum .* is not released on this return path"
+	}
+	_, err := sum.Sum()
+	sum.Release()
+	return err
+}

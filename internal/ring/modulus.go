@@ -9,8 +9,10 @@
 //   - RNS polynomials (one uint64 limb per prime) and limb-wise arithmetic,
 //   - samplers for uniform, ternary and discrete-Gaussian polynomials.
 //
-// All moduli are required to be below 2^61 so that modular reduction can be
-// performed with 128-bit intermediate products (math/bits.Mul64/Div64).
+// All moduli are required to be below 2^61 (MaxModulusBits). Single products
+// reduce through a 128-bit intermediate (math/bits.Mul64/Div64); the hot
+// loops instead reduce once at their boundary — lazy butterflies in the
+// transforms (ntt.go) and unreduced 128-bit sums of products (acc128.go).
 package ring
 
 import (
@@ -19,9 +21,15 @@ import (
 )
 
 // MaxModulusBits is the largest supported bit size for a single prime.
-// Keeping q < 2^61 guarantees that a+b never overflows uint64 and that the
-// high word of a 128-bit product is always smaller than q, as required by
-// bits.Div64.
+// Every lazy bound in the package rests on q < 2^61:
+//
+//   - a+b never overflows uint64, and the high word of a 128-bit product of
+//     residues is smaller than q, as bits.Div64 requires (MulMod);
+//   - 4q < 2^63, so the transforms' butterflies may leave values in [0, 4q)
+//     and correct them with a sign-bit fold (ntt.go);
+//   - q² < 2^122, so MaxAcc128Terms = 64 products sum in 128 bits without
+//     overflow (acc128.go) — which is why internal/ckks refuses a modulus
+//     chain longer than 64 limbs: a key switch sums one product per limb.
 const MaxModulusBits = 61
 
 // Modulus bundles a prime q with the precomputed constants needed for fast
@@ -41,6 +49,13 @@ type Modulus struct {
 	psiInvRev   []uint64
 	psiInvShoup []uint64
 	nInvShoup   uint64
+	// nInvPsi = N^-1·psiInvRev[1]: the inverse transform's last stage has a
+	// single twiddle, so the division by N rides on its two multiplies.
+	nInvPsi      uint64
+	nInvPsiShoup uint64
+
+	// muHi·2^64 + muLo = ⌊2^128/q⌋, the Barrett constant of ReduceAcc128.
+	muHi, muLo uint64
 }
 
 // NewModulus prepares q for NTTs of degree n (a power of two). q must be
@@ -62,6 +77,9 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 	m := &Modulus{Q: q, N: n, psi: psi}
 	m.psiInv = InvMod(psi, q)
 	m.nInv = InvMod(uint64(n), q)
+	var rem uint64
+	m.muHi, rem = bits.Div64(1, 0, q)
+	m.muLo, _ = bits.Div64(rem, 0, q)
 	m.buildTwiddles()
 	return m, nil
 }
@@ -91,6 +109,10 @@ func (m *Modulus) buildTwiddles() {
 		m.psiInvShoup[i] = shoupPrecomp(m.psiInvRev[i], m.Q)
 	}
 	m.nInvShoup = shoupPrecomp(m.nInv, m.Q)
+	if n > 1 {
+		m.nInvPsi = MulMod(m.nInv, m.psiInvRev[1], m.Q)
+		m.nInvPsiShoup = shoupPrecomp(m.nInvPsi, m.Q)
+	}
 }
 
 // Psi returns the primitive 2N-th root of unity used by this modulus.

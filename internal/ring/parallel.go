@@ -22,9 +22,17 @@ import (
 
 // MinParallelWork is the minimum number of coefficient operations
 // (jobs × per-job cost) below which limb fan-out falls back to the serial
-// path. One goroutine handoff costs on the order of a microsecond, which a
-// limb of ≥ 4096 butterfly operations comfortably amortizes.
-const MinParallelWork = 1 << 13
+// path. It is sized by measurement, not by the cost of a goroutine: waking
+// a second core and joining on it costs 50–80 µs on the 2-vCPU reference
+// box, and a transform's coefficient costs about 10 ns since the butterflies
+// went lazy, so a fan only wins once the serial job is worth well over
+// 2 × 80 µs / 10 ns = 16 384 coefficients (EXPERIMENTS.md has the table).
+// 1<<15 keeps a whole-polynomial NTT, Add or MulCoeffs at N = 1024 serial
+// even with a 10-limb chain — fanning those lost to the hand-off — while
+// the key-switch digit fan and DecomposeHoisted's (digit × limb) fan, jobs
+// ten times larger at the same parameters, and any whole-polynomial
+// transform from N = 4096 × 8 limbs up still take the second core.
+const MinParallelWork = 1 << 15
 
 // parallelism is the fan-out width; 0 means "use runtime.GOMAXPROCS(0)".
 var parallelism atomic.Int64
