@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid bench-smoke bench-hotpath fuzz clean-testcache serve-demo upgrade-demo
+.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid fuzz clean-testcache serve-demo upgrade-demo
 
 all: test
 
@@ -55,28 +55,6 @@ bench-check:
 bench-valid:
 	bash bench/run.sh --workload linear_heavy --seconds 3 --setups 1
 	bash bench/run.sh --workload paf_heavy --seconds 3 --setups 1
-
-# One iteration of every benchmark in the repo: not a measurement, a compile-
-# and-run smoke so perf paths (scheduler, batch inference, NTT fan-out)
-# cannot silently rot. CI runs this after the test suite and uploads the
-# output file as a build artifact. The redirect-then-cat dance keeps the
-# go test exit code (a `| tee` would swallow it under plain sh).
-bench-smoke:
-	@$(GO) test -run '^$$' -bench . -benchtime 1x ./... > bench-smoke.txt 2>&1; \
-	status=$$?; cat bench-smoke.txt; exit $$status
-
-# The serving hot path at measurement iteration counts: one limb's NTT/INTT
-# at N=1024 (the butterfly cost everything above is built from), then
-# hoisted vs plain rotations, BSGS vs naive linear layers, batched inference
-# — with -benchmem so the rotation-layer allocation behavior is pinned
-# alongside latency. CI uploads bench-hotpath.txt as a build artifact;
-# EXPERIMENTS.md records the reference numbers.
-bench-hotpath:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkNTT$$|BenchmarkINTT$$' . && \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRotatePlain|BenchmarkRotateHoisted|BenchmarkBatchInference|BenchmarkAblationLinear' \
-		-benchmem -benchtime 3x . ; } > bench-hotpath.txt 2>&1; \
-	status=$$?; cat bench-hotpath.txt; exit $$status
 
 # End-to-end remote encrypted inference: spins up an in-process hennserve on
 # a loopback port, registers a session over HTTP, classifies encrypted

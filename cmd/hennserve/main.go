@@ -13,7 +13,7 @@
 //	hennserve -demo alpha -demo beta:13     # several demo models (name[:seed])
 //	hennserve -models ./deployed            # every *.hemodel bundle in a dir
 //	hennserve -train -demo alpha -export ./deployed   # save bundles, then serve
-//	hennserve -addr :9000 -logn 12 -batch 32 -workers -1 -policy fair
+//	hennserve -addr :9000 -logn 12 -batch 32 -workers -1
 //	hennserve -state ./state -admin-token s3cret      # durable versioned catalog
 //	hennserve -log-requests -metrics-addr 127.0.0.1:8556  # access log + pprof/metrics plane
 //
@@ -66,8 +66,7 @@ func main() {
 		export    = flag.String("export", "", "write every loaded model as a .hemodel bundle to this directory before serving")
 		batch     = flag.Int("batch", 16, "fair-scheduling quantum: jobs claimed per weight-1 session turn")
 		workers   = flag.Int("workers", -1, "server-wide inference worker budget shared by all sessions and models (0/1 one worker, <0 all cores)")
-		window    = flag.Duration("window", 0, "how long a newly active session waits for its quantum to fill (0 dispatches immediately; fair policy only)")
-		policy    = flag.String("policy", server.PolicyFair, "cross-session scheduling policy: fair (round-robin quanta) or fifo (arrival order)")
+		window    = flag.Duration("window", 0, "how long a newly active session waits for its quantum to fill (0 dispatches immediately)")
 		ttl       = flag.Duration("ttl", 0, "idle-session eviction TTL (0 keeps the 30m default, <0 disables eviction)")
 		queue     = flag.Int("queue", 0, "per-session request queue depth (0 keeps the 1024 default)")
 		state     = flag.String("state", "", "state directory: every deployed bundle persists as <name>@<version>.hemodel and the catalog reloads on restart")
@@ -100,7 +99,6 @@ func main() {
 		MaxBatch:            *batch,
 		Workers:             *workers,
 		BatchWindow:         *window,
-		Policy:              *policy,
 		SessionTTL:          *ttl,
 		QueueDepth:          *queue,
 		MaxSessionsPerModel: *perModel,
@@ -116,8 +114,8 @@ func main() {
 		fmt.Printf("hennserve: model %s (%d -> %d, %d levels), N=%d, %d rotation keys per session\n",
 			d.Ref(), m.InputDim, m.OutputDim, d.Levels(), 2*d.Params().Slots(), len(d.Rotations()))
 	}
-	fmt.Printf("hennserve: %d model version(s), %q scheduling over a %d-worker shared budget\n",
-		srv.Registry().Len(), *policy, srv.Stats().Workers)
+	fmt.Printf("hennserve: %d model version(s), fair scheduling over a %d-worker shared budget\n",
+		srv.Registry().Len(), srv.Stats().Workers)
 	if *state != "" {
 		fmt.Printf("hennserve: catalog persists under %s (reloaded on restart)\n", *state)
 	}

@@ -66,9 +66,8 @@ func main() {
 	rlk := kg.GenRelinearizationKey(sk)
 	// Baby-step/giant-step rotation keys: O(√slots) instead of one key per
 	// non-zero matrix diagonal.
-	rotations := mlp.RequiredRotationsBSGS(params.Slots())
-	fmt.Printf("deployed MLP: %d levels, %d rotation keys (BSGS; naive diagonal method would need %d)\n",
-		mlp.LevelsRequired(), len(rotations), len(mlp.RequiredRotations(params.Slots())))
+	rotations := mlp.ServingRotations(params.Slots())
+	fmt.Printf("deployed MLP: %d levels, %d rotation keys\n", mlp.LevelsRequired(), len(rotations))
 	rks := kg.GenRotationKeys(sk, rotations, false)
 	eval := ckks.NewEvaluator(params, rlk).WithRotationKeys(rks)
 	ctx := henn.NewContext(params, ckks.NewEncoder(params), eval)
@@ -89,7 +88,7 @@ func main() {
 		ct := encryptor.Encrypt(pt)
 
 		start := time.Now()
-		out, err := ctx.InferBSGS(mlp, ct)
+		out, err := ctx.Infer(mlp, ct)
 		check(err)
 		totalLat += time.Since(start)
 

@@ -24,10 +24,10 @@ type Options struct {
 	Seed int64
 	W    io.Writer
 
-	// Parallel is the worker count used by batch-parallel stages (per-slot
-	// CT in the pipeline, the batch columns of the parlat tables). 0 or 1
-	// runs serially; negative uses all cores. Results are identical either
-	// way — only wall-clock changes.
+	// Parallel is the worker count of the pipeline's batch-parallel per-slot
+	// CT (0 or 1 runs serially, negative uses all cores; results are
+	// identical either way) and, when positive, the upgrade rollout's
+	// server worker budget (default 2).
 	Parallel int
 }
 

@@ -2,22 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
 	"github.com/efficientfhe/smartpaf/internal/paf"
-	"github.com/efficientfhe/smartpaf/internal/parallel"
-	"github.com/efficientfhe/smartpaf/internal/ring"
 	"github.com/efficientfhe/smartpaf/internal/smartpaf"
 )
 
 func init() {
 	register("tab4", Table4)
 	register("fig1", Fig1)
-	register("parlat", ParallelLatency)
 }
 
 // heStandardMaxLogQP maps ring degree (LogN) to the maximum total modulus
@@ -253,142 +249,4 @@ func Fig1(opt Options) error {
 	}
 	t.write(opt.W)
 	return nil
-}
-
-// ParallelLatency reports the serial vs. parallel numbers for the two
-// concurrency layers added to the CKKS substrate: RNS-limb fan-out inside a
-// single operation (ring worker pool) and batch fan-out of independent
-// ciphertexts over one shared evaluator. Results are bit-identical across
-// the serial and parallel paths by construction; the table quantifies the
-// wall-clock difference on this machine.
-func ParallelLatency(opt Options) error {
-	workers := parallel.Workers(opt.Parallel)
-	if opt.Parallel == 0 {
-		// Unset knob: the parallel column defaults to all cores, since a
-		// one-worker "parallel" column is just the serial column again.
-		// An explicit -parallel 1 is honored (and visible in the header).
-		workers = runtime.GOMAXPROCS(0)
-	}
-	iters := 8
-	if opt.Fast {
-		iters = 4
-	}
-
-	t := newTable(fmt.Sprintf("Parallel substrate latency (GOMAXPROCS=%d, workers=%d)", runtime.GOMAXPROCS(0), workers),
-		"operation", "serial", "parallel", "speedup")
-
-	// RNS-limb fan-out: forward+inverse NTT over a full limb chain at
-	// N=8192 (the acceptance point of the concurrency PR).
-	const logN, limbs = 13, 8
-	n := 1 << logN
-	primes, err := ring.GenPrimes(45, n, limbs, nil)
-	if err != nil {
-		return err
-	}
-	rq, err := ring.NewRing(n, primes)
-	if err != nil {
-		return err
-	}
-	poly := ring.NewSampler(rq, opt.Seed).Uniform(limbs - 1)
-	nttOnce := func() {
-		rq.NTT(poly)
-		rq.INTT(poly)
-	}
-	ring.SetParallelism(1)
-	nttOnce() // warmup
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		nttOnce()
-	}
-	nttSerial := time.Since(start) / time.Duration(iters)
-	ring.SetParallelism(workers)
-	nttOnce()
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		nttOnce()
-	}
-	nttParallel := time.Since(start) / time.Duration(iters)
-	ring.SetParallelism(0)
-	t.addRow(fmt.Sprintf("NTT+INTT (N=%d, %d limbs)", n, limbs),
-		nttSerial.Round(time.Microsecond).String(),
-		nttParallel.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", float64(nttSerial)/float64(nttParallel)))
-
-	// Batch fan-out: B independent encrypted ReLUs over one shared
-	// evaluator, serial loop vs. concurrent workers.
-	form := paf.FormF1G2
-	batch := 2 * workers
-	if batch < 4 {
-		batch = 4
-	}
-	serialD, parallelD, err := measureBatchReLU(form, opt, batch, workers)
-	if err != nil {
-		return err
-	}
-	t.addRow(fmt.Sprintf("encrypted ReLU ×%d (%s, shared evaluator)", batch, form),
-		serialD.Round(time.Microsecond).String(),
-		parallelD.Round(time.Microsecond).String(),
-		fmt.Sprintf("%.2fx", float64(serialD)/float64(parallelD)))
-
-	t.write(opt.W)
-	if runtime.GOMAXPROCS(0) < 2 {
-		fmt.Fprintln(opt.W, "\n(single-core machine: parallel paths validated for correctness; speedups require ≥ 2 cores)")
-	}
-	return nil
-}
-
-// measureBatchReLU times `batch` encrypted ReLU evaluations over one shared
-// evaluator, first as a serial loop and then fanned across the given number
-// of worker goroutines.
-func measureBatchReLU(form string, opt Options, batch, workers int) (serialD, parallelD time.Duration, err error) {
-	c, err := paf.New(form)
-	if err != nil {
-		return 0, 0, err
-	}
-	lit, err := ParamsForPAF(c, opt.Fast)
-	if err != nil {
-		return 0, 0, err
-	}
-	params, err := ckks.NewParameters(lit)
-	if err != nil {
-		return 0, 0, err
-	}
-	kg := ckks.NewKeyGenerator(params, 1)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinearizationKey(sk)
-	enc := ckks.NewEncoder(params)
-	encryptor := ckks.NewEncryptor(params, pk, 2)
-	he := hepoly.NewEvaluator(ckks.NewEvaluator(params, rlk))
-
-	vals := make([]float64, params.Slots())
-	for i := range vals {
-		vals[i] = 0.8 * float64(i%16-8) / 8
-	}
-	pt, err := enc.EncodeReals(vals, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		return 0, 0, err
-	}
-	cts := make([]*ckks.Ciphertext, batch)
-	for i := range cts {
-		cts[i] = encryptor.Encrypt(pt)
-	}
-
-	if _, err := he.ReLU(c, cts[0]); err != nil { // warmup
-		return 0, 0, err
-	}
-	start := time.Now()
-	for _, ct := range cts {
-		if _, err := he.ReLU(c, ct); err != nil {
-			return 0, 0, err
-		}
-	}
-	serialD = time.Since(start)
-
-	start = time.Now()
-	err = parallel.For(len(cts), workers, func(i int) error {
-		_, err := he.ReLU(c, cts[i])
-		return err
-	})
-	return serialD, time.Since(start), err
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -256,4 +257,21 @@ func UpgradeRollout(opt Options) error {
 	fmt.Fprintf(opt.W, "restart check: %d-entry catalog (alpha@2) rebuilt byte-identically from the state dir and served a fresh session\n",
 		len(after))
 	return nil
+}
+
+// percentile returns the p-quantile (0 < p ≤ 1) of the samples.
+func percentile(samples []time.Duration, p float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(p*float64(len(sorted))+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }

@@ -23,14 +23,11 @@ func randomLinear(rng *rand.Rand, in, out int) *Linear {
 	return l
 }
 
-func TestBSGSMatchesNaiveDiagonal(t *testing.T) {
+func TestBSGSMatchesPlaintext(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lin := randomLinear(rng, 20, 12)
 	mlp := &MLP{Layers: []any{lin}}
-	slots := 128
-	// Union of both methods' rotation needs.
-	steps := append(mlp.RequiredRotations(slots), mlp.RequiredRotationsBSGS(slots)...)
-	ctx, encryptor, decryptor := newHEContext(t, 2, steps)
+	ctx, encryptor, decryptor := newHEContext(t, 2, mlp.ServingRotations(128))
 
 	x := make([]float64, 20)
 	for i := range x {
@@ -44,28 +41,20 @@ func TestBSGSMatchesNaiveDiagonal(t *testing.T) {
 	}
 	ct := encryptor.Encrypt(pt)
 
-	naive, err := ctx.ApplyLinear(lin, ct)
+	out, err := ctx.ApplyLinear(lin, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsgs, err := ctx.ApplyLinearBSGS(lin, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn := ctx.Enc.DecodeReals(decryptor.Decrypt(naive))
-	gb := ctx.Enc.DecodeReals(decryptor.Decrypt(bsgs))
+	got := ctx.Enc.DecodeReals(decryptor.Decrypt(out))
 	want := mlp.InferPlain(x)
 	for i := 0; i < lin.Out; i++ {
-		if d := math.Abs(gn[i] - want[i]); d > 1e-4 {
-			t.Fatalf("naive output %d off by %g", i, d)
-		}
-		if d := math.Abs(gb[i] - want[i]); d > 1e-4 {
-			t.Fatalf("bsgs output %d off by %g", i, d)
+		if d := math.Abs(got[i] - want[i]); d > 1e-4 {
+			t.Fatalf("output %d off by %g", i, d)
 		}
 	}
-	if bsgs.Level != naive.Level || bsgs.Scale != naive.Scale {
-		t.Fatalf("bsgs level/scale (%d, %g) differ from naive (%d, %g)",
-			bsgs.Level, bsgs.Scale, naive.Level, naive.Scale)
+	if out.Level != ct.Level-1 || out.Scale != ct.Scale {
+		t.Fatalf("level/scale (%d, %g), want one level below the input's (%d, %g)",
+			out.Level, out.Scale, ct.Level, ct.Scale)
 	}
 }
 
@@ -75,10 +64,10 @@ func TestBSGSNeedsFewerRotations(t *testing.T) {
 	lin := randomLinear(rng, 100, 64)
 	mlp := &MLP{Layers: []any{lin}}
 	slots := 128
-	naive := len(mlp.RequiredRotations(slots))
-	bsgs := len(mlp.RequiredRotationsBSGS(slots))
+	naive := slots - 1 // 100+64-1 diagonals fill a 128-slot vector
+	bsgs := len(mlp.ServingRotations(slots))
 	if bsgs >= naive {
-		t.Fatalf("BSGS needs %d rotations, naive %d — no saving", bsgs, naive)
+		t.Fatalf("BSGS needs %d rotations, one per diagonal is %d — no saving", bsgs, naive)
 	}
 	// Asymptotically ~2√slots vs ~in+out.
 	if bsgs > 4*int(math.Sqrt(float64(slots))) {
@@ -100,7 +89,7 @@ func TestHoistedRotationEquivalenceOnModelRotationSet(t *testing.T) {
 		randomLinear(rng, 12, 6),
 	}}
 	slots := 128
-	prescribed := mlp.RequiredRotationsBSGS(slots)
+	prescribed := mlp.ServingRotations(slots)
 	if len(prescribed) == 0 {
 		t.Fatal("model prescribes no rotations")
 	}
@@ -162,15 +151,15 @@ func TestHoistedRotationEquivalenceOnModelRotationSet(t *testing.T) {
 	wg.Wait()
 }
 
-// TestApplyLinearBSGSConcurrent runs the hoisted BSGS layer from many
+// TestApplyLinearConcurrent runs the hoisted BSGS layer from many
 // goroutines over one shared context, checking each result against the
 // plaintext reference — the batched-serving shape, under -race.
-func TestApplyLinearBSGSConcurrent(t *testing.T) {
+func TestApplyLinearConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lin := randomLinear(rng, 24, 16)
 	mlp := &MLP{Layers: []any{lin}}
 	slots := 128
-	ctx, encryptor, decryptor := newHEContext(t, 2, mlp.RequiredRotationsBSGS(slots))
+	ctx, encryptor, decryptor := newHEContext(t, 2, mlp.ServingRotations(slots))
 
 	const workers = 4
 	inputs := make([][]float64, workers)
@@ -195,7 +184,7 @@ func TestApplyLinearBSGSConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out, err := ctx.ApplyLinearBSGS(lin, cts[g])
+			out, err := ctx.ApplyLinear(lin, cts[g])
 			if err != nil {
 				t.Errorf("worker %d: %v", g, err)
 				return
@@ -213,14 +202,14 @@ func TestApplyLinearBSGSConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestInferBSGSEndToEnd(t *testing.T) {
+func TestInferEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mlp := &MLP{Layers: []any{
 		randomLinear(rng, 16, 10),
 		&Activation{PAF: paf.MustNew(paf.FormF1G2), Scale: 4},
 		randomLinear(rng, 10, 4),
 	}}
-	ctx, encryptor, decryptor := newHEContext(t, mlp.LevelsRequired()+1, mlp.RequiredRotationsBSGS(128))
+	ctx, encryptor, decryptor := newHEContext(t, mlp.LevelsRequired()+1, mlp.ServingRotations(128))
 
 	x := make([]float64, 16)
 	for i := range x {
@@ -232,7 +221,7 @@ func TestInferBSGSEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ctx.InferBSGS(mlp, encryptor.Encrypt(pt))
+	out, err := ctx.Infer(mlp, encryptor.Encrypt(pt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 // were fused into one lazily reduced accumulation. Fusing changes how often
 // the sums are reduced, never the canonical residues that come out.
 var goldenLayerDigests = map[string]string{
-	"apply-linear":      "bd0eef8eaa31ea42d62f624b02f9f2a430df125c349c4f3bc6d4b5b6c15dc7bc",
 	"apply-linear-bsgs": "3cb0b846cd4467a34d8076eca066a32b5e155bfbff53531d91e797db74dd9d9e",
 	"unit-run":          "fe0852dadcdc5eff472bcda30989311c9999523946245ffc1ac664489bfda087",
 }
@@ -31,14 +30,10 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 	// switches reach ring.MinParallelWork, so the default-width pass really
 	// fans.
 	const logN, slots = 9, 256
-	if !mlp.PreferBSGS(slots) {
-		t.Fatal("the golden model must take the BSGS serving path")
-	}
 	if l := mlp.LevelsRequired(); (l+1)*(l+2)<<logN < ring.MinParallelWork {
 		t.Fatal("the golden model's key switches no longer reach ring.MinParallelWork")
 	}
-	steps := append(mlp.RequiredRotations(slots), mlp.RequiredRotationsBSGS(slots)...)
-	ctx, encryptor, _ := newHEContextLogN(t, logN, mlp.LevelsRequired(), steps)
+	ctx, encryptor, _ := newHEContextLogN(t, logN, mlp.LevelsRequired(), mlp.ServingRotations(slots))
 
 	vec := make([]float64, ctx.Params.Slots())
 	for i := 0; i < lin.In; i++ {
@@ -56,8 +51,7 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 		return ct
 	}
 	return map[string]*ckks.Ciphertext{
-		"apply-linear":      must(ctx.ApplyLinear(lin, ct)),
-		"apply-linear-bsgs": must(ctx.ApplyLinearBSGS(lin, ct)),
+		"apply-linear-bsgs": must(ctx.ApplyLinear(lin, ct)),
 		"unit-run":          must(Unit{Ctx: ctx, MLP: mlp, CT: ct}.Run()),
 	}
 }

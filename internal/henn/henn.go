@@ -1,16 +1,17 @@
 // Package henn runs neural-network inference directly on CKKS ciphertexts:
-// plaintext-weight linear layers via the Halevi–Shoup diagonal method
-// (rotations + plaintext multiplications) and PAF activations via
-// internal/hepoly, with Static Scaling folded in for free. Together with the
-// SMART-PAF training pipeline this closes the loop of Fig. 2: a model whose
-// non-polynomial operators were replaced and fine-tuned in the clear is
-// evaluated end-to-end under encryption.
+// plaintext-weight linear layers via the Halevi–Shoup diagonal method in
+// its baby-step/giant-step form (rotations + plaintext multiplications,
+// bsgs.go) and PAF activations via internal/hepoly, with Static Scaling
+// folded in for free. Together with the SMART-PAF training pipeline this
+// closes the loop of Fig. 2: a model whose non-polynomial operators were
+// replaced and fine-tuned in the clear is evaluated end-to-end under
+// encryption.
 package henn
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
@@ -21,107 +22,75 @@ import (
 
 // Linear is a plaintext-weight fully connected layer applied to an encrypted
 // activation vector laid out in the first In slots. Weights are static once
-// the layer is built (deployment freezes them), so the diagonal decomposition
-// is computed once per slot count and cached — the serving hot path must not
+// the layer is built (deployment freezes them), so the layer is compiled
+// once per slot count and the plan cached — the serving hot path must not
 // re-derive an O(slots·Out) structure on every inference.
 type Linear struct {
 	In, Out int
 	W       [][]float64 // W[i][j]: weight from input j to output i
 	B       []float64
 
-	planMu sync.Mutex
-	plan   *diagPlan //hennlint:guarded-by(planMu)
+	plan atomic.Pointer[linearPlan]
 
 	ptMu sync.RWMutex
 	pts  map[ptKey]*ckks.Plaintext //hennlint:guarded-by(ptMu)
 }
 
-// ptKey identifies one cached encoding of a static slot vector. The encoder
-// pointer scopes the cache to a parameter set, so one Linear reused under
-// different parameters (tests do this) cannot alias encodings.
-type ptKey struct {
-	enc   *ckks.Encoder
-	d     int  // diagonal index; -1 is the bias vector
-	bsgs  bool // the BSGS path stores giant-step-rotated diagonals
-	level int
-	scale float64
+// planFor returns the cached plan for the slot count, compiling it on first
+// use. Concurrent first users may each compile; the plans are identical.
+func (l *Linear) planFor(slots int) *linearPlan {
+	if p := l.plan.Load(); p != nil && p.slots == slots {
+		return p
+	}
+	p := l.compile(slots)
+	l.plan.Store(p)
+	return p
 }
 
-// encodedPlaintext memoizes the encoding of a static slot vector. Plaintexts
-// are read-only to the evaluator, so every request and session can share
-// them; this takes per-diagonal encoding off the serving hot path (vec is
-// only called on a miss).
-func (l *Linear) encodedPlaintext(key ptKey, vec func() []float64) (*ckks.Plaintext, error) {
+// ptKey identifies one cached encoding of a plan vector by what the plan
+// fixes. The encoder pointer scopes the cache to a parameter set, so one
+// Linear reused under different parameters (tests do this) cannot alias
+// encodings.
+type ptKey struct {
+	enc   *ckks.Encoder
+	d     int // diagonal index, or biasIndex
+	level int
+}
+
+const biasIndex = -1
+
+// encodedPlaintext memoizes the encoding of a plan vector. Plaintexts are
+// read-only to the evaluator, so every request and session can share them;
+// this takes per-diagonal encoding off the serving hot path.
+//
+// The first encoding of a (vector, level) stays for the life of the plan. A
+// diagonal's scale is the level's prime; the bias takes the scale of the
+// ciphertext reaching it, which every layer derives from the input's — and
+// the serving door admits one input scale. A caller arriving at another
+// (library use) is handed a fresh encoding that is not kept. The cache
+// therefore holds at most (diagonals + 1) × admissible input levels entries
+// per encoder, and nothing a client sends can evict one.
+func (l *Linear) encodedPlaintext(enc *ckks.Encoder, d, level int, scale float64, vec []float64) (*ckks.Plaintext, error) {
+	key := ptKey{enc: enc, d: d, level: level}
 	l.ptMu.RLock()
-	pt, ok := l.pts[key]
+	pt := l.pts[key]
 	l.ptMu.RUnlock()
-	if ok {
+	if pt != nil && pt.Scale == scale {
 		return pt, nil
 	}
-	pt, err := key.enc.EncodeReals(vec(), key.level, key.scale)
-	if err != nil {
-		return nil, err
+	fresh, err := enc.EncodeReals(vec, level, scale)
+	if err != nil || pt != nil {
+		return fresh, err
 	}
 	l.ptMu.Lock()
 	if l.pts == nil {
 		l.pts = map[ptKey]*ckks.Plaintext{}
 	}
-	// Bound level/scale churn by evicting single arbitrary entries. The cap
-	// comfortably exceeds one inference's working set (≤ In+Out-1 diagonals
-	// plus the bias per (level, scale)), so the steady-state serving path
-	// never evicts what it is about to reuse.
-	for limit := 2*(l.In+l.Out) + 16; len(l.pts) >= limit; {
-		for k := range l.pts {
-			delete(l.pts, k)
-			break
-		}
+	if _, raced := l.pts[key]; !raced {
+		l.pts[key] = fresh
 	}
-	l.pts[key] = pt
 	l.ptMu.Unlock()
-	return pt, nil
-}
-
-// diagPlan is the cached diagonal decomposition of W at one slot count:
-// the generalized diagonals with any nonzero entry and, for each, the
-// ready-to-encode slot vector u_d[i] = W[i][(i+d) mod slots].
-type diagPlan struct {
-	slots int
-	diags []int
-	vec   map[int][]float64
-}
-
-// diagonalPlan returns the cached plan for the slot count, building it on
-// first use. Safe for concurrent callers (batched serving hits one Linear
-// from many goroutines).
-func (l *Linear) diagonalPlan(slots int) *diagPlan {
-	l.planMu.Lock()
-	defer l.planMu.Unlock()
-	if l.plan != nil && l.plan.slots == slots {
-		return l.plan
-	}
-	// Out is clamped to the slot count: rows beyond it cannot appear in a
-	// slot vector (such a layer fails ApplyLinear's dimension check anyway;
-	// the plan must still not panic for callers like RequiredRotations).
-	rows := min(l.Out, slots)
-	p := &diagPlan{slots: slots, vec: map[int][]float64{}}
-	for d := 0; d < slots; d++ {
-		var u []float64
-		for i := 0; i < rows; i++ {
-			j := (i + d) % slots
-			if j < l.In && l.W[i][j] != 0 {
-				if u == nil {
-					u = make([]float64, slots)
-				}
-				u[i] = l.W[i][j]
-			}
-		}
-		if u != nil {
-			p.diags = append(p.diags, d)
-			p.vec[d] = u
-		}
-	}
-	l.plan = p
-	return p
+	return fresh, nil
 }
 
 // Activation is a deployed PAF activation: out = Scale·relu_p(x/Scale).
@@ -197,7 +166,7 @@ func FromModel(m *nn.Model) (*MLP, error) {
 	return out, nil
 }
 
-// DropCaches releases every linear layer's cached diagonal plan and encoded
+// DropCaches releases every linear layer's cached plan and encoded
 // plaintexts. A model registry calls this when a retired model finishes
 // draining, so a hot-deployed-then-retired network cannot pin slot-sized
 // caches for the life of the process.
@@ -207,36 +176,11 @@ func (mlp *MLP) DropCaches() {
 		if !ok {
 			continue
 		}
-		lin.planMu.Lock()
-		lin.plan = nil
-		lin.planMu.Unlock()
+		lin.plan.Store(nil)
 		lin.ptMu.Lock()
 		lin.pts = nil
 		lin.ptMu.Unlock()
 	}
-}
-
-// RequiredRotations returns the sorted rotation steps every linear layer
-// needs under the diagonal method at the given slot count.
-func (mlp *MLP) RequiredRotations(slots int) []int {
-	seen := map[int]bool{}
-	for _, l := range mlp.Layers {
-		lin, ok := l.(*Linear)
-		if !ok {
-			continue
-		}
-		for _, d := range lin.diagonals(slots) {
-			if d != 0 {
-				seen[d] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // LevelsRequired returns the multiplicative levels one inference consumes:
@@ -253,12 +197,6 @@ func (mlp *MLP) LevelsRequired() int {
 		}
 	}
 	return total
-}
-
-// diagonals lists the generalized diagonals d with any nonzero entry:
-// u_d[i] = W[i][(i+d) mod slots].
-func (l *Linear) diagonals(slots int) []int {
-	return l.diagonalPlan(slots).diags
 }
 
 // Context bundles the machinery for encrypted inference.
@@ -293,103 +231,6 @@ func (ctx *Context) WithTrace(tr *telemetry.Trace) *Context {
 	return &c
 }
 
-// ApplyLinear computes Wx + b on the encrypted vector via the diagonal
-// method, consuming one level. The result keeps the input's scale.
-func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	slots := ctx.Params.Slots()
-	if l.In > slots || l.Out > slots {
-		return nil, fmt.Errorf("henn: layer %dx%d exceeds %d slots", l.Out, l.In, slots)
-	}
-	if ct.Level < 1 {
-		return nil, fmt.Errorf("henn: no level left for linear layer")
-	}
-	targetScale := ct.Scale
-	ql := float64(ctx.Params.Q()[ct.Level])
-	constScale := targetScale * ql / ct.Scale // = ql: lands back on targetScale
-
-	plan := l.diagonalPlan(slots)
-	if len(plan.diags) == 0 {
-		return nil, fmt.Errorf("henn: all-zero weight matrix")
-	}
-	eval := ctx.Eval
-	tr := ctx.trace
-	// Σ_d u_d ⊙ rot(x, d) as one lazily reduced accumulation; each rotation
-	// goes back to the pool as soon as its term is added.
-	sum := eval.NewPlainSum(ct.Level)
-	defer sum.Release()
-	for _, d := range plan.diags {
-		rot := ct
-		if d != 0 {
-			mark := tr.StageStart()
-			var err error
-			rot, err = eval.Rotate(ct, d)
-			tr.StageEnd("rotate", mark)
-			if err != nil {
-				return nil, fmt.Errorf("henn: diagonal %d: %w", d, err)
-			}
-		}
-		mark := tr.StageStart()
-		pt, err := l.encodedPlaintext(
-			ptKey{enc: ctx.Enc, d: d, level: rot.Level, scale: constScale},
-			func() []float64 { return plan.vec[d] })
-		tr.StageEnd("encode", mark)
-		if err == nil {
-			mark = tr.StageStart()
-			err = sum.MulPlainThenAdd(rot, pt)
-			tr.StageEnd("mul_plain", mark)
-		}
-		if d != 0 {
-			eval.Recycle(rot)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	mark := tr.StageStart()
-	acc, err := sum.Sum()
-	tr.StageEnd("mul_plain", mark)
-	if err != nil {
-		return nil, err
-	}
-	mark = tr.StageStart()
-	out, err := eval.Rescale(acc)
-	tr.StageEnd("rescale", mark)
-	eval.Recycle(acc)
-	if err != nil {
-		return nil, err
-	}
-	out.Scale = targetScale
-	if out, err = l.addBias(ctx, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// addBias adds the (cached) encoded bias vector, if any.
-func (l *Linear) addBias(ctx *Context, out *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	if l.B == nil {
-		return out, nil
-	}
-	slots := ctx.Params.Slots()
-	tr := ctx.trace
-	mark := tr.StageStart()
-	pt, err := l.encodedPlaintext(
-		ptKey{enc: ctx.Enc, d: -1, level: out.Level, scale: out.Scale},
-		func() []float64 {
-			bias := make([]float64, slots)
-			copy(bias, l.B)
-			return bias
-		})
-	tr.StageEnd("encode", mark)
-	if err != nil {
-		return nil, err
-	}
-	mark = tr.StageStart()
-	res, err := ctx.Eval.AddPlain(out, pt)
-	tr.StageEnd("add_plain", mark)
-	return res, err
-}
-
 // ApplyActivation computes Scale·relu_p(x/Scale): one constant level for the
 // input normalization, then the folded-scale PAF ReLU.
 func (ctx *Context) ApplyActivation(a *Activation, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
@@ -406,8 +247,12 @@ func (ctx *Context) ApplyActivation(a *Activation, ct *ckks.Ciphertext) (*ckks.C
 	return out, err
 }
 
-// Infer runs the full MLP on an encrypted input vector.
+// Infer runs the full MLP on an encrypted input vector. The evaluator must
+// hold rotation keys for mlp.ServingRotations.
 func (ctx *Context) Infer(mlp *MLP, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	if need := mlp.LevelsRequired(); ct.Level < need {
+		return nil, fmt.Errorf("henn: ciphertext at level %d, model needs %d", ct.Level, need)
+	}
 	var err error
 	for i, l := range mlp.Layers {
 		switch v := l.(type) {
@@ -423,6 +268,27 @@ func (ctx *Context) Infer(mlp *MLP, ct *ckks.Ciphertext) (*ckks.Ciphertext, erro
 		}
 	}
 	return ct, nil
+}
+
+// Unit is one independent encrypted inference: a ciphertext bound to the
+// Context holding the keys that can evaluate it. Schedulers dispatch Units
+// from many sessions onto one shared worker budget — the Context travels
+// with the item, so a single pool serves any number of key sets, and each
+// unit fails on its own.
+type Unit struct {
+	Ctx *Context
+	MLP *MLP
+	CT  *ckks.Ciphertext
+
+	// Trace, when non-nil, receives the unit's per-stage timing breakdown
+	// (rotations, key switches, rescales, encodes, PAF evaluation). The
+	// scheduler sets it from the request's trace.
+	Trace *telemetry.Trace
+}
+
+// Run executes the unit.
+func (u Unit) Run() (*ckks.Ciphertext, error) {
+	return u.Ctx.WithTrace(u.Trace).Infer(u.MLP, u.CT)
 }
 
 // InferPlain evaluates the same MLP on a plaintext vector (the reference for

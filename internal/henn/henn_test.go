@@ -53,7 +53,7 @@ func TestApplyLinearMatchesPlaintext(t *testing.T) {
 		lin.B[i] = rng.NormFloat64() * 0.1
 	}
 	mlp := &MLP{Layers: []any{lin}}
-	ctx, encryptor, decryptor := newHEContext(t, 2, mlp.RequiredRotations(128))
+	ctx, encryptor, decryptor := newHEContext(t, 2, mlp.ServingRotations(128))
 
 	x := make([]float64, 6)
 	for i := range x {
@@ -82,14 +82,14 @@ func TestApplyLinearMatchesPlaintext(t *testing.T) {
 	}
 }
 
-func TestRequiredRotationsAndLevels(t *testing.T) {
+func TestServingRotationsAndLevels(t *testing.T) {
 	lin := &Linear{In: 3, Out: 2, B: []float64{0, 0},
 		W: [][]float64{{1, 0, 0}, {0, 0, 2}}}
 	mlp := &MLP{Layers: []any{
 		lin,
 		&Activation{PAF: paf.MustNew(paf.FormF1G2), Scale: 1},
 	}}
-	rots := mlp.RequiredRotations(8)
+	rots := mlp.ServingRotations(8)
 	// Nonzero diagonals of W over 8 slots: d=0 (W[0][0]) and d=2 (W[1][3]?
 	// no: W[1][(1+d)%8] nonzero at (1+d)=2 -> d=1).
 	want := map[int]bool{1: true}
@@ -143,7 +143,7 @@ func TestEndToEndPrivateInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels := mlp.LevelsRequired()
-	ctx, encryptor, decryptor := newHEContext(t, levels+1, mlp.RequiredRotations(128))
+	ctx, encryptor, decryptor := newHEContext(t, levels+1, mlp.ServingRotations(128))
 
 	// Encrypt one validation image and infer.
 	x, label := val.Sample(0)

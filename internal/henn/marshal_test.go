@@ -187,9 +187,9 @@ func TestMLPMarshalRejectsUnserializable(t *testing.T) {
 // nothing panics.
 func TestDropCaches(t *testing.T) {
 	mlp := testMLP(13)
-	before := mlp.RequiredRotations(64)
+	before := mlp.ServingRotations(64)
 	mlp.DropCaches()
-	after := mlp.RequiredRotations(64)
+	after := mlp.ServingRotations(64)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("rotations changed across DropCaches: %v vs %v", after, before)
 	}

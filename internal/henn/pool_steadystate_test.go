@@ -56,7 +56,7 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	lin := randomLinear(rng, 128, 128)
 	mlp := &MLP{Layers: []any{lin}}
-	steps := mlp.RequiredRotationsBSGS(512)
+	steps := mlp.ServingRotations(512)
 	ctx, encryptor, _ := newHEContextLogN(t, 10, levels, steps)
 	// The same keys minus the last giant step: the layer fails late.
 	broken, _, _ := newHEContextLogN(t, 10, levels, steps[:len(steps)-1])
@@ -76,7 +76,7 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 
 	var want *ckks.Ciphertext
 	succeed := func() {
-		out, err := ctx.ApplyLinearBSGS(lin, ct)
+		out, err := ctx.ApplyLinear(lin, ct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 		}
 	}
 	fail := func() {
-		if _, err := broken.ApplyLinearBSGS(lin, ct); err == nil {
+		if _, err := broken.ApplyLinear(lin, ct); err == nil {
 			t.Fatal("the layer succeeded without its last giant-step key")
 		}
 	}

@@ -1,17 +1,39 @@
 package henn
 
 import (
+	"math/rand"
 	"testing"
 
+	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
 )
+
+// smallTestMLP builds an 8→8 linear layer plus an activation and a context
+// holding its serving keys.
+func smallTestMLP(t testing.TB) (*Context, *MLP, *ckks.Encryptor, *ckks.Decryptor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	lin := &Linear{In: 8, Out: 8, B: make([]float64, 8)}
+	lin.W = make([][]float64, 8)
+	for i := range lin.W {
+		lin.W[i] = make([]float64, 8)
+		for j := range lin.W[i] {
+			lin.W[i][j] = rng.NormFloat64() * 0.3
+		}
+	}
+	act := &Activation{PAF: paf.MustNew(paf.FormF1G2), Scale: 2}
+	mlp := &MLP{Layers: []any{lin, act}}
+	ctx, encryptor, decryptor := newHEContext(t, mlp.LevelsRequired()+1, mlp.ServingRotations(128))
+	return ctx, mlp, encryptor, decryptor
+}
 
 // TestUnitTraceStages runs one Unit with a trace attached and checks the
 // stage breakdown: the CKKS primitive stages the serving path executes all
 // appear, and their total accounts for the bulk of the unit's wall time —
 // the property the /v1/traces endpoint's breakdown rests on.
 func TestUnitTraceStages(t *testing.T) {
-	ctx, mlp, encryptor, _ := batchTestMLP(t)
+	ctx, mlp, encryptor, _ := smallTestMLP(t)
 	vec := make([]float64, ctx.Params.Slots())
 	for j := 0; j < 8; j++ {
 		vec[j] = 0.1 * float64(j)
@@ -36,16 +58,10 @@ func TestUnitTraceStages(t *testing.T) {
 		stages[s.Name] = s
 		stageTotalUs += s.TotalUs
 	}
-	// The test MLP prefers the BSGS path (batchTestMLP generates its
-	// rotation keys), so the hoisted stages plus the shared ones must all
-	// be present.
-	for _, want := range []string{"mul_plain", "encode", "rescale", "mul_const", "paf_eval", "add_plain"} {
+	for _, want := range []string{"decompose_hoisted", "rotate_hoisted", "mul_plain", "encode", "rescale", "mul_const", "paf_eval", "add_plain"} {
 		if stages[want].Count == 0 {
 			t.Errorf("stage %q missing from trace; got %+v", want, snap.Stages)
 		}
-	}
-	if stages["decompose_hoisted"].Count == 0 && stages["rotate"].Count == 0 {
-		t.Errorf("neither hoisted nor plain rotations recorded: %+v", snap.Stages)
 	}
 	if len(snap.Spans) != 1 {
 		t.Fatalf("spans = %+v, want the single unit span", snap.Spans)
@@ -66,7 +82,7 @@ func TestUnitTraceStages(t *testing.T) {
 
 // TestUnitNoTrace: the untraced path records nothing and still works.
 func TestUnitNoTrace(t *testing.T) {
-	ctx, mlp, encryptor, _ := batchTestMLP(t)
+	ctx, mlp, encryptor, _ := smallTestMLP(t)
 	vec := make([]float64, ctx.Params.Slots())
 	pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
 	if err != nil {

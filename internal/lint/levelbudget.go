@@ -3,110 +3,24 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"sort"
-	"strconv"
-	"strings"
 )
 
-// Levelbudget checks CKKS level accounting statically, so the PR 3
-// class of bug — the serving layer demanding LevelsRequired()+1 levels
-// while the pipeline consumes exactly LevelsRequired() — is a lint
-// error instead of an e2e discovery. It has two rules:
+// Levelbudget forbids arithmetic directly on a LevelsRequired() call
+// result, so the PR 3 class of bug — the serving layer demanding
+// LevelsRequired()+1 levels while the pipeline consumes exactly
+// LevelsRequired() — is a lint error instead of an e2e discovery. The
+// budget is exact by construction; adding or subtracting a margin at a
+// call site either wastes a prime in the modulus chain or rejects valid
+// ciphertexts at the serving boundary. Derived quantities (chain length =
+// budget+1 primes) must go through a named intermediate, which both
+// documents the derivation and keeps the boundary comparisons exact.
 //
-// Rule 1 (every package): no arithmetic directly on a LevelsRequired()
-// call result. The budget is exact by construction; adding or
-// subtracting a margin at a call site either wastes a prime in the
-// modulus chain or rejects valid ciphertexts at the serving boundary.
-// Derived quantities (chain length = budget+1 primes) must go through a
-// named intermediate, which both documents the derivation and keeps the
-// boundary comparisons exact.
-//
-// Rule 2 (packages declaring LevelsRequired): abstract interpretation
-// of level effects over the layer implementations. The analyzer reads
-// the per-layer-kind budget out of LevelsRequired's type switch
-// (total++ → 1 level, total += v.PAF.DepthReLU() + 1 → symbolic
-// DepthReLU + 1), then sums the level consumption of every
-// Apply<Kind>* function body under the evaluator's cost model —
-// Rescale, MulRelinRescale and MulConstTargetScale each consume one
-// level; MulPlain, MulConst, MulRelin, Add, rotations and hoisted
-// rotations are level-neutral (scale growth only); ReLUScaled consumes
-// DepthReLU levels by contract — and reports any kind whose
-// implementation disagrees with its budget.
+// That each layer kind consumes exactly its share of the budget is a
+// property of the evaluator, tested on it (henn's TestLayerLevelShares).
 var Levelbudget = &Analyzer{
 	Name: "levelbudget",
-	Doc:  "CKKS level consumption must match the LevelsRequired budget exactly",
+	Doc:  "no ±k arithmetic on the exact LevelsRequired() budget",
 	Run:  runLevelbudget,
-}
-
-// levelCost is an abstract level count: a constant plus symbolic terms
-// (multiples of named depth calls like DepthReLU).
-type levelCost struct {
-	c   int
-	sym map[string]int
-}
-
-func (lc *levelCost) add(o levelCost) {
-	lc.c += o.c
-	for k, v := range o.sym {
-		if lc.sym == nil {
-			lc.sym = map[string]int{}
-		}
-		lc.sym[k] += v
-	}
-}
-
-func (lc levelCost) equal(o levelCost) bool {
-	if lc.c != o.c {
-		return false
-	}
-	keys := map[string]bool{}
-	for k := range lc.sym {
-		keys[k] = true
-	}
-	for k := range o.sym {
-		keys[k] = true
-	}
-	for k := range keys {
-		if lc.sym[k] != o.sym[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func (lc levelCost) String() string {
-	terms := make([]string, 0, len(lc.sym)+1)
-	for k, v := range lc.sym {
-		switch {
-		case v == 1:
-			terms = append(terms, k)
-		case v != 0:
-			terms = append(terms, strconv.Itoa(v)+"·"+k)
-		}
-	}
-	sort.Strings(terms)
-	if lc.c != 0 || len(terms) == 0 {
-		terms = append(terms, strconv.Itoa(lc.c))
-	}
-	return strings.Join(terms, "+")
-}
-
-// levelConsumers maps evaluator method names to the levels one call
-// consumes. Everything absent is level-neutral (additions, plaintext
-// and relinearized products before rescaling, rotations, hoisted
-// decompositions, DropLevel bookkeeping).
-var levelConsumers = map[string]levelCost{
-	"Rescale":             {c: 1},
-	"MulRelinRescale":     {c: 1},
-	"MulConstTargetScale": {c: 1},
-}
-
-// symbolicConsumers consume a symbolic number of levels: ReLUScaled's
-// contract is DepthReLU() levels total (the composite sign chain plus
-// the folded x·sign product).
-var symbolicConsumers = map[string]string{
-	"ReLUScaled": "DepthReLU",
-	"ReLU":       "DepthReLU",
 }
 
 func runLevelbudget(p *Pass) error {
@@ -125,29 +39,6 @@ func runLevelbudget(p *Pass) error {
 			return true
 		})
 	}
-
-	budget := collectLayerBudget(p)
-	if len(budget) == 0 {
-		return nil
-	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !strings.HasPrefix(fd.Name.Name, "Apply") {
-				continue
-			}
-			kind := matchKind(fd.Name.Name, budget)
-			if kind == "" {
-				continue
-			}
-			got := consumedLevels(fd.Body)
-			want := budget[kind]
-			if !got.equal(want) {
-				p.Reportf(fd.Name.Pos(), "%s consumes %s level(s) but LevelsRequired budgets %s for %s layers — level-budget drift (the PR 3 off-by-one class)",
-					fd.Name.Name, got.String(), want.String(), kind)
-			}
-		}
-	}
 	return nil
 }
 
@@ -163,154 +54,4 @@ func isLevelsRequiredCall(e ast.Expr) bool {
 		return fun.Name == "LevelsRequired"
 	}
 	return false
-}
-
-// collectLayerBudget extracts the per-layer-kind budget from the
-// package's LevelsRequired method: each type-switch case contributes
-// the cost its body accumulates. A case whose accumulation the
-// analyzer cannot model drops out (never reported) rather than
-// guessing.
-func collectLayerBudget(p *Pass) map[string]levelCost {
-	budget := map[string]levelCost{}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "LevelsRequired" || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSwitchStmt)
-				if !ok {
-					return true
-				}
-				for _, c := range ts.Body.List {
-					cc, ok := c.(*ast.CaseClause)
-					if !ok || cc.List == nil {
-						continue
-					}
-					cost, ok := caseBudget(cc.Body)
-					if !ok {
-						continue
-					}
-					for _, te := range cc.List {
-						if name := typeExprName(te); name != "" {
-							budget[name] = cost
-						}
-					}
-				}
-				return false
-			})
-		}
-	}
-	return budget
-}
-
-// caseBudget models one case body: total++ adds one, total += expr adds
-// the parsed expression. Anything else makes the case unmodelable.
-func caseBudget(body []ast.Stmt) (levelCost, bool) {
-	var cost levelCost
-	for _, s := range body {
-		switch s := s.(type) {
-		case *ast.IncDecStmt:
-			if s.Tok != token.INC {
-				return levelCost{}, false
-			}
-			cost.add(levelCost{c: 1})
-		case *ast.AssignStmt:
-			if s.Tok != token.ADD_ASSIGN || len(s.Rhs) != 1 {
-				return levelCost{}, false
-			}
-			rhs, ok := parseBudgetExpr(s.Rhs[0])
-			if !ok {
-				return levelCost{}, false
-			}
-			cost.add(rhs)
-		default:
-			return levelCost{}, false
-		}
-	}
-	return cost, true
-}
-
-// parseBudgetExpr models constant ints, depth-method calls
-// (v.PAF.DepthReLU() → symbolic DepthReLU) and sums of those.
-func parseBudgetExpr(e ast.Expr) (levelCost, bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.BasicLit:
-		if e.Kind != token.INT {
-			return levelCost{}, false
-		}
-		n, err := strconv.Atoi(e.Value)
-		if err != nil {
-			return levelCost{}, false
-		}
-		return levelCost{c: n}, true
-	case *ast.BinaryExpr:
-		if e.Op != token.ADD {
-			return levelCost{}, false
-		}
-		x, okX := parseBudgetExpr(e.X)
-		y, okY := parseBudgetExpr(e.Y)
-		if !okX || !okY {
-			return levelCost{}, false
-		}
-		x.add(y)
-		return x, true
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			return levelCost{sym: map[string]int{sel.Sel.Name: 1}}, true
-		}
-	}
-	return levelCost{}, false
-}
-
-func typeExprName(e ast.Expr) string {
-	e = ast.Unparen(e)
-	if star, ok := e.(*ast.StarExpr); ok {
-		e = ast.Unparen(star.X)
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	}
-	return ""
-}
-
-// matchKind maps an Apply* function to the budgeted kind whose name is
-// the longest prefix match (ApplyLinearBSGS → Linear).
-func matchKind(fname string, budget map[string]levelCost) string {
-	best := ""
-	for kind := range budget {
-		if strings.HasPrefix(fname, "Apply"+kind) && len(kind) > len(best) {
-			best = kind
-		}
-	}
-	return best
-}
-
-// consumedLevels lexically sums the level cost of every evaluator call
-// in the body, closures included — a level consumed inside a helper
-// literal is still consumed once per layer application in this tree's
-// idiom (loops only repeat level-neutral operations).
-func consumedLevels(body *ast.BlockStmt) levelCost {
-	var total levelCost
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if cost, ok := levelConsumers[sel.Sel.Name]; ok {
-			total.add(cost)
-		} else if sym, ok := symbolicConsumers[sel.Sel.Name]; ok {
-			total.add(levelCost{sym: map[string]int{sym: 1}})
-		}
-		return true
-	})
-	return total
 }

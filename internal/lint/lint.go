@@ -26,10 +26,8 @@
 //     samplers, crypto seeds) must never reach a serialization, logging
 //     or network sink, unless the sink is audited with
 //     //hennlint:secret-sink-ok.
-//   - levelbudget: the per-layer CKKS level consumption of the henn
-//     Apply* implementations must match what LevelsRequired budgets, and
-//     no caller may size or gate with LevelsRequired() ± k arithmetic —
-//     the budget is exact by construction.
+//   - levelbudget: no caller may size or gate with LevelsRequired() ± k
+//     arithmetic — the budget is exact by construction.
 //   - lockorder: whole-program deadlock detection — every
 //     acquires-while-holding pair (computed transitively over the shared
 //     call graph) feeds a global lock-order graph which must stay

@@ -1,110 +1,12 @@
-// Package levelbudget is the levelbudget analyzer's test fixture: a
-// miniature henn whose shapes mirror the real package by name only. It
-// seeds both bug classes — an Apply implementation that consumes more
-// levels than LevelsRequired budgets, and a call site sizing its chain
-// with a LevelsRequired()+1 margin (the PR 3 off-by-one).
+// Package levelbudget is the levelbudget analyzer's test fixture: call
+// sites sizing a chain or gating a depth with a ±k margin on
+// LevelsRequired() (the PR 3 off-by-one), and the named-intermediate idiom
+// that is allowed.
 package levelbudget
-
-type Ciphertext struct {
-	Level int
-	Scale float64
-}
-
-type Evaluator struct{}
-
-func (e *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) { return ct, nil }
-func (e *Evaluator) MulPlain(ct *Ciphertext, diag []float64) (*Ciphertext, error) {
-	return ct, nil
-}
-func (e *Evaluator) MulConstTargetScale(ct *Ciphertext, c, scale float64) (*Ciphertext, error) {
-	return ct, nil
-}
-func (e *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) { return ct, nil }
-func (e *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error)         { return a, nil }
-
-type PAF struct{ depth int }
-
-func (p *PAF) DepthReLU() int { return p.depth }
-
-type HEEval struct{}
-
-func (h *HEEval) ReLUScaled(p *PAF, ct *Ciphertext, scale float64) (*Ciphertext, error) {
-	return ct, nil
-}
-
-type Linear struct {
-	W [][]float64
-	B []float64
-}
-
-type Activation struct {
-	PAF   *PAF
-	Scale float64
-}
 
 type MLP struct{ Layers []any }
 
-// LevelsRequired is the budget the Apply implementations are checked
-// against: one level per linear layer, DepthReLU+1 per activation.
-func (mlp *MLP) LevelsRequired() int {
-	total := 0
-	for _, l := range mlp.Layers {
-		switch v := l.(type) {
-		case *Linear:
-			total++
-		case *Activation:
-			total += v.PAF.DepthReLU() + 1
-		}
-	}
-	return total
-}
-
-type Context struct {
-	Eval *Evaluator
-	HE   *HEEval
-}
-
-// ApplyLinear drifted: a second rescale consumes two levels against the
-// budgeted one.
-func (ctx *Context) ApplyLinear(l *Linear, ct *Ciphertext) (*Ciphertext, error) { // want "ApplyLinear consumes 2 level\\(s\\) but LevelsRequired budgets 1"
-	out, err := ctx.Eval.MulPlain(ct, l.W[0])
-	if err != nil {
-		return nil, err
-	}
-	out, err = ctx.Eval.Rescale(out)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Eval.Rescale(out)
-}
-
-// ApplyLinearBSGS matches the budget: rotations and plaintext products
-// are level-neutral; the single rescale is the one budgeted level.
-func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *Ciphertext) (*Ciphertext, error) {
-	rot, err := ctx.Eval.Rotate(ct, 1)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ctx.Eval.MulPlain(rot, l.W[0])
-	if err != nil {
-		return nil, err
-	}
-	out, err = ctx.Eval.Add(out, rot)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Eval.Rescale(out)
-}
-
-// ApplyActivation matches: one normalization level plus ReLUScaled's
-// DepthReLU contract equals the budgeted DepthReLU+1.
-func (ctx *Context) ApplyActivation(a *Activation, ct *Ciphertext) (*Ciphertext, error) {
-	u, err := ctx.Eval.MulConstTargetScale(ct, 1/a.Scale, ct.Scale)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.HE.ReLUScaled(a.PAF, u, a.Scale)
-}
+func (mlp *MLP) LevelsRequired() int { return len(mlp.Layers) }
 
 // ChainLength seeds the PR 3 off-by-one: a +1 margin on the exact
 // budget at a sizing call site.

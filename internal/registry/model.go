@@ -1,6 +1,6 @@
 // Package registry is the model-lifecycle subsystem of the serving stack: it
 // maps model names to compiled serving stacks — a frozen henn.MLP with warmed
-// diagonal-plan caches, the prescribed CKKS parameters, the rotation-step set
+// linear-layer plans, the prescribed CKKS parameters, the rotation-step set
 // sessions must cover, and per-model counters — with concurrency-safe deploy,
 // list and retire. Reference counting makes retirement graceful: a retired
 // model disappears from the catalog immediately (new sessions cannot bind),

@@ -64,7 +64,7 @@ const (
 // Deployed is one compiled serving stack: a model version plus everything
 // derived from it at deploy time — compiled parameters, a shared encoder, the
 // canonical parameter-literal bytes sessions must match, the rotation-step
-// set (computing it warms every linear layer's diagonal-plan cache), and
+// set (computing it warms every linear layer's plan cache), and
 // per-model counters. All fields are immutable after Deploy except the
 // counters and the lifecycle state, so any number of sessions and workers
 // can share one Deployed without locking.
@@ -77,7 +77,7 @@ type Deployed struct {
 	levels     int
 	rotations  []int
 	// compileTime is how long compile spent building the stack (parameter
-	// compilation plus diagonal-plan warming); the server's telemetry plane
+	// compilation plus plan warming); the server's telemetry plane
 	// records it per deploy.
 	compileTime time.Duration
 	// delist removes this version from its registry's catalog once the
@@ -160,7 +160,7 @@ func (d *Deployed) Retain() {
 }
 
 // Release drops one reference. When a draining or retired version's last
-// reference goes, the stack is freed: the MLP's diagonal-plan and plaintext
+// reference goes, the stack is freed: the MLP's plan and plaintext
 // caches are dropped, Drained is closed and the version leaves the catalog.
 // Freeing is idempotent — a scheduler's Retain racing the final session
 // Release can briefly resurrect the count after the free, and its own
@@ -341,12 +341,10 @@ func compile(m *Model) (*Deployed, error) {
 		enc:        ckks.NewEncoder(params),
 		paramBytes: paramBytes,
 		levels:     need,
-		// ServingRotations advertises the step set of the path Unit.Run will
-		// take (BSGS with hoisted rotations when it needs fewer keys), so
-		// clients generate exactly the keys inference uses. Deriving it also
-		// builds (and caches) every linear layer's diagonal plan, so the first
-		// inference after a hot deploy does not pay the O(slots·Out) plan
-		// derivation.
+		// The steps of the compiled linear-layer plans inference iterates:
+		// clients generate exactly these keys. Deriving them compiles (and
+		// caches) the plans, so the first inference after a hot deploy does
+		// not pay the O(slots·Out) derivation.
 		rotations:   m.MLP.ServingRotations(slots),
 		compileTime: time.Since(start),
 		drained:     make(chan struct{}),

@@ -80,11 +80,6 @@ func TestDeployWarmsAndPrescribes(t *testing.T) {
 	if want := m.MLP.ServingRotations(d.Params().Slots()); !reflect.DeepEqual(d.Rotations(), want) {
 		t.Fatalf("rotation set %v, want %v", d.Rotations(), want)
 	}
-	// The demo model is exactly the regime BSGS exists for: the advertised
-	// set must be the smaller BSGS one, or sessions pay per-diagonal keys.
-	if !m.MLP.PreferBSGS(d.Params().Slots()) {
-		t.Fatal("demo model does not prefer BSGS; serving-path coverage lost")
-	}
 }
 
 func TestDeployValidation(t *testing.T) {

@@ -12,18 +12,6 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/registry"
 )
 
-// Scheduling policies for Options.Policy.
-const (
-	// PolicyFair serves sessions round-robin: the dispatcher claims up to
-	// MaxBatch jobs per session turn, so one chatty session cannot starve
-	// the others. This is the default.
-	PolicyFair = "fair"
-	// PolicyFIFO dispatches jobs in strict arrival order with no fairness —
-	// the contention baseline the mserve experiment measures against: a
-	// flooding session's backlog runs ahead of everyone else's requests.
-	PolicyFIFO = "fifo"
-)
-
 // Sentinel job-failure causes, mapped to HTTP statuses by handleInfer.
 var (
 	errSessionClosed = errors.New("session closed")
@@ -32,12 +20,12 @@ var (
 
 // scheduler replaces the per-session batcher goroutines of the first
 // serving cut. Sessions enqueue jobs into their own bounded queues; one
-// dispatcher goroutine claims work across sessions (round-robin quanta
-// under PolicyFair, arrival order under PolicyFIFO) and hands every job to
-// a shared bounded worker pool as a henn.Unit. The unit carries its
-// session's Context, so one pool serves any number of key sets and total
-// server parallelism is bounded by a single budget — Options.Workers —
-// instead of sessions × workers.
+// dispatcher goroutine claims work across sessions in round-robin quanta —
+// up to MaxBatch jobs per session turn, so one chatty session cannot starve
+// the others — and hands every job to a shared bounded worker pool as a
+// henn.Unit. The unit carries its session's Context, so one pool serves any
+// number of key sets and total server parallelism is bounded by a single
+// budget — Options.Workers — instead of sessions × workers.
 type scheduler struct {
 	srv  *Server
 	pool *parallel.Pool
@@ -48,8 +36,7 @@ type scheduler struct {
 	// nothing queue-side ever calls back into the session table.
 	//hennlint:lock-order(Server.mu < scheduler.mu)
 	mu   sync.Mutex
-	ring []*session // PolicyFair: sessions with queued jobs, round-robin order, guarded by mu
-	fifo []*session // PolicyFIFO: one entry per enqueued job, arrival order, guarded by mu
+	ring []*session // sessions with queued jobs, round-robin order, guarded by mu
 
 	unitsRun     atomic.Int64
 	unitsAborted atomic.Int64
@@ -71,9 +58,7 @@ func newScheduler(srv *Server) *scheduler {
 // after every successful enqueue.
 func (d *scheduler) notify(sess *session) {
 	d.mu.Lock()
-	if d.srv.opts.Policy == PolicyFIFO {
-		d.fifo = append(d.fifo, sess)
-	} else if !sess.inRing && !sess.dispatching {
+	if !sess.inRing && !sess.dispatching {
 		sess.inRing = true
 		sess.windowAt = time.Time{}
 		if d.srv.opts.BatchWindow > 0 {
@@ -87,37 +72,15 @@ func (d *scheduler) notify(sess *session) {
 
 // sessionClosed makes a deleted or evicted session's queued jobs fail now —
 // not after BatchWindow, and never by running paid inference for a dead
-// session. Under the fair policy the session is made immediately
-// dispatchable; under FIFO its queued jobs are failed on the spot (and its
-// arrival entries dropped), because a FIFO entry otherwise only surfaces
-// when it reaches the head of the arrival queue — a dead session behind a
-// flood would wait out the whole backlog for its 410.
+// session: the session is made immediately dispatchable.
 func (d *scheduler) sessionClosed(sess *session) {
-	fifo := d.srv.opts.Policy == PolicyFIFO
 	d.mu.Lock()
 	sess.windowAt = time.Time{}
-	if fifo {
-		kept := d.fifo[:0]
-		for _, s := range d.fifo {
-			if s != sess {
-				kept = append(kept, s)
-			}
-		}
-		for i := len(kept); i < len(d.fifo); i++ {
-			d.fifo[i] = nil // let the dead session's entries be collected
-		}
-		d.fifo = kept
-	} else if !sess.inRing && !sess.dispatching && len(sess.jobs) > 0 {
+	if !sess.inRing && !sess.dispatching && len(sess.jobs) > 0 {
 		sess.inRing = true
 		d.ring = append(d.ring, sess)
 	}
 	d.mu.Unlock()
-	if fifo {
-		// sess.done is already closed, so a racing handler's enqueue (or a
-		// dispatch that claimed jobs before the sweep above) still fails its
-		// jobs through the dispatcher's own liveness checks.
-		d.failQueued(sess, errSessionClosed)
-	}
 	d.kick()
 }
 
@@ -176,14 +139,6 @@ func resetTimer(t *time.Timer, wait time.Duration) {
 func (d *scheduler) next() (*session, time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.srv.opts.Policy == PolicyFIFO {
-		if len(d.fifo) == 0 {
-			return nil, 0
-		}
-		sess := d.fifo[0]
-		d.fifo = d.fifo[1:]
-		return sess, 0
-	}
 	if len(d.ring) == 0 {
 		return nil, 0
 	}
@@ -224,12 +179,9 @@ func eligible(sess *session, now time.Time, quantum int) bool {
 
 // dispatch serves one scheduler turn for sess: claim jobs, then hand each
 // to the shared pool as a henn.Unit (or fail them all if the session died).
-// The quantum scales with the session's QoS weight under the fair policy.
+// The quantum scales with the session's QoS weight.
 func (d *scheduler) dispatch(sess *session) {
 	quantum := d.srv.opts.MaxBatch * sess.weight
-	if d.srv.opts.Policy == PolicyFIFO {
-		quantum = 1 // one fifo entry exists per enqueued job
-	}
 	var batch []*inferJob
 claim:
 	for len(batch) < quantum {
@@ -315,12 +267,9 @@ claim:
 	d.finish(sess)
 }
 
-// finish ends a fair-mode turn: the session goes back to the ring tail if
-// jobs arrived while it was being served (already past their window wait).
+// finish ends a turn: the session goes back to the ring tail if jobs
+// arrived while it was being served (already past their window wait).
 func (d *scheduler) finish(sess *session) {
-	if d.srv.opts.Policy == PolicyFIFO {
-		return
-	}
 	d.mu.Lock()
 	sess.dispatching = false
 	if len(sess.jobs) > 0 && !sess.inRing {
@@ -356,7 +305,6 @@ func (d *scheduler) failQueued(sess *session, cause error) {
 func (d *scheduler) shutdown() {
 	d.mu.Lock()
 	d.ring = nil
-	d.fifo = nil
 	d.mu.Unlock()
 	d.srv.mu.RLock()
 	sessions := make([]*session, 0, len(d.srv.sessions))
@@ -427,8 +375,8 @@ type Stats struct {
 	Models []ModelStats `json:"models"`
 }
 
-// Stats reports scheduler counters (the mserve/mmodel/upgrade experiments
-// and the regression suite read these). It is a pure read of the
+// Stats reports scheduler counters (the upgrade experiment, hennbench and
+// the regression suite read these). It is a pure read of the
 // telemetry plane: it must never mint new series.
 //
 //hennlint:read-path

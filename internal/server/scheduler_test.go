@@ -127,9 +127,9 @@ func TestMultiSessionSharedBudget(t *testing.T) {
 // to A's last completion (negative: B finished first). Workers=1 makes unit
 // execution strictly sequential, so the sign reflects dispatch order, not
 // timing luck.
-func floodThenVictim(t *testing.T, policy string) time.Duration {
+func floodThenVictim(t *testing.T) time.Duration {
 	t.Helper()
-	model, srv, ts := newSchedServer(t, Options{MaxBatch: 2, Workers: 1, Policy: policy, QueueDepth: 64})
+	model, srv, ts := newSchedServer(t, Options{MaxBatch: 2, Workers: 1, QueueDepth: 64})
 	ctx := context.Background()
 	a, err := NewClient(ts.URL, nil).NewSession(ctx, 21)
 	if err != nil {
@@ -170,8 +170,8 @@ func floodThenVictim(t *testing.T, policy string) time.Duration {
 	// Wait until the server has accepted the whole flood (every job is
 	// either still backlogged or has started running) while a deep backlog
 	// remains behind the single worker. A flood request that arrived after
-	// the victim would rightly finish after it under either policy, and
-	// make the completion-order comparison below mean nothing.
+	// the victim would rightly finish after it, and make the
+	// completion-order comparison below mean nothing.
 	pollStats(t, srv, func(st Stats) bool {
 		return st.UnitsRun+int64(st.Backlog) >= flood && st.Backlog >= flood/4
 	}, "flood accepted with a standing backlog")
@@ -183,29 +183,21 @@ func floodThenVictim(t *testing.T, policy string) time.Duration {
 	return bDone.Sub(aLastDone)
 }
 
-// The two policy tests compare client-side completion timestamps, which
+// The fairness test compares client-side completion timestamps, which
 // carry goroutine-wakeup jitter: the last flood goroutine can record its
 // mark tens of microseconds after (or before) the victim's even when the
-// server's dispatch order was unambiguous. A genuine policy inversion is
-// separated by whole unit executions — many milliseconds with Workers=1 —
-// so both tests tolerate jitter up to policyJitter and only fail on a
-// margin no scheduling artifact can produce.
+// server's dispatch order was unambiguous. A genuine inversion is separated
+// by whole unit executions — many milliseconds with Workers=1 — so the test
+// tolerates jitter up to policyJitter and only fails on a margin no
+// scheduling artifact can produce.
 const policyJitter = 10 * time.Millisecond
 
 // TestFairPolicyServesVictimEarly: under the fair policy a single request
 // from a quiet session overtakes a flooding session's backlog (it waits at
 // most one quantum), so it completes well before the flood drains.
 func TestFairPolicyServesVictimEarly(t *testing.T) {
-	if d := floodThenVictim(t, PolicyFair); d > policyJitter {
+	if d := floodThenVictim(t); d > policyJitter {
 		t.Fatalf("victim finished %s after the flood; fair scheduling should serve it first", d)
-	}
-}
-
-// TestFIFOPolicyStarvesVictim pins the baseline the fair policy exists to
-// fix: strict arrival order makes the victim wait out the entire flood.
-func TestFIFOPolicyStarvesVictim(t *testing.T) {
-	if d := floodThenVictim(t, PolicyFIFO); d < -policyJitter {
-		t.Fatalf("victim finished %s before the flood under FIFO; expected to be served last", -d)
 	}
 }
 
@@ -370,17 +362,6 @@ func TestOversizedBodies413(t *testing.T) {
 	}
 }
 
-// TestUnknownPolicyRejected: Options.Policy is validated at construction.
-func TestUnknownPolicyRejected(t *testing.T) {
-	model, err := registry.DemoModel(11, testLogN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Options{Policy: "lifo"}, model); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 // TestSessionDeletedMidBatch: deleting a session after the scheduler has
 // already claimed a quantum must stop the remaining claimed jobs from
 // running — the dispatcher re-checks liveness before every submit, not
@@ -456,93 +437,6 @@ func TestSessionDeletedMidBatch(t *testing.T) {
 	}
 	if closedErrs.Load() == 0 {
 		t.Fatal("no request observed the session-closed failure")
-	}
-}
-
-// TestFIFODeadSessionFailsFast is the FIFO lifecycle regression: under
-// PolicyFIFO a deleted session's queued jobs used to fail only when their
-// arrival entries reached the head of the queue — a dead session behind a
-// flood waited out the whole backlog for its 410. sessionClosed must fail
-// them immediately now, well before the flood drains.
-func TestFIFODeadSessionFailsFast(t *testing.T) {
-	model, err := registry.DemoModel(11, 9) // logN 9: ~100ms units, a deep time backlog
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Options{Policy: PolicyFIFO, Workers: 1, QueueDepth: 64}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-	ctx := context.Background()
-	flood, err := NewClient(ts.URL, nil).NewSession(ctx, 71)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, err := NewClient(ts.URL, nil).NewSession(ctx, 72)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, model.InputDim)
-	const floodN = 6
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		floodLast time.Time
-	)
-	for r := 0; r < floodN; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := flood.Infer(ctx, x); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			if now := time.Now(); now.After(floodLast) {
-				floodLast = now
-			}
-			mu.Unlock()
-		}()
-	}
-	// Queue the victim's job behind the standing flood, then kill the
-	// session while most of the flood is still pending.
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog >= floodN/2 }, "fifo flood backlog")
-	victimErr := make(chan error, 1)
-	go func() {
-		_, err := victim.Infer(ctx, x)
-		victimErr <- err
-	}()
-	// Every enqueued job is either pending (Backlog) or started (UnitsRun),
-	// so floodN+1 accounted jobs means the victim's job is queued — only
-	// then is the close guaranteed to hit a queued job, not the handler.
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog+int(st.UnitsRun) >= floodN+1 }, "victim job queued")
-	if err := victim.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var gotErr error
-	var failedAt time.Time
-	select {
-	case gotErr = <-victimErr:
-		failedAt = time.Now()
-	case <-time.After(15 * time.Second):
-		t.Fatal("dead FIFO session's queued job still pending")
-	}
-	if gotErr == nil || !strings.Contains(gotErr.Error(), "session closed") {
-		t.Fatalf("want a session-closed failure, got: %v", gotErr)
-	}
-	wg.Wait()
-	// The 410 must have landed while the flood was still draining — not
-	// after the dead session's entry crawled to the head of the backlog.
-	mu.Lock()
-	defer mu.Unlock()
-	if !failedAt.Before(floodLast) {
-		t.Fatalf("dead session failed %s after the flood drained; FIFO must fail it immediately",
-			failedAt.Sub(floodLast))
 	}
 }
 

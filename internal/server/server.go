@@ -44,21 +44,17 @@ type Options struct {
 	Workers int
 	// BatchWindow is how long a newly active session waits before its first
 	// scheduler turn, letting a quantum fill (a full quantum, session
-	// deletion, or shutdown cuts the wait short). 0 dispatches immediately.
-	// Only the fair policy windows; PolicyFIFO dispatches in arrival order
-	// regardless. Default 0.
+	// deletion, or shutdown cuts the wait short). 0 dispatches immediately,
+	// the default.
 	BatchWindow time.Duration
-	// Policy picks the cross-session scheduling policy: PolicyFair
-	// (default) or PolicyFIFO (the no-fairness baseline).
-	Policy string
 	// Weight assigns a QoS weight to a newly registered session, called
 	// with the registration request so deployments can key off a header or
-	// client identity. The fair policy's quantum scales with the weight: a
+	// client identity. The scheduler's quantum scales with the weight: a
 	// weight-w session claims up to w×MaxBatch jobs per turn, so paying
 	// tiers drain backlogs proportionally faster while round-robin turns
 	// still guarantee every weight-1 session a quantum per cycle (no
 	// starvation). Results are clamped to [1, 64]; nil gives every session
-	// weight 1. PolicyFIFO ignores weights.
+	// weight 1.
 	Weight func(r *http.Request) int
 	// MaxSessions caps live sessions across all models. Default 64.
 	MaxSessions int
@@ -96,9 +92,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.Policy == "" {
-		o.Policy = PolicyFair
 	}
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 64
@@ -158,7 +151,7 @@ type session struct {
 	dep *registry.Deployed
 	// ctx carries the evaluator bound to this client's evaluation keys.
 	ctx *henn.Context
-	// weight scales the fair policy's quantum for this session.
+	// weight scales the scheduler's quantum for this session.
 	weight int
 	jobs   chan *inferJob
 	// done is closed when the session is deleted, evicted, or its model is
@@ -213,9 +206,6 @@ type inferResult struct {
 // idempotent, the durable catalog wins.
 func New(opts Options, models ...*registry.Model) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.Policy != PolicyFair && opts.Policy != PolicyFIFO {
-		return nil, fmt.Errorf("server: unknown scheduling policy %q (want %q or %q)", opts.Policy, PolicyFair, PolicyFIFO)
-	}
 	s := &Server{
 		reg:      registry.New(),
 		opts:     opts,
@@ -712,6 +702,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	err := ct.UnmarshalBinary(data)
 	if err == nil {
 		err = ct.Validate(params, sess.dep.Levels())
+	}
+	// Every layer's scale derives from the input's, and the bias plaintexts
+	// the model's sessions share are encoded at it: one scale is admissible,
+	// the one every client encrypts at.
+	if err == nil && ct.Scale != params.DefaultScale() {
+		err = fmt.Errorf("ciphertext scale %g, want the parameters' default %g", ct.Scale, params.DefaultScale())
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

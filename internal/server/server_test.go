@@ -395,3 +395,52 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 		}
 	}
 }
+
+// TestInferRejectsForeignScales: a ciphertext's scale is a client-chosen
+// float that would flow into every layer's scale and the bias encodings the
+// model's sessions share, so the door admits only the parameters' default.
+// Each of N distinct finite positive scales is a 400 that runs no unit
+// (nothing reaches the shared plaintext cache) and leaks no model reference.
+func TestInferRejectsForeignScales(t *testing.T) {
+	model, srv, ts := newTestServer(t)
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, model.InputDim)
+	if _, err := sess.Infer(ctx, x); err != nil {
+		t.Fatal(err)
+	}
+	dep := srv.reg.List()[0]
+	refs, ran := dep.Refs(), srv.Stats().UnitsRun
+
+	vec := make([]float64, sess.params.Slots())
+	pt, err := sess.enc.EncodeReals(vec, sess.params.MaxLevel(), sess.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := sess.encr.Encrypt(pt)
+	for i := 1; i <= 32; i++ {
+		ct.Scale = sess.params.DefaultScale() * (1 + float64(i)/(1<<20))
+		body, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("scale %g: got %s, want 400", ct.Scale, resp.Status)
+		}
+	}
+	if st := srv.Stats(); st.UnitsRun != ran || st.Backlog != 0 || dep.Refs() != refs {
+		t.Fatalf("foreign scales ran %d units, left backlog %d and %d model refs (baseline %d)",
+			st.UnitsRun-ran, st.Backlog, dep.Refs(), refs)
+	}
+	if _, err := sess.Infer(ctx, x); err != nil {
+		t.Fatalf("honest request after the hostile ones: %v", err)
+	}
+}
