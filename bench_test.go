@@ -30,7 +30,7 @@ func newBenchContext(b *testing.B, logN int, levels int) (*hepoly.Evaluator, *ck
 	for i := 1; i <= levels; i++ {
 		logQ[i] = 45
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: 55, LogScale: 45})
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: []int{55}, LogScale: 45})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,25 +1,38 @@
-// Command ckksinfo inspects the CKKS parameter presets and the per-PAF
-// minimal parameter sets used by the latency evaluation: prime chains,
-// total modulus bits, slot counts, and the depth requirements of every PAF
-// form in Table 2.
+// Command ckksinfo inspects the CKKS parameter presets, the serving literal
+// registry.ParamsForMLP gives the demo model, and the per-PAF minimal
+// parameter sets used by the latency evaluation: prime chains, total modulus
+// bits including every special prime, the key-switching gadget (special
+// primes α, digits per level, bytes per switching key), slot counts, and the
+// depth requirements of every PAF form in Table 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/experiments"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
 	"github.com/efficientfhe/smartpaf/internal/paf"
+	"github.com/efficientfhe/smartpaf/internal/registry"
 )
+
+// demoLogN is hennserve's default ring degree for the demo model.
+const demoLogN = 11
 
 func main() {
 	showPrimes := flag.Bool("primes", false, "print the concrete prime chains")
 	flag.Parse()
 
-	presets := []struct {
+	demo, err := registry.DemoModel(1, demoLogN)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ckksinfo: demo model: %v\n", err)
+		os.Exit(1)
+	}
+	sets := []struct {
 		name string
 		lit  ckks.ParametersLiteral
 	}{
@@ -28,21 +41,34 @@ func main() {
 		{"PN13", ckks.PN13},
 		{"PN14", ckks.PN14},
 		{"PN15Paper", ckks.PN15Paper},
+		{"serving", demo.Params},
 	}
-	fmt.Println("CKKS parameter presets")
-	fmt.Println("preset      N      slots   levels  logQP   scale")
-	for _, p := range presets {
+	// logQP counts every special prime: a larger α buys fewer digits and
+	// smaller keys with modulus bits a security budget has to cover.
+	fmt.Println("CKKS parameter sets")
+	fmt.Println("set         N      slots   levels  logQP   scale  alpha  key KB   digits at level 0..L")
+	for _, p := range sets {
 		params, err := ckks.NewParameters(p.lit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ckksinfo: %s: %v\n", p.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-10s  %-6d %-7d %-7d %-7.1f 2^%d\n",
-			p.name, params.N(), params.Slots(), params.MaxLevel(), params.TotalLogQP(), p.lit.LogScale)
+		top, alpha := params.MaxLevel(), len(params.P())
+		// A switching key is Digits(L) pairs of polynomials over Q·P.
+		keyBytes := params.Digits(top) * 2 * (top + 1 + alpha) * params.N() * 8
+		digits := make([]string, top+1)
+		for l := range digits {
+			digits[l] = strconv.Itoa(params.Digits(l))
+		}
+		fmt.Printf("%-10s  %-6d %-7d %-7d %-7.1f 2^%-4d %-6d %-8.0f %s\n",
+			p.name, params.N(), params.Slots(), top, params.TotalLogQP(), p.lit.LogScale,
+			alpha, float64(keyBytes)/1e3, strings.Join(digits, " "))
 		if *showPrimes {
-			fmt.Printf("  Q = %v\n  P = %d\n", params.Q(), params.P())
+			fmt.Printf("  Q = %v\n  P = %v\n", params.Q(), params.P())
 		}
 	}
+
+	fmt.Printf("serving = registry.ParamsForMLP(%s, LogN %d), the literal hennserve prescribes by default\n", demo.Name, demoLogN)
 
 	fmt.Println("\nPer-PAF ReLU requirements and minimal standard-compliant parameters")
 	fmt.Println("form        degree  depth  ReLU levels (+scaling)  minimal ring")

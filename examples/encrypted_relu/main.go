@@ -22,7 +22,7 @@ func main() {
 	lit := ckks.ParametersLiteral{
 		LogN: 12,
 		LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45},
-		LogP: 55, LogScale: 45,
+		LogP: []int{55}, LogScale: 45,
 	}
 	params, err := ckks.NewParameters(lit)
 	check(err)

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// Calibrate the analytic cost model on a small real context once.
-	lit := ckks.ParametersLiteral{LogN: 11, LogQ: []int{50, 40, 40}, LogP: 55, LogScale: 40}
+	lit := ckks.ParametersLiteral{LogN: 11, LogQ: []int{50, 40, 40}, LogP: []int{55}, LogScale: 40}
 	params, err := ckks.NewParameters(lit)
 	check(err)
 	kg := ckks.NewKeyGenerator(params, 3)

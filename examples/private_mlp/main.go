@@ -58,7 +58,7 @@ func main() {
 	for i := 1; i <= levels; i++ {
 		logQ[i] = 45
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 12, LogQ: logQ, LogP: 55, LogScale: 45})
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 12, LogQ: logQ, LogP: []int{55}, LogScale: 45})
 	check(err)
 	kg := ckks.NewKeyGenerator(params, 7)
 	sk := kg.GenSecretKey()

@@ -24,6 +24,39 @@ type PlainSum struct {
 	terms  int // products held unreduced; 0 means no accumulators are held
 }
 
+// acc128 is a polynomial's worth of unreduced 128-bit sums: the high and low
+// words live in two pooled polys (see ring.MulAcc128).
+type acc128 struct {
+	hi, lo *ring.Poly
+}
+
+func getAcc128(r *ring.Ring, level int) acc128 {
+	return acc128{hi: r.GetPoly(level), lo: r.GetPoly(level)}
+}
+
+// mulAdd adds x ⊙ y into limb j of the accumulator.
+func (a acc128) mulAdd(j int, x, y []uint64) {
+	ring.MulAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], x, y)
+}
+
+// put returns both polys to the pool.
+func (a acc128) put(r *ring.Ring) {
+	r.PutPoly(a.hi)
+	r.PutPoly(a.lo)
+}
+
+// reduce performs the accumulator's one modular reduction, in place in its
+// low-word poly, which it returns; the high-word poly goes back to the pool.
+//
+//hennlint:transfers-ownership the returned poly is pooled; the caller must PutPoly it
+func (a acc128) reduce(r *ring.Ring) *ring.Poly {
+	for j, m := range r.Moduli[:len(a.lo.Coeffs)] {
+		m.ReduceAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], a.lo.Coeffs[j])
+	}
+	r.PutPoly(a.hi)
+	return a.lo
+}
+
 // NewPlainSum returns an empty sum of terms at the given level.
 func (ev *Evaluator) NewPlainSum(level int) *PlainSum {
 	return &PlainSum{ev: ev, level: level}

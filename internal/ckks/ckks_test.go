@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -47,7 +48,7 @@ func newTestContext(t testing.TB, lit ParametersLiteral) *testContext {
 
 // tiny parameter set for fast tests; LogN=7 is insecure but exercises every
 // code path identically.
-var testLit = ParametersLiteral{LogN: 7, LogQ: []int{50, 40, 40, 40, 40}, LogP: 55, LogScale: 40}
+var testLit = ParametersLiteral{LogN: 7, LogQ: []int{50, 40, 40, 40, 40}, LogP: []int{55}, LogScale: 40}
 
 func randomComplex(rng *rand.Rand, n int, bound float64) []complex128 {
 	out := make([]complex128, n)
@@ -87,9 +88,9 @@ func TestParametersAccessors(t *testing.T) {
 	}
 	for l := 1; l <= params.MaxLevel(); l++ {
 		for j := 0; j < l; j++ {
-			inv := params.qInvMod[l][j]
+			inv := params.byTop[l].inv[j]
 			if ring.MulMod(params.Q()[l]%params.Q()[j], inv, params.Q()[j]) != 1 {
-				t.Fatalf("qInvMod[%d][%d] wrong", l, j)
+				t.Fatalf("byTop[%d].inv[%d] wrong", l, j)
 			}
 		}
 	}
@@ -97,16 +98,17 @@ func TestParametersAccessors(t *testing.T) {
 
 func TestParameterValidation(t *testing.T) {
 	chain := func(limbs int) ParametersLiteral {
-		lit := ParametersLiteral{LogN: 4, LogQ: make([]int, limbs), LogP: 40, LogScale: 30}
+		lit := ParametersLiteral{LogN: 4, LogQ: make([]int, limbs), LogP: []int{40}, LogScale: 30}
 		for i := range lit.LogQ {
 			lit.LogQ[i] = 30
 		}
 		return lit
 	}
 	cases := []ParametersLiteral{
-		{LogN: 2, LogQ: []int{40}, LogP: 40, LogScale: 30},
-		{LogN: 10, LogQ: nil, LogP: 40, LogScale: 30},
-		{LogN: 10, LogQ: []int{40}, LogP: 40, LogScale: 10},
+		{LogN: 2, LogQ: []int{40}, LogP: []int{40}, LogScale: 30},
+		{LogN: 10, LogQ: nil, LogP: []int{40}, LogScale: 30},
+		{LogN: 10, LogQ: []int{40}, LogP: []int{40}, LogScale: 10},
+		{LogN: 10, LogQ: []int{40}, LogP: nil, LogScale: 30},
 		// One limb more than a key switch's 128-bit accumulator can sum.
 		chain(ring.MaxAcc128Terms + 1),
 	}
@@ -121,9 +123,39 @@ func TestParameterValidation(t *testing.T) {
 	// The widest primes the substrate supports compile: GenPrimes used to
 	// answer LogQ/LogP = ring.MaxModulusBits with 62-bit primes that
 	// NewModulus then refused.
-	widest := ParametersLiteral{LogN: 10, LogQ: []int{ring.MaxModulusBits, 45, ring.MaxModulusBits}, LogP: ring.MaxModulusBits, LogScale: 45}
+	widest := ParametersLiteral{LogN: 10, LogQ: []int{ring.MaxModulusBits, 45, ring.MaxModulusBits}, LogP: []int{ring.MaxModulusBits}, LogScale: 45}
 	if _, err := NewParameters(widest); err != nil {
 		t.Errorf("%d-bit primes: %v", ring.MaxModulusBits, err)
+	}
+}
+
+// TestUndersizedSpecialModulusRefused: key-switching noise is a digit's
+// magnitude over P, so a special modulus smaller than a digit it must absorb
+// used to compile and then silently cost every rotation and relinearization
+// precision. The error names both sizes; nominally equal sizes, whose primes
+// differ by a hair either way, still compile.
+func TestUndersizedSpecialModulusRefused(t *testing.T) {
+	for _, c := range []struct {
+		lit          ParametersLiteral
+		pBits, dBits string
+	}{
+		{ParametersLiteral{LogN: 10, LogQ: []int{50, 40, 40}, LogP: []int{30}, LogScale: 40}, "30 bits", "50-bit"},
+		// Two special primes cover two-limb digits: 80 bits against q_0·q_1.
+		{ParametersLiteral{LogN: 10, LogQ: []int{50, 40, 40}, LogP: []int{40, 40}, LogScale: 40}, "80 bits", "90-bit"},
+	} {
+		_, err := NewParameters(c.lit)
+		if err == nil || !strings.Contains(err.Error(), c.pBits) || !strings.Contains(err.Error(), c.dBits) {
+			t.Errorf("LogQ=%v LogP=%v: got %v, want an error naming %s and %s", c.lit.LogQ, c.lit.LogP, err, c.pBits, c.dBits)
+		}
+	}
+	for _, lit := range []ParametersLiteral{
+		{LogN: 10, LogQ: []int{50, 40, 40}, LogP: []int{50}, LogScale: 40},
+		{LogN: 10, LogQ: []int{50, 40, 40}, LogP: []int{45, 45}, LogScale: 40},
+		{LogN: 10, LogQ: []int{60, 60, 60, 60}, LogP: []int{60, 60}, LogScale: 45},
+	} {
+		if _, err := NewParameters(lit); err != nil {
+			t.Errorf("LogQ=%v LogP=%v: %v", lit.LogQ, lit.LogP, err)
+		}
 	}
 }
 

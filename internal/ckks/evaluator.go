@@ -151,206 +151,208 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale, Level: level}, nil
 }
 
-// acc128 is a polynomial's worth of unreduced 128-bit sums: the high and low
-// words live in two pooled polys (see ring.MulAcc128).
-type acc128 struct {
-	hi, lo *ring.Poly
-}
-
-func getAcc128(r *ring.Ring, level int) acc128 {
-	return acc128{hi: r.GetPoly(level), lo: r.GetPoly(level)}
-}
-
-// mulAdd adds x ⊙ y into limb j of the accumulator.
-func (a acc128) mulAdd(j int, x, y []uint64) {
-	ring.MulAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], x, y)
-}
-
-// put returns both polys to the pool.
-func (a acc128) put(r *ring.Ring) {
-	r.PutPoly(a.hi)
-	r.PutPoly(a.lo)
-}
-
-// merge adds b into a and recycles b.
-func (a acc128) merge(r *ring.Ring, b acc128) {
-	for j := range a.lo.Coeffs {
-		ring.AddAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], b.hi.Coeffs[j], b.lo.Coeffs[j])
-	}
-	b.put(r)
-}
-
-// reduce performs the accumulator's one modular reduction, in place in its
-// low-word poly, which it returns; the high-word poly goes back to the pool.
+// decompose splits c (NTT domain, limbs 0..level) into its gadget digits and
+// raises each to every limb of Q_level and to P: digit d is c modulo the
+// product D_d of its own primes q_{dα}..q_{(d+1)α-1} (cut at the level),
+// centred in [-D_d/2, D_d/2), so it keeps c's residues on its own limbs —
+// those are copied, still in NTT domain — and reaches the others by a fast
+// basis extension (ring.BasisExtender) and a forward transform each. Because
+// the gadget g_d is 1 on the digit's own primes and 0 on the rest,
+// Σ_d digit_d·g_d ≡ c (mod Q_level).
 //
-//hennlint:transfers-ownership the returned poly is pooled; the caller must PutPoly it
-func (a acc128) reduce(r *ring.Ring) *ring.Poly {
-	for j, m := range r.Moduli[:len(a.lo.Coeffs)] {
-		m.ReduceAcc128(a.hi.Coeffs[j], a.lo.Coeffs[j], a.lo.Coeffs[j])
+// The result is the step-independent part of every key switch; c is only
+// read.
+//
+//hennlint:transfers-ownership the decomposition's polys are pooled; the caller must Release it
+func (ev *Evaluator) decompose(c *ring.Poly, level int) *HoistedDecomposition {
+	params := ev.params
+	rq, rp := params.RingQ(), params.RingP()
+	n, alpha, digits := params.N(), len(rp.Moduli), params.Digits(level)
+
+	dec := &HoistedDecomposition{
+		level: level, rq: rq, rp: rp,
+		decQ: make([]*ring.Poly, digits),
+		decP: make([]*ring.Poly, digits),
 	}
-	r.PutPoly(a.hi)
-	return a.lo
-}
+	for d := range dec.decQ {
+		// Every limb is fully overwritten below, so raw pool polys suffice.
+		dec.decQ[d] = rq.GetPolyRaw(level)
+		dec.decP[d] = rp.GetPolyRaw(alpha - 1)
+	}
 
-// ksAcc is one worker's key-switch accumulator set: the (c0, c1) partial
-// sums over Q and over the special prime P, unreduced.
-type ksAcc struct {
-	q0, q1 acc128
-	p0, p1 acc128
-}
-
-// newKSAccs draws zeroed accumulator sets for `workers` workers.
-func (ev *Evaluator) newKSAccs(workers, level int) []ksAcc {
-	rq := ev.params.RingQ()
-	rp := ev.params.RingP()
-	accs := make([]ksAcc, workers)
-	for w := range accs {
-		accs[w] = ksAcc{
-			q0: getAcc128(rq, level), q1: getAcc128(rq, level),
-			p0: getAcc128(rp, 0), p1: getAcc128(rp, 0),
+	// Digits are independent: each brings its own limbs to coefficient
+	// domain, scaled for the extension, counts the overflow once per
+	// coefficient, then reaches every other limb of Q_level (targets 0..level
+	// of its extender) and of P (targets after the full chain). The fan over
+	// digits holds the ring's gate, so the loops inside run serially; when it
+	// falls back to serial itself — one digit, or another fan in flight — the
+	// loop over target limbs takes the fan instead.
+	ys, vs := rq.GetPolyRaw(level), rq.GetPolyRaw(digits-1)
+	limbs := level + 1 + alpha
+	ring.ForEachLimb(digits, 2*limbs*n, func(d int) {
+		lo, hi, ext := params.digit(d, level)
+		y, v := ys.Coeffs[lo:hi], vs.Coeffs[d]
+		for i := range y {
+			copy(y[i], c.Coeffs[lo+i])
+			rq.Moduli[lo+i].INTT(y[i])
+			ext.Scale(i, y[i])
 		}
-	}
-	return accs
+		ext.Overflow(y, v)
+		ring.ForEachLimb(limbs, 2*n, func(j int) {
+			switch {
+			case j >= lo && j < hi:
+				copy(dec.decQ[d].Coeffs[j], c.Coeffs[j])
+			case j <= level:
+				dst := dec.decQ[d].Coeffs[j]
+				ext.Extend(j, y, v, dst)
+				rq.Moduli[j].NTT(dst)
+			default:
+				k := j - level - 1
+				dst := dec.decP[d].Coeffs[k]
+				ext.Extend(len(rq.Moduli)+k, y, v, dst)
+				rp.Moduli[k].NTT(dst)
+			}
+		})
+	})
+	rq.PutPoly(ys)
+	rq.PutPoly(vs)
+	return dec
 }
 
-// finishKeySwitch merges the workers' partial sums, reduces them — the one
-// reduction a key switch's multiply-accumulate performs per coefficient —
-// and divides by P, returning the (c0, c1) correction over Q. 128-bit
-// addition is exact and commutative, so the result does not depend on the
-// digit-to-worker schedule: key-switch output stays bit-deterministic under
-// any fan-out width.
+// switchKey multiplies a decomposition by a gadget key (relinearization or
+// rotation) and divides by P, returning the (c0, c1) correction over
+// Q_level: Σ_d φ(digit_d) ⊙ evk_d equals P·φ(c)·source + small error over
+// Q_level·P, and modDown's rounded division leaves φ(c)·source + tiny error.
+// φ is the Galois automorphism whose NTT-domain gather table is idx; nil is
+// the identity (relinearization). Permuting the raised digits is sound
+// because φ is a ring homomorphism modulo every prime: the permuted digits
+// are digits of φ(c) of the same magnitude.
+//
+// Per limb, the products are summed unreduced in 128 bits (a key has at most
+// ring.MaxAcc128Terms digits) and reduced once. Limbs are independent, so
+// they fan with no state to merge, and every value returned is a canonical
+// residue, identical under any fan-out width.
 //
 //hennlint:transfers-ownership both returned polys are pooled; the caller must PutPoly them
-func (ev *Evaluator) finishKeySwitch(accs []ksAcc, level int) (*ring.Poly, *ring.Poly) {
-	rq := ev.params.RingQ()
-	rp := ev.params.RingP()
-	acc := accs[0]
-	for _, a := range accs[1:] {
-		acc.q0.merge(rq, a.q0)
-		acc.q1.merge(rq, a.q1)
-		acc.p0.merge(rp, a.p0)
-		acc.p1.merge(rp, a.p1)
+func (ev *Evaluator) switchKey(dec *HoistedDecomposition, digits []EvaluationKeyDigit, idx []int32) (*ring.Poly, *ring.Poly) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
+	n, level, alpha := ev.params.N(), dec.level, len(rp.Moduli)
+
+	q0, q1 := rq.GetPolyRaw(level), rq.GetPolyRaw(level)
+	p0, p1 := rp.GetPolyRaw(alpha-1), rp.GetPolyRaw(alpha-1)
+	// limb j of a value held as a Q poly and a P poly: Q limbs, then P limbs.
+	limb := func(q, p *ring.Poly, j int) []uint64 {
+		if j <= level {
+			return q.Coeffs[j]
+		}
+		return p.Coeffs[j-level-1]
 	}
-	q0, q1 := acc.q0.reduce(rq), acc.q1.reduce(rq)
-	p0, p1 := acc.p0.reduce(rp), acc.p1.reduce(rp)
-	ev.modDownByP(q0, p0, level)
-	ev.modDownByP(q1, p1, level)
+	// Per worker: the two accumulators' high words and the gathered digit.
+	var scratch [][]uint64
+	ring.ForEachWorker(level+1+alpha, 2*len(dec.decQ)*n, func(workers int) {
+		scratch = make([][]uint64, 3*workers)
+		for i := range scratch {
+			scratch[i] = rq.GetScratch()
+		}
+	}, func(w, j int) {
+		m := rq.Moduli[min(j, level)]
+		if j > level {
+			m = rp.Moduli[j-level-1]
+		}
+		// The output limbs double as the accumulators' low words.
+		lo0, lo1 := limb(q0, p0, j), limb(q1, p1, j)
+		hi0, hi1, perm := scratch[3*w], scratch[3*w+1], scratch[3*w+2]
+		clear(lo0)
+		clear(lo1)
+		clear(hi0)
+		clear(hi1)
+		for d := range dec.decQ {
+			x := limb(dec.decQ[d], dec.decP[d], j)
+			if idx != nil {
+				gather(perm, x, idx)
+				x = perm
+			}
+			ring.MulAcc128(hi0, lo0, x, limb(digits[d].BQ, digits[d].BP, j))
+			ring.MulAcc128(hi1, lo1, x, limb(digits[d].AQ, digits[d].AP, j))
+		}
+		m.ReduceAcc128(hi0, lo0, lo0)
+		m.ReduceAcc128(hi1, lo1, lo1)
+	})
+	for _, buf := range scratch {
+		rq.PutScratch(buf)
+	}
+	ev.modDown(&ev.params.byP, level+1, [2]modDownOperand{
+		{src: p0.Coeffs, in: q0, out: q0},
+		{src: p1.Coeffs, in: q1, out: q1},
+	})
 	rp.PutPoly(p0)
 	rp.PutPoly(p1)
 	return q0, q1
 }
 
-// keySwitch applies a gadget key (relinearization or rotation) to an
-// NTT-domain ciphertext component d2 at the given level, returning the
-// (c0, c1) correction over Q.
-//
-// Algorithm: decompose d2 into per-prime RNS digits u_i = [d2]_{q_i}
-// (coefficient domain, single-limb integers), extend each digit to every
-// limb of Q_level and to P, and accumulate Σ u_i ⊙ evk_i over Q and P.
-// Because the gadget g_i ≡ δ_ij (mod q_j), Σ u_i·g_i ≡ d2 (mod Q_level),
-// and the accumulated value equals P·d2·s² + small error over QP. Dividing
-// by P (exact centered mod-down, P is a single prime) yields d2·s² + tiny
-// error over Q.
-//
-// The products are summed unreduced in 128-bit accumulators (a chain has at
-// most ring.MaxAcc128Terms digits) and reduced once, in finishKeySwitch.
-//
-// Digits are independent, so the INTT/extend/NTT/multiply-accumulate chain
-// fans across them with per-worker accumulators merged at the end — the
-// serial digit walk was the longest dependency chain left in a rotation.
-// The digit fan holds the ring's fan-out gate, so per-limb work inside each
-// worker runs serially instead of double-fanning; when the digit fan itself
-// falls back to serial (one digit, or another fan already in flight), the
-// inner loop is the plain single-worker path.
+// keySwitch applies a gadget key to an NTT-domain ciphertext component d2 at
+// the given level, returning the (c0, c1) correction over Q.
 //
 //hennlint:transfers-ownership both returned polys are pooled; the caller must PutPoly them
 func (ev *Evaluator) keySwitch(d2 *ring.Poly, digits []EvaluationKeyDigit, level int) (*ring.Poly, *ring.Poly) {
 	mark := stageClock()
-	rq := ev.params.RingQ()
-	rp := ev.params.RingP()
-	n := ev.params.N()
-	p := ev.params.P()
-
-	var accs []ksAcc
-	ring.ForEachWorker(level+1, (level+2)*n, func(workers int) {
-		accs = ev.newKSAccs(workers, level)
-	}, func(w, i int) {
-		acc := &accs[w]
-		digit := rq.GetScratch()
-		defer rq.PutScratch(digit)
-		ext := rq.GetScratch()
-		defer rq.PutScratch(ext)
-		copy(digit, d2.Coeffs[i])
-		rq.Moduli[i].INTT(digit)
-		evk := &digits[i]
-		qi := ev.params.Q()[i]
-
-		for j := 0; j <= level; j++ {
-			qj := rq.Moduli[j].Q
-			if qi <= qj {
-				copy(ext, digit)
-			} else {
-				for k := 0; k < n; k++ {
-					ext[k] = digit[k] % qj
-				}
-			}
-			rq.Moduli[j].NTT(ext)
-			acc.q0.mulAdd(j, ext, evk.BQ.Coeffs[j])
-			acc.q1.mulAdd(j, ext, evk.AQ.Coeffs[j])
-		}
-		if qi <= p {
-			copy(ext, digit)
-		} else {
-			for k := 0; k < n; k++ {
-				ext[k] = digit[k] % p
-			}
-		}
-		rp.Moduli[0].NTT(ext)
-		acc.p0.mulAdd(0, ext, evk.BP.Coeffs[0])
-		acc.p1.mulAdd(0, ext, evk.AP.Coeffs[0])
-	})
-	ks0, ks1 := ev.finishKeySwitch(accs, level)
+	dec := ev.decompose(d2, level)
+	ks0, ks1 := ev.switchKey(dec, digits, nil)
+	dec.Release()
 	stageDone("key_switch", mark)
 	return ks0, ks1
 }
 
-// modDownByP divides accQ (NTT domain over Q_level) by P in place, consuming
-// accP (NTT domain over P): accQ <- (accQ - lift([acc]_P)) / P per limb.
-func (ev *Evaluator) modDownByP(accQ, accP *ring.Poly, level int) {
+// modDownOperand is one polynomial of a modDown: src are the NTT-domain
+// residues of the value modulo the divisor's primes (overwritten), in its
+// limbs over Q, out where the quotient goes (may be in).
+type modDownOperand struct {
+	src     [][]uint64
+	in, out *ring.Poly
+}
+
+// modDown divides by the divisor's modulus D, rounding to nearest: for each
+// operand and each limb j < limbs, out_j = (in_j − [x]_D)·D⁻¹ mod q_j, where
+// [x]_D in [−D/2, D/2) is read off the src residues and lifted to q_j by the
+// divisor's base extension. It is both halves of the scheme's modulus
+// switching: Rescale divides by the top chain prime, a key switch by P. The
+// two operands of a ciphertext go through one fan.
+func (ev *Evaluator) modDown(div *divisor, limbs int, ops [2]modDownOperand) {
 	rq := ev.params.RingQ()
-	rp := ev.params.RingP()
 	n := ev.params.N()
-	p := ev.params.P()
-	half := p >> 1
-
-	lift := rq.GetScratch()
-	copy(lift, accP.Coeffs[0])
-	rp.Moduli[0].INTT(lift)
-
-	ring.ForEachLimb(level+1, n, func(j int) {
-		ext := rq.GetScratch()
-		defer rq.PutScratch(ext)
-		qj := rq.Moduli[j].Q
-		for k := 0; k < n; k++ {
-			c := lift[k]
-			if c > half {
-				// centered: c - p (negative) ≡ qj - (p - c) mod qj
-				ext[k] = qj - (p-c)%qj
-				if ext[k] == qj {
-					ext[k] = 0
-				}
-			} else {
-				ext[k] = c % qj
-			}
+	var vs [2][]uint64
+	for c, op := range ops {
+		for i, x := range op.src {
+			div.src[i].INTT(x)
+			div.ext.Scale(i, x)
 		}
-		rq.Moduli[j].NTT(ext)
-		pinv := ev.params.pInvModQ[j]
-		limb := accQ.Coeffs[j]
-		for k := 0; k < n; k++ {
-			limb[k] = ring.MulMod(ring.SubMod(limb[k], ext[k], qj), pinv, qj)
+		vs[c] = rq.GetScratch()
+		div.ext.Overflow(op.src, vs[c])
+	}
+	// A job is a base extension, a transform and a multiply: about two
+	// transforms' worth of work, which is what the fan's cost hint counts.
+	var lifts [][]uint64
+	ring.ForEachWorker(2*limbs, 2*n, func(workers int) {
+		lifts = make([][]uint64, workers)
+		for w := range lifts {
+			lifts[w] = rq.GetScratch()
+		}
+	}, func(w, job int) {
+		c, j := job/limbs, job%limbs
+		op, m, lift := ops[c], rq.Moduli[j], lifts[w]
+		div.ext.Extend(j, op.src, vs[c], lift)
+		m.NTT(lift)
+		inv, invShoup, qj := div.inv[j], div.invShoup[j], m.Q
+		in, out := op.in.Coeffs[j], op.out.Coeffs[j]
+		for k := range out {
+			out[k] = ring.MulModShoup(ring.SubMod(in[k], lift[k], qj), inv, invShoup, qj)
 		}
 	})
-	rq.PutScratch(lift)
+	for _, buf := range lifts {
+		rq.PutScratch(buf)
+	}
+	rq.PutScratch(vs[0])
+	rq.PutScratch(vs[1])
 }
 
 // Rescale divides the ciphertext by its top prime q_level, dropping one
@@ -363,53 +365,24 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	mark := stageClock()
 	rq := ev.params.RingQ()
-	ql := ev.params.Q()[level]
 	out := &Ciphertext{
 		C0:    rq.NewPoly(level - 1),
 		C1:    rq.NewPoly(level - 1),
-		Scale: ct.Scale / float64(ql),
+		Scale: ct.Scale / float64(ev.params.Q()[level]),
 		Level: level - 1,
 	}
-	ev.divideByTopPrime(ct.C0, out.C0, level)
-	ev.divideByTopPrime(ct.C1, out.C1, level)
+	// modDown consumes its source residues; the input's top limbs are copied.
+	top0, top1 := rq.GetScratch(), rq.GetScratch()
+	copy(top0, ct.C0.Coeffs[level])
+	copy(top1, ct.C1.Coeffs[level])
+	ev.modDown(&ev.params.byTop[level], level, [2]modDownOperand{
+		{src: [][]uint64{top0}, in: ct.C0, out: out.C0},
+		{src: [][]uint64{top1}, in: ct.C1, out: out.C1},
+	})
+	rq.PutScratch(top0)
+	rq.PutScratch(top1)
 	stageDone("rescale", mark)
 	return out, nil
-}
-
-func (ev *Evaluator) divideByTopPrime(in, out *ring.Poly, level int) {
-	rq := ev.params.RingQ()
-	n := ev.params.N()
-	ql := ev.params.Q()[level]
-	half := ql >> 1
-
-	lift := rq.GetScratch()
-	copy(lift, in.Coeffs[level])
-	rq.Moduli[level].INTT(lift)
-
-	ring.ForEachLimb(level, n, func(j int) {
-		ext := rq.GetScratch()
-		defer rq.PutScratch(ext)
-		qj := rq.Moduli[j].Q
-		for k := 0; k < n; k++ {
-			c := lift[k]
-			if c > half {
-				ext[k] = qj - (ql-c)%qj
-				if ext[k] == qj {
-					ext[k] = 0
-				}
-			} else {
-				ext[k] = c % qj
-			}
-		}
-		rq.Moduli[j].NTT(ext)
-		qinv := ev.params.qInvMod[level][j]
-		src := in.Coeffs[j]
-		dst := out.Coeffs[j]
-		for k := 0; k < n; k++ {
-			dst[k] = ring.MulMod(ring.SubMod(src[k], ext[k], qj), qinv, qj)
-		}
-	})
-	rq.PutScratch(lift)
 }
 
 // MulRelinRescale is the common fused sequence multiply → relinearize →

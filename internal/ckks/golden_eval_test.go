@@ -9,35 +9,39 @@ import (
 )
 
 // goldenEvalDigests pins the bytes of the evaluator's outputs: SHA-256 of
-// the marshaled results goldenEvalOutputs computes from fixed seeds,
-// generated at the commit before the NTT butterflies and the key-switch
-// accumulation went lazy. Reduction strategy is an implementation detail;
-// the canonical residues an operation returns are not, so every digest must
-// hold under any fan-out width.
+// the marshaled results goldenEvalOutputs computes from fixed seeds.
+// Reduction strategy and fan-out are implementation details; the canonical
+// residues an operation returns are not, so every digest must hold under any
+// fan-out width. The rescale digests date from the commit before the NTT
+// butterflies went lazy. The key-switching ones were regenerated when the
+// gadget went from per-prime to grouped digits — different digits, different
+// rounding — under the rule TestPrecisionTable states: a digest may move only
+// beside a precision table that did not.
 var goldenEvalDigests = map[string]string{
-	"small/rotate":            "91f8293131d476192de99595fc4b249595241bb03db1146c3d5f713503847b9e",
-	"small/rotate-hoisted":    "f3aa3e3743b1f1a9c3ca93e04b098f9e47772e75b73c96e43b685a00b0bc5cba",
-	"small/mul-relin-rescale": "810b7ea1230b8485bbcd9cf933d1cb06725afc3b93df148c37d922a1868bd6e5",
+	"small/rotate":            "7a1f4abf4ca2d96439dd58f7e8700a5b14ae309c4244d4d2d1994f8343736098",
+	"small/rotate-hoisted":    "7a1f4abf4ca2d96439dd58f7e8700a5b14ae309c4244d4d2d1994f8343736098",
+	"small/mul-relin-rescale": "cf5956c3cf2cbff628857912f680256f302f67c6a0e97e6a193fb6ce7e915d17",
 	"small/rescale":           "8ee63bcbc9bf44dd907f28bf080d98d10281b9561fa3a5915c166c70405ec076",
-	"wide/rotate":             "0e8872d4a688cbef970aae44a238f999440d128d2ebb67dd3385ee4eb9ec78c1",
-	"wide/rotate-hoisted":     "2d8eded238e8d0de68110688e297017bc41249f35b46a5065603fd5845db8ec2",
-	"wide/mul-relin-rescale":  "31285536ec3879b68defa9caf7a25a41be24613bad9f5ae9799655b8dfdd9b2e",
+	"wide/rotate":             "263b03cceea9dc8a6640074ecb2f2f0bf79efd967fc55f2ad64d612758c6800e",
+	"wide/rotate-hoisted":     "263b03cceea9dc8a6640074ecb2f2f0bf79efd967fc55f2ad64d612758c6800e",
+	"wide/mul-relin-rescale":  "c1f7a0dba572e9c0bb24267882bee4fe1151f035d8e5be2f13758e4c46fd12b9",
 	"wide/rescale":            "565f5eb96623c7e40368695facbac1cd6be5170d434ec54ac306e9b79c3270a8",
 }
 
-// goldenEvalLits: the suite's tiny chain, and a LogN=10 chain led by 60-bit
-// primes — the widest residues the lazy bounds must survive, and long
-// enough for the key-switch digit fan to engage (asserted below).
+// goldenEvalLits: the suite's tiny chain with one special prime, and a LogN=10
+// chain led by 60-bit primes with two — the widest residues the lazy bounds
+// must survive, digits of two limbs (the last of one), and long enough for
+// the key-switch limb fan to engage (asserted below).
 var goldenEvalLits = map[string]ParametersLiteral{
 	"small": testLit,
-	"wide":  {LogN: 10, LogQ: []int{60, 55, 55, 55, 55, 55, 55}, LogP: 60, LogScale: 55},
+	"wide":  {LogN: 10, LogQ: []int{60, 55, 55, 55, 55, 55, 55}, LogP: []int{60, 60}, LogScale: 55},
 }
 
 func goldenEvalOutputs(t testing.TB) map[string]*Ciphertext {
 	out := map[string]*Ciphertext{}
 	for name, lit := range goldenEvalLits {
 		tc := newTestContext(t, lit)
-		if l := tc.params.MaxLevel(); name == "wide" && (l+1)*(l+2)*tc.params.N() < ring.MinParallelWork {
+		if l := tc.params.MaxLevel(); name == "wide" && (l+1+len(lit.LogP))*2*tc.params.Digits(l)*tc.params.N() < ring.MinParallelWork {
 			t.Fatalf("the wide chain no longer reaches ring.MinParallelWork: its key switches would not fan")
 		}
 		eval := NewEvaluator(tc.params, tc.rlk).

@@ -8,15 +8,17 @@ import (
 )
 
 // goldenDigests pins the bytes of every ckks wire format: SHA-256 of the
-// payloads goldenPayloads builds from fixed seeds, generated at the commit
-// before the formats moved onto internal/wire. A digest that changes means
-// deployed clients, servers and stored artifacts no longer agree.
+// payloads goldenPayloads builds from fixed seeds. A digest that changes
+// means deployed clients, servers and stored artifacts no longer agree. The
+// ciphertext digest dates from the commit before the formats moved onto
+// internal/wire; the literal and the three key formats changed meaning — and
+// magic — when the gadget went to grouped digits, and were regenerated then.
 var goldenDigests = map[string]string{
-	"params":        "b3059cf161d8b33053bb2f2161b4afd645ce47c1f72291b3cf995962c87d8d27",
+	"params":        "834f335a44814ba06d3e561a1907859a6cf6093596407878455de0b02798d2fc",
 	"ciphertext":    "7d6b6194c343653a307fc2c186b6a36e94d239f19095a1851fac04d1c5095ce2",
-	"relin-key":     "4079cc611f7d9130e10d579c3721d32c1092e98adcb85cb6ceac3eb27f5c3406",
-	"switching-key": "9fff6cc60be0881c02933bfc0b24680595378807c91d73d680b577b6924040e1",
-	"rotation-keys": "bfeb61524b17d464b4543f10c790b761a13484c0a984c64ff82446c5daa99b89",
+	"relin-key":     "cfd5925f1604a64c7853cecdf0b1586662f46a9429540c3c7e9c0b13da82822f",
+	"switching-key": "e714e69c26bd1e89ad3712389550ee43f13830a78a8c48bf3835ec61e89c69fb",
+	"rotation-keys": "03da79e12c8420e15d1cd322f5517b53be59e0cd7ca47fd7399fb92ae86ff54c",
 }
 
 // wireValue is a marshalable value paired with a fresh decode target.

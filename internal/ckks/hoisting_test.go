@@ -49,44 +49,98 @@ func TestGaloisNTTIndexMatchesCoefficientAutomorphism(t *testing.T) {
 	}
 }
 
-// TestRotateHoistedMatchesRotate checks the hoisted rotation against the
-// plain path and the expected plaintext shift for a full rotation set,
-// including negative and wrapped steps, all sharing one decomposition.
+// wideDigits is testLit with two special primes: digits of two limbs and a
+// last digit of one, so tests that loop over both literals cover α = 1 and a
+// grouped gadget with a short digit.
+var wideDigits = ParametersLiteral{LogN: testLit.LogN, LogQ: testLit.LogQ, LogP: []int{55, 55}, LogScale: testLit.LogScale}
+
+// TestRotateHoistedMatchesRotate: the two rotation paths are one arithmetic.
+// For a full rotation set — negative and wrapped steps included — and for
+// conjugation, at the top level and on a rescaled ciphertext, a plain
+// rotation and a hoisted one off a shared decomposition return the same
+// bytes, and those decrypt to the expected plaintext shift.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	slots := 64 // testLit has LogN 7
 	steps := []int{1, 3, 7, 13, 31, slots - 1, -2, -slots + 5, slots + 5}
-	tc, _ := newRotationContext(t, steps, false)
-	rng := rand.New(rand.NewSource(52))
-	values := randomComplex(rng, slots, 1)
-	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
-	ct := tc.encr.Encrypt(pt)
+	for _, lit := range []ParametersLiteral{testLit, wideDigits} {
+		tc := newTestContext(t, lit)
+		tc.eval.WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, steps, true))
+		values := randomComplex(rand.New(rand.NewSource(52)), slots, 0.5)
+		pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
+		top := tc.encr.Encrypt(pt)
+		lower, err := tc.eval.MulRelinRescale(top, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		squares := make([]complex128, slots)
+		for i, v := range values {
+			squares[i] = v * v
+		}
+		for _, c := range []struct {
+			ct     *Ciphertext
+			values []complex128
+		}{{top, values}, {lower, squares}} {
+			dec := tc.eval.DecomposeHoisted(c.ct)
+			for _, step := range steps {
+				hoisted, err1 := tc.eval.RotateHoisted(dec, step)
+				plain, err2 := tc.eval.Rotate(c.ct, step)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("step %d: %v, %v", step, err1, err2)
+				}
+				if !ctEqual(hoisted, plain) {
+					t.Fatalf("α=%d level %d step %d: hoisted and plain rotation differ", len(lit.LogP), c.ct.Level, step)
+				}
+				want := make([]complex128, slots)
+				for i := range want {
+					want[i] = c.values[((i+step)%slots+slots)%slots]
+				}
+				if e := maxErr(want, tc.enc.Decode(tc.decr.Decrypt(hoisted))); e > 1e-4 {
+					t.Fatalf("α=%d level %d step %d: rotation error %g", len(lit.LogP), c.ct.Level, step, e)
+				}
+			}
+			hoisted, err1 := tc.eval.ConjugateHoisted(dec)
+			plain, err2 := tc.eval.Conjugate(c.ct)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !ctEqual(hoisted, plain) {
+				t.Fatalf("α=%d level %d: hoisted and plain conjugation differ", len(lit.LogP), c.ct.Level)
+			}
+			dec.Release()
+		}
+	}
+}
 
-	dec := tc.eval.DecomposeHoisted(ct)
-	defer dec.Release()
-	for _, step := range steps {
-		hoisted, err := tc.eval.RotateHoisted(dec, step)
+// TestKeySwitchesLeaveInputsUntouched is the property behind a bug class
+// lattigo fixed more than once: an operation that scribbles on its operands.
+// Rotate, RotateHoisted, MulRelin and Rescale take their inputs through
+// in-place transforms of copies; the inputs' bytes must not change.
+func TestKeySwitchesLeaveInputsUntouched(t *testing.T) {
+	for _, lit := range []ParametersLiteral{testLit, wideDigits} {
+		tc := newTestContext(t, lit)
+		tc.eval.WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, []int{3}, false))
+		rng := rand.New(rand.NewSource(56))
+		encrypt := func() *Ciphertext {
+			pt, _ := tc.enc.Encode(randomComplex(rng, tc.params.Slots(), 1), tc.params.MaxLevel(), tc.params.DefaultScale())
+			return tc.encr.Encrypt(pt)
+		}
+		a, b := encrypt(), encrypt()
+		a0, b0 := a.CopyNew(), b.CopyNew()
+		prod, err := tc.eval.MulRelin(a, b)
 		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
+			t.Fatal(err)
 		}
-		plain, err := tc.eval.Rotate(ct, step)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
+		prod0 := prod.CopyNew()
+		dec := tc.eval.DecomposeHoisted(a)
+		_, err1 := tc.eval.Rotate(a, 3)
+		_, err2 := tc.eval.RotateHoisted(dec, 3)
+		_, err3 := tc.eval.Rescale(prod)
+		dec.Release()
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatal(err1, err2, err3)
 		}
-		if hoisted.Level != plain.Level || hoisted.Scale != plain.Scale {
-			t.Fatalf("step %d: hoisted (level %d, scale %g) vs plain (level %d, scale %g)",
-				step, hoisted.Level, hoisted.Scale, plain.Level, plain.Scale)
-		}
-		want := make([]complex128, slots)
-		for i := range want {
-			want[i] = values[((i+step)%slots+slots)%slots]
-		}
-		gh := tc.enc.Decode(tc.decr.Decrypt(hoisted))
-		gp := tc.enc.Decode(tc.decr.Decrypt(plain))
-		if e := maxErr(want, gh); e > 1e-4 {
-			t.Fatalf("step %d: hoisted rotation error %g", step, e)
-		}
-		if e := maxErr(gp, gh); e > 1e-4 {
-			t.Fatalf("step %d: hoisted differs from plain by %g", step, e)
+		if !ctEqual(a, a0) || !ctEqual(b, b0) || !ctEqual(prod, prod0) {
+			t.Fatalf("α=%d: an operation modified its input", len(lit.LogP))
 		}
 	}
 }
@@ -121,68 +175,11 @@ func TestRotateHoistedZeroAndErrors(t *testing.T) {
 	}
 }
 
-// TestConjugateHoistedMatchesConjugate checks hoisted conjugation against
-// the plain path.
-func TestConjugateHoistedMatchesConjugate(t *testing.T) {
-	tc, _ := newRotationContext(t, nil, true)
-	rng := rand.New(rand.NewSource(53))
-	values := randomComplex(rng, tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
-	ct := tc.encr.Encrypt(pt)
-
-	dec := tc.eval.DecomposeHoisted(ct)
-	defer dec.Release()
-	hoisted, err := tc.eval.ConjugateHoisted(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := tc.eval.Conjugate(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gh := tc.enc.Decode(tc.decr.Decrypt(hoisted))
-	gp := tc.enc.Decode(tc.decr.Decrypt(plain))
-	if e := maxErr(gp, gh); e > 1e-4 {
-		t.Fatalf("hoisted conjugation differs from plain by %g", e)
-	}
-}
-
-// TestRotateHoistedAtLowerLevel exercises a decomposition built from a
-// rescaled (lower-level) ciphertext — the state BSGS hits after the first
-// layer of a deep model.
-func TestRotateHoistedAtLowerLevel(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{2}, false)
-	rng := rand.New(rand.NewSource(54))
-	values := randomComplex(rng, tc.params.Slots(), 0.5)
-	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
-	ct := tc.encr.Encrypt(pt)
-	sq, err := tc.eval.MulRelinRescale(ct, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dec := tc.eval.DecomposeHoisted(sq)
-	defer dec.Release()
-	hoisted, err := tc.eval.RotateHoisted(dec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := tc.eval.Rotate(sq, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gh := tc.enc.Decode(tc.decr.Decrypt(hoisted))
-	gp := tc.enc.Decode(tc.decr.Decrypt(plain))
-	if e := maxErr(gp, gh); e > 1e-4 {
-		t.Fatalf("lower-level hoisted rotation differs from plain by %g", e)
-	}
-}
-
 // TestRotateHoistedConcurrentSharedEvaluator drives hoisted rotations from
 // many goroutines over one shared evaluator — each worker with its own
 // per-call decomposition, plus one read-only decomposition shared by all —
 // under the race detector via `make test`. Results must be bit-identical to
-// the serial reference (the digit fan's modular merge is order-independent).
+// the serial reference (each limb's sum is reduced once, whoever computes it).
 func TestRotateHoistedConcurrentSharedEvaluator(t *testing.T) {
 	steps := []int{1, 3, 7, -2}
 	tc, _ := newRotationContext(t, steps, false)

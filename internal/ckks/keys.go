@@ -25,11 +25,11 @@ func (ct *Ciphertext) CopyNew() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), Scale: ct.Scale, Level: ct.Level}
 }
 
-// SecretKey holds s in NTT domain. QP carries limbs [q_0..q_L, P] (the P limb
-// is needed during key switching); Q is a view of the q limbs only.
+// SecretKey holds s in NTT domain over Q and over the special primes (the P
+// limbs are needed to generate switching keys).
 type SecretKey struct {
 	Q *ring.Poly // limbs q_0..q_L
-	P *ring.Poly // single P limb
+	P *ring.Poly // limbs p_0..p_{α-1}
 }
 
 // PublicKey is a standard RLWE encryption key (b, a) with b = -a·s + e.
@@ -38,16 +38,18 @@ type PublicKey struct {
 }
 
 // EvaluationKeyDigit is one gadget digit of a key-switching key: a pair
-// (b_i, a_i) over Q (limbs q_0..q_L) plus the P limb of each component.
+// (b_d, a_d) over Q·P, held as its Q limbs and its P limbs.
 type EvaluationKeyDigit struct {
 	BQ, AQ *ring.Poly // limbs q_0..q_L
-	BP, AP *ring.Poly // single P limb
+	BP, AP *ring.Poly // limbs p_0..p_{α-1}
 }
 
-// RelinearizationKey switches s^2 back to s. Digit i handles the RNS digit
-// [d2]_{q_i}: b_i = -a_i·s + e_i + P·g_i·s^2 where the gadget g_i ≡ δ_ij
-// (mod q_j) for every j, which holds at every level, so one key set serves
-// the entire modulus chain.
+// RelinearizationKey switches s^2 back to s. Digit d handles the limbs
+// q_{dα}..q_{(d+1)α-1} of the operand (the last digit may be short):
+// b_d = -a_d·s + e_d + P·g_d·s^2 where the gadget g_d is 1 modulo the
+// digit's own primes and 0 modulo every other prime of the chain. That
+// holds at every level, so one key serves the entire modulus chain: a lower
+// level simply uses fewer digits and a shorter last one.
 type RelinearizationKey struct {
 	Digits []EvaluationKeyDigit
 }
@@ -73,15 +75,22 @@ func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
 // GenSecretKey samples a uniform ternary secret (density 2/3) and stores it
 // in NTT domain over both Q and P.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	L := kg.params.MaxLevel()
 	// Sample the signed coefficients once, then embed into both rings so the
 	// Q and P views are the same secret.
 	signed := kg.samplerQ.TernarySigned(2.0 / 3.0)
-	skQ := kg.params.RingQ().SetSignedCoeffs(signed, L)
-	skP := kg.params.RingP().SetSignedCoeffs(signed, 0)
-	kg.params.RingQ().NTT(skQ)
-	kg.params.RingP().NTT(skP)
+	skQ, skP := kg.embed(signed)
 	return &SecretKey{Q: skQ, P: skP}
+}
+
+// embed returns the NTT-domain embeddings over Q (full chain) and over P of
+// one small integer polynomial.
+func (kg *KeyGenerator) embed(signed []int64) (*ring.Poly, *ring.Poly) {
+	rq, rp := kg.params.RingQ(), kg.params.RingP()
+	inQ := rq.SetSignedCoeffs(signed, len(rq.Moduli)-1)
+	inP := rp.SetSignedCoeffs(signed, len(rp.Moduli)-1)
+	rq.NTT(inQ)
+	rp.NTT(inP)
+	return inQ, inP
 }
 
 // GenPublicKey returns (b, a) with b = -a·s + e over the full chain.
@@ -98,49 +107,53 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// GenRelinearizationKey builds the per-prime gadget relinearization key.
+// GenRelinearizationKey builds the relinearization key: the switching key
+// from s^2 to s.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
-	L := kg.params.MaxLevel()
 	rq := kg.params.RingQ()
-	rp := kg.params.RingP()
-
-	s2Q := rq.NewPoly(L)
+	s2Q := rq.NewPoly(kg.params.MaxLevel())
 	rq.MulCoeffs(sk.Q, sk.Q, s2Q)
+	return &RelinearizationKey{Digits: kg.genDigits(sk, s2Q)}
+}
 
-	rlk := &RelinearizationKey{Digits: make([]EvaluationKeyDigit, L+1)}
-	for i := 0; i <= L; i++ {
-		// a_i is a uniform element of R_QP: independent uniform residues per
-		// prime are exactly a CRT-uniform element. The error e_i, however,
+// genDigits builds the gadget digits that switch sourceQ (NTT domain, the key
+// being switched *from*) to the canonical secret. Only the Q embedding of the
+// source is needed: the gadget term P·g_d·source vanishes modulo every
+// special prime.
+func (kg *KeyGenerator) genDigits(sk *SecretKey, sourceQ *ring.Poly) []EvaluationKeyDigit {
+	L := kg.params.MaxLevel()
+	rq, rp := kg.params.RingQ(), kg.params.RingP()
+	digits := make([]EvaluationKeyDigit, kg.params.Digits(L))
+	for d := range digits {
+		// a_d is a uniform element of R_QP: independent uniform residues per
+		// prime are exactly a CRT-uniform element. The error e_d, however,
 		// must be one small integer polynomial, so it is sampled signed once
 		// and embedded into both rings.
 		aQ := kg.samplerQ.Uniform(L)
-		aP := kg.samplerP.Uniform(0)
-		eSigned := kg.samplerQ.GaussianSigned()
-		eQ := rq.SetSignedCoeffs(eSigned, L)
-		eP := rp.SetSignedCoeffs(eSigned, 0)
-		rq.NTT(eQ)
-		rp.NTT(eP)
+		aP := kg.samplerP.Uniform(len(rp.Moduli) - 1)
+		eQ, eP := kg.embed(kg.samplerQ.GaussianSigned())
 
 		bQ := rq.NewPoly(L)
 		rq.MulCoeffs(aQ, sk.Q, bQ)
 		rq.Neg(bQ, bQ)
 		rq.Add(bQ, eQ, bQ)
-		// Add P·g_i·s^2: the gadget term lives only on limb i, where it is
-		// (P mod q_i)·s^2.
-		qi := kg.params.Q()[i]
-		pModQi := kg.params.pModQ[i]
-		s2Limb := s2Q.Coeffs[i]
-		bLimb := bQ.Coeffs[i]
-		for j := range bLimb {
-			bLimb[j] = ring.AddMod(bLimb[j], ring.MulMod(s2Limb[j], pModQi, qi), qi)
+		// Add P·g_d·source: the gadget term lives only on the digit's own
+		// limbs, where it is (P mod q_i)·source.
+		lo, hi, _ := kg.params.digit(d, L)
+		for i := lo; i < hi; i++ {
+			qi := kg.params.Q()[i]
+			pModQi := productMod(rp.Moduli, qi)
+			srcLimb, bLimb := sourceQ.Coeffs[i], bQ.Coeffs[i]
+			for j := range bLimb {
+				bLimb[j] = ring.AddMod(bLimb[j], ring.MulMod(srcLimb[j], pModQi, qi), qi)
+			}
 		}
 
-		bP := rp.NewPoly(0)
+		bP := rp.NewPoly(len(rp.Moduli) - 1)
 		rp.MulCoeffs(aP, sk.P, bP)
 		rp.Neg(bP, bP)
 		rp.Add(bP, eP, bP)
-
-		rlk.Digits[i] = EvaluationKeyDigit{BQ: bQ, AQ: aQ, BP: bP, AP: aP}
+		digits[d] = EvaluationKeyDigit{BQ: bQ, AQ: aQ, BP: bP, AP: aP}
 	}
-	return rlk
+	return digits
 }

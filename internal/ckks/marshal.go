@@ -20,19 +20,24 @@ import (
 // Layouts (little-endian; poly = u32 limbs | u32 N | limbs×N u64,
 // digits = u32 count | per digit: poly BQ | AQ | BP | AP):
 //
-//	ParametersLiteral:  magic | u32 LogN | u32 LogP | u32 LogScale | u32 nq | nq×u32 LogQ
+//	ParametersLiteral:  magic | u32 LogN | u32 LogScale | u32 nq | nq×u32 LogQ | u32 np | np×u32 LogP
 //	Ciphertext:         magic | u32 level | f64 scale | poly C0 | poly C1
 //	RelinearizationKey: magic | digits
 //	SwitchingKey:       magic | digits
 //	RotationKeySet:     magic | u32 n | n×(u32 step | digits), ascending | u32 conj | [digits]
+//
+// The literal and the three key formats took new magics when the gadget went
+// from one digit per chain prime to grouped digits over several special
+// primes: a key's layout did not change shape, but its meaning did, and a
+// payload from either side of that change must fail at the front door.
 const (
-	paramsMagic       = uint32(0x5AF7CC05)
-	rotationKeyMagic  = uint32(0x5AF7CC06)
 	ciphertextMagic   = uint32(0x5AF7CC09)
-	relinKeyMagic     = uint32(0x5AF7CC0B)
-	switchingKeyMagic = uint32(0x5AF7CC0C)
+	paramsMagic       = uint32(0x5AF7CC0E)
+	rotationKeyMagic  = uint32(0x5AF7CC0F)
+	relinKeyMagic     = uint32(0x5AF7CC10)
+	switchingKeyMagic = uint32(0x5AF7CC11)
 
-	maxLimbs        = 64 // chain length, and so also gadget digits per key
+	maxLimbs        = 64 // chain length; bounds special primes and gadget digits too
 	maxDegree       = 1 << 20
 	maxRotationKeys = 1 << 16
 )
@@ -87,11 +92,13 @@ func sameShape(a, b *ring.Poly) bool {
 func (lit ParametersLiteral) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.U32(paramsMagic)
-	for _, v := range []int{lit.LogN, lit.LogP, lit.LogScale, len(lit.LogQ)} {
-		w.U32(uint32(v))
-	}
-	for _, q := range lit.LogQ {
-		w.U32(uint32(q))
+	w.U32(uint32(lit.LogN))
+	w.U32(uint32(lit.LogScale))
+	for _, logs := range [][]int{lit.LogQ, lit.LogP} {
+		w.U32(uint32(len(logs)))
+		for _, b := range logs {
+			w.U32(uint32(b))
+		}
 	}
 	return w, nil
 }
@@ -100,13 +107,18 @@ func (lit ParametersLiteral) MarshalBinary() ([]byte, error) {
 func (lit *ParametersLiteral) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("ckks: parameter literal", data)
 	r.Magic(paramsMagic)
-	out := ParametersLiteral{LogN: int(r.U32()), LogP: int(r.U32()), LogScale: int(r.U32())}
-	out.LogQ = make([]int, r.Count(maxLimbs))
-	for i := range out.LogQ {
-		out.LogQ[i] = int(r.U32())
+	readLogs := func() []int {
+		logs := make([]int, r.Count(maxLimbs))
+		for i := range logs {
+			logs[i] = int(r.U32())
+		}
+		return logs
 	}
-	if len(out.LogQ) == 0 {
-		r.Fail("empty modulus chain")
+	out := ParametersLiteral{LogN: int(r.U32()), LogScale: int(r.U32())}
+	out.LogQ = readLogs()
+	out.LogP = readLogs()
+	if len(out.LogQ) == 0 || len(out.LogP) == 0 {
+		r.Fail("empty modulus chain or no special prime")
 	}
 	if err := r.Done(); err != nil {
 		return err

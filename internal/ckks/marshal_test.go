@@ -2,9 +2,12 @@ package ckks
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -13,6 +16,7 @@ import (
 
 func TestParametersLiteralRoundtrip(t *testing.T) {
 	lit := PN12
+	lit.LogP = []int{55, 50} // two special primes of different sizes: the list survives, in order
 	data, err := lit.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +25,7 @@ func TestParametersLiteralRoundtrip(t *testing.T) {
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if got.LogN != lit.LogN || got.LogP != lit.LogP || got.LogScale != lit.LogScale || len(got.LogQ) != len(lit.LogQ) {
+	if got.LogN != lit.LogN || !slices.Equal(got.LogP, lit.LogP) || got.LogScale != lit.LogScale || !slices.Equal(got.LogQ, lit.LogQ) {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, lit)
 	}
 	// Deterministic derivation: both sides build identical parameters.
@@ -33,12 +37,10 @@ func TestParametersLiteralRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p1.Q() {
-		if p1.Q()[i] != p2.Q()[i] {
-			t.Fatal("prime chains differ after roundtrip")
-		}
+	if !slices.Equal(p1.Q(), p2.Q()) {
+		t.Fatal("prime chains differ after roundtrip")
 	}
-	if p1.P() != p2.P() {
+	if !slices.Equal(p1.P(), p2.P()) {
 		t.Fatal("special primes differ")
 	}
 }
@@ -273,6 +275,35 @@ func TestRotationKeySetBadInput(t *testing.T) {
 	}
 	if err := rks.UnmarshalBinary(good[:len(good)-5]); err == nil {
 		t.Fatal("expected error on truncated digits")
+	}
+}
+
+// TestPerPrimeEraPayloadsRefused: the literal and the three key formats
+// changed meaning when the gadget went to grouped digits (a key's layout did
+// not change shape, so nothing else would tell the two apart). A payload
+// carrying a retired magic — a per-prime key from an old client, a literal
+// persisted by an old server — fails at the front door, naming the magic.
+func TestPerPrimeEraPayloadsRefused(t *testing.T) {
+	tc := newTestContext(t, testLit)
+	rks := tc.kg.GenRotationKeys(tc.sk, []int{1}, false)
+	for name, c := range map[string]struct {
+		value   encoding.BinaryMarshaler
+		fresh   encoding.BinaryUnmarshaler
+		retired uint32
+	}{
+		"literal":       {testLit, new(ParametersLiteral), 0x5AF7CC05},
+		"rotation keys": {rks, new(RotationKeySet), 0x5AF7CC06},
+		"relin key":     {tc.rlk, new(RelinearizationKey), 0x5AF7CC0B},
+		"switching key": {rks.keys[1], new(SwitchingKey), 0x5AF7CC0C},
+	} {
+		data, err := c.value.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data, c.retired)
+		if err := c.fresh.UnmarshalBinary(data); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("%s under its retired magic %#x: got %v, want a magic error", name, c.retired, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,12 +21,14 @@ func TestStageObserver(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[string]time.Duration{}
+	count := map[string]int{}
 	SetStageObserver(func(stage string, d time.Duration) {
 		if d < 0 {
 			t.Errorf("stage %s reported negative duration %v", stage, d)
 		}
 		mu.Lock()
 		seen[stage] += d
+		count[stage]++
 		mu.Unlock()
 	})
 	defer SetStageObserver(nil)
@@ -52,6 +55,14 @@ func TestStageObserver(t *testing.T) {
 		if _, ok := seen[stage]; !ok {
 			t.Errorf("stage %q never observed; saw %v", stage, seen)
 		}
+	}
+
+	// One report per operation under its own name: a plain rotation shares
+	// its arithmetic with the hoisted path but is still one "rotate" holding
+	// one "key_switch", not a "decompose_hoisted" and a "rotate_hoisted" —
+	// hennbench's exact rotation and key-switch counts read these.
+	if want := map[string]int{"rotate": 1, "key_switch": 1, "decompose_hoisted": 1, "rotate_hoisted": 1, "rescale": 1, "encode": 1}; !maps.Equal(count, want) {
+		t.Errorf("stage counts %v, want %v", count, want)
 	}
 
 	// Uninstall and confirm silence.

@@ -4,13 +4,13 @@
 // It supports the full leveled workflow needed to evaluate polynomial
 // approximated functions (PAFs) on encrypted tensors: canonical-embedding
 // encoding into N/2 complex slots, public-key encryption,
-// addition, ciphertext and plaintext multiplication, relinearization via a
-// per-prime gadget with one special prime, rescaling, and exact scale
-// management for constant multiplication.
+// addition, ciphertext and plaintext multiplication, relinearization and
+// slot rotation via a grouped-digit (hybrid) gadget with α special primes,
+// rescaling, and exact scale management for constant multiplication.
 //
 // The implementation favours clarity and reproducibility over raw speed and
-// deterministic math/rand sampling over cryptographic randomness; see
-// DESIGN.md for the substitution rationale.
+// deterministic math/rand sampling over cryptographic randomness; the NOTE
+// on ring.Sampler gives the substitution rationale.
 //
 // All scheme objects (Encoder, Encryptor, Decryptor, Evaluator) are safe
 // for concurrent use after construction: one set of keys and one evaluator
@@ -29,12 +29,14 @@ import (
 
 // ParametersLiteral describes a CKKS parameter set by bit sizes.
 // LogQ[0] is the "base" prime consumed by decryption headroom; the remaining
-// entries are the rescaling primes (one per multiplicative level). LogP is
-// the special prime used only during key switching.
+// entries are the rescaling primes (one per multiplicative level). LogP lists
+// the special primes used only during key switching; their number α is also
+// the width of a gadget digit, so a switching key has ⌈len(LogQ)/α⌉ digits
+// and the product of the special primes must cover the largest digit.
 type ParametersLiteral struct {
 	LogN     int   // ring degree N = 1 << LogN
 	LogQ     []int // bit sizes of the ciphertext modulus chain q_0..q_L
-	LogP     int   // bit size of the key-switching special prime
+	LogP     []int // bit sizes of the key-switching special primes p_0..p_{α-1}
 	LogScale int   // default encoding scale Δ = 2^LogScale
 }
 
@@ -44,20 +46,31 @@ type Parameters struct {
 	logN     int
 	logScale int
 	qi       []uint64 // ciphertext primes q_0..q_L
-	p        uint64   // special prime
+	pi       []uint64 // special primes p_0..p_{α-1}
 	ringQ    *ring.Ring
-	ringP    *ring.Ring // degree-N ring with the single special prime
+	ringP    *ring.Ring // degree-N ring over the special primes
 
-	// qInvMod[l][j] = q_l^{-1} mod q_j (defined for j < l), used by Rescale.
-	qInvMod [][]uint64
-	// pInvModQ[j] = P^{-1} mod q_j; pModQ[j] = P mod q_j.
-	pInvModQ []uint64
-	pModQ    []uint64
+	// digitExt[l] raises the gadget digit whose top limb is q_l — limbs
+	// ⌊l/α⌋·α..l — to every prime of Q then P. At level l it serves the
+	// (possibly short) last digit; a full digit d uses digitExt[(d+1)α−1].
+	digitExt []*ring.BasisExtender
+	// byTop[l] divides by q_l (Rescale at level l); byP divides by P.
+	byTop []divisor
+	byP   divisor
 
 	// galoisIdx caches the NTT-domain slot permutation of each Galois
 	// automorphism (k -> []int32), built lazily on first use. Read-mostly, so
 	// a sync.Map keeps Parameters shareable across goroutines.
 	galoisIdx sync.Map
+}
+
+// divisor is what Evaluator.modDown needs to divide by a modulus D coprime
+// to the chain: D's primes, the extender lifting a residue modulo D to q_0,
+// q_1, … and D⁻¹ modulo each of them with its Shoup companion.
+type divisor struct {
+	src           []*ring.Modulus
+	ext           *ring.BasisExtender
+	inv, invShoup []uint64
 }
 
 // NewParameters compiles a literal into concrete primes and rings.
@@ -68,22 +81,74 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if len(lit.LogQ) == 0 {
 		return nil, fmt.Errorf("ckks: empty modulus chain")
 	}
-	// A key switch sums one product per limb in an unreduced 128-bit
-	// accumulator (Evaluator.keySwitch).
+	if len(lit.LogP) == 0 {
+		return nil, fmt.Errorf("ckks: no key-switching special prime")
+	}
+	// A key switch sums one product per gadget digit, and a base extension
+	// one per source prime plus a correction, in an unreduced 128-bit
+	// accumulator.
 	if len(lit.LogQ) > ring.MaxAcc128Terms {
 		return nil, fmt.Errorf("ckks: modulus chain of %d limbs exceeds %d", len(lit.LogQ), ring.MaxAcc128Terms)
+	}
+	if len(lit.LogP) >= ring.MaxAcc128Terms {
+		return nil, fmt.Errorf("ckks: %d special primes, at most %d supported", len(lit.LogP), ring.MaxAcc128Terms-1)
 	}
 	if lit.LogScale < 20 || lit.LogScale > 60 {
 		return nil, fmt.Errorf("ckks: LogScale=%d out of range [20,60]", lit.LogScale)
 	}
 	n := 1 << lit.LogN
 	avoid := map[uint64]bool{}
+	qi, err := genPrimes(lit.LogQ, n, avoid)
+	if err != nil {
+		return nil, err
+	}
+	pi, err := genPrimes(lit.LogP, n, avoid)
+	if err != nil {
+		return nil, err
+	}
 
-	// Group requested sizes so equal-size primes are drawn from one
-	// alternating sequence (keeps products near the power of two).
-	qi := make([]uint64, len(lit.LogQ))
+	// Key-switching noise is the digit's magnitude over P: a special modulus
+	// smaller than a digit it must absorb leaves every rotation and
+	// relinearization carrying noise the scale cannot hide. Equal nominal
+	// sizes differ by a hair either way, hence the half-bit tolerance.
+	alpha := len(pi)
+	logP := logProduct(pi)
+	for lo := 0; lo < len(qi); lo += alpha {
+		if logD := logProduct(qi[lo:min(lo+alpha, len(qi))]); logP < logD-0.5 {
+			return nil, fmt.Errorf("ckks: special modulus of %.0f bits is smaller than the %.0f-bit gadget digit q_%d..q_%d it must absorb",
+				logP, logD, lo, min(lo+alpha, len(qi))-1)
+		}
+	}
+
+	ringQ, err := ring.NewRing(n, qi)
+	if err != nil {
+		return nil, err
+	}
+	ringP, err := ring.NewRing(n, pi)
+	if err != nil {
+		return nil, err
+	}
+	par := &Parameters{
+		logN:     lit.LogN,
+		logScale: lit.LogScale,
+		qi:       qi,
+		pi:       pi,
+		ringQ:    ringQ,
+		ringP:    ringP,
+	}
+	if err := par.precompute(); err != nil {
+		return nil, err
+	}
+	return par, nil
+}
+
+// genPrimes draws one NTT-friendly prime per requested bit size. Equal sizes
+// are drawn from one alternating sequence (keeps products near the power of
+// two).
+func genPrimes(logs []int, n int, avoid map[uint64]bool) ([]uint64, error) {
+	primes := make([]uint64, len(logs))
 	bySize := map[int][]int{}
-	for i, b := range lit.LogQ {
+	for i, b := range logs {
 		bySize[b] = append(bySize[b], i)
 	}
 	for b, idxs := range bySize {
@@ -92,48 +157,75 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 			return nil, err
 		}
 		for k, idx := range idxs {
-			qi[idx] = ps[k]
+			primes[idx] = ps[k]
 		}
 	}
-	p, err := ring.GenPrime(lit.LogP, n, avoid)
-	if err != nil {
-		return nil, err
-	}
-
-	ringQ, err := ring.NewRing(n, qi)
-	if err != nil {
-		return nil, err
-	}
-	ringP, err := ring.NewRing(n, []uint64{p})
-	if err != nil {
-		return nil, err
-	}
-
-	par := &Parameters{
-		logN:     lit.LogN,
-		logScale: lit.LogScale,
-		qi:       qi,
-		p:        p,
-		ringQ:    ringQ,
-		ringP:    ringP,
-	}
-	par.precompute()
-	return par, nil
+	return primes, nil
 }
 
-func (p *Parameters) precompute() {
-	L := len(p.qi)
-	p.qInvMod = make([][]uint64, L)
-	p.pInvModQ = make([]uint64, L)
-	p.pModQ = make([]uint64, L)
-	for l := 0; l < L; l++ {
-		p.qInvMod[l] = make([]uint64, l)
-		for j := 0; j < l; j++ {
-			p.qInvMod[l][j] = ring.InvMod(p.qi[l]%p.qi[j], p.qi[j])
-		}
-		p.pModQ[l] = p.p % p.qi[l]
-		p.pInvModQ[l] = ring.InvMod(p.pModQ[l], p.qi[l])
+// logProduct returns log2 of the product of the primes.
+func logProduct(primes []uint64) float64 {
+	total := 0.0
+	for _, q := range primes {
+		total += math.Log2(float64(q))
 	}
+	return total
+}
+
+func (p *Parameters) precompute() error {
+	L, alpha := len(p.qi), len(p.pi)
+	all := append(append([]*ring.Modulus{}, p.ringQ.Moduli...), p.ringP.Moduli...)
+	p.digitExt = make([]*ring.BasisExtender, L)
+	p.byTop = make([]divisor, L)
+	var err error
+	for l := 0; l < L; l++ {
+		if p.digitExt[l], err = ring.NewBasisExtender(p.ringQ.Moduli[l/alpha*alpha:l+1], all); err != nil {
+			return err
+		}
+		if p.byTop[l], err = newDivisor(p.ringQ.Moduli[l:l+1], p.ringQ.Moduli[:l]); err != nil {
+			return err
+		}
+	}
+	p.byP, err = newDivisor(p.ringP.Moduli, p.ringQ.Moduli)
+	return err
+}
+
+// newDivisor prepares division by the product of the src primes modulo each
+// dst prime.
+func newDivisor(src, dst []*ring.Modulus) (divisor, error) {
+	ext, err := ring.NewBasisExtender(src, dst)
+	if err != nil {
+		return divisor{}, err
+	}
+	d := divisor{src: src, ext: ext, inv: make([]uint64, len(dst)), invShoup: make([]uint64, len(dst))}
+	for j, m := range dst {
+		d.inv[j] = ring.InvMod(productMod(src, m.Q), m.Q)
+		d.invShoup[j], _ = bits.Div64(d.inv[j], 0, m.Q)
+	}
+	return d, nil
+}
+
+// productMod returns the product of the primes modulo q.
+func productMod(primes []*ring.Modulus, q uint64) uint64 {
+	prod := uint64(1)
+	for _, m := range primes {
+		prod = ring.MulMod(prod, m.Q%q, q)
+	}
+	return prod
+}
+
+// Digits returns the number of gadget digits a key switch at the given level
+// uses: ⌈(level+1)/α⌉. A switching key holds Digits(MaxLevel()) of them.
+func (p *Parameters) Digits(level int) int {
+	return (level + len(p.pi)) / len(p.pi)
+}
+
+// digit returns the limb range [lo, hi) of gadget digit d at the given level
+// and the extender that raises it.
+func (p *Parameters) digit(d, level int) (lo, hi int, ext *ring.BasisExtender) {
+	alpha := len(p.pi)
+	lo, hi = d*alpha, min((d+1)*alpha, level+1)
+	return lo, hi, p.digitExt[hi-1]
 }
 
 // galoisNTTIndex returns the permutation table applying the automorphism
@@ -181,8 +273,9 @@ func (p *Parameters) MaxLevel() int { return len(p.qi) - 1 }
 // Q returns the ciphertext prime chain.
 func (p *Parameters) Q() []uint64 { return p.qi }
 
-// P returns the key-switching special prime.
-func (p *Parameters) P() uint64 { return p.p }
+// P returns the key-switching special primes; their number is α, the width
+// of a gadget digit.
+func (p *Parameters) P() []uint64 { return p.pi }
 
 // DefaultScale returns the default encoding scale Δ.
 func (p *Parameters) DefaultScale() float64 { return math.Exp2(float64(p.logScale)) }
@@ -190,39 +283,36 @@ func (p *Parameters) DefaultScale() float64 { return math.Exp2(float64(p.logScal
 // RingQ returns the ciphertext-modulus ring.
 func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }
 
-// RingP returns the single-prime special ring.
+// RingP returns the ring over the special primes.
 func (p *Parameters) RingP() *ring.Ring { return p.ringP }
 
-// TotalLogQP returns the summed bit size of the full modulus (chain + P),
-// the figure quoted as "modulus bitwidth" in the paper's evaluation setup.
-func (p *Parameters) TotalLogQP() float64 {
-	total := math.Log2(float64(p.p))
-	for _, q := range p.qi {
-		total += math.Log2(float64(q))
-	}
-	return total
-}
+// TotalLogQP returns the summed bit size of the full modulus — the chain
+// and every special prime — the figure quoted as "modulus bitwidth" in the
+// paper's evaluation setup and the one a security budget is held against.
+func (p *Parameters) TotalLogQP() float64 { return logProduct(p.qi) + logProduct(p.pi) }
 
 // Preset parameter sets. PN11–PN13 are development/test sets sized for a
 // laptop-class CPU; PN15Paper mirrors the evaluation setup of the paper
-// (SEAL CKKS with N=32768 and ≈881-bit modulus).
+// (SEAL CKKS with N=32768 and ≈881-bit modulus). Each keeps a single special
+// prime (α = 1), as SEAL does: the paper's ring sizing counts P against the
+// modulus budget, and every extra special prime would come out of the chain.
 var (
 	// PN11 supports depth 2; used by fast unit tests.
-	PN11 = ParametersLiteral{LogN: 11, LogQ: []int{50, 40, 40}, LogP: 55, LogScale: 40}
+	PN11 = ParametersLiteral{LogN: 11, LogQ: []int{50, 40, 40}, LogP: []int{55}, LogScale: 40}
 	// PN12 supports depth 6; enough for the shallow PAFs (f1∘g2).
-	PN12 = ParametersLiteral{LogN: 12, LogQ: []int{55, 45, 45, 45, 45, 45, 45}, LogP: 55, LogScale: 45}
+	PN12 = ParametersLiteral{LogN: 12, LogQ: []int{55, 45, 45, 45, 45, 45, 45}, LogP: []int{55}, LogScale: 45}
 	// PN13 supports depth 12; enough for every PAF in Table 2 including the
 	// 27-degree minimax baseline plus the ReLU construction and one scaling
 	// multiplication.
-	PN13 = ParametersLiteral{LogN: 13, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: 60, LogScale: 45}
+	PN13 = ParametersLiteral{LogN: 13, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{60}, LogScale: 45}
 	// PN14 is PN13 with a larger ring (closer to a secure configuration).
-	PN14 = ParametersLiteral{LogN: 14, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: 60, LogScale: 45}
+	PN14 = ParametersLiteral{LogN: 14, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{60}, LogScale: 45}
 	// PN15Paper mirrors the paper's latency setup: N=32768 with a ≈881-bit
 	// modulus (60 + 14×54 + 60 = 876 bits; the remaining 5 bits of the
 	// paper's 881 come from SEAL's slightly larger special primes).
 	PN15Paper = ParametersLiteral{
 		LogN: 15,
 		LogQ: []int{60, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54},
-		LogP: 60, LogScale: 54,
+		LogP: []int{60}, LogScale: 54,
 	}
 )

@@ -4,53 +4,45 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // PrecisionStats summarizes how faithfully a decrypted vector matches its
-// reference: the standard report of HE libraries.
+// reference, by the definition lattigo settled on in 6.1: a slot's precision
+// is −log2 of its absolute error, and the summary is the minimum, median and
+// mean of the per-slot precisions — not the log of the largest or of the mean
+// error, which let a few bad slots hide behind many good ones or the other
+// way round. An exact slot has infinite precision.
 type PrecisionStats struct {
-	MaxErr  float64
-	MeanErr float64
-	// MinLog2Prec is the worst-slot precision: -log2(MaxErr).
-	MinLog2Prec float64
-	// MeanLog2Prec is -log2(MeanErr).
-	MeanLog2Prec float64
-	Slots        int
+	MinPrec    float64 // worst slot, bits
+	MedianPrec float64
+	MeanPrec   float64
+	Slots      int
 }
 
 // Precision compares want against got slot-wise.
 func Precision(want, got []complex128) PrecisionStats {
 	n := min(len(want), len(got))
-	var worst, sum float64
-	for i := 0; i < n; i++ {
-		d := cmplx.Abs(want[i] - got[i])
-		sum += d
-		if d > worst {
-			worst = d
-		}
+	if n == 0 {
+		return PrecisionStats{}
 	}
-	stats := PrecisionStats{MaxErr: worst, MeanErr: sum / float64(max(n, 1)), Slots: n}
-	if worst > 0 {
-		stats.MinLog2Prec = -math.Log2(worst)
-	} else {
-		stats.MinLog2Prec = math.Inf(1)
+	prec := make([]float64, n)
+	sum := 0.0
+	for i := range prec {
+		prec[i] = -math.Log2(cmplx.Abs(want[i] - got[i]))
+		sum += prec[i]
 	}
-	if stats.MeanErr > 0 {
-		stats.MeanLog2Prec = -math.Log2(stats.MeanErr)
-	} else {
-		stats.MeanLog2Prec = math.Inf(1)
-	}
-	return stats
+	slices.Sort(prec)
+	return PrecisionStats{MinPrec: prec[0], MedianPrec: prec[n/2], MeanPrec: sum / float64(n), Slots: n}
 }
 
 // PrecisionReals compares real vectors.
 func PrecisionReals(want, got []float64) PrecisionStats {
-	cw := make([]complex128, len(want))
-	cg := make([]complex128, len(got))
-	for i := range want {
+	n := min(len(want), len(got))
+	cw := make([]complex128, n)
+	cg := make([]complex128, n)
+	for i := range cw {
 		cw[i] = complex(want[i], 0)
-	}
-	for i := range got {
 		cg[i] = complex(got[i], 0)
 	}
 	return Precision(cw, cg)
@@ -58,6 +50,6 @@ func PrecisionReals(want, got []float64) PrecisionStats {
 
 // String implements fmt.Stringer.
 func (s PrecisionStats) String() string {
-	return fmt.Sprintf("max err %.2e (%.1f bits), mean err %.2e (%.1f bits) over %d slots",
-		s.MaxErr, s.MinLog2Prec, s.MeanErr, s.MeanLog2Prec, s.Slots)
+	return fmt.Sprintf("precision min %.1f / median %.1f / mean %.1f bits over %d slots",
+		s.MinPrec, s.MedianPrec, s.MeanPrec, s.Slots)
 }

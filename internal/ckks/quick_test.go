@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -114,31 +113,5 @@ func TestQuickScalarDistributivity(t *testing.T) {
 	}, cfg)
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPrecisionStats(t *testing.T) {
-	want := []complex128{1, 2, 3}
-	got := []complex128{1 + 0.001i, 2, 3.002}
-	s := Precision(want, got)
-	if s.Slots != 3 {
-		t.Fatalf("slots %d", s.Slots)
-	}
-	if math.Abs(s.MaxErr-0.002) > 1e-12 {
-		t.Fatalf("max err %g", s.MaxErr)
-	}
-	if s.MinLog2Prec < 8 || s.MinLog2Prec > 10 {
-		t.Fatalf("min precision %g bits", s.MinLog2Prec)
-	}
-	exact := Precision(want, want)
-	if !math.IsInf(exact.MinLog2Prec, 1) {
-		t.Fatal("exact match should have infinite precision")
-	}
-	r := PrecisionReals([]float64{1, 2}, []float64{1, 2.5})
-	if math.Abs(r.MaxErr-0.5) > 1e-12 {
-		t.Fatalf("real max err %g", r.MaxErr)
-	}
-	if r.String() == "" {
-		t.Fatal("empty string rendering")
 	}
 }

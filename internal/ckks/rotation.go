@@ -9,8 +9,8 @@ import (
 )
 
 // SwitchingKey re-encrypts a ciphertext component from some source key to
-// the canonical secret s, using the same per-prime gadget as
-// relinearization: digit i holds (-a_i·s + e_i + P·g_i·source, a_i).
+// the canonical secret s, using the same grouped-digit gadget as
+// relinearization: digit d holds (-a_d·s + e_d + P·g_d·source, a_d).
 type SwitchingKey struct {
 	Digits []EvaluationKeyDigit
 }
@@ -64,44 +64,6 @@ func applyAutomorphism(r *ring.Ring, in *ring.Poly, k int, out *ring.Poly) {
 	}
 }
 
-// genSwitchingKey builds a switching key from sourceQ (NTT domain, the key
-// being switched *from*) to the canonical secret. Only the Q embedding of
-// the source is needed: the gadget term P·g_i·source vanishes mod P.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sourceQ *ring.Poly) *SwitchingKey {
-	L := kg.params.MaxLevel()
-	rq := kg.params.RingQ()
-	rp := kg.params.RingP()
-	swk := &SwitchingKey{Digits: make([]EvaluationKeyDigit, L+1)}
-	for i := 0; i <= L; i++ {
-		aQ := kg.samplerQ.Uniform(L)
-		aP := kg.samplerP.Uniform(0)
-		eSigned := kg.samplerQ.GaussianSigned()
-		eQ := rq.SetSignedCoeffs(eSigned, L)
-		eP := rp.SetSignedCoeffs(eSigned, 0)
-		rq.NTT(eQ)
-		rp.NTT(eP)
-
-		bQ := rq.NewPoly(L)
-		rq.MulCoeffs(aQ, sk.Q, bQ)
-		rq.Neg(bQ, bQ)
-		rq.Add(bQ, eQ, bQ)
-		qi := kg.params.Q()[i]
-		pModQi := kg.params.pModQ[i]
-		srcLimb := sourceQ.Coeffs[i]
-		bLimb := bQ.Coeffs[i]
-		for j := range bLimb {
-			bLimb[j] = ring.AddMod(bLimb[j], ring.MulMod(srcLimb[j], pModQi, qi), qi)
-		}
-
-		bP := rp.NewPoly(0)
-		rp.MulCoeffs(aP, sk.P, bP)
-		rp.Neg(bP, bP)
-		rp.Add(bP, eP, bP)
-		swk.Digits[i] = EvaluationKeyDigit{BQ: bQ, AQ: aQ, BP: bP, AP: aP}
-	}
-	return swk
-}
-
 // deriveSeed mixes the generator seed with a per-key tag (splitmix64 finisher)
 // so every switching key draws from an independent deterministic stream — the
 // set is reproducible regardless of generation order or worker count.
@@ -136,8 +98,7 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 	}
 	// The coefficient-domain secret is the same for every key: compute it
 	// once and share it read-only across the jobs (applyAutomorphism only
-	// reads its source). The P embedding is never needed — the gadget term
-	// P·g_i·source vanishes mod P.
+	// reads its source).
 	rq := kg.params.RingQ()
 	skCoeff := sk.Q.CopyNew()
 	rq.INTT(skCoeff)
@@ -159,7 +120,7 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 		srcQ := rq.NewPoly(skCoeff.Level())
 		applyAutomorphism(rq, skCoeff, k, srcQ)
 		rq.NTT(srcQ)
-		generated[i] = sub.genSwitchingKey(sk, srcQ)
+		generated[i] = &SwitchingKey{Digits: sub.genDigits(sk, srcQ)}
 		return nil
 	})
 
@@ -193,6 +154,15 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	if norm == 0 {
 		return ct.CopyNew(), nil
 	}
+	swk, err := ev.rotationKey(norm)
+	if err != nil {
+		return nil, err
+	}
+	return ev.galoisOnce(ct, ev.params.galoisElement(norm), swk), nil
+}
+
+// rotationKey returns the switching key for a normalized, non-zero step.
+func (ev *Evaluator) rotationKey(norm int) (*SwitchingKey, error) {
 	if ev.rks == nil {
 		return nil, fmt.Errorf("ckks: evaluator has no rotation keys")
 	}
@@ -200,54 +170,36 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	if !ok {
 		return nil, fmt.Errorf("ckks: no rotation key for step %d", norm)
 	}
-	return ev.applyGalois(ct, ev.params.galoisElement(norm), swk)
+	return swk, nil
+}
+
+// conjugationKey returns the switching key for complex conjugation.
+func (ev *Evaluator) conjugationKey() (*SwitchingKey, error) {
+	if ev.rks == nil || ev.rks.conjugation == nil {
+		return nil, fmt.Errorf("ckks: evaluator has no conjugation key")
+	}
+	return ev.rks.conjugation, nil
 }
 
 // Conjugate applies complex conjugation to all slots.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	if ev.rks == nil || ev.rks.conjugation == nil {
-		return nil, fmt.Errorf("ckks: evaluator has no conjugation key")
+	swk, err := ev.conjugationKey()
+	if err != nil {
+		return nil, err
 	}
-	return ev.applyGalois(ct, 2*ev.params.N()-1, ev.rks.conjugation)
+	return ev.galoisOnce(ct, 2*ev.params.N()-1, swk), nil
 }
 
-// applyGalois maps (c0, c1) to (φ(c0) + KS(φ(c1)), KS(φ(c1))) under the
-// switching key for φ(s). All temporaries come from the ring pool: one
-// coefficient-domain scratch serves both components, the automorphism
-// destinations are fully overwritten (so raw pool polys suffice), and the
-// two polys that survive into the result are simply never returned.
-func (ev *Evaluator) applyGalois(ct *Ciphertext, k int, swk *SwitchingKey) (*Ciphertext, error) {
+// galoisOnce applies a Galois automorphism with a decomposition that lives
+// only for the call: the same arithmetic as a hoisted rotation, so Rotate and
+// RotateHoisted return the same bytes.
+func (ev *Evaluator) galoisOnce(ct *Ciphertext, k int, swk *SwitchingKey) *Ciphertext {
 	mark := stageClock()
-	rq := ev.params.RingQ()
-	level := ct.Level
-
-	tmp := rq.GetPolyRaw(level)
-	copyLimbs(tmp, ct.C1, level)
-	rq.INTT(tmp)
-	c1 := rq.GetPolyRaw(level)
-	applyAutomorphism(rq, tmp, k, c1)
-	rq.NTT(c1)
-
-	ks0, ks1 := ev.keySwitch(c1, swk.Digits, level)
-	rq.PutPoly(c1)
-
-	copyLimbs(tmp, ct.C0, level)
-	rq.INTT(tmp)
-	c0 := rq.GetPolyRaw(level)
-	applyAutomorphism(rq, tmp, k, c0)
-	rq.NTT(c0)
-	rq.PutPoly(tmp)
-
-	out := &Ciphertext{C0: c0, C1: ks1, Scale: ct.Scale, Level: level}
-	rq.Add(c0, ks0, out.C0)
-	rq.PutPoly(ks0)
+	dec := ev.decompose(ct.C1, ct.Level)
+	dec.ct = ct
+	out := ev.galois(dec, k, swk)
+	dec.Release()
+	stageDone("key_switch", mark)
 	stageDone("rotate", mark)
-	return out, nil
-}
-
-// copyLimbs copies limbs 0..level of src into dst.
-func copyLimbs(dst, src *ring.Poly, level int) {
-	for i := 0; i <= level; i++ {
-		copy(dst.Coeffs[i], src.Coeffs[i])
-	}
+	return out
 }

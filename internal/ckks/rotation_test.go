@@ -169,7 +169,7 @@ func TestGaloisElementMatchesNaivePowerLoop(t *testing.T) {
 	}
 	for _, logN := range []int{5, 7, 10} {
 		params, err := NewParameters(ParametersLiteral{
-			LogN: logN, LogQ: []int{50, 40}, LogP: 55, LogScale: 40})
+			LogN: logN, LogQ: []int{50, 40}, LogP: []int{55}, LogScale: 40})
 		if err != nil {
 			t.Fatal(err)
 		}

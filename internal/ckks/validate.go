@@ -60,7 +60,7 @@ type EvaluationKeySet struct {
 }
 
 // Validate checks the set against params and the rotation steps the circuit
-// uses: every key has one gadget digit per chain prime, shaped and reduced
+// uses: every key has the gadget digits params prescribe, shaped and reduced
 // for params, and the rotation keys cover exactly steps — a client may not
 // pin key material the circuit never touches — with no conjugation key.
 func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
@@ -91,10 +91,10 @@ func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 // validateDigits rejects a key that decoded cleanly but was built for other
 // parameters, or carries residues the key-switch loop cannot multiply.
 func validateDigits(params *Parameters, digits []EvaluationKeyDigit) error {
-	if got, want := len(digits), params.MaxLevel()+1; got != want {
+	if got, want := len(digits), params.Digits(params.MaxLevel()); got != want {
 		return fmt.Errorf("%d gadget digits, parameters need %d", got, want)
 	}
-	q, p := params.Q(), []uint64{params.P()}
+	q, p := params.Q(), params.P()
 	for i := range digits {
 		d := &digits[i]
 		for _, err := range []error{

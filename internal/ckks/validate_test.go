@@ -40,7 +40,7 @@ func TestValidateRejectsNonCanonicalResidues(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func(EvaluationKeySet){
 		"relin BQ at its modulus": func(ek EvaluationKeySet) { ek.Relin.Digits[0].BQ.Coeffs[2][0] = tc.params.Q()[2] },
-		"relin AP at P":           func(ek EvaluationKeySet) { ek.Relin.Digits[1].AP.Coeffs[0][5] = tc.params.P() },
+		"relin AP at P":           func(ek EvaluationKeySet) { ek.Relin.Digits[1].AP.Coeffs[0][5] = tc.params.P()[0] },
 		"rotation AQ at 2^64-1":   func(ek EvaluationKeySet) { ek.Rotations.keys[2].Digits[3].AQ.Coeffs[0][7] = ^uint64(0) },
 	} {
 		ek := keys()
@@ -78,6 +78,46 @@ func TestEvaluationKeySetValidateShapes(t *testing.T) {
 	}
 	if err := gen(tc, steps, false).Validate(tc.params, []int{4, 1, 2, 1}); err != nil {
 		t.Errorf("unsorted, repeated step list rejected: %v", err)
+	}
+}
+
+// TestEvaluationKeySetValidateGadget: a key set is bound to the gadget of the
+// parameters it is validated under, not just to their chain. Keys built for
+// another number of special primes, a P component short of a limb, and a
+// non-canonical residue in the last P limb are each refused — the key-switch
+// loop would index past the key, or overflow its modular multiply, otherwise.
+func TestEvaluationKeySetValidateGadget(t *testing.T) {
+	steps := []int{1, 2}
+	one, two := newTestContext(t, testLit), newTestContext(t, wideDigits)
+	gen := func(c *testContext) EvaluationKeySet {
+		kg := NewKeyGenerator(c.params, 9)
+		return EvaluationKeySet{Relin: kg.GenRelinearizationKey(c.sk), Rotations: kg.GenRotationKeys(c.sk, steps, false)}
+	}
+	if err := gen(two).Validate(two.params, steps); err != nil {
+		t.Fatalf("honest two-special-prime key set rejected: %v", err)
+	}
+	lastP := len(two.params.P()) - 1
+	for name, c := range map[string]struct {
+		ek     EvaluationKeySet
+		params *Parameters
+		want   string
+	}{
+		"per-prime keys under a grouped gadget": {gen(one), two.params, "gadget digits"},
+		"grouped keys under a per-prime gadget": {gen(two), one.params, "gadget digits"},
+		"relin P component short of a limb": {func() EvaluationKeySet {
+			ek := gen(two)
+			ek.Relin.Digits[0].BP = ek.Relin.Digits[0].BP.Truncate(lastP - 1)
+			return ek
+		}(), two.params, "limbs"},
+		"rotation residue at its modulus in the last P limb": {func() EvaluationKeySet {
+			ek := gen(two)
+			ek.Rotations.keys[2].Digits[1].AP.Coeffs[lastP][9] = two.params.P()[lastP]
+			return ek
+		}(), two.params, "residue"},
+	} {
+		if err := c.ek.Validate(c.params, steps); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error about %s", name, err, c.want)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func ParamsForPAF(c *paf.Composite, fast bool) (ckks.ParametersLiteral, error) {
 	if fast {
 		logN -= 4 // keep relative ring-size ratios, shrink absolute cost
 	}
-	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: 60, LogScale: 45}, nil
+	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: []int{60}, LogScale: 45}, nil
 }
 
 // MeasureReLULatency builds a dedicated CKKS context for the PAF and times

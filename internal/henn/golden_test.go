@@ -13,12 +13,15 @@ import (
 
 // goldenLayerDigests pins the bytes of the layer evaluators' outputs:
 // SHA-256 of the marshaled ciphertexts goldenLayerOutputs computes from
-// fixed seeds, generated at the commit before the linear layers' inner sums
-// were fused into one lazily reduced accumulation. Fusing changes how often
-// the sums are reduced, never the canonical residues that come out.
+// fixed seeds, on the serving gadget of a ten-limb chain (three special
+// primes, four digits). How a sum is reduced or fanned never changes the
+// canonical residues that come out; the gadget does, so these were
+// regenerated when key switching went to grouped digits, under the rule of
+// registry.TestPrecisionTable: a digest moves only beside a precision table
+// that did not.
 var goldenLayerDigests = map[string]string{
-	"apply-linear-bsgs": "3cb0b846cd4467a34d8076eca066a32b5e155bfbff53531d91e797db74dd9d9e",
-	"unit-run":          "fe0852dadcdc5eff472bcda30989311c9999523946245ffc1ac664489bfda087",
+	"apply-linear-bsgs": "1b055276bcdddf6a4edd82e8b19cfe8b0b4b1d2fb6f5b213becfb5bb1d05eb67",
+	"unit-run":          "9ff8496ca3c7dff4bb8fc6df2755ad76bb8ec53230cb4bf333bcf1edbe5b7984",
 }
 
 func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
@@ -27,10 +30,10 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 	out := randomLinear(rng, 12, 4)
 	mlp := &MLP{Layers: []any{lin, &Activation{PAF: paf.MustNew(paf.FormF1G2), Scale: 4}, out}}
 	// LogN=9 with this model's ten-limb chain is the smallest ring whose key
-	// switches reach ring.MinParallelWork, so the default-width pass really
-	// fans.
+	// switches reach ring.MinParallelWork (13 limbs of Q·P, each summing four
+	// digits into two components), so the default-width pass really fans.
 	const logN, slots = 9, 256
-	if l := mlp.LevelsRequired(); (l+1)*(l+2)<<logN < ring.MinParallelWork {
+	if l := mlp.LevelsRequired(); (l+4)*2*4<<logN < ring.MinParallelWork || l != 9 {
 		t.Fatal("the golden model's key switches no longer reach ring.MinParallelWork")
 	}
 	ctx, encryptor, _ := newHEContextLogN(t, logN, mlp.LevelsRequired(), mlp.ServingRotations(slots))

@@ -19,6 +19,10 @@ func newHEContext(t testing.TB, levels int, rotations []int) (*Context, *ckks.En
 	return newHEContextLogN(t, 8, levels, rotations)
 }
 
+// newHEContextLogN sizes its literal the way registry.ParamsForMLP does (this
+// package cannot import it): an exact-depth chain and one 55-bit special
+// prime per four limbs, so the layer tests run on the serving gadget — one
+// special prime up to four limbs, two at five, three on a ten-limb chain.
 func newHEContextLogN(t testing.TB, logN, levels int, rotations []int) (*Context, *ckks.Encryptor, *ckks.Decryptor) {
 	t.Helper()
 	logQ := make([]int, levels+1)
@@ -26,7 +30,11 @@ func newHEContextLogN(t testing.TB, logN, levels int, rotations []int) (*Context
 	for i := 1; i <= levels; i++ {
 		logQ[i] = 45
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: 55, LogScale: 45})
+	logP := make([]int, (len(logQ)+3)/4)
+	for i := range logP {
+		logP[i] = 55
+	}
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func newHEContext(t testing.TB) *heContext {
 	lit := ckks.ParametersLiteral{
 		LogN:     8,
 		LogQ:     []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45},
-		LogP:     55,
+		LogP:     []int{55},
 		LogScale: 45,
 	}
 	params, err := ckks.NewParameters(lit)
@@ -308,7 +308,7 @@ func TestRequiredLevelsAndCheckFits(t *testing.T) {
 	if RequiredLevels(c, true) != 7 {
 		t.Fatal("scaling should add one level")
 	}
-	small, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 6, LogQ: []int{50, 40, 40}, LogP: 50, LogScale: 40})
+	small, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 6, LogQ: []int{50, 40, 40}, LogP: []int{50}, LogScale: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package registry
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // FuzzModelBundleUnmarshal throws arbitrary bytes at the deploy-bundle
 // decoder — the outermost wire surface an operator-facing endpoint
@@ -18,6 +22,12 @@ func FuzzModelBundleUnmarshal(f *testing.F) {
 	corrupt := append([]byte(nil), seed...)
 	corrupt[0] ^= 0xFF
 	f.Add(corrupt)
+	// A bundle persisted before the literal's special modulus became a list.
+	perPrime, err := os.ReadFile(filepath.Join("testdata", perPrimeBundle))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(perPrime)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := new(Model)
 		if err := m.UnmarshalBinary(data); err != nil {

@@ -85,6 +85,13 @@ func Dims(mlp *henn.MLP) (in, out int, err error) {
 // construction — inference lands on level 0 — so any drift between the
 // model's declared depth and what the evaluator consumes surfaces as a
 // level-exhaustion error instead of being masked by slack.
+//
+// This is the one place serving picks the key-switching gadget: α =
+// ⌈limbs/4⌉ special primes, so a key switch never uses more than four
+// digits, each the size of the base prime, so their product covers any α
+// chain primes. Fewer digits mean smaller evaluation keys and fewer
+// transforms per rotation; the price is α·55 bits of modulus beyond the
+// chain, which a deployment sized for security would take out of its budget.
 func ParamsForMLP(mlp *henn.MLP, logN int) (ckks.ParametersLiteral, error) {
 	if _, _, err := Dims(mlp); err != nil {
 		return ckks.ParametersLiteral{}, fmt.Errorf("registry: %w", err)
@@ -102,7 +109,11 @@ func ParamsForMLP(mlp *henn.MLP, logN int) (ckks.ParametersLiteral, error) {
 	for i := 1; i <= levels; i++ {
 		logQ[i] = 45
 	}
-	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: 55, LogScale: 45}, nil
+	logP := make([]int, (len(logQ)+3)/4)
+	for i := range logP {
+		logP[i] = logQ[0]
+	}
+	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45}, nil
 }
 
 // DemoModel builds a small frozen MLP (16 -> 8 -> 4 with an f1∘g2 PAF

@@ -29,7 +29,8 @@ import (
 //     and correct them with a sign-bit fold (ntt.go);
 //   - q² < 2^122, so MaxAcc128Terms = 64 products sum in 128 bits without
 //     overflow (acc128.go) — which is why internal/ckks refuses a modulus
-//     chain longer than 64 limbs: a key switch sums one product per limb.
+//     chain longer than 64 limbs: a key switch sums one product per gadget
+//     digit, and with one special prime there is a digit per limb.
 const MaxModulusBits = 61
 
 // Modulus bundles a prime q with the precomputed constants needed for fast

@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the RNS-limb worker pool: independent per-limb work
-// (NTT/INTT across limbs, pointwise limb arithmetic, key-switch digit
-// accumulation, rescale base extension) is fanned across up to Parallelism()
+// (NTT/INTT across limbs, pointwise limb arithmetic, key-switch
+// decomposition and accumulation, mod-down base extension) is fanned across up to Parallelism()
 // goroutines, with a serial fallback when the job is too small to amortize
 // the fan-out or when another fan-out is already in flight.
 //
@@ -29,8 +29,8 @@ import (
 // 2 × 80 µs / 10 ns = 16 384 coefficients (EXPERIMENTS.md has the table).
 // 1<<15 keeps a whole-polynomial NTT, Add or MulCoeffs at N = 1024 serial
 // even with a 10-limb chain — fanning those lost to the hand-off — while
-// the key-switch digit fan and DecomposeHoisted's (digit × limb) fan, jobs
-// ten times larger at the same parameters, and any whole-polynomial
+// the key switch's fans over gadget digits and over the limbs of Q·P, jobs
+// several times larger at the same parameters, and any whole-polynomial
 // transform from N = 4096 × 8 limbs up still take the second core.
 const MinParallelWork = 1 << 15
 
@@ -104,13 +104,11 @@ func ForEachLimb(jobs, costPerJob int, f func(i int)) {
 
 // ForEachWorker runs f(w, i) for every i in [0, jobs) like ForEachLimb, but
 // passes the executing worker's identity w so callers can keep per-worker
-// state (the key-switch digit fan accumulates into per-worker polynomials
-// and merges once at the end). setup is called exactly once, before any f,
-// with the number of workers that will run — 1 on the serial path — and
-// worker indices passed to f are in [0, workers). Job-to-worker assignment
-// is dynamic and unspecified; callers must only depend on the merged result
-// (exact modular accumulation is order-independent, so key-switch output
-// stays bit-deterministic). The parallel path holds the fan-out gate, so
+// state (the key-switch limb fan gives each worker its own accumulator
+// scratch). setup is called exactly once, before any f, with the number of
+// workers that will run — 1 on the serial path — and worker indices passed
+// to f are in [0, workers). Job-to-worker assignment is dynamic and
+// unspecified; a job's result must not depend on which worker ran it. The parallel path holds the fan-out gate, so
 // ForEachLimb calls nested inside f run serially instead of double-fanning.
 func ForEachWorker(jobs, costPerJob int, setup func(workers int), f func(worker, i int)) {
 	w := Parallelism()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -25,6 +26,14 @@ func FuzzRegisterFrame(f *testing.F) {
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt)
+	// The same frame as a client from before grouped digits would frame it:
+	// retired magics on the literal and on both keys.
+	old := honest
+	for blob, magic := range map[*[]byte]uint32{&old.Params: 0x5AF7CC05, &old.RelinKey: 0x5AF7CC0B, &old.RotationKeys: 0x5AF7CC06} {
+		*blob = append([]byte(nil), *blob...)
+		binary.LittleEndian.PutUint32(*blob, magic)
+	}
+	f.Add(mustMarshal(f, old))
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := liveSessions(srv)

@@ -294,7 +294,14 @@ func TestRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A well-formed bundle a server from before grouped digits persisted:
+	// its nested parameter literal carries a retired magic.
+	perPrime, err := os.ReadFile(filepath.Join("..", "registry", "testdata", "perprime@1.hemodel"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string][]byte{
+		"golden@1.hemodel":  perPrime,
 		"trunc@1.hemodel":   goodBytes[:len(goodBytes)/3],
 		"junk@1.hemodel":    {1, 2, 3, 4, 5},
 		"beta@9.hemodel":    goodBytes, // embedded name disagrees with the file

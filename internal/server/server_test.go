@@ -14,6 +14,7 @@ import (
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
+	"github.com/efficientfhe/smartpaf/internal/ring"
 	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
@@ -241,11 +242,45 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	kgShallow, skShallow := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogQ = lit.LogQ[:3] })
 	cases["shallower chain"] = mustMarshal(t, frameFor(t, srv, kgShallow, skShallow, steps, false))
 
+	// So must keys built for another gadget on the right chain: one special
+	// prime where the model prescribes three gives a digit per chain prime
+	// and single-limb P components; and a key whose every P component is a
+	// limb short decodes cleanly too (its parts agree with each other).
+	kgOne, skOne := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogP = lit.LogP[:1] })
+	cases["digits of another gadget"] = mustMarshal(t, frameFor(t, srv, kgOne, skOne, steps, false))
+	short := kg.GenRelinearizationKey(sk)
+	for i := range short.Digits {
+		d := &short.Digits[i]
+		d.BP, d.AP = d.BP.Truncate(d.BP.Level()-1), d.AP.Truncate(d.AP.Level()-1)
+	}
+	hostile := honest
+	if hostile.RelinKey, err = short.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	cases["P components a limb short"] = mustMarshal(t, hostile)
+
+	// Payloads from before grouped digits carry retired magics: a per-prime
+	// key has the same layout as a grouped one, so the magic is all that
+	// tells an old client's upload from a current one.
+	for name, retired := range map[string]struct {
+		blob  *[]byte
+		magic uint32
+	}{
+		"per-prime era literal":       {&hostile.Params, 0x5AF7CC05},
+		"per-prime era rotation keys": {&hostile.RotationKeys, 0x5AF7CC06},
+		"per-prime era relin key":     {&hostile.RelinKey, 0x5AF7CC0B},
+	} {
+		hostile = honest
+		*retired.blob = append([]byte(nil), *retired.blob...)
+		binary.LittleEndian.PutUint32(*retired.blob, retired.magic)
+		cases[name] = mustMarshal(t, hostile)
+	}
+
 	// Residues at or above their modulus decode cleanly and would panic the
 	// first modular multiply that touches them. The last coefficient of a
-	// relinearization key is in AP of the last digit; of a rotation-key set,
-	// just before the conjugation flag.
-	hostile := honest
+	// relinearization key is in the last P limb of AP of the last digit; of
+	// a rotation-key set, just before the conjugation flag.
+	hostile = honest
 	hostile.RelinKey = append([]byte(nil), honest.RelinKey...)
 	binary.LittleEndian.PutUint64(hostile.RelinKey[len(hostile.RelinKey)-8:], ^uint64(0))
 	cases["relin residue 2^64-1"] = mustMarshal(t, hostile)
@@ -266,6 +301,24 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		}
 		if n, refs := liveSessions(srv), dep.Refs(); n != 0 || refs != baseline {
 			t.Fatalf("%s: left %d sessions and %d model refs (baseline %d)", name, n, refs, baseline)
+		}
+	}
+
+	// Refusals happen before any arithmetic, so they leave the rings' pools
+	// as they found them: no poly was returned twice.
+	for _, r := range []*ring.Ring{dep.Params().RingQ(), dep.Params().RingP()} {
+		for level := range r.Moduli {
+			seen := map[*ring.Poly]bool{}
+			for i := 0; i < 64; i++ {
+				p := r.GetPolyRaw(level)
+				if seen[p] {
+					t.Fatalf("level-%d pool handed out one poly twice after the hostile frames", level)
+				}
+				seen[p] = true
+			}
+			for p := range seen {
+				r.PutPoly(p)
+			}
 		}
 	}
 
@@ -296,7 +349,7 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	frameClaim.U32(1 << 30) // relinKey "length", with nothing behind it
 
 	var polyClaim wire.Writer
-	polyClaim.U32(0x5AF7CC0B) // relinearization-key magic
+	polyClaim.U32(0x5AF7CC10) // relinearization-key magic
 	polyClaim.U32(64)         // digits
 	polyClaim.U32(64)         // limbs of the first poly
 	polyClaim.U32(1 << 20)    // N of the first poly, with nothing behind it

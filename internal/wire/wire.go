@@ -10,15 +10,19 @@
 // Every format leads with its own magic, so a mis-routed payload fails at the
 // front door. The registry, in allocation order:
 //
-//	0x5AF7CC05  ckks.ParametersLiteral
-//	0x5AF7CC06  ckks.RotationKeySet
+//	0x5AF7CC05  retired (ckks.ParametersLiteral with a single special prime)
+//	0x5AF7CC06  retired (ckks.RotationKeySet, one gadget digit per chain prime)
 //	0x5AF7CC07  henn.MLP
 //	0x5AF7CC08  registry.Model bundle (.hemodel, POST /v1/models)
 //	0x5AF7CC09  ckks.Ciphertext
 //	0x5AF7CC0A  retired (ckks.PublicKey; public keys no longer cross the wire)
-//	0x5AF7CC0B  ckks.RelinearizationKey
-//	0x5AF7CC0C  ckks.SwitchingKey
+//	0x5AF7CC0B  retired (ckks.RelinearizationKey, per-prime digits)
+//	0x5AF7CC0C  retired (ckks.SwitchingKey, per-prime digits)
 //	0x5AF7CC0D  server registration frame (POST /v1/sessions)
+//	0x5AF7CC0E  ckks.ParametersLiteral
+//	0x5AF7CC0F  ckks.RotationKeySet
+//	0x5AF7CC10  ckks.RelinearizationKey
+//	0x5AF7CC11  ckks.SwitchingKey
 package wire
 
 import (
