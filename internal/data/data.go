@@ -1,6 +1,6 @@
 // Package data generates the synthetic image-classification datasets that
-// substitute for CIFAR-10 and ImageNet-1k in this offline reproduction (see
-// DESIGN.md §2). Each class is a random smooth "prototype" texture built
+// substitute for CIFAR-10 and ImageNet-1k in this offline reproduction.
+// Each class is a random smooth "prototype" texture built
 // from sinusoidal components; samples add per-sample phase jitter, a global
 // texture shared by all classes, and Gaussian pixel noise. The knobs control
 // task difficulty: more classes, stronger shared texture and noise make

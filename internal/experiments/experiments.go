@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index). Each
+// evaluation section (`cmd/experiments -list` prints the index). Each
 // experiment is a named runner writing a text rendition of the paper
 // artifact; `cmd/experiments` exposes them on the command line and
 // bench_test.go wires the cheap ones into testing.B benchmarks.

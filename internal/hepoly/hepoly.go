@@ -11,6 +11,7 @@ package hepoly
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
@@ -46,20 +47,7 @@ func (he *Evaluator) evenLadder(ct *ckks.Ciphertext, count int) ([]*ckks.Ciphert
 // ladderSize returns how many squarings the even-power ladder needs for an
 // odd polynomial of the given degree: enough to cover (degree-1)/2 in binary.
 func ladderSize(degree int) int {
-	m := (degree - 1) / 2
-	count := 0
-	for 1<<count <= m && m > 0 {
-		count++
-	}
-	if m == 0 {
-		return 0
-	}
-	// highest bit index of m, plus one to index the ladder
-	count = 0
-	for bit := 0; (1 << bit) <= m; bit++ {
-		count = bit + 1
-	}
-	return count
+	return bits.Len(uint((degree - 1) / 2))
 }
 
 // EvalOdd evaluates the odd polynomial p on ct. The result lands at the same
@@ -83,7 +71,7 @@ func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphert
 		if c == 0 {
 			continue
 		}
-		m := k // term degree 2k+1, even-power multiplier exponent sum = 2k = x^2 bits of m... m encodes ladder picks
+		m := k // the term is x · x^(2k): bit b of k set means one factor ladder[b] = x^(2^(b+1))
 		// Plan the chain to solve for the constant target scale.
 		level := ct.Level - 1 // after the constant multiplication
 		mult := 1.0           // ∏ s_e / ∏ q_used relative factor

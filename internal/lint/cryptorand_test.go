@@ -11,11 +11,11 @@ import (
 // with one violating file and one carrying the deterministic-sampling
 // annotation).
 func TestCryptorand(t *testing.T) {
-	linttest.Run(t, lint.Cryptorand, "ring")
+	linttest.Run(t, "ring", lint.Cryptorand)
 }
 
 // TestCryptorandOutOfScope: math/rand outside the crypto packages is
 // not the analyzer's business.
 func TestCryptorandOutOfScope(t *testing.T) {
-	linttest.Run(t, lint.Cryptorand, "mathok")
+	linttest.Run(t, "mathok", lint.Cryptorand)
 }

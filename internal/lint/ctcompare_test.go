@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtcompare(t *testing.T) {
-	linttest.Run(t, lint.Ctcompare, "ctcompare")
+	linttest.Run(t, "ctcompare", lint.Ctcompare)
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestErrsink(t *testing.T) {
-	linttest.Run(t, lint.Errsink, "errsink")
+	linttest.Run(t, "errsink", lint.Errsink)
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLevelbudget(t *testing.T) {
-	linttest.Run(t, lint.Levelbudget, "levelbudget")
+	linttest.Run(t, "levelbudget", lint.Levelbudget)
 }

@@ -44,6 +44,18 @@
 //     Encoder.Encode / Decoder.Decode is a finding unless audited with
 //     //hennlint:err-ok.
 //
+// Four engines sit under the eleven analyzers, each written once. The
+// flow walker (flow.go) interprets a function body statement by
+// statement over a client's state and join; the pairing engine
+// (pairing.go: polypool, refbalance, obsdiscipline's span and stage
+// lifecycles), lockguard and lockorder's held-set walk are its clients.
+// The taint pass (taint.go) follows local assignment chains from a
+// client's sources to its sinks: secretflow and obsdiscipline's label
+// check. The call graph (callgraph.go) carries the whole-program
+// summaries of lockorder and obsdiscipline's read-path check. The other
+// analyzers (cryptorand, ctcompare, wiremagic, levelbudget, errsink) are
+// single syntactic passes with no engine.
+//
 // The suite runs as `make lint` (via cmd/hennlint) and is enforced in CI.
 // It is built directly on go/ast and go/types — the module vendors no
 // dependencies, so the go/analysis framework is intentionally not used;
@@ -177,7 +189,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message // two findings at one site: no map order in the output
 	})
 	return diags, nil
 }
@@ -195,15 +210,18 @@ func hasDirective(cg *ast.CommentGroup, name string) bool {
 		return false
 	}
 	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-		if !ok {
-			continue
-		}
-		if rest == name || strings.HasPrefix(rest, name+" ") {
+		if isDirective(c.Text, name) {
 			return true
 		}
 	}
 	return false
+}
+
+// isDirective reports whether a comment's text is the named annotation,
+// bare or followed by a rationale.
+func isDirective(text, name string) bool {
+	rest, ok := strings.CutPrefix(text, directivePrefix)
+	return ok && (rest == name || strings.HasPrefix(rest, name+" "))
 }
 
 // directiveArg extracts the parenthesized argument of an annotation of
@@ -247,11 +265,7 @@ func directiveLines(fset *token.FileSet, f *ast.File, name string) map[int]bool 
 	lines := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
-			}
-			if rest == name || strings.HasPrefix(rest, name+" ") {
+			if isDirective(c.Text, name) {
 				line := fset.Position(c.Pos()).Line
 				lines[line] = true
 				lines[line+1] = true

@@ -33,19 +33,20 @@ type want struct {
 var wantQuoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 // Run loads testdata/src/<fixture> relative to the caller's directory,
-// applies the analyzer, and enforces the fixture's want markers. The
-// fixture is type-checked under the import path test/<fixture>, so its
-// directory name is what scope-sensitive analyzers (cryptorand) see.
-func Run(t *testing.T, a *lint.Analyzer, fixture string) {
+// applies the analyzers (one, except for a fixture several share), and
+// enforces the fixture's want markers. The fixture is type-checked under
+// the import path test/<fixture>, so its directory name is what
+// scope-sensitive analyzers (cryptorand) see.
+func Run(t *testing.T, fixture string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	pkg, err := lint.LoadDir(dir, "test/"+fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
+		t.Fatalf("analyzing %s: %v", fixture, err)
 	}
 
 	wants, err := collectWants(pkg)

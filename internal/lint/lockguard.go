@@ -16,8 +16,8 @@ import (
 // mutex field mu of some other struct Type (the scheduler's lock guards
 // per-session turn state, the Registry's lock guards family state).
 //
-// Lock state is tracked flow-sensitively per function, in the style of
-// the pairing engine: Lock/RLock add the mutex to the held set
+// Lock state is tracked flow-sensitively per function, on the walker the
+// pairing engine also uses (flow.go): Lock/RLock add the mutex to the held set
 // (exclusive/shared), Unlock/RUnlock remove it, a deferred unlock keeps
 // it held through every return, and control-flow joins widen
 // disagreeing states to "maybe held", which is deliberately not
@@ -114,15 +114,6 @@ func (st lockFlow) merge(other lockFlow) {
 	}
 }
 
-func replaceLocks(dst, src lockFlow) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
 // demote returns a copy of st with every lock widened to maybe: the
 // state handed to a closure body, which may run under the lock (a
 // locked-region helper) or long after it was released (a pool task).
@@ -153,7 +144,7 @@ func runLockguard(p *Pass) error {
 				// Package-level function literals (var hooks).
 				ast.Inspect(d, func(n ast.Node) bool {
 					if fl, ok := n.(*ast.FuncLit); ok {
-						g.analyzeBody(fl.Body, lockFlow{})
+						flowBody(g, fl.Body, lockFlow{})
 						return false
 					}
 					return true
@@ -322,7 +313,7 @@ func (g *lockguardPass) analyzeFunc(fd *ast.FuncDecl) {
 			g.assumeHeld(fd, ref, st)
 		}
 	}
-	g.analyzeBody(fd.Body, st)
+	flowBody(g, fd.Body, st)
 }
 
 // assumeHeld seeds st with an annotation-asserted lock. A sibling-form
@@ -345,30 +336,13 @@ func (g *lockguardPass) assumeHeld(fd *ast.FuncDecl, ref guardRef, st lockFlow) 
 	st[exprKey(g.p.Info, recv)+"."+ref.field] = h
 }
 
-func (g *lockguardPass) analyzeBody(body *ast.BlockStmt, st lockFlow) {
-	terminated := g.walkStmts(body.List, st)
-	if !terminated {
-		g.checkReturn(st, body.End())
-	}
-}
-
-func (g *lockguardPass) walkStmts(stmts []ast.Stmt, st lockFlow) bool {
-	for _, s := range stmts {
-		if g.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
+// leaf applies one plain statement: its reads and writes are checked
+// against st, its lock calls change st. Only a panic ends the path.
+func (g *lockguardPass) leaf(s ast.Stmt, st lockFlow) (terminated bool) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return g.walkStmts(s.List, st)
-
 	case *ast.AssignStmt:
 		for _, r := range s.Rhs {
-			g.scanRead(r, st)
+			g.expr(r, st)
 		}
 		for _, l := range s.Lhs {
 			g.handleWrite(l, st)
@@ -379,7 +353,7 @@ func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						g.scanRead(v, st)
+						g.expr(v, st)
 					}
 				}
 			}
@@ -389,14 +363,14 @@ func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 			if isPanicCall(g.p.Info, call) {
 				for _, arg := range call.Args {
-					g.scanRead(arg, st)
+					g.expr(arg, st)
 				}
 				return true // panicking while holding a lock is not a leak
 			}
 			g.handleCall(call, st)
 			return false
 		}
-		g.scanRead(s.X, st)
+		g.expr(s.X, st)
 
 	case *ast.DeferStmt:
 		g.handleDefer(s.Call, st)
@@ -405,161 +379,37 @@ func (g *lockguardPass) walkStmt(s ast.Stmt, st lockFlow) (terminated bool) {
 		// The call runs later on another goroutine: evaluate the
 		// arguments now, analyze a literal body as a detached scope.
 		for _, arg := range s.Call.Args {
-			g.scanRead(arg, st)
+			g.expr(arg, st)
 		}
-		g.scanRead(s.Call.Fun, st)
+		g.expr(s.Call.Fun, st)
 
 	case *ast.SendStmt:
-		g.scanRead(s.Chan, st)
-		g.scanRead(s.Value, st)
+		g.expr(s.Chan, st)
+		g.expr(s.Value, st)
 
 	case *ast.IncDecStmt:
 		g.handleWrite(s.X, st)
-
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			g.scanRead(r, st)
-		}
-		g.checkReturn(st, s.Pos())
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto: leave this path conservatively.
-		return true
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		g.scanRead(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := g.walkStmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			elseTerm := g.walkStmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replaceLocks(st, elseSt)
-			case elseTerm:
-				replaceLocks(st, thenSt)
-			default:
-				replaceLocks(st, thenSt)
-				st.merge(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			st.merge(thenSt)
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			g.scanRead(s.Cond, st)
-		}
-		bodySt := st.clone()
-		bodyTerm := g.walkStmt(s.Body, bodySt)
-		if s.Post != nil {
-			g.walkStmt(s.Post, bodySt)
-		}
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.RangeStmt:
-		g.scanRead(s.X, st)
-		bodySt := st.clone()
-		bodyTerm := g.walkStmt(s.Body, bodySt)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			g.scanRead(s.Tag, st)
-		}
-		g.walkCases(s.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			g.walkStmt(s.Init, st)
-		}
-		g.walkCases(s.Body, st)
-
-	case *ast.SelectStmt:
-		g.walkCases(s.Body, st)
-
-	case *ast.LabeledStmt:
-		return g.walkStmt(s.Stmt, st)
-
-	case *ast.EmptyStmt:
 	}
 	return false
 }
 
-// walkCases mirrors the pairing engine: every clause runs on a copy of
-// the incoming state, survivors merge (plus the fall-past path when no
-// default exists).
-func (g *lockguardPass) walkCases(body *ast.BlockStmt, st lockFlow) {
-	var out []lockFlow
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				g.scanRead(e, st)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if c, ok := c.(*ast.CommClause); ok && c.Comm != nil {
-			g.walkStmt(c.Comm, caseSt)
-		}
-		if !g.walkStmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	if len(out) == 0 {
-		return
-	}
-	first := out[0]
-	for _, o := range out[1:] {
-		first.merge(o)
-	}
-	if !hasDefault {
-		first.merge(st)
-	}
-	replaceLocks(st, first)
-}
+// iterationEnd: a lock held across an iteration boundary is the join's
+// business, not a finding.
+func (g *lockguardPass) iterationEnd(pre, end lockFlow, body *ast.BlockStmt) {}
 
 // handleCall applies a statement-level call's lock effects, or scans it
 // for guarded accesses.
 func (g *lockguardPass) handleCall(call *ast.CallExpr, st lockFlow) {
-	if eff, ok := g.lockEffect(call); ok {
-		switch eff.method {
-		case "Lock":
-			st[eff.key] = &heldLock{mode: lockExcl, typeName: eff.typeName, field: eff.field, name: eff.name, pos: call.Pos()}
-		case "RLock":
-			st[eff.key] = &heldLock{mode: lockShared, typeName: eff.typeName, field: eff.field, name: eff.name, pos: call.Pos()}
-		case "Unlock", "RUnlock":
-			delete(st, eff.key)
+	if op, ok := matchLockOp(g.p.Info, call); ok {
+		if !op.acquire {
+			delete(st, op.key)
+			return
 		}
+		mode := lockExcl
+		if op.shared {
+			mode = lockShared
+		}
+		st[op.key] = &heldLock{mode: mode, typeName: op.typeName, field: op.field, name: op.name, pos: call.Pos()}
 		return
 	}
 	// delete(x.f, k) and close(x.f) mutate the container: writes.
@@ -567,23 +417,21 @@ func (g *lockguardPass) handleCall(call *ast.CallExpr, st lockFlow) {
 		if _, isBuiltin := g.p.Info.Uses[id].(*types.Builtin); isBuiltin && (id.Name == "delete" || id.Name == "close") {
 			g.handleWrite(call.Args[0], st)
 			for _, arg := range call.Args[1:] {
-				g.scanRead(arg, st)
+				g.expr(arg, st)
 			}
 			return
 		}
 	}
-	g.scanRead(call, st)
+	g.expr(call, st)
 }
 
 // handleDefer registers deferred unlocks: a deferred unlock keeps its
 // lock held through every return, which is the correct discipline, so
 // the lock is exempt from the return-while-locked check.
 func (g *lockguardPass) handleDefer(call *ast.CallExpr, st lockFlow) {
-	if eff, ok := g.lockEffect(call); ok {
-		if eff.method == "Unlock" || eff.method == "RUnlock" {
-			if h := st[eff.key]; h != nil {
-				h.deferred = true
-			}
+	if op, ok := matchLockOp(g.p.Info, call); ok {
+		if h := st[op.key]; h != nil && !op.acquire {
+			h.deferred = true
 		}
 		return
 	}
@@ -596,66 +444,92 @@ func (g *lockguardPass) handleDefer(call *ast.CallExpr, st lockFlow) {
 			if !ok {
 				return true
 			}
-			if eff, ok := g.lockEffect(inner); ok && (eff.method == "Unlock" || eff.method == "RUnlock") {
-				if h := st[eff.key]; h != nil {
+			if op, ok := matchLockOp(g.p.Info, inner); ok && !op.acquire {
+				if h := st[op.key]; h != nil {
 					h.deferred = true
 				}
 			}
 			return true
 		})
-		g.analyzeBody(fl.Body, st.demote())
+		flowBody(g, fl.Body, st.demote())
 		return
 	}
 	for _, arg := range call.Args {
-		g.scanRead(arg, st)
+		g.expr(arg, st)
 	}
-	g.scanRead(call.Fun, st)
+	g.expr(call.Fun, st)
 }
 
-// lockEffectInfo describes one mutex method call.
-type lockEffectInfo struct {
-	key      string
-	method   string
-	typeName string // named type of the mutex's owner
-	field    string
-	name     string
+// lockOp describes one mutex method call, naming the mutex both ways
+// its clients need: lockguard by instance (which owner's mu), lockorder
+// by class (which type's mu).
+type lockOp struct {
+	acquire bool // Lock or RLock, as opposed to Unlock or RUnlock
+	shared  bool // RLock
+
+	// The instance: key is exprKey of the owner plus the field name;
+	// typeName (the owner's named type, "" if none) and field serve
+	// lockguard's type-level fallback; name is the lock expression as
+	// written, for messages.
+	key, typeName, field, name string
+
+	// The class within its package: "Type.field", or the name of a
+	// package-level variable, or — local set — an expression that only
+	// means something inside the enclosing function.
+	class string
+	local bool
 }
 
-// lockEffect matches mu.Lock()/Unlock()/RLock()/RUnlock() where mu is a
-// field selector (owner.mu) or a plain mutex variable, and the method's
-// receiver type is named Mutex or RWMutex.
-func (g *lockguardPass) lockEffect(call *ast.CallExpr) (lockEffectInfo, bool) {
+// matchLockOp matches mu.Lock()/Unlock()/RLock()/RUnlock() where mu is a
+// field selector (owner.mu), a plain mutex variable or a value embedding
+// the mutex, and the method's receiver type is named Mutex or RWMutex.
+func matchLockOp(info *types.Info, call *ast.CallExpr) (lockOp, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return lockEffectInfo{}, false
+		return lockOp{}, false
 	}
-	method := sel.Sel.Name
-	switch method {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	var op lockOp
+	switch sel.Sel.Name {
+	case "Lock":
+		op.acquire = true
+	case "RLock":
+		op.acquire, op.shared = true, true
+	case "Unlock", "RUnlock":
 	default:
-		return lockEffectInfo{}, false
+		return lockOp{}, false
 	}
-	fn := calleeFunc(g.p.Info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
-		return lockEffectInfo{}, false
+		return lockOp{}, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || !isMutexTypeName(namedTypeName(sig.Recv().Type())) {
-		return lockEffectInfo{}, false
+		return lockOp{}, false
 	}
-	eff := lockEffectInfo{method: method, name: types.ExprString(sel.X)}
-	switch mu := ast.Unparen(sel.X).(type) {
+	owner := ast.Unparen(sel.X)
+	op.name = types.ExprString(sel.X)
+	op.key = exprKey(info, owner)
+	op.class, op.local = types.ExprString(owner), true
+	switch mu := owner.(type) {
 	case *ast.SelectorExpr:
-		eff.key = exprKey(g.p.Info, mu.X) + "." + mu.Sel.Name
-		eff.field = mu.Sel.Name
-		eff.typeName = namedTypeName(g.p.Info.TypeOf(mu.X))
-	default:
-		eff.key = exprKey(g.p.Info, sel.X)
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			eff.field = id.Name
+		op.key = exprKey(info, mu.X) + "." + mu.Sel.Name
+		op.field = mu.Sel.Name
+		op.typeName = namedTypeName(info.TypeOf(mu.X))
+		if op.typeName != "" {
+			op.class, op.local = op.typeName+"."+op.field, false
+		}
+	case *ast.Ident:
+		op.field = mu.Name
+		if obj := info.ObjectOf(mu); obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+			op.local = false
 		}
 	}
-	return eff, true
+	// t.Lock() on a type embedding the mutex: the owner expression's type
+	// is the embedding struct, not the mutex itself.
+	if tn := namedTypeName(info.TypeOf(owner)); tn != "" && !isMutexTypeName(tn) {
+		op.class, op.local = tn+"."+namedTypeName(sig.Recv().Type()), false
+	}
+	return op, true
 }
 
 // handleWrite checks the target of an assignment, ++/--, delete or
@@ -666,7 +540,7 @@ func (g *lockguardPass) handleWrite(l ast.Expr, st lockFlow) {
 	for {
 		switch v := e.(type) {
 		case *ast.IndexExpr:
-			g.scanRead(v.Index, st)
+			g.expr(v.Index, st)
 			e = ast.Unparen(v.X)
 			continue
 		case *ast.StarExpr:
@@ -677,32 +551,32 @@ func (g *lockguardPass) handleWrite(l ast.Expr, st lockFlow) {
 	}
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		g.checkAccess(sel, st, true)
-		g.scanRead(sel.X, st)
+		g.expr(sel.X, st)
 		return
 	}
 	if _, ok := e.(*ast.Ident); ok {
 		return
 	}
-	g.scanRead(e, st)
+	g.expr(e, st)
 }
 
-// scanRead checks every guarded-field selection inside e as a read.
+// expr checks every guarded-field selection inside e as a read.
 // Closure bodies are analyzed as separate scopes with all locks demoted
 // to maybe; taking a guarded field's address counts as a write.
-func (g *lockguardPass) scanRead(e ast.Expr, st lockFlow) {
+func (g *lockguardPass) expr(e ast.Expr, st lockFlow) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			g.analyzeBody(n.Body, st.demote())
+			flowBody(g, n.Body, st.demote())
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
 					g.checkAccess(sel, st, true)
-					g.scanRead(sel.X, st)
+					g.expr(sel.X, st)
 					return false
 				}
 			}
@@ -772,10 +646,10 @@ func (g *lockguardPass) findHeld(s *ast.SelectorExpr, ref guardRef, st lockFlow)
 	return best
 }
 
-// checkReturn reports locks provably still held at a return (or at the
-// end of the function body) that were acquired in this function with no
+// exit reports locks provably still held at a return (or at the end of
+// the function body) that were acquired in this function with no
 // deferred unlock: the early-return-while-locked bug.
-func (g *lockguardPass) checkReturn(st lockFlow, pos token.Pos) {
+func (g *lockguardPass) exit(st lockFlow, pos token.Pos, _ []ast.Expr) {
 	for _, h := range st {
 		if h.mode == lockMaybe || h.deferred || h.annot {
 			continue

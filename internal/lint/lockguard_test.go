@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockguard(t *testing.T) {
-	linttest.Run(t, lint.Lockguard, "lockguard")
+	linttest.Run(t, "lockguard", lint.Lockguard)
 }

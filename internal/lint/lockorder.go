@@ -149,12 +149,11 @@ func buildLockOrder(prog *Program) *lockOrderState {
 			if site.Go || site.InClosure {
 				continue
 			}
-			if op, ok := lockOp(n.Pkg, funcDisplayName(n.Decl), site.Call); ok {
-				if op.acquire {
-					if _, have := sum[op.class]; !have {
-						sum[op.class] = transStep{pos: site.Call.Pos()}
-						changed = true
-					}
+			if op, ok := matchLockOp(n.Pkg.Info, site.Call); ok {
+				class := lockClassOf(n.Pkg, funcDisplayName(n.Decl), op)
+				if _, have := sum[class]; op.acquire && !have {
+					sum[class] = transStep{pos: site.Call.Pos()}
+					changed = true
 				}
 				continue
 			}
@@ -172,7 +171,7 @@ func buildLockOrder(prog *Program) *lockOrderState {
 	st.scanPins()
 	for _, n := range prog.Funcs() {
 		w := &lockOrderWalk{st: st, node: n, fnName: funcDisplayName(n.Decl), okLines: lockOrderOKLines(n.Pkg, n.Decl)}
-		w.stmts(n.Decl.Body.List, heldSet{})
+		flowBody(w, n.Decl.Body, heldSet{})
 	}
 	return st
 }
@@ -315,10 +314,10 @@ func (h heldSet) clone() heldSet {
 	return out
 }
 
-// union merges other into h, keeping the earliest acquisition site —
+// merge is set union, keeping the earliest acquisition site —
 // path-exists semantics: a lock held on either arm of a branch is held
 // on some path through the join.
-func (h heldSet) union(other heldSet) {
+func (h heldSet) merge(other heldSet) {
 	for k, v := range other {
 		if cur, ok := h[k]; !ok || v < cur {
 			h[k] = v
@@ -334,19 +333,9 @@ type lockOrderWalk struct {
 	okLines map[int]bool
 }
 
-func (w *lockOrderWalk) stmts(list []ast.Stmt, held heldSet) bool {
-	for _, s := range list {
-		if w.stmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
+// leaf runs the calls of one plain statement against the held set.
+func (w *lockOrderWalk) leaf(s ast.Stmt, held heldSet) bool {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return w.stmts(s.List, held)
 	case *ast.ExprStmt:
 		w.expr(s.X, held)
 	case *ast.AssignStmt:
@@ -375,7 +364,7 @@ func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
 		// A deferred unlock keeps the lock held through the rest of the
 		// body (that is the point); any other deferred call is treated
 		// as running with the current held set.
-		if op, ok := lockOp(w.node.Pkg, w.fnName, s.Call); ok && !op.acquire {
+		if op, ok := matchLockOp(w.node.Pkg.Info, s.Call); ok && !op.acquire {
 			break
 		}
 		w.expr(s.Call, held)
@@ -386,157 +375,36 @@ func (w *lockOrderWalk) stmt(s ast.Stmt, held heldSet) (terminated bool) {
 			w.expr(arg, held)
 		}
 		if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.stmts(fl.Body.List, heldSet{})
+			flowBody(w, fl.Body, heldSet{})
 		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.expr(r, held)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.expr(s.Cond, held)
-		thenSt := held.clone()
-		thenTerm := w.stmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := held.clone()
-			elseTerm := w.stmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replaceHeld(held, elseSt)
-			case elseTerm:
-				replaceHeld(held, thenSt)
-			default:
-				replaceHeld(held, thenSt)
-				held.union(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			held.union(thenSt)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, held)
-		}
-		bodySt := held.clone()
-		bodyTerm := w.stmt(s.Body, bodySt)
-		if s.Post != nil {
-			w.stmt(s.Post, bodySt)
-		}
-		if !bodyTerm {
-			held.union(bodySt)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, held)
-		bodySt := held.clone()
-		if !w.stmt(s.Body, bodySt) {
-			held.union(bodySt)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, held)
-		}
-		w.cases(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, held)
-		}
-		w.cases(s.Body, held)
-	case *ast.SelectStmt:
-		w.cases(s.Body, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
 	}
 	return false
 }
 
-func replaceHeld(dst, src heldSet) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
+// Nothing is checked where a function returns or an iteration ends: an
+// edge forms at the acquisition, and a lock still held is lockguard's.
+func (w *lockOrderWalk) exit(heldSet, token.Pos, []ast.Expr)             {}
+func (w *lockOrderWalk) iterationEnd(pre, end heldSet, _ *ast.BlockStmt) {}
 
-func (w *lockOrderWalk) cases(body *ast.BlockStmt, held heldSet) {
-	var out []heldSet
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		caseSt := held.clone()
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.expr(e, held)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm, caseSt)
-			}
-			stmts = c.Body
-		}
-		if !w.stmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	for _, o := range out {
-		held.union(o)
-	}
-}
-
-// expr processes every call inside e against the current held set.
+// expr processes every call inside e, in evaluation order, against the
+// current held set.
 func (w *lockOrderWalk) expr(e ast.Expr, held heldSet) {
 	if e == nil {
 		return
 	}
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		w.call(e, held)
-	case *ast.FuncLit:
-		// Not invoked here: the body runs with an unknown held set;
-		// analyze it with an empty one (under-approximation).
-		w.stmts(e.Body.List, heldSet{})
-	case *ast.SelectorExpr:
-		w.expr(e.X, held)
-	case *ast.BinaryExpr:
-		w.expr(e.X, held)
-		w.expr(e.Y, held)
-	case *ast.UnaryExpr:
-		w.expr(e.X, held)
-	case *ast.StarExpr:
-		w.expr(e.X, held)
-	case *ast.IndexExpr:
-		w.expr(e.X, held)
-		w.expr(e.Index, held)
-	case *ast.SliceExpr:
-		w.expr(e.X, held)
-		w.expr(e.Low, held)
-		w.expr(e.High, held)
-		w.expr(e.Max, held)
-	case *ast.TypeAssertExpr:
-		w.expr(e.X, held)
-	case *ast.KeyValueExpr:
-		w.expr(e.Key, held)
-		w.expr(e.Value, held)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			w.expr(elt, held)
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			w.call(n, held)
+			return false
+		case *ast.FuncLit:
+			// Not invoked here: the body runs with an unknown held set;
+			// analyze it with an empty one (under-approximation).
+			flowBody(w, n.Body, heldSet{})
+			return false
 		}
-	}
+		return true
+	})
 }
 
 // call handles one call: a lock acquire forms edges from everything
@@ -549,29 +417,33 @@ func (w *lockOrderWalk) call(call *ast.CallExpr, held heldSet) {
 		w.expr(sel.X, held)
 	}
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		// Immediately invoked: the body runs right here.
+		// Immediately invoked: the body runs right here, and what it
+		// leaves held stays held.
 		for _, arg := range call.Args {
 			w.expr(arg, held)
 		}
-		w.stmts(fl.Body.List, held)
+		after := flowBody(w, fl.Body, held.clone())
+		clear(held)
+		held.merge(after)
 		return
 	}
 	for _, arg := range call.Args {
 		w.expr(arg, held)
 	}
-	if op, ok := lockOp(w.node.Pkg, w.fnName, call); ok {
+	if op, ok := matchLockOp(w.node.Pkg.Info, call); ok {
+		class := lockClassOf(w.node.Pkg, w.fnName, op)
 		if !op.acquire {
-			delete(held, op.class)
+			delete(held, class)
 			return
 		}
 		for from, fpos := range held {
-			w.st.addEdge(from, op.class, call.Pos(),
+			w.st.addEdge(from, class, call.Pos(),
 				fmt.Sprintf("%s locks %s at %s while holding %s (since %s)",
-					w.fnName, op.class, w.pos(call.Pos()), from, w.pos(fpos)),
+					w.fnName, class, w.pos(call.Pos()), from, w.pos(fpos)),
 				w.okLines)
 		}
-		if _, have := held[op.class]; !have {
-			held[op.class] = call.Pos()
+		if _, have := held[class]; !have {
+			held[class] = call.Pos()
 		}
 		return
 	}
@@ -668,56 +540,14 @@ func shortWitness(w string) string {
 	return w
 }
 
-// lockOpInfo describes one mutex Lock/Unlock-family call.
-type lockOpInfo struct {
-	class   lockClass
-	acquire bool
-}
-
-// lockOp matches mu.Lock()/Unlock()/RLock()/RUnlock() (receiver type
-// named Mutex or RWMutex, matching lockguard) and computes the lock
-// class. fnName scopes function-local mutexes.
-func lockOp(pkg *Package, fnName string, call *ast.CallExpr) (lockOpInfo, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return lockOpInfo{}, false
+// lockClassOf scopes the class of a lock call (matchLockOp, shared with
+// lockguard) to the program: the package's name in front, and for a
+// function-local mutex the function's too.
+func lockClassOf(pkg *Package, fnName string, op lockOp) lockClass {
+	if op.local {
+		return pkg.Types.Name() + "." + fnName + "." + op.class
 	}
-	var acquire bool
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-	default:
-		return lockOpInfo{}, false
-	}
-	fn := calleeFunc(pkg.Info, call)
-	if fn == nil {
-		return lockOpInfo{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !isMutexTypeName(namedTypeName(sig.Recv().Type())) {
-		return lockOpInfo{}, false
-	}
-	pkgName := pkg.Types.Name()
-	owner := ast.Unparen(sel.X)
-	// t.Lock() on a type embedding the mutex: the owner expression's
-	// type is the embedding struct, not the mutex itself.
-	if tn := namedTypeName(pkg.Info.TypeOf(owner)); tn != "" && !isMutexTypeName(tn) {
-		return lockOpInfo{class: pkgName + "." + tn + "." + namedTypeName(sig.Recv().Type()), acquire: acquire}, true
-	}
-	switch mu := owner.(type) {
-	case *ast.SelectorExpr:
-		if tn := namedTypeName(pkg.Info.TypeOf(mu.X)); tn != "" {
-			return lockOpInfo{class: pkgName + "." + tn + "." + mu.Sel.Name, acquire: acquire}, true
-		}
-		return lockOpInfo{class: pkgName + "." + fnName + "." + types.ExprString(owner), acquire: acquire}, true
-	case *ast.Ident:
-		if obj := pkg.Info.ObjectOf(mu); obj != nil && obj.Parent() == pkg.Types.Scope() {
-			return lockOpInfo{class: pkgName + "." + mu.Name, acquire: acquire}, true
-		}
-		return lockOpInfo{class: pkgName + "." + fnName + "." + mu.Name, acquire: acquire}, true
-	}
-	return lockOpInfo{class: pkgName + "." + fnName + "." + types.ExprString(owner), acquire: acquire}, true
+	return pkg.Types.Name() + "." + op.class
 }
 
 // findLockCycles returns one representative cycle (as its edge list)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLockorder(t *testing.T) {
-	linttest.Run(t, lint.Lockorder, "lockorder")
+	linttest.Run(t, "lockorder", lint.Lockorder)
 }
 
 // TestLockorderMalformedPins drives the lockorderbad fixture by hand:

@@ -80,69 +80,35 @@ func runObsdiscipline(p *Pass) error {
 	runPairing(p, spanPairSpec)
 	runPairing(p, stagePairSpec)
 	for _, f := range p.Files {
-		ok := directiveLines(p.Fset, f, "label-ok")
+		okLines := directiveLines(p.Fset, f, "label-ok")
 		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if !isFunc || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				runTaint(p, labelTaintSpec, fd.Body, okLines)
 			}
-			t := &labelTaint{p: p, okLines: ok, tainted: map[types.Object]bool{}}
-			t.propagate(fd.Body)
-			t.checkSinks(fd.Body)
 		}
 	}
 	return nil
 }
 
-// labelTaint is the per-function unbounded-label taint pass. It mirrors
-// secretflow's local fixpoint but with cardinality sources and the
-// series-creating With as its only sink.
-type labelTaint struct {
-	p       *Pass
-	okLines map[int]bool
-	tainted map[types.Object]bool
-}
-
-func (t *labelTaint) propagate(body *ast.BlockStmt) {
-	for {
-		grew := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						grew = t.bind(n.Lhs[i], n.Rhs[i]) || grew
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						grew = t.bind(n.Names[i], n.Values[i]) || grew
-					}
-				}
-			}
-			return true
-		})
-		if !grew {
-			return
+// labelTaintSpec is the unbounded-label taint pass: cardinality sources,
+// and the series-creating With as its only sink.
+var labelTaintSpec = &taintSpec{
+	source: func(p *Pass, e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || !urlUnboundedFields[sel.Sel.Name] {
+			return false
 		}
-	}
-}
-
-func (t *labelTaint) bind(lhs, rhs ast.Expr) bool {
-	if !t.taintedExpr(rhs) {
-		return false
-	}
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := t.p.Info.ObjectOf(id)
-	if obj == nil || t.tainted[obj] {
-		return false
-	}
-	t.tainted[obj] = true
-	return true
+		owner := namedTypeName(p.Info.TypeOf(sel.X))
+		return owner == "URL" || owner == "Request"
+	},
+	call: labelTaintedCall,
+	sink: func(p *Pass, call *ast.CallExpr) ([]ast.Expr, string) {
+		if fn, recv := vecMethod(p.Info, call); fn != nil && fn.Name() == "With" {
+			return call.Args, recv
+		}
+		return nil, ""
+	},
+	report: "unbounded value %s becomes a %s.With label: every distinct value mints a new series (bound it, or audit with %slabel-ok)",
 }
 
 // urlUnboundedFields are the URL parts whose value space is the client's
@@ -151,48 +117,10 @@ var urlUnboundedFields = map[string]bool{
 	"Path": true, "RawPath": true, "RawQuery": true, "Opaque": true, "RequestURI": true,
 }
 
-// taintedExpr reports whether e carries an unbounded (client- or
-// id-derived) string.
-func (t *labelTaint) taintedExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if e == nil {
-		return false
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := t.p.Info.ObjectOf(e); obj != nil && t.tainted[obj] {
-			return true
-		}
-	case *ast.SelectorExpr:
-		owner := namedTypeName(t.p.Info.TypeOf(e.X))
-		if urlUnboundedFields[e.Sel.Name] && (owner == "URL" || owner == "Request") {
-			return true
-		}
-		return t.taintedExpr(e.X)
-	case *ast.IndexExpr:
-		return t.taintedExpr(e.X)
-	case *ast.SliceExpr:
-		return t.taintedExpr(e.X)
-	case *ast.StarExpr:
-		return t.taintedExpr(e.X)
-	case *ast.BinaryExpr:
-		// Concatenation keeps the unbounded part unbounded.
-		return t.taintedExpr(e.X) || t.taintedExpr(e.Y)
-	case *ast.CallExpr:
-		return t.taintedCall(e)
-	}
-	return false
-}
-
-// taintedCall classifies call results: unbounded sources are tainted
-// outright, string-shaping helpers propagate their arguments' taint,
-// conversions pass through, and every other call yields a fresh
-// (untainted) value.
-func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
-	// Conversions: string(b), MyString(s).
-	if tv, ok := t.p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return t.taintedExpr(call.Args[0])
-	}
+// labelTaintedCall classifies call results: unbounded sources are
+// tainted outright, string-shaping helpers propagate their arguments'
+// taint, and every other call yields a fresh (untainted) value.
+func labelTaintedCall(t *taintPass, call *ast.CallExpr) bool {
 	fn := calleeFunc(t.p.Info, call)
 	if fn == nil {
 		return false
@@ -215,7 +143,7 @@ func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
 			if recv == "URL" {
 				return true
 			}
-			return t.taintedExpr(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
+			return t.expr(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
 		}
 		return false
 	}
@@ -228,7 +156,7 @@ func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
 		// Shaping helpers: Sprintf, ToLower, Itoa... the result is as
 		// bounded as the inputs.
 		for _, arg := range call.Args {
-			if t.taintedExpr(arg) {
+			if t.expr(arg) {
 				return true
 			}
 		}
@@ -236,34 +164,7 @@ func (t *labelTaint) taintedCall(call *ast.CallExpr) bool {
 	case "encoding/hex", "encoding/base64":
 		return true // digest/id rendering: unbounded by construction
 	}
-	if fn.Name() == "NewTraceID" {
-		return true
-	}
-	return false
-}
-
-func (t *labelTaint) checkSinks(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn, recv := vecMethod(t.p.Info, call)
-		if fn == nil || fn.Name() != "With" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if t.taintedExpr(arg) {
-				if t.okLines[t.p.Fset.Position(call.Pos()).Line] {
-					return true
-				}
-				t.p.Reportf(call.Pos(), "unbounded value %s becomes a %s.With label: every distinct value mints a new series (bound it, or audit with %slabel-ok)",
-					types.ExprString(arg), recv, directivePrefix)
-				return true
-			}
-		}
-		return true
-	})
+	return fn.Name() == "NewTraceID"
 }
 
 // vecMethod matches a method call on CounterVec/HistogramVec and

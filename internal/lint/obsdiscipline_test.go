@@ -8,5 +8,5 @@ import (
 )
 
 func TestObsdiscipline(t *testing.T) {
-	linttest.Run(t, lint.Obsdiscipline, "obsdiscipline")
+	linttest.Run(t, "obsdiscipline", lint.Obsdiscipline)
 }

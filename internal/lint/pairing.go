@@ -6,9 +6,10 @@ import (
 	"go/types"
 )
 
-// The acquire/release pairing engine shared by polypool and refbalance.
+// The acquire/release pairing engine shared by polypool, refbalance and
+// obsdiscipline's span and stage lifecycles.
 //
-// It is a forward abstract interpretation over the AST of each function
+// It is a client of the statement walker (flow.go) over each function
 // body (declared functions and function literals are analyzed as
 // independent scopes). A resource enters the tracked set when an acquire
 // call's result is bound to a local identifier; it leaves it when a
@@ -19,9 +20,9 @@ import (
 // channel, captured by a closure that releases it, or returned by a
 // function annotated //hennlint:transfers-ownership.
 //
-// At every return (explicit or fall-off-the-end) and at control-flow
-// joins, the engine checks the tracked set: a resource that is live on
-// the path being checked is a leak. Joins widen disagreeing states to
+// At every return (explicit or fall-off-the-end) and wherever an
+// iteration of a loop body ends, the engine checks the tracked set: a
+// resource that is live on the path being checked is a leak. Joins widen disagreeing states to
 // "maybe released", which is deliberately not reported — the engine
 // under-approximates at merges so it can stay silent on correct code; a
 // resource released on only one arm of a branch will still be caught on
@@ -119,25 +120,25 @@ func runPairing(p *Pass, spec *pairSpec) {
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			// Literals are scopes of their own and cannot carry doc
+			// annotations; one that needs to hand resources out should
+			// assign them to captured state, which the engine treats as
+			// an escape.
+			var body *ast.BlockStmt
+			var doc *ast.CommentGroup
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body != nil {
-					a := &pairAnalysis{
-						pass: p, spec: spec, annotated: annotated,
-						fnPos: fn.Pos(), fnEnd: fn.End(),
-						transfers: hasDirective(fn.Doc, spec.annotation),
-					}
-					a.run(fn.Body)
-				}
+				body, doc = fn.Body, fn.Doc
 			case *ast.FuncLit:
-				// Literals cannot carry doc annotations; a literal that
-				// needs to hand resources out should assign them to
-				// captured state, which the engine treats as an escape.
+				body = fn.Body
+			}
+			if body != nil {
 				a := &pairAnalysis{
 					pass: p, spec: spec, annotated: annotated,
-					fnPos: fn.Pos(), fnEnd: fn.End(),
+					fnPos: n.Pos(), fnEnd: n.End(),
+					transfers: hasDirective(doc, spec.annotation),
 				}
-				a.run(fn.Body)
+				flowBody(a, body, flowState{})
 			}
 			return true
 		})
@@ -151,14 +152,6 @@ type pairAnalysis struct {
 	fnPos     token.Pos
 	fnEnd     token.Pos
 	transfers bool // function is annotated transfers-ownership
-}
-
-func (a *pairAnalysis) run(body *ast.BlockStmt) {
-	st := flowState{}
-	terminated := a.walkStmts(body.List, st)
-	if !terminated {
-		a.checkExit(st, body.End(), nil)
-	}
 }
 
 // isAcquire matches direct acquire calls and calls to same-package
@@ -175,24 +168,11 @@ func (a *pairAnalysis) isAcquire(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// walkStmts runs the statement list, returning whether every path
-// through it terminates (returns, panics, or branches away).
-func (a *pairAnalysis) walkStmts(stmts []ast.Stmt, st flowState) bool {
-	for _, s := range stmts {
-		if a.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *pairAnalysis) walkStmt(s ast.Stmt, st flowState) (terminated bool) {
+// leaf applies one plain statement; none of them ends a path.
+func (a *pairAnalysis) leaf(s ast.Stmt, st flowState) bool {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.walkStmts(s.List, st)
-
 	case *ast.AssignStmt:
-		a.handleAssign(s, st)
+		a.handleBind(s.Lhs, s.Rhs, s.Tok, st)
 
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -206,7 +186,11 @@ func (a *pairAnalysis) walkStmt(s ast.Stmt, st flowState) (terminated bool) {
 		}
 
 	case *ast.ExprStmt:
-		a.handleExpr(s.X, st, false)
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+			a.handleCall(call, st, false)
+		} else {
+			a.expr(s.X, st)
+		}
 
 	case *ast.DeferStmt:
 		a.handleCall(s.Call, st, true)
@@ -217,160 +201,16 @@ func (a *pairAnalysis) walkStmt(s ast.Stmt, st flowState) (terminated bool) {
 	case *ast.SendStmt:
 		// Sending a tracked resource on a channel transfers ownership.
 		a.escapeIdents(s.Value, st)
-		a.scanExpr(s.Chan, st)
-
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			a.scanExpr(r, st)
-		}
-		a.checkExit(st, s.Pos(), s.Results)
-		return true
-
-	case *ast.BranchStmt:
-		// break/continue/goto: stop tracking this path conservatively.
-		return true
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		a.scanExpr(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := a.walkStmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			elseTerm := a.walkStmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				replace(st, elseSt)
-			case elseTerm:
-				replace(st, thenSt)
-			default:
-				replace(st, thenSt)
-				st.merge(elseSt)
-			}
-			return false
-		}
-		if !thenTerm {
-			st.merge(thenSt)
-		}
-
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			a.scanExpr(s.Cond, st)
-		}
-		bodySt := st.clone()
-		bodyTerm := a.walkStmt(s.Body, bodySt)
-		if s.Post != nil {
-			a.walkStmt(s.Post, bodySt)
-		}
-		a.checkLoopBody(st, bodySt, s.Body)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.RangeStmt:
-		a.scanExpr(s.X, st)
-		bodySt := st.clone()
-		bodyTerm := a.walkStmt(s.Body, bodySt)
-		a.checkLoopBody(st, bodySt, s.Body)
-		if !bodyTerm {
-			st.merge(bodySt)
-		}
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			a.scanExpr(s.Tag, st)
-		}
-		a.walkCases(s.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.walkStmt(s.Init, st)
-		}
-		a.walkCases(s.Body, st)
-
-	case *ast.SelectStmt:
-		a.walkCases(s.Body, st)
-
-	case *ast.LabeledStmt:
-		return a.walkStmt(s.Stmt, st)
-
-	case *ast.IncDecStmt, *ast.EmptyStmt:
-		// no resource effects
+		a.expr(s.Chan, st)
 	}
 	return false
 }
 
-// replace overwrites dst's contents with src's.
-func replace(dst, src flowState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-}
-
-// walkCases handles switch/type-switch/select bodies: every clause runs
-// on a copy of the incoming state and the survivors merge, together with
-// the fall-past path when no default clause exists.
-func (a *pairAnalysis) walkCases(body *ast.BlockStmt, st flowState) {
-	var out []flowState
-	hasDefault := false
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				a.scanExpr(e, st)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			}
-			stmts = c.Body
-		}
-		caseSt := st.clone()
-		if c, ok := c.(*ast.CommClause); ok && c.Comm != nil {
-			a.walkStmt(c.Comm, caseSt)
-		}
-		if !a.walkStmts(stmts, caseSt) {
-			out = append(out, caseSt)
-		}
-	}
-	if len(out) == 0 {
-		// Every clause terminated. Without a default the zero-case path
-		// still falls through with the incoming state unchanged; with
-		// one, code after the switch is unreachable either way.
-		return
-	}
-	first := out[0]
-	for _, o := range out[1:] {
-		first.merge(o)
-	}
-	if !hasDefault {
-		first.merge(st)
-	}
-	replace(st, first)
-}
-
-// checkLoopBody reports resources acquired inside a loop body that are
-// still provably live when the iteration ends — they leak once per
-// iteration and cannot be released after the loop (their scope is gone).
-func (a *pairAnalysis) checkLoopBody(pre, post flowState, body *ast.BlockStmt) {
+// iterationEnd reports resources acquired inside a loop body that are
+// still provably live when the iteration ends, whichever way it ends —
+// they leak once per iteration and cannot be released after the loop
+// (their scope is gone).
+func (a *pairAnalysis) iterationEnd(pre, post flowState, body *ast.BlockStmt) {
 	for k, r := range post {
 		if _, existed := pre[k]; existed || r.state != stLive {
 			continue
@@ -384,11 +224,11 @@ func (a *pairAnalysis) checkLoopBody(pre, post flowState, body *ast.BlockStmt) {
 	}
 }
 
-// checkExit reports every provably-live resource at a return site (or at
+// exit reports every provably-live resource at a return site (or at
 // the end of a function body). A resource referenced by the return
 // values is an ownership transfer when the function carries the
 // annotation, a diagnostic otherwise.
-func (a *pairAnalysis) checkExit(st flowState, pos token.Pos, results []ast.Expr) {
+func (a *pairAnalysis) exit(st flowState, pos token.Pos, results []ast.Expr) {
 	returned := map[string]bool{}
 	for _, r := range results {
 		ast.Inspect(r, func(n ast.Node) bool {
@@ -418,12 +258,8 @@ func (a *pairAnalysis) checkExit(st flowState, pos token.Pos, results []ast.Expr
 	}
 }
 
-// handleAssign processes acquires bound to identifiers, escapes through
+// handleBind processes acquires bound to identifiers, escapes through
 // stores, and release-bearing closures on the right-hand side.
-func (a *pairAnalysis) handleAssign(s *ast.AssignStmt, st flowState) {
-	a.handleBind(s.Lhs, s.Rhs, s.Tok, st)
-}
-
 func (a *pairAnalysis) handleBind(lhs, rhs []ast.Expr, tok token.Token, st flowState) {
 	// v, w := acquire() — one multi-result acquire call.
 	if len(rhs) == 1 && len(lhs) >= 1 {
@@ -447,12 +283,12 @@ func (a *pairAnalysis) handleBind(lhs, rhs []ast.Expr, tok token.Token, st flowS
 				}
 			}
 			a.storeInto(lhs[i], rhs[i], st)
-			a.scanExpr(rhs[i], st)
+			a.expr(rhs[i], st)
 		}
 		return
 	}
 	for _, r := range rhs {
-		a.scanExpr(r, st)
+		a.expr(r, st)
 	}
 	for i := range lhs {
 		a.storeInto(lhs[i], nil, st)
@@ -533,15 +369,6 @@ func (a *pairAnalysis) storeInto(l, r ast.Expr, st flowState) {
 	}
 }
 
-// handleExpr processes a statement-level expression.
-func (a *pairAnalysis) handleExpr(e ast.Expr, st flowState, deferred bool) {
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		a.handleCall(call, st, deferred)
-		return
-	}
-	a.scanExpr(e, st)
-}
-
 // handleCall processes a statement-level (or deferred) call: a release
 // updates state, a bare acquire is an immediate leak, and anything else
 // is scanned for escapes and release-bearing closures.
@@ -578,17 +405,17 @@ func (a *pairAnalysis) handleCall(call *ast.CallExpr, st flowState, deferred boo
 
 func (a *pairAnalysis) scanCallArgs(call *ast.CallExpr, st flowState) {
 	for _, arg := range call.Args {
-		a.scanExpr(arg, st)
+		a.expr(arg, st)
 	}
 }
 
-// scanExpr looks inside an expression for ownership transfers the flow
+// expr looks inside an expression for ownership transfers the flow
 // walk would otherwise miss: tracked resources placed in composite
 // literals, addresses of tracked resources, and closures that release a
 // tracked resource (the closure now owns the release obligation —
 // passing it to a worker pool or deferring it are the repo's idioms).
 // Plain call arguments are borrows and do not untrack.
-func (a *pairAnalysis) scanExpr(e ast.Expr, st flowState) {
+func (a *pairAnalysis) expr(e ast.Expr, st flowState) {
 	if e == nil {
 		return
 	}

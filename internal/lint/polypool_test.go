@@ -8,5 +8,5 @@ import (
 )
 
 func TestPolypool(t *testing.T) {
-	linttest.Run(t, lint.Polypool, "polypool")
+	linttest.Run(t, "polypool", lint.Polypool)
 }

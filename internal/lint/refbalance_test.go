@@ -8,5 +8,5 @@ import (
 )
 
 func TestRefbalance(t *testing.T) {
-	linttest.Run(t, lint.Refbalance, "refbalance")
+	linttest.Run(t, "refbalance", lint.Refbalance)
 }

@@ -42,7 +42,7 @@ var secretTypeNames = map[string]bool{
 	"Sampler":      true,
 }
 
-// marshalSinkMethods serialize their receiver.
+// marshalSinkMethods serialize their receiver (sk.MarshalBinary()).
 var marshalSinkMethods = map[string]bool{
 	"MarshalBinary": true,
 	"MarshalText":   true,
@@ -51,166 +51,57 @@ var marshalSinkMethods = map[string]bool{
 	"GobEncode":     true,
 }
 
+// argSinkMethods send their arguments out of the process, by receiver
+// type name and method.
+var argSinkMethods = map[string]bool{
+	"Encoder.Encode":             true, // gob/json encoders
+	"ResponseWriter.Write":       true, // a network response
+	"ResponseWriter.WriteString": true,
+	// Telemetry attributes land in trace snapshots served at /v1/traces,
+	// and metric label values render at /metrics — both inspectable over
+	// the network.
+	"Span.SetAttr":      true,
+	"Trace.AddSpan":     true,
+	"CounterVec.With":   true,
+	"CounterVec.Find":   true,
+	"HistogramVec.With": true,
+	"HistogramVec.Find": true,
+}
+
 func runSecretflow(p *Pass) error {
-	seedScoped := false
-	switch path.Base(p.Path) {
-	case "ckks", "ring":
-		seedScoped = true
+	base := path.Base(p.Path)
+	seedScoped := base == "ckks" || base == "ring"
+	spec := &taintSpec{
+		// A value of a secret-bearing type is secret wherever it appears,
+		// and inside the crypto packages so is a seed-named integer (a
+		// seed fully determines the secret key). There is no call rule:
+		// a function's result is a fresh value — decryption outputs are
+		// public by design.
+		source: func(p *Pass, e ast.Expr) bool {
+			if secretType(p.Info.TypeOf(e)) {
+				return true
+			}
+			id, ok := e.(*ast.Ident)
+			if !ok || !seedScoped || !seedName(id.Name) {
+				return false
+			}
+			v, ok := p.Info.ObjectOf(id).(*types.Var)
+			return ok && isIntegerVar(v)
+		},
+		sink:   secretSink,
+		report: "secret material %s reaches sink %s; key material must never leave the process (audit with %ssecret-sink-ok if intended)",
 	}
 	for _, f := range p.Files {
-		okLines := secretOKLines(p, f)
+		okLines := directiveLines(p.Fset, f, "secret-sink-ok")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || hasDirective(fd.Doc, "secret-sink-ok") {
 				continue
 			}
-			s := &secretflowPass{p: p, seedScoped: seedScoped, okLines: okLines, tainted: map[types.Object]bool{}}
-			s.propagate(fd.Body)
-			s.checkSinks(fd.Body)
+			runTaint(p, spec, fd.Body, okLines)
 		}
 	}
 	return nil
-}
-
-// secretOKLines collects the lines whose sink reports the file audits
-// away: the directive suppresses a sink on its own line or on the line
-// directly below (the conventional spot for a standalone directive).
-func secretOKLines(p *Pass, f *ast.File) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
-			}
-			if rest == "secret-sink-ok" || strings.HasPrefix(rest, "secret-sink-ok ") {
-				line := p.Fset.Position(c.Pos()).Line
-				lines[line] = true
-				lines[line+1] = true
-			}
-		}
-	}
-	return lines
-}
-
-type secretflowPass struct {
-	p          *Pass
-	seedScoped bool
-	okLines    map[int]bool
-	tainted    map[types.Object]bool
-}
-
-// propagate runs local assignments to a fixpoint so taint follows
-// chains like sk := kg.GenSecretKey(); q := sk.Q; raw := q.Coeffs.
-// Closure bodies are included: captured secrets stay secret.
-func (s *secretflowPass) propagate(body *ast.BlockStmt) {
-	for {
-		grew := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Lhs {
-						grew = s.bind(n.Lhs[i], n.Rhs[i]) || grew
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Names {
-						grew = s.bind(n.Names[i], n.Values[i]) || grew
-					}
-				}
-			case *ast.RangeStmt:
-				// for _, v := range tainted: the element is tainted.
-				if n.Value != nil && s.taintedExpr(n.X) {
-					grew = s.markIdent(n.Value) || grew
-				}
-				if n.Key != nil && s.taintedExpr(n.X) {
-					grew = s.markIdent(n.Key) || grew
-				}
-			}
-			return true
-		})
-		if !grew {
-			return
-		}
-	}
-}
-
-func (s *secretflowPass) bind(lhs, rhs ast.Expr) bool {
-	if !s.taintedExpr(rhs) {
-		return false
-	}
-	return s.markIdent(lhs)
-}
-
-func (s *secretflowPass) markIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return false
-	}
-	obj := s.p.Info.ObjectOf(id)
-	if obj == nil || s.tainted[obj] {
-		return false
-	}
-	s.tainted[obj] = true
-	return true
-}
-
-// taintedExpr reports whether e carries secret material.
-func (s *secretflowPass) taintedExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if e == nil {
-		return false
-	}
-	if secretType(s.p.Info.TypeOf(e)) {
-		return true
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		if obj := s.p.Info.ObjectOf(e); obj != nil {
-			if s.tainted[obj] {
-				return true
-			}
-			if s.seedScoped {
-				if v, ok := obj.(*types.Var); ok && seedName(e.Name) && isIntegerVar(v) {
-					return true
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		return s.taintedExpr(e.X)
-	case *ast.IndexExpr:
-		return s.taintedExpr(e.X)
-	case *ast.SliceExpr:
-		return s.taintedExpr(e.X)
-	case *ast.StarExpr:
-		return s.taintedExpr(e.X)
-	case *ast.UnaryExpr:
-		return s.taintedExpr(e.X)
-	case *ast.BinaryExpr:
-		// Seed mixing (seed ^ salt) stays tainted on either side.
-		return s.taintedExpr(e.X) || s.taintedExpr(e.Y)
-	case *ast.TypeAssertExpr:
-		return s.taintedExpr(e.X)
-	case *ast.CompositeLit:
-		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			if s.taintedExpr(elt) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		// Conversions propagate ([]byte(raw)); ordinary calls cut the
-		// flow — a function's result is a fresh value (decryption
-		// outputs are public by design).
-		if tv, ok := s.p.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return s.taintedExpr(e.Args[0])
-		}
-	}
-	return false
 }
 
 // secretType reports whether t is (or wraps, through pointers, slices,
@@ -247,98 +138,33 @@ func isIntegerVar(v *types.Var) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-// checkSinks walks every call in the function and reports tainted
-// values reaching a sink.
-func (s *secretflowPass) checkSinks(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		s.checkSinkCall(call)
-		return true
-	})
-}
-
-func (s *secretflowPass) checkSinkCall(call *ast.CallExpr) {
-	fn := calleeFunc(s.p.Info, call)
+// secretSink names the operands of call that leave the process, if it is
+// one of the ways bytes do.
+func secretSink(p *Pass, call *ast.CallExpr) ([]ast.Expr, string) {
+	fn := calleeFunc(p.Info, call)
 	if fn == nil {
-		return
+		return nil, ""
 	}
-	pkgPath := ""
 	if fn.Pkg() != nil {
-		pkgPath = fn.Pkg().Path()
+		switch pkgPath := fn.Pkg().Path(); pkgPath {
+		case "fmt", "log", "log/slog",
+			"encoding/json", "encoding/gob", "encoding/binary", "encoding/base64", "encoding/hex":
+			// Every formatting/printing argument is a sink; %p-style
+			// laundering is still a leak of pointer identity, so no verb
+			// analysis — any tainted argument reports.
+			return call.Args, pkgPath + "." + fn.Name()
+		}
 	}
 	sig, _ := fn.Type().(*types.Signature)
-
-	switch pkgPath {
-	case "fmt", "log", "log/slog":
-		// Every formatting/printing argument is a sink; %p-style
-		// laundering is still a leak of pointer identity, so no verb
-		// analysis — any tainted argument reports.
-		for _, arg := range call.Args {
-			s.reportIfTainted(call, arg, pkgPath+"."+fn.Name())
-		}
-		return
-	case "encoding/json", "encoding/gob", "encoding/binary", "encoding/base64", "encoding/hex":
-		for _, arg := range call.Args {
-			s.reportIfTainted(call, arg, pkgPath+"."+fn.Name())
-		}
-		return
+	selExpr, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if sig == nil || sig.Recv() == nil || !ok {
+		return nil, ""
 	}
-
-	if sig != nil && sig.Recv() != nil {
-		selExpr, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		// sk.MarshalBinary() and friends serialize their receiver.
-		if marshalSinkMethods[fn.Name()] && s.taintedExpr(selExpr.X) {
-			s.report(call, types.ExprString(selExpr.X), fn.Name())
-			return
-		}
-		// enc.Encode(sk) on a gob/json encoder.
-		if fn.Name() == "Encode" && namedTypeName(sig.Recv().Type()) == "Encoder" {
-			for _, arg := range call.Args {
-				s.reportIfTainted(call, arg, "Encoder.Encode")
-			}
-			return
-		}
-		// w.Write(raw) / io.WriteString-style writes on a network
-		// response writer.
-		if (fn.Name() == "Write" || fn.Name() == "WriteString") && namedTypeName(sig.Recv().Type()) == "ResponseWriter" {
-			for _, arg := range call.Args {
-				s.reportIfTainted(call, arg, "ResponseWriter."+fn.Name())
-			}
-			return
-		}
-		// Telemetry attributes land in trace snapshots served at
-		// /v1/traces, and metric label values render at /metrics — both
-		// inspectable over the network.
-		recv := namedTypeName(sig.Recv().Type())
-		spanSink := (fn.Name() == "SetAttr" && recv == "Span") ||
-			(fn.Name() == "AddSpan" && recv == "Trace")
-		labelSink := (fn.Name() == "With" || fn.Name() == "Find") &&
-			(recv == "CounterVec" || recv == "HistogramVec")
-		if spanSink || labelSink {
-			for _, arg := range call.Args {
-				s.reportIfTainted(call, arg, recv+"."+fn.Name())
-			}
-			return
-		}
+	if marshalSinkMethods[fn.Name()] {
+		return []ast.Expr{selExpr.X}, fn.Name()
 	}
-}
-
-func (s *secretflowPass) reportIfTainted(call *ast.CallExpr, arg ast.Expr, sink string) {
-	if s.taintedExpr(arg) {
-		s.report(call, types.ExprString(arg), sink)
+	if sink := namedTypeName(sig.Recv().Type()) + "." + fn.Name(); argSinkMethods[sink] {
+		return call.Args, sink
 	}
-}
-
-func (s *secretflowPass) report(call *ast.CallExpr, what, sink string) {
-	if s.okLines[s.p.Fset.Position(call.Pos()).Line] {
-		return
-	}
-	s.p.Reportf(call.Pos(), "secret material %s reaches sink %s; key material must never leave the process (audit with %ssecret-sink-ok if intended)",
-		what, sink, directivePrefix)
+	return nil, ""
 }

@@ -8,11 +8,11 @@ import (
 )
 
 func TestSecretflow(t *testing.T) {
-	linttest.Run(t, lint.Secretflow, "secretflow")
+	linttest.Run(t, "secretflow", lint.Secretflow)
 }
 
 // TestSecretflowSeeds runs the fixture whose directory name places it
 // in the crypto-package scope, where seed-named integers are tainted.
 func TestSecretflowSeeds(t *testing.T) {
-	linttest.Run(t, lint.Secretflow, "ckks")
+	linttest.Run(t, "ckks", lint.Secretflow)
 }

@@ -155,3 +155,42 @@ func plainSumLeak(ev *Evaluator, p *Poly) error {
 	sum.Release()
 	return err
 }
+
+func bad(p *Poly) bool { return p.level < 0 }
+
+// A break or continue leaves the iteration with the poly still owed:
+// the path is handed to the enclosing loop, not dropped.
+func loopBreakLeak(r *Ring, n int) {
+	for i := 0; i < n; i++ {
+		p := r.GetPoly(i) // want "acquired in a loop body but not released"
+		if bad(p) {
+			break
+		}
+		r.PutPoly(p)
+	}
+}
+
+func loopContinueLeak(r *Ring, n int) {
+	for i := 0; i < n; i++ {
+		p := r.GetPoly(i) // want "acquired in a loop body but not released"
+		if bad(p) {
+			continue
+		}
+		r.PutPoly(p)
+	}
+}
+
+// A break inside a switch leaves the switch, not the loop: the release
+// below it still runs.
+func loopSwitchBreak(r *Ring, n int) {
+	for i := 0; i < n; i++ {
+		p := r.GetPoly(i)
+		switch {
+		case bad(p):
+			break
+		default:
+			use(p)
+		}
+		r.PutPoly(p)
+	}
+}

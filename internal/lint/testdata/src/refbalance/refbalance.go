@@ -78,3 +78,14 @@ func transferLeak(d *Deployed, fail bool) error {
 	ref.Release()
 	return nil
 }
+
+// loopBreakLeak leaves the loop with the iteration's reference held.
+func loopBreakLeak(ds []*Deployed) {
+	for _, d := range ds {
+		d.Retain() // want "acquired in a loop body but not released"
+		if d.refs > 8 {
+			break
+		}
+		d.Release()
+	}
+}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestWiremagic(t *testing.T) {
-	linttest.Run(t, lint.Wiremagic, "wiremagic")
+	linttest.Run(t, "wiremagic", lint.Wiremagic)
 }

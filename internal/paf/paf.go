@@ -98,7 +98,7 @@ func (c *Composite) Eval(x float64) float64 {
 
 // Degree returns the sum of stage degrees. Note: the paper's Table 2 labels
 // f1²∘g1² as "14-degree" while its four cubic stages sum to 12; we report
-// the sum and keep the paper's label in Label (see DESIGN.md).
+// the sum and keep the paper's label in Label.
 func (c *Composite) Degree() int {
 	total := 0
 	for _, s := range c.Stages {

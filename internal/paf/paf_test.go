@@ -74,9 +74,9 @@ func TestTable2Depths(t *testing.T) {
 	}
 }
 
-// TestTable2Degrees pins the degree bookkeeping (sum of stage degrees; see
-// DESIGN.md for the two rows where the paper's labels are internally
-// inconsistent).
+// TestTable2Degrees pins the degree bookkeeping (sum of stage degrees; the
+// two rows where the paper's labels are internally inconsistent are marked
+// below).
 func TestTable2Degrees(t *testing.T) {
 	want := map[string]int{
 		FormAlpha10:  27,
