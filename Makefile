@@ -10,10 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus hennlint, the repo's own invariant
-# analyzers (pool acquire/release pairing, registry refcount balance,
-# math/rand scoping, constant-time secret comparison, wire-decoder
-# framing). See internal/lint and `go run ./cmd/hennlint -list`.
+# Static analysis: go vet plus hennlint, the repo's seven invariant
+# analyzers (polypool, refbalance, cryptorand, ctcompare, wiremagic,
+# levelbudget, errsink). See internal/lint and
+# `go run ./cmd/hennlint -list`.
 lint: vet
 	$(GO) run ./cmd/hennlint ./...
 

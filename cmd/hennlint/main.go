@@ -7,19 +7,12 @@
 //	hennlint [packages...]           # defaults to ./...
 //	hennlint -list                   # print the analyzer suite and exit
 //	hennlint -json [packages...]     # machine-readable findings on stdout
-//	hennlint -lockgraph [packages..] # emit the lock-order graph as DOT
 //
 // With -json, findings are emitted as a JSON array of objects with the
 // fields file, line, col, analyzer and message (an empty tree prints
 // "[]"). The exit status is unchanged: 1 when there are findings, 2 on
 // load or analysis errors, 0 otherwise — so CI can both gate on the
 // status and archive the structured report.
-//
-// With -lockgraph, no analyzers run: the lockorder engine's global
-// acquires-while-holding graph (including pinned orders, drawn dashed)
-// is printed as Graphviz DOT and the exit status is 0. CI archives this
-// next to the JSON report so the canonical lock order is reviewable per
-// commit.
 //
 // -timing prints each analyzer's wall time to stderr after the run.
 package main
@@ -46,10 +39,9 @@ type finding struct {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	lockgraph := flag.Bool("lockgraph", false, "emit the lock-order graph as Graphviz DOT and exit")
 	timing := flag.Bool("timing", false, "print per-analyzer wall time to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hennlint [-list] [-json] [-lockgraph] [-timing] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: hennlint [-list] [-json] [-timing] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -71,16 +63,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *lockgraph {
-		fmt.Print(lint.LockGraphDOT(pkgs))
-		return
-	}
-
 	var diags []lint.Diagnostic
 	if *timing {
-		// One analyzer per Run call so each gets its own clock. The
-		// whole-program analyzers each rebuild the shared call graph
-		// here, so their times are upper bounds on the combined run.
+		// One analyzer per Run call so each gets its own clock.
 		for _, a := range lint.All() {
 			start := time.Now()
 			ds, err := lint.Run(pkgs, []*lint.Analyzer{a})

@@ -9,7 +9,9 @@ import (
 
 // TestPlainSumMatchesMulPlainAdd: the lazily reduced sum returns exactly the
 // residues of MulPlain + Add per term — for one term, for a block, and past
-// ring.MaxAcc128Terms, where the accumulator folds mid-sum.
+// ring.MaxAcc128Terms, where the accumulator folds mid-sum. MulPlainThenAdd,
+// Sum and Release read their terms and nothing else: every ciphertext and
+// plaintext is byte-identical afterwards.
 func TestPlainSumMatchesMulPlainAdd(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rng := rand.New(rand.NewSource(61))
@@ -18,6 +20,8 @@ func TestPlainSumMatchesMulPlainAdd(t *testing.T) {
 
 	cts := make([]*Ciphertext, terms)
 	pts := make([]*Plaintext, terms)
+	cts0 := make([]*Ciphertext, terms)
+	pts0 := make([]*ring.Poly, terms)
 	for i := range cts {
 		pt, err := tc.enc.Encode(randomComplex(rng, tc.params.Slots(), 1), tc.params.MaxLevel(), tc.params.DefaultScale())
 		if err != nil {
@@ -27,10 +31,10 @@ func TestPlainSumMatchesMulPlainAdd(t *testing.T) {
 		if pts[i], err = tc.enc.Encode(randomComplex(rng, tc.params.Slots(), 1), level, tc.params.DefaultScale()); err != nil {
 			t.Fatal(err)
 		}
+		cts0[i], pts0[i] = cts[i].CopyNew(), pts[i].Value.CopyNew()
 	}
 
 	sum := tc.eval.NewPlainSum(level)
-	defer sum.Release()
 	var want *Ciphertext
 	for i := range cts {
 		term := tc.eval.MulPlain(cts[i], pts[i])
@@ -65,6 +69,12 @@ func TestPlainSumMatchesMulPlainAdd(t *testing.T) {
 		tc.eval.Recycle(got)
 		prefix.Release() // empty after Sum: a no-op
 	}
+	sum.Release()
+	for i := range cts {
+		if !ctEqual(cts[i], cts0[i]) || !pts[i].Value.Equal(pts0[i]) {
+			t.Fatalf("term %d: the sum modified an operand", i)
+		}
+	}
 }
 
 func TestPlainSumRejectsBadTerms(t *testing.T) {
@@ -98,6 +108,9 @@ func TestPlainSumRejectsBadTerms(t *testing.T) {
 	}
 }
 
+// TestAddInPlaceMatchesAdd: AddInPlace writes its accumulator and nothing
+// else — the addend is byte-identical afterwards — and Recycle nils only the
+// ciphertext it is handed.
 func TestAddInPlaceMatchesAdd(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rng := rand.New(rand.NewSource(62))
@@ -109,6 +122,7 @@ func TestAddInPlaceMatchesAdd(t *testing.T) {
 		return tc.encr.Encrypt(pt)
 	}
 	a, b := fresh(), fresh()
+	b0 := b.CopyNew()
 	want, err := tc.eval.Add(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +132,17 @@ func TestAddInPlaceMatchesAdd(t *testing.T) {
 	}
 	if !a.C0.Equal(want.C0) || !a.C1.Equal(want.C1) {
 		t.Fatal("AddInPlace differs from Add")
+	}
+	if !ctEqual(b, b0) {
+		t.Fatal("AddInPlace modified its addend")
+	}
+	a0 := a.CopyNew()
+	tc.eval.Recycle(want)
+	if want.C0 != nil || want.C1 != nil {
+		t.Fatal("Recycle left its ciphertext's polys in place")
+	}
+	if !ctEqual(a, a0) || !ctEqual(b, b0) {
+		t.Fatal("Recycle touched a ciphertext it was not handed")
 	}
 	b.Scale *= 2
 	if err := tc.eval.AddInPlace(a, b); err == nil {

@@ -1,6 +1,10 @@
 package ckks
 
 import (
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -429,5 +433,26 @@ func TestRescaleAtLevelZeroFails(t *testing.T) {
 	ct := tc.encr.Encrypt(pt)
 	if _, err := tc.eval.Rescale(ct); err == nil {
 		t.Fatal("expected rescale failure at level 0")
+	}
+}
+
+// TestSecretMaterialRedacted: the secret key and its generator print
+// redacted under every verb — no coefficient, no seed, not even a digit —
+// and the reflection-based encoders refuse the key, bare or inside another
+// value.
+func TestSecretMaterialRedacted(t *testing.T) {
+	tc := newTestContext(t, testLit)
+	sk, kg := tc.sk, tc.kg
+	out := fmt.Sprintf("%v %+v %#v %v %+v %#v %v", sk, *sk, sk, kg, *kg, kg, []*SecretKey{sk})
+	if strings.ContainsAny(out, "0123456789") {
+		t.Fatalf("secret material printed: %s", out)
+	}
+	for _, v := range []any{sk, *sk, struct{ Key *SecretKey }{sk}} {
+		if b, err := json.Marshal(v); err == nil {
+			t.Errorf("json.Marshal(%T) = %d bytes, want an error", v, len(b))
+		}
+		if err := gob.NewEncoder(io.Discard).Encode(v); err == nil {
+			t.Errorf("gob encoded a %T", v)
+		}
 	}
 }

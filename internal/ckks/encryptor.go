@@ -16,7 +16,7 @@ type Encryptor struct {
 	pk     *PublicKey
 
 	mu      sync.Mutex
-	sampler *ring.Sampler //hennlint:guarded-by(mu)
+	sampler *ring.Sampler // guarded by mu
 }
 
 // NewEncryptor returns a deterministic (seeded) encryptor.

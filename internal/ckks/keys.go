@@ -1,6 +1,9 @@
 package ckks
 
 import (
+	"errors"
+	"fmt"
+
 	"github.com/efficientfhe/smartpaf/internal/ring"
 )
 
@@ -32,6 +35,18 @@ type SecretKey struct {
 	P *ring.Poly // limbs p_0..p_{α-1}
 }
 
+var errSecretEncode = errors.New("ckks: secret key material is never encoded")
+
+// Format redacts the key under every verb, %#v included: fmt, log and
+// error wrapping never print a coefficient.
+func (SecretKey) Format(f fmt.State, _ rune) { fmt.Fprint(f, "ckks.SecretKey{REDACTED}") }
+
+// MarshalJSON refuses: the secret key never leaves the process.
+func (SecretKey) MarshalJSON() ([]byte, error) { return nil, errSecretEncode }
+
+// GobEncode refuses, like MarshalJSON.
+func (SecretKey) GobEncode() ([]byte, error) { return nil, errSecretEncode }
+
 // PublicKey is a standard RLWE encryption key (b, a) with b = -a·s + e.
 type PublicKey struct {
 	B, A *ring.Poly // NTT domain, limbs q_0..q_L
@@ -61,6 +76,9 @@ type KeyGenerator struct {
 	samplerP *ring.Sampler
 	seed     int64
 }
+
+// Format redacts the generator's seed and sampler state under every verb.
+func (KeyGenerator) Format(f fmt.State, _ rune) { fmt.Fprint(f, "ckks.KeyGenerator{REDACTED}") }
 
 // NewKeyGenerator returns a generator seeded deterministically.
 func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {

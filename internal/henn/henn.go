@@ -33,7 +33,7 @@ type Linear struct {
 	plan atomic.Pointer[linearPlan]
 
 	ptMu sync.RWMutex
-	pts  map[ptKey]*ckks.Plaintext //hennlint:guarded-by(ptMu)
+	pts  map[ptKey]*ckks.Plaintext // guarded by ptMu
 }
 
 // planFor returns the cached plan for the slot count, compiling it on first

@@ -3,6 +3,7 @@ package henn
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
@@ -45,11 +46,11 @@ func TestUnitTraceStages(t *testing.T) {
 	ct := encryptor.Encrypt(pt)
 
 	tr := telemetry.NewTrace("unit-test")
-	sp := tr.StartSpan("unit")
+	start := time.Now()
 	if _, err := (Unit{Ctx: ctx, MLP: mlp, CT: ct, Trace: tr}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	sp.End()
+	tr.AddSpan("unit", start, time.Now())
 
 	snap := tr.Snapshot()
 	stages := map[string]telemetry.StageSnapshot{}

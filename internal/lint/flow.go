@@ -5,81 +5,48 @@ import (
 	"go/token"
 )
 
-// The statement walker shared by every flow-sensitive analyzer: the
-// pairing engine (polypool, refbalance, obsdiscipline's lifecycles),
-// lockguard and lockorder.
+// The statement walker under the pairing engine (pairing.go).
 //
 // It is a forward abstract interpretation over the AST of one function
 // body. The walker owns structured control flow — which statements run on
 // a copy of the state, which copies survive, where they join — and
-// nothing else: what the state is, how two states join and what a plain
-// statement or an expression does to one belong to the client. Every arm
-// of a branch runs on a clone of the incoming state; arms that terminate
-// (return, or branch away) drop out and the survivors merge. A switch or
-// select with no default also merges the incoming state, for the path
-// that matches no clause. An unlabeled break or continue carries its
-// state to the statement it leaves — the innermost loop, or for break the
-// innermost switch or select — where it joins the other ways out.
-// Labeled branches, goto and fallthrough end the path without following
-// it: no client reports on a state it never sees, so that is the
-// conservative direction for all of them.
-
-// flowLattice is what the walker needs of a client's abstract state.
-type flowLattice[S any] interface {
-	clone() S
-	// merge joins other into the receiver. The walker takes no position
-	// on what a join means: live ⊔ released = maybe for the pairing
-	// engine, must-held with maybe for lockguard, may-held union for
-	// lockorder.
-	merge(other S)
-}
-
-// flowClient is what an analyzer supplies around its state.
-type flowClient[S any] interface {
-	// leaf applies a statement with no control flow of its own (assign,
-	// declaration, expression, defer, go, send, inc/dec) to st in place
-	// and reports whether it ends the path (lockguard's panic).
-	leaf(s ast.Stmt, st S) (terminated bool)
-	// expr sees every expression the walker evaluates itself: conditions,
-	// switch tags, case lists, range operands, return values.
-	expr(e ast.Expr, st S)
-	// exit sees the state at each return statement and at the end of a
-	// body that falls off it (results nil).
-	exit(st S, pos token.Pos, results []ast.Expr)
-	// iterationEnd sees each state in which one iteration of a loop body
-	// ends — fall-through, continue or break — beside the state the loop
-	// was entered with.
-	iterationEnd(pre, end S, body *ast.BlockStmt)
-}
+// nothing else: what a plain statement or an expression does to the state,
+// and what is checked at a return or at the end of a loop iteration,
+// belong to the pairing analysis. Every arm of a branch runs on a clone of
+// the incoming state; arms that terminate (return, or branch away) drop
+// out and the survivors merge. A switch or select with no default also
+// merges the incoming state, for the path that matches no clause. An
+// unlabeled break or continue carries its state to the statement it
+// leaves — the innermost loop, or for break the innermost switch or
+// select — where it joins the other ways out. Labeled branches, goto and
+// fallthrough end the path without following it: nothing is reported on
+// a state the walker never sees, so that is the conservative direction.
 
 // flowWalk is one walk over one function body.
-type flowWalk[S flowLattice[S], C flowClient[S]] struct {
-	c C
+type flowWalk struct {
+	a *pairAnalysis
 	// outs are the enclosing statements an unlabeled break or continue
 	// can leave, innermost last.
-	outs []*flowOut[S]
+	outs []*flowOut
 }
 
 // flowOut collects the states that leave one loop, switch or select by
 // break (for a switch or select: also by running off a clause) and, for a
 // loop, by continue.
-type flowOut[S any] struct {
+type flowOut struct {
 	loop              bool
-	breaks, continues []S
+	breaks, continues []flowState
 }
 
-// flowBody walks body from st, which it may change in place, and returns
-// the state at the end of it.
-func flowBody[S flowLattice[S], C flowClient[S]](c C, body *ast.BlockStmt, st S) S {
-	w := &flowWalk[S, C]{c: c}
-	st, terminated := w.stmts(body.List, st)
-	if !terminated {
-		c.exit(st, body.End(), nil)
+// flowBody walks body from st, which it may change in place.
+func flowBody(a *pairAnalysis, body *ast.BlockStmt, st flowState) {
+	w := &flowWalk{a: a}
+	if st, terminated := w.stmts(body.List, st); !terminated {
+		a.exit(st, body.End(), nil)
 	}
-	return st
 }
 
-func (w *flowWalk[S, C]) stmts(list []ast.Stmt, st S) (S, bool) {
+func (w *flowWalk) stmts(list []ast.Stmt, st flowState) (flowState, bool) {
 	for _, s := range list {
 		var terminated bool
 		if st, terminated = w.stmt(s, st); terminated {
@@ -89,7 +56,7 @@ func (w *flowWalk[S, C]) stmts(list []ast.Stmt, st S) (S, bool) {
 	return st, false
 }
 
-func (w *flowWalk[S, C]) stmt(s ast.Stmt, st S) (S, bool) {
+func (w *flowWalk) stmt(s ast.Stmt, st flowState) (flowState, bool) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		return w.stmts(s.List, st)
@@ -99,9 +66,9 @@ func (w *flowWalk[S, C]) stmt(s ast.Stmt, st S) (S, bool) {
 
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			w.c.expr(r, st)
+			w.a.expr(r, st)
 		}
-		w.c.exit(st, s.Pos(), s.Results)
+		w.a.exit(st, s.Pos(), s.Results)
 		return st, true
 
 	case *ast.BranchStmt:
@@ -110,7 +77,7 @@ func (w *flowWalk[S, C]) stmt(s ast.Stmt, st S) (S, bool) {
 
 	case *ast.IfStmt:
 		w.simple(s.Init, st)
-		w.c.expr(s.Cond, st)
+		w.a.expr(s.Cond, st)
 		thenSt, thenTerm := w.stmt(s.Body, st.clone())
 		if s.Else == nil {
 			if !thenTerm {
@@ -131,20 +98,16 @@ func (w *flowWalk[S, C]) stmt(s ast.Stmt, st S) (S, bool) {
 
 	case *ast.ForStmt:
 		w.simple(s.Init, st)
-		if s.Cond != nil {
-			w.c.expr(s.Cond, st)
-		}
+		w.a.expr(s.Cond, st)
 		return w.loop(s.Body, s.Post, st), false
 
 	case *ast.RangeStmt:
-		w.c.expr(s.X, st)
+		w.a.expr(s.X, st)
 		return w.loop(s.Body, nil, st), false
 
 	case *ast.SwitchStmt:
 		w.simple(s.Init, st)
-		if s.Tag != nil {
-			w.c.expr(s.Tag, st)
-		}
+		w.a.expr(s.Tag, st)
 		return w.cases(s.Body, st), false
 
 	case *ast.TypeSwitchStmt:
@@ -154,21 +117,22 @@ func (w *flowWalk[S, C]) stmt(s ast.Stmt, st S) (S, bool) {
 	case *ast.SelectStmt:
 		return w.cases(s.Body, st), false
 	}
-	return st, w.c.leaf(s, st)
+	w.a.leaf(s, st)
+	return st, false
 }
 
 // simple applies an init, post or communication statement — the grammar
 // allows only leaves there — when there is one.
-func (w *flowWalk[S, C]) simple(s ast.Stmt, st S) {
+func (w *flowWalk) simple(s ast.Stmt, st flowState) {
 	if s != nil {
-		w.c.leaf(s, st)
+		w.a.leaf(s, st)
 	}
 }
 
 // branch hands the state at an unlabeled break or continue to the
 // statement it leaves: the innermost target for break, the innermost loop
 // for continue.
-func (w *flowWalk[S, C]) branch(s *ast.BranchStmt, st S) {
+func (w *flowWalk) branch(s *ast.BranchStmt, st flowState) {
 	if s.Label != nil || (s.Tok != token.BREAK && s.Tok != token.CONTINUE) {
 		return
 	}
@@ -187,7 +151,7 @@ func (w *flowWalk[S, C]) branch(s *ast.BranchStmt, st S) {
 
 // enter runs body's statements from st with out as the innermost
 // break/continue target.
-func (w *flowWalk[S, C]) enter(out *flowOut[S], body []ast.Stmt, st S) (S, bool) {
+func (w *flowWalk) enter(out *flowOut, body []ast.Stmt, st flowState) (flowState, bool) {
 	w.outs = append(w.outs, out)
 	st, terminated := w.stmts(body, st)
 	w.outs = w.outs[:len(w.outs)-1]
@@ -196,11 +160,11 @@ func (w *flowWalk[S, C]) enter(out *flowOut[S], body []ast.Stmt, st S) (S, bool)
 
 // loop runs one iteration of body on a clone of st. The iteration ends by
 // falling through or by continue (either way post runs next), or by
-// break; the client sees each of those states beside the loop's entry
+// break; iterationEnd sees each of those states beside the loop's entry
 // state, and all of them join it — st itself stays in the join for the
 // loop that runs zero times.
-func (w *flowWalk[S, C]) loop(body *ast.BlockStmt, post ast.Stmt, st S) S {
-	out := &flowOut[S]{loop: true}
+func (w *flowWalk) loop(body *ast.BlockStmt, post ast.Stmt, st flowState) flowState {
+	out := &flowOut{loop: true}
 	end, terminated := w.enter(out, body.List, st.clone())
 	ends := out.continues
 	if !terminated {
@@ -211,7 +175,7 @@ func (w *flowWalk[S, C]) loop(body *ast.BlockStmt, post ast.Stmt, st S) S {
 	}
 	ends = append(ends, out.breaks...)
 	for _, e := range ends {
-		w.c.iterationEnd(st, e, body)
+		w.a.iterationEnd(st, e, body)
 	}
 	for _, e := range ends {
 		st.merge(e)
@@ -225,8 +189,8 @@ func (w *flowWalk[S, C]) loop(body *ast.BlockStmt, post ast.Stmt, st S) S {
 // default clause exists. When every clause terminates the incoming state
 // passes through unchanged: without a default that is the path matching
 // no clause, with one the code below is unreachable either way.
-func (w *flowWalk[S, C]) cases(body *ast.BlockStmt, st S) S {
-	out := &flowOut[S]{}
+func (w *flowWalk) cases(body *ast.BlockStmt, st flowState) flowState {
+	out := &flowOut{}
 	hasDefault := false
 	for _, c := range body.List {
 		var comm ast.Stmt
@@ -235,7 +199,7 @@ func (w *flowWalk[S, C]) cases(body *ast.BlockStmt, st S) S {
 		case *ast.CaseClause:
 			hasDefault = hasDefault || c.List == nil
 			for _, e := range c.List {
-				w.c.expr(e, st)
+				w.a.expr(e, st)
 			}
 			stmts = c.Body
 		case *ast.CommClause:

@@ -10,13 +10,12 @@ import (
 )
 
 // TestGoldenDiagnostics pins every analyzer's full output — file, line,
-// column, analyzer, message text, order — on every fixture package, plus
-// the lock graph of the two lockorder-facing fixtures and of this
-// repository. The want markers only match a fragment of a message on a
-// line; these files also hold witness paths, acquire sites and wording,
-// so a refactor of the engines underneath the analyzers shows up here as
-// a line-by-line difference. To re-pin after an intended change, copy
-// the "got" block of the failing subtest into testdata/golden/<name>.
+// column, analyzer, message text, order — on every fixture package. The
+// want markers only match a fragment of a message on a line; these files
+// also hold acquire sites and wording, so a refactor of the engine
+// underneath the analyzers shows up here as a line-by-line difference.
+// To re-pin after an intended change, copy the "got" block of the failing
+// subtest into testdata/golden/<name>.
 func TestGoldenDiagnostics(t *testing.T) {
 	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
 	if err != nil {
@@ -36,15 +35,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			b.WriteString(d.String() + "\n")
 		}
 		compareGolden(t, e.Name()+".txt", b.String())
-		if e.Name() == "lockorder" || e.Name() == "flow" {
-			compareGolden(t, e.Name()+".dot", lint.LockGraphDOT([]*lint.Package{pkg}))
-		}
 	}
-	tree, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "tree.dot", lint.LockGraphDOT(tree))
 }
 
 func compareGolden(t *testing.T, name, got string) {

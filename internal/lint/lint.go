@@ -18,43 +18,21 @@
 //   - wiremagic: every UnmarshalBinary must lead with the internal/wire
 //     Reader's Magic check and finish with its Done (the Reader itself
 //     bounds every length in between).
-//   - lockguard: struct fields annotated `// guarded by mu` (or
-//     //hennlint:guarded-by(mu)) may only be read or written while that
-//     mutex is held, tracked flow-sensitively through Lock/Unlock/RLock/
-//     RUnlock and deferred unlocks; writes need the exclusive lock.
-//   - secretflow: secret material (ckks.SecretKey, key generators,
-//     samplers, crypto seeds) must never reach a serialization, logging
-//     or network sink, unless the sink is audited with
-//     //hennlint:secret-sink-ok.
 //   - levelbudget: no caller may size or gate with LevelsRequired() ± k
 //     arithmetic — the budget is exact by construction.
-//   - lockorder: whole-program deadlock detection — every
-//     acquires-while-holding pair (computed transitively over the shared
-//     call graph) feeds a global lock-order graph which must stay
-//     acyclic; //hennlint:lock-order(a<b) pins the canonical order and
-//     //hennlint:lock-order-ok audits a deliberate site away.
-//   - obsdiscipline: telemetry discipline — StageStart/StageEnd marks
-//     and trace spans must pair on every path, unbounded values
-//     (request paths, trace ids, user input) must not become metric
-//     label values, and functions annotated //hennlint:read-path
-//     (scrape/stats handlers) must never reach the series-creating
-//     With, only Find.
 //   - errsink: wire-decode errors must not be discarded — an ignored
 //     error from Reader.Done, an (Un)MarshalBinary-family method or an
 //     Encoder.Encode / Decoder.Decode is a finding unless audited with
 //     //hennlint:err-ok.
 //
-// Four engines sit under the eleven analyzers, each written once. The
-// flow walker (flow.go) interprets a function body statement by
-// statement over a client's state and join; the pairing engine
-// (pairing.go: polypool, refbalance, obsdiscipline's span and stage
-// lifecycles), lockguard and lockorder's held-set walk are its clients.
-// The taint pass (taint.go) follows local assignment chains from a
-// client's sources to its sinks: secretflow and obsdiscipline's label
-// check. The call graph (callgraph.go) carries the whole-program
-// summaries of lockorder and obsdiscipline's read-path check. The other
-// analyzers (cryptorand, ctcompare, wiremagic, levelbudget, errsink) are
-// single syntactic passes with no engine.
+// One engine sits under two of the seven analyzers: the pairing engine
+// (pairing.go) runs polypool's and refbalance's acquire/release specs
+// over the flow walker (flow.go), which interprets a function body
+// statement by statement. The other five are single syntactic passes.
+// Mutex discipline, lock order, secret sinks and metric-label bounds are
+// held outside this package: by `go test -race`, a registry test on the
+// one lock nesting, redacting methods on the secret types, and a series
+// cap in internal/telemetry.
 //
 // The suite runs as `make lint` (via cmd/hennlint) and is enforced in CI.
 // It is built directly on go/ast and go/types — the module vendors no
@@ -72,21 +50,16 @@ import (
 	"strings"
 )
 
-// Analyzer is one named invariant check. Run sees one package at a time;
-// RunProgram (either may be nil, at least one must be set) sees every
-// analyzed package at once through the shared call-graph engine
-// (callgraph.go) — the whole-program analyzers (lockorder,
-// obsdiscipline's read-path check) live there.
+// Analyzer is one named invariant check; Run sees one package at a time.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Pass) error
-	RunProgram func(*ProgramPass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // All returns the full hennlint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Polypool, Refbalance, Cryptorand, Ctcompare, Wiremagic, Lockguard, Secretflow, Levelbudget, Lockorder, Obsdiscipline, Errsink}
+	return []*Analyzer{Polypool, Refbalance, Cryptorand, Ctcompare, Wiremagic, Levelbudget, Errsink}
 }
 
 // Pass carries one analyzer's view of one package.
@@ -121,36 +94,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// ProgramPass carries one analyzer's whole-program view: every analyzed
-// package plus the shared call graph.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	report func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Run applies the analyzers to every package and returns the combined
-// diagnostics sorted by position. Per-package Run hooks see each package
-// in turn; RunProgram hooks run once over the shared call graph of the
-// whole package set.
+// diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer: a,
 				Path:     pkg.Path,
@@ -163,19 +113,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			prog = NewProgram(pkgs)
-		}
-		pp := &ProgramPass{Analyzer: a, Prog: prog, report: report}
-		if err := a.RunProgram(pp); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -222,26 +159,6 @@ func hasDirective(cg *ast.CommentGroup, name string) bool {
 func isDirective(text, name string) bool {
 	rest, ok := strings.CutPrefix(text, directivePrefix)
 	return ok && (rest == name || strings.HasPrefix(rest, name+" "))
-}
-
-// directiveArg extracts the parenthesized argument of an annotation of
-// the form //hennlint:name(arg), e.g. //hennlint:guarded-by(mu). It
-// returns ok=false when the comment group carries no such annotation.
-func directiveArg(cg *ast.CommentGroup, name string) (arg string, ok bool) {
-	if cg == nil {
-		return "", false
-	}
-	for _, c := range cg.List {
-		rest, found := strings.CutPrefix(c.Text, directivePrefix)
-		if !found || !strings.HasPrefix(rest, name+"(") {
-			continue
-		}
-		rest = rest[len(name)+1:]
-		if i := strings.IndexByte(rest, ')'); i >= 0 {
-			return strings.TrimSpace(rest[:i]), true
-		}
-	}
-	return "", false
 }
 
 // fileHasDirective reports whether any comment in the file carries the

@@ -33,18 +33,17 @@ type want struct {
 var wantQuoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 // Run loads testdata/src/<fixture> relative to the caller's directory,
-// applies the analyzers (one, except for a fixture several share), and
-// enforces the fixture's want markers. The fixture is type-checked under
-// the import path test/<fixture>, so its directory name is what
-// scope-sensitive analyzers (cryptorand) see.
-func Run(t *testing.T, fixture string, analyzers ...*lint.Analyzer) {
+// applies the analyzer, and enforces the fixture's want markers. The
+// fixture is type-checked under the import path test/<fixture>, so its
+// directory name is what scope-sensitive analyzers (cryptorand) see.
+func Run(t *testing.T, fixture string, a *lint.Analyzer) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
 	pkg, err := lint.LoadDir(dir, "test/"+fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, analyzers)
+	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analyzing %s: %v", fixture, err)
 	}

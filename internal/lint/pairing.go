@@ -6,11 +6,10 @@ import (
 	"go/types"
 )
 
-// The acquire/release pairing engine shared by polypool, refbalance and
-// obsdiscipline's span and stage lifecycles.
+// The acquire/release pairing engine shared by polypool and refbalance.
 //
-// It is a client of the statement walker (flow.go) over each function
-// body (declared functions and function literals are analyzed as
+// It runs the statement walker (flow.go) over each function body
+// (declared functions and function literals are analyzed as
 // independent scopes). A resource enters the tracked set when an acquire
 // call's result is bound to a local identifier; it leaves it when a
 // matching release call runs, when a matching release is deferred (defers
@@ -40,9 +39,6 @@ type pairSpec struct {
 	acquireRecv func(p *Pass, call *ast.CallExpr) (recv ast.Expr, what string, ok bool)
 	// release reports the expression whose resource call releases.
 	release func(p *Pass, call *ast.CallExpr) (released ast.Expr, ok bool)
-	// annotation names the hennlint directive that lets a function
-	// transfer an acquired resource to its caller via a return value.
-	annotation string
 	// resultType reports whether a value of type t is a resource under
 	// this spec. It scopes the shared transfers-ownership annotation: an
 	// annotated function only acts as an acquirer for the specs whose
@@ -51,6 +47,10 @@ type pairSpec struct {
 	// the results that are resources (not the trailing error).
 	resultType func(t types.Type) bool
 }
+
+// transfersOwnership is the directive that lets a function hand an
+// acquired resource to its caller via a return value.
+const transfersOwnership = "transfers-ownership"
 
 type resState int8
 
@@ -105,14 +105,14 @@ func runPairing(p *Pass, spec *pairSpec) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !hasDirective(fd.Doc, spec.annotation) {
+			if !ok || !hasDirective(fd.Doc, transfersOwnership) {
 				continue
 			}
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			if spec.resultType != nil && !returnsResource(fn, spec.resultType) {
+			if !returnsResource(fn, spec.resultType) {
 				continue
 			}
 			annotated[fn] = true
@@ -136,7 +136,7 @@ func runPairing(p *Pass, spec *pairSpec) {
 				a := &pairAnalysis{
 					pass: p, spec: spec, annotated: annotated,
 					fnPos: n.Pos(), fnEnd: n.End(),
-					transfers: hasDirective(doc, spec.annotation),
+					transfers: hasDirective(doc, transfersOwnership),
 				}
 				flowBody(a, body, flowState{})
 			}
@@ -168,8 +168,8 @@ func (a *pairAnalysis) isAcquire(call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// leaf applies one plain statement; none of them ends a path.
-func (a *pairAnalysis) leaf(s ast.Stmt, st flowState) bool {
+// leaf applies one statement with no control flow of its own.
+func (a *pairAnalysis) leaf(s ast.Stmt, st flowState) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		a.handleBind(s.Lhs, s.Rhs, s.Tok, st)
@@ -203,7 +203,6 @@ func (a *pairAnalysis) leaf(s ast.Stmt, st flowState) bool {
 		a.escapeIdents(s.Value, st)
 		a.expr(s.Chan, st)
 	}
-	return false
 }
 
 // iterationEnd reports resources acquired inside a loop body that are
@@ -248,7 +247,7 @@ func (a *pairAnalysis) exit(st flowState, pos token.Pos, results []ast.Expr) {
 				continue
 			}
 			a.pass.Reportf(pos, "%s %s escapes via return; release it before returning or annotate the function with %s%s",
-				r.what, r.name, directivePrefix, a.spec.annotation)
+				r.what, r.name, directivePrefix, transfersOwnership)
 			r.state = stReleased
 			continue
 		}
@@ -318,13 +317,10 @@ func (a *pairAnalysis) bindAcquire(l ast.Expr, what string, pos token.Pos, tok t
 		// moves to that structure; the engine stops tracking.
 		return
 	}
-	if a.spec.resultType != nil {
-		// Only track the results that are resources (skip the error of a
-		// (resource, error) acquire).
-		obj := a.pass.Info.ObjectOf(id)
-		if obj == nil || !a.spec.resultType(obj.Type()) {
-			return
-		}
+	// Only track the results that are resources (skip the error of a
+	// (resource, error) acquire).
+	if obj := a.pass.Info.ObjectOf(id); obj == nil || !a.spec.resultType(obj.Type()) {
+		return
 	}
 	if tok == token.ASSIGN {
 		// Plain `=` to a variable declared outside this function (a
@@ -425,12 +421,7 @@ func (a *pairAnalysis) expr(e ast.Expr, st flowState) {
 			a.scanClosure(n, st)
 			return false
 		case *ast.CompositeLit:
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				a.escapeIdents(elt, st)
-			}
+			a.escapeIdents(n, st)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				a.escapeIdents(n.X, st)

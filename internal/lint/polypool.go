@@ -39,7 +39,6 @@ var polypoolAcquires = []struct {
 
 func runPolypool(p *Pass) error {
 	spec := &pairSpec{
-		annotation: "transfers-ownership",
 		resultType: isPoolResource,
 		acquire: func(p *Pass, call *ast.CallExpr) (string, bool) {
 			for _, m := range polypoolAcquires {

@@ -27,7 +27,6 @@ var Refbalance = &Analyzer{
 
 func runRefbalance(p *Pass) error {
 	spec := &pairSpec{
-		annotation: "transfers-ownership",
 		resultType: func(t types.Type) bool { return namedTypeName(t) == "Deployed" },
 		acquireRecv: func(p *Pass, call *ast.CallExpr) (ast.Expr, string, bool) {
 			recv, ok := methodCall(p.Info, call, "Deployed", "Retain")

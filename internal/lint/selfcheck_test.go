@@ -8,9 +8,9 @@ import (
 
 // TestSelfCheck pins `hennlint ./...` green on the repository itself: the
 // full analyzer suite runs over the whole module and must report nothing.
-// It is the programmatic twin of the CI `make lint` gate — a regressed
-// guard annotation, secret taint path or level budget fails the ordinary
-// test run immediately instead of waiting for the lint job.
+// It is the programmatic twin of the CI `make lint` gate — a leaked pool
+// buffer, a dropped wire-decode error or a level-budget margin fails the
+// ordinary test run immediately instead of waiting for the lint job.
 func TestSelfCheck(t *testing.T) {
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {

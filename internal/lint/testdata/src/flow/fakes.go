@@ -1,9 +1,8 @@
-// Package flow is the fixture for the statement walker every
-// flow-sensitive analyzer shares (internal/lint/flow.go): one function
-// per control-flow construct, each written so that a dropped arm or a
-// wrong join changes a diagnostic. pool.go drives polypool and
-// lockguard through want markers; order.go drives lockorder, whose
-// per-function lock classes the test reads off the lock graph.
+// Package flow is the fixture for the statement walker under the pairing
+// engine (internal/lint/flow.go): one function per control-flow
+// construct, each written so that a dropped arm or a wrong join changes
+// a polypool diagnostic. The mutex calls in pool.go are inert; they stay
+// so that every line, and so every golden position, is unchanged.
 package flow
 
 import "sync"
@@ -17,7 +16,7 @@ func (r *Ring) PutPoly(p *Poly)         {}
 
 type box struct {
 	mu sync.Mutex
-	//hennlint:guarded-by(mu)
+	// guarded by mu
 	n     int
 	items []int // guarded by mu
 	ch    chan int

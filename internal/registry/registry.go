@@ -87,9 +87,9 @@ type Deployed struct {
 	unitsRun atomic.Int64
 
 	mu    sync.Mutex
-	refs  int  //hennlint:guarded-by(mu)
-	state int  //hennlint:guarded-by(mu)
-	freed bool //hennlint:guarded-by(mu)
+	refs  int  // guarded by mu
+	state int  // guarded by mu
+	freed bool // guarded by mu
 	// drained is closed when the stack stops serving (drain or retire) and
 	// the last reference is released.
 	drained chan struct{}
@@ -180,8 +180,7 @@ func (d *Deployed) Release() {
 }
 
 // claimFreeLocked reports (once) that the stack should be freed now.
-//
-//hennlint:holds(mu)
+// Callers hold d.mu.
 func (d *Deployed) claimFreeLocked() bool {
 	if d.state != stateLive && d.refs == 0 && !d.freed {
 		d.freed = true
@@ -247,22 +246,21 @@ func (d *Deployed) Drained() <-chan struct{} { return d.drained }
 // survives full retirement so version numbers are never reused — a draining
 // alpha@1 can never collide with a fresh deploy of "alpha".
 type family struct {
-	//hennlint:guarded-by(Registry.mu)
-	next     int
-	versions map[int]*Deployed //hennlint:guarded-by(Registry.mu)
+	next     int               // guarded by Registry.mu
+	versions map[int]*Deployed // guarded by Registry.mu
 }
 
 // Registry is the concurrency-safe versioned model catalog. An optional
 // Store (UseStore) persists every deployed bundle so a restart reloads the
 // catalog.
 type Registry struct {
-	// The catalog lock nests outside the per-stack lock: list/resolve
-	// paths hold mu while querying a Deployed's drain state, and
-	// Deployed.free deliberately releases d.mu before delisting.
-	//hennlint:lock-order(Registry.mu < Deployed.mu)
+	// Registry.mu nests outside Deployed.mu: list/resolve paths hold mu
+	// while querying a Deployed's drain state (liveLocked), and
+	// Deployed.free runs only after d.mu is released, because delisting
+	// takes mu (TestDelistRunsOutsideStackLock).
 	mu       sync.RWMutex
-	families map[string]*family //hennlint:guarded-by(mu)
-	store    *Store             //hennlint:guarded-by(mu)
+	families map[string]*family // guarded by mu
+	store    *Store             // guarded by mu
 }
 
 // New returns an empty registry.
@@ -353,8 +351,7 @@ func compile(m *Model) (*Deployed, error) {
 
 // publishLocked inserts d into its family at the given version (0 assigns
 // the next number) and keeps the counter monotonic past restored versions.
-//
-//hennlint:holds(mu)
+// Callers hold r.mu.
 func (r *Registry) publishLocked(d *Deployed, version int) {
 	name := d.model.Name
 	f := r.families[name]
@@ -384,8 +381,7 @@ func (r *Registry) delistVersion(name string, version int) {
 }
 
 // liveLocked returns the family's newest live version, nil if none.
-//
-//hennlint:holds(Registry.mu)
+// Callers hold Registry.mu.
 func (f *family) liveLocked() *Deployed {
 	var best *Deployed
 	for _, d := range f.versions {

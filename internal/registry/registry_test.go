@@ -174,6 +174,60 @@ func TestRetainAfterFreeIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestDelistRunsOutsideStackLock pins the tree's one lock nesting,
+// Registry.mu outside Deployed.mu (liveLocked reads a stack's state under
+// the catalog lock). Delisting a freed stack takes Registry.mu, so it must
+// run with the stack's own lock released, or the two orders form a cycle.
+// Each way a stack frees — its last Release, a Retire, a Supersede — is
+// checked with TryLock at the moment the delist runs.
+func TestDelistRunsOutsideStackLock(t *testing.T) {
+	r := New()
+	watch := func(d *Deployed) *int {
+		calls := new(int)
+		delist := d.delist
+		d.delist = func() {
+			*calls++
+			if !d.mu.TryLock() {
+				t.Errorf("%s delisted while its stack lock is held", d.Ref())
+			} else {
+				d.mu.Unlock()
+			}
+			delist()
+		}
+		return calls
+	}
+	deploy := func(name string) *Deployed {
+		d, err := r.Deploy(testModel(t, name, 13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	released := deploy("released")
+	if err := released.Bind(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Retire("released"); err != nil {
+		t.Fatal(err)
+	}
+	releasedCalls := watch(released)
+	released.Release()
+	retired := deploy("retired")
+	retiredCalls := watch(retired)
+	if _, err := r.Retire("retired"); err != nil {
+		t.Fatal(err)
+	}
+	superseded := deploy("superseded")
+	supersededCalls := watch(superseded)
+	if _, _, err := r.Supersede(testModel(t, "superseded", 14)); err != nil {
+		t.Fatal(err)
+	}
+	if *releasedCalls != 1 || *retiredCalls != 1 || *supersededCalls != 1 {
+		t.Fatalf("delists on last Release, Retire, Supersede: %d, %d, %d; want one each", *releasedCalls, *retiredCalls, *supersededCalls)
+	}
+}
+
 // TestRetireIdleFreesImmediately: retiring a model nothing is bound to
 // drains on the spot.
 func TestRetireIdleFreesImmediately(t *testing.T) {

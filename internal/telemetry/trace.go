@@ -26,9 +26,9 @@ type Trace struct {
 	start time.Time
 
 	mu      sync.Mutex
-	spans   []SpanData           //hennlint:guarded-by(mu)
-	stages  map[string]*stageAgg //hennlint:guarded-by(mu)
-	dropped int                  //hennlint:guarded-by(mu)
+	spans   []SpanData           // guarded by mu
+	stages  map[string]*stageAgg // guarded by mu
+	dropped int                  // guarded by mu
 }
 
 // SpanData is one completed span.
@@ -68,9 +68,10 @@ func (tr *Trace) ID() string {
 	return tr.id
 }
 
-// AddSpan records a completed span from externally measured endpoints —
-// the scheduler path uses this because span start (enqueue) and end
-// (claim) happen on different goroutines.
+// AddSpan records a completed span from measured endpoints, which may
+// come from different goroutines (a queue-wait span starts at enqueue
+// and ends at the dispatcher's claim). Attribute values end up in trace
+// JSON served over HTTP — never pass secret material.
 func (tr *Trace) AddSpan(name string, start, end time.Time, attrs ...[2]string) {
 	if tr == nil {
 		return
@@ -82,49 +83,6 @@ func (tr *Trace) AddSpan(name string, start, end time.Time, attrs ...[2]string) 
 		return
 	}
 	tr.spans = append(tr.spans, SpanData{Name: name, Start: start, End: end, Attrs: attrs})
-}
-
-// Span is an in-progress interval on a trace. A nil Span (from a nil or
-// absent trace) no-ops on every method.
-type Span struct {
-	tr    *Trace
-	name  string
-	start time.Time
-
-	mu    sync.Mutex
-	attrs [][2]string //hennlint:guarded-by(mu)
-}
-
-// StartSpan opens a span; close it with End.
-func (tr *Trace) StartSpan(name string) *Span {
-	if tr == nil {
-		return nil
-	}
-	return &Span{tr: tr, name: name, start: time.Now()}
-}
-
-// SetAttr attaches a key/value pair to the span. Attribute values end up
-// in trace JSON served over HTTP — never pass secret material (hennlint's
-// secretflow analyzer enforces this).
-func (sp *Span) SetAttr(k, v string) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	sp.attrs = append(sp.attrs, [2]string{k, v})
-	sp.mu.Unlock()
-}
-
-// End closes the span and records it on its trace.
-func (sp *Span) End() {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	attrs := sp.attrs
-	sp.attrs = nil
-	sp.mu.Unlock()
-	sp.tr.AddSpan(sp.name, sp.start, time.Now(), attrs...)
 }
 
 // StageStart returns a start mark for StageEnd, or the zero Time when the
@@ -230,19 +188,13 @@ func FromContext(ctx context.Context) *Trace {
 	return tr
 }
 
-// StartSpan opens a span on the context's trace; the returned Span is nil
-// (and End/SetAttr no-op) when the context carries no trace.
-func StartSpan(ctx context.Context, name string) *Span {
-	return FromContext(ctx).StartSpan(name)
-}
-
 // TraceRing is a bounded ring of recent traces, queryable by ID — the
 // backing store for GET /v1/traces. Old traces are overwritten in FIFO
 // order once the ring fills.
 type TraceRing struct {
 	mu   sync.Mutex
-	buf  []*Trace //hennlint:guarded-by(mu)
-	next int      //hennlint:guarded-by(mu)
+	buf  []*Trace // guarded by mu
+	next int      // guarded by mu
 }
 
 // NewTraceRing returns a ring holding up to n traces (n < 1 becomes 1).

@@ -15,9 +15,6 @@ func TestTraceNilSafe(t *testing.T) {
 	if tr.ID() != "" {
 		t.Fatal("nil trace must have empty ID")
 	}
-	sp := tr.StartSpan("x")
-	sp.SetAttr("k", "v")
-	sp.End()
 	tr.AddSpan("y", time.Now(), time.Now())
 	if mark := tr.StageStart(); !mark.IsZero() {
 		t.Fatal("nil StageStart must return the zero Time")
@@ -26,7 +23,6 @@ func TestTraceNilSafe(t *testing.T) {
 	if snap := tr.Snapshot(); snap.ID != "" || len(snap.Spans) != 0 {
 		t.Fatal("nil snapshot must be empty")
 	}
-	StartSpan(context.Background(), "z").End() // no trace in context
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context must carry no trace")
 	}
@@ -36,10 +32,9 @@ func TestTraceNilSafe(t *testing.T) {
 // offsets; stage totals aggregate across repeated calls.
 func TestTraceSpansAndStages(t *testing.T) {
 	tr := NewTrace("abc123")
-	sp := tr.StartSpan("unit")
-	sp.SetAttr("model", "alpha@1")
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.End()
+	tr.AddSpan("unit", start, time.Now(), [2]string{"model", "alpha@1"})
 
 	for i := 0; i < 3; i++ {
 		mark := tr.StageStart()
@@ -94,9 +89,8 @@ func TestTraceConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp := tr.StartSpan(fmt.Sprintf("g%d", g))
-				sp.SetAttr("i", "x")
-				sp.End()
+				now := time.Now()
+				tr.AddSpan(fmt.Sprintf("g%d", g), now, now, [2]string{"i", "x"})
 				mark := tr.StageStart()
 				tr.StageEnd("stage", mark)
 			}
@@ -117,15 +111,15 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 }
 
-// TestContextRoundTrip: WithTrace/FromContext/StartSpan compose.
+// TestContextRoundTrip: a span added through the context's trace lands on
+// the trace WithTrace attached.
 func TestContextRoundTrip(t *testing.T) {
 	tr := NewTrace("ctx")
 	ctx := WithTrace(context.Background(), tr)
 	if FromContext(ctx) != tr {
 		t.Fatal("trace lost in context")
 	}
-	sp := StartSpan(ctx, "work")
-	sp.End()
+	FromContext(ctx).AddSpan("work", time.Now(), time.Now())
 	if n := len(tr.Snapshot().Spans); n != 1 {
 		t.Fatalf("spans = %d, want 1", n)
 	}
