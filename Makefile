@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid fuzz clean-testcache serve-demo upgrade-demo
+.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid fuzz clean-testcache serve-demo
 
 all: test
 
@@ -24,8 +24,8 @@ fmt-check:
 # Clear the cache before the suite (lattigo idiom) so the race detector
 # really re-runs every package, then gofmt gate + vet + full race suite.
 # The suite includes the serving lifecycle e2e: the restart round trip
-# (internal/server TestRestartRoundTrip) and the live v1→v2 rollout
-# (internal/experiments TestUpgradeRolloutEndToEnd) both run under -race.
+# (TestRestartRoundTrip) and the v1→v2 supersede under live traffic
+# (TestSupersedeDrainEndToEnd), both in internal/server, run under -race.
 test: clean-testcache fmt-check vet
 	$(GO) test -race ./...
 
@@ -61,13 +61,6 @@ bench-valid:
 # inputs and checks them against the plaintext reference.
 serve-demo:
 	$(GO) run ./examples/remote_mlp
-
-# Live model upgrade end to end: a v1→v2 supersede under concurrent
-# encrypted traffic (old sessions finish on v1, new ones bind v2, zero
-# failed requests), drain verification, and a restart that rebuilds the
-# catalog from the state directory.
-upgrade-demo:
-	$(GO) run ./cmd/experiments -id upgrade
 
 # Short fuzz pass over the modular-arithmetic primitives and the four
 # wire decoders an endpoint exposes (one target per invocation is a

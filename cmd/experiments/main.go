@@ -29,7 +29,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids")
 		full     = flag.Bool("full", false, "full scale (paper budgets) instead of fast mode")
 		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Int("parallel", 0, "workers for batch-parallel stages (0/1 serial, <0 all cores); the upgrade rollout's server budget (0: 2)")
+		parallel = flag.Int("parallel", 0, "workers for batch-parallel stages (0/1 serial, <0 all cores)")
 	)
 	flag.Parse()
 

@@ -13,7 +13,7 @@
 //	hennserve -demo alpha -demo beta:13     # several demo models (name[:seed])
 //	hennserve -models ./deployed            # every *.hemodel bundle in a dir
 //	hennserve -train -demo alpha -export ./deployed   # save bundles, then serve
-//	hennserve -addr :9000 -logn 12 -batch 32 -workers -1
+//	hennserve -addr :9000 -logn 12 -workers 4
 //	hennserve -state ./state -admin-token s3cret      # durable versioned catalog
 //	hennserve -log-requests -metrics-addr 127.0.0.1:8556  # access log + pprof/metrics plane
 //
@@ -64,9 +64,7 @@ func main() {
 		train     = flag.Bool("train", false, "add a SMART-PAF-trained MLP to the catalog")
 		modelsDir = flag.String("models", "", "directory of *.hemodel bundles to deploy")
 		export    = flag.String("export", "", "write every loaded model as a .hemodel bundle to this directory before serving")
-		batch     = flag.Int("batch", 16, "fair-scheduling quantum: jobs claimed per weight-1 session turn")
 		workers   = flag.Int("workers", -1, "server-wide inference worker budget shared by all sessions and models (0/1 one worker, <0 all cores)")
-		window    = flag.Duration("window", 0, "how long a newly active session waits for its quantum to fill (0 dispatches immediately)")
 		ttl       = flag.Duration("ttl", 0, "idle-session eviction TTL (0 keeps the 30m default, <0 disables eviction)")
 		queue     = flag.Int("queue", 0, "per-session request queue depth (0 keeps the 1024 default)")
 		state     = flag.String("state", "", "state directory: every deployed bundle persists as <name>@<version>.hemodel and the catalog reloads on restart")
@@ -96,9 +94,7 @@ func main() {
 		accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	srv, err := server.New(server.Options{
-		MaxBatch:            *batch,
 		Workers:             *workers,
-		BatchWindow:         *window,
 		SessionTTL:          *ttl,
 		QueueDepth:          *queue,
 		MaxSessionsPerModel: *perModel,

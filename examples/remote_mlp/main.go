@@ -6,8 +6,8 @@
 //     (relinearization key, rotation keys) over HTTP, bound to that model,
 //  3. encrypt inputs, POST the ciphertexts, decrypt the returned
 //     predictions — the server never sees a plaintext or the secret key,
-//  4. fire a burst of concurrent requests to show the server coalescing
-//     them into batches on its shared evaluator,
+//  4. fire a burst of concurrent requests at one session, which the server
+//     runs one job per scheduler turn on its shared worker pool,
 //  5. run a second session against a different model of the same server —
 //     one worker budget serves the whole catalog.
 //
@@ -38,7 +38,7 @@ func main() {
 		modelName = flag.String("model", "", "model to bind to (empty: first catalog entry)")
 		seed      = flag.Int64("seed", 42, "client key seed")
 		logN      = flag.Int("logn", 10, "ring degree log2 for the in-process server")
-		burst     = flag.Int("burst", 8, "concurrent requests in the batching demo")
+		burst     = flag.Int("burst", 8, "concurrent requests in the burst demo")
 	)
 	flag.Parse()
 	ctx := context.Background()
@@ -120,8 +120,8 @@ func main() {
 		}
 	}
 
-	// Batching demo: a burst of concurrent requests against one session.
-	fmt.Printf("\nfiring %d concurrent requests (server batches them onto the shared evaluator)...\n", *burst)
+	// Burst demo: concurrent requests against one session.
+	fmt.Printf("\nfiring %d concurrent requests (one unit each on the shared worker pool)...\n", *burst)
 	x := make([]float64, info.InputDim)
 	for i := range x {
 		x[i] = rng.Float64()*2 - 1

@@ -26,8 +26,7 @@ type Options struct {
 
 	// Parallel is the worker count of the pipeline's batch-parallel per-slot
 	// CT (0 or 1 runs serially, negative uses all cores; results are
-	// identical either way) and, when positive, the upgrade rollout's
-	// server worker budget (default 2).
+	// identical either way).
 	Parallel int
 }
 

@@ -142,25 +142,3 @@ func TestFig7FastEndToEnd(t *testing.T) {
 	}
 	t.Logf("fig7 fast completed in %s", time.Since(start).Round(time.Millisecond))
 }
-
-// TestUpgradeRolloutEndToEnd runs the versioned-rollout experiment at fast
-// scale: a live v1→v2 supersede under concurrent traffic with zero failed
-// requests, drain verification and a restart-from-state-dir check. Skipped
-// in -short mode (it serves real encrypted traffic).
-func TestUpgradeRolloutEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("upgrade rollout in -short mode")
-	}
-	start := time.Now()
-	var buf bytes.Buffer
-	if err := Run("upgrade", Options{Fast: true, Seed: 42, W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, w := range []string{"v1→v2 rollout", "alpha@1", "alpha@2", "zero failed requests", "restart check"} {
-		if !strings.Contains(out, w) {
-			t.Errorf("upgrade output missing %q:\n%s", w, out)
-		}
-	}
-	t.Logf("upgrade fast completed in %s", time.Since(start).Round(time.Millisecond))
-}

@@ -79,16 +79,6 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return nil
 }
 
-// Model fetches the served model's description. It only succeeds while the
-// server has exactly one model deployed; use Models/ModelNamed otherwise.
-func (c *Client) Model(ctx context.Context) (*ModelInfo, error) {
-	info := new(ModelInfo)
-	if err := c.getJSON(ctx, "/v1/model", info); err != nil {
-		return nil, err
-	}
-	return info, nil
-}
-
 // Models fetches the full model catalog, sorted by name.
 func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	var infos []ModelInfo
@@ -232,14 +222,32 @@ type Session struct {
 	decr   *ckks.Decryptor
 }
 
-// NewSession registers against the server's sole deployed model: it fetches
-// the model info, generates a key set under the prescribed parameters and
+// NewSession registers against the server's sole live model: it lists the
+// catalog, generates a key set under that model's prescribed parameters and
 // uploads the evaluation keys (the public key, like the secret key, stays
-// with the session). The seed drives the deterministic key
+// with the session). Draining versions do not count, so mid-rollout the new
+// version is the sole live one. The seed drives the deterministic key
 // generation (each client should pick its own). On a multi-model server use
 // NewSessionFor.
 func (c *Client) NewSession(ctx context.Context, seed int64) (*Session, error) {
-	return c.newSession(ctx, "", seed)
+	infos, err := c.Models(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var live []ModelInfo
+	for _, info := range infos {
+		if !info.Draining {
+			live = append(live, info)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil, fmt.Errorf("server: no models deployed")
+	case 1:
+		return c.newSession(ctx, &live[0], seed)
+	default:
+		return nil, fmt.Errorf("server: %d models deployed; use NewSessionFor", len(live))
+	}
 }
 
 // NewSessionFor registers a session bound to the named model.
@@ -247,20 +255,16 @@ func (c *Client) NewSessionFor(ctx context.Context, model string, seed int64) (*
 	if model == "" {
 		return nil, fmt.Errorf("server: NewSessionFor needs a model name")
 	}
-	return c.newSession(ctx, model, seed)
-}
-
-func (c *Client) newSession(ctx context.Context, model string, seed int64) (*Session, error) {
-	var info *ModelInfo
-	var err error
-	if model == "" {
-		info, err = c.Model(ctx)
-	} else {
-		info, err = c.ModelNamed(ctx, model)
-	}
+	info, err := c.ModelNamed(ctx, model)
 	if err != nil {
 		return nil, err
 	}
+	return c.newSession(ctx, info, seed)
+}
+
+// newSession generates keys for info's model and registers them, pinned to
+// the exact version info describes.
+func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*Session, error) {
 	var lit ckks.ParametersLiteral
 	if err := lit.UnmarshalBinary(info.Params); err != nil {
 		return nil, fmt.Errorf("prescribed parameters: %w", err)
@@ -325,8 +329,8 @@ func (c *Client) newSession(ctx context.Context, model string, seed int64) (*Ses
 func (s *Session) ID() string { return s.id }
 
 // Close deletes the session server-side, releasing its key material and
-// batcher. The session's local keys stay usable (e.g. to decrypt responses
-// already in flight).
+// failing its queued requests. The session's local keys stay usable (e.g.
+// to decrypt responses already in flight).
 func (s *Session) Close(ctx context.Context) error {
 	url := fmt.Sprintf("%s/v1/sessions/%s", s.c.base, s.id)
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)

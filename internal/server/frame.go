@@ -12,8 +12,7 @@ import "github.com/efficientfhe/smartpaf/internal/wire"
 // internal/ckks formats and stay undecoded until the header has resolved a
 // model and matched its parameter literal.
 type registration struct {
-	// Model is "name" (newest live version) or "name@version"; empty binds
-	// the sole live model.
+	// Model is "name" (newest live version) or "name@version".
 	Model string
 	// Params echoes the parameter literal the keys were generated under; it
 	// must equal the model's prescribed literal byte for byte.

@@ -6,16 +6,19 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestSupersedeDrainEndToEnd is the versioned-rollout acceptance path over
-// HTTP: superseding a model under a live session publishes v2 for new
-// registrations while the v1 session keeps serving the old stack (its
-// results still match the v1 reference — a crossed wire would answer with
-// v2's weights), exact v1 registrations 410, the catalog reports the drain,
-// and the v1 stack frees once its last session closes.
+// HTTP: a supersede lands while two v1 sessions keep up continuous
+// concurrent traffic. No request fails, and every answer matches its own
+// version's reference — a crossed wire would answer v1 sessions with v2's
+// weights. New registrations bind v2, exact v1 registrations 410, the
+// catalog reports the drain, and the v1 stack frees once its last session
+// closes.
 func TestSupersedeDrainEndToEnd(t *testing.T) {
 	v1 := shapedModel(t, "alpha", 101, 16, 8, 4)
 	v2 := shapedModel(t, "alpha", 102, 16, 8, 4) // same shape, different weights
@@ -27,16 +30,58 @@ func TestSupersedeDrainEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	client := NewClient(ts, nil)
 
-	oldSess, err := client.NewSessionFor(ctx, "alpha", 111)
-	if err != nil {
-		t.Fatal(err)
+	// Two v1 sessions, each looping requests until told to stop.
+	const oldSessions = 2
+	var (
+		oldSess  [oldSessions]*Session
+		served   [oldSessions]atomic.Int64
+		failures atomic.Int64
+		traffic  sync.WaitGroup
+		stop     = make(chan struct{})
+	)
+	stopTraffic := sync.OnceFunc(func() {
+		close(stop)
+		traffic.Wait()
+	})
+	defer stopTraffic() // also on a failed check, before the test returns
+	for i := range oldSess {
+		if oldSess[i], err = client.NewSessionFor(ctx, "alpha", int64(111+i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := oldSess[i].Model().Version; got != 1 {
+			t.Fatalf("first deploy served version %d, want 1", got)
+		}
+		traffic.Add(1)
+		go func(i int) {
+			defer traffic.Done()
+			for r := int64(0); ; r++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := inferAndCheck(t, ctx, oldSess[i], v1, int64(i)<<16|r); err != nil {
+					failures.Add(1)
+					t.Errorf("v1 session %d request %d: %v", i, r, err)
+				}
+				served[i].Add(1)
+			}
+		}(i)
 	}
-	if got := oldSess.Model().Version; got != 1 {
-		t.Fatalf("first deploy served version %d, want 1", got)
+	// waitServed blocks until every v1 session has answered n requests.
+	waitServed := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for i := range served {
+			for served[i].Load() < n {
+				if time.Now().After(deadline) {
+					t.Fatalf("v1 session %d answered %d requests, want %d", i, served[i].Load(), n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
-	if err := inferAndCheck(t, ctx, oldSess, v1, 1); err != nil {
-		t.Fatal(err)
-	}
+	waitServed(1)
 
 	dep1, ok := srv.Registry().Resolve("alpha@1")
 	if !ok {
@@ -49,30 +94,40 @@ func TestSupersedeDrainEndToEnd(t *testing.T) {
 	if info2.Version != 2 {
 		t.Fatalf("supersede published version %d, want 2", info2.Version)
 	}
+	after := [oldSessions]int64{served[0].Load(), served[1].Load()}
 
-	// The old session keeps serving — on the v1 stack.
-	if err := inferAndCheck(t, ctx, oldSess, v1, 2); err != nil {
-		t.Fatalf("v1 session after supersede: %v", err)
-	}
-	// New registrations on the bare name land on v2 and answer with v2's
-	// weights.
+	// New registrations on the bare name — and NewSession, which picks the
+	// sole live version — land on v2 and answer with v2's weights while v1
+	// traffic is still in flight.
 	newSess, err := client.NewSessionFor(ctx, "alpha", 112)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := newSess.Model().Version; got != 2 {
-		t.Fatalf("post-supersede registration bound version %d, want 2", got)
+	anySess, err := client.NewSession(ctx, 114)
+	if err != nil {
+		t.Fatalf("NewSession with one live + one draining version: %v", err)
 	}
-	if err := inferAndCheck(t, ctx, newSess, v2, 3); err != nil {
-		t.Fatal(err)
+	for _, sess := range []*Session{newSess, anySess} {
+		if got := sess.Model().Version; got != 2 {
+			t.Fatalf("post-supersede registration bound version %d, want 2", got)
+		}
+		if err := inferAndCheck(t, ctx, sess, v2, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Pinning the draining version is a clean 410, not a silent rebind.
 	if _, err := client.NewSessionFor(ctx, "alpha@1", 113); err == nil || !strings.Contains(err.Error(), "410") {
 		t.Fatalf("registration against the draining version: got %v, want 410", err)
 	}
 
-	// The catalog reports both versions, the old one draining; the
-	// single-model convenience route still resolves (one live model).
+	// The v1 sessions keep serving on the v1 stack past the supersede.
+	waitServed(max(after[0], after[1]) + 2)
+	stopTraffic()
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d v1 requests failed through the rollout", n)
+	}
+
+	// The catalog reports both versions, the old one draining.
 	infos, err := client.Models(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -80,18 +135,17 @@ func TestSupersedeDrainEndToEnd(t *testing.T) {
 	if len(infos) != 2 || !infos[0].Draining || infos[0].Version != 1 || infos[1].Draining {
 		t.Fatalf("catalog mid-drain: %+v", infos)
 	}
-	if _, err := client.Model(ctx); err != nil {
-		t.Fatalf("GET /v1/model with one live + one draining version: %v", err)
-	}
 	st := srv.Stats()
-	if len(st.Models) != 2 || !st.Models[0].Draining || st.Models[0].Sessions != 1 {
+	if len(st.Models) != 2 || !st.Models[0].Draining || st.Models[0].Sessions != oldSessions {
 		t.Fatalf("stats mid-drain: %+v", st.Models)
 	}
 
-	// The old session disconnects: the v1 stack drains, frees and leaves
+	// The old sessions disconnect: the v1 stack drains, frees and leaves
 	// the catalog; the v2 session is undisturbed.
-	if err := oldSess.Close(ctx); err != nil {
-		t.Fatal(err)
+	for _, sess := range oldSess {
+		if err := sess.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	select {
 	case <-dep1.Drained():

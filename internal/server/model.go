@@ -39,10 +39,6 @@
 //	    version (still served while draining), bare "alpha" resolves to
 //	    the newest live version.
 //
-//	GET  /v1/model
-//	    Single-model convenience: the sole live model, 409 when several
-//	    are live (name one instead), 404 when none is.
-//
 //	POST /v1/models[?supersede=true]          (admin)
 //	    raw marshaled registry.Model bundle -> catalog entry (201)
 //	    Hot deploy: the model is validated, compiled and warmed, then
@@ -60,25 +56,24 @@
 //	POST /v1/sessions
 //	    one binary frame (blob = u32 length | bytes, little-endian):
 //	      u32 0x5AF7CC0D | blob model | blob params | blob relinKey | blob rotationKeys
-//	    -> {sessionID, model, weight}
+//	    -> {sessionID, model}
 //	    Binds the session to a deployed model; the response model is the
-//	    versioned reference ("alpha@2"). model may be a bare or versioned
-//	    name, and may be empty only while exactly one model is live;
-//	    params must byte-match that model's prescribed literal; relinKey
-//	    and rotationKeys are the internal/ckks formats, shaped and reduced
-//	    for those parameters, and rotationKeys must cover exactly the
-//	    model's rotation set. Evaluation keys only: no public key is sent,
+//	    versioned reference ("alpha@2"). model is a bare or versioned
+//	    name (an empty or unknown one is 404); params must byte-match that
+//	    model's prescribed literal; relinKey and rotationKeys are the
+//	    internal/ckks formats, shaped and reduced for those parameters,
+//	    and rotationKeys must cover exactly the model's rotation set. Evaluation keys only: no public key is sent,
 //	    and there is no JSON form. Registering against a retired or
 //	    draining version returns 410.
 //
 //	POST /v1/sessions/{id}/infer
 //	    raw marshaled ciphertext -> raw marshaled ciphertext
 //	    All sessions' requests — across every model — flow through one
-//	    scheduler: weighted round-robin quanta over per-session queues
-//	    feeding a shared bounded worker pool, so one worker budget serves
-//	    the whole catalog. The input ciphertext must arrive at level >= the
-//	    model's advertised levels (one inference consumes exactly that
-//	    many). Requests on a session whose model was retired return 410.
+//	    scheduler: strict round-robin over per-session queues, one job per
+//	    session turn, feeding a shared bounded worker pool, so one worker
+//	    budget serves the whole catalog. The input ciphertext must arrive
+//	    at level >= the model's advertised levels (one inference consumes
+//	    exactly that many). Requests on a session whose model was retired return 410.
 //
 //	GET  /v1/stats
 //	    -> scheduler counters plus per-model-version sessions/backlog/

@@ -1,13 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,7 @@ func inferAndCheck(t testing.TB, ctx context.Context, sess *Session, m *registry
 func TestMultiModelEndToEnd(t *testing.T) {
 	alpha := shapedModel(t, "alpha", 21, 16, 8, 4)
 	beta := shapedModel(t, "beta", 22, 12, 6, 3)
-	srv, err := New(Options{MaxBatch: 4, Workers: 2}, alpha, beta)
+	srv, err := New(Options{Workers: 2}, alpha, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +162,28 @@ func TestModelSelectionRules(t *testing.T) {
 	ctx := context.Background()
 	client := NewClient(ts, nil)
 
-	// GET /v1/model is ambiguous with two models deployed.
-	if _, err := client.Model(ctx); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("ambiguous /v1/model: got %v, want 409", err)
+	// NewSession picks the sole live model, so two deployed is ambiguous.
+	if _, err := client.NewSession(ctx, 1); err == nil || !strings.Contains(err.Error(), "2 models deployed; use NewSessionFor") {
+		t.Fatalf("ambiguous NewSession: got %v, want the two-models error", err)
 	}
 	// Unknown model name 404s at info fetch.
 	if _, err := client.NewSessionFor(ctx, "gamma", 1); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown model: got %v, want 404", err)
 	}
-	// Registering without a model name is rejected while several are
-	// deployed: post a syntactically valid registration with no model.
-	resp, err := http.Post(ts+"/v1/sessions", "application/json", strings.NewReader(`{}`))
+	// The server has no default model: a well-formed registration frame
+	// with an empty model name is an unknown model.
+	frame, err := (&registration{Params: srv.reg.List()[0].ParamBytes()}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp, err := http.Post(ts+"/v1/sessions", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("nameless registration with 2 models: got %s, want 400", resp.Status)
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "unknown model") {
+		t.Fatalf("nameless registration: got %s %s, want 404 unknown model", resp.Status, body)
 	}
 	// Named registration works for both.
 	if _, err := client.NewSessionFor(ctx, "alpha", 2); err != nil {
@@ -195,7 +201,7 @@ func TestModelSelectionRules(t *testing.T) {
 func TestHotDeployAndRetireMidTraffic(t *testing.T) {
 	alpha := shapedModel(t, "alpha", 41, 16, 8, 4)
 	beta := shapedModel(t, "beta", 42, 12, 6, 3)
-	srv, err := New(Options{MaxBatch: 4, Workers: 1, QueueDepth: 64}, alpha, beta)
+	srv, err := New(Options{Workers: 1, QueueDepth: 64}, alpha, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +340,7 @@ func TestHotDeployAndRetireMidTraffic(t *testing.T) {
 func TestConcurrentModelChurn(t *testing.T) {
 	alpha := shapedModel(t, "alpha", 61, 16, 8, 4)
 	beta := shapedModel(t, "beta", 62, 12, 6, 3)
-	srv, err := New(Options{MaxBatch: 2, Workers: 2, QueueDepth: 64}, alpha, beta)
+	srv, err := New(Options{Workers: 2, QueueDepth: 64}, alpha, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,116 +476,5 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if cst.Workers != 2 || len(cst.Models) != 2 {
 		t.Fatalf("client stats %+v", cst)
-	}
-}
-
-// weightHeaderRT tags every request with a QoS weight header, standing in
-// for the authenticating proxy a deployment would use.
-type weightHeaderRT struct{ weight string }
-
-func (rt weightHeaderRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	req.Header.Set("X-Qos-Weight", rt.weight)
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-func weightFromHeader(r *http.Request) int {
-	n, _ := strconv.Atoi(r.Header.Get("X-Qos-Weight"))
-	return n
-}
-
-// TestWeightHookClamped: hook results are clamped to [1, 64] and echoed in
-// the session state.
-func TestWeightHookClamped(t *testing.T) {
-	model, err := registry.DemoModel(11, testLogN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Options{Weight: weightFromHeader}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newHTTPServer(t, srv)
-	ctx := context.Background()
-	for _, tc := range []struct {
-		header string
-		want   int
-	}{
-		{"", 1},                    // missing header -> weight 1
-		{"0", 1},                   // sub-1 clamps up
-		{"4", 4},                   // in range
-		{"9999", maxSessionWeight}, // clamps down
-	} {
-		hc := &http.Client{Transport: weightHeaderRT{tc.header}}
-		sess, err := NewClient(ts, hc).NewSession(ctx, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.mu.RLock()
-		got := srv.sessions[sess.ID()].weight
-		srv.mu.RUnlock()
-		if got != tc.want {
-			t.Fatalf("header %q: session weight %d, want %d", tc.header, got, tc.want)
-		}
-	}
-}
-
-// TestWeightedFairNoStarvation is the QoS starvation regression: a weighted
-// flood gets a proportionally bigger quantum, but round-robin turns still
-// bound how long a weight-1 victim waits — it must overtake the flood's
-// backlog rather than wait it out.
-func TestWeightedFairNoStarvation(t *testing.T) {
-	model, err := registry.DemoModel(11, testLogN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Options{MaxBatch: 2, Workers: 1, QueueDepth: 64, Weight: weightFromHeader}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newHTTPServer(t, srv)
-	ctx := context.Background()
-
-	// Flood at weight 2 (quantum 4), victim at weight 1 (quantum 2).
-	flood, err := NewClient(ts, &http.Client{Transport: weightHeaderRT{"2"}}).NewSession(ctx, 95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim, err := NewClient(ts, nil).NewSession(ctx, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, model.InputDim)
-	for i := range x {
-		x[i] = float64(i%5)/5 - 0.4
-	}
-	const floodN = 12
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		floodLast time.Time
-	)
-	for r := 0; r < floodN; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := flood.Infer(ctx, x); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			if now := time.Now(); now.After(floodLast) {
-				floodLast = now
-			}
-			mu.Unlock()
-		}()
-	}
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog >= floodN/2 }, "weighted flood backlog")
-	if _, err := victim.Infer(ctx, x); err != nil {
-		t.Fatal(err)
-	}
-	victimDone := time.Now()
-	wg.Wait()
-	if victimDone.After(floodLast) {
-		t.Fatal("weight-1 victim starved behind a weighted flood; round-robin must still serve it a quantum")
 	}
 }

@@ -18,14 +18,14 @@ var (
 	errShuttingDown  = errors.New("server shutting down")
 )
 
-// scheduler replaces the per-session batcher goroutines of the first
-// serving cut. Sessions enqueue jobs into their own bounded queues; one
-// dispatcher goroutine claims work across sessions in round-robin quanta —
-// up to MaxBatch jobs per session turn, so one chatty session cannot starve
-// the others — and hands every job to a shared bounded worker pool as a
-// henn.Unit. The unit carries its session's Context, so one pool serves any
-// number of key sets and total server parallelism is bounded by a single
-// budget — Options.Workers — instead of sessions × workers.
+// scheduler multiplexes every session's jobs onto one bounded worker pool.
+// Sessions enqueue jobs into their own bounded queues; one dispatcher
+// goroutine serves the sessions with queued work in strict round-robin, one
+// job per turn, so a flooding session holds any other behind at most one of
+// its jobs. Each job runs on the shared pool as a henn.Unit carrying its
+// session's Context, so one pool serves any number of key sets and total
+// server parallelism is bounded by a single budget — Options.Workers —
+// instead of sessions × workers.
 type scheduler struct {
 	srv  *Server
 	pool *parallel.Pool
@@ -39,7 +39,6 @@ type scheduler struct {
 
 	unitsRun     atomic.Int64
 	unitsAborted atomic.Int64
-	quanta       atomic.Int64
 }
 
 func newScheduler(srv *Server) *scheduler {
@@ -54,36 +53,16 @@ func newScheduler(srv *Server) *scheduler {
 }
 
 // notify tells the scheduler sess has one more queued job. Handlers call it
-// after every successful enqueue.
+// after every successful enqueue, so a session with queued jobs is always in
+// the ring, being served, or about to be notified — a deleted session's jobs
+// are reached on its next turn and fail there.
 func (d *scheduler) notify(sess *session) {
 	d.mu.Lock()
 	if !sess.inRing && !sess.dispatching {
 		sess.inRing = true
-		sess.windowAt = time.Time{}
-		if d.srv.opts.BatchWindow > 0 {
-			sess.windowAt = time.Now().Add(d.srv.opts.BatchWindow)
-		}
 		d.ring = append(d.ring, sess)
 	}
 	d.mu.Unlock()
-	d.kick()
-}
-
-// sessionClosed makes a deleted or evicted session's queued jobs fail now —
-// not after BatchWindow, and never by running paid inference for a dead
-// session: the session is made immediately dispatchable.
-func (d *scheduler) sessionClosed(sess *session) {
-	d.mu.Lock()
-	sess.windowAt = time.Time{}
-	if !sess.inRing && !sess.dispatching && len(sess.jobs) > 0 {
-		sess.inRing = true
-		d.ring = append(d.ring, sess)
-	}
-	d.mu.Unlock()
-	d.kick()
-}
-
-func (d *scheduler) kick() {
 	select {
 	case d.wake <- struct{}{}:
 	default:
@@ -94,23 +73,9 @@ func (d *scheduler) kick() {
 // failing every still-queued job.
 func (d *scheduler) run() {
 	defer d.srv.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
 	for {
-		sess, wait := d.next()
-		if sess != nil {
+		if sess := d.next(); sess != nil {
 			d.dispatch(sess)
-			continue
-		}
-		if wait > 0 {
-			resetTimer(timer, wait)
-			select {
-			case <-timer.C:
-			case <-d.wake:
-			case <-d.srv.closed:
-				d.shutdown()
-				return
-			}
 			continue
 		}
 		select {
@@ -122,168 +87,103 @@ func (d *scheduler) run() {
 	}
 }
 
-func resetTimer(t *time.Timer, wait time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(wait)
-}
-
-// next picks the session to serve. A nil session with wait > 0 means the
-// earliest BatchWindow deadline is that far away; nil with wait 0 means
-// idle.
-func (d *scheduler) next() (*session, time.Duration) {
+// next pops the ring head, or returns nil when no session has queued jobs.
+func (d *scheduler) next() *session {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.ring) == 0 {
-		return nil, 0
+		return nil
 	}
-	now := time.Now()
-	var minWait time.Duration
-	for i, sess := range d.ring {
-		if eligible(sess, now, d.srv.opts.MaxBatch*sess.weight) {
-			d.ring = append(d.ring[:i], d.ring[i+1:]...)
-			sess.inRing = false
-			sess.dispatching = true
-			return sess, 0
-		}
-		if w := sess.windowAt.Sub(now); minWait == 0 || w < minWait {
-			minWait = w
-		}
-	}
-	return nil, max(minWait, time.Millisecond)
+	sess := d.ring[0]
+	d.ring = append(d.ring[:0], d.ring[1:]...)
+	sess.inRing = false
+	sess.dispatching = true
+	return sess
 }
 
-// eligible reports whether the session's turn can start: its batch window
-// elapsed, a full quantum is already queued, or the session died (its jobs
-// must fail now). quantum is the session's own full quantum — weight ×
-// MaxBatch — not the 1× base: a weighted session's window is only cut short
-// once the whole quantum it is entitled to has queued. Called only from
-// next, under scheduler.mu.
-func eligible(sess *session, now time.Time, quantum int) bool {
-	if sess.windowAt.IsZero() || !now.Before(sess.windowAt) || len(sess.jobs) >= quantum {
-		return true
-	}
-	select {
-	case <-sess.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// dispatch serves one scheduler turn for sess: claim jobs, then hand each
-// to the shared pool as a henn.Unit (or fail them all if the session died).
-// The quantum scales with the session's QoS weight.
+// dispatch serves one scheduler turn for sess: claim its next job and hand
+// it to the shared pool as a henn.Unit, or fail everything it has queued if
+// the session died.
 func (d *scheduler) dispatch(sess *session) {
-	quantum := d.srv.opts.MaxBatch * sess.weight
-	var batch []*inferJob
-claim:
-	for len(batch) < quantum {
-		select {
-		case job := <-sess.jobs:
-			batch = append(batch, job)
-		default:
-			break claim
-		}
+	defer d.finish(sess)
+	// The claimed job leaves the session queue long before it reaches a
+	// worker (Submit's zero-depth rendezvous can hold it for a whole unit).
+	// Counting it before the receive means a Stats snapshot can briefly see
+	// it twice, but never misses it while it waits.
+	sess.claimed.Add(1)
+	var job *inferJob
+	select {
+	case job = <-sess.jobs:
+	default:
+		// A notify can trail the job it announces: an earlier turn of this
+		// session may already have served it.
+		sess.claimed.Add(-1)
+		return
 	}
-	// Claimed jobs left the session queue but have not reached the pool yet
-	// (Submit's zero-depth rendezvous can hold them a long time); count them
-	// so a Stats snapshot cannot report an empty backlog while the claimed
-	// quantum waits for workers.
-	sess.claimed.Add(int64(len(batch)))
 	select {
 	case <-sess.done:
-		d.abort(batch, errSessionClosed)
-		sess.claimed.Add(-int64(len(batch)))
+		sess.claimed.Add(-1)
+		d.abort(job, errSessionClosed)
 		d.failQueued(sess, errSessionClosed)
-		d.finish(sess)
 		return
 	default:
 	}
-	if len(batch) > 0 {
-		d.quanta.Add(1)
-	}
-	for i, job := range batch {
-		// Submit can block a long time waiting for a free worker
-		// (zero-depth rendezvous), so the session may die mid-batch;
-		// re-checking here keeps a deleted session's remaining claimed
-		// jobs from running as paid inference.
-		select {
-		case <-sess.done:
-			d.abort(batch[i:], errSessionClosed)
-			sess.claimed.Add(-int64(len(batch) - i))
-			d.failQueued(sess, errSessionClosed)
-			d.finish(sess)
-			return
-		default:
-		}
-		job := job
-		// The unit retains the model stack so a retire that lands while it
-		// executes cannot free the caches under it; the session's own bind
-		// reference does not cover the unit, because the session may be
-		// removed (releasing that reference) while the unit is in flight.
-		sess.dep.Retain()
-		// Queue wait ends here: the job leaves the dispatcher's hands for
-		// the pool rendezvous, which the trace's dispatch span covers.
-		submitted := time.Now()
-		sess.queueWait.Record(submitted.Sub(job.enqueuedAt))
-		job.trace.AddSpan("queue_wait", job.enqueuedAt, submitted)
-		ok := d.pool.Submit(func() {
-			defer sess.dep.Release()
-			runStart := time.Now()
-			job.trace.AddSpan("dispatch", submitted, runStart,
-				[2]string{"model", sess.dep.Ref()})
-			out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
-			end := time.Now()
-			sess.unitLat.Record(end.Sub(runStart))
-			if err != nil {
-				job.trace.AddSpan("unit", runStart, end, [2]string{"error", err.Error()})
-			} else {
-				job.trace.AddSpan("unit", runStart, end)
-			}
-			job.done <- inferResult{ct: out, err: err}
-		})
-		// Count the unit here, after the claimed decrement, not inside the
-		// worker: the worker incremented UnitsRun concurrently with the
-		// claimed decrement above, so a Stats snapshot could see one job in
-		// both Backlog (still claimed) and UnitsRun. Submit's rendezvous
-		// means ok implies a worker has the unit, so the count is accurate;
-		// the ordering now only ever undercounts transiently.
-		sess.claimed.Add(-1) // handed to a worker, or about to be aborted
-		if !ok {
-			sess.dep.Release()
-			d.abort([]*inferJob{job}, errShuttingDown)
+	// The unit retains the model stack so a retire that lands while it
+	// executes cannot free the caches under it; the session's own bind
+	// reference does not cover the unit, because the session may be removed
+	// (releasing that reference) while the unit is in flight.
+	sess.dep.Retain()
+	// Queue wait ends here: the job leaves the dispatcher's hands for the
+	// pool rendezvous, which the trace's dispatch span covers.
+	submitted := time.Now()
+	sess.queueWait.Record(submitted.Sub(job.enqueuedAt))
+	job.trace.AddSpan("queue_wait", job.enqueuedAt, submitted)
+	ok := d.pool.Submit(func() {
+		defer sess.dep.Release()
+		runStart := time.Now()
+		job.trace.AddSpan("dispatch", submitted, runStart,
+			[2]string{"model", sess.dep.Ref()})
+		out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
+		end := time.Now()
+		sess.unitLat.Record(end.Sub(runStart))
+		if err != nil {
+			job.trace.AddSpan("unit", runStart, end, [2]string{"error", err.Error()})
 		} else {
-			d.unitsRun.Add(1)
-			sess.dep.AddUnitRun()
+			job.trace.AddSpan("unit", runStart, end)
 		}
+		job.done <- inferResult{ct: out, err: err}
+	})
+	// Count the unit here, after the claimed decrement, not inside the
+	// worker: a worker-side increment races the decrement, so a Stats
+	// snapshot could see one job in both Backlog (still claimed) and
+	// UnitsRun. Submit's rendezvous means ok implies a worker has the unit,
+	// so the count is accurate.
+	sess.claimed.Add(-1)
+	if !ok {
+		sess.dep.Release()
+		d.abort(job, errShuttingDown)
+		return
 	}
-	d.finish(sess)
+	d.unitsRun.Add(1)
+	sess.dep.AddUnitRun()
 }
 
-// finish ends a turn: the session goes back to the ring tail if jobs
-// arrived while it was being served (already past their window wait).
+// finish ends a turn: the session goes back to the ring tail if it still
+// has queued jobs.
 func (d *scheduler) finish(sess *session) {
 	d.mu.Lock()
 	sess.dispatching = false
 	if len(sess.jobs) > 0 && !sess.inRing {
 		sess.inRing = true
-		sess.windowAt = time.Time{}
 		d.ring = append(d.ring, sess)
 	}
 	d.mu.Unlock()
 }
 
-// abort fails claimed jobs without running them.
-func (d *scheduler) abort(batch []*inferJob, cause error) {
-	for _, job := range batch {
-		job.done <- inferResult{err: cause}
-		d.unitsAborted.Add(1)
-	}
+// abort fails a claimed job without running it.
+func (d *scheduler) abort(job *inferJob, cause error) {
+	job.done <- inferResult{err: cause}
+	d.unitsAborted.Add(1)
 }
 
 // failQueued drains and fails everything still queued on sess.
@@ -291,7 +191,7 @@ func (d *scheduler) failQueued(sess *session, cause error) {
 	for {
 		select {
 		case job := <-sess.jobs:
-			d.abort([]*inferJob{job}, cause)
+			d.abort(job, cause)
 		default:
 			return
 		}
@@ -356,8 +256,6 @@ type Stats struct {
 	// UnitsAborted counts jobs failed without running (session deleted,
 	// model retired, or server shutting down).
 	UnitsAborted int64 `json:"unitsAborted"`
-	// Quanta counts scheduler turns that claimed at least one job.
-	Quanta int64 `json:"quanta"`
 	// PeakInFlight is the high-water mark of concurrently executing units;
 	// it never exceeds Workers.
 	PeakInFlight int `json:"peakInFlight"`
@@ -373,8 +271,8 @@ type Stats struct {
 	Models []ModelStats `json:"models"`
 }
 
-// Stats reports scheduler counters (the upgrade experiment, hennbench and
-// the regression suite read these). It is a pure read of the
+// Stats reports scheduler counters (hennbench and the regression suite read
+// these). It is a pure read of the
 // telemetry plane: it must never mint new series.
 func (s *Server) Stats() Stats {
 	deployed := s.reg.List()
@@ -418,7 +316,6 @@ func (s *Server) Stats() Stats {
 		Backlog:       backlog,
 		UnitsRun:      s.sched.unitsRun.Load(),
 		UnitsAborted:  s.sched.unitsAborted.Load(),
-		Quanta:        s.sched.quanta.Load(),
 		PeakInFlight:  s.sched.pool.Peak(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),

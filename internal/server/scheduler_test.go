@@ -55,7 +55,7 @@ func pollStats(t *testing.T, srv *Server, cond func(Stats) bool, what string) {
 // the one shared worker budget.
 func TestMultiSessionSharedBudget(t *testing.T) {
 	const budget = 2
-	model, srv, ts := newSchedServer(t, Options{MaxBatch: 4, Workers: budget, QueueDepth: 64})
+	model, srv, ts := newSchedServer(t, Options{Workers: budget, QueueDepth: 64})
 	ctx := context.Background()
 
 	const sessions = 4
@@ -129,7 +129,7 @@ func TestMultiSessionSharedBudget(t *testing.T) {
 // timing luck.
 func floodThenVictim(t *testing.T) time.Duration {
 	t.Helper()
-	model, srv, ts := newSchedServer(t, Options{MaxBatch: 2, Workers: 1, QueueDepth: 64})
+	model, srv, ts := newSchedServer(t, Options{Workers: 1})
 	ctx := context.Background()
 	a, err := NewClient(ts.URL, nil).NewSession(ctx, 21)
 	if err != nil {
@@ -192,39 +192,64 @@ func floodThenVictim(t *testing.T) time.Duration {
 // scheduling artifact can produce.
 const policyJitter = 10 * time.Millisecond
 
-// TestFairPolicyServesVictimEarly: under the fair policy a single request
-// from a quiet session overtakes a flooding session's backlog (it waits at
-// most one quantum), so it completes well before the flood drains.
+// TestFairPolicyServesVictimEarly: with one job per session turn, a single
+// request from a quiet session overtakes a flooding session's backlog (it
+// waits behind at most one flood job), so it completes well before the flood
+// drains.
 func TestFairPolicyServesVictimEarly(t *testing.T) {
 	if d := floodThenVictim(t); d > policyJitter {
 		t.Fatalf("victim finished %s after the flood; fair scheduling should serve it first", d)
 	}
 }
 
-// TestDeadSessionJobsNeverRun is the batch-window lifecycle regression: a
-// session deleted while its jobs wait out BatchWindow must fail those jobs
-// immediately — the old per-session batcher lingered the full window and
-// then ran paid inference for the dead session.
+// TestDeadSessionJobsNeverRun: a session deleted while its job waits in
+// the queue fails that job at once, and the job never runs as paid
+// inference. The single worker is held by a test task and the dispatcher by
+// another session's job in the rendezvous, so the victim's job is still
+// queued when the session goes.
 func TestDeadSessionJobsNeverRun(t *testing.T) {
-	model, srv, ts := newSchedServer(t, Options{BatchWindow: time.Minute, Workers: 1})
+	model, srv, ts := newSchedServer(t, Options{Workers: 1})
 	ctx := context.Background()
-	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 77)
+	client := NewClient(ts.URL, nil)
+	holder, err := client.NewSession(ctx, 76)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, model.InputDim)
-	start := time.Now()
-	inferErr := make(chan error, 1)
-	go func() {
-		_, err := sess.Infer(ctx, x)
-		inferErr <- err
-	}()
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 1 }, "queued job")
-	if err := sess.Close(ctx); err != nil {
+	victim, err := client.NewSession(ctx, 77)
+	if err != nil {
 		t.Fatal(err)
 	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	releaseWorker := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseWorker) // before the server's own cleanup drains the pool
+	go srv.sched.pool.Submit(func() {
+		close(started)
+		<-release
+	})
+	<-started
+
+	x := make([]float64, model.InputDim)
+	holderErr := make(chan error, 1)
+	go func() {
+		_, err := holder.Infer(ctx, x)
+		holderErr <- err
+	}()
+	holderQueue := srv.lookup(holder.ID()).jobs
+	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 1 && len(holderQueue) == 0 }, "holder job in the rendezvous")
+
+	victimErr := make(chan error, 1)
+	go func() {
+		_, err := victim.Infer(ctx, x)
+		victimErr <- err
+	}()
+	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 2 }, "victim job queued")
+	if err := victim.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The worker is still held: the failure cannot wait for a turn.
 	select {
-	case err := <-inferErr:
+	case err := <-victimErr:
 		if err == nil {
 			t.Fatal("inference on a deleted session succeeded")
 		}
@@ -234,12 +259,97 @@ func TestDeadSessionJobsNeverRun(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("queued job still pending long after session deletion")
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("job failed only after %s; must not wait out the batch window", elapsed)
+
+	releaseWorker()
+	if err := <-holderErr; err != nil {
+		t.Fatal(err)
 	}
 	pollStats(t, srv, func(st Stats) bool { return st.UnitsAborted == 1 }, "aborted unit")
-	if st := srv.Stats(); st.UnitsRun != 0 {
-		t.Fatalf("ran %d inference units for a dead session", st.UnitsRun)
+	if st := srv.Stats(); st.UnitsRun != 1 {
+		t.Fatalf("ran %d inference units, want only the live session's 1", st.UnitsRun)
+	}
+}
+
+// TestSessionDeletedMidBatch: deleting a session while a burst of its jobs
+// is being served stops the rest from running as paid inference. A burst
+// queues behind one worker; once the first unit starts, the session is
+// deleted. Only the units already handed to the worker and the one job
+// already in the pool rendezvous may still execute (two, when the delete
+// lands during the first unit); every other job fails 410 and counts as
+// aborted.
+func TestSessionDeletedMidBatch(t *testing.T) {
+	model, err := registry.DemoModel(11, 9) // logN 9: units long enough to delete behind
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Workers: 1}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 87)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Encrypt up front so the burst reaches the server together, well
+	// inside the first unit.
+	const burst = 8
+	var cts [burst]*ckks.Ciphertext
+	for r := range cts {
+		pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), sess.params.MaxLevel(), sess.params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[r] = sess.encr.Encrypt(pt)
+	}
+	var wg sync.WaitGroup
+	var answered, closedErrs, lateErrs atomic.Int64
+	for _, ct := range cts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sess.InferCiphertext(ctx, ct)
+			switch {
+			case err == nil:
+				answered.Add(1)
+			case strings.Contains(err.Error(), "session closed"):
+				closedErrs.Add(1)
+			case strings.Contains(err.Error(), "unknown session"):
+				// Arrived after the delete: 404, never enqueued.
+				lateErrs.Add(1)
+			default:
+				t.Error(err)
+			}
+		}()
+	}
+	pollStats(t, srv, func(st Stats) bool {
+		return st.UnitsRun >= 1 && int(st.UnitsRun)+st.Backlog >= burst
+	}, "burst accepted, first unit running")
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// From here no claimed job passes the dispatcher's liveness check.
+	ranAtDelete := srv.Stats().UnitsRun
+	wg.Wait()
+	// Handlers answer 410 off sess.done before the dispatcher's next turn
+	// for the session aborts its queue; wait for every enqueued job to
+	// settle.
+	enqueued := burst - lateErrs.Load()
+	pollStats(t, srv, func(st Stats) bool { return st.UnitsRun+st.UnitsAborted == enqueued }, "job settlement")
+	st := srv.Stats()
+	if st.UnitsRun > ranAtDelete+1 {
+		t.Fatalf("%d units ran for a session deleted after %d; only the one in the rendezvous may follow", st.UnitsRun, ranAtDelete)
+	}
+	if answered.Load() > st.UnitsRun {
+		t.Fatalf("%d requests answered but only %d units ran", answered.Load(), st.UnitsRun)
+	}
+	if got, want := closedErrs.Load(), enqueued-answered.Load(); got != want {
+		t.Fatalf("%d enqueued requests failed 410, want %d", got, want)
 	}
 }
 
@@ -362,166 +472,16 @@ func TestOversizedBodies413(t *testing.T) {
 	}
 }
 
-// TestSessionDeletedMidBatch: deleting a session after the scheduler has
-// already claimed a quantum must stop the remaining claimed jobs from
-// running — the dispatcher re-checks liveness before every submit, not
-// just once per turn (regression: a dead session's whole claimed batch ran
-// as paid inference while Submit blocked on the rendezvous pool).
-func TestSessionDeletedMidBatch(t *testing.T) {
-	model, err := registry.DemoModel(11, 9) // logN 9: ~100ms units, a wide delete window
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The batch window lets the whole burst enqueue before the first turn
-	// claims it, so the delete reliably lands mid-quantum: without it, a
-	// slow-to-arrive burst can straggle in after the delete (404, nothing
-	// claimed, nothing to abort) and the test flakes.
-	srv, err := New(Options{MaxBatch: 16, Workers: 1, QueueDepth: 16, BatchWindow: 2 * time.Second}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-	ctx := context.Background()
-	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 87)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, model.InputDim)
-	const burst = 8
-	var wg sync.WaitGroup
-	var closedErrs, lateErrs atomic.Int64
-	for r := 0; r < burst; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sess.Infer(ctx, x); err != nil {
-				switch {
-				case strings.Contains(err.Error(), "session closed"):
-					closedErrs.Add(1)
-				case strings.Contains(err.Error(), "unknown session"):
-					// Sent after the delete removed the session: 404, never
-					// enqueued, so it cannot settle as run or aborted.
-					lateErrs.Add(1)
-				default:
-					t.Error(err)
-				}
-			}
-		}()
-	}
-	// Wait for the full burst to queue (the batch window holds the first
-	// turn), then delete as soon as the first unit starts: the rest of the
-	// claimed quantum is still queued behind the single worker.
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == burst }, "queued burst")
-	pollStats(t, srv, func(st Stats) bool { return st.UnitsRun >= 1 }, "first unit")
-	if err := sess.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	// Handlers answer 410 off sess.done before the dispatcher finishes
-	// aborting its claimed batch; wait for every enqueued job to be
-	// accounted for (late requests 404ed and never enqueued).
-	enqueued := burst - int(lateErrs.Load())
-	pollStats(t, srv, func(st Stats) bool { return int(st.UnitsRun+st.UnitsAborted) == enqueued }, "job settlement")
-	st := srv.Stats()
-	// At most the unit already running plus the one submit in flight may
-	// still execute; the rest of the claimed quantum must be aborted.
-	if st.UnitsRun >= burst {
-		t.Fatalf("all %d units ran for a session deleted mid-batch", st.UnitsRun)
-	}
-	if st.UnitsAborted == 0 {
-		t.Fatal("no claimed job was aborted after the mid-batch delete")
-	}
-	if closedErrs.Load() == 0 {
-		t.Fatal("no request observed the session-closed failure")
-	}
-}
-
-// TestWeightedSessionFillsQuantum is the weighted-window regression: a
-// weight-w session's quantum is w×MaxBatch, but eligibility used to cut the
-// batch window short at a 1× backlog — the session dispatched early and
-// never filled the quantum it pays for. With the weight-aware threshold the
-// whole burst must go out in one scheduler turn.
-func TestWeightedSessionFillsQuantum(t *testing.T) {
-	model, err := registry.DemoModel(11, testLogN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const window = 3 * time.Second
-	srv, err := New(Options{
-		MaxBatch:    2,
-		Workers:     1,
-		QueueDepth:  64,
-		BatchWindow: window,
-		Weight:      func(*http.Request) int { return 2 }, // quantum 4
-	}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
-	ctx := context.Background()
-	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 73)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, model.InputDim)
-	start := time.Now()
-	var wg sync.WaitGroup
-	infer := func(n int) {
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := sess.Infer(ctx, x); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-	}
-	// Two jobs first — a 1× backlog, which must NOT cut the window short —
-	// then the rest of the quantum a beat later.
-	infer(2)
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 2 }, "half quantum queued")
-	if st := srv.Stats(); st.Quanta != 0 {
-		t.Fatalf("scheduler took a turn on a half-filled weighted quantum (%d quanta)", st.Quanta)
-	}
-	infer(2)
-	wg.Wait()
-	elapsed := time.Since(start)
-	st := srv.Stats()
-	if st.Quanta != 1 {
-		t.Fatalf("weighted burst took %d scheduler turns, want 1 full-quantum turn", st.Quanta)
-	}
-	if st.UnitsRun != 4 {
-		t.Fatalf("ran %d units, want 4", st.UnitsRun)
-	}
-	// The full quantum arriving is what ended the wait — not the window.
-	if elapsed >= window {
-		t.Fatalf("burst took %s; a full quantum must cut the %s window short", elapsed, window)
-	}
-}
-
-// TestBacklogCountsClaimedJobs is the stats regression: jobs the dispatcher
-// has claimed off the session queue but not yet pushed through the
-// zero-depth pool rendezvous were invisible to Stats.Backlog, so /v1/stats
-// could report 0 with a whole quantum still waiting for workers.
+// TestBacklogCountsClaimedJobs is the stats regression: a job the
+// dispatcher has claimed off the session queue but not yet pushed through
+// the zero-depth pool rendezvous was invisible to Stats.Backlog, so
+// /v1/stats could report 0 while it waited for a worker.
 func TestBacklogCountsClaimedJobs(t *testing.T) {
-	model, err := registry.DemoModel(11, 9) // logN 9: ~100ms units hold the worker
+	model, err := registry.DemoModel(11, 9) // logN 9: units long enough to observe
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker, a quantum larger than the burst (so only the window — not
-	// a full quantum — starts the turn, and the burst reliably queues in
-	// whole before the single turn claims it all).
-	const burst = 8
-	srv, err := New(Options{MaxBatch: 2 * burst, Workers: 1, QueueDepth: 16, BatchWindow: 2 * time.Second}, model)
+	srv, err := New(Options{Workers: 1}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +495,11 @@ func TestBacklogCountsClaimedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Three jobs, one worker. The state to catch is the second unit running
+	// while the dispatcher holds the third in the rendezvous: the session
+	// queue is empty, yet one job has not reached a worker.
 	x := make([]float64, model.InputDim)
+	const burst = 3
 	var wg sync.WaitGroup
 	for r := 0; r < burst; r++ {
 		wg.Add(1)
@@ -546,20 +510,24 @@ func TestBacklogCountsClaimedJobs(t *testing.T) {
 			}
 		}()
 	}
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == burst }, "queued burst")
-	// Once the first unit runs, the dispatcher has claimed the entire
-	// quantum: the session queue is empty, yet most of the burst has not
-	// reached a worker. The snapshot must still show it pending.
-	pollStats(t, srv, func(st Stats) bool { return st.UnitsRun >= 1 }, "first unit")
-	st := srv.Stats()
-	if int(st.UnitsRun) >= burst {
-		t.Skip("units drained before a snapshot could observe the claimed quantum")
-	}
-	if st.Backlog == 0 {
-		t.Fatal("backlog reports 0 while claimed jobs wait for the saturated worker")
-	}
-	if len(st.Models) != 1 || st.Models[0].Backlog != st.Backlog {
-		t.Fatalf("per-model backlog %+v disagrees with total %d", st.Models, st.Backlog)
+	pollStats(t, srv, func(st Stats) bool { return int(st.UnitsRun)+st.Backlog >= burst }, "burst accepted")
+	queue := srv.lookup(sess.ID()).jobs
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// With the whole burst in, the queue only shrinks: read it first,
+		// and the snapshot sees it empty too.
+		empty := len(queue) == 0
+		st := srv.Stats()
+		if empty && int(st.UnitsRun) < burst && st.Backlog == burst-int(st.UnitsRun) {
+			if len(st.Models) != 1 || st.Models[0].Backlog != st.Backlog {
+				t.Fatalf("per-model backlog %+v disagrees with total %d", st.Models, st.Backlog)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot counted the claimed job while the queue was empty (last %+v)", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	wg.Wait()
 	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 0 }, "drained backlog")

@@ -22,40 +22,19 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
 )
 
-// maxSessionWeight caps the QoS weight a single session can carry, so a
-// misconfigured Weight hook cannot hand one session an effectively unbounded
-// quantum.
-const maxSessionWeight = 64
-
 // Options tune the serving front end. The zero value is usable.
 type Options struct {
-	// MaxBatch is the fair-scheduling quantum: how many queued jobs one
-	// scheduler turn claims from a weight-1 session before the next session
-	// is served (a weight-w session claims up to w×MaxBatch). Default 16.
-	MaxBatch int
 	// Workers is the server-wide inference worker budget shared by every
 	// session of every model, following the repo-wide convention: 0 or 1
 	// runs one worker, negative uses all cores. The number of concurrently
 	// executing inference units is bounded by this one budget no matter how
 	// many sessions or models are active (serving deployments want -1;
-	// cmd/hennserve defaults to it). Within a unit, the ring substrate's
-	// limb fan-out still follows the process-wide GOMAXPROCS/
-	// ring.SetParallelism setting — Workers counts units, not goroutines.
+	// cmd/hennserve defaults to it). The scheduler hands the budget one job
+	// per session turn, round-robin across sessions with queued work.
+	// Within a unit, the ring substrate's limb fan-out still follows the
+	// process-wide GOMAXPROCS/ring.SetParallelism setting — Workers counts
+	// units, not goroutines.
 	Workers int
-	// BatchWindow is how long a newly active session waits before its first
-	// scheduler turn, letting a quantum fill (a full quantum, session
-	// deletion, or shutdown cuts the wait short). 0 dispatches immediately,
-	// the default.
-	BatchWindow time.Duration
-	// Weight assigns a QoS weight to a newly registered session, called
-	// with the registration request so deployments can key off a header or
-	// client identity. The scheduler's quantum scales with the weight: a
-	// weight-w session claims up to w×MaxBatch jobs per turn, so paying
-	// tiers drain backlogs proportionally faster while round-robin turns
-	// still guarantee every weight-1 session a quantum per cycle (no
-	// starvation). Results are clamped to [1, 64]; nil gives every session
-	// weight 1.
-	Weight func(r *http.Request) int
 	// MaxSessions caps live sessions across all models. Default 64.
 	MaxSessions int
 	// MaxSessionsPerModel caps live sessions bound to any one model name
@@ -90,9 +69,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 16
-	}
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 64
 	}
@@ -150,10 +126,8 @@ type session struct {
 	// one registry reference from registration until removal.
 	dep *registry.Deployed
 	// ctx carries the evaluator bound to this client's evaluation keys.
-	ctx *henn.Context
-	// weight scales the scheduler's quantum for this session.
-	weight int
-	jobs   chan *inferJob
+	ctx  *henn.Context
+	jobs chan *inferJob
 	// done is closed when the session is deleted, evicted, or its model is
 	// retired; the scheduler fails its queued jobs and waiting handlers
 	// turn it into a 410.
@@ -161,9 +135,9 @@ type session struct {
 	// lastUsed is the unix-nano timestamp of the latest request, read by
 	// the TTL janitor.
 	lastUsed atomic.Int64
-	// claimed counts jobs the dispatcher pulled off the queue but has not
-	// yet handed to the worker pool (the zero-depth Submit rendezvous can
-	// hold a claimed quantum for a while); Stats adds it to the backlog.
+	// claimed counts the job (at most one) the dispatcher pulled off the
+	// queue but has not yet handed to the worker pool (the zero-depth Submit
+	// rendezvous can hold it for a whole unit); Stats adds it to the backlog.
 	claimed atomic.Int64
 
 	// unitLat and queueWait are this session's model-labeled latency
@@ -173,11 +147,10 @@ type session struct {
 	queueWait *telemetry.Histogram
 
 	// Scheduler turn state, owned by the dispatcher: whether the session
-	// sits in the fair ring, is being served a turn, and when its batch
-	// window expires. Guarded by scheduler.mu.
+	// sits in the fair ring or is being served a turn. Guarded by
+	// scheduler.mu.
 	inRing      bool
 	dispatching bool
-	windowAt    time.Time
 }
 
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
@@ -251,10 +224,11 @@ func New(opts Options, models ...*registry.Model) (*Server, error) {
 // /v1/models endpoints.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// janitor evicts sessions whose last request is older than SessionTTL.
+// janitor evicts sessions whose last request is older than SessionTTL. It
+// sweeps four times per TTL, but never more often than once a millisecond.
 func (s *Server) janitor() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.opts.SessionTTL / 4)
+	tick := time.NewTicker(max(s.opts.SessionTTL/4, time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
@@ -263,37 +237,35 @@ func (s *Server) janitor() {
 		case <-tick.C:
 		}
 		cutoff := time.Now().Add(-s.opts.SessionTTL).UnixNano()
-		var evicted []*session
-		s.mu.Lock()
-		for id, sess := range s.sessions {
-			if sess.lastUsed.Load() < cutoff {
-				delete(s.sessions, id)
-				close(sess.done)
-				evicted = append(evicted, sess)
-			}
-		}
-		s.mu.Unlock()
-		for _, sess := range evicted {
-			s.sched.sessionClosed(sess)
-			sess.dep.Release()
+		s.closeSessions(func(sess *session) bool { return sess.lastUsed.Load() < cutoff })
+	}
+}
+
+// closeSessions is the one session-teardown path. Under the lock, every
+// session match accepts leaves the table and has its done channel closed:
+// waiting handlers answer 410, and the session's next scheduler turn fails
+// whatever it still has queued. Each model reference is released after the
+// lock. It reports how many sessions it closed.
+func (s *Server) closeSessions(match func(*session) bool) int {
+	var closed []*session
+	s.mu.Lock()
+	for id, sess := range s.sessions {
+		if match(sess) {
+			delete(s.sessions, id)
+			close(sess.done)
+			closed = append(closed, sess)
 		}
 	}
+	s.mu.Unlock()
+	for _, sess := range closed {
+		sess.dep.Release()
+	}
+	return len(closed)
 }
 
 // removeSession deletes a session by id, reporting whether it existed.
 func (s *Server) removeSession(id string) bool {
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-		close(sess.done)
-	}
-	s.mu.Unlock()
-	if ok {
-		s.sched.sessionClosed(sess)
-		sess.dep.Release()
-	}
-	return ok
+	return s.closeSessions(func(sess *session) bool { return sess.id == id }) > 0
 }
 
 // retireModel removes model versions from the catalog ("name" retires every
@@ -309,20 +281,7 @@ func (s *Server) retireModel(ref string) error {
 	for _, d := range deps {
 		retired[d] = true
 	}
-	var bound []*session
-	s.mu.Lock()
-	for id, sess := range s.sessions {
-		if retired[sess.dep] {
-			delete(s.sessions, id)
-			close(sess.done)
-			bound = append(bound, sess)
-		}
-	}
-	s.mu.Unlock()
-	for _, sess := range bound {
-		s.sched.sessionClosed(sess)
-		sess.dep.Release()
-	}
+	s.closeSessions(func(sess *session) bool { return retired[sess.dep] })
 	return nil
 }
 
@@ -345,7 +304,6 @@ func (s *Server) Close() {
 // requests are traced end to end.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/model", s.handleModel)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /v1/models/{name}", s.handleModelNamed)
 	mux.HandleFunc("POST /v1/models", s.admin(s.handleDeploy))
@@ -418,36 +376,6 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 	return buf.Bytes(), true
 }
 
-// live returns the catalog without draining versions — what a new session
-// can still bind to.
-func (s *Server) live() []*registry.Deployed {
-	list := s.reg.List()
-	out := list[:0]
-	for _, d := range list {
-		if !d.Draining() {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// handleModel is the single-model convenience route: useful while exactly
-// one model is live, a pointer to /v1/models otherwise. Draining versions
-// do not count — during an upgrade rollout the sole live version still
-// resolves here.
-func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
-	live := s.live()
-	switch len(live) {
-	case 0:
-		writeError(w, http.StatusNotFound, "no models deployed")
-	case 1:
-		writeJSON(w, http.StatusOK, infoFor(live[0]))
-	default:
-		writeError(w, http.StatusConflict,
-			"%d models deployed; list them at GET /v1/models and name one", len(live))
-	}
-}
-
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	list := s.reg.List()
 	infos := make([]ModelInfo, len(list))
@@ -517,30 +445,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 type registerResponse struct {
 	SessionID string `json:"sessionID"`
 	Model     string `json:"model"`
-	Weight    int    `json:"weight"`
-}
-
-// resolveModel picks the deployment a registration binds to. Names may be
-// versioned ("alpha@2") or bare ("alpha" — the newest live version); an
-// empty name is allowed only while exactly one model is live.
-func (s *Server) resolveModel(name string) (*registry.Deployed, int, string) {
-	if name == "" {
-		live := s.live()
-		switch len(live) {
-		case 0:
-			return nil, http.StatusNotFound, "no models deployed"
-		case 1:
-			return live[0], 0, ""
-		default:
-			return nil, http.StatusBadRequest,
-				fmt.Sprintf("%d models deployed; name one (GET /v1/models)", len(live))
-		}
-	}
-	d, ok := s.reg.Resolve(name)
-	if !ok {
-		return nil, http.StatusNotFound, fmt.Sprintf("unknown model %q", name)
-	}
-	return d, 0, ""
 }
 
 // handleRegister is decode → validate → bind → insert. Every check on the
@@ -557,9 +461,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dep, status, msg := s.resolveModel(reg.Model)
-	if dep == nil {
-		writeError(w, status, "%s", msg)
+	// Names may be versioned ("alpha@2") or bare ("alpha" — the newest live
+	// version). There is no default model: an empty name is unknown too.
+	dep, ok := s.reg.Resolve(reg.Model)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown model %q", reg.Model)
 		return
 	}
 	if !bytes.Equal(reg.Params, dep.ParamBytes()) {
@@ -582,10 +488,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	weight := 1
-	if s.opts.Weight != nil {
-		weight = min(max(s.opts.Weight(r), 1), maxSessionWeight)
-	}
 	// Bind after all validation: a racing retire or supersede fails here
 	// with a clean 410 instead of binding a session to a stack being torn
 	// down (or drained behind a newer version).
@@ -603,7 +505,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sess := &session{
 		dep:       dep,
 		ctx:       henn.NewContext(params, dep.Encoder(), eval),
-		weight:    weight,
 		jobs:      make(chan *inferJob, s.opts.QueueDepth),
 		done:      make(chan struct{}),
 		unitLat:   s.unitLat.With(dep.Ref()),
@@ -666,7 +567,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	writeJSON(w, http.StatusOK, registerResponse{SessionID: sess.id, Model: dep.Ref(), Weight: weight})
+	writeJSON(w, http.StatusOK, registerResponse{SessionID: sess.id, Model: dep.Ref()})
 }
 
 func (s *Server) lookup(id string) *session {

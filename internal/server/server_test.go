@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
@@ -28,7 +29,7 @@ func newTestServer(t testing.TB) (*registry.Model, *Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{MaxBatch: 8, Workers: -1}, model)
+	srv, err := New(Options{Workers: -1}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestRegisterInferDecrypt(t *testing.T) {
 }
 
 // TestConcurrentClientsBatch hammers one session from many goroutines —
-// the batcher must coalesce requests and every client must get its own
-// correct result back (results are order-sensitive: each input is distinct).
+// every client must get its own correct result back (results are
+// order-sensitive: each input is distinct).
 func TestConcurrentClientsBatch(t *testing.T) {
 	model, _, ts := newTestServer(t)
 	ctx := context.Background()
@@ -398,6 +399,26 @@ func TestSessionDelete(t *testing.T) {
 	}
 }
 
+// TestJanitorNanosecondTTL: a SessionTTL under 4 ns used to hand
+// time.NewTicker a zero sweep interval, which panics the janitor goroutine
+// and with it the process. The interval is floored at a millisecond: the
+// server survives its sweeps and still evicts the sessions the TTL condemns
+// (every session is idle longer than a nanosecond).
+func TestJanitorNanosecondTTL(t *testing.T) {
+	_, srv, ts := newSchedServer(t, Options{SessionTTL: time.Nanosecond})
+	sess, err := NewClient(ts.URL, nil).NewSession(context.Background(), 57)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.lookup(sess.ID()) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("a session idle past a 1 ns TTL was never evicted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestInferUnknownSessionAndHostileCiphertext covers the infer-path guards.
 func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	_, _, ts := newTestServer(t)
@@ -466,6 +487,13 @@ func TestInferRejectsForeignScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := srv.reg.List()[0]
+	// The worker releases its unit's stack reference just after sending the
+	// result, so the client can return first: the baseline is the session's
+	// own bind reference alone.
+	deadline := time.Now().Add(10 * time.Second)
+	for dep.Refs() > 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	refs, ran := dep.Refs(), srv.Stats().UnitsRun
 
 	vec := make([]float64, sess.params.Slots())

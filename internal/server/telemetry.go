@@ -92,9 +92,6 @@ func (s *Server) initTelemetry() {
 	m.NewCounterFunc("henn_units_aborted_total",
 		"Jobs failed without running (session deleted, model retired, shutdown).",
 		func() float64 { return float64(s.sched.unitsAborted.Load()) })
-	m.NewCounterFunc("henn_quanta_total",
-		"Scheduler turns that claimed at least one job.",
-		func() float64 { return float64(s.sched.quanta.Load()) })
 }
 
 // installObservers points the process-global CKKS stage observer and the
