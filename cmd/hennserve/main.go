@@ -27,7 +27,7 @@
 // the old one drains behind it.
 //
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops accepting, in-
-// flight inferences finish, then the scheduler and worker pool shut down.
+// flight inferences finish, then the scheduler and its workers shut down.
 // See README.md for the protocol and a client walkthrough.
 package main
 
@@ -146,7 +146,7 @@ func main() {
 
 	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops the listener
 	// and waits for in-flight HTTP exchanges (inference responses included),
-	// then Server.Close stops the scheduler and worker pool.
+	// then Server.Close stops the scheduler and its workers.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

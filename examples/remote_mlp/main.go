@@ -7,7 +7,7 @@
 //  3. encrypt inputs, POST the ciphertexts, decrypt the returned
 //     predictions — the server never sees a plaintext or the secret key,
 //  4. fire a burst of concurrent requests at one session, which the server
-//     runs one job per scheduler turn on its shared worker pool,
+//     runs one job per scheduler turn on its shared worker budget,
 //  5. run a second session against a different model of the same server —
 //     one worker budget serves the whole catalog.
 //
@@ -121,7 +121,7 @@ func main() {
 	}
 
 	// Burst demo: concurrent requests against one session.
-	fmt.Printf("\nfiring %d concurrent requests (one unit each on the shared worker pool)...\n", *burst)
+	fmt.Printf("\nfiring %d concurrent requests (one unit each on the shared worker budget)...\n", *burst)
 	x := make([]float64, info.InputDim)
 	for i := range x {
 		x[i] = rng.Float64()*2 - 1

@@ -84,7 +84,7 @@ func (s *PlainSum) MulPlainThenAdd(ct *Ciphertext, pt *Plaintext) error {
 	if err := s.ev.checkScales(s.scale, scale); err != nil {
 		return err
 	}
-	ring.ForEachLimb(s.level+1, rq.N, func(j int) {
+	ring.ForEachWorker(s.level+1, rq.N, nil, func(_, j int) {
 		s.c0.mulAdd(j, ct.C0.Coeffs[j], pt.Value.Coeffs[j])
 		s.c1.mulAdd(j, ct.C1.Coeffs[j], pt.Value.Coeffs[j])
 	})

@@ -189,7 +189,7 @@ func (ev *Evaluator) decompose(c *ring.Poly, level int) *HoistedDecomposition {
 	// loop over target limbs takes the fan instead.
 	ys, vs := rq.GetPolyRaw(level), rq.GetPolyRaw(digits-1)
 	limbs := level + 1 + alpha
-	ring.ForEachLimb(digits, 2*limbs*n, func(d int) {
+	ring.ForEachWorker(digits, 2*limbs*n, nil, func(_, d int) {
 		lo, hi, ext := params.digit(d, level)
 		y, v := ys.Coeffs[lo:hi], vs.Coeffs[d]
 		for i := range y {
@@ -198,7 +198,7 @@ func (ev *Evaluator) decompose(c *ring.Poly, level int) *HoistedDecomposition {
 			ext.Scale(i, y[i])
 		}
 		ext.Overflow(y, v)
-		ring.ForEachLimb(limbs, 2*n, func(j int) {
+		ring.ForEachWorker(limbs, 2*n, nil, func(_, j int) {
 			switch {
 			case j >= lo && j < hi:
 				copy(dec.decQ[d].Coeffs[j], c.Coeffs[j])

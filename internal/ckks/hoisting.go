@@ -104,7 +104,7 @@ func (ev *Evaluator) galois(dec *HoistedDecomposition, k int, swk *SwitchingKey)
 
 	ks0, ks1 := ev.switchKey(dec, swk.Digits, idx)
 	out := &Ciphertext{C0: ks0, C1: ks1, Scale: ct.Scale, Level: dec.level}
-	ring.ForEachLimb(dec.level+1, n, func(j int) {
+	ring.ForEachWorker(dec.level+1, n, nil, func(_, j int) {
 		qj := rq.Moduli[j].Q
 		src := ct.C0.Coeffs[j]
 		o := out.C0.Coeffs[j]

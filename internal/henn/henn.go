@@ -273,8 +273,8 @@ func (ctx *Context) Infer(mlp *MLP, ct *ckks.Ciphertext) (*ckks.Ciphertext, erro
 // Unit is one independent encrypted inference: a ciphertext bound to the
 // Context holding the keys that can evaluate it. Schedulers dispatch Units
 // from many sessions onto one shared worker budget — the Context travels
-// with the item, so a single pool serves any number of key sets, and each
-// unit fails on its own.
+// with the item, so one set of workers serves any number of key sets, and
+// each unit fails on its own.
 type Unit struct {
 	Ctx *Context
 	MLP *MLP

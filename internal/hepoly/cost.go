@@ -2,138 +2,10 @@ package hepoly
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
-
-// CostModel estimates PAF latency analytically from per-operation costs.
-// The paper's latency claim (Table 4, Fig. 1) is that PAF latency is
-// dominated by the number and depth of FHE multiplications; the model makes
-// the "who wins by what factor" shape reproducible without paper-scale
-// hardware.
-type CostModel struct {
-	CtMult    time.Duration // ciphertext×ciphertext multiply + relinearize + rescale
-	ConstMult time.Duration // constant multiply + rescale
-	Add       time.Duration
-}
-
-// EstimateSign returns the modeled latency of evaluating the sign
-// approximation.
-func (cm CostModel) EstimateSign(c *paf.Composite) time.Duration {
-	oc := c.Ops()
-	return cm.estimate(oc)
-}
-
-// EstimateReLU returns the modeled latency of the full PAF ReLU.
-func (cm CostModel) EstimateReLU(c *paf.Composite) time.Duration {
-	return cm.estimate(c.OpsReLU())
-}
-
-func (cm CostModel) estimate(oc paf.OpCount) time.Duration {
-	return time.Duration(oc.CtMults)*cm.CtMult +
-		time.Duration(oc.ConstMults)*cm.ConstMult +
-		time.Duration(oc.Adds)*cm.Add
-}
-
-// Calibrate measures the per-operation costs on the given context by timing
-// a handful of operations at the top level. iters controls averaging.
-func Calibrate(ev *ckks.Evaluator, enc *ckks.Encoder, encryptor *ckks.Encryptor, iters int) (CostModel, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	params := ev.Params()
-	vals := make([]float64, params.Slots())
-	for i := range vals {
-		vals[i] = 0.5
-	}
-	pt, err := enc.EncodeReals(vals, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		return CostModel{}, err
-	}
-	ct := encryptor.Encrypt(pt)
-
-	var cm CostModel
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := ev.MulRelinRescale(ct, ct); err != nil {
-			return CostModel{}, err
-		}
-	}
-	cm.CtMult = time.Since(start) / time.Duration(iters)
-
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := ev.MulConstTargetScale(ct, 0.5, params.DefaultScale()); err != nil {
-			return CostModel{}, err
-		}
-	}
-	cm.ConstMult = time.Since(start) / time.Duration(iters)
-
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := ev.Add(ct, ct); err != nil {
-			return CostModel{}, err
-		}
-	}
-	cm.Add = time.Since(start) / time.Duration(iters)
-	return cm, nil
-}
-
-// EstimateReLUAtLevel returns a level-weighted latency estimate: each
-// operation's cost is scaled by the number of active RNS limbs (level+1) at
-// the point it executes, normalized by the starting limb count. This mirrors
-// how leveled RNS-CKKS actually spends time: early (high-level) operations
-// touch more limbs. The operation schedule replayed here matches
-// Evaluator.ReLU exactly.
-func (cm CostModel) EstimateReLUAtLevel(c *paf.Composite, startLevel int) time.Duration {
-	var total float64
-	norm := float64(startLevel + 1)
-	weight := func(level int, d time.Duration) {
-		total += float64(d) * float64(level+1) / norm
-	}
-
-	level := startLevel
-	for _, stage := range c.Stages {
-		deg := stage.Degree()
-		// Even ladder: squaring i runs at level-i.
-		ladderLevels := make([]int, ladderSize(deg))
-		cur := level
-		for i := range ladderLevels {
-			weight(cur, cm.CtMult)
-			cur--
-			ladderLevels[i] = cur
-		}
-		// Terms.
-		minLevel := level
-		for k := range stage.Coeffs {
-			if stage.Coeffs[k] == 0 {
-				continue
-			}
-			weight(level, cm.ConstMult)
-			termLevel := level - 1
-			for bit := 0; (1 << bit) <= k; bit++ {
-				if k&(1<<bit) == 0 {
-					continue
-				}
-				at := min(termLevel, ladderLevels[bit])
-				weight(at, cm.CtMult)
-				termLevel = at - 1
-			}
-			if termLevel < minLevel {
-				minLevel = termLevel
-			}
-			weight(termLevel, cm.Add)
-		}
-		level = minLevel
-	}
-	// ReLU tail: x·p/2 product, x/2 constant, final add.
-	weight(level, cm.CtMult)
-	weight(startLevel, cm.ConstMult)
-	weight(level-1, cm.Add)
-	return time.Duration(total)
-}
 
 // RequiredLevels returns the number of levels a ReLU with this PAF consumes,
 // including the scaling multiplication used by Static Scaling deployment

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
@@ -259,47 +258,6 @@ func TestLadderSize(t *testing.T) {
 	}
 }
 
-func TestCostModelOrdering(t *testing.T) {
-	cm := CostModel{CtMult: 100, ConstMult: 10, Add: 1}
-	// Table 4's headline shape: the 27-degree baseline is the most expensive
-	// PAF by a wide margin and f1∘g2 the cheapest.
-	base := cm.EstimateReLU(paf.MustNew(paf.FormAlpha10))
-	cheapest := cm.EstimateReLU(paf.MustNew(paf.FormF1G2))
-	for _, name := range paf.AllForms {
-		est := cm.EstimateReLU(paf.MustNew(name))
-		if est >= base {
-			t.Fatalf("%s: estimate %v not below the 27-degree baseline %v", name, est, base)
-		}
-		if est < cheapest {
-			t.Fatalf("%s: estimate %v below f1∘g2 %v", name, est, cheapest)
-		}
-	}
-	if float64(base)/float64(cheapest) < 2 {
-		t.Fatalf("baseline/f1∘g2 ratio %.2f too small", float64(base)/float64(cheapest))
-	}
-}
-
-func TestLevelWeightedCost(t *testing.T) {
-	cm := CostModel{CtMult: 100, ConstMult: 10, Add: 1}
-	const start = 12
-	base := cm.EstimateReLUAtLevel(paf.MustNew(paf.FormAlpha10), start)
-	for _, name := range paf.AllForms {
-		c := paf.MustNew(name)
-		lw := cm.EstimateReLUAtLevel(c, start)
-		flat := cm.EstimateReLU(c)
-		if lw <= 0 {
-			t.Fatalf("%s: non-positive level-weighted estimate", name)
-		}
-		if lw >= base {
-			t.Fatalf("%s: level-weighted %v not below baseline %v", name, lw, base)
-		}
-		// Level weighting scales costs by limb count ≤ start+1.
-		if lw > flat*time.Duration(start+1) {
-			t.Fatalf("%s: level-weighted estimate %v exceeds flat bound", name, lw)
-		}
-	}
-}
-
 func TestRequiredLevelsAndCheckFits(t *testing.T) {
 	c := paf.MustNew(paf.FormF1G2)
 	if RequiredLevels(c, false) != 6 {
@@ -314,20 +272,6 @@ func TestRequiredLevelsAndCheckFits(t *testing.T) {
 	}
 	if err := CheckFits(small, c, false); err == nil {
 		t.Fatal("expected CheckFits failure on 2-level parameters")
-	}
-}
-
-func TestCalibrate(t *testing.T) {
-	hc := newHEContext(t)
-	cm, err := Calibrate(hc.eval, hc.enc, hc.encr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.CtMult <= 0 || cm.ConstMult <= 0 || cm.Add <= 0 {
-		t.Fatalf("non-positive calibrated costs: %+v", cm)
-	}
-	if cm.CtMult <= cm.Add {
-		t.Fatalf("ct mult (%v) should dominate add (%v)", cm.CtMult, cm.Add)
 	}
 }
 

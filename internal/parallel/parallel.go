@@ -1,7 +1,7 @@
 // Package parallel provides the small index-fan worker loop shared by the
 // batch-parallel stages above the ring substrate (henn batch inference,
 // smartpaf per-slot CT, the experiments latency harness). The ring package
-// keeps its own fan-out (ForEachLimb) because it has substrate-specific
+// keeps its own fan-out (ForEachWorker) because it has substrate-specific
 // threshold and nesting rules; everything else uses this.
 package parallel
 

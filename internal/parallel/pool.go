@@ -1,46 +1,19 @@
 package parallel
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync"
 
 // Pool is a fixed budget of worker goroutines executing submitted tasks in
-// submission order. It is the shared-budget primitive behind the serving
-// scheduler: any number of producers submit independent work units, and
-// total parallelism stays bounded by the pool size no matter how many
+// submission order: any number of producers submit independent work units,
+// and total parallelism stays bounded by the pool size no matter how many
 // producers are active. Contrast For, which fans one caller's index range
 // out and returns; a Pool is long-lived and shared.
 type Pool struct {
-	tasks   chan func()
-	workers int
-	wg      sync.WaitGroup
-	closed  chan struct{}
+	tasks  chan func()
+	wg     sync.WaitGroup
+	closed chan struct{}
 
 	mu   sync.RWMutex
 	down bool // guarded by mu
-
-	running atomic.Int64
-	peak    atomic.Int64
-	obs     atomic.Pointer[TaskObserver]
-}
-
-// TaskObserver receives, for every task the pool executes, how long the
-// task waited between submission and a worker picking it up (with a
-// zero-depth buffer this is exactly the rendezvous wait against the worker
-// budget) and how long it ran. Observers must be fast and must not submit
-// to the pool.
-type TaskObserver func(wait, run time.Duration)
-
-// SetTaskObserver installs fn as the pool's task observer; nil uninstalls.
-// Only tasks submitted after the call are observed.
-func (p *Pool) SetTaskObserver(fn TaskObserver) {
-	if fn == nil {
-		p.obs.Store(nil)
-		return
-	}
-	p.obs.Store(&fn)
 }
 
 // NewPool starts a pool with the given worker budget, resolved through
@@ -49,12 +22,12 @@ func (p *Pool) SetTaskObserver(fn TaskObserver) {
 // free worker, which gives producers exact backpressure against the budget.
 func NewPool(workers, queue int) *Pool {
 	p := &Pool{
-		tasks:   make(chan func(), max(queue, 0)),
-		workers: Workers(workers),
-		closed:  make(chan struct{}),
+		tasks:  make(chan func(), max(queue, 0)),
+		closed: make(chan struct{}),
 	}
-	p.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
+	workers = Workers(workers)
+	p.wg.Add(workers)
+	for range workers {
 		go p.work()
 	}
 	return p
@@ -65,7 +38,7 @@ func (p *Pool) work() {
 	for {
 		select {
 		case task := <-p.tasks:
-			p.run(task)
+			task()
 		case <-p.closed:
 			// Keep consuming what was accepted before shutdown; Close
 			// sweeps anything that lands in the buffer after the workers
@@ -74,7 +47,7 @@ func (p *Pool) work() {
 			for {
 				select {
 				case task := <-p.tasks:
-					p.run(task)
+					task()
 				default:
 					return
 				}
@@ -83,31 +56,10 @@ func (p *Pool) work() {
 	}
 }
 
-func (p *Pool) run(task func()) {
-	n := p.running.Add(1)
-	for {
-		old := p.peak.Load()
-		if n <= old || p.peak.CompareAndSwap(old, n) {
-			break
-		}
-	}
-	task()
-	p.running.Add(-1)
-}
-
 // Submit hands a task to the pool, blocking while the submission buffer is
 // full. It reports false — and has not enqueued the task — once the pool is
 // closed; a true return guarantees the task runs before Close returns.
 func (p *Pool) Submit(task func()) bool {
-	if obs := p.obs.Load(); obs != nil {
-		inner := task
-		submitted := time.Now()
-		task = func() {
-			start := time.Now()
-			inner()
-			(*obs)(start.Sub(submitted), time.Since(start))
-		}
-	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.down {
@@ -138,19 +90,9 @@ func (p *Pool) Close() {
 	for {
 		select {
 		case task := <-p.tasks:
-			p.run(task)
+			task()
 		default:
 			return
 		}
 	}
 }
-
-// Workers returns the resolved worker budget.
-func (p *Pool) Workers() int { return p.workers }
-
-// Running returns how many tasks are executing right now.
-func (p *Pool) Running() int { return int(p.running.Load()) }
-
-// Peak returns the high-water mark of concurrently executing tasks — the
-// observable proof that a shared budget bounded parallelism.
-func (p *Pool) Peak() int { return int(p.peak.Load()) }

@@ -148,11 +148,13 @@ func (d *Deployed) Bind() error {
 	return nil
 }
 
-// Retain takes an additional reference for an in-flight inference unit. The
-// caller must already hold a reference (the scheduler retains on behalf of a
-// bound session before submitting a unit), so Retain cannot race the final
-// drain and never fails — a draining or retired model keeps serving its
-// in-flight units.
+// Retain takes an additional reference for an in-flight inference unit. It
+// never fails — a draining or retired model keeps serving its in-flight
+// units — so a caller that does not already hold a reference must check
+// afterwards that one still stands. The server's workers retain on behalf
+// of a session, then check the session is still open: a session is closed
+// before its bind reference is released, so a Retain that lands after the
+// stack was freed always sees it closed and releases without running.
 func (d *Deployed) Retain() {
 	d.mu.Lock()
 	d.refs++
@@ -162,7 +164,7 @@ func (d *Deployed) Retain() {
 // Release drops one reference. When a draining or retired version's last
 // reference goes, the stack is freed: the MLP's plan and plaintext
 // caches are dropped, Drained is closed and the version leaves the catalog.
-// Freeing is idempotent — a scheduler's Retain racing the final session
+// Freeing is idempotent — a worker's Retain racing the final session
 // Release can briefly resurrect the count after the free, and its own
 // Release must not free twice.
 func (d *Deployed) Release() {

@@ -38,7 +38,7 @@ const MinParallelWork = 1 << 15
 var parallelism atomic.Int64
 
 // fanOutActive is 1 while a fan-out is in flight. Nested or concurrent
-// ForEachLimb calls run serially instead of multiplying goroutines.
+// ForEachWorker calls run serially instead of multiplying goroutines.
 var fanOutActive atomic.Int32
 
 // SetParallelism bounds the number of goroutines a single substrate
@@ -61,70 +61,35 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEachLimb runs f(i) for every i in [0, jobs), fanning the calls across
-// worker goroutines when jobs*costPerJob ≥ MinParallelWork and no other
-// fan-out is in flight. f must treat distinct indices as independent: no
-// ordering between indices is guaranteed and they may run on different
-// goroutines. ForEachLimb returns only after every f(i) has returned.
-func ForEachLimb(jobs, costPerJob int, f func(i int)) {
-	w := Parallelism()
-	if w <= 1 || jobs <= 1 || jobs*costPerJob < MinParallelWork ||
-		!fanOutActive.CompareAndSwap(0, 1) {
-		for i := 0; i < jobs; i++ {
-			f(i)
-		}
-		return
-	}
-	defer fanOutActive.Store(0)
-	if w > jobs {
-		w = jobs
-	}
-	var next atomic.Int64
-	worker := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= jobs {
-				return
-			}
-			f(i)
-		}
-	}
-	// The calling goroutine is worker zero; only w-1 goroutines are spawned.
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for g := 0; g < w-1; g++ {
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
-}
-
-// ForEachWorker runs f(w, i) for every i in [0, jobs) like ForEachLimb, but
-// passes the executing worker's identity w so callers can keep per-worker
-// state (the key-switch limb fan gives each worker its own accumulator
-// scratch). setup is called exactly once, before any f, with the number of
-// workers that will run — 1 on the serial path — and worker indices passed
-// to f are in [0, workers). Job-to-worker assignment is dynamic and
-// unspecified; a job's result must not depend on which worker ran it. The parallel path holds the fan-out gate, so
-// ForEachLimb calls nested inside f run serially instead of double-fanning.
+// ForEachWorker runs f(w, i) for every i in [0, jobs), fanning the calls
+// across worker goroutines when jobs*costPerJob ≥ MinParallelWork and no
+// other fan-out is in flight. f must treat distinct indices as independent:
+// no ordering between indices is guaranteed and they may run on different
+// goroutines. w is the executing worker's identity, so callers can keep
+// per-worker state (the key-switch limb fan gives each worker its own
+// accumulator scratch). setup, when non-nil, is called exactly once, before
+// any f, with the number of workers that will run — 1 on the serial path —
+// and worker indices passed to f are in [0, workers). Job-to-worker
+// assignment is dynamic and unspecified; a job's result must not depend on
+// which worker ran it. The parallel path holds the fan-out gate, so fans
+// nested inside f run serially instead of double-fanning. ForEachWorker
+// returns only after every f has returned.
 func ForEachWorker(jobs, costPerJob int, setup func(workers int), f func(worker, i int)) {
-	w := Parallelism()
-	if w > jobs {
-		w = jobs
-	}
+	w := min(Parallelism(), jobs)
 	if w <= 1 || jobs*costPerJob < MinParallelWork ||
 		!fanOutActive.CompareAndSwap(0, 1) {
-		setup(1)
+		if setup != nil {
+			setup(1)
+		}
 		for i := 0; i < jobs; i++ {
 			f(0, i)
 		}
 		return
 	}
 	defer fanOutActive.Store(0)
-	setup(w)
+	if setup != nil {
+		setup(w)
+	}
 	var next atomic.Int64
 	worker := func(id int) {
 		for {
@@ -135,6 +100,7 @@ func ForEachWorker(jobs, costPerJob int, setup func(workers int), f func(worker,
 			f(id, i)
 		}
 	}
+	// The calling goroutine is worker zero; only w-1 goroutines are spawned.
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
 	for g := 1; g < w; g++ {
@@ -149,6 +115,6 @@ func ForEachWorker(jobs, costPerJob int, setup func(workers int), f func(worker,
 
 // forLimbs fans f over the limbs 0..level of a ring, costing each limb at
 // the ring degree. This is the common entry point for limb-wise poly ops.
-func (r *Ring) forLimbs(level int, f func(i int)) {
-	ForEachLimb(level+1, r.N, f)
+func (r *Ring) forLimbs(level int, f func(worker, i int)) {
+	ForEachWorker(level+1, r.N, nil, f)
 }

@@ -10,6 +10,10 @@ import (
 
 // --- worker pool --------------------------------------------------------------
 
+// The TestForEachLimb cases drive ForEachWorker the way every limb-wise fan
+// does (forLimbs, the key switch's digit and limb loops): nil setup, the
+// worker identity ignored.
+
 func TestForEachLimbCoversEveryIndexOnce(t *testing.T) {
 	defer SetParallelism(0)
 	for _, workers := range []int{1, 2, 4, 16} {
@@ -17,7 +21,7 @@ func TestForEachLimbCoversEveryIndexOnce(t *testing.T) {
 		for _, jobs := range []int{0, 1, 3, 7, 64} {
 			counts := make([]atomic.Int32, max(jobs, 1))
 			// Large costPerJob forces the parallel path past the threshold.
-			ForEachLimb(jobs, MinParallelWork, func(i int) {
+			ForEachWorker(jobs, MinParallelWork, nil, func(_, i int) {
 				counts[i].Add(1)
 			})
 			for i := 0; i < jobs; i++ {
@@ -35,7 +39,7 @@ func TestForEachLimbSmallJobsStaySerial(t *testing.T) {
 	// Below the work threshold the indices must run in order on the calling
 	// goroutine; record the order to prove it.
 	var order []int
-	ForEachLimb(4, 1, func(i int) { order = append(order, i) })
+	ForEachWorker(4, 1, nil, func(_, i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial fallback ran out of order: %v", order)
@@ -47,9 +51,9 @@ func TestForEachLimbNestedDoesNotDeadlock(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(4)
 	var total atomic.Int32
-	ForEachLimb(4, MinParallelWork, func(i int) {
+	ForEachWorker(4, MinParallelWork, nil, func(_, i int) {
 		// The nested call must detect the in-flight fan-out and run serially.
-		ForEachLimb(4, MinParallelWork, func(j int) {
+		ForEachWorker(4, MinParallelWork, nil, func(_, j int) {
 			total.Add(1)
 		})
 	})
@@ -68,7 +72,7 @@ func TestForEachLimbConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				ForEachLimb(5, MinParallelWork, func(i int) { total.Add(1) })
+				ForEachWorker(5, MinParallelWork, nil, func(_, i int) { total.Add(1) })
 			}
 		}()
 	}
@@ -139,7 +143,7 @@ func TestForEachWorkerNestedLimbFanStaysSerial(t *testing.T) {
 	ForEachWorker(4, MinParallelWork, func(w int) {}, func(w, i int) {
 		// The worker fan holds the gate, so the nested limb fan must run
 		// serially rather than spawning a second tier of goroutines.
-		ForEachLimb(4, MinParallelWork, func(j int) {
+		ForEachWorker(4, MinParallelWork, nil, func(_, j int) {
 			total.Add(1)
 		})
 	})

@@ -8,7 +8,7 @@ import (
 // Ring is a chain of RNS moduli sharing one degree N. Index i of the chain
 // corresponds to prime q_i; a polynomial "at level L" carries limbs 0..L.
 // All methods are safe for concurrent use: the precomputed tables are
-// read-only after NewRing, per-limb work is fanned out via ForEachLimb, and
+// read-only after NewRing, per-limb work is fanned out via ForEachWorker, and
 // scratch recycling goes through sync.Pools (see pool.go).
 type Ring struct {
 	N      int
@@ -89,7 +89,7 @@ func minLevel(ps ...*Poly) int {
 // Add sets out = a + b limb-wise up to the smallest common level.
 func (r *Ring) Add(a, b, out *Poly) {
 	level := minLevel(a, b, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
@@ -101,7 +101,7 @@ func (r *Ring) Add(a, b, out *Poly) {
 // Sub sets out = a - b limb-wise up to the smallest common level.
 func (r *Ring) Sub(a, b, out *Poly) {
 	level := minLevel(a, b, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
@@ -113,7 +113,7 @@ func (r *Ring) Sub(a, b, out *Poly) {
 // Neg sets out = -a limb-wise.
 func (r *Ring) Neg(a, out *Poly) {
 	level := minLevel(a, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		ai, oi := a.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
@@ -126,7 +126,7 @@ func (r *Ring) Neg(a, out *Poly) {
 // NTT domain, making this a negacyclic polynomial multiplication.
 func (r *Ring) MulCoeffs(a, b, out *Poly) {
 	level := minLevel(a, b, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
@@ -138,7 +138,7 @@ func (r *Ring) MulCoeffs(a, b, out *Poly) {
 // MulCoeffsThenAdd sets out += a ⊙ b (pointwise, NTT domain).
 func (r *Ring) MulCoeffsThenAdd(a, b, out *Poly) {
 	level := minLevel(a, b, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
 		for j := range oi {
@@ -150,7 +150,7 @@ func (r *Ring) MulCoeffsThenAdd(a, b, out *Poly) {
 // MulScalar sets out = a * scalar where scalar is reduced per limb.
 func (r *Ring) MulScalar(a *Poly, scalar []uint64, out *Poly) {
 	level := minLevel(a, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		s := scalar[i] % q
 		ai, oi := a.Coeffs[i], out.Coeffs[i]
@@ -165,7 +165,7 @@ func (r *Ring) MulScalar(a *Poly, scalar []uint64, out *Poly) {
 // every slot, so the same routine serves both domains.
 func (r *Ring) AddScalar(a *Poly, scalar []uint64, out *Poly) {
 	level := minLevel(a, out)
-	r.forLimbs(level, func(i int) {
+	r.forLimbs(level, func(_, i int) {
 		q := r.Moduli[i].Q
 		s := scalar[i] % q
 		ai, oi := a.Coeffs[i], out.Coeffs[i]
@@ -178,7 +178,7 @@ func (r *Ring) AddScalar(a *Poly, scalar []uint64, out *Poly) {
 // NTT transforms all limbs of p in place to the evaluation domain,
 // fanning the per-limb transforms across the worker pool.
 func (r *Ring) NTT(p *Poly) {
-	r.forLimbs(p.Level(), func(i int) {
+	r.forLimbs(p.Level(), func(_, i int) {
 		r.Moduli[i].NTT(p.Coeffs[i])
 	})
 }
@@ -186,7 +186,7 @@ func (r *Ring) NTT(p *Poly) {
 // INTT transforms all limbs of p in place back to coefficient domain,
 // fanning the per-limb transforms across the worker pool.
 func (r *Ring) INTT(p *Poly) {
-	r.forLimbs(p.Level(), func(i int) {
+	r.forLimbs(p.Level(), func(_, i int) {
 		r.Moduli[i].INTT(p.Coeffs[i])
 	})
 }

@@ -107,7 +107,7 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 }
 
 // Traces fetches the server's retained request traces, newest first. Each
-// snapshot carries the request's spans (queue wait, dispatch, unit) and the
+// snapshot carries the request's spans (queue wait, unit) and the
 // per-stage CKKS timing breakdown aggregated by the unit.
 func (c *Client) Traces(ctx context.Context) ([]telemetry.TraceSnapshot, error) {
 	var snaps []telemetry.TraceSnapshot

@@ -70,7 +70,7 @@
 //	    raw marshaled ciphertext -> raw marshaled ciphertext
 //	    All sessions' requests — across every model — flow through one
 //	    scheduler: strict round-robin over per-session queues, one job per
-//	    session turn, feeding a shared bounded worker pool, so one worker
+//	    session turn, taken by a bounded set of workers, so one worker
 //	    budget serves the whole catalog. The input ciphertext must arrive
 //	    at level >= the model's advertised levels (one inference consumes
 //	    exactly that many). Requests on a session whose model was retired return 410.

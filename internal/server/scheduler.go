@@ -18,169 +18,143 @@ var (
 	errShuttingDown  = errors.New("server shutting down")
 )
 
-// scheduler multiplexes every session's jobs onto one bounded worker pool.
-// Sessions enqueue jobs into their own bounded queues; one dispatcher
-// goroutine serves the sessions with queued work in strict round-robin, one
-// job per turn, so a flooding session holds any other behind at most one of
-// its jobs. Each job runs on the shared pool as a henn.Unit carrying its
-// session's Context, so one pool serves any number of key sets and total
-// server parallelism is bounded by a single budget — Options.Workers —
-// instead of sessions × workers.
+// scheduler multiplexes every session's jobs onto one bounded set of
+// workers. Sessions enqueue jobs into their own bounded queues; the
+// Options.Workers worker goroutines serve the sessions with queued work in
+// strict round-robin, one job per turn, so a flooding session holds any
+// other behind at most one of its jobs. Each job runs on the worker that
+// took it as a henn.Unit carrying its session's Context, so one budget
+// serves any number of key sets and total server parallelism is bounded by
+// Options.Workers instead of sessions × workers.
 type scheduler struct {
-	srv  *Server
-	pool *parallel.Pool
-	wake chan struct{}
+	srv     *Server
+	workers int
 
-	// The session-table lock nests outside the queue lock: enqueue paths
+	// The session-table lock nests outside the ring lock: enqueue paths
 	// may resolve a session under Server.mu before queueing here, and
-	// nothing queue-side ever calls back into the session table.
-	mu   sync.Mutex
-	ring []*session // sessions with queued jobs, round-robin order, guarded by mu
+	// nothing ring-side ever calls back into the session table.
+	mu       sync.Mutex
+	ready    *sync.Cond // signalled per enqueued job, broadcast on stop
+	ring     []*session // sessions with queued jobs, round-robin order, guarded by mu
+	stopping bool       // guarded by mu
 
-	unitsRun     atomic.Int64
-	unitsAborted atomic.Int64
+	running, peak atomic.Int64
+	unitsRun      atomic.Int64
+	unitsAborted  atomic.Int64
 }
 
 func newScheduler(srv *Server) *scheduler {
-	return &scheduler{
-		srv: srv,
-		// A zero-depth submission buffer makes every dispatch rendezvous
-		// with a free worker: claimed jobs never pile up ahead of the
-		// budget, and fairness decisions happen as late as possible.
-		pool: parallel.NewPool(srv.opts.Workers, 0),
-		wake: make(chan struct{}, 1),
-	}
+	d := &scheduler{srv: srv, workers: parallel.Workers(srv.opts.Workers)}
+	d.ready = sync.NewCond(&d.mu)
+	return d
 }
 
 // notify tells the scheduler sess has one more queued job. Handlers call it
 // after every successful enqueue, so a session with queued jobs is always in
-// the ring, being served, or about to be notified — a deleted session's jobs
-// are reached on its next turn and fail there.
+// the ring or about to be notified — a deleted session's jobs are reached on
+// its next turn and fail there. After stop, the enqueuer fails the job here.
 func (d *scheduler) notify(sess *session) {
 	d.mu.Lock()
-	if !sess.inRing && !sess.dispatching {
-		sess.inRing = true
-		d.ring = append(d.ring, sess)
+	stopping := d.stopping
+	if !stopping {
+		if !sess.inRing {
+			sess.inRing = true
+			d.ring = append(d.ring, sess)
+		}
+		// Every job wakes a worker, not only the one that puts its session
+		// in the ring: a session's second job is owed a second idle worker
+		// while the first runs.
+		d.ready.Signal()
 	}
 	d.mu.Unlock()
-	select {
-	case d.wake <- struct{}{}:
-	default:
+	if stopping {
+		d.failQueued(sess, errShuttingDown)
 	}
 }
 
-// run is the dispatcher loop. It exits when the server closes, after
-// failing every still-queued job.
-func (d *scheduler) run() {
+// work is one worker's loop: take a turn, serve the job, repeat until the
+// scheduler stops.
+func (d *scheduler) work() {
 	defer d.srv.wg.Done()
 	for {
-		if sess := d.next(); sess != nil {
-			d.dispatch(sess)
-			continue
-		}
-		select {
-		case <-d.wake:
-		case <-d.srv.closed:
-			d.shutdown()
+		sess, job := d.take()
+		if job == nil {
 			return
 		}
+		d.serve(sess, job)
 	}
 }
 
-// next pops the ring head, or returns nil when no session has queued jobs.
-func (d *scheduler) next() *session {
+// take runs one scheduler turn: wait for a session with queued jobs, pop
+// the ring head, take at most one of its jobs and put it back at the ring
+// tail if it still has more. It returns a nil job once the scheduler stops.
+func (d *scheduler) take() (*session, *inferJob) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.ring) == 0 {
-		return nil
+	for !d.stopping {
+		if len(d.ring) == 0 {
+			d.ready.Wait()
+			continue
+		}
+		sess := d.ring[0]
+		d.ring = append(d.ring[:0], d.ring[1:]...)
+		sess.inRing = false
+		var job *inferJob
+		select {
+		case job = <-sess.jobs:
+		default:
+			// A notify can trail the job it announces: an earlier turn of
+			// this session may already have taken it.
+		}
+		if len(sess.jobs) > 0 {
+			sess.inRing = true
+			d.ring = append(d.ring, sess)
+		}
+		if job != nil {
+			return sess, job
+		}
 	}
-	sess := d.ring[0]
-	d.ring = append(d.ring[:0], d.ring[1:]...)
-	sess.inRing = false
-	sess.dispatching = true
-	return sess
+	return nil, nil
 }
 
-// dispatch serves one scheduler turn for sess: claim its next job and hand
-// it to the shared pool as a henn.Unit, or fail everything it has queued if
-// the session died.
-func (d *scheduler) dispatch(sess *session) {
-	defer d.finish(sess)
-	// The claimed job leaves the session queue long before it reaches a
-	// worker (Submit's zero-depth rendezvous can hold it for a whole unit).
-	// Counting it before the receive means a Stats snapshot can briefly see
-	// it twice, but never misses it while it waits.
-	sess.claimed.Add(1)
-	var job *inferJob
-	select {
-	case job = <-sess.jobs:
-	default:
-		// A notify can trail the job it announces: an earlier turn of this
-		// session may already have served it.
-		sess.claimed.Add(-1)
-		return
-	}
+// serve runs a taken job as a henn.Unit on the calling worker, or fails it
+// and everything its session still has queued if the session died.
+func (d *scheduler) serve(sess *session, job *inferJob) {
+	// The unit retains the model stack so a retire that lands while it
+	// executes cannot free the caches under it. Retain comes before the
+	// liveness check: closeSessions closes done before it releases the
+	// session's bind reference, so a Retain that lands after the stack was
+	// freed always sees the session closed and backs out without running.
+	sess.dep.Retain()
+	defer sess.dep.Release()
 	select {
 	case <-sess.done:
-		sess.claimed.Add(-1)
 		d.abort(job, errSessionClosed)
 		d.failQueued(sess, errSessionClosed)
 		return
 	default:
 	}
-	// The unit retains the model stack so a retire that lands while it
-	// executes cannot free the caches under it; the session's own bind
-	// reference does not cover the unit, because the session may be removed
-	// (releasing that reference) while the unit is in flight.
-	sess.dep.Retain()
-	// Queue wait ends here: the job leaves the dispatcher's hands for the
-	// pool rendezvous, which the trace's dispatch span covers.
-	submitted := time.Now()
-	sess.queueWait.Record(submitted.Sub(job.enqueuedAt))
-	job.trace.AddSpan("queue_wait", job.enqueuedAt, submitted)
-	ok := d.pool.Submit(func() {
-		defer sess.dep.Release()
-		runStart := time.Now()
-		job.trace.AddSpan("dispatch", submitted, runStart,
-			[2]string{"model", sess.dep.Ref()})
-		out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
-		end := time.Now()
-		sess.unitLat.Record(end.Sub(runStart))
-		if err != nil {
-			job.trace.AddSpan("unit", runStart, end, [2]string{"error", err.Error()})
-		} else {
-			job.trace.AddSpan("unit", runStart, end)
-		}
-		job.done <- inferResult{ct: out, err: err}
-	})
-	// Count the unit here, after the claimed decrement, not inside the
-	// worker: a worker-side increment races the decrement, so a Stats
-	// snapshot could see one job in both Backlog (still claimed) and
-	// UnitsRun. Submit's rendezvous means ok implies a worker has the unit,
-	// so the count is accurate.
-	sess.claimed.Add(-1)
-	if !ok {
-		sess.dep.Release()
-		d.abort(job, errShuttingDown)
-		return
-	}
 	d.unitsRun.Add(1)
 	sess.dep.AddUnitRun()
-}
-
-// finish ends a turn: the session goes back to the ring tail if it still
-// has queued jobs.
-func (d *scheduler) finish(sess *session) {
-	d.mu.Lock()
-	sess.dispatching = false
-	if len(sess.jobs) > 0 && !sess.inRing {
-		sess.inRing = true
-		d.ring = append(d.ring, sess)
+	n := d.running.Add(1)
+	defer d.running.Add(-1)
+	for p := d.peak.Load(); n > p && !d.peak.CompareAndSwap(p, n); p = d.peak.Load() {
 	}
-	d.mu.Unlock()
+	start := time.Now()
+	sess.queueWait.Record(start.Sub(job.enqueuedAt))
+	job.trace.AddSpan("queue_wait", job.enqueuedAt, start, [2]string{"model", sess.dep.Ref()})
+	out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
+	end := time.Now()
+	sess.unitLat.Record(end.Sub(start))
+	if err != nil {
+		job.trace.AddSpan("unit", start, end, [2]string{"error", err.Error()})
+	} else {
+		job.trace.AddSpan("unit", start, end)
+	}
+	job.done <- inferResult{ct: out, err: err}
 }
 
-// abort fails a claimed job without running it.
+// abort fails a taken or queued job without running it.
 func (d *scheduler) abort(job *inferJob, cause error) {
 	job.done <- inferResult{err: cause}
 	d.unitsAborted.Add(1)
@@ -198,19 +172,17 @@ func (d *scheduler) failQueued(sess *session, cause error) {
 	}
 }
 
-// shutdown fails every queued job across all sessions; in-flight units
-// finish in the pool (Server.Close drains it after the dispatcher exits).
-func (d *scheduler) shutdown() {
+// stop ends scheduling: idle workers exit at once, busy ones after their
+// unit answers, and every job still queued fails now (one enqueued later
+// fails in notify).
+func (d *scheduler) stop() {
 	d.mu.Lock()
+	d.stopping = true
+	ring := d.ring
 	d.ring = nil
+	d.ready.Broadcast()
 	d.mu.Unlock()
-	d.srv.mu.RLock()
-	sessions := make([]*session, 0, len(d.srv.sessions))
-	for _, sess := range d.srv.sessions {
-		sessions = append(sessions, sess)
-	}
-	d.srv.mu.RUnlock()
-	for _, sess := range sessions {
+	for _, sess := range ring {
 		d.failQueued(sess, errShuttingDown)
 	}
 }
@@ -227,8 +199,7 @@ type ModelStats struct {
 	Draining bool `json:"draining,omitempty"`
 	// Sessions is how many live sessions are bound to the version.
 	Sessions int `json:"sessions"`
-	// Backlog is how many of the version's jobs await a worker (queued in
-	// sessions plus claimed by the dispatcher but not yet submitted).
+	// Backlog is how many of the version's jobs wait in session queues.
 	Backlog int `json:"backlog"`
 	// UnitsRun counts inference units executed against the version.
 	UnitsRun int64 `json:"unitsRun"`
@@ -247,11 +218,10 @@ type ModelStats struct {
 type Stats struct {
 	// Workers is the resolved server-wide worker budget.
 	Workers int `json:"workers"`
-	// Backlog is how many accepted jobs still await a worker: queued in
-	// per-session queues plus claimed by the dispatcher but blocked in the
-	// zero-depth pool rendezvous. Jobs already executing do not count.
+	// Backlog is how many accepted jobs wait in session queues; a job
+	// leaves its queue only when a worker takes it.
 	Backlog int `json:"backlog"`
-	// UnitsRun counts inference units the pool started executing.
+	// UnitsRun counts inference units the workers started executing.
 	UnitsRun int64 `json:"unitsRun"`
 	// UnitsAborted counts jobs failed without running (session deleted,
 	// model retired, or server shutting down).
@@ -301,22 +271,22 @@ func (s *Server) Stats() Stats {
 	backlog := 0
 	s.mu.RLock()
 	for _, sess := range s.sessions {
-		pending := len(sess.jobs) + int(sess.claimed.Load())
-		backlog += pending
+		queued := len(sess.jobs)
+		backlog += queued
 		if ms := index[sess.dep]; ms != nil {
 			ms.Sessions++
-			ms.Backlog += pending
+			ms.Backlog += queued
 		}
 	}
 	s.mu.RUnlock()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	return Stats{
-		Workers:       s.sched.pool.Workers(),
+		Workers:       s.sched.workers,
 		Backlog:       backlog,
 		UnitsRun:      s.sched.unitsRun.Load(),
 		UnitsAborted:  s.sched.unitsAborted.Load(),
-		PeakInFlight:  s.sched.pool.Peak(),
+		PeakInFlight:  int(s.sched.peak.Load()),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		HeapBytes:     mem.HeapAlloc,

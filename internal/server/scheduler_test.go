@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,11 +204,38 @@ func TestFairPolicyServesVictimEarly(t *testing.T) {
 	}
 }
 
+// holdWorker parks the next unit to rescale inside the CKKS stage observer
+// until release is called, and with it every other unit that rescales
+// meanwhile (sync.Once holds concurrent callers until the first returns).
+// Clients never rescale, so only workers are caught. started is closed once
+// a worker is held.
+func holdWorker(t *testing.T) (started <-chan struct{}, release func()) {
+	t.Helper()
+	held, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ckks.SetStageObserver(func(stage string, _ time.Duration) {
+		if stage == "rescale" {
+			once.Do(func() {
+				close(held)
+				<-gate
+			})
+		}
+	})
+	release = sync.OnceFunc(func() { close(gate) })
+	// Registered after the server's cleanup, so it runs first: the held
+	// worker must finish before Close waits for it.
+	t.Cleanup(func() {
+		release()
+		ckks.SetStageObserver(nil)
+	})
+	return held, release
+}
+
 // TestDeadSessionJobsNeverRun: a session deleted while its job waits in
 // the queue fails that job at once, and the job never runs as paid
-// inference. The single worker is held by a test task and the dispatcher by
-// another session's job in the rendezvous, so the victim's job is still
-// queued when the session goes.
+// inference. Another session's unit holds the single worker, so the
+// victim's job is still queued when the session goes; while it waits it is
+// the whole backlog, overall and per model.
 func TestDeadSessionJobsNeverRun(t *testing.T) {
 	model, srv, ts := newSchedServer(t, Options{Workers: 1})
 	ctx := context.Background()
@@ -220,30 +249,31 @@ func TestDeadSessionJobsNeverRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	started, release := make(chan struct{}), make(chan struct{})
-	releaseWorker := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseWorker) // before the server's own cleanup drains the pool
-	go srv.sched.pool.Submit(func() {
-		close(started)
-		<-release
-	})
-	<-started
-
+	started, releaseWorker := holdWorker(t)
 	x := make([]float64, model.InputDim)
 	holderErr := make(chan error, 1)
 	go func() {
 		_, err := holder.Infer(ctx, x)
 		holderErr <- err
 	}()
-	holderQueue := srv.lookup(holder.ID()).jobs
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 1 && len(holderQueue) == 0 }, "holder job in the rendezvous")
+	select {
+	case <-started:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the holder's unit never reached the worker")
+	}
+	if st := srv.Stats(); st.UnitsRun != 1 || st.Backlog != 0 {
+		t.Fatalf("holder's unit running: %d units run, backlog %d; want 1 and 0", st.UnitsRun, st.Backlog)
+	}
 
 	victimErr := make(chan error, 1)
 	go func() {
 		_, err := victim.Infer(ctx, x)
 		victimErr <- err
 	}()
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 2 }, "victim job queued")
+	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 1 }, "victim job queued")
+	if st := srv.Stats(); len(st.Models) != 1 || st.Models[0].Backlog != 1 {
+		t.Fatalf("per-model backlog %+v, want the one queued job", st.Models)
+	}
 	if err := victim.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +295,49 @@ func TestDeadSessionJobsNeverRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollStats(t, srv, func(st Stats) bool { return st.UnitsAborted == 1 }, "aborted unit")
-	if st := srv.Stats(); st.UnitsRun != 1 {
-		t.Fatalf("ran %d inference units, want only the live session's 1", st.UnitsRun)
+	if st := srv.Stats(); st.UnitsRun != 1 || st.Backlog != 0 {
+		t.Fatalf("ran %d inference units with backlog %d, want only the live session's 1 and 0", st.UnitsRun, st.Backlog)
+	}
+}
+
+// TestIdleWorkersShareOneSession: with two workers idle, one session's two
+// jobs run at once (hennbench's linear_heavy is one session with two
+// clients): a session whose job is running stays open to the next idle
+// worker. Both units are held inside the stage observer until the peak is
+// seen.
+func TestIdleWorkersShareOneSession(t *testing.T) {
+	model, srv, ts := newSchedServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, releaseWorkers := holdWorker(t)
+	x := make([]float64, model.InputDim)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sess.Infer(ctx, x); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	pollStats(t, srv, func(st Stats) bool { return st.PeakInFlight == 2 }, "both jobs running on the two workers")
+	releaseWorkers()
+	wg.Wait()
+	if st := srv.Stats(); st.UnitsRun != 2 {
+		t.Fatalf("ran %d units, want 2", st.UnitsRun)
 	}
 }
 
 // TestSessionDeletedMidBatch: deleting a session while a burst of its jobs
 // is being served stops the rest from running as paid inference. A burst
 // queues behind one worker; once the first unit starts, the session is
-// deleted. Only the units already handed to the worker and the one job
-// already in the pool rendezvous may still execute (two, when the delete
-// lands during the first unit); every other job fails 410 and counts as
-// aborted.
+// deleted. Only units that passed the worker's liveness check before the
+// delete may still execute (at most one beyond the count read just after
+// it); every other job fails 410 and counts as aborted.
 func TestSessionDeletedMidBatch(t *testing.T) {
 	model, err := registry.DemoModel(11, 9) // logN 9: units long enough to delete behind
 	if err != nil {
@@ -333,17 +394,17 @@ func TestSessionDeletedMidBatch(t *testing.T) {
 	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// From here no claimed job passes the dispatcher's liveness check.
+	// From here no taken job passes the worker's liveness check; one that
+	// passed it just before the delete may not be counted yet.
 	ranAtDelete := srv.Stats().UnitsRun
 	wg.Wait()
-	// Handlers answer 410 off sess.done before the dispatcher's next turn
-	// for the session aborts its queue; wait for every enqueued job to
-	// settle.
+	// Handlers answer 410 off sess.done before the worker's next turn for
+	// the session aborts its queue; wait for every enqueued job to settle.
 	enqueued := burst - lateErrs.Load()
 	pollStats(t, srv, func(st Stats) bool { return st.UnitsRun+st.UnitsAborted == enqueued }, "job settlement")
 	st := srv.Stats()
 	if st.UnitsRun > ranAtDelete+1 {
-		t.Fatalf("%d units ran for a session deleted after %d; only the one in the rendezvous may follow", st.UnitsRun, ranAtDelete)
+		t.Fatalf("%d units ran for a session deleted after %d; only one already past the liveness check may follow", st.UnitsRun, ranAtDelete)
 	}
 	if answered.Load() > st.UnitsRun {
 		t.Fatalf("%d requests answered but only %d units ran", answered.Load(), st.UnitsRun)
@@ -472,63 +533,154 @@ func TestOversizedBodies413(t *testing.T) {
 	}
 }
 
-// TestBacklogCountsClaimedJobs is the stats regression: a job the
-// dispatcher has claimed off the session queue but not yet pushed through
-// the zero-depth pool rendezvous was invisible to Stats.Backlog, so
-// /v1/stats could report 0 while it waited for a worker.
-func TestBacklogCountsClaimedJobs(t *testing.T) {
-	model, err := registry.DemoModel(11, 9) // logN 9: units long enough to observe
+// TestNoUnitOnFreedStack: a worker that takes a job of a session whose
+// model was retired and freed in the meantime aborts it. Its Retain lands
+// after the free and brings the count back up, but the liveness check after
+// it sees the closed session: no unit runs (no CKKS stage, so nothing
+// re-encodes the dropped plaintext caches), UnitsAborted goes up by one and
+// the count returns to 0.
+func TestNoUnitOnFreedStack(t *testing.T) {
+	model, srv, ts := newSchedServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sess.Infer(ctx, make([]float64, model.InputDim)); err != nil {
+		t.Fatal(err)
+	}
+	live := srv.lookup(sess.ID())
+	dep := live.dep
+	if err := srv.retireModel(dep.Ref()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-dep.Drained():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("retired stack never freed (%d refs)", dep.Refs())
+	}
+
+	pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), sess.params.MaxLevel(), sess.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &inferJob{ct: sess.encr.Encrypt(pt), done: make(chan inferResult, 1), enqueuedAt: time.Now()}
+	var stages atomic.Int64
+	ckks.SetStageObserver(func(string, time.Duration) { stages.Add(1) })
+	defer ckks.SetStageObserver(nil)
+	before := srv.Stats()
+	srv.sched.serve(live, job)
+
+	if res := <-job.done; !errors.Is(res.err, errSessionClosed) {
+		t.Fatalf("job on a freed stack: got %v, want %v", res.err, errSessionClosed)
+	}
+	st := srv.Stats()
+	if st.UnitsRun != before.UnitsRun || st.UnitsAborted != before.UnitsAborted+1 {
+		t.Fatalf("units run %d → %d, aborted %d → %d; want no run and one abort",
+			before.UnitsRun, st.UnitsRun, before.UnitsAborted, st.UnitsAborted)
+	}
+	if n := dep.Refs(); n != 0 {
+		t.Fatalf("%d refs left on the freed stack", n)
+	}
+	if n := stages.Load(); n != 0 {
+		t.Fatalf("%d CKKS stages ran on the freed stack", n)
+	}
+}
+
+// TestCloseMidBurst: Close in the middle of a burst on one worker fails
+// every queued request 503 at once while the running unit finishes and
+// answers, settles every accepted job as run or aborted, and leaves no
+// goroutine behind.
+func TestCloseMidBurst(t *testing.T) {
+	model, err := registry.DemoModel(11, testLogN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
 	srv, err := New(Options{Workers: 1}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	defer func() {
+	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-	}()
+	})
 	ctx := context.Background()
-	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 74)
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 93)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three jobs, one worker. The state to catch is the second unit running
-	// while the dispatcher holds the third in the rendezvous: the session
-	// queue is empty, yet one job has not reached a worker.
-	x := make([]float64, model.InputDim)
-	const burst = 3
+	const burst = 6
+	var cts [burst]*ckks.Ciphertext
+	for r := range cts {
+		pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), sess.params.MaxLevel(), sess.params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[r] = sess.encr.Encrypt(pt)
+	}
+
+	started, releaseWorker := holdWorker(t)
+	// Cancelled first if the test fails, so a request the server never
+	// answers cannot hold the cleanup's ts.Close.
+	reqCtx, cancel := context.WithCancel(ctx)
+	t.Cleanup(cancel)
 	var wg sync.WaitGroup
-	for r := 0; r < burst; r++ {
+	var answered, unavailable atomic.Int64
+	for _, ct := range cts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sess.Infer(ctx, x); err != nil {
+			_, err := sess.InferCiphertext(reqCtx, ct)
+			switch {
+			case err == nil:
+				answered.Add(1)
+			case reqCtx.Err() != nil:
+				// Cancelled by a failed test's cleanup.
+			case strings.Contains(err.Error(), "503"):
+				unavailable.Add(1)
+			default:
 				t.Error(err)
 			}
 		}()
 	}
-	pollStats(t, srv, func(st Stats) bool { return int(st.UnitsRun)+st.Backlog >= burst }, "burst accepted")
-	queue := srv.lookup(sess.ID()).jobs
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		// With the whole burst in, the queue only shrinks: read it first,
-		// and the snapshot sees it empty too.
-		empty := len(queue) == 0
-		st := srv.Stats()
-		if empty && int(st.UnitsRun) < burst && st.Backlog == burst-int(st.UnitsRun) {
-			if len(st.Models) != 1 || st.Models[0].Backlog != st.Backlog {
-				t.Fatalf("per-model backlog %+v disagrees with total %d", st.Models, st.Backlog)
-			}
-			break
-		}
+	select {
+	case <-started:
+	case <-time.After(15 * time.Second):
+		t.Fatal("no unit reached the worker")
+	}
+	pollStats(t, srv, func(st Stats) bool { return st.Backlog == burst-1 }, "rest of the burst queued")
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	// The worker is still held: queued requests cannot wait for it.
+	deadline := time.Now().Add(15 * time.Second)
+	for unavailable.Load() < burst-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no snapshot counted the claimed job while the queue was empty (last %+v)", st)
+			t.Fatalf("%d of %d queued requests failed 503 while the worker was held", unavailable.Load(), burst-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	releaseWorker()
+	<-closed
 	wg.Wait()
-	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 0 }, "drained backlog")
+
+	st := srv.Stats()
+	if answered.Load() != 1 || st.UnitsRun != 1 || st.UnitsAborted != burst-1 {
+		t.Fatalf("%d answered, %d units run, %d aborted; want the running unit to answer and %d queued jobs aborted",
+			answered.Load(), st.UnitsRun, st.UnitsAborted, burst-1)
+	}
+	ts.Close()
+	deadline = time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

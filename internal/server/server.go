@@ -29,8 +29,9 @@ type Options struct {
 	// runs one worker, negative uses all cores. The number of concurrently
 	// executing inference units is bounded by this one budget no matter how
 	// many sessions or models are active (serving deployments want -1;
-	// cmd/hennserve defaults to it). The scheduler hands the budget one job
-	// per session turn, round-robin across sessions with queued work.
+	// cmd/hennserve defaults to it). Each of the Workers goroutines takes
+	// one job per session turn, round-robin across sessions with queued
+	// work, and runs it itself.
 	// Within a unit, the ring substrate's limb fan-out still follows the
 	// process-wide GOMAXPROCS/ring.SetParallelism setting — Workers counts
 	// units, not goroutines.
@@ -89,7 +90,7 @@ func (o Options) withDefaults() Options {
 // session of a model shares that model's compiled parameters and encoder;
 // each session owns only the evaluator bound to its client's evaluation
 // keys. All sessions' jobs — across every model — flow through one scheduler
-// and one bounded worker pool (see scheduler.go): the unit of work carries
+// and its bounded set of workers (see scheduler.go): the unit of work carries
 // its session's context, so a single worker budget serves the whole catalog.
 type Server struct {
 	reg   *registry.Registry
@@ -106,8 +107,6 @@ type Server struct {
 	httpLat    *telemetry.HistogramVec
 	unitLat    *telemetry.HistogramVec
 	queueWait  *telemetry.HistogramVec
-	poolWait   *telemetry.Histogram
-	poolRun    *telemetry.Histogram
 	compileLat *telemetry.Histogram
 	stageLat   *telemetry.HistogramVec
 
@@ -135,22 +134,16 @@ type session struct {
 	// lastUsed is the unix-nano timestamp of the latest request, read by
 	// the TTL janitor.
 	lastUsed atomic.Int64
-	// claimed counts the job (at most one) the dispatcher pulled off the
-	// queue but has not yet handed to the worker pool (the zero-depth Submit
-	// rendezvous can hold it for a whole unit); Stats adds it to the backlog.
-	claimed atomic.Int64
 
 	// unitLat and queueWait are this session's model-labeled latency
-	// series, resolved once at registration so the dispatch hot path
+	// series, resolved once at registration so the worker hot path
 	// records without a label lookup. Immutable after registration.
 	unitLat   *telemetry.Histogram
 	queueWait *telemetry.Histogram
 
-	// Scheduler turn state, owned by the dispatcher: whether the session
-	// sits in the fair ring or is being served a turn. Guarded by
-	// scheduler.mu.
-	inRing      bool
-	dispatching bool
+	// inRing reports whether the session sits in the scheduler's fair
+	// ring. Guarded by scheduler.mu.
+	inRing bool
 }
 
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
@@ -209,9 +202,11 @@ func New(opts Options, models ...*registry.Model) (*Server, error) {
 		s.compileLat.Record(d.CompileTime())
 	}
 	s.sched = newScheduler(s)
-	s.installObservers()
-	s.wg.Add(1)
-	go s.sched.run()
+	s.installObserver()
+	s.wg.Add(s.sched.workers)
+	for range s.sched.workers {
+		go s.sched.work()
+	}
 	if s.opts.SessionTTL > 0 {
 		s.wg.Add(1)
 		go s.janitor()
@@ -285,8 +280,8 @@ func (s *Server) retireModel(ref string) error {
 	return nil
 }
 
-// Close stops the scheduler, fails queued requests and drains the worker
-// pool.
+// Close stops the scheduler: queued requests fail 503, running units finish
+// and answer, and Close returns once every worker and the janitor exited.
 func (s *Server) Close() {
 	s.mu.Lock()
 	select {
@@ -295,8 +290,8 @@ func (s *Server) Close() {
 		close(s.closed)
 	}
 	s.mu.Unlock()
+	s.sched.stop()
 	s.wg.Wait()
-	s.sched.pool.Close()
 }
 
 // Handler returns the HTTP API, wrapped in the telemetry middleware (see
@@ -654,9 +649,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(out)
 	}
-	// A completed result outranks a concurrently-closing session/server:
-	// the select below picks randomly among ready cases, so each shutdown
-	// branch re-drains job.done before discarding paid-for work.
+	// Every accepted job gets a result, even across Close: the scheduler
+	// fails queued jobs 503 and running units answer. A completed result
+	// outranks a concurrently-closing session: the select below picks
+	// randomly among ready cases, so that branch re-drains job.done before
+	// discarding paid-for work.
 	select {
 	case res := <-job.done:
 		respond(res)
@@ -666,13 +663,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			respond(res)
 		default:
 			writeError(w, http.StatusGone, "session closed")
-		}
-	case <-s.closed:
-		select {
-		case res := <-job.done:
-			respond(res)
-		default:
-			writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		}
 	case <-r.Context().Done():
 		// Client gone; the worker's send still lands in the buffered done

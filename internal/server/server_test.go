@@ -445,7 +445,7 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	}
 
 	// A well-formed ciphertext whose last coefficient is 2^64-1 decodes
-	// cleanly; evaluating it would panic a pool worker. So would one with a
+	// cleanly; evaluating it would panic a worker. So would one with a
 	// byte appended, which the decoder used to accept.
 	x := make([]float64, sess.params.Slots())
 	pt, err := sess.enc.EncodeReals(x, sess.params.MaxLevel(), sess.params.DefaultScale())

@@ -38,11 +38,7 @@ func (s *Server) initTelemetry() {
 	s.unitLat = m.NewHistogramVec("henn_unit_seconds",
 		"Inference unit execution latency, by model version.", "model")
 	s.queueWait = m.NewHistogramVec("henn_queue_wait_seconds",
-		"Time from request enqueue to dispatcher hand-off, by model version.", "model")
-	s.poolWait = m.NewHistogram("henn_pool_wait_seconds",
-		"Time a dispatched job waits in the pool rendezvous for a free worker.")
-	s.poolRun = m.NewHistogram("henn_pool_task_seconds",
-		"Worker-pool task execution time (unit run plus completion bookkeeping).")
+		"Time from request enqueue to a worker starting its unit, by model version.", "model")
 	s.compileLat = m.NewHistogram("henn_model_compile_seconds",
 		"Deploy-time model compilation latency (parameter compilation and plan warming).")
 	s.stageLat = m.NewHistogramVec("henn_ckks_stage_seconds",
@@ -70,42 +66,37 @@ func (s *Server) initTelemetry() {
 			return float64(n)
 		})
 	m.NewGaugeFunc("henn_backlog",
-		"Accepted jobs awaiting a worker: queued in sessions plus claimed by the dispatcher.",
+		"Accepted jobs waiting in session queues for a worker.",
 		func() float64 {
 			n := 0
 			s.mu.RLock()
 			for _, sess := range s.sessions {
-				n += len(sess.jobs) + int(sess.claimed.Load())
+				n += len(sess.jobs)
 			}
 			s.mu.RUnlock()
 			return float64(n)
 		})
 	m.NewGaugeFunc("henn_workers",
 		"Resolved server-wide inference worker budget.",
-		func() float64 { return float64(s.sched.pool.Workers()) })
+		func() float64 { return float64(s.sched.workers) })
 	m.NewGaugeFunc("henn_peak_in_flight",
 		"High-water mark of concurrently executing units.",
-		func() float64 { return float64(s.sched.pool.Peak()) })
+		func() float64 { return float64(s.sched.peak.Load()) })
 	m.NewCounterFunc("henn_units_run_total",
-		"Inference units handed to the worker pool.",
+		"Inference units the workers started executing.",
 		func() float64 { return float64(s.sched.unitsRun.Load()) })
 	m.NewCounterFunc("henn_units_aborted_total",
 		"Jobs failed without running (session deleted, model retired, shutdown).",
 		func() float64 { return float64(s.sched.unitsAborted.Load()) })
 }
 
-// installObservers points the process-global CKKS stage observer and the
-// worker pool's task observer at this server's histograms. The CKKS observer
-// is process-global: when several servers live in one process (tests), the
+// installObserver points the process-global CKKS stage observer at this
+// server's histogram. When several servers live in one process (tests), the
 // most recently built one owns the stage stream; closing a server does not
 // uninstall it, because a later server may have replaced it already.
-func (s *Server) installObservers() {
+func (s *Server) installObserver() {
 	ckks.SetStageObserver(func(stage string, d time.Duration) {
 		s.stageLat.With(stage).Record(d)
-	})
-	s.sched.pool.SetTaskObserver(func(wait, run time.Duration) {
-		s.poolWait.Record(wait)
-		s.poolRun.Record(run)
 	})
 }
 

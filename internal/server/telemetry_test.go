@@ -95,17 +95,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		"henn_goroutines ",
 		"henn_heap_bytes ",
 		"henn_ckks_stage_seconds_count{stage=",
-		"henn_pool_wait_seconds_count 1",
 		"henn_model_compile_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	if strings.Contains(body, "henn_pool_") {
+		t.Error("/metrics still serves a worker-pool family; workers take jobs themselves")
+	}
 }
 
 // TestInferTraceBreakdown: the trace born at ingress must show the request's
-// journey — queue wait, dispatch, unit — plus at least three CKKS stages
+// journey — queue wait, unit — plus at least three CKKS stages
 // whose total accounts for the bulk of (and never exceeds) the unit span.
 func TestInferTraceBreakdown(t *testing.T) {
 	model, _, ts := newTestServer(t)
@@ -123,7 +125,7 @@ func TestInferTraceBreakdown(t *testing.T) {
 	for _, sp := range snap.Spans {
 		spans[sp.Name] = sp
 	}
-	for _, want := range []string{"request", "queue_wait", "dispatch", "unit"} {
+	for _, want := range []string{"request", "queue_wait", "unit"} {
 		if _, ok := spans[want]; !ok {
 			t.Fatalf("trace missing span %q; got %+v", want, snap.Spans)
 		}

@@ -16,7 +16,7 @@ import (
 const maxSpansPerTrace = 64
 
 // Trace collects the timing story of one request: discrete spans for the
-// coarse pipeline stages (queue wait, dispatch, unit execution) and
+// coarse pipeline stages (queue wait, unit execution) and
 // aggregated per-stage totals for the CKKS primitives underneath, which
 // fire far too often (hundreds of rotations per unit) to store
 // individually. A nil *Trace is the disabled state: every method no-ops,
@@ -70,7 +70,7 @@ func (tr *Trace) ID() string {
 
 // AddSpan records a completed span from measured endpoints, which may
 // come from different goroutines (a queue-wait span starts at enqueue
-// and ends at the dispatcher's claim). Attribute values end up in trace
+// and ends when a worker starts the unit). Attribute values end up in trace
 // JSON served over HTTP — never pass secret material.
 func (tr *Trace) AddSpan(name string, start, end time.Time, attrs ...[2]string) {
 	if tr == nil {
