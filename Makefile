@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid fuzz clean-testcache serve-demo
+.PHONY: all build vet fmt-check lint test test-fast bench bench-check bench-valid fuzz clean-testcache serve-demo examples
 
 all: test
 
@@ -61,6 +61,13 @@ bench-valid:
 # inputs and checks them against the plaintext reference.
 serve-demo:
 	$(GO) run ./examples/remote_mlp
+
+# Run every example main to the end (remote_mlp against its in-process
+# server) and fail on the first non-zero exit: an example that compiles can
+# still fail after minutes of training, and only running it shows that.
+# About 60 s on 2 cores once built.
+examples:
+	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/}; done
 
 # Short fuzz pass over the modular-arithmetic primitives and the four
 # wire decoders an endpoint exposes (one target per invocation is a

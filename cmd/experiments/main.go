@@ -24,12 +24,11 @@ import (
 
 func main() {
 	var (
-		id       = flag.String("id", "", "experiment id to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiment ids")
-		full     = flag.Bool("full", false, "full scale (paper budgets) instead of fast mode")
-		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Int("parallel", 0, "workers for batch-parallel stages (0/1 serial, <0 all cores)")
+		id   = flag.String("id", "", "experiment id to run (see -list)")
+		all  = flag.Bool("all", false, "run every experiment")
+		list = flag.Bool("list", false, "list experiment ids")
+		full = flag.Bool("full", false, "full scale (paper budgets) instead of fast mode")
+		seed = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
 
@@ -37,7 +36,7 @@ func main() {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return
 	}
-	opt := experiments.Options{Fast: !*full, Seed: *seed, W: os.Stdout, Parallel: *parallel}
+	opt := experiments.Options{Fast: !*full, Seed: *seed, W: os.Stdout}
 	ids := []string{*id}
 	if *all {
 		ids = experiments.IDs()

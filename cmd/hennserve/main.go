@@ -324,10 +324,6 @@ func trainedModel(seed int64, logN int) (*registry.Model, error) {
 	}
 	fmt.Printf("done in %s (accuracy %.1f%% -> %.1f%% after SS)\n",
 		time.Since(start).Round(time.Second), res.OriginalAcc*100, res.FinalAccSS*100)
-	if err := model.Deploy(); err != nil {
-		return nil, err
-	}
-	model.SetScaleMode(nn.ScaleStatic)
 	mlp, err := henn.FromModel(model)
 	if err != nil {
 		return nil, err

@@ -35,7 +35,6 @@ func main() {
 		epochs   = flag.Int("epochs", 2, "epochs per training group (paper E)")
 		groups   = flag.Int("groups", 2, "max training groups per step")
 		seed     = flag.Int64("seed", 42, "random seed")
-		parallel = flag.Int("parallel", 0, "workers for batch-parallel stages such as per-slot CT (0/1 serial, <0 all cores)")
 	)
 	flag.Parse()
 
@@ -72,7 +71,6 @@ func main() {
 	cfg.Epochs = *epochs
 	cfg.MaxGroupsPerStep = *groups
 	cfg.Seed = *seed
-	cfg.Parallel = *parallel
 
 	pipe, err := smartpaf.NewPipeline(m, train, val, cfg)
 	if err != nil {
@@ -91,15 +89,7 @@ func main() {
 	fmt.Printf("fine-tuned accuracy (Dynamic Scaling):    %.2f%%\n", res.FinalAccDS*100)
 	fmt.Printf("FHE-deployable accuracy (Static Scaling): %.2f%%\n", res.FinalAccSS*100)
 	if *maxpool {
-		// The pipeline leaves the model in dynamic mode for further tuning;
-		// freeze static scales for deployment before the compatibility check.
-		if err := m.Deploy(); err != nil {
-			fatal(err)
-		}
-		m.SetScaleMode(nn.ScaleStatic)
-		if err := m.CheckFHECompatible(); err != nil {
-			fatal(err)
-		}
+		// Run returned the deployed model and checked it before measuring SS.
 		fmt.Println("model verified FHE-compatible (all operators polynomial, static scales)")
 	}
 }

@@ -44,9 +44,7 @@ func main() {
 	fmt.Printf("accuracy: original %.1f%% -> post-replacement %.1f%% -> fine-tuned %.1f%% (SS: %.1f%%)\n",
 		res.OriginalAcc*100, res.InitialAcc*100, res.FinalAccDS*100, res.FinalAccSS*100)
 
-	// 3. Deploy: static scales, FHE-compatible.
-	check(model.Deploy())
-	model.SetScaleMode(nn.ScaleStatic)
+	// 3. Run left the model deployed (static scales, FHE-compatible).
 	mlp, err := henn.FromModel(model)
 	check(err)
 

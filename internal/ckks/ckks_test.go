@@ -382,25 +382,6 @@ func TestMulConstTargetScale(t *testing.T) {
 	}
 }
 
-func TestAddConst(t *testing.T) {
-	tc := newTestContext(t, testLit)
-	rng := rand.New(rand.NewSource(8))
-	a := randomComplex(rng, tc.params.Slots(), 1)
-	pa, _ := tc.enc.Encode(a, 2, tc.params.DefaultScale())
-	ca := tc.encr.Encrypt(pa)
-	out, err := tc.eval.AddConst(ca, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, len(a))
-	for i := range want {
-		want[i] = a[i] + 0.75
-	}
-	if e := maxErr(want, tc.enc.Decode(tc.decr.Decrypt(out))); e > 1e-6 {
-		t.Fatalf("add const error %g", e)
-	}
-}
-
 func TestDropLevelAndAddAcrossLevels(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rng := rand.New(rand.NewSource(9))

@@ -21,9 +21,9 @@ func ctEqual(a, b *Ciphertext) bool {
 }
 
 // opSequence runs the mixed workload one worker applies to its ciphertext:
-// Add, MulRelinRescale, Rotate and AddConst on independent inputs. Every
+// Add, MulRelinRescale, Rotate and AddPlain on independent inputs. Every
 // step is deterministic, so two runs over the same input must agree bitwise.
-func opSequence(t testing.TB, ev *Evaluator, ct *Ciphertext) []*Ciphertext {
+func opSequence(t testing.TB, ev *Evaluator, ct *Ciphertext, pt *Plaintext) []*Ciphertext {
 	sum, err := ev.Add(ct, ct)
 	if err != nil {
 		t.Errorf("Add: %v", err)
@@ -39,9 +39,9 @@ func opSequence(t testing.TB, ev *Evaluator, ct *Ciphertext) []*Ciphertext {
 		t.Errorf("Rotate: %v", err)
 		return nil
 	}
-	shifted, err := ev.AddConst(prod, 0.25)
+	shifted, err := ev.AddPlain(ct, pt)
 	if err != nil {
-		t.Errorf("AddConst: %v", err)
+		t.Errorf("AddPlain: %v", err)
 		return nil
 	}
 	resc, err := ev.Rescale(sum)
@@ -64,19 +64,20 @@ func TestEvaluatorConcurrentSharedUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const nCts = 8
 	cts := make([]*Ciphertext, nCts)
+	pts := make([]*Plaintext, nCts)
 	for i := range cts {
 		pt, err := tc.enc.Encode(randomComplex(rng, tc.params.Slots(), 0.5),
 			tc.params.MaxLevel(), tc.params.DefaultScale())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cts[i] = tc.encr.Encrypt(pt)
+		cts[i], pts[i] = tc.encr.Encrypt(pt), pt
 	}
 
 	// Serial reference.
 	want := make([][]*Ciphertext, nCts)
 	for i, ct := range cts {
-		want[i] = opSequence(t, tc.eval, ct)
+		want[i] = opSequence(t, tc.eval, ct, pts[i])
 		if t.Failed() {
 			t.Fatalf("serial reference failed")
 		}
@@ -92,7 +93,7 @@ func TestEvaluatorConcurrentSharedUse(t *testing.T) {
 				defer wg.Done()
 				i := g % nCts
 				for r := 0; r < rounds; r++ {
-					got := opSequence(t, tc.eval, cts[i])
+					got := opSequence(t, tc.eval, cts[i], pts[i])
 					if got == nil {
 						return
 					}

@@ -454,15 +454,3 @@ func (ev *Evaluator) MulConstTargetScale(ct *Ciphertext, c, targetScale float64)
 	out.Scale = targetScale
 	return out, nil
 }
-
-// AddConst adds a real constant (encoded at the ciphertext's own scale).
-func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
-	scal, err := ev.scalarRNS(c, ct.Scale, ct.Level)
-	if err != nil {
-		return nil, err
-	}
-	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(ct.Level), C1: ct.C1.CopyNew(), Scale: ct.Scale, Level: ct.Level}
-	rq.AddScalar(ct.C0, scal, out.C0)
-	return out, nil
-}

@@ -23,11 +23,6 @@ type Options struct {
 	Fast bool
 	Seed int64
 	W    io.Writer
-
-	// Parallel is the worker count of the pipeline's batch-parallel per-slot
-	// CT (0 or 1 runs serially, negative uses all cores; results are
-	// identical either way).
-	Parallel int
 }
 
 // Runner executes one experiment.
@@ -173,7 +168,6 @@ func pipelineConfig(form string, opt Options) smartpaf.Config {
 		cfg.MaxGroupsPerStep = 2
 	}
 	cfg.Seed = opt.Seed
-	cfg.Parallel = opt.Parallel
 	return cfg
 }
 

@@ -110,7 +110,7 @@ func TestRenderTable(t *testing.T) {
 	var buf bytes.Buffer
 	tab := newTable("demo", "a", "bb")
 	tab.addRow("1", "2")
-	tab.addRowf("x|y")
+	tab.addRow("x", "y")
 	tab.write(&buf)
 	out := buf.String()
 	for _, w := range []string{"== demo ==", "a", "bb", "x", "y"} {

@@ -19,10 +19,6 @@ func newTable(title string, headers ...string) *table {
 
 func (t *table) addRow(cells ...string) { t.rows = append(t.rows, cells) }
 
-func (t *table) addRowf(format string, args ...any) {
-	t.addRow(strings.Split(fmt.Sprintf(format, args...), "|")...)
-}
-
 func (t *table) write(w io.Writer) {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {

@@ -155,7 +155,7 @@ func FromModel(m *nn.Model) (*MLP, error) {
 		out.Layers = append(out.Layers, lin)
 		// One activation follows each hidden linear layer.
 		if slotIdx < len(slots) {
-			act := slots[slotIdx].PAFLayer().(*nn.PAFAct)
+			act := slots[slotIdx].PAFLayer()
 			out.Layers = append(out.Layers, &Activation{PAF: act.PAF.Clone(), Scale: act.Scale})
 			slotIdx++
 		}

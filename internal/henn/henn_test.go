@@ -140,11 +140,6 @@ func TestEndToEndPrivateInference(t *testing.T) {
 	if _, err := pipe.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Pipeline leaves the model in dynamic mode for further tuning; deploy.
-	if err := m.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	m.SetScaleMode(nn.ScaleStatic)
 
 	mlp, err := FromModel(m)
 	if err != nil {
@@ -232,7 +227,6 @@ func TestFromModelRejectsEmptyBias(t *testing.T) {
 	if err := m.Deploy(); err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaleMode(nn.ScaleStatic)
 	if _, err := FromModel(m); err != nil {
 		t.Fatalf("intact model must convert: %v", err)
 	}

@@ -1,11 +1,6 @@
 package hepoly
 
-import (
-	"fmt"
-
-	"github.com/efficientfhe/smartpaf/internal/ckks"
-	"github.com/efficientfhe/smartpaf/internal/paf"
-)
+import "github.com/efficientfhe/smartpaf/internal/paf"
 
 // RequiredLevels returns the number of levels a ReLU with this PAF consumes,
 // including the scaling multiplication used by Static Scaling deployment
@@ -16,14 +11,4 @@ func RequiredLevels(c *paf.Composite, withScaling bool) int {
 		levels++
 	}
 	return levels
-}
-
-// CheckFits verifies a parameter set can evaluate the PAF's ReLU.
-func CheckFits(params *ckks.Parameters, c *paf.Composite, withScaling bool) error {
-	need := RequiredLevels(c, withScaling)
-	if params.MaxLevel() < need {
-		return fmt.Errorf("hepoly: %s ReLU needs %d levels, parameters provide %d",
-			c.Name, need, params.MaxLevel())
-	}
-	return nil
 }

@@ -258,20 +258,13 @@ func TestLadderSize(t *testing.T) {
 	}
 }
 
-func TestRequiredLevelsAndCheckFits(t *testing.T) {
+func TestRequiredLevels(t *testing.T) {
 	c := paf.MustNew(paf.FormF1G2)
 	if RequiredLevels(c, false) != 6 {
 		t.Fatalf("f1∘g2 ReLU levels = %d want 6", RequiredLevels(c, false))
 	}
 	if RequiredLevels(c, true) != 7 {
 		t.Fatal("scaling should add one level")
-	}
-	small, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 6, LogQ: []int{50, 40, 40}, LogP: []int{50}, LogScale: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckFits(small, c, false); err == nil {
-		t.Fatal("expected CheckFits failure on 2-level parameters")
 	}
 }
 

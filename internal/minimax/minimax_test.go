@@ -90,7 +90,7 @@ func TestApproxSignOddEquioscillation(t *testing.T) {
 	var worst float64
 	for i := 0; i <= 10000; i++ {
 		x := 0.05 + 0.95*float64(i)/10000
-		d := math.Abs(EvalOdd(coeffs, x) - 1)
+		d := math.Abs(evalOdd(coeffs, x) - 1)
 		if d > worst {
 			worst = d
 		}
@@ -100,7 +100,7 @@ func TestApproxSignOddEquioscillation(t *testing.T) {
 	}
 	// Odd symmetry: p(-x) = -p(x).
 	for _, x := range []float64{0.1, 0.33, 0.9} {
-		if math.Abs(EvalOdd(coeffs, -x)+EvalOdd(coeffs, x)) > 1e-12 {
+		if math.Abs(evalOdd(coeffs, -x)+evalOdd(coeffs, x)) > 1e-12 {
 			t.Fatal("polynomial not odd")
 		}
 	}
@@ -146,7 +146,7 @@ func TestCompositeSignPrecision(t *testing.T) {
 	// End-to-end: |composite(x) - sign(x)| small for |x| in [eps, 1].
 	evalComposite := func(x float64) float64 {
 		for _, s := range stages {
-			x = EvalOdd(s, x)
+			x = evalOdd(s, x)
 		}
 		return x
 	}
@@ -158,76 +158,5 @@ func TestCompositeSignPrecision(t *testing.T) {
 		if d := math.Abs(evalComposite(-x) + 1); d > 2e-2 {
 			t.Fatalf("composite error %g at x=-%g", d, x)
 		}
-	}
-}
-
-func TestFitWeightedOddLSRecoversPolynomial(t *testing.T) {
-	// Fitting samples generated from an odd cubic must recover it.
-	truth := []float64{1.5, -0.5}
-	xs := make([]float64, 101)
-	ws := make([]float64, 101)
-	for i := range xs {
-		xs[i] = -1 + 2*float64(i)/100
-		ws[i] = 1
-	}
-	got, err := FitWeightedOddLS(3, xs, ws, func(x float64) float64 { return EvalOdd(truth, x) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range truth {
-		if math.Abs(got[i]-truth[i]) > 1e-8 {
-			t.Fatalf("coefficient %d: got %g want %g", i, got[i], truth[i])
-		}
-	}
-}
-
-func TestFitWeightedOddLSRespectsWeights(t *testing.T) {
-	// Weight mass concentrated near 0.2 should fit sign better there than a
-	// uniform fit does.
-	xs := make([]float64, 401)
-	wNarrow := make([]float64, 401)
-	wWide := make([]float64, 401)
-	for i := range xs {
-		x := -1 + 2*float64(i)/400
-		xs[i] = x
-		wWide[i] = 1
-		wNarrow[i] = math.Exp(-((math.Abs(x) - 0.2) * (math.Abs(x) - 0.2)) / 0.005)
-	}
-	sign := func(x float64) float64 {
-		if x > 0 {
-			return 1
-		}
-		if x < 0 {
-			return -1
-		}
-		return 0
-	}
-	cNarrow, err := FitWeightedOddLS(7, xs, wNarrow, sign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cWide, err := FitWeightedOddLS(7, xs, wWide, sign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare weighted error around 0.2.
-	errAt := func(c []float64) float64 {
-		var s float64
-		for _, x := range []float64{0.15, 0.2, 0.25} {
-			s += math.Abs(EvalOdd(c, x) - 1)
-		}
-		return s
-	}
-	if errAt(cNarrow) >= errAt(cWide) {
-		t.Fatalf("narrow-weighted fit not better near 0.2: %g vs %g", errAt(cNarrow), errAt(cWide))
-	}
-}
-
-func TestFitWeightedOddLSValidation(t *testing.T) {
-	if _, err := FitWeightedOddLS(2, []float64{1}, []float64{1}, math.Abs); err == nil {
-		t.Fatal("even degree should fail")
-	}
-	if _, err := FitWeightedOddLS(3, []float64{1, 2}, []float64{1}, math.Abs); err == nil {
-		t.Fatal("length mismatch should fail")
 	}
 }

@@ -154,54 +154,3 @@ func CompositeSign(stageDegrees []int, eps float64) ([][]float64, float64, error
 	}
 	return stages, err, nil
 }
-
-// FitWeightedOddLS fits an odd polynomial of the given degree to target(x)
-// by weighted least squares over the sample points: minimize
-// Σ w_i (p(x_i) - target(x_i))². This is the "traditional regression"
-// initialization of the paper and the inner solver of Coefficient Tuning.
-func FitWeightedOddLS(degree int, xs, ws []float64, target func(float64) float64) ([]float64, error) {
-	if degree < 1 || degree%2 == 0 {
-		return nil, fmt.Errorf("minimax: degree must be odd, got %d", degree)
-	}
-	if len(xs) != len(ws) {
-		return nil, fmt.Errorf("minimax: %d points but %d weights", len(xs), len(ws))
-	}
-	nc := (degree + 1) / 2
-	// Normal equations: (BᵀWB)c = BᵀWy with B_{ik} = x_i^{2k+1}.
-	ata := make([][]float64, nc)
-	for i := range ata {
-		ata[i] = make([]float64, nc)
-	}
-	atb := make([]float64, nc)
-	basis := make([]float64, nc)
-	for i, x := range xs {
-		w := ws[i]
-		if w == 0 {
-			continue
-		}
-		pw := x
-		for k := 0; k < nc; k++ {
-			basis[k] = pw
-			pw *= x * x
-		}
-		y := target(x)
-		for r := 0; r < nc; r++ {
-			for c := r; c < nc; c++ {
-				ata[r][c] += w * basis[r] * basis[c]
-			}
-			atb[r] += w * basis[r] * y
-		}
-	}
-	for r := 0; r < nc; r++ {
-		for c := 0; c < r; c++ {
-			ata[r][c] = ata[c][r]
-		}
-		// Tikhonov damping keeps near-singular systems (narrow
-		// distributions) solvable without visibly biasing the fit.
-		ata[r][r] += 1e-12
-	}
-	return SolveLinear(ata, atb)
-}
-
-// EvalOdd exposes odd-basis evaluation for callers of this package.
-func EvalOdd(coeffs []float64, x float64) float64 { return evalOdd(coeffs, x) }

@@ -1,8 +1,8 @@
 // Package minimax provides the polynomial-fitting machinery SMART-PAF builds
 // on: a Remez exchange algorithm producing minimax odd-polynomial
 // approximations of sign(x) (the initialization used by Lee et al. 2021 and
-// Cheon et al. 2020), composite sign approximations of prescribed precision,
-// and weighted least-squares fitting (the workhorse of Coefficient Tuning).
+// Cheon et al. 2020) and composite sign approximations of prescribed
+// precision.
 package minimax
 
 import (

@@ -2,8 +2,8 @@
 // backpropagation, sized for CPU-scale reproduction of the paper's training
 // experiments. It provides the layers of VGG-19 and ResNet-18, trainable PAF
 // activation layers with Dynamic/Static Scaling, parameter groups (PAF
-// coefficients vs. everything else, per the paper's Table 5), Adam/SGD
-// optimizers, stochastic weight averaging and dropout.
+// coefficients vs. everything else, per the paper's Table 5), the Adam
+// optimizer, stochastic weight averaging and dropout.
 package nn
 
 import (

@@ -58,15 +58,6 @@ type Slot struct {
 	kernel, stride, pad int
 }
 
-// IsReplaced reports whether the slot currently holds a PAF layer.
-func (s *Slot) IsReplaced() bool {
-	switch s.holder.Impl.(type) {
-	case *PAFAct, *PAFMaxPool:
-		return true
-	}
-	return false
-}
-
 // ReplaceWithPAF swaps the exact operator for a PAF-based one built around
 // the given composite (which the new layer owns and trains in place).
 func (s *Slot) ReplaceWithPAF(c *paf.Composite) {
@@ -88,21 +79,13 @@ func (s *Slot) RestoreExact() {
 	}
 }
 
-// PAFLayer returns the slot's PAF layer, or nil if not replaced.
-func (s *Slot) PAFLayer() PAFHolder {
-	switch impl := s.holder.Impl.(type) {
-	case *PAFAct:
-		return impl
-	case *PAFMaxPool:
-		return impl
+// PAFLayer returns the DS/SS core of the slot's PAF layer, or nil while the
+// slot holds its exact operator.
+func (s *Slot) PAFLayer() *Scaling {
+	if l, ok := s.holder.Impl.(interface{ scaling() *Scaling }); ok {
+		return l.scaling()
 	}
 	return nil
-}
-
-// PAFHolder is the common surface of PAFAct and PAFMaxPool.
-type PAFHolder interface {
-	Layer
-	Deploy() error
 }
 
 // Model is a feed-forward network with registered non-polynomial slots.
@@ -250,15 +233,8 @@ func (m *Model) CheckFHECompatible() error {
 		if h == nil {
 			return fmt.Errorf("nn: slot %d (%s) still holds a non-polynomial operator", s.Index, s.Kind)
 		}
-		switch impl := h.(type) {
-		case *PAFAct:
-			if impl.Mode != ScaleStatic {
-				return fmt.Errorf("nn: slot %d uses dynamic scaling (value-dependent, not FHE-compatible)", s.Index)
-			}
-		case *PAFMaxPool:
-			if impl.Mode != ScaleStatic {
-				return fmt.Errorf("nn: slot %d uses dynamic scaling (value-dependent, not FHE-compatible)", s.Index)
-			}
+		if h.Mode != ScaleStatic {
+			return fmt.Errorf("nn: slot %d uses dynamic scaling (value-dependent, not FHE-compatible)", s.Index)
 		}
 	}
 	return nil
@@ -390,18 +366,4 @@ func (s *Slot) Probe(fn func(*tensor.Tensor)) (restore func()) {
 	orig := s.holder.Impl
 	s.holder.Impl = &probe{inner: orig, fn: fn}
 	return func() { s.holder.Impl = orig }
-}
-
-// SetScaleMode switches every replaced slot between Dynamic and Static
-// scaling (the DS vs SS evaluation axis of Table 3). Static scales must
-// already be populated (via Deploy) before switching to ScaleStatic.
-func (m *Model) SetScaleMode(mode ScaleMode) {
-	for _, s := range m.slots {
-		switch impl := s.holder.Impl.(type) {
-		case *PAFAct:
-			impl.Mode = mode
-		case *PAFMaxPool:
-			impl.Mode = mode
-		}
-	}
 }

@@ -291,12 +291,12 @@ func TestModelForwardShapes(t *testing.T) {
 func TestSlotReplacement(t *testing.T) {
 	m := CNN7(1, 4, 1, 8, 8, 1)
 	slots := m.Slots()
-	if slots[0].IsReplaced() {
+	if slots[0].PAFLayer() != nil {
 		t.Fatal("fresh slot should not be replaced")
 	}
 	before := len(m.Params())
 	slots[0].ReplaceWithPAF(paf.MustNew(paf.FormF1G2))
-	if !slots[0].IsReplaced() {
+	if slots[0].PAFLayer() == nil {
 		t.Fatal("slot should be replaced")
 	}
 	if len(m.Params()) <= before {
@@ -308,7 +308,7 @@ func TestSlotReplacement(t *testing.T) {
 		t.Fatalf("bad output shape %v", out.Shape)
 	}
 	slots[0].RestoreExact()
-	if slots[0].IsReplaced() {
+	if slots[0].PAFLayer() != nil {
 		t.Fatal("restore failed")
 	}
 	// MaxPool slot replacement keeps geometry.
@@ -320,7 +320,7 @@ func TestSlotReplacement(t *testing.T) {
 		}
 	}
 	poolSlot.ReplaceWithPAF(paf.MustNew(paf.FormF1G2))
-	pl := poolSlot.PAFLayer().(*PAFMaxPool)
+	pl := poolSlot.holder.Impl.(*PAFMaxPool)
 	if pl.Kernel != 2 || pl.Stride != 2 {
 		t.Fatalf("replacement lost geometry: k=%d s=%d", pl.Kernel, pl.Stride)
 	}
@@ -405,35 +405,6 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 }
 
-func TestSGDReducesLoss(t *testing.T) {
-	m := MLP([]int{8, 16, 3}, 5)
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.New(12, 8, 1, 1)
-	x.FillRandN(rng, 1)
-	y := make([]int, 12)
-	for i := range y {
-		y[i] = i % 3
-	}
-	opt := NewSGD(0.05, 0.9, 0)
-	m.ZeroGrad()
-	logits := m.Forward(x, true)
-	first, grad := SoftmaxCrossEntropy(logits, y)
-	m.Backward(grad)
-	opt.Step(m.Params())
-	var last float64
-	for i := 0; i < 60; i++ {
-		m.ZeroGrad()
-		logits := m.Forward(x, true)
-		var g *tensor.Tensor
-		last, g = SoftmaxCrossEntropy(logits, y)
-		m.Backward(g)
-		opt.Step(m.Params())
-	}
-	if last >= first*0.7 {
-		t.Fatalf("SGD did not reduce loss: first %g last %g", first, last)
-	}
-}
-
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {
 	logits := randInput(3, 4).Reshape(3, 4)
 	labels := []int{1, 3, 0}
@@ -467,9 +438,6 @@ func TestSWA(t *testing.T) {
 	}
 	swa.Accumulate(m)
 	avg := swa.Average()
-	if swa.Count() != 2 {
-		t.Fatalf("count %d", swa.Count())
-	}
 	// Find which averaged tensor corresponds to p (first param after Flatten).
 	for i := range avg[0] {
 		want := orig[i] + 1
@@ -477,9 +445,8 @@ func TestSWA(t *testing.T) {
 			t.Fatalf("avg[%d] = %g want %g", i, avg[0][i], want)
 		}
 	}
-	swa.Reset()
-	if swa.Average() != nil {
-		t.Fatal("reset should clear")
+	if NewSWA().Average() != nil {
+		t.Fatal("an empty accumulator has no average")
 	}
 }
 
@@ -534,7 +501,7 @@ func TestWholeModelGradientCheck(t *testing.T) {
 	m := MLP([]int{5, 4, 3}, 11)
 	for _, s := range m.Slots() {
 		s.ReplaceWithPAF(paf.MustNew(paf.FormF1G2))
-		a := s.PAFLayer().(*PAFAct)
+		a := s.PAFLayer()
 		a.Mode = ScaleStatic
 		a.Scale = 2
 	}

@@ -48,42 +48,6 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// SGD is plain stochastic gradient descent with optional momentum, provided
-// as the baseline optimizer for ablations.
-type SGD struct {
-	LR, Momentum, WeightDecay float64
-	vel                       map[*Param][]float64
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, vel: map[*Param][]float64{}}
-}
-
-// Step applies one update to every unfrozen parameter.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		vel := s.vel[p]
-		if vel == nil {
-			vel = make([]float64, len(p.Data))
-			s.vel[p] = vel
-		}
-		for i := range p.Data {
-			g := p.Grad[i] + s.WeightDecay*p.Data[i]
-			vel[i] = s.Momentum*vel[i] - s.LR*g
-			p.Data[i] += vel[i]
-		}
-	}
-}
-
-// Optimizer is the shared stepping interface.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
 // SWA accumulates stochastic weight averages over epochs (used by the
 // SMART-PAF training group, Fig. 6) and can write the averaged weights into
 // the model.
@@ -112,9 +76,6 @@ func (s *SWA) Accumulate(m *Model) {
 	s.count++
 }
 
-// Count returns how many snapshots were accumulated.
-func (s *SWA) Count() int { return s.count }
-
 // Average returns the averaged snapshot (nil if nothing accumulated).
 func (s *SWA) Average() [][]float64 {
 	if s.count == 0 {
@@ -130,6 +91,3 @@ func (s *SWA) Average() [][]float64 {
 	}
 	return out
 }
-
-// Reset clears the accumulator for the next training group.
-func (s *SWA) Reset() { s.sum, s.count = nil, 0 }

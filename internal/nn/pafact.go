@@ -19,19 +19,12 @@ const (
 	ScaleStatic
 )
 
-// String implements fmt.Stringer.
-func (m ScaleMode) String() string {
-	if m == ScaleDynamic {
-		return "dynamic"
-	}
-	return "static"
-}
-
-// PAFAct replaces a ReLU with a trainable PAF: out = s·relu_p(x/s) where s
-// is the dynamic batch max or the static frozen scale. ReLU's positive
-// homogeneity makes the rescaling exact for the true operator, so the PAF
-// only has to be accurate on [-1, 1].
-type PAFAct struct {
+// Scaling is the DS/SS core both PAF layers embed (paper §4.5): the
+// composite they train, with their parameters aliasing its stage
+// coefficients so optimizer steps mutate it in place, and the one rule that
+// picks the input scale s of out = s·op_p(x/s). Training runs Dynamic
+// Scaling; Deploy freezes Scale to RunningMax for FHE.
+type Scaling struct {
 	PAF   *paf.Composite
 	Mode  ScaleMode
 	Scale float64 // static scale (frozen running max)
@@ -42,6 +35,59 @@ type PAFAct struct {
 
 	params []*Param
 	label  string
+}
+
+func newScaling(name string, c *paf.Composite) Scaling {
+	s := Scaling{PAF: c, Mode: ScaleDynamic, Scale: 1, label: name}
+	for i, stage := range c.Stages {
+		s.params = append(s.params, newParam(fmt.Sprintf("%s.stage%d", name, i), GroupPAF, stage.Coeffs))
+	}
+	return s
+}
+
+// Name implements Layer.
+func (s *Scaling) Name() string { return s.label }
+
+// Params implements Layer.
+func (s *Scaling) Params() []*Param { return s.params }
+
+// scaling lets Slot.PAFLayer reach the core of either PAF layer.
+func (s *Scaling) scaling() *Scaling { return s }
+
+// batchScale returns the scale for this batch — its own max |x| under
+// Dynamic Scaling, the frozen Scale under Static, 1 in place of 0 — and
+// raises the running max on a training batch.
+func (s *Scaling) batchScale(x *tensor.Tensor, train bool) float64 {
+	batchMax := x.MaxAbs()
+	if train && batchMax > s.RunningMax {
+		s.RunningMax = batchMax
+	}
+	scale := s.Scale
+	if s.Mode == ScaleDynamic {
+		scale = batchMax
+	}
+	if scale == 0 {
+		return 1
+	}
+	return scale
+}
+
+// Deploy freezes the layer for FHE: switches to Static Scaling with the
+// running max. Returns an error if no running max was ever observed.
+func (s *Scaling) Deploy() error {
+	if s.RunningMax == 0 {
+		return fmt.Errorf("nn: %s has no recorded running max; train before deploying", s.label)
+	}
+	s.Mode = ScaleStatic
+	s.Scale = s.RunningMax
+	return nil
+}
+
+// PAFAct replaces a ReLU with a trainable PAF: out = s·relu_p(x/s). ReLU's
+// positive homogeneity makes the rescaling exact for the true operator, so
+// the PAF only has to be accurate on [-1, 1].
+type PAFAct struct {
+	Scaling
 
 	// cached forward state; gradients are recomputed in Backward from x and
 	// s rather than stored per element.
@@ -49,47 +95,16 @@ type PAFAct struct {
 	s float64
 }
 
-// NewPAFAct wraps a composite PAF as an activation layer. The layer's
-// parameters alias the PAF stage coefficients, so optimizer steps mutate the
-// composite in place.
+// NewPAFAct wraps a composite PAF as an activation layer that trains it in
+// place.
 func NewPAFAct(name string, c *paf.Composite) *PAFAct {
-	a := &PAFAct{PAF: c, Mode: ScaleDynamic, Scale: 1, label: name}
-	for i, stage := range c.Stages {
-		p := newParam(fmt.Sprintf("%s.stage%d", name, i), GroupPAF, stage.Coeffs)
-		a.params = append(a.params, p)
-	}
-	return a
-}
-
-// Name implements Layer.
-func (a *PAFAct) Name() string { return a.label }
-
-// currentScale returns the scale for this batch and updates the running max.
-func (a *PAFAct) currentScale(x *tensor.Tensor, train bool) float64 {
-	batchMax := x.MaxAbs()
-	if train {
-		if batchMax > a.RunningMax {
-			a.RunningMax = batchMax
-		}
-	}
-	switch a.Mode {
-	case ScaleDynamic:
-		if batchMax == 0 {
-			return 1
-		}
-		return batchMax
-	default:
-		if a.Scale == 0 {
-			return 1
-		}
-		return a.Scale
-	}
+	return &PAFAct{Scaling: newScaling(name, c)}
 }
 
 // Forward implements Layer.
 func (a *PAFAct) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	a.x = x
-	a.s = a.currentScale(x, train)
+	a.s = a.batchScale(x, train)
 	out := tensor.New(x.Shape...)
 	for i, v := range x.Data {
 		out.Data[i] = a.s * a.PAF.ReLU(v/a.s)
@@ -117,32 +132,13 @@ func (a *PAFAct) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Params implements Layer.
-func (a *PAFAct) Params() []*Param { return a.params }
-
-// Deploy freezes the layer for FHE: switches to Static Scaling with the
-// running max. Returns an error if no running max was ever observed.
-func (a *PAFAct) Deploy() error {
-	if a.RunningMax == 0 {
-		return fmt.Errorf("nn: %s has no recorded running max; train before deploying", a.label)
-	}
-	a.Mode = ScaleStatic
-	a.Scale = a.RunningMax
-	return nil
-}
-
 // PAFMaxPool replaces max pooling with a pairwise PAF max tree over each
 // window, sharing one trainable PAF across the layer. Inputs are scaled like
 // PAFAct (max is positively homogeneous too).
 type PAFMaxPool struct {
-	PAF                 *paf.Composite
+	Scaling
 	Kernel, Stride, Pad int
-	Mode                ScaleMode
-	Scale               float64
-	RunningMax          float64
 
-	params  []*Param
-	label   string
 	x       *tensor.Tensor
 	s       float64
 	windows [][]int // input indices per output element
@@ -152,15 +148,8 @@ type PAFMaxPool struct {
 
 // NewPAFMaxPool builds a PAF max pooling layer.
 func NewPAFMaxPool(name string, c *paf.Composite, kernel, stride, pad int) *PAFMaxPool {
-	p := &PAFMaxPool{PAF: c, Kernel: kernel, Stride: stride, Pad: pad, Mode: ScaleDynamic, Scale: 1, label: name}
-	for i, stage := range c.Stages {
-		p.params = append(p.params, newParam(fmt.Sprintf("%s.stage%d", name, i), GroupPAF, stage.Coeffs))
-	}
-	return p
+	return &PAFMaxPool{Scaling: newScaling(name, c), Kernel: kernel, Stride: stride, Pad: pad}
 }
-
-// Name implements Layer.
-func (p *PAFMaxPool) Name() string { return p.label }
 
 // Forward implements Layer.
 func (p *PAFMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -168,20 +157,7 @@ func (p *PAFMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p.x = x
 	p.inShape = append([]int(nil), x.Shape...)
 	p.geom = tensor.Geometry(c, h, w, p.Kernel, p.Stride, p.Pad)
-
-	batchMax := x.MaxAbs()
-	if train && batchMax > p.RunningMax {
-		p.RunningMax = batchMax
-	}
-	switch p.Mode {
-	case ScaleDynamic:
-		p.s = batchMax
-	default:
-		p.s = p.Scale
-	}
-	if p.s == 0 {
-		p.s = 1
-	}
+	p.s = p.batchScale(x, train)
 
 	out := tensor.New(n, c, p.geom.OutH, p.geom.OutW)
 	p.windows = make([][]int, out.Numel())
@@ -295,17 +271,4 @@ func (p *PAFMaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return out
-}
-
-// Params implements Layer.
-func (p *PAFMaxPool) Params() []*Param { return p.params }
-
-// Deploy freezes the layer for FHE (Static Scaling with the running max).
-func (p *PAFMaxPool) Deploy() error {
-	if p.RunningMax == 0 {
-		return fmt.Errorf("nn: %s has no recorded running max; train before deploying", p.label)
-	}
-	p.Mode = ScaleStatic
-	p.Scale = p.RunningMax
-	return nil
 }

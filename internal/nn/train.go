@@ -44,7 +44,7 @@ type Batch struct {
 // TrainStep runs forward, loss, backward and optimizer steps for one batch,
 // returning the loss. Optimizers may be nil (e.g. during Alternate Training
 // only one group steps).
-func TrainStep(m *Model, b Batch, optPAF, optLinear Optimizer) float64 {
+func TrainStep(m *Model, b Batch, optPAF, optLinear *Adam) float64 {
 	m.ZeroGrad()
 	logits := m.Forward(b.X, true)
 	loss, grad := SoftmaxCrossEntropy(logits, b.Y)

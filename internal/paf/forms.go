@@ -2,7 +2,6 @@ package paf
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/minimax"
@@ -153,10 +152,3 @@ func PaperTuned(name string, layer int) (*Composite, error) {
 // PaperTunedLayers returns how many per-layer coefficient rows the paper
 // publishes for the form (0 if none).
 func PaperTunedLayers(name string) int { return len(paperTunedTables[name]) }
-
-// FormNamesSorted returns all known form names sorted, for diagnostics.
-func FormNamesSorted() []string {
-	out := append([]string(nil), AllFormsWithBaseline...)
-	sort.Strings(out)
-	return out
-}

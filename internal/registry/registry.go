@@ -513,10 +513,6 @@ func (r *Registry) Resolve(ref string) (*Deployed, bool) {
 	return d, d != nil
 }
 
-// Get is Resolve under the pre-versioning name, kept for callers that treat
-// the reference as opaque.
-func (r *Registry) Get(ref string) (*Deployed, bool) { return r.Resolve(ref) }
-
 // List returns every cataloged version (live and draining), sorted by name
 // then version.
 func (r *Registry) List() []*Deployed {

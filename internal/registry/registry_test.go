@@ -33,8 +33,8 @@ func TestDeployGetListRetire(t *testing.T) {
 	if _, err := r.Deploy(testModel(t, "beta", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := r.Get("alpha"); !ok || got != alpha {
-		t.Fatal("Get(alpha) did not return the deployed stack")
+	if got, ok := r.Resolve("alpha"); !ok || got != alpha {
+		t.Fatal("Resolve(alpha) did not return the deployed stack")
 	}
 	names := []string{}
 	for _, d := range r.List() {
@@ -54,7 +54,7 @@ func TestDeployGetListRetire(t *testing.T) {
 	if _, err := r.Retire("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Get("alpha"); ok {
+	if _, ok := r.Resolve("alpha"); ok {
 		t.Fatal("retired model still in the catalog")
 	}
 	if _, err := r.Retire("alpha"); !errors.Is(err, ErrUnknown) {
@@ -267,7 +267,7 @@ func TestConcurrentDeployRetire(t *testing.T) {
 					return
 				}
 				r.List()
-				r.Get(name)
+				r.Resolve(name)
 				if _, err := r.Retire(name); err != nil {
 					t.Error(err)
 					return

@@ -7,9 +7,7 @@ import "math/bits"
 // so MaxAcc128Terms of them fit one 128-bit word pair, kept as parallel
 // hi/lo slices (two ordinary pooled limbs). MulAcc128 adds a term with one
 // multiply and an add-with-carry — no divide, no branch — and ReduceAcc128
-// performs the single Barrett reduction at the boundary. 128-bit addition
-// is associative and commutative, so partial sums built by different
-// workers merge (AddAcc128) to the same canonical residue in any order.
+// performs the single Barrett reduction at the boundary.
 
 // MaxAcc128Terms is how many products of residues one accumulator holds
 // before it must be reduced: 64·q² < 2^6·2^122 = 2^128 (see MaxModulusBits).
@@ -26,17 +24,6 @@ func MulAcc128(hi, lo, a, b []uint64) {
 		var c uint64
 		lo[k], c = bits.Add64(lo[k], pl, 0)
 		hi[k] += ph + c
-	}
-}
-
-// AddAcc128 adds the accumulators (hi2, lo2) into (hi, lo). The combined
-// term count must stay within MaxAcc128Terms.
-func AddAcc128(hi, lo, hi2, lo2 []uint64) {
-	hi, hi2, lo2 = hi[:len(lo)], hi2[:len(lo)], lo2[:len(lo)]
-	for k := range lo {
-		var c uint64
-		lo[k], c = bits.Add64(lo[k], lo2[k], 0)
-		hi[k] += hi2[k] + c
 	}
 }
 

@@ -116,9 +116,6 @@ func (m *Modulus) buildTwiddles() {
 	}
 }
 
-// Psi returns the primitive 2N-th root of unity used by this modulus.
-func (m *Modulus) Psi() uint64 { return m.psi }
-
 // AddMod returns a+b mod q. Inputs must be < q.
 func AddMod(a, b, q uint64) uint64 {
 	s := a + b

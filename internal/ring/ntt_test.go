@@ -166,20 +166,13 @@ func acc128Ref(a, b []uint64, q uint64) uint64 {
 	return sum.Mod(sum, new(big.Int).SetUint64(q)).Uint64()
 }
 
-// acc128Sum accumulates the products through MulAcc128, splitting them over
-// two accumulators merged by AddAcc128 when split is inside the range, and
-// reduces once.
-func acc128Sum(m *Modulus, a, b []uint64, split int) uint64 {
-	hi, lo := make([]uint64, 2), make([]uint64, 2)
+// acc128Sum accumulates the products through MulAcc128 and reduces once.
+func acc128Sum(m *Modulus, a, b []uint64) uint64 {
+	hi, lo := make([]uint64, 1), make([]uint64, 1)
 	for i := range a {
-		k := 0
-		if i >= split {
-			k = 1
-		}
-		MulAcc128(hi[k:k+1], lo[k:k+1], a[i:i+1], b[i:i+1])
+		MulAcc128(hi, lo, a[i:i+1], b[i:i+1])
 	}
-	AddAcc128(hi[:1], lo[:1], hi[1:], lo[1:])
-	m.ReduceAcc128(hi[:1], lo[:1], lo[:1])
+	m.ReduceAcc128(hi, lo, lo)
 	return lo[0]
 }
 
@@ -198,23 +191,19 @@ func TestAcc128WorstCase(t *testing.T) {
 			for i := range a {
 				a[i], b[i] = q-1, q-1
 			}
-			want := acc128Ref(a, b, q)
-			for _, split := range []int{0, terms / 2, terms} {
-				if got := acc128Sum(m, a, b, split); got != want {
-					t.Errorf("q=%d: %d terms of (q-1)², split at %d: got %d want %d", q, terms, split, got, want)
-				}
+			if got, want := acc128Sum(m, a, b), acc128Ref(a, b, q); got != want {
+				t.Errorf("q=%d: %d terms of (q-1)²: got %d want %d", q, terms, got, want)
 			}
 		}
 	}
 }
 
 // FuzzAcc128: up to MaxAcc128Terms products of residues, accumulated
-// unreduced (in one accumulator or merged from two) and reduced once, equal
-// the big-integer sum mod q.
+// unreduced and reduced once, equal the big-integer sum mod q.
 func FuzzAcc128(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(1), uint8(0))
-	f.Add(int64(-7), uint8(2), uint8(64), uint8(31))
-	f.Fuzz(func(t *testing.T, seed int64, qi, terms, split uint8) {
+	f.Add(int64(1), uint8(0), uint8(1))
+	f.Add(int64(-7), uint8(2), uint8(64))
+	f.Fuzz(func(t *testing.T, seed int64, qi, terms uint8) {
 		q := fuzzPrimes[int(qi)%len(fuzzPrimes)]
 		m, err := NewModulus(q, 16)
 		if err != nil {
@@ -227,8 +216,8 @@ func FuzzAcc128(f *testing.F) {
 			// Bias toward the top of the range, where overflow would bite.
 			a[i], b[i] = q-1-rng.Uint64()%q>>uint(rng.Intn(62)), q-1-rng.Uint64()%q>>uint(rng.Intn(62))
 		}
-		if got, want := acc128Sum(m, a, b, int(split)), acc128Ref(a, b, q); got != want {
-			t.Fatalf("q=%d seed=%d terms=%d split=%d: got %d want %d", q, seed, n, split, got, want)
+		if got, want := acc128Sum(m, a, b), acc128Ref(a, b, q); got != want {
+			t.Fatalf("q=%d seed=%d terms=%d: got %d want %d", q, seed, n, got, want)
 		}
 	})
 }

@@ -183,7 +183,6 @@ func TestRingOpsParallelMatchSerial(t *testing.T) {
 		{"MulCoeffs", func(out *Poly) { r.MulCoeffs(a, b, out) }},
 		{"MulCoeffsThenAdd", func(out *Poly) { r.MulCoeffsThenAdd(a, b, out) }},
 		{"MulScalar", func(out *Poly) { r.MulScalar(a, scalar, out) }},
-		{"AddScalar", func(out *Poly) { r.AddScalar(a, scalar, out) }},
 	}
 	for _, o := range ops {
 		SetParallelism(1)

@@ -160,21 +160,6 @@ func (r *Ring) MulScalar(a *Poly, scalar []uint64, out *Poly) {
 	})
 }
 
-// AddScalar sets out = a + scalar (scalar given per limb). In NTT domain a
-// scalar is a constant polynomial, whose transform is the constant itself in
-// every slot, so the same routine serves both domains.
-func (r *Ring) AddScalar(a *Poly, scalar []uint64, out *Poly) {
-	level := minLevel(a, out)
-	r.forLimbs(level, func(_, i int) {
-		q := r.Moduli[i].Q
-		s := scalar[i] % q
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = AddMod(ai[j], s, q)
-		}
-	})
-}
-
 // NTT transforms all limbs of p in place to the evaluation domain,
 // fanning the per-limb transforms across the worker pool.
 func (r *Ring) NTT(p *Poly) {

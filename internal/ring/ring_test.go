@@ -126,7 +126,7 @@ func TestPowInvMod(t *testing.T) {
 func TestPrimitiveRootOrder(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		m := testModulus(t, n)
-		psi := m.Psi()
+		psi := m.psi
 		if PowMod(psi, uint64(n), m.Q) != m.Q-1 {
 			t.Fatalf("psi^N != -1 for n=%d", n)
 		}
@@ -276,11 +276,9 @@ func TestPolyMulCoeffsThenAdd(t *testing.T) {
 func TestTernaryAndGaussianRanges(t *testing.T) {
 	r := newTestRing(t, 256, 0)
 	s := NewSampler(r, 44)
-	tern := s.Ternary(0, 0.67)
-	q := r.Moduli[0].Q
 	nonzero := 0
-	for _, c := range tern.Coeffs[0] {
-		if c != 0 && c != 1 && c != q-1 {
+	for _, c := range s.TernarySigned(0.67) {
+		if c < -1 || c > 1 {
 			t.Fatalf("ternary coefficient %d out of {-1,0,1}", c)
 		}
 		if c != 0 {
@@ -297,6 +295,22 @@ func TestTernaryAndGaussianRanges(t *testing.T) {
 			t.Fatalf("gaussian sample %d outside rejection bound", v)
 		}
 	}
+}
+
+// CenteredLimb lifts limb i of p (coefficient domain) to centered
+// representatives in (-q/2, q/2].
+func (r *Ring) CenteredLimb(p *Poly, i int) []int64 {
+	q := r.Moduli[i].Q
+	half := q >> 1
+	out := make([]int64, len(p.Coeffs[i]))
+	for j, c := range p.Coeffs[i] {
+		if c > half {
+			out[j] = -int64(q - c)
+		} else {
+			out[j] = int64(c)
+		}
+	}
+	return out
 }
 
 func TestCenteredLimbAndSetSigned(t *testing.T) {
@@ -366,7 +380,7 @@ func TestSamplerReuse(t *testing.T) {
 	draws := func(s *Sampler) []*Poly {
 		var out []*Poly
 		for i := 0; i < 4; i++ {
-			out = append(out, s.Uniform(1), s.Ternary(1, 0.5), s.Gaussian(1))
+			out = append(out, s.Uniform(1), r.SetSignedCoeffs(s.TernarySigned(0.5), 1), s.Gaussian(1))
 		}
 		return out
 	}

@@ -55,42 +55,10 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 	}
 }
 
-// Ternary fills a polynomial with coefficients in {-1, 0, 1}, each nonzero
-// with probability density (standard CKKS secret/encryption randomness).
-func (s *Sampler) Ternary(level int, density float64) *Poly {
-	p := s.r.NewPoly(level)
-	n := s.r.N
-	signs := make([]int8, n)
-	for j := 0; j < n; j++ {
-		u := s.rng.Float64()
-		switch {
-		case u < density/2:
-			signs[j] = 1
-		case u < density:
-			signs[j] = -1
-		}
-	}
-	s.setSigned(p, level, func(j int) int64 { return int64(signs[j]) })
-	return p
-}
-
 // Gaussian fills a polynomial with rounded Gaussian coefficients of standard
 // deviation s.Sigma, truncated at s.Bound standard deviations.
 func (s *Sampler) Gaussian(level int) *Poly {
-	p := s.r.NewPoly(level)
-	n := s.r.N
-	vals := make([]int64, n)
-	for j := 0; j < n; j++ {
-		for {
-			v := s.rng.NormFloat64() * s.Sigma
-			if v >= -s.Bound*s.Sigma && v <= s.Bound*s.Sigma {
-				vals[j] = int64(roundHalfAway(v))
-				break
-			}
-		}
-	}
-	s.setSigned(p, level, func(j int) int64 { return vals[j] })
-	return p
+	return s.r.SetSignedCoeffs(s.GaussianSigned(), level)
 }
 
 func roundHalfAway(v float64) float64 {
@@ -98,23 +66,6 @@ func roundHalfAway(v float64) float64 {
 		return float64(int64(v + 0.5))
 	}
 	return float64(int64(v - 0.5))
-}
-
-// setSigned writes signed integer coefficients into all limbs of p,
-// reducing negatives as q - |v|.
-func (s *Sampler) setSigned(p *Poly, level int, f func(j int) int64) {
-	for i := 0; i <= level; i++ {
-		q := s.r.Moduli[i].Q
-		ci := p.Coeffs[i]
-		for j := range ci {
-			v := f(j)
-			if v >= 0 {
-				ci[j] = uint64(v) % q
-			} else {
-				ci[j] = q - uint64(-v)%q
-			}
-		}
-	}
 }
 
 // GaussianSigned returns N signed rounded-Gaussian coefficients. Use this
@@ -169,20 +120,4 @@ func (r *Ring) SetSignedCoeffs(vals []int64, level int) *Poly {
 		}
 	}
 	return p
-}
-
-// CenteredLimb lifts limb i of p (coefficient domain) to centered
-// representatives in (-q/2, q/2].
-func (r *Ring) CenteredLimb(p *Poly, i int) []int64 {
-	q := r.Moduli[i].Q
-	half := q >> 1
-	out := make([]int64, len(p.Coeffs[i]))
-	for j, c := range p.Coeffs[i] {
-		if c > half {
-			out[j] = -int64(q - c)
-		} else {
-			out[j] = int64(c)
-		}
-	}
-	return out
 }

@@ -294,7 +294,7 @@ func TestHotDeployAndRetireMidTraffic(t *testing.T) {
 	pollStats(t, srv, func(st Stats) bool { return st.Backlog >= flood/2 }, "standing alpha backlog")
 
 	// Retire alpha mid-backlog: queued jobs must fail 410 now.
-	dep, _ := srv.Registry().Get("alpha")
+	dep, _ := srv.Registry().Resolve("alpha")
 	if err := client.Retire(ctx, "alpha"); err != nil {
 		t.Fatal(err)
 	}

@@ -381,7 +381,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleModelNamed(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.reg.Get(r.PathValue("name"))
+	d, ok := s.reg.Resolve(r.PathValue("name"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown model %q", r.PathValue("name"))
 		return

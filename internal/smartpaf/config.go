@@ -50,12 +50,6 @@ type Config struct {
 	// MinDelta is the accuracy-improvement threshold of the Fig. 6 detector.
 	MinDelta float64
 
-	// Parallel is the number of goroutines batch-parallel stages (per-slot
-	// Coefficient Tuning) fan across. 0 or 1 runs serially; negative uses
-	// runtime.GOMAXPROCS(0). CT is deterministic per slot, so the knob never
-	// changes results — only wall-clock time.
-	Parallel int
-
 	Seed int64
 }
 

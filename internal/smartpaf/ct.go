@@ -149,28 +149,3 @@ func WeightedReLUError(c *paf.Composite, prof *Profile) float64 {
 	}
 	return j
 }
-
-// WeightedSignError evaluates Σ w_b (p(x_b) - sign(x_b))² for diagnostics.
-func WeightedSignError(c *paf.Composite, prof *Profile) float64 {
-	var j float64
-	weights := prof.Weights()
-	for b, w := range weights {
-		if w == 0 {
-			continue
-		}
-		x := prof.BinCenter(b)
-		d := c.Eval(x) - sign(x)
-		j += w * d * d
-	}
-	return j
-}
-
-func sign(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	}
-	return 0
-}

@@ -6,9 +6,9 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
 
-// TestBuildAllPAFsParallelMatchesSerial pins the documented contract of the
-// Parallel knob: per-slot Coefficient Tuning fanned across goroutines
-// produces composites bit-identical to the serial path, in slot order.
+// TestBuildAllPAFsParallelMatchesSerial pins what lets per-slot Coefficient
+// Tuning fan across every core unconditionally: the fanned build equals
+// CoefficientTuning applied one slot at a time, bit for bit, in slot order.
 func TestBuildAllPAFsParallelMatchesSerial(t *testing.T) {
 	m, train, val := tinySetup(t, 1)
 	cfg := testConfig(paf.FormF1G2)
@@ -22,32 +22,24 @@ func TestBuildAllPAFsParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("want ≥ 2 slots to exercise the fan-out, got %d", len(slots))
 	}
 
-	p.Cfg.Parallel = 0
-	serial, err := p.buildAllPAFs(slots, profiles)
+	fanned, err := p.buildAllPAFs(slots, profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, -1} {
-		p.Cfg.Parallel = workers
-		parallel, err := p.buildAllPAFs(slots, profiles)
-		if err != nil {
-			t.Fatal(err)
+	for i, s := range slots {
+		a := CoefficientTuning(paf.MustNew(cfg.Form), profiles[s.Index], DefaultCTOptions())
+		b := fanned[i]
+		if len(a.Stages) != len(b.Stages) {
+			t.Fatalf("slot %d: stage count differs", i)
 		}
-		for i := range serial {
-			a, b := serial[i], parallel[i]
-			if len(a.Stages) != len(b.Stages) {
-				t.Fatalf("workers=%d slot %d: stage count differs", workers, i)
+		for si := range a.Stages {
+			ca, cb := a.Stages[si].Coeffs, b.Stages[si].Coeffs
+			if len(ca) != len(cb) {
+				t.Fatalf("slot %d stage %d: coeff count differs", i, si)
 			}
-			for si := range a.Stages {
-				ca, cb := a.Stages[si].Coeffs, b.Stages[si].Coeffs
-				if len(ca) != len(cb) {
-					t.Fatalf("workers=%d slot %d stage %d: coeff count differs", workers, i, si)
-				}
-				for k := range ca {
-					if ca[k] != cb[k] {
-						t.Fatalf("workers=%d slot %d stage %d coeff %d: %v != %v",
-							workers, i, si, k, ca[k], cb[k])
-					}
+			for k := range ca {
+				if ca[k] != cb[k] {
+					t.Fatalf("slot %d stage %d coeff %d: serial %v != fanned %v", i, si, k, ca[k], cb[k])
 				}
 			}
 		}

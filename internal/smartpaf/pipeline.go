@@ -6,6 +6,7 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/data"
 	"github.com/efficientfhe/smartpaf/internal/nn"
 	"github.com/efficientfhe/smartpaf/internal/paf"
+	"github.com/efficientfhe/smartpaf/internal/parallel"
 )
 
 // EventKind tags points on the training curve (the Fig. 9 markers).
@@ -108,22 +109,29 @@ func (p *Pipeline) targetSlots() []*nn.Slot {
 	return p.Model.ReLUSlots()
 }
 
-// buildPAF constructs the replacement composite for a slot, applying CT when
-// enabled.
-func (p *Pipeline) buildPAF(slotIndex int, profiles []*Profile) (*paf.Composite, error) {
-	c, err := paf.New(p.Cfg.Form)
-	if err != nil {
-		return nil, err
-	}
-	if p.Cfg.CT && profiles != nil && slotIndex < len(profiles) {
-		c = CoefficientTuning(c, profiles[slotIndex], DefaultCTOptions())
-	}
-	return c, nil
+// buildAllPAFs constructs the replacement composite for every target slot,
+// applying CT when enabled. The per-slot fits are independent and
+// deterministic, so they fan across all cores without changing a bit of the
+// result; out[i] belongs to slots[i].
+func (p *Pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.Composite, error) {
+	out := make([]*paf.Composite, len(slots))
+	err := parallel.For(len(slots), parallel.Workers(-1), func(i int) error {
+		c, err := paf.New(p.Cfg.Form)
+		if err != nil {
+			return err
+		}
+		if p.Cfg.CT {
+			c = CoefficientTuning(c, profiles[slots[i].Index], DefaultCTOptions())
+		}
+		out[i] = c
+		return nil
+	})
+	return out, err
 }
 
 // trainEpoch runs one epoch over the training set with per-group optimizers
 // honouring frozen flags, then records the curve point.
-func (p *Pipeline) trainEpoch(optPAF, optLinear nn.Optimizer) {
+func (p *Pipeline) trainEpoch(optPAF, optLinear *nn.Adam) {
 	perm := p.Train.Shuffle(p.Cfg.Seed + int64(p.epoch))
 	for _, b := range p.Train.Batches(p.Cfg.BatchSize, perm) {
 		nn.TrainStep(p.Model, nn.Batch{X: b.X, Y: b.Y}, optPAF, optLinear)
@@ -156,10 +164,8 @@ func (p *Pipeline) runStep(label string) {
 		}
 		if p.restrictPAF != nil && !pafFrozen {
 			p.Model.SetGroupFrozen(nn.GroupPAF, true)
-			if h := p.restrictPAF.PAFLayer(); h != nil {
-				for _, prm := range h.Params() {
-					prm.Frozen = false
-				}
+			for _, prm := range p.restrictPAF.PAFLayer().Params() {
+				prm.Frozen = false
 			}
 		}
 
@@ -232,7 +238,9 @@ func (p *Pipeline) overfitting() bool {
 	return last.TrainAcc > last.ValAcc+0.10
 }
 
-// Run executes the configured strategy and reports the Table 3 metrics.
+// Run executes the configured strategy and reports the Table 3 metrics. It
+// leaves the model as it measured FinalAccSS: deployed, every replaced slot
+// statically scaled.
 func (p *Pipeline) Run() (*Result, error) {
 	cfg := p.Cfg
 	res := &Result{Config: cfg}
@@ -244,9 +252,8 @@ func (p *Pipeline) Run() (*Result, error) {
 
 	slots := p.targetSlots()
 
-	// Build every slot's tuned composite once, batch-parallel across slots
-	// when cfg.Parallel asks for it; each replacement site below clones it,
-	// so the three uses stay independent exactly as when built one by one.
+	// Build every slot's tuned composite once; each replacement site below
+	// clones it, so the uses stay independent exactly as when built one by one.
 	comps, err := p.buildAllPAFs(slots, profiles)
 	if err != nil {
 		return nil, err
@@ -301,8 +308,6 @@ func (p *Pipeline) Run() (*Result, error) {
 		}
 	}
 	res.FinalAccSS = p.valAcc()
-	// Return to dynamic mode so callers can keep fine-tuning if desired.
-	p.Model.SetScaleMode(nn.ScaleDynamic)
 
 	res.Curve = p.curve
 	res.Events = p.events
@@ -315,16 +320,8 @@ func (p *Pipeline) seedRunningMax(s *nn.Slot, profiles []*Profile) {
 	if s.Index >= len(profiles) || profiles[s.Index] == nil {
 		return
 	}
-	max := profiles[s.Index].Max
-	switch impl := s.PAFLayer().(type) {
-	case *nn.PAFAct:
-		if impl.RunningMax < max {
-			impl.RunningMax = max
-		}
-	case *nn.PAFMaxPool:
-		if impl.RunningMax < max {
-			impl.RunningMax = max
-		}
+	if h := s.PAFLayer(); h.RunningMax < profiles[s.Index].Max {
+		h.RunningMax = profiles[s.Index].Max
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/data"
+	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/nn"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
@@ -164,9 +165,9 @@ func TestPipelineSmartPAFRun(t *testing.T) {
 	if len(res.Curve) == 0 {
 		t.Fatal("no training curve")
 	}
-	// Every slot must be replaced and statically scalable afterwards.
+	// Every slot must be replaced afterwards.
 	for _, s := range m.Slots() {
-		if !s.IsReplaced() {
+		if s.PAFLayer() == nil {
 			t.Fatalf("slot %d not replaced", s.Index)
 		}
 	}
@@ -221,10 +222,10 @@ func TestPipelineReLUOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range m.Slots() {
-		if s.Kind == nn.SlotMaxPool && s.IsReplaced() {
+		if s.Kind == nn.SlotMaxPool && s.PAFLayer() != nil {
 			t.Fatal("maxpool should not be replaced in ReLU-only mode")
 		}
-		if s.Kind == nn.SlotReLU && !s.IsReplaced() {
+		if s.Kind == nn.SlotReLU && s.PAFLayer() == nil {
 			t.Fatal("relu slot not replaced")
 		}
 	}
@@ -302,20 +303,6 @@ func TestPipelineRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestWeightedSignErrorZeroForPerfectSign(t *testing.T) {
-	// alpha10 is near-perfect on |x| ≥ 0.02; with mass only on large |x| the
-	// weighted error must be tiny.
-	prof := &Profile{Bins: make([]float64, 64), Max: 1}
-	for i := range prof.Bins {
-		if x := prof.BinCenter(i); math.Abs(x) > 0.4 {
-			prof.Bins[i] = 1
-		}
-	}
-	if e := WeightedSignError(paf.MustNew(paf.FormAlpha10), prof); e > 1e-4 {
-		t.Fatalf("weighted error %g for near-perfect baseline", e)
-	}
-}
-
 func TestDirectProgressiveTrainingMode(t *testing.T) {
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1G2)
@@ -349,8 +336,8 @@ func TestDirectProgressiveTrainingMode(t *testing.T) {
 }
 
 func TestPipelineSSAccuracyPopulated(t *testing.T) {
-	// The SS conversion path must produce a usable FHE-compatible model with
-	// the running maxima captured during training.
+	// The SS conversion path must produce a usable model with the running
+	// maxima captured during training.
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1F1G1G1)
 	p, err := NewPipeline(m, train, val, cfg)
@@ -364,12 +351,39 @@ func TestPipelineSSAccuracyPopulated(t *testing.T) {
 	if res.FinalAccSS <= 0 {
 		t.Fatalf("SS accuracy %.3f should be positive on the tiny task", res.FinalAccSS)
 	}
-	// Deploy again (idempotent) and verify static scales exist everywhere.
-	if err := m.Deploy(); err != nil {
+}
+
+// TestRunReturnsDeployedModel: Run hands back the model it measured
+// FinalAccSS on — statically scaled and FHE-ready with no further Deploy —
+// so a CNN passes the compatibility check and an MLP converts for encrypted
+// inference as is (regression: Run switched every slot back to Dynamic
+// Scaling before returning, and callers that did not redeploy failed).
+func TestRunReturnsDeployedModel(t *testing.T) {
+	m, train, val := tinySetup(t, 1)
+	p, err := NewPipeline(m, train, val, testConfig(paf.FormF1G2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaleMode(nn.ScaleStatic)
-	if err := m.CheckFHECompatible(); err != nil {
+	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if err := m.CheckFHECompatible(); err != nil {
+		t.Fatalf("CNN7 after Run: %v", err)
+	}
+
+	dcfg := data.Tiny()
+	dcfg.Size = 4 // 16 inputs
+	dcfg.Train, dcfg.Val = 64, 32
+	train, val = data.Generate(dcfg)
+	mlp := nn.MLP([]int{16, 8, dcfg.Classes}, 3)
+	Pretrain(mlp, train, 2, 32, 3e-3, 1)
+	if p, err = NewPipeline(mlp, train, val, testConfig(paf.FormF1G2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := henn.FromModel(mlp); err != nil {
+		t.Fatalf("MLP after Run: %v", err)
 	}
 }

@@ -21,9 +21,8 @@ import (
 const numBuckets = 36
 
 // Histogram is a log2-bucketed latency histogram. Record is two atomic
-// adds and touches no locks, so it can sit on the CKKS hot path; Merge and
-// Snapshot read the same atomics, so concurrent recording never blocks a
-// scrape. The zero value is ready to use, and all methods tolerate a nil
+// adds and touches no locks, so it can sit on the CKKS hot path; Snapshot
+// reads the same atomics, so concurrent recording never blocks a scrape. The zero value is ready to use, and all methods tolerate a nil
 // receiver (they drop the sample or report empty) so call sites need no
 // enabled-check.
 type Histogram struct {
@@ -83,23 +82,6 @@ func (h *Histogram) Sum() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sum.Load())
-}
-
-// Merge folds o's observations into h. Both sides may be recorded into
-// concurrently; the merge is per-bucket atomic (each bucket transfers
-// exactly, though buckets are not snapshotted at one instant).
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	if s := o.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]) in seconds,

@@ -105,11 +105,6 @@ func (r *Registry) NewHistogramVec(name, help string, labels ...string) *Histogr
 	return &HistogramVec{fam: r.register(name, help, "histogram", labels, nil)}
 }
 
-// NewCounter registers an unlabeled counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.NewCounterVec(name, help).With()
-}
-
 // NewHistogram registers an unlabeled histogram.
 func (r *Registry) NewHistogram(name, help string) *Histogram {
 	return r.NewHistogramVec(name, help).With()

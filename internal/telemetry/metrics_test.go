@@ -130,13 +130,13 @@ func TestVecSeriesCap(t *testing.T) {
 // registry; silently shadowing one is a bug worth failing fast on.
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("dup_total", "h")
+	r.NewCounterVec("dup_total", "h")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	r.NewCounter("dup_total", "h")
+	r.NewCounterVec("dup_total", "h")
 }
 
 // TestCounterNil: nil counters swallow writes (disabled instrumentation).

@@ -43,9 +43,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 // Numel returns the number of elements.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	return &Tensor{Shape: append([]int(nil), t.Shape...), Data: append([]float64(nil), t.Data...)}
@@ -63,20 +60,10 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
-// Zero clears all elements in place.
-func (t *Tensor) Zero() { clear(t.Data) }
-
 // AddInPlace adds other element-wise.
 func (t *Tensor) AddInPlace(other *Tensor) {
 	for i := range t.Data {
 		t.Data[i] += other.Data[i]
-	}
-}
-
-// ScaleInPlace multiplies all elements by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
 	}
 }
 

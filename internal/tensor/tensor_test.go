@@ -9,7 +9,7 @@ import (
 
 func TestNewAndAccessors(t *testing.T) {
 	a := New(2, 3, 4)
-	if a.Numel() != 24 || a.Dim(1) != 3 {
+	if a.Numel() != 24 || a.Shape[1] != 3 {
 		t.Fatalf("shape bookkeeping wrong: %v", a.Shape)
 	}
 	b := a.Reshape(6, 4)
