@@ -11,20 +11,21 @@
 //	hennserve                               # the synthetic demo model on :8555
 //	hennserve -train                        # a SMART-PAF-trained MLP
 //	hennserve -demo alpha -demo beta:13     # several demo models (name[:seed])
-//	hennserve -models ./deployed            # every *.hemodel bundle in a dir
-//	hennserve -train -demo alpha -export ./deployed   # save bundles, then serve
+//	hennserve -train -demo alpha -state ./deployed    # persist alpha@1.hemodel, serve
+//	hennserve -state ./deployed             # serve that directory again
 //	hennserve -addr :9000 -logn 12 -workers 4
 //	hennserve -state ./state -admin-token s3cret      # durable versioned catalog
 //	hennserve -log-requests -metrics-addr 127.0.0.1:8556  # access log + pprof/metrics plane
 //
-// With -state, every deployed bundle (startup and hot-deployed alike)
-// persists as <name>@<version>.hemodel and a restarted server reloads the
-// exact catalog — versions included — before serving; a first start with an
-// empty state directory and no model flags begins with an empty catalog and
-// has models hot-deployed over HTTP. With -admin-token, the deploy/retire
-// endpoints demand "Authorization: Bearer <token>". A model upgrade is
-// POST /v1/models?supersede=true: the new version serves new sessions while
-// the old one drains behind it.
+// The -state directory is the one place bundles live on disk: every deployed
+// bundle (startup and hot-deployed alike) persists there as
+// <name>@<version>.hemodel and a restarted server reloads the exact catalog —
+// versions included — before serving; a first start with an empty state
+// directory and no model flags begins with an empty catalog and has models
+// hot-deployed over HTTP (POSTing a state file is a hot deploy). With
+// -admin-token, the deploy/retire endpoints demand "Authorization: Bearer
+// <token>". A model upgrade is POST /v1/models?supersede=true: the new
+// version serves new sessions while the old one drains behind it.
 //
 // SIGINT/SIGTERM drain gracefully: the HTTP listener stops accepting, in-
 // flight inferences finish, then the scheduler and its workers shut down.
@@ -41,7 +42,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,8 +62,6 @@ func main() {
 		logN      = flag.Int("logn", 11, "ring degree log2 (demo sizes; production wants >= 14)")
 		seed      = flag.Int64("seed", 7, "default model seed")
 		train     = flag.Bool("train", false, "add a SMART-PAF-trained MLP to the catalog")
-		modelsDir = flag.String("models", "", "directory of *.hemodel bundles to deploy")
-		export    = flag.String("export", "", "write every loaded model as a .hemodel bundle to this directory before serving")
 		workers   = flag.Int("workers", -1, "server-wide inference worker budget shared by all sessions and models (0/1 one worker, <0 all cores)")
 		ttl       = flag.Duration("ttl", 0, "idle-session eviction TTL (0 keeps the 30m default, <0 disables eviction)")
 		queue     = flag.Int("queue", 0, "per-session request queue depth (0 keeps the 1024 default)")
@@ -80,14 +78,9 @@ func main() {
 	})
 	flag.Parse()
 
-	models, err := buildModels(demos, *train, *modelsDir, *seed, *logN, *state)
+	models, err := buildModels(demos, *train, *seed, *logN, *state)
 	if err != nil {
 		fail(err)
-	}
-	if *export != "" {
-		if err := exportModels(*export, models); err != nil {
-			fail(err)
-		}
 	}
 	var accessLog *slog.Logger
 	if *logReqs {
@@ -188,12 +181,12 @@ func debugMux(srv *server.Server) http.Handler {
 	return mux
 }
 
-// buildModels assembles the startup catalog: every -demo occurrence, the
-// -train model, and every bundle in -models. With no model flags at all it
-// falls back to the single synthetic demo model — unless a -state directory
-// is configured, whose reloaded catalog then stands on its own (a restarted
-// server must come back with exactly what it persisted, not a demo extra).
-func buildModels(demos []string, train bool, modelsDir string, seed int64, logN int, stateDir string) ([]*registry.Model, error) {
+// buildModels assembles the startup catalog: every -demo occurrence and the
+// -train model. With no model flags at all it falls back to the single
+// synthetic demo model — unless a -state directory is configured, whose
+// reloaded catalog then stands on its own (a restarted server must come back
+// with exactly what it persisted, not a demo extra).
+func buildModels(demos []string, train bool, seed int64, logN int, stateDir string) ([]*registry.Model, error) {
 	var models []*registry.Model
 	for _, spec := range demos {
 		m, err := demoModel(spec, seed, logN)
@@ -208,13 +201,6 @@ func buildModels(demos []string, train bool, modelsDir string, seed int64, logN 
 			return nil, err
 		}
 		models = append(models, m)
-	}
-	if modelsDir != "" {
-		loaded, err := loadBundles(modelsDir)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, loaded...)
 	}
 	if len(models) == 0 && stateDir == "" {
 		m, err := registry.DemoModel(seed, logN)
@@ -250,54 +236,6 @@ func demoModel(spec string, defaultSeed int64, logN int) (*registry.Model, error
 		m.Name = name
 	}
 	return m, nil
-}
-
-// loadBundles deploys every *.hemodel wire bundle in dir.
-func loadBundles(dir string) ([]*registry.Model, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var models []*registry.Model
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".hemodel") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		m := new(registry.Model)
-		if err := m.UnmarshalBinary(data); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		models = append(models, m)
-	}
-	if len(models) == 0 {
-		return nil, fmt.Errorf("no *.hemodel bundles in %s", dir)
-	}
-	return models, nil
-}
-
-// exportModels writes each model as <dir>/<name>.hemodel, the same bytes
-// POST /v1/models accepts.
-func exportModels(dir string, models []*registry.Model) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, m := range models {
-		data, err := m.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, m.Name+".hemodel")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("hennserve: exported %s (%d bytes)\n", path, len(data))
-	}
-	return nil
 }
 
 // trainedModel runs the condensed private_mlp pipeline: pretrain, replace

@@ -8,8 +8,8 @@ import (
 )
 
 // Binary wire format for the deployed-model artifact: what POST /v1/models
-// accepts and what a -models directory holds on disk (one .hemodel file per
-// model). It frames the henn.MLP wire format together with the prescribed
+// accepts and what a state directory holds on disk (one .hemodel file per
+// model version). It frames the henn.MLP wire format together with the prescribed
 // parameter literal and the declared I/O dimensions, on the same internal/wire
 // codec as the formats it nests — a hostile deploy payload must fail at the
 // boundary.

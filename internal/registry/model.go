@@ -36,7 +36,7 @@ type Model struct {
 }
 
 // nameRE bounds model names to URL-path-safe identifiers: names appear in
-// /v1/models/{name} routes and in -models directory filenames.
+// /v1/models/{name} routes and in state-directory file names.
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$`)
 
 // Validate checks the model is a deployable artifact: a named, non-empty MLP

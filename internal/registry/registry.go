@@ -270,39 +270,38 @@ func New() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// UseStore attaches a persistent bundle store: every bundle already in the
-// store is loaded into the catalog at its recorded version, and every future
-// Deploy/Supersede/Retire is mirrored to disk. Corrupt or misnamed files are
-// skipped, each contributing a warning — a hostile or truncated state file
-// must not block startup. Call before serving traffic, at most once.
+// UseStore attaches a persistent bundle store to a new registry: every bundle
+// already in the store is loaded into the catalog at its recorded version,
+// and every future Deploy/Supersede/Retire is mirrored to disk. Corrupt or
+// misnamed files are skipped, each contributing a warning — a hostile or
+// truncated state file must not block startup. Call before serving traffic,
+// at most once.
 func (r *Registry) UseStore(s *Store) (warnings []error) {
 	entries, warnings := s.Load()
+	var restored []*Deployed
 	for _, e := range entries {
-		if _, err := r.deploy(e.Model, e.Version, false); err != nil {
+		d, err := compile(e.Model)
+		if err != nil {
 			warnings = append(warnings, fmt.Errorf("%s: %w", Ref(e.Model.Name, e.Version), err))
+			continue
 		}
+		d.version = e.Version
+		restored = append(restored, d)
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.store = s
-	// A crash between a supersede's Save(vN+1) and Remove(vN) leaves both
-	// files behind, which the load above restored as two live versions of
-	// one name. Finish the interrupted rollout: keep only the newest
-	// version of each family live, draining the rest (no sessions exist at
-	// startup, so they free — and their files go — on the spot).
-	var stale []*Deployed
-	for _, f := range r.families {
-		newest := f.liveLocked()
-		for _, d := range f.versions {
-			if d != newest {
-				stale = append(stale, d)
-			}
+	for i, d := range restored {
+		// Load sorts by name then version, so a name's newest version comes
+		// last. A crash between a supersede's Save(vN+1) and Remove(vN)
+		// leaves both files behind: finish the interrupted rollout by
+		// restoring only the newest.
+		if i+1 < len(restored) && restored[i+1].Name() == d.Name() {
+			warnings = append(warnings, fmt.Errorf("%s: superseded by a newer stored version; dropped", d.Ref()))
+			s.Remove(d.Name(), d.version)
+			continue
 		}
-	}
-	r.mu.Unlock()
-	for _, d := range stale {
-		warnings = append(warnings, fmt.Errorf("%s: superseded by a newer stored version; dropped", d.Ref()))
-		d.setState(stateDraining)
-		s.Remove(d.Name(), d.version)
+		r.insertLocked(r.familyLocked(d.Name()), d)
 	}
 	return warnings
 }
@@ -351,24 +350,23 @@ func compile(m *Model) (*Deployed, error) {
 	}, nil
 }
 
-// publishLocked inserts d into its family at the given version (0 assigns
-// the next number) and keeps the counter monotonic past restored versions.
-// Callers hold r.mu.
-func (r *Registry) publishLocked(d *Deployed, version int) {
-	name := d.model.Name
+// familyLocked returns the name's family, creating it empty. Callers hold
+// r.mu.
+func (r *Registry) familyLocked(name string) *family {
 	f := r.families[name]
 	if f == nil {
 		f = &family{next: 1, versions: map[int]*Deployed{}}
 		r.families[name] = f
 	}
-	if version == 0 {
-		version = f.next
-	}
-	d.version = version
-	if version >= f.next {
-		f.next = version + 1
-	}
+	return f
+}
+
+// insertLocked catalogs d in f at d.version and keeps the counter monotonic
+// past it. Callers hold r.mu.
+func (r *Registry) insertLocked(f *family, d *Deployed) {
+	name, version := d.Name(), d.version
 	f.versions[version] = d
+	f.next = max(f.next, version+1)
 	d.delist = func() { r.delistVersion(name, version) }
 }
 
@@ -403,91 +401,56 @@ func (f *family) liveLocked() *Deployed {
 // parallel. A name with a live version returns ErrExists (Supersede is the
 // versioned upgrade path); a name whose versions are all draining or gone
 // deploys normally, continuing the version sequence.
-func (r *Registry) Deploy(m *Model) (*Deployed, error) {
-	return r.deploy(m, 0, true)
-}
-
-// deploy is the shared publish path: version 0 auto-assigns, persist false
-// skips the store write (restoring from the store must not rewrite it).
-func (r *Registry) deploy(m *Model, version int, persist bool) (*Deployed, error) {
-	d, err := compile(m)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if f := r.families[m.Name]; f != nil {
-		if version != 0 {
-			if _, dup := f.versions[version]; dup {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("%w: %q", ErrExists, Ref(m.Name, version))
-			}
-		} else if live := f.liveLocked(); live != nil {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("%w: %q is live as %s (supersede to upgrade)", ErrExists, m.Name, live.Ref())
-		}
-	}
-	r.publishLocked(d, version)
-	store := r.store
-	r.mu.Unlock()
-	if persist && store != nil {
-		if err := store.Save(m, d.version); err != nil {
-			r.unpublish(d)
-			return nil, fmt.Errorf("registry: persisting %s: %w", d.Ref(), err)
-		}
-	}
-	return d, nil
-}
-
-// unpublish rolls back a publish whose persistence failed: the version
-// leaves the catalog and is retired so any session that bound it during the
-// window drains it and the warmed stack frees instead of living on
-// invisibly.
-func (r *Registry) unpublish(d *Deployed) {
-	r.delistVersion(d.Name(), d.version)
-	d.setState(stateRetired)
-}
+func (r *Registry) Deploy(m *Model) (*Deployed, error) { return r.publish(m, false) }
 
 // Supersede publishes the model as the next version of its name and drains
 // every live older version: existing sessions keep serving the old stacks
 // until they release (the stack frees on the last reference), while new
 // binds land on the new version. Superseding a name with no live version is
-// equivalent to Deploy. Returns the new version and the versions set
-// draining.
-func (r *Registry) Supersede(m *Model) (*Deployed, []*Deployed, error) {
+// equivalent to Deploy.
+func (r *Registry) Supersede(m *Model) (*Deployed, error) { return r.publish(m, true) }
+
+// publish is Deploy's and Supersede's one path. Compilation runs before the
+// catalog lock; the version is then chosen, saved, the drained versions'
+// files removed and the new version inserted in one critical section, so the
+// store changes together with the catalog and a failed Save publishes
+// nothing. The drains start after the lock is released, because a stack
+// that frees on the spot delists itself under it.
+func (r *Registry) publish(m *Model, supersede bool) (*Deployed, error) {
 	d, err := compile(m)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var old []*Deployed
 	r.mu.Lock()
-	if f := r.families[m.Name]; f != nil {
-		for _, prev := range f.versions {
-			if !prev.Draining() && !prev.Retired() {
-				old = append(old, prev)
-			}
+	f := r.familyLocked(m.Name)
+	var old []*Deployed
+	for _, prev := range f.versions {
+		if !prev.Draining() && !prev.Retired() {
+			old = append(old, prev)
 		}
 	}
-	r.publishLocked(d, 0)
-	store := r.store
+	if len(old) > 0 && !supersede {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q is live as %s (supersede to upgrade)", ErrExists, m.Name, f.liveLocked().Ref())
+	}
+	d.version = f.next
+	if r.store != nil {
+		if err := r.store.Save(m, d.version); err != nil {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("registry: persisting %s: %w", d.Ref(), err)
+		}
+		// A draining version never serves a new session (or a restart), so
+		// its bundle leaves the store at drain start, not drain end.
+		for _, prev := range old {
+			r.store.Remove(m.Name, prev.version)
+		}
+	}
+	r.insertLocked(f, d)
 	r.mu.Unlock()
-	sort.Slice(old, func(i, j int) bool { return old[i].version < old[j].version })
-	if store != nil {
-		if err := store.Save(m, d.version); err != nil {
-			r.unpublish(d)
-			return nil, nil, fmt.Errorf("registry: persisting %s: %w", d.Ref(), err)
-		}
-	}
-	// Drain after the successor is published and persisted, so no window
-	// exists in which neither version would survive a restart. A draining
-	// version can never serve a new session (or a restart), so its bundle
-	// leaves the store at drain start, not drain end.
 	for _, prev := range old {
 		prev.setState(stateDraining)
-		if store != nil {
-			store.Remove(prev.Name(), prev.version)
-		}
 	}
-	return d, old, nil
+	return d, nil
 }
 
 // Resolve returns the deployed stack for a reference: "name@N" pins that
@@ -544,12 +507,12 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// Retire removes model versions from the catalog — new Bind calls fail from
-// this point — and returns their stacks so the caller can close bound
-// sessions. "name@N" retires that exact version; a bare name retires every
-// cataloged version (draining ones included). Each stack's caches are freed
-// once every bound session and in-flight unit has released its reference
-// (watch Drained for that moment).
+// Retire removes model versions from the catalog and their bundles from the
+// store — new Bind calls fail from this point — and returns their stacks so
+// the caller can close bound sessions. "name@N" retires that exact version;
+// a bare name retires every cataloged version (draining ones included). Each
+// stack's caches are freed once every bound session and in-flight unit has
+// released its reference (watch Drained for that moment).
 func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 	name, version, err := SplitRef(ref)
 	if err != nil {
@@ -557,21 +520,17 @@ func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 	}
 	var out []*Deployed
 	r.mu.Lock()
-	f := r.families[name]
-	if f != nil {
-		if version != 0 {
-			if d, ok := f.versions[version]; ok {
-				delete(f.versions, version)
-				out = append(out, d)
-			}
-		} else {
-			for v, d := range f.versions {
+	if f := r.families[name]; f != nil {
+		for v, d := range f.versions {
+			if version == 0 || v == version {
 				delete(f.versions, v)
+				if r.store != nil {
+					r.store.Remove(name, v)
+				}
 				out = append(out, d)
 			}
 		}
 	}
-	store := r.store
 	r.mu.Unlock()
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, ref)
@@ -579,9 +538,6 @@ func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].version < out[j].version })
 	for _, d := range out {
 		d.setState(stateRetired)
-		if store != nil {
-			store.Remove(d.Name(), d.version)
-		}
 	}
 	return out, nil
 }

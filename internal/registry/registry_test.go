@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -220,7 +221,7 @@ func TestDelistRunsOutsideStackLock(t *testing.T) {
 	}
 	superseded := deploy("superseded")
 	supersededCalls := watch(superseded)
-	if _, _, err := r.Supersede(testModel(t, "superseded", 14)); err != nil {
+	if _, err := r.Supersede(testModel(t, "superseded", 14)); err != nil {
 		t.Fatal(err)
 	}
 	if *releasedCalls != 1 || *retiredCalls != 1 || *supersededCalls != 1 {
@@ -384,15 +385,12 @@ func TestVersionedSupersedeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, old, err := r.Supersede(testModel(t, "alpha", 2))
+	d2, err := r.Supersede(testModel(t, "alpha", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d2.Version() != 2 {
 		t.Fatalf("supersede published v%d, want v2", d2.Version())
-	}
-	if len(old) != 1 || old[0] != d1 {
-		t.Fatalf("supersede drained %v, want [alpha@1]", old)
 	}
 	if !d1.Draining() || d1.Retired() {
 		t.Fatal("superseded version not draining")
@@ -445,7 +443,7 @@ func TestSupersedeIdleDrainsInstantly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Supersede(testModel(t, "idle", 4)); err != nil {
+	if _, err := r.Supersede(testModel(t, "idle", 4)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -490,7 +488,7 @@ func TestRetireExactVersion(t *testing.T) {
 	if err := d1.Bind(); err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := r.Supersede(testModel(t, "alpha", 9))
+	d2, err := r.Supersede(testModel(t, "alpha", 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +539,7 @@ func TestStorePersistReloadRetire(t *testing.T) {
 	if _, err := r1.Deploy(testModel(t, "beta", 11)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r1.Supersede(testModel(t, "alpha", 12)); err != nil {
+	if _, err := r1.Supersede(testModel(t, "alpha", 12)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -663,7 +661,7 @@ func TestConcurrentSupersedeChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				if g == 0 {
-					if _, _, err := r.Supersede(testModel(t, "hot", int64(30+i))); err != nil {
+					if _, err := r.Supersede(testModel(t, "hot", int64(30+i))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -726,6 +724,64 @@ func TestUseStoreFinishesCrashedSupersede(t *testing.T) {
 	}
 }
 
+// TestRetireRacingSupersedeLeavesNoBundle: a Retire that lands as soon as a
+// Supersede's new version resolves must not leave that version's bundle on
+// disk, where the next restart would bring the retired model back. Every
+// round ends with the state directory listing exactly the catalog's live
+// versions.
+func TestRetireRacingSupersedeLeavesNoBundle(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New()
+	if ws := r.UseStore(st); len(ws) != 0 {
+		t.Fatalf("unexpected warnings: %v", ws)
+	}
+	stop := make(chan struct{}) // ends a round's poller if the test fails first
+	defer close(stop)
+	for round := 1; round <= 60; round++ {
+		retired := make(chan error, 1)
+		go func() {
+			for {
+				if d, ok := r.Resolve("alpha"); ok && d.Version() == round {
+					_, err := r.Retire("alpha")
+					retired <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+		if _, err := r.Supersede(testModel(t, "alpha", int64(round))); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-retired; err != nil {
+			t.Fatal(err)
+		}
+		loaded, warnings := st.Load()
+		if len(warnings) != 0 {
+			t.Fatalf("round %d: store warnings %v", round, warnings)
+		}
+		var onDisk, live []string
+		for _, e := range loaded {
+			onDisk = append(onDisk, Ref(e.Model.Name, e.Version))
+		}
+		for _, d := range r.List() {
+			if !d.Draining() && !d.Retired() {
+				live = append(live, d.Ref())
+			}
+		}
+		if !reflect.DeepEqual(onDisk, live) {
+			t.Fatalf("round %d: state dir holds %v, catalog's live versions are %v", round, onDisk, live)
+		}
+	}
+}
+
 // TestStoreRejectsNonCanonicalFileNames: "alpha@01.hemodel" parses to a
 // version whose canonical path differs, so Remove could never delete it and
 // a retired model would resurrect every restart — it must be skipped.
@@ -753,9 +809,8 @@ func TestStoreRejectsNonCanonicalFileNames(t *testing.T) {
 	}
 }
 
-// TestDeployPersistFailureRetiresStack: when the store write fails, the
-// already-published version must not linger live-but-invisible — it is
-// delisted and retired so the warmed stack frees.
+// TestDeployPersistFailureRetiresStack: when the store write fails, nothing
+// is published — no version lingers live-but-invisible in the catalog.
 func TestDeployPersistFailureRetiresStack(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -777,6 +832,29 @@ func TestDeployPersistFailureRetiresStack(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("failed deploy left %d catalog entries", r.Len())
+	}
+}
+
+// TestStoreSaveFailureLeavesNoTemp: a Save whose write fails part-way (the
+// temp file is a link to /dev/full, so every write is ENOSPC) returns the
+// error and removes the temp file, leaving no bundle behind.
+func TestStoreSaveFailureLeavesNoTemp(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "alpha@1.hemodel.tmp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(testModel(t, "alpha", 44), 1); err == nil {
+		t.Fatal("Save succeeded on a full device")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("failed Save left %v behind", left)
 	}
 }
 

@@ -10,16 +10,17 @@ import (
 
 // Store persists deployed bundles under a state directory, one
 // "<name>@<version>.hemodel" file per cataloged version (the same bytes
-// POST /v1/models accepts). Writes go through a temp file and an atomic
-// rename, so a crash mid-write can leave at worst a stray *.tmp — never a
-// torn bundle that would poison the next startup. A Registry wired through
-// UseStore keeps the directory in lockstep with the catalog: Deploy and
-// Supersede save, Retire and drain-start remove.
+// POST /v1/models accepts) — the only place bundles live on disk. Writes go
+// through a synced temp file, an atomic rename and a directory sync, so
+// neither a crash nor a power loss leaves a torn or empty bundle that would
+// poison the next startup. A Registry wired through UseStore keeps the
+// directory in lockstep with the catalog: Deploy and Supersede save, Retire
+// and drain-start remove, each under the catalog lock.
 type Store struct {
 	dir string
 }
 
-// storeExt is the bundle file suffix (shared with hennserve's -models dir).
+// storeExt is the bundle file suffix.
 const storeExt = ".hemodel"
 
 // OpenStore opens (creating if needed) the state directory.
@@ -30,18 +31,18 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 // path is the bundle file for one model version.
 func (s *Store) path(name string, version int) string {
 	return filepath.Join(s.dir, Ref(name, version)+storeExt)
 }
 
 // Save persists the bundle for a model version, atomically replacing any
-// previous file: marshal, write "<ref>.hemodel.tmp", fsync-free rename. The
-// rename is the commit point — a reader (or a restart) sees either the old
-// complete file or the new one.
+// previous file: marshal, write and sync "<ref>.hemodel.tmp", rename it over
+// the final name, sync the directory. The rename is the commit point — a
+// reader (or a restart) sees either the old complete file or the new one —
+// and the syncs make the new file's bytes and its name durable before the
+// caller removes a superseded version's file. On failure nothing is left
+// behind.
 func (s *Store) Save(m *Model, version int) error {
 	data, err := m.MarshalBinary()
 	if err != nil {
@@ -49,14 +50,38 @@ func (s *Store) Save(m *Model, version int) error {
 	}
 	final := s.path(m.Name, version)
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		err = syncClose(f, err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	dir, err := os.Open(s.dir)
+	if err == nil {
+		err = syncClose(dir, nil)
+	}
+	if err != nil {
+		os.Remove(final)
+	}
+	return err
+}
+
+// syncClose flushes f to stable storage (unless err already failed the
+// write) and closes it, returning the first error.
+func syncClose(f *os.File, err error) error {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Remove deletes a version's bundle file. A missing file is not an error —

@@ -427,7 +427,7 @@ func TestSupersedeRacingRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Registry().Supersede(shapedModel(t, "alpha", 182, 16, 8, 4)); err != nil {
+	if _, err := srv.Registry().Supersede(shapedModel(t, "alpha", 182, 16, 8, 4)); err != nil {
 		t.Fatal(err)
 	}
 	// NewSessionFor re-fetches; simulate the stale client by registering

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,18 +202,11 @@ type ModelStats struct {
 	Backlog int `json:"backlog"`
 	// UnitsRun counts inference units executed against the version.
 	UnitsRun int64 `json:"unitsRun"`
-	// Unit-latency and queue-wait quantiles in milliseconds, read from the
-	// server's log-bucketed histograms (~±50% bucket resolution). Omitted
-	// until the version has executed at least one unit.
-	UnitP50Ms  float64 `json:"unitP50Ms,omitempty"`
-	UnitP95Ms  float64 `json:"unitP95Ms,omitempty"`
-	UnitP99Ms  float64 `json:"unitP99Ms,omitempty"`
-	QueueP50Ms float64 `json:"queueP50Ms,omitempty"`
-	QueueP99Ms float64 `json:"queueP99Ms,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of scheduler counters, served at
-// GET /v1/stats.
+// GET /v1/stats. Latency distributions and process gauges (uptime,
+// goroutines, heap) are /metrics series, not repeated here.
 type Stats struct {
 	// Workers is the resolved server-wide worker budget.
 	Workers int `json:"workers"`
@@ -229,12 +221,6 @@ type Stats struct {
 	// PeakInFlight is the high-water mark of concurrently executing units;
 	// it never exceeds Workers.
 	PeakInFlight int `json:"peakInFlight"`
-	// UptimeSeconds is how long ago the server was built.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Goroutines is the live goroutine count of the serving process.
-	Goroutines int `json:"goroutines"`
-	// HeapBytes is the in-use heap (runtime.MemStats.HeapAlloc).
-	HeapBytes uint64 `json:"heap_bytes"`
 	// Models breaks sessions, backlog and executed units down per deployed
 	// model version, sorted by name then version. Retired versions drop out
 	// of the snapshot; draining ones stay until their last session releases.
@@ -242,8 +228,7 @@ type Stats struct {
 }
 
 // Stats reports scheduler counters (hennbench and the regression suite read
-// these). It is a pure read of the
-// telemetry plane: it must never mint new series.
+// these). It reads no telemetry series, so it never mints one.
 func (s *Server) Stats() Stats {
 	deployed := s.reg.List()
 	perModel := make([]ModelStats, len(deployed))
@@ -254,17 +239,6 @@ func (s *Server) Stats() Stats {
 			Version:  d.Version(),
 			Draining: d.Draining(),
 			UnitsRun: d.UnitsRun(),
-		}
-		// Find (not With): a version no session ever ran units for has no
-		// series, and a stats scrape must not create one.
-		if h := s.unitLat.Find(d.Ref()); h.Count() > 0 {
-			perModel[i].UnitP50Ms = h.Quantile(0.50) * 1e3
-			perModel[i].UnitP95Ms = h.Quantile(0.95) * 1e3
-			perModel[i].UnitP99Ms = h.Quantile(0.99) * 1e3
-		}
-		if h := s.queueWait.Find(d.Ref()); h.Count() > 0 {
-			perModel[i].QueueP50Ms = h.Quantile(0.50) * 1e3
-			perModel[i].QueueP99Ms = h.Quantile(0.99) * 1e3
 		}
 		index[d] = &perModel[i]
 	}
@@ -279,17 +253,12 @@ func (s *Server) Stats() Stats {
 		}
 	}
 	s.mu.RUnlock()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	return Stats{
-		Workers:       s.sched.workers,
-		Backlog:       backlog,
-		UnitsRun:      s.sched.unitsRun.Load(),
-		UnitsAborted:  s.sched.unitsAborted.Load(),
-		PeakInFlight:  int(s.sched.peak.Load()),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		HeapBytes:     mem.HeapAlloc,
-		Models:        perModel,
+		Workers:      s.sched.workers,
+		Backlog:      backlog,
+		UnitsRun:     s.sched.unitsRun.Load(),
+		UnitsAborted: s.sched.unitsAborted.Load(),
+		PeakInFlight: int(s.sched.peak.Load()),
+		Models:       perModel,
 	}
 }

@@ -404,15 +404,11 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "model bundle: %v", err)
 		return
 	}
-	var (
-		d   *registry.Deployed
-		err error
-	)
+	publish := s.reg.Deploy
 	if r.URL.Query().Get("supersede") == "true" {
-		d, _, err = s.reg.Supersede(m)
-	} else {
-		d, err = s.reg.Deploy(m)
+		publish = s.reg.Supersede
 	}
+	d, err := publish(m)
 	if err != nil {
 		if errors.Is(err, registry.ErrExists) {
 			writeError(w, http.StatusConflict, "%v (POST /v1/models?supersede=true to roll the version)", err)

@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -171,47 +173,60 @@ func TestTraceNotFound(t *testing.T) {
 	}
 }
 
-// TestStatsRuntimeAndQuantiles: /v1/stats now reports process runtime fields
-// and per-model latency quantiles, and the client round-trips them.
+// TestStatsRuntimeAndQuantiles: the process runtime figures and the latency
+// distributions are /metrics series — the uptime, goroutine and heap gauges
+// read positive and the unit histogram holds the inference — and /v1/stats
+// does not repeat them: it serves the scheduler counters and the per-model
+// breakdown /metrics lacks.
 func TestStatsRuntimeAndQuantiles(t *testing.T) {
 	model, _, ts := newTestServer(t)
 	c, _, _ := inferOnce(t, ts, model)
+	ctx := context.Background()
 
-	st, err := c.Stats(context.Background())
+	body, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.UptimeSeconds <= 0 {
-		t.Errorf("uptime_seconds = %g, want > 0", st.UptimeSeconds)
+	sample := func(series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", series, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics missing %s", series)
+		return 0
 	}
-	if st.Goroutines <= 0 {
-		t.Errorf("goroutines = %d, want > 0", st.Goroutines)
-	}
-	if st.HeapBytes == 0 {
-		t.Error("heap_bytes = 0, want > 0")
-	}
-	if len(st.Models) != 1 {
-		t.Fatalf("models = %+v, want one", st.Models)
-	}
-	ms := st.Models[0]
-	if ms.UnitP50Ms <= 0 || ms.UnitP99Ms < ms.UnitP50Ms {
-		t.Errorf("unit quantiles p50=%g p99=%g, want 0 < p50 <= p99", ms.UnitP50Ms, ms.UnitP99Ms)
-	}
-	if ms.UnitP95Ms < ms.UnitP50Ms {
-		t.Errorf("unit p95 %g below p50 %g", ms.UnitP95Ms, ms.UnitP50Ms)
-	}
-	if ms.QueueP50Ms < 0 || ms.QueueP99Ms < ms.QueueP50Ms {
-		t.Errorf("queue quantiles p50=%g p99=%g out of order", ms.QueueP50Ms, ms.QueueP99Ms)
+	for _, series := range []string{"henn_uptime_seconds", "henn_goroutines", "henn_heap_bytes",
+		`henn_unit_seconds_sum{model="demo-mlp-16x8x4@1"}`} {
+		if v := sample(series); v <= 0 {
+			t.Errorf("%s = %g, want > 0", series, v)
+		}
 	}
 
-	// The wire names are the issue-specified snake_case fields.
-	raw, err := json.Marshal(st)
+	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"uptime_seconds"`, `"goroutines"`, `"heap_bytes"`, `"unitP50Ms"`} {
-		if !strings.Contains(string(raw), key) {
-			t.Errorf("stats JSON missing %s: %s", key, raw)
+	if st.UnitsRun != 1 || len(st.Models) != 1 || st.Models[0].UnitsRun != 1 {
+		t.Errorf("stats %+v, want one unit run on the one model", st)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"uptime_seconds"`, `"goroutines"`, `"heap_bytes"`, `"unitP50Ms"`, `"queueP50Ms"`} {
+		if strings.Contains(string(raw), key) {
+			t.Errorf("stats JSON repeats the /metrics figure %s: %s", key, raw)
 		}
 	}
 }
