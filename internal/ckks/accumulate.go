@@ -133,10 +133,13 @@ func (ev *Evaluator) AddInPlace(acc, ct *Ciphertext) error {
 	return nil
 }
 
-// Recycle returns a ciphertext's polys to the ring pool. Only the owner of
-// a ciphertext no one else references may recycle it — typically an
-// intermediate the caller itself obtained from Rotate, RotateHoisted or
-// PlainSum.Sum. ct must not be used afterwards.
+// Recycle returns a ciphertext's polys to the ring pool, where the next op
+// that builds a result (every op listed on Evaluator) takes them. Only the
+// owner of a ciphertext no one else references may recycle it — typically
+// an intermediate the caller itself obtained from one of those ops — and
+// neither ct nor any DropLevel view of it may be used afterwards. Recycling
+// a view itself returns nothing. Recycling is optional: what is not recycled
+// the GC collects.
 func (ev *Evaluator) Recycle(ct *Ciphertext) {
 	rq := ev.params.RingQ()
 	rq.PutPoly(ct.C0)

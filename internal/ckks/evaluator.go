@@ -29,6 +29,15 @@ const scaleTol = 1e-6
 // Σ ciphertext ⊙ diagonal (PlainSum) — are accumulated unreduced in 128 bits
 // and reduced once at the end (ring.MulAcc128); every value an operation
 // returns is a canonical residue, identical under any fan-out width.
+//
+// Results come from the ring pool too: Add, Sub, Neg, AddPlain, MulPlain,
+// MulRelin, MulRelinRescale, Rescale, MulConst, MulConstTargetScale, Rotate,
+// RotateHoisted, Conjugate, ConjugateHoisted and PlainSum.Sum build their
+// result from pooled polys, and the fused ops hand their own intermediate
+// back. The caller owns the result and may return it with Recycle once it
+// is dead, so a chain of ops reuses a few buffers instead of allocating one
+// per step. Recycling is optional: a result never recycled is collected by
+// the GC like any other value. No op recycles a ciphertext it was given.
 type Evaluator struct {
 	params *Parameters
 	rlk    *RelinearizationKey
@@ -73,7 +82,7 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	}
 	a, b, level := ev.alignLevels(a, b)
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(level), C1: rq.NewPoly(level), Scale: a.Scale, Level: level}
+	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: a.Scale, Level: level}
 	rq.Add(a.C0, b.C0, out.C0)
 	rq.Add(a.C1, b.C1, out.C1)
 	return out, nil
@@ -86,7 +95,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	}
 	a, b, level := ev.alignLevels(a, b)
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(level), C1: rq.NewPoly(level), Scale: a.Scale, Level: level}
+	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: a.Scale, Level: level}
 	rq.Sub(a.C0, b.C0, out.C0)
 	rq.Sub(a.C1, b.C1, out.C1)
 	return out, nil
@@ -95,7 +104,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 // Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(a.Level), C1: rq.NewPoly(a.Level), Scale: a.Scale, Level: a.Level}
+	out := &Ciphertext{C0: rq.GetPolyRaw(a.Level), C1: rq.GetPolyRaw(a.Level), Scale: a.Scale, Level: a.Level}
 	rq.Neg(a.C0, out.C0)
 	rq.Neg(a.C1, out.C1)
 	return out
@@ -108,8 +117,11 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	}
 	level := min(ct.Level, pt.Level)
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(level), C1: ct.C1.Truncate(level).CopyNew(), Scale: ct.Scale, Level: level}
-	rq.Add(ct.C0.Truncate(level), pt.Value.Truncate(level), out.C0)
+	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: ct.Scale, Level: level}
+	rq.Add(ct.C0, pt.Value, out.C0)
+	for j, limb := range out.C1.Coeffs {
+		copy(limb, ct.C1.Coeffs[j])
+	}
 	return out, nil
 }
 
@@ -118,9 +130,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	level := min(ct.Level, pt.Level)
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(level), C1: rq.NewPoly(level), Scale: ct.Scale * pt.Scale, Level: level}
-	rq.MulCoeffs(ct.C0.Truncate(level), pt.Value.Truncate(level), out.C0)
-	rq.MulCoeffs(ct.C1.Truncate(level), pt.Value.Truncate(level), out.C1)
+	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: ct.Scale * pt.Scale, Level: level}
+	rq.MulCoeffs(ct.C0, pt.Value, out.C0)
+	rq.MulCoeffs(ct.C1, pt.Value, out.C1)
 	return out
 }
 
@@ -134,9 +146,8 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	a, b, level := ev.alignLevels(a, b)
 	rq := ev.params.RingQ()
 
-	d0 := rq.NewPoly(level)
-	d1 := rq.NewPoly(level)
-	d2 := rq.GetPolyRaw(level) // fully overwritten by MulCoeffs below
+	// Every limb of the three is fully overwritten by MulCoeffs below.
+	d0, d1, d2 := rq.GetPolyRaw(level), rq.GetPolyRaw(level), rq.GetPolyRaw(level)
 	rq.MulCoeffs(a.C0, b.C0, d0)
 	rq.MulCoeffs(a.C0, b.C1, d1)
 	rq.MulCoeffsThenAdd(a.C1, b.C0, d1)
@@ -366,8 +377,8 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	mark := stageClock()
 	rq := ev.params.RingQ()
 	out := &Ciphertext{
-		C0:    rq.NewPoly(level - 1),
-		C1:    rq.NewPoly(level - 1),
+		C0:    rq.GetPolyRaw(level - 1), // modDown writes every limb
+		C1:    rq.GetPolyRaw(level - 1),
 		Scale: ct.Scale / float64(ev.params.Q()[level]),
 		Level: level - 1,
 	}
@@ -388,11 +399,13 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 // MulRelinRescale is the common fused sequence multiply → relinearize →
 // rescale.
 func (ev *Evaluator) MulRelinRescale(a, b *Ciphertext) (*Ciphertext, error) {
-	ct, err := ev.MulRelin(a, b)
+	prod, err := ev.MulRelin(a, b)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Rescale(ct)
+	out, err := ev.Rescale(prod)
+	ev.Recycle(prod)
+	return out, err
 }
 
 // scalarRNS encodes round(c*scale) as per-limb residues.
@@ -422,7 +435,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c, constScale float64) (*Ciphertex
 		return nil, err
 	}
 	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.NewPoly(ct.Level), C1: rq.NewPoly(ct.Level), Scale: ct.Scale * constScale, Level: ct.Level}
+	out := &Ciphertext{C0: rq.GetPolyRaw(ct.Level), C1: rq.GetPolyRaw(ct.Level), Scale: ct.Scale * constScale, Level: ct.Level}
 	rq.MulScalar(ct.C0, scal, out.C0)
 	rq.MulScalar(ct.C1, scal, out.C1)
 	return out, nil
@@ -441,11 +454,12 @@ func (ev *Evaluator) MulConstTargetScale(ct *Ciphertext, c, targetScale float64)
 	if constScale < math.Exp2(18) {
 		return nil, fmt.Errorf("ckks: required constant scale %g too small for accurate encoding", constScale)
 	}
-	out, err := ev.MulConst(ct, c, constScale)
+	prod, err := ev.MulConst(ct, c, constScale)
 	if err != nil {
 		return nil, err
 	}
-	out, err = ev.Rescale(out)
+	out, err := ev.Rescale(prod)
+	ev.Recycle(prod)
 	if err != nil {
 		return nil, err
 	}

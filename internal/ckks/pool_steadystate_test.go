@@ -2,61 +2,61 @@ package ckks
 
 import "testing"
 
-// TestRotatePoolSteadyState pins the pooled-scratch discipline on the
-// rotation hot path (the polypool analyzer's target invariant, checked
-// dynamically): once the ring pools are warm and the caller returns the
-// result components, repeated rotations draw every polynomial from the
-// pools instead of the heap — the digits over Q and over P of the
-// decomposition, the two accumulated components over each, the scratch
-// limbs. A leak anywhere on the decompose / switchKey / modDown path shows
-// up here as one more poly allocated per op.
-func TestRotatePoolSteadyState(t *testing.T) {
-	for _, lit := range []ParametersLiteral{testLit, wideDigits} {
-		rotatePoolSteadyState(t, lit)
-	}
-}
-
-func rotatePoolSteadyState(t *testing.T, lit ParametersLiteral) {
-	tc := newTestContext(t, lit)
-	eval := NewEvaluator(tc.params, tc.rlk).
-		WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, []int{1}, false))
-	rq := tc.params.RingQ()
-
-	pt, err := tc.enc.Encode(make([]complex128, tc.params.Slots()), tc.params.MaxLevel(), tc.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := tc.encr.Encrypt(pt)
-
-	rotateOnce := func() {
-		out, err := eval.Rotate(ct, 1)
+// TestEvaluatorPoolSteadyState pins the pooled-result discipline of the
+// evaluator (the polypool analyzer's target invariant, checked dynamically):
+// once the ring pools are warm and the caller recycles each result, repeated
+// ops draw every polynomial from the pools instead of the heap — the result
+// components, an op's private intermediate (MulRelinRescale's product,
+// MulConstTargetScale's), and under each key switch the digits over Q and
+// over P of the decomposition, the two accumulated components over each and
+// the scratch limbs. A leak anywhere shows up here as one more poly
+// allocated per op.
+func TestEvaluatorPoolSteadyState(t *testing.T) {
+	for name, lit := range map[string]ParametersLiteral{"one special prime": testLit, "two special primes": wideDigits} {
+		tc := newTestContext(t, lit)
+		eval := NewEvaluator(tc.params, tc.rlk).
+			WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, []int{1}, false))
+		pt, err := tc.enc.Encode(make([]complex128, tc.params.Slots()), tc.params.MaxLevel(), tc.params.DefaultScale())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The result components are pool polys the rotation hands to the
-		// caller; putting them back is what closes the cycle.
-		rq.PutPoly(out.C0)
-		rq.PutPoly(out.C1)
-	}
-	for i := 0; i < 8; i++ {
-		rotateOnce() // warm the per-level pools
-	}
-	allocs := testing.AllocsPerRun(50, rotateOnce)
-	t.Logf("allocs per rotation at steady state: %.1f", allocs)
+		ct := tc.encr.Encrypt(pt)
 
-	// Measured steady state is a stable 24 allocations per op (the
-	// ciphertext and decomposition structs, the fans' closures, the scratch
-	// buffers' slice headers going back to their pool); race
-	// instrumentation adds 12 to 14. A leaked poly costs three more — its
-	// struct, its limb table, its coefficients — so the bound sits one
-	// poly's worth above the steady state, less one; the race build's only
-	// catches a leak of two.
-	maxSteadyStateAllocs := 26.0
-	if raceEnabled {
-		maxSteadyStateAllocs = 42
-	}
-	if allocs > maxSteadyStateAllocs {
-		t.Fatalf("rotation allocates %.1f objects per op at steady state (bound %.0f): a pooled poly is leaking",
-			allocs, maxSteadyStateAllocs)
+		// steady is the measured allocations per op once the pools are warm
+		// (the larger of the two literals'): the ciphertext structs, level
+		// views, the fans' closures, the key switch's decomposition struct
+		// and the scratch buffers' slice headers going back to their pool. A
+		// leaked poly costs three more — its struct, its limb table, its
+		// coefficients — so the bound sits one poly's worth above the steady
+		// state, less one. At the commit before results came from the pool,
+		// every row but rotate sat 6 to 12 above its bound.
+		for _, op := range []struct {
+			name   string
+			run    func() (*Ciphertext, error)
+			steady float64
+		}{
+			{"rotate", func() (*Ciphertext, error) { return eval.Rotate(ct, 1) }, 24},
+			{"mul-relin-rescale", func() (*Ciphertext, error) { return eval.MulRelinRescale(ct, ct) }, 46},
+			{"mul-const-target-scale", func() (*Ciphertext, error) { return eval.MulConstTargetScale(ct, 0.5, ct.Scale) }, 15},
+			{"rescale", func() (*Ciphertext, error) { return eval.Rescale(ct) }, 11},
+			{"add", func() (*Ciphertext, error) { return eval.Add(ct, ct) }, 9},
+		} {
+			once := func() {
+				out, err := op.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				eval.Recycle(out)
+			}
+			for i := 0; i < 8; i++ {
+				once() // warm the per-level pools
+			}
+			allocs := testing.AllocsPerRun(50, once)
+			t.Logf("%s: %s allocates %.1f objects per op at steady state", name, op.name, allocs)
+			if bound := op.steady + 2; allocs > bound && !raceEnabled {
+				t.Errorf("%s: %s allocates %.1f objects per op at steady state (bound %.0f): a pooled poly is leaking",
+					name, op.name, allocs, bound)
+			}
+		}
 	}
 }

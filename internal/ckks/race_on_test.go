@@ -2,7 +2,7 @@
 
 package ckks
 
-// raceEnabled reports whether the race detector is compiled in; its
-// instrumentation adds a constant ~10 allocations per rotation that the
-// steady-state bound must absorb.
+// raceEnabled reports whether the race detector is compiled in: under it
+// sync.Pool drops a share of every Put, so pool-backed allocation bounds do
+// not hold.
 const raceEnabled = true

@@ -148,7 +148,8 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	//
 	// Every intermediate is pooled and handed back: the baby rotations when
 	// the layer is done, each block's inner sum once it is rotated, each
-	// rotated block once it is added into the running sum.
+	// rotated block once it is added into the running sum, the rescaled sum
+	// once the bias is added.
 	eval := ctx.Eval
 	tr := ctx.trace
 	mark := tr.StageStart()
@@ -235,6 +236,7 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	if plan.bias == nil {
 		return out, nil
 	}
+	defer eval.Recycle(out)
 	mark = tr.StageStart()
 	pt, err := l.encodedPlaintext(ctx.Enc, biasIndex, out.Level, out.Scale, plan.bias)
 	tr.StageEnd("encode", mark)
@@ -242,7 +244,7 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 		return nil, err
 	}
 	mark = tr.StageStart()
-	out, err = eval.AddPlain(out, pt)
+	biased, err := eval.AddPlain(out, pt)
 	tr.StageEnd("add_plain", mark)
-	return out, err
+	return biased, err
 }

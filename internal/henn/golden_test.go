@@ -53,25 +53,84 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 		}
 		return ct
 	}
+	// The unit runs first: Infer hands each layer's output back to the ring
+	// pool, and the layer after it must still find ct intact.
 	return map[string]*ckks.Ciphertext{
-		"apply-linear-bsgs": must(ctx.ApplyLinear(lin, ct)),
 		"unit-run":          must(Unit{Ctx: ctx, MLP: mlp, CT: ct}.Run()),
+		"apply-linear-bsgs": must(ctx.ApplyLinear(lin, ct)),
 	}
 }
 
+// goldenActivationDigests pins the activation alone: ReLUScaled on every PAF
+// form and Max on alpha10, all from one input on alpha10's exact-depth chain.
+// alpha10's degree-27 composite creates and drops more ciphertexts than any
+// other stage, so a poly handed back to the ring pool one op too early — or
+// a caller's ciphertext handed back at all — changes these bytes. They were
+// generated before the activation drew its intermediates from the pool.
+var goldenActivationDigests = map[string]string{
+	"relu-scaled/alpha10":   "fe19803fa6dcfeac3c6c487bf02519118f4ed554efd7a3a9619de1b1ac66bd19",
+	"relu-scaled/f1f1_g1g1": "783f0df53b08d242e30f3596985a4aff618301871620cc910da1465c6c0a4f1e",
+	"relu-scaled/alpha7":    "0295551c527d91adb0955904fd7321223d67b3721b2c7fcb22580781c840e23a",
+	"relu-scaled/f2_g3":     "fb2bd9767e2e12573decb3ebfea46319879ee803e48b86e2b63a526ddb56e91a",
+	"relu-scaled/f2_g2":     "96cf8c6ebbc619e304c656dd1f1f695b272ab122ca12c1354a21ffbd5e548be6",
+	"relu-scaled/f1_g2":     "831ccc4b8951d8abca08fe7bbe0eb4f6fa2c3893190f1728a61b6382655656e4",
+	"max/alpha10":           "adba56064ed0922dfb6536faf58e8b6d70252b8ba1f41756cacdd2dd8d0e0025",
+}
+
+func goldenActivationOutputs(t testing.TB) map[string]*ckks.Ciphertext {
+	rng := rand.New(rand.NewSource(29))
+	alpha10 := paf.MustNew(paf.FormAlpha10)
+	ctx, encryptor, _ := newHEContextLogN(t, 9, alpha10.DepthReLU(), nil)
+	encrypt := func(amplitude float64) *ckks.Ciphertext {
+		vec := make([]float64, ctx.Params.Slots())
+		for i := range vec {
+			vec[i] = (rng.Float64()*2 - 1) * amplitude
+		}
+		pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encryptor.Encrypt(pt)
+	}
+	// Max's PAF needs |a−b| ≤ 1, as Static Scaling guarantees in deployment.
+	x, a, b := encrypt(1), encrypt(0.5), encrypt(0.5)
+	must := func(ct *ckks.Ciphertext, err error) *ckks.Ciphertext {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	out := map[string]*ckks.Ciphertext{}
+	for _, form := range paf.AllFormsWithBaseline {
+		out["relu-scaled/"+form] = must(ctx.HE.ReLUScaled(paf.MustNew(form), x, 4))
+	}
+	out["max/alpha10"] = must(ctx.HE.Max(alpha10, a, b))
+	return out
+}
+
 func TestLayerOutputsGolden(t *testing.T) {
+	checkGoldenDigests(t, goldenLayerOutputs, goldenLayerDigests)
+}
+
+func TestActivationOutputsGolden(t *testing.T) {
+	checkGoldenDigests(t, goldenActivationOutputs, goldenActivationDigests)
+}
+
+// checkGoldenDigests compares every output's SHA-256 with its pinned digest
+// at fan-out widths 1, the default and 4.
+func checkGoldenDigests(t *testing.T, outputs func(testing.TB) map[string]*ckks.Ciphertext, digests map[string]string) {
+	defer ring.SetParallelism(0)
 	for _, width := range []int{1, 0, 4} {
 		ring.SetParallelism(width)
-		for name, ct := range goldenLayerOutputs(t) {
+		for name, ct := range outputs(t) {
 			data, err := ct.MarshalBinary()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sum := sha256.Sum256(data)
-			if got := hex.EncodeToString(sum[:]); got != goldenLayerDigests[name] {
-				t.Errorf("parallelism %d: %s: digest %s, want %s", width, name, got, goldenLayerDigests[name])
+			if got := hex.EncodeToString(sum[:]); got != digests[name] {
+				t.Errorf("parallelism %d: %s: digest %s, want %s", width, name, got, digests[name])
 			}
 		}
 	}
-	ring.SetParallelism(0)
 }

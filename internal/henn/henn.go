@@ -232,7 +232,9 @@ func (ctx *Context) WithTrace(tr *telemetry.Trace) *Context {
 }
 
 // ApplyActivation computes Scale·relu_p(x/Scale): one constant level for the
-// input normalization, then the folded-scale PAF ReLU.
+// input normalization, then the folded-scale PAF ReLU. Every intermediate,
+// the normalized input included, goes back to the ring pool; ct is only
+// read.
 func (ctx *Context) ApplyActivation(a *Activation, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	tr := ctx.trace
 	mark := tr.StageStart()
@@ -244,30 +246,38 @@ func (ctx *Context) ApplyActivation(a *Activation, ct *ckks.Ciphertext) (*ckks.C
 	mark = tr.StageStart()
 	out, err := ctx.HE.ReLUScaled(a.PAF, u, a.Scale)
 	tr.StageEnd("paf_eval", mark)
+	ctx.Eval.Recycle(u)
 	return out, err
 }
 
 // Infer runs the full MLP on an encrypted input vector. The evaluator must
-// hold rotation keys for mlp.ServingRotations.
+// hold rotation keys for mlp.ServingRotations. Each layer's output goes back
+// to the ring pool once the next layer has consumed it; ct is only read.
 func (ctx *Context) Infer(mlp *MLP, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	if need := mlp.LevelsRequired(); ct.Level < need {
 		return nil, fmt.Errorf("henn: ciphertext at level %d, model needs %d", ct.Level, need)
 	}
-	var err error
+	cur := ct
 	for i, l := range mlp.Layers {
+		var next *ckks.Ciphertext
+		var err error
 		switch v := l.(type) {
 		case *Linear:
-			ct, err = ctx.ApplyLinear(v, ct)
+			next, err = ctx.ApplyLinear(v, cur)
 		case *Activation:
-			ct, err = ctx.ApplyActivation(v, ct)
+			next, err = ctx.ApplyActivation(v, cur)
 		default:
 			err = fmt.Errorf("henn: unknown layer type %T", l)
+		}
+		if cur != ct {
+			ctx.Eval.Recycle(cur)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("henn: layer %d: %w", i, err)
 		}
+		cur = next
 	}
-	return ct, nil
+	return cur, nil
 }
 
 // Unit is one independent encrypted inference: a ciphertext bound to the

@@ -7,6 +7,10 @@
 // Scale management is exact: a per-term planner solves for the constant
 // encoding scale that makes every term land at the caller's scale, so all
 // additions are between identically-scaled ciphertexts.
+//
+// Intermediates go back to the ring pool once they are dead
+// (ckks.Evaluator.Recycle). A ciphertext the caller passed in never does:
+// the caller owns its inputs and the result.
 package hepoly
 
 import (
@@ -62,6 +66,11 @@ func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphert
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		for _, e := range ladder {
+			he.ev.Recycle(e)
+		}
+	}()
 
 	targetScale := ct.Scale
 	q := he.ev.Params().Q()
@@ -94,10 +103,12 @@ func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphert
 			if m&(1<<bit) == 0 {
 				continue
 			}
-			term, err = he.ev.MulRelinRescale(term, ladder[bit])
+			next, err := he.ev.MulRelinRescale(term, ladder[bit])
+			he.ev.Recycle(term)
 			if err != nil {
 				return nil, fmt.Errorf("hepoly: term degree %d power 2^%d: %w", 2*k+1, bit+1, err)
 			}
+			term = next
 		}
 		// Pin the exactly-planned scale to suppress float bookkeeping dust.
 		term.Scale = targetScale
@@ -105,8 +116,13 @@ func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphert
 			sum = term
 			continue
 		}
-		level = min(sum.Level, term.Level)
-		sum, err = he.ev.Add(he.ev.DropLevel(sum, level), he.ev.DropLevel(term, level))
+		// Accumulate into whichever of the two sits lower: the sum keeps only
+		// the limbs both have, and the other is superseded.
+		if term.Level < sum.Level {
+			sum, term = term, sum
+		}
+		err = he.ev.AddInPlace(sum, term)
+		he.ev.Recycle(term)
 		if err != nil {
 			return nil, fmt.Errorf("hepoly: accumulating degree %d: %w", 2*k+1, err)
 		}
@@ -122,11 +138,14 @@ func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphert
 func (he *Evaluator) EvalComposite(c *paf.Composite, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	cur := ct
 	for i, stage := range c.Stages {
-		var err error
-		cur, err = he.EvalOdd(stage, cur)
+		next, err := he.EvalOdd(stage, cur)
+		if cur != ct {
+			he.ev.Recycle(cur)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hepoly: stage %d of %s: %w", i, c.Name, err)
 		}
+		cur = next
 	}
 	return cur, nil
 }
@@ -158,15 +177,27 @@ func (he *Evaluator) ReLUScaled(c *paf.Composite, ct *ckks.Ciphertext, gamma flo
 		return nil, err
 	}
 	prod, err := he.ev.MulRelinRescale(ct, half) // γ·x·p(x)/2
+	he.ev.Recycle(half)
 	if err != nil {
 		return nil, err
 	}
-	xh, err := he.ev.MulConstTargetScale(ct, gamma/2, prod.Scale)
+	return he.addLinearTerm(prod, ct, gamma/2)
+}
+
+// addLinearTerm folds the linear term into prod: prod += factor·x, evaluated one
+// level below x and added on prod's limbs. prod is the caller's to keep on
+// success and is recycled on failure.
+func (he *Evaluator) addLinearTerm(prod, x *ckks.Ciphertext, factor float64) (*ckks.Ciphertext, error) {
+	xh, err := he.ev.MulConstTargetScale(x, factor, prod.Scale)
+	if err == nil {
+		err = he.ev.AddInPlace(prod, xh)
+		he.ev.Recycle(xh)
+	}
 	if err != nil {
+		he.ev.Recycle(prod)
 		return nil, err
 	}
-	xh = he.ev.DropLevel(xh, prod.Level)
-	return he.ev.Add(prod, xh)
+	return prod, nil
 }
 
 // Max evaluates max(a,b) ≈ ((a+b) + (a-b)·p(a-b))/2.
@@ -175,22 +206,22 @@ func (he *Evaluator) Max(c *paf.Composite, a, b *ckks.Ciphertext) (*ckks.Ciphert
 	if err != nil {
 		return nil, err
 	}
+	defer he.ev.Recycle(d)
 	half, err := he.EvalComposite(scaledLastStage(c, 0.5), d)
 	if err != nil {
 		return nil, err
 	}
 	prod, err := he.ev.MulRelinRescale(d, half)
+	he.ev.Recycle(half)
 	if err != nil {
 		return nil, err
 	}
 	sum, err := he.ev.Add(a, b)
 	if err != nil {
+		he.ev.Recycle(prod)
 		return nil, err
 	}
-	sumh, err := he.ev.MulConstTargetScale(sum, 0.5, prod.Scale)
-	if err != nil {
-		return nil, err
-	}
-	sumh = he.ev.DropLevel(sumh, prod.Level)
-	return he.ev.Add(prod, sumh)
+	out, err := he.addLinearTerm(prod, sum, 0.5)
+	he.ev.Recycle(sum)
+	return out, err
 }
