@@ -69,16 +69,18 @@ serve-demo:
 examples:
 	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/}; done
 
-# Short fuzz pass over the modular-arithmetic primitives and the four
-# wire decoders an endpoint exposes (one target per invocation is a
-# `go test` restriction). The registration frame's seeds are hundreds of
-# kilobytes, so its minimizer is capped or it would eat the whole pass.
+# Short fuzz pass over the modular-arithmetic primitives and the wire
+# decoders an endpoint exposes (one target per invocation is a `go test`
+# restriction). The evaluation-key and registration-frame seeds are tens to
+# hundreds of kilobytes, so their minimizers are capped or they would eat
+# the whole pass.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzAddSubMod -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzMulModShoup -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzPowMod -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzAcc128 -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzCiphertextUnmarshal -fuzztime 10s ./internal/ckks/
+	$(GO) test -run XXX -fuzz FuzzEvaluationKeysUnmarshal -fuzztime 10s -fuzzminimizetime 2s ./internal/ckks/
 	$(GO) test -run XXX -fuzz FuzzMLPUnmarshal -fuzztime 10s ./internal/henn/
 	$(GO) test -run XXX -fuzz FuzzModelBundleUnmarshal -fuzztime 10s ./internal/registry/
 	$(GO) test -run XXX -fuzz FuzzRegisterFrame -fuzztime 10s -fuzzminimizetime 2s ./internal/server/

@@ -2,7 +2,7 @@
 // registry.ParamsForMLP gives the demo model, and the per-PAF minimal
 // parameter sets used by the latency evaluation: prime chains, total modulus
 // bits including every special prime, the key-switching gadget (special
-// primes α, digits per level, bytes per switching key), slot counts, and the
+// primes α, digits per level, wire bytes per switching key), slot counts, and the
 // depth requirements of every PAF form in Table 2.
 package main
 
@@ -46,23 +46,21 @@ func main() {
 	// logQP counts every special prime: a larger α buys fewer digits and
 	// smaller keys with modulus bits a security budget has to cover.
 	fmt.Println("CKKS parameter sets")
-	fmt.Println("set         N      slots   levels  logQP   scale  alpha  key KB   digits at level 0..L")
+	fmt.Println("set         N      slots   levels  logQP   scale  alpha  wire KB  digits at level 0..L")
 	for _, p := range sets {
 		params, err := ckks.NewParameters(p.lit)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ckksinfo: %s: %v\n", p.name, err)
 			os.Exit(1)
 		}
-		top, alpha := params.MaxLevel(), len(params.P())
-		// A switching key is Digits(L) pairs of polynomials over Q·P.
-		keyBytes := params.Digits(top) * 2 * (top + 1 + alpha) * params.N() * 8
+		top := params.MaxLevel()
 		digits := make([]string, top+1)
 		for l := range digits {
 			digits[l] = strconv.Itoa(params.Digits(l))
 		}
 		fmt.Printf("%-10s  %-6d %-7d %-7d %-7.1f 2^%-4d %-6d %-8.0f %s\n",
 			p.name, params.N(), params.Slots(), top, params.TotalLogQP(), p.lit.LogScale,
-			alpha, float64(keyBytes)/1e3, strings.Join(digits, " "))
+			len(params.P()), float64(params.KeyWireSize())/1e3, strings.Join(digits, " "))
 		if *showPrimes {
 			fmt.Printf("  Q = %v\n  P = %v\n", params.Q(), params.P())
 		}

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -59,6 +61,16 @@ type EvaluationKeyDigit struct {
 	BP, AP *ring.Poly // limbs p_0..p_{α-1}
 }
 
+// SwitchingKey re-encrypts a ciphertext component from some source key to
+// the canonical secret s with the grouped-digit gadget: digit d holds
+// (-a_d·s + e_d + P·g_d·source, a_d). Every a_d is public and uniform, drawn
+// from the AES-256-CTR keystream of Seed (expandA), so the wire carries the
+// seed and the b_d alone.
+type SwitchingKey struct {
+	Seed   [32]byte
+	Digits []EvaluationKeyDigit
+}
+
 // RelinearizationKey switches s^2 back to s. Digit d handles the limbs
 // q_{dα}..q_{(d+1)α-1} of the operand (the last digit may be short):
 // b_d = -a_d·s + e_d + P·g_d·s^2 where the gadget g_d is 1 modulo the
@@ -66,14 +78,17 @@ type EvaluationKeyDigit struct {
 // holds at every level, so one key serves the entire modulus chain: a lower
 // level simply uses fewer digits and a shorter last one.
 type RelinearizationKey struct {
-	Digits []EvaluationKeyDigit
+	SwitchingKey
 }
+
+// relinTag is the relinearization key's tag in publicSeed. Rotation keys are
+// tagged with their Galois element, which is odd, so no key shares it.
+const relinTag = 0
 
 // KeyGenerator produces the key material. Deterministic given the seed.
 type KeyGenerator struct {
 	params   *Parameters
 	samplerQ *ring.Sampler
-	samplerP *ring.Sampler
 	seed     int64
 }
 
@@ -85,7 +100,6 @@ func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
 	return &KeyGenerator{
 		params:   params,
 		samplerQ: ring.NewSampler(params.RingQ(), seed),
-		samplerP: ring.NewSampler(params.RingP(), seed^0x5eed),
 		seed:     seed,
 	}
 }
@@ -131,28 +145,51 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 	rq := kg.params.RingQ()
 	s2Q := rq.NewPoly(kg.params.MaxLevel())
 	rq.MulCoeffs(sk.Q, sk.Q, s2Q)
-	return &RelinearizationKey{Digits: kg.genDigits(sk, s2Q)}
+	return &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
 }
 
-// genDigits builds the gadget digits that switch sourceQ (NTT domain, the key
-// being switched *from*) to the canonical secret. Only the Q embedding of the
-// source is needed: the gadget term P·g_d·source vanishes modulo every
-// special prime.
-func (kg *KeyGenerator) genDigits(sk *SecretKey, sourceQ *ring.Poly) []EvaluationKeyDigit {
+// publicSeed is the wire seed of the switching key tagged tag: SHA-256 over a
+// domain label, the generator seed and the tag. It must be one-way: the
+// generator seed leads to the secret key, and so does anything the secret or
+// error samplers are seeded with (deriveSeed is invertible).
+func (kg *KeyGenerator) publicSeed(tag int64) [32]byte {
+	msg := []byte("smartpaf ckks switching-key a_d seed\x00")
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(kg.seed))
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(tag))
+	return sha256.Sum256(msg)
+}
+
+// expandA draws every digit's public a_d from key.Seed: one keystream per
+// key, the Q limbs and then the P limbs of each digit in turn. Independent
+// uniform residues per prime are exactly a uniform element of R_QP (CRT). Key
+// generation and EvaluationKeySet.Validate both run it, so a key decoded and
+// validated on a server holds the bytes its client generated.
+func (p *Parameters) expandA(key *SwitchingKey) {
+	ks := ring.NewKeyStream(key.Seed)
+	for i := range key.Digits {
+		d := &key.Digits[i]
+		d.AQ = p.RingQ().Uniform(ks, p.MaxLevel())
+		d.AP = p.RingP().Uniform(ks, len(p.P())-1)
+	}
+}
+
+// genKey builds the switching key with public seed seed from sourceQ (NTT
+// domain, the key being switched *from*) to the canonical secret. Only the Q
+// embedding of the source is needed: the gadget term P·g_d·source vanishes
+// modulo every special prime.
+func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) *SwitchingKey {
 	L := kg.params.MaxLevel()
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
-	digits := make([]EvaluationKeyDigit, kg.params.Digits(L))
-	for d := range digits {
-		// a_d is a uniform element of R_QP: independent uniform residues per
-		// prime are exactly a CRT-uniform element. The error e_d, however,
-		// must be one small integer polynomial, so it is sampled signed once
-		// and embedded into both rings.
-		aQ := kg.samplerQ.Uniform(L)
-		aP := kg.samplerP.Uniform(len(rp.Moduli) - 1)
+	key := &SwitchingKey{Seed: seed, Digits: make([]EvaluationKeyDigit, kg.params.Digits(L))}
+	kg.params.expandA(key)
+	for d := range key.Digits {
+		dig := &key.Digits[d]
+		// The error e_d must be one small integer polynomial, so it is
+		// sampled signed once and embedded into both rings.
 		eQ, eP := kg.embed(kg.samplerQ.GaussianSigned())
 
 		bQ := rq.NewPoly(L)
-		rq.MulCoeffs(aQ, sk.Q, bQ)
+		rq.MulCoeffs(dig.AQ, sk.Q, bQ)
 		rq.Neg(bQ, bQ)
 		rq.Add(bQ, eQ, bQ)
 		// Add P·g_d·source: the gadget term lives only on the digit's own
@@ -168,10 +205,10 @@ func (kg *KeyGenerator) genDigits(sk *SecretKey, sourceQ *ring.Poly) []Evaluatio
 		}
 
 		bP := rp.NewPoly(len(rp.Moduli) - 1)
-		rp.MulCoeffs(aP, sk.P, bP)
+		rp.MulCoeffs(dig.AP, sk.P, bP)
 		rp.Neg(bP, bP)
 		rp.Add(bP, eP, bP)
-		digits[d] = EvaluationKeyDigit{BQ: bQ, AQ: aQ, BP: bP, AP: aP}
+		dig.BQ, dig.BP = bQ, bP
 	}
-	return digits
+	return key
 }

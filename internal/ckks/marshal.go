@@ -18,42 +18,55 @@ import (
 // residues fit a parameter set is Validate's job (validate.go).
 //
 // Layouts (little-endian; poly = u32 limbs | u32 N | limbs×N u64,
-// digits = u32 count | per digit: poly BQ | AQ | BP | AP):
+// key = 32-byte seed | u32 digits | per digit: poly BQ | poly BP):
 //
 //	ParametersLiteral:  magic | u32 LogN | u32 LogScale | u32 nq | nq×u32 LogQ | u32 np | np×u32 LogP
 //	Ciphertext:         magic | u32 level | f64 scale | poly C0 | poly C1
-//	RelinearizationKey: magic | digits
-//	SwitchingKey:       magic | digits
-//	RotationKeySet:     magic | u32 n | n×(u32 step | digits), ascending | u32 conj | [digits]
+//	RelinearizationKey: magic | key
+//	RotationKeySet:     magic | u32 n | n×(u32 step | key), ascending | u32 conj | [key]
 //
-// The literal and the three key formats took new magics when the gadget went
-// from one digit per chain prime to grouped digits over several special
-// primes: a key's layout did not change shape, but its meaning did, and a
-// payload from either side of that change must fail at the front door.
+// A key's public a_d are not on the wire: its seed expands to them
+// (expandA), and only the parameters' moduli make that possible, so a decoded
+// key holds its b_d alone until EvaluationKeySet.Validate expands the rest.
+// The key formats took new magics twice: when the gadget went from one digit
+// per chain prime to grouped digits (same layout, new meaning), and when the
+// a_d gave way to the seed. A payload from either side of a change fails at
+// the front door.
 const (
-	ciphertextMagic   = uint32(0x5AF7CC09)
-	paramsMagic       = uint32(0x5AF7CC0E)
-	rotationKeyMagic  = uint32(0x5AF7CC0F)
-	relinKeyMagic     = uint32(0x5AF7CC10)
-	switchingKeyMagic = uint32(0x5AF7CC11)
+	ciphertextMagic  = uint32(0x5AF7CC09)
+	paramsMagic      = uint32(0x5AF7CC0E)
+	rotationKeyMagic = uint32(0x5AF7CC12)
+	relinKeyMagic    = uint32(0x5AF7CC13)
 
 	maxLimbs        = 64 // chain length; bounds special primes and gadget digits too
 	maxDegree       = 1 << 20
 	maxRotationKeys = 1 << 16
 )
 
-// polySize and digitsSize are exact wire sizes: ciphertexts and key sets are
+// polySize and keySize are exact wire sizes: ciphertexts and key sets are
 // the payloads big enough that growing the Writer would copy megabytes, so
 // their marshalers allocate once.
 func polySize(p *ring.Poly) int { return 8 + 8*len(p.Coeffs)*len(p.Coeffs[0]) }
 
-func digitsSize(digits []EvaluationKeyDigit) int {
-	n := 4
-	for i := range digits {
-		d := &digits[i]
-		n += polySize(d.BQ) + polySize(d.AQ) + polySize(d.BP) + polySize(d.AP)
+// keySize is the wire size of a key whose digits digits each hold a BQ of
+// qLimbs and a BP of pLimbs limbs of degree n. Every key generated or decoded
+// has one shape for all its digits.
+func keySize(digits, qLimbs, pLimbs, n int) int {
+	return len(SwitchingKey{}.Seed) + 4 + digits*(16+8*(qLimbs+pLimbs)*n)
+}
+
+func (key *SwitchingKey) wireSize() int {
+	if len(key.Digits) == 0 {
+		return keySize(0, 0, 0, 0)
 	}
-	return n
+	d := &key.Digits[0]
+	return keySize(len(key.Digits), len(d.BQ.Coeffs), len(d.BP.Coeffs), len(d.BQ.Coeffs[0]))
+}
+
+// KeyWireSize is the bytes one switching key under p — the relinearization
+// key or any rotation key — occupies on the wire.
+func (p *Parameters) KeyWireSize() int {
+	return keySize(p.Digits(p.MaxLevel()), p.MaxLevel()+1, len(p.P()), p.N())
 }
 
 func writePoly(w *wire.Writer, p *ring.Poly) {
@@ -158,75 +171,64 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// writeDigits serializes a gadget digit list (shared by relinearization and
-// switching keys, which have identical wire layouts).
-func writeDigits(w *wire.Writer, digits []EvaluationKeyDigit) {
-	w.U32(uint32(len(digits)))
-	for i := range digits {
-		d := &digits[i]
-		for _, p := range []*ring.Poly{d.BQ, d.AQ, d.BP, d.AP} {
-			writePoly(w, p)
-		}
+// writeKey serializes a switching key: its seed and each digit's b_d.
+func writeKey(w *wire.Writer, key *SwitchingKey) {
+	w.Bytes(key.Seed[:])
+	w.U32(uint32(len(key.Digits)))
+	for i := range key.Digits {
+		writePoly(w, key.Digits[i].BQ)
+		writePoly(w, key.Digits[i].BP)
 	}
 }
 
-// readDigits deserializes a gadget digit list; it returns nil once r has
-// failed. The key-switch loop indexes all four components of every digit in
-// lockstep, so each Q (and each P) component must match the first digit's.
-func readDigits(r *wire.Reader) []EvaluationKeyDigit {
-	digits := make([]EvaluationKeyDigit, r.Count(maxLimbs))
-	if len(digits) == 0 {
+// readKey deserializes a switching key's seed and b_d; it returns nil once r
+// has failed. The key-switch loop indexes every digit in lockstep, so each BQ
+// (and each BP) must match the first digit's, and all of them one ring degree.
+// Validate expands a_d, in the shape of these b_d, once the parameters are
+// known.
+func readKey(r *wire.Reader) *SwitchingKey {
+	key := new(SwitchingKey)
+	copy(key.Seed[:], r.Bytes(len(key.Seed)))
+	key.Digits = make([]EvaluationKeyDigit, r.Count(maxLimbs))
+	if len(key.Digits) == 0 {
 		r.Fail("evaluation key has no gadget digits")
 	}
-	for i := range digits {
-		d := &digits[i]
-		d.BQ, d.AQ, d.BP, d.AP = readPoly(r), readPoly(r), readPoly(r), readPoly(r)
+	for i := range key.Digits {
+		d := &key.Digits[i]
+		d.BQ, d.BP = readPoly(r), readPoly(r)
 		if r.Err() != nil {
 			return nil
 		}
-		q, p := digits[0].BQ, digits[0].BP
-		if !sameShape(d.BQ, q) || !sameShape(d.AQ, q) || !sameShape(d.BP, p) || !sameShape(d.AP, p) ||
-			len(p.Coeffs[0]) != len(q.Coeffs[0]) {
+		q, p := key.Digits[0].BQ, key.Digits[0].BP
+		if !sameShape(d.BQ, q) || !sameShape(d.BP, p) || len(p.Coeffs[0]) != len(q.Coeffs[0]) {
 			r.Fail("digit %d disagrees in shape with the rest of its key", i)
-			return nil
 		}
 	}
-	return digits
+	if r.Err() != nil {
+		return nil
+	}
+	return key
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (rlk *RelinearizationKey) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, 4+digitsSize(rlk.Digits))
+	w := make(wire.Writer, 0, 4+rlk.wireSize())
 	w.U32(relinKeyMagic)
-	writeDigits(&w, rlk.Digits)
+	writeKey(&w, &rlk.SwitchingKey)
 	return w, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The key holds no a_d
+// until EvaluationKeySet.Validate expands them.
 func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("ckks: relinearization key", data)
 	r.Magic(relinKeyMagic)
-	rlk.Digits = readDigits(r)
-	return r.Done()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (swk *SwitchingKey) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, 4+digitsSize(swk.Digits))
-	w.U32(switchingKeyMagic)
-	writeDigits(&w, swk.Digits)
-	return w, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-// The magic applies to a standalone switching key; RotationKeySet frames
-// its members itself (the set-level magic covers them) and writes digit
-// lists directly.
-func (swk *SwitchingKey) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader("ckks: switching key", data)
-	r.Magic(switchingKeyMagic)
-	swk.Digits = readDigits(r)
-	return r.Done()
+	key := readKey(r)
+	if err := r.Done(); err != nil {
+		return err
+	}
+	rlk.SwitchingKey = *key
+	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. Steps are written in
@@ -235,45 +237,46 @@ func (rks *RotationKeySet) MarshalBinary() ([]byte, error) {
 	steps := rks.Steps()
 	size := 12 // magic, key count, conjugation flag
 	for _, key := range rks.keys {
-		size += 4 + digitsSize(key.Digits)
+		size += 4 + key.wireSize()
 	}
 	if rks.conjugation != nil {
-		size += digitsSize(rks.conjugation.Digits)
+		size += rks.conjugation.wireSize()
 	}
 	w := make(wire.Writer, 0, size)
 	w.U32(rotationKeyMagic)
 	w.U32(uint32(len(steps)))
 	for _, step := range steps {
 		w.U32(uint32(step))
-		writeDigits(&w, rks.keys[step].Digits)
+		writeKey(&w, rks.keys[step])
 	}
 	if rks.conjugation == nil {
 		w.U32(0)
 	} else {
 		w.U32(1)
-		writeDigits(&w, rks.conjugation.Digits)
+		writeKey(&w, rks.conjugation)
 	}
 	return w, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Keys must agree on
-// one shape across the whole set (readDigits only checks within a key): a
-// set mixing ring degrees or chain lengths would panic the key-switch loop
-// instead of erroring here.
+// one shape across the whole set (readKey only checks within a key): a set
+// mixing ring degrees or chain lengths would panic the key-switch loop
+// instead of erroring here. No key holds its a_d until
+// EvaluationKeySet.Validate expands them.
 func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("ckks: rotation keys", data)
 	r.Magic(rotationKeyMagic)
-	var ref []EvaluationKeyDigit
-	readKey := func() *SwitchingKey {
-		digits := readDigits(r)
+	var ref *SwitchingKey
+	next := func() *SwitchingKey {
+		key := readKey(r)
 		if ref == nil {
-			ref = digits
+			ref = key
 		}
-		if r.Err() == nil && (len(digits) != len(ref) ||
-			!sameShape(digits[0].BQ, ref[0].BQ) || !sameShape(digits[0].BP, ref[0].BP)) {
+		if r.Err() == nil && (len(key.Digits) != len(ref.Digits) ||
+			!sameShape(key.Digits[0].BQ, ref.Digits[0].BQ) || !sameShape(key.Digits[0].BP, ref.Digits[0].BP)) {
 			r.Fail("rotation keys disagree on digit count, limb counts or ring degree")
 		}
-		return &SwitchingKey{Digits: digits}
+		return key
 	}
 	keys := map[int]*SwitchingKey{}
 	for n := r.Count(maxRotationKeys); n > 0 && r.Err() == nil; n-- {
@@ -281,13 +284,13 @@ func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
 		if _, dup := keys[step]; dup || step == 0 || step > maxDegree {
 			r.Fail("rotation step %d is zero, implausible or repeated", step)
 		}
-		keys[step] = readKey()
+		keys[step] = next()
 	}
 	var conjugation *SwitchingKey
 	switch conj := r.U32(); conj {
 	case 0:
 	case 1:
-		conjugation = readKey()
+		conjugation = next()
 	default:
 		r.Fail("implausible conjugation flag %d", conj)
 	}

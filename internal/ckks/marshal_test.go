@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -155,6 +157,9 @@ func TestRelinearizationKeyRoundtripMultiplies(t *testing.T) {
 	if err := rlk.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
+	if err := (EvaluationKeySet{Relin: &rlk, Rotations: new(RotationKeySet)}).Validate(tc.params, nil); err != nil {
+		t.Fatal(err)
+	}
 	eval := NewEvaluator(tc.params, &rlk)
 	rng := rand.New(rand.NewSource(78))
 	a := randomComplex(rng, tc.params.Slots(), 1)
@@ -174,7 +179,8 @@ func TestRelinearizationKeyRoundtripMultiplies(t *testing.T) {
 }
 
 // TestSwitchingKeyRoundtripRotates proves a switching key survives the wire:
-// a rotation under the roundtripped key set must still decrypt correctly.
+// a rotation under the roundtripped, validated key set must still decrypt
+// correctly.
 func TestSwitchingKeyRoundtripRotates(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rks := tc.kg.GenRotationKeys(tc.sk, []int{3}, false)
@@ -185,6 +191,9 @@ func TestSwitchingKeyRoundtripRotates(t *testing.T) {
 	}
 	var got RotationKeySet
 	if err := got.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := (EvaluationKeySet{Relin: tc.rlk, Rotations: &got}).Validate(tc.params, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	eval := NewEvaluator(tc.params, tc.rlk).WithRotationKeys(&got)
@@ -240,7 +249,12 @@ func TestRotationKeySetRoundtrip(t *testing.T) {
 		t.Fatal("re-marshaling a roundtripped set changed the bytes")
 	}
 
-	// Conjugation still works under the roundtripped set.
+	// Conjugation still works under the roundtripped set once its a_d are
+	// expanded (Validate would refuse the conjugation key).
+	for _, key := range got.keys {
+		tc.params.expandA(key)
+	}
+	tc.params.expandA(got.conjugation)
 	eval := NewEvaluator(tc.params, tc.rlk).WithRotationKeys(&got)
 	rng := rand.New(rand.NewSource(92))
 	values := randomComplex(rng, tc.params.Slots(), 1)
@@ -278,10 +292,11 @@ func TestRotationKeySetBadInput(t *testing.T) {
 	}
 }
 
-// TestPerPrimeEraPayloadsRefused: the literal and the three key formats
-// changed meaning when the gadget went to grouped digits (a key's layout did
-// not change shape, so nothing else would tell the two apart). A payload
-// carrying a retired magic — a per-prime key from an old client, a literal
+// TestPerPrimeEraPayloadsRefused: the literal and the key formats changed
+// meaning when the gadget went to grouped digits (a key's layout did not
+// change shape, so nothing else would tell the two apart), and the keys
+// changed layout again when a seed replaced their a_d. A payload carrying a
+// retired magic — a per-prime or unseeded key from an old client, a literal
 // persisted by an old server — fails at the front door, naming the magic.
 func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 	tc := newTestContext(t, testLit)
@@ -291,10 +306,12 @@ func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 		fresh   encoding.BinaryUnmarshaler
 		retired uint32
 	}{
-		"literal":       {testLit, new(ParametersLiteral), 0x5AF7CC05},
-		"rotation keys": {rks, new(RotationKeySet), 0x5AF7CC06},
-		"relin key":     {tc.rlk, new(RelinearizationKey), 0x5AF7CC0B},
-		"switching key": {rks.keys[1], new(SwitchingKey), 0x5AF7CC0C},
+		"literal":                  {testLit, new(ParametersLiteral), 0x5AF7CC05},
+		"per-prime rotation keys":  {rks, new(RotationKeySet), 0x5AF7CC06},
+		"per-prime relin key":      {tc.rlk, new(RelinearizationKey), 0x5AF7CC0B},
+		"unseeded rotation keys":   {rks, new(RotationKeySet), 0x5AF7CC0F},
+		"unseeded relin key":       {tc.rlk, new(RelinearizationKey), 0x5AF7CC10},
+		"standalone switching key": {tc.rlk, new(RelinearizationKey), 0x5AF7CC11},
 	} {
 		data, err := c.value.MarshalBinary()
 		if err != nil {
@@ -322,12 +339,214 @@ func TestRotationKeySetRejectsMixedShapes(t *testing.T) {
 	w.U32(rotationKeyMagic)
 	w.U32(2)
 	w.U32(1)
-	writeDigits(&w, keyA.Digits)
+	writeKey(&w, keyA)
 	w.U32(3)
-	writeDigits(&w, keyB.Digits)
+	writeKey(&w, keyB)
 	w.U32(0)
 	var rks RotationKeySet
 	if err := rks.UnmarshalBinary(w); err == nil {
 		t.Fatal("mixed-degree rotation-key set unmarshaled without error")
 	}
+}
+
+// seededKeyLits are the literals the seeded-key tests run at: the suite's
+// tiny chain, the wide golden chain (two special primes, 60-bit primes) and
+// the 128-wide serving literal (LogN 10, ten limbs, three special primes).
+var seededKeyLits = map[string]ParametersLiteral{
+	"small":   testLit,
+	"wide":    goldenEvalLits["wide"],
+	"serving": {LogN: 10, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55}, LogScale: 45},
+}
+
+// seededKeySteps is a spread of rotation steps, small and large, so every
+// literal's set holds keys under many Galois elements.
+var seededKeySteps = []int{1, 2, 3, 8, 16, 33, 60}
+
+// TestSeededKeysDecodeToGeneratorBytes: a key crosses the wire as its seed
+// and its b_d; decoding and validating it — what a server does — rebuilds
+// the a_d byte for byte, so the server evaluates under the very key the
+// client generated. Allocation stays bounded by the payload: the decode holds
+// the b_d (at most twice the payload), and the expansion adds the a_d in the
+// b_d's shape (no more than the decode allocated, plus one keystream per key).
+func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
+	for name, lit := range seededKeyLits {
+		tc := newTestContext(t, lit)
+		rks := tc.kg.GenRotationKeys(tc.sk, seededKeySteps, false)
+		rlkBytes, err := tc.rlk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rksBytes, err := rks.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 4 + tc.params.KeyWireSize(); len(rlkBytes) != want {
+			t.Errorf("%s: relinearization key is %d bytes on the wire, KeyWireSize says %d", name, len(rlkBytes), want)
+		}
+		got := EvaluationKeySet{Relin: new(RelinearizationKey), Rotations: new(RotationKeySet)}
+		decoded := allocated(func() {
+			if err := got.Relin.UnmarshalBinary(rlkBytes); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Rotations.UnmarshalBinary(rksBytes); err != nil {
+				t.Fatal(err)
+			}
+		})
+		expanded := allocated(func() {
+			if err := got.Validate(tc.params, seededKeySteps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		payload, keys := uint64(len(rlkBytes)+len(rksBytes)), uint64(1+len(seededKeySteps))
+		t.Logf("%s: %d payload bytes; decode allocated %d, expansion %d", name, payload, decoded, expanded)
+		if decoded > 2*payload && !raceEnabled {
+			t.Errorf("%s: decoding %d payload bytes allocated %d", name, payload, decoded)
+		}
+		if expanded > decoded+keys*4096 && !raceEnabled {
+			t.Errorf("%s: expanding the a_d allocated %d bytes, the b_d %d", name, expanded, decoded)
+		}
+
+		want := map[string]*SwitchingKey{"relin": &tc.rlk.SwitchingKey}
+		have := map[string]*SwitchingKey{"relin": &got.Relin.SwitchingKey}
+		for _, step := range rks.Steps() {
+			want[fmt.Sprint("step ", step)], have[fmt.Sprint("step ", step)] = rks.keys[step], got.Rotations.keys[step]
+		}
+		for key, w := range want {
+			h := have[key]
+			if h.Seed != w.Seed || len(h.Digits) != len(w.Digits) {
+				t.Fatalf("%s %s: seed or digit count differs after the round trip", name, key)
+			}
+			for i := range w.Digits {
+				wd, hd := &w.Digits[i], &h.Digits[i]
+				if !hd.BQ.Equal(wd.BQ) || !hd.AQ.Equal(wd.AQ) || !hd.BP.Equal(wd.BP) || !hd.AP.Equal(wd.AP) {
+					t.Errorf("%s %s digit %d: decoded key differs from the generated one", name, key, i)
+				}
+			}
+		}
+	}
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSeededKeyDecodersRefuseMalformedKeys: a seed cut short, a digit count
+// that disagrees with the b_d behind it (either way), and a seed with no
+// digits at all are errors in both key formats, never a key.
+func TestSeededKeyDecodersRefuseMalformedKeys(t *testing.T) {
+	tc := newTestContext(t, testLit)
+	relin, err := tc.rlk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotation, err := tc.kg.GenRotationKeys(tc.sk, []int{1}, false).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []struct {
+		name    string
+		payload []byte
+		at      int // offset of the first key's seed
+		fresh   func() encoding.BinaryUnmarshaler
+	}{
+		{"relinearization key", relin, 4, func() encoding.BinaryUnmarshaler { return new(RelinearizationKey) }},
+		{"rotation keys", rotation, 12, func() encoding.BinaryUnmarshaler { return new(RotationKeySet) }},
+	} {
+		count := format.at + 32
+		digits := binary.LittleEndian.Uint32(format.payload[count:])
+		withCount := func(n uint32) []byte {
+			out := append([]byte(nil), format.payload...)
+			binary.LittleEndian.PutUint32(out[count:], n)
+			return out
+		}
+		seedOnly := append(append([]byte(nil), format.payload[:count]...), 0, 0, 0, 0)
+		if format.name == "rotation keys" {
+			seedOnly = append(seedOnly, 0, 0, 0, 0) // no conjugation key
+		}
+		for name, data := range map[string][]byte{
+			"truncated seed":            format.payload[:format.at+20],
+			"one digit more than sent":  withCount(digits + 1),
+			"one digit fewer than sent": withCount(digits - 1),
+			"seed with no digits":       seedOnly,
+		} {
+			if err := format.fresh().UnmarshalBinary(data); err == nil {
+				t.Errorf("%s: %s decoded without error", format.name, name)
+			}
+		}
+	}
+
+	// Nor may one digit's b_d disagree in shape with the first digit's.
+	ragged := RelinearizationKey{SwitchingKey{Seed: tc.rlk.Seed, Digits: slices.Clone(tc.rlk.Digits)}}
+	ragged.Digits[1].BQ = ragged.Digits[1].BQ.Truncate(1)
+	data, err := ragged.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(RelinearizationKey).UnmarshalBinary(data); err == nil {
+		t.Error("relinearization key with a digit a limb short decoded without error")
+	}
+}
+
+// TestWireSeedsAreDistinctAndOneWay: every key a generator makes ships its
+// own seed, and no seed carries a value the secret or error samplers were
+// seeded with — the generator seed, or deriveSeed's output for any tag the
+// generator used — at any offset: those lead back to the secret key.
+func TestWireSeedsAreDistinctAndOneWay(t *testing.T) {
+	tc := newTestContext(t, testLit)
+	steps := []int{1, 2, 3, 5, 8, 13, 21, 34, 55}
+	rks := tc.kg.GenRotationKeys(tc.sk, steps, true)
+	keys := map[int64]*SwitchingKey{relinTag: &tc.rlk.SwitchingKey, int64(2*tc.params.N() - 1): rks.conjugation}
+	for _, step := range rks.Steps() {
+		keys[int64(tc.params.galoisElement(step))] = rks.keys[step]
+	}
+	secretSeeds := map[int64]bool{tc.kg.seed: true}
+	for tag := range keys {
+		secretSeeds[deriveSeed(tc.kg.seed, tag)] = true
+	}
+	seen := map[[32]byte]int64{}
+	for tag, key := range keys {
+		if other, dup := seen[key.Seed]; dup {
+			t.Errorf("keys tagged %d and %d share a wire seed", tag, other)
+		}
+		seen[key.Seed] = tag
+		for off := 0; off+8 <= len(key.Seed); off++ {
+			if v := int64(binary.LittleEndian.Uint64(key.Seed[off:])); secretSeeds[v] {
+				t.Errorf("key tagged %d: its wire seed holds a sampler seed at offset %d", tag, off)
+			}
+		}
+	}
+}
+
+// BenchmarkExpandDigitVsKeySwitch prices expanding a_d on the fly against
+// streaming it: drawing one digit's a_d (ten Q limbs and three P limbs) from a
+// warm keystream, beside one level-9 key switch (four digits), on the 128-wide
+// serving literal. A key switch that regenerated its key would pay the first
+// once per digit.
+func BenchmarkExpandDigitVsKeySwitch(b *testing.B) {
+	tc := newTestContext(b, seededKeyLits["serving"])
+	level, rq, rp := tc.params.MaxLevel(), tc.params.RingQ(), tc.params.RingP()
+	b.Run("expand-digit", func(b *testing.B) {
+		ks := ring.NewKeyStream(tc.rlk.Seed)
+		for i := 0; i < b.N; i++ {
+			rq.Uniform(ks, level)
+			rp.Uniform(ks, len(tc.params.P())-1)
+		}
+	})
+	b.Run("key-switch", func(b *testing.B) {
+		pt, err := tc.enc.Encode(make([]complex128, tc.params.Slots()), level, tc.params.DefaultScale())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c1 := tc.encr.Encrypt(pt).C1
+		for i := 0; i < b.N; i++ {
+			e0, e1 := tc.eval.keySwitch(c1, tc.rlk.Digits, level)
+			rq.PutPoly(e0)
+			rq.PutPoly(e1)
+		}
+	})
 }

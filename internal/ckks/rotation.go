@@ -8,13 +8,6 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/ring"
 )
 
-// SwitchingKey re-encrypts a ciphertext component from some source key to
-// the canonical secret s, using the same grouped-digit gadget as
-// relinearization: digit d holds (-a_d·s + e_d + P·g_d·source, a_d).
-type SwitchingKey struct {
-	Digits []EvaluationKeyDigit
-}
-
 // RotationKeySet holds switching keys for slot rotations (by step) and
 // complex conjugation.
 type RotationKeySet struct {
@@ -78,8 +71,9 @@ func deriveSeed(seed, tag int64) int64 {
 // (positive = rotate slot vector left) and, when conjugation is true, for
 // complex conjugation. Keys are independent, so generation fans across all
 // cores (rotation-key sets dominate serving-session setup otherwise); each
-// key's randomness is derived from the generator seed and its Galois element,
-// keeping the result deterministic under any schedule.
+// key's randomness — its error stream and its public seed — is derived from
+// the generator seed and its Galois element, keeping the result
+// deterministic under any schedule.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation bool) *RotationKeySet {
 	uniq := make([]int, 0, len(steps))
 	seen := map[int]bool{}
@@ -114,13 +108,12 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 		sub := &KeyGenerator{
 			params:   kg.params,
 			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
-			samplerP: ring.NewSampler(kg.params.RingP(), deriveSeed(kg.seed, int64(k))^0x5eed),
 		}
 		// Source secret φ_k(s) in NTT domain over Q.
 		srcQ := rq.NewPoly(skCoeff.Level())
 		applyAutomorphism(rq, skCoeff, k, srcQ)
 		rq.NTT(srcQ)
-		generated[i] = &SwitchingKey{Digits: sub.genDigits(sk, srcQ)}
+		generated[i] = sub.genKey(sk, srcQ, kg.publicSeed(int64(k)))
 		return nil
 	})
 

@@ -60,14 +60,17 @@ type EvaluationKeySet struct {
 }
 
 // Validate checks the set against params and the rotation steps the circuit
-// uses: every key has the gadget digits params prescribe, shaped and reduced
-// for params, and the rotation keys cover exactly steps — a client may not
-// pin key material the circuit never touches — with no conjugation key.
+// uses: every key has the gadget digits params prescribe, its b_d shaped and
+// reduced for params, and the rotation keys cover exactly steps — a client may
+// not pin key material the circuit never touches — with no conjugation key.
+// A set that passes then gets every key's a_d expanded from its seed: only
+// params' moduli make that possible, and a key built under params expands to
+// the b_d's shape, with every residue canonical by construction.
 func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 	if ek.Relin == nil || ek.Rotations == nil {
 		return fmt.Errorf("ckks: evaluation key set is incomplete")
 	}
-	if err := validateDigits(params, ek.Relin.Digits); err != nil {
+	if err := validateKey(params, &ek.Relin.SwitchingKey); err != nil {
 		return fmt.Errorf("ckks: relinearization key: %w", err)
 	}
 	want := slices.Clone(steps)
@@ -81,26 +84,26 @@ func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 		return fmt.Errorf("ckks: the model does not use conjugation; drop the conjugation key")
 	}
 	for _, step := range have {
-		if err := validateDigits(params, ek.Rotations.keys[step].Digits); err != nil {
+		if err := validateKey(params, ek.Rotations.keys[step]); err != nil {
 			return fmt.Errorf("ckks: rotation key for step %d: %w", step, err)
 		}
+	}
+	params.expandA(&ek.Relin.SwitchingKey)
+	for _, key := range ek.Rotations.keys {
+		params.expandA(key)
 	}
 	return nil
 }
 
-// validateDigits rejects a key that decoded cleanly but was built for other
+// validateKey rejects a key that decoded cleanly but was built for other
 // parameters, or carries residues the key-switch loop cannot multiply.
-func validateDigits(params *Parameters, digits []EvaluationKeyDigit) error {
-	if got, want := len(digits), params.Digits(params.MaxLevel()); got != want {
+func validateKey(params *Parameters, key *SwitchingKey) error {
+	if got, want := len(key.Digits), params.Digits(params.MaxLevel()); got != want {
 		return fmt.Errorf("%d gadget digits, parameters need %d", got, want)
 	}
-	q, p := params.Q(), params.P()
-	for i := range digits {
-		d := &digits[i]
-		for _, err := range []error{
-			checkPoly(d.BQ, params.N(), q), checkPoly(d.AQ, params.N(), q),
-			checkPoly(d.BP, params.N(), p), checkPoly(d.AP, params.N(), p),
-		} {
+	for i := range key.Digits {
+		d := &key.Digits[i]
+		for _, err := range []error{checkPoly(d.BQ, params.N(), params.Q()), checkPoly(d.BP, params.N(), params.P())} {
 			if err != nil {
 				return fmt.Errorf("digit %d: %w", i, err)
 			}

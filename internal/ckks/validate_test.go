@@ -40,8 +40,8 @@ func TestValidateRejectsNonCanonicalResidues(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func(EvaluationKeySet){
 		"relin BQ at its modulus": func(ek EvaluationKeySet) { ek.Relin.Digits[0].BQ.Coeffs[2][0] = tc.params.Q()[2] },
-		"relin AP at P":           func(ek EvaluationKeySet) { ek.Relin.Digits[1].AP.Coeffs[0][5] = tc.params.P()[0] },
-		"rotation AQ at 2^64-1":   func(ek EvaluationKeySet) { ek.Rotations.keys[2].Digits[3].AQ.Coeffs[0][7] = ^uint64(0) },
+		"relin BP at P":           func(ek EvaluationKeySet) { ek.Relin.Digits[1].BP.Coeffs[0][5] = tc.params.P()[0] },
+		"rotation BQ at 2^64-1":   func(ek EvaluationKeySet) { ek.Rotations.keys[2].Digits[3].BQ.Coeffs[0][7] = ^uint64(0) },
 	} {
 		ek := keys()
 		corrupt(ek)
@@ -111,7 +111,7 @@ func TestEvaluationKeySetValidateGadget(t *testing.T) {
 		}(), two.params, "limbs"},
 		"rotation residue at its modulus in the last P limb": {func() EvaluationKeySet {
 			ek := gen(two)
-			ek.Rotations.keys[2].Digits[1].AP.Coeffs[lastP][9] = two.params.P()[lastP]
+			ek.Rotations.keys[2].Digits[1].BP.Coeffs[lastP][9] = two.params.P()[lastP]
 			return ek
 		}(), two.params, "residue"},
 	} {

@@ -1,0 +1,70 @@
+package ring
+
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+)
+
+// KeyStream expands a 32-byte public seed into 64-bit words: the AES-256-CTR
+// keystream under that seed from a zero IV. Anyone holding the seed replays
+// it exactly, which is what lets a switching key ship the seed of its uniform
+// polynomials instead of the polynomials (see ckks.SwitchingKey).
+type KeyStream struct {
+	ctr cipher.Stream
+	buf [keyStreamChunk]byte
+	off int
+}
+
+// keyStreamChunk is how many bytes of keystream one refill generates.
+const keyStreamChunk = 1024
+
+// zeros is what the keystream is XORed onto: the stream itself comes out.
+var zeros [keyStreamChunk]byte
+
+// NewKeyStream starts the keystream of seed at its first word.
+func NewKeyStream(seed [32]byte) *KeyStream {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err) // unreachable: every 32-byte key is an AES-256 key
+	}
+	ks := &KeyStream{ctr: cipher.NewCTR(block, make([]byte, aes.BlockSize))}
+	ks.off = len(ks.buf)
+	return ks
+}
+
+// Uint64 returns the next word of the stream, little-endian.
+func (ks *KeyStream) Uint64() uint64 {
+	if ks.off == len(ks.buf) {
+		ks.ctr.XORKeyStream(ks.buf[:], zeros[:])
+		ks.off = 0
+	}
+	v := binary.LittleEndian.Uint64(ks.buf[ks.off:])
+	ks.off += 8
+	return v
+}
+
+// Uniform fills a fresh polynomial at the given level with residues drawn
+// from src under uniformLimb's rejection rule, limb by limb: a uniform
+// element of R_{Q_level} by CRT when src's words are uniform. It is the one
+// uniform loop: Sampler.Uniform and the expansion of a seeded key both run it.
+func (r *Ring) Uniform(src interface{ Uint64() uint64 }, level int) *Poly {
+	p := r.NewPoly(level)
+	for i := 0; i <= level; i++ {
+		uniformLimb(src, r.Moduli[i].Q, p.Coeffs[i])
+	}
+	return p
+}
+
+// uniformLimb fills dst with values uniform in [0, q) without modulo bias:
+// a word at or above the largest multiple of q that fits is drawn again.
+func uniformLimb(src interface{ Uint64() uint64 }, q uint64, dst []uint64) {
+	max := ^uint64(0) - ^uint64(0)%q
+	for j := range dst {
+		v := src.Uint64()
+		for v >= max {
+			v = src.Uint64()
+		}
+		dst[j] = v % q
+	}
+}

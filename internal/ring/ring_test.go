@@ -356,6 +356,13 @@ func TestPolyCopyTruncate(t *testing.T) {
 	}
 }
 
+// uniformUint64 draws one value uniform in [0, q) under Uniform's rule.
+func uniformUint64(rng *rand.Rand, q uint64) uint64 {
+	var v [1]uint64
+	uniformLimb(rng, q, v[:])
+	return v[0]
+}
+
 func TestUniformNoModuloBias(t *testing.T) {
 	// Statistical smoke test: mean of uniform samples should be ~q/2.
 	q := uint64(1 << 30)

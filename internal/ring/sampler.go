@@ -11,7 +11,9 @@ import (
 //
 // NOTE: math/rand is NOT a cryptographically secure source. This is a
 // research artifact reproducing latency/accuracy results; a production
-// deployment must swap in crypto/rand-backed sampling.
+// deployment must swap in crypto/rand-backed sampling. The public a_d of
+// an evaluation key no longer comes from here: ckks expands it with
+// AES-256-CTR (KeyStream) from a public seed, so the key ships the seed.
 type Sampler struct {
 	r   *Ring
 	rng *rand.Rand
@@ -32,28 +34,7 @@ func NewSampler(r *Ring, seed int64) *Sampler {
 
 // Uniform fills a fresh polynomial at the given level with independently
 // uniform residues per limb (a uniform element of R_{Q_level} by CRT).
-func (s *Sampler) Uniform(level int) *Poly {
-	p := s.r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		q := s.r.Moduli[i].Q
-		ci := p.Coeffs[i]
-		for j := range ci {
-			ci[j] = uniformUint64(s.rng, q)
-		}
-	}
-	return p
-}
-
-// uniformUint64 returns a uniform value in [0, q) without modulo bias.
-func uniformUint64(rng *rand.Rand, q uint64) uint64 {
-	max := ^uint64(0) - ^uint64(0)%q
-	for {
-		v := rng.Uint64()
-		if v < max {
-			return v % q
-		}
-	}
-}
+func (s *Sampler) Uniform(level int) *Poly { return s.r.Uniform(s.rng, level) }
 
 // Gaussian fills a polynomial with rounded Gaussian coefficients of standard
 // deviation s.Sigma, truncated at s.Bound standard deviations.

@@ -10,7 +10,9 @@ import "github.com/efficientfhe/smartpaf/internal/wire"
 // It carries evaluation keys only: the public key encrypts and the secret key
 // decrypts, and the server does neither. The two key blobs hold the
 // internal/ckks formats and stay undecoded until the header has resolved a
-// model and matched its parameter literal.
+// model and matched its parameter literal. Each key in them is a 32-byte seed
+// and its b_d: the uniform a_d, half of every key, never cross the wire, and
+// ckks.EvaluationKeySet.Validate regenerates them under the model's moduli.
 type registration struct {
 	// Model is "name" (newest live version) or "name@version".
 	Model string

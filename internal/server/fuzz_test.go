@@ -34,6 +34,13 @@ func FuzzRegisterFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(*blob, magic)
 	}
 	f.Add(mustMarshal(f, old))
+	// And as a client from before seeded keys would frame it.
+	unseeded := honest
+	for blob, magic := range map[*[]byte]uint32{&unseeded.RelinKey: 0x5AF7CC10, &unseeded.RotationKeys: 0x5AF7CC0F} {
+		*blob = append([]byte(nil), *blob...)
+		binary.LittleEndian.PutUint32(*blob, magic)
+	}
+	f.Add(mustMarshal(f, unseeded))
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := liveSessions(srv)

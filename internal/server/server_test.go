@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -246,13 +247,13 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	// So must keys built for another gadget on the right chain: one special
 	// prime where the model prescribes three gives a digit per chain prime
 	// and single-limb P components; and a key whose every P component is a
-	// limb short decodes cleanly too (its parts agree with each other).
+	// limb short decodes cleanly too (its digits agree with each other).
 	kgOne, skOne := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogP = lit.LogP[:1] })
 	cases["digits of another gadget"] = mustMarshal(t, frameFor(t, srv, kgOne, skOne, steps, false))
 	short := kg.GenRelinearizationKey(sk)
 	for i := range short.Digits {
 		d := &short.Digits[i]
-		d.BP, d.AP = d.BP.Truncate(d.BP.Level()-1), d.AP.Truncate(d.AP.Level()-1)
+		d.BP = d.BP.Truncate(d.BP.Level() - 1)
 	}
 	hostile := honest
 	if hostile.RelinKey, err = short.MarshalBinary(); err != nil {
@@ -260,9 +261,12 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	}
 	cases["P components a limb short"] = mustMarshal(t, hostile)
 
-	// Payloads from before grouped digits carry retired magics: a per-prime
-	// key has the same layout as a grouped one, so the magic is all that
-	// tells an old client's upload from a current one.
+	// Payloads from before grouped digits, and keys from before seeds, carry
+	// retired magics: a per-prime key has the same layout as a grouped one,
+	// so the magic is all that tells an old client's upload from a current
+	// one. A retired key magic is a 400 naming the magic, before any poly is
+	// decoded (the literal is refused earlier, by its byte comparison).
+	retiredKeyMagics := map[string]bool{}
 	for name, retired := range map[string]struct {
 		blob  *[]byte
 		magic uint32
@@ -270,11 +274,14 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		"per-prime era literal":       {&hostile.Params, 0x5AF7CC05},
 		"per-prime era rotation keys": {&hostile.RotationKeys, 0x5AF7CC06},
 		"per-prime era relin key":     {&hostile.RelinKey, 0x5AF7CC0B},
+		"unseeded rotation keys":      {&hostile.RotationKeys, 0x5AF7CC0F},
+		"unseeded relin key":          {&hostile.RelinKey, 0x5AF7CC10},
 	} {
 		hostile = honest
 		*retired.blob = append([]byte(nil), *retired.blob...)
 		binary.LittleEndian.PutUint32(*retired.blob, retired.magic)
 		cases[name] = mustMarshal(t, hostile)
+		retiredKeyMagics[name] = retired.blob != &hostile.Params
 	}
 
 	// Residues at or above their modulus decode cleanly and would panic the
@@ -296,9 +303,16 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		msg, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if resp.StatusCode < 400 || resp.StatusCode > 499 {
 			t.Errorf("%s: got %s, want a 4xx", name, resp.Status)
+		}
+		if retiredKeyMagics[name] && (resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("magic"))) {
+			t.Errorf("%s: got %s %s, want a 400 naming the magic", name, resp.Status, msg)
 		}
 		if n, refs := liveSessions(srv), dep.Refs(); n != 0 || refs != baseline {
 			t.Fatalf("%s: left %d sessions and %d model refs (baseline %d)", name, n, refs, baseline)
@@ -350,10 +364,11 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	frameClaim.U32(1 << 30) // relinKey "length", with nothing behind it
 
 	var polyClaim wire.Writer
-	polyClaim.U32(0x5AF7CC10) // relinearization-key magic
-	polyClaim.U32(64)         // digits
-	polyClaim.U32(64)         // limbs of the first poly
-	polyClaim.U32(1 << 20)    // N of the first poly, with nothing behind it
+	polyClaim.U32(0x5AF7CC13)         // relinearization-key magic
+	polyClaim.Bytes(make([]byte, 32)) // the key's seed
+	polyClaim.U32(64)                 // digits
+	polyClaim.U32(64)                 // limbs of the first poly
+	polyClaim.U32(1 << 20)            // N of the first poly, with nothing behind it
 	inKey := mustMarshal(t, registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim})
 
 	for name, body := range map[string][]byte{"frame-level claim": frameClaim, "poly-level claim": inKey} {

@@ -20,9 +20,11 @@
 //	0x5AF7CC0C  retired (ckks.SwitchingKey, per-prime digits)
 //	0x5AF7CC0D  server registration frame (POST /v1/sessions)
 //	0x5AF7CC0E  ckks.ParametersLiteral
-//	0x5AF7CC0F  ckks.RotationKeySet
-//	0x5AF7CC10  ckks.RelinearizationKey
-//	0x5AF7CC11  ckks.SwitchingKey
+//	0x5AF7CC0F  retired (ckks.RotationKeySet carrying every a_d)
+//	0x5AF7CC10  retired (ckks.RelinearizationKey carrying every a_d)
+//	0x5AF7CC11  retired (standalone ckks.SwitchingKey; no successor)
+//	0x5AF7CC12  ckks.RotationKeySet (each key a seed for its a_d, then its b_d)
+//	0x5AF7CC13  ckks.RelinearizationKey (a seed for its a_d, then its b_d)
 package wire
 
 import (
