@@ -143,9 +143,11 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 // from s^2 to s.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
 	rq := kg.params.RingQ()
-	s2Q := rq.NewPoly(kg.params.MaxLevel())
+	s2Q := rq.GetPolyRaw(kg.params.MaxLevel())
 	rq.MulCoeffs(sk.Q, sk.Q, s2Q)
-	return &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
+	rlk := &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
+	rq.PutPoly(s2Q)
+	return rlk
 }
 
 // publicSeed is the wire seed of the switching key tagged tag: SHA-256 over a
@@ -176,17 +178,25 @@ func (p *Parameters) expandA(key *SwitchingKey) {
 // genKey builds the switching key with public seed seed from sourceQ (NTT
 // domain, the key being switched *from*) to the canonical secret. Only the Q
 // embedding of the source is needed: the gadget term P·g_d·source vanishes
-// modulo every special prime.
+// modulo every special prime. The key's a_d and b_d are its only
+// allocations: each digit's error is drawn into one signed buffer and
+// embedded into pooled polys.
 func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) *SwitchingKey {
 	L := kg.params.MaxLevel()
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
 	key := &SwitchingKey{Seed: seed, Digits: make([]EvaluationKeyDigit, kg.params.Digits(L))}
 	kg.params.expandA(key)
+	signed := make([]int64, rq.N)
 	for d := range key.Digits {
 		dig := &key.Digits[d]
 		// The error e_d must be one small integer polynomial, so it is
 		// sampled signed once and embedded into both rings.
-		eQ, eP := kg.embed(kg.samplerQ.GaussianSigned())
+		kg.samplerQ.GaussianSignedTo(signed)
+		eQ, eP := rq.GetPolyRaw(L), rp.GetPolyRaw(len(rp.Moduli)-1)
+		rq.SetSignedCoeffsTo(signed, eQ)
+		rp.SetSignedCoeffsTo(signed, eP)
+		rq.NTT(eQ)
+		rp.NTT(eP)
 
 		bQ := rq.NewPoly(L)
 		rq.MulCoeffs(dig.AQ, sk.Q, bQ)
@@ -209,6 +219,8 @@ func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte)
 		rp.Neg(bP, bP)
 		rp.Add(bP, eP, bP)
 		dig.BQ, dig.BP = bQ, bP
+		rq.PutPoly(eQ)
+		rp.PutPoly(eP)
 	}
 	return key
 }

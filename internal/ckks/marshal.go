@@ -69,6 +69,19 @@ func (p *Parameters) KeyWireSize() int {
 	return keySize(p.Digits(p.MaxLevel()), p.MaxLevel()+1, len(p.P()), p.N())
 }
 
+// relinKeySize and rotationKeysSize are the exact wire sizes of a
+// relinearization key and of a rotation-key set of n keys (conjugation key
+// not counted) whose every key takes keyBytes.
+func relinKeySize(keyBytes int) int        { return 4 + keyBytes }
+func rotationKeysSize(n, keyBytes int) int { return 12 + n*(4+keyBytes) } // magic, count, conjugation flag
+
+// RelinKeyWireSize is the marshaled size of a relinearization key under p.
+func (p *Parameters) RelinKeyWireSize() int { return relinKeySize(p.KeyWireSize()) }
+
+// RotationKeysWireSize is the marshaled size of a rotation-key set with keys
+// for n steps, and no conjugation key, under p.
+func (p *Parameters) RotationKeysWireSize(n int) int { return rotationKeysSize(n, p.KeyWireSize()) }
+
 func writePoly(w *wire.Writer, p *ring.Poly) {
 	w.U32(uint32(len(p.Coeffs)))
 	w.U32(uint32(len(p.Coeffs[0])))
@@ -210,9 +223,16 @@ func readKey(r *wire.Reader) *SwitchingKey {
 	return key
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler: AppendBinary into a
+// buffer of the exact size.
 func (rlk *RelinearizationKey) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, 4+rlk.wireSize())
+	return rlk.AppendBinary(make([]byte, 0, relinKeySize(rlk.wireSize())))
+}
+
+// AppendBinary appends the key's wire form to b, the way the registration
+// frame embeds it without an intermediate copy.
+func (rlk *RelinearizationKey) AppendBinary(b []byte) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(relinKeyMagic)
 	writeKey(&w, &rlk.SwitchingKey)
 	return w, nil
@@ -231,18 +251,27 @@ func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. Steps are written in
-// sorted order so equal sets serialize identically.
+// MarshalBinary implements encoding.BinaryMarshaler: AppendBinary into a
+// buffer of the exact size. Every key of a set, generated or decoded, has
+// one shape, so any one of them sizes the rest.
 func (rks *RotationKeySet) MarshalBinary() ([]byte, error) {
-	steps := rks.Steps()
-	size := 12 // magic, key count, conjugation flag
+	keyBytes := 0
 	for _, key := range rks.keys {
-		size += 4 + key.wireSize()
+		keyBytes = key.wireSize()
+		break
 	}
+	size := rotationKeysSize(len(rks.keys), keyBytes)
 	if rks.conjugation != nil {
 		size += rks.conjugation.wireSize()
 	}
-	w := make(wire.Writer, 0, size)
+	return rks.AppendBinary(make([]byte, 0, size))
+}
+
+// AppendBinary appends the set's wire form to b. Steps are written in sorted
+// order so equal sets serialize identically.
+func (rks *RotationKeySet) AppendBinary(b []byte) ([]byte, error) {
+	steps := rks.Steps()
+	w := wire.Writer(b)
 	w.U32(rotationKeyMagic)
 	w.U32(uint32(len(steps)))
 	for _, step := range steps {

@@ -94,7 +94,10 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 	// once and share it read-only across the jobs (applyAutomorphism only
 	// reads its source).
 	rq := kg.params.RingQ()
-	skCoeff := sk.Q.CopyNew()
+	skCoeff := rq.GetPolyRaw(sk.Q.Level())
+	for i, limb := range sk.Q.Coeffs {
+		copy(skCoeff.Coeffs[i], limb)
+	}
 	rq.INTT(skCoeff)
 
 	generated := make([]*SwitchingKey, jobs)
@@ -110,12 +113,14 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
 		}
 		// Source secret φ_k(s) in NTT domain over Q.
-		srcQ := rq.NewPoly(skCoeff.Level())
+		srcQ := rq.GetPolyRaw(skCoeff.Level())
 		applyAutomorphism(rq, skCoeff, k, srcQ)
 		rq.NTT(srcQ)
 		generated[i] = sub.genKey(sk, srcQ, kg.publicSeed(int64(k)))
+		rq.PutPoly(srcQ)
 		return nil
 	})
+	rq.PutPoly(skCoeff)
 
 	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
 	for i, norm := range uniq {

@@ -53,9 +53,15 @@ func roundHalfAway(v float64) float64 {
 // when the same small error polynomial must be embedded into several rings
 // (e.g. both the Q chain and the special prime P during key generation).
 func (s *Sampler) GaussianSigned() []int64 {
-	n := s.r.N
-	vals := make([]int64, n)
-	for j := 0; j < n; j++ {
+	vals := make([]int64, s.r.N)
+	s.GaussianSignedTo(vals)
+	return vals
+}
+
+// GaussianSignedTo is GaussianSigned into a caller-owned buffer of N
+// coefficients: the same draws, for a caller that samples many errors.
+func (s *Sampler) GaussianSignedTo(vals []int64) {
+	for j := range vals {
 		for {
 			v := s.rng.NormFloat64() * s.Sigma
 			if v >= -s.Bound*s.Sigma && v <= s.Bound*s.Sigma {
@@ -64,7 +70,6 @@ func (s *Sampler) GaussianSigned() []int64 {
 			}
 		}
 	}
-	return vals
 }
 
 // TernarySigned returns N coefficients in {-1,0,1}, nonzero with the given
@@ -88,7 +93,14 @@ func (s *Sampler) TernarySigned(density float64) []int64 {
 // fresh polynomial at the given level.
 func (r *Ring) SetSignedCoeffs(vals []int64, level int) *Poly {
 	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
+	r.SetSignedCoeffsTo(vals, p)
+	return p
+}
+
+// SetSignedCoeffsTo is SetSignedCoeffs into p: every limb is overwritten, so
+// p may come from GetPolyRaw.
+func (r *Ring) SetSignedCoeffsTo(vals []int64, p *Poly) {
+	for i := range p.Coeffs {
 		q := r.Moduli[i].Q
 		ci := p.Coeffs[i]
 		for j := range ci {
@@ -100,5 +112,4 @@ func (r *Ring) SetSignedCoeffs(vals []int64, level int) *Poly {
 			}
 		}
 	}
-	return p
 }

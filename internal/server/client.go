@@ -280,20 +280,12 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	rlk := kg.GenRelinearizationKey(sk)
 	rks := kg.GenRotationKeys(sk, info.Rotations, false)
 
-	rlkBytes, err := rlk.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	rksBytes, err := rks.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	// Pin the exact version the info (and the keys derived from it)
 	// describe: a supersede landing between the info fetch and this
 	// registration must 410 cleanly instead of silently binding the new
-	// version under the old version's parameters.
-	frame := registration{Model: info.Ref(), Params: info.Params, RelinKey: rlkBytes, RotationKeys: rksBytes}
-	payload, err := frame.MarshalBinary()
+	// version under the old version's parameters. The keys marshal straight
+	// into the frame.
+	payload, err := marshalRegistration(info.Ref(), info.Params, params, rlk, rks)
 	if err != nil {
 		return nil, err
 	}

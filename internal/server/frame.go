@@ -1,6 +1,11 @@
 package server
 
-import "github.com/efficientfhe/smartpaf/internal/wire"
+import (
+	"encoding/binary"
+
+	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/wire"
+)
 
 // registration is the body of POST /v1/sessions, one binary frame on the
 // internal/wire codec (blob = u32 length | bytes):
@@ -8,11 +13,19 @@ import "github.com/efficientfhe/smartpaf/internal/wire"
 //	u32 0x5AF7CC0D | blob model | blob params | blob relinKey | blob rotationKeys
 //
 // It carries evaluation keys only: the public key encrypts and the secret key
-// decrypts, and the server does neither. The two key blobs hold the
-// internal/ckks formats and stay undecoded until the header has resolved a
-// model and matched its parameter literal. Each key in them is a 32-byte seed
-// and its b_d: the uniform a_d, half of every key, never cross the wire, and
-// ckks.EvaluationKeySet.Validate regenerates them under the model's moduli.
+// decrypts, and the server does neither. Each key in the two key blobs is a
+// 32-byte seed and its b_d: the uniform a_d, half of every key, never cross
+// the wire, and ckks.EvaluationKeySet.Validate regenerates them under the
+// model's moduli.
+//
+// The frame leads with the model so the server can size the rest before
+// reading it. It reads the magic and the model blob alone (at most
+// maxPrefix bytes) and resolves the model; every later byte is then a
+// function of that model — its literal, its relinearization key and one
+// rotation key per step it uses — so a valid frame has exactly frameSize
+// bytes. The server reads exactly that many into one buffer and refuses any
+// other length before decoding a key; the key blobs stay undecoded until the
+// literal has matched the model's byte for byte.
 type registration struct {
 	// Model is "name" (newest live version) or "name@version".
 	Model string
@@ -26,16 +39,48 @@ const (
 	registrationMagic = uint32(0x5AF7CC0D)
 
 	maxModelRef = 160 // a 128-byte model name, "@" and a version number
+	maxPrefix   = 8 + maxModelRef
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (reg *registration) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, 20+len(reg.Model)+len(reg.Params)+len(reg.RelinKey)+len(reg.RotationKeys))
+// frameSize is the exact length of a registration frame naming the model as
+// ref, echoing the literal paramBytes, and carrying a key set under params
+// with keys for steps rotation steps. ckks owns the key sizes.
+func frameSize(ref string, paramBytes []byte, params *ckks.Parameters, steps int) int {
+	return 4 + 4 + len(ref) + 4 + len(paramBytes) +
+		4 + params.RelinKeyWireSize() + 4 + params.RotationKeysWireSize(steps)
+}
+
+// marshalRegistration builds the frame a client uploads: one pass, into one
+// buffer of the frame's exact size.
+func marshalRegistration(ref string, paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) ([]byte, error) {
+	size := frameSize(ref, paramBytes, params, len(rks.Steps()))
+	return appendRegistration(make([]byte, 0, size), ref, paramBytes, rlk, rks)
+}
+
+// appender is a value that appends its own wire form, as the ckks key
+// formats do.
+type appender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// appendRegistration appends a registration frame to b in one pass: each key
+// blob's length is written behind it once the key has appended itself, so
+// no key is marshaled anywhere but into the frame.
+func appendRegistration(b []byte, model string, params []byte, relinKey, rotationKeys appender) ([]byte, error) {
+	w := wire.Writer(b)
 	w.U32(registrationMagic)
-	w.Blob([]byte(reg.Model))
-	w.Blob(reg.Params)
-	w.Blob(reg.RelinKey)
-	w.Blob(reg.RotationKeys)
+	w.Blob([]byte(model))
+	w.Blob(params)
+	for _, key := range []appender{relinKey, rotationKeys} {
+		at := len(w)
+		w.U32(0)
+		out, err := key.AppendBinary(w)
+		if err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+		w = out
+	}
 	return w, nil
 }
 

@@ -1,0 +1,184 @@
+package server
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/registry"
+)
+
+// servingLit is hennbench's 128-wide serving literal: LogN 10, ten limbs,
+// three special primes.
+var servingLit = ckks.ParametersLiteral{LogN: 10, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55}, LogScale: 45}
+
+// goldenFrameDigest is the SHA-256 of the registration frame for
+// servingLit's keys from seed 28 over goldenFrameSteps. It was taken at the
+// commit before the frame was written in one pass, where the client
+// marshaled each key set and then copied both into the frame: the one-pass
+// writer must send the same bytes.
+const goldenFrameDigest = "22aa5e22771b85fc87da82ee841c67e752e0023badb567bbba2806280cd27974"
+
+var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
+
+func TestRegistrationFrameGolden(t *testing.T) {
+	params, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 28)
+	sk := kg.GenSecretKey()
+	rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
+	frame, err := marshalRegistration("golden@1", paramBytes, params, rlk, rks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(frame)
+	if got := hex.EncodeToString(sum[:]); got != goldenFrameDigest {
+		t.Errorf("registration frame: %d bytes digest %s, want %s", len(frame), got, goldenFrameDigest)
+	}
+	if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want || cap(frame) != want {
+		t.Errorf("frame of %d bytes in a %d-byte buffer; frameSize says %d", len(frame), cap(frame), want)
+	}
+}
+
+// allocatedPerRun is the bytes f allocates per call once warm, on one P with
+// the collector off (so the ring pools keep what they are given), as the
+// pool steady-state tests measure.
+func allocatedPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFrameAllocBound: a client builds its registration frame by marshaling
+// each key into the frame's one exactly sized buffer, so beyond the keys it
+// already holds it allocates the payload once. Marshaling each key set and
+// then copying both into the frame allocated it twice.
+func TestFrameAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	params, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 28)
+	sk := kg.GenSecretKey()
+	rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
+	var frame []byte
+	perRun := allocatedPerRun(3, func() {
+		if frame, err = marshalRegistration("golden@1", paramBytes, params, rlk, rks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a %d-byte frame allocates %.0f bytes (%.3fx)", len(frame), perRun, perRun/float64(len(frame)))
+	if perRun > 1.05*float64(len(frame)) {
+		t.Errorf("building a %d-byte frame allocates %.0f bytes, over 1.05x the payload", len(frame), perRun)
+	}
+}
+
+// TestRegisterAllocBound: the server holds a registration to the size its
+// model fixes and reads it into one buffer of that size, so a registration
+// allocates the body once, the b_d decoded out of it once, and the a_d
+// expanded from their seeds once: 3x the payload and a session's fixed cost.
+// Growing a buffer as the body arrived allocated the body 2.25 times: 4.09x
+// the payload in all here, 4.26x on the 128-wide model.
+func TestRegisterAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	model, err := registry.DemoModel(11, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Workers: 1}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dep := srv.reg.List()[0]
+	kg := ckks.NewKeyGenerator(dep.Params(), 28)
+	sk := kg.GenSecretKey()
+	frame, err := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	perRun := allocatedPerRun(3, func() {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(frame)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("honest frame: %d %s", rec.Code, rec.Body)
+		}
+		srv.closeSessions(func(*session) bool { return true })
+	})
+	t.Logf("a %d-byte registration allocates %.0f bytes (%.2fx)", len(frame), perRun, perRun/float64(len(frame)))
+	if perRun > 3.1*float64(len(frame)) {
+		t.Errorf("registering a %d-byte frame allocates %.0f bytes, over 3.1x the payload", len(frame), perRun)
+	}
+}
+
+// TestInferReadAllocBound: an infer body is read into one buffer sized by its
+// Content-Length (capped at the model's largest ciphertext), so reading it
+// allocates the ciphertext once. Growing a buffer as it arrived allocated it
+// 3.2 times. The ciphertext is servingLit's, large enough that rounding its
+// buffer up to whole pages stays inside the bound.
+func TestInferReadAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	params, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 28)
+	pt, err := ckks.NewEncoder(params).EncodeReals(make([]float64, params.Slots()), params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := ckks.NewEncryptor(params, kg.GenPublicKey(kg.GenSecretKey()), 28).Encrypt(pt).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	reqs := make([]*http.Request, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+	}
+	rec := httptest.NewRecorder()
+	next := 0
+	perRun := allocatedPerRun(runs, func() {
+		data, ok := readSized(rec, reqs[next], nil, maxCiphertextBytes(params), false, "ciphertext")
+		next++
+		if !ok || len(data) != len(body) {
+			t.Fatalf("reading a %d-byte ciphertext: ok %v, %d bytes", len(body), ok, len(data))
+		}
+	})
+	t.Logf("a %d-byte ciphertext read allocates %.0f bytes (%.3fx)", len(body), perRun, perRun/float64(len(body)))
+	if perRun > 1.1*float64(len(body)) {
+		t.Errorf("reading a %d-byte ciphertext allocates %.0f bytes, over 1.1x", len(body), perRun)
+	}
+}

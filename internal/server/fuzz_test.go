@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// FuzzRegisterFrame throws arbitrary bytes at POST /v1/sessions — frame
-// decode, model resolution, key decode and ckks validation, in one handler.
+// FuzzRegisterFrame throws arbitrary bytes at POST /v1/sessions — prefix
+// read, model resolution, the sized body read, frame decode, key decode and
+// ckks validation, in one handler.
 // Anything but an honest frame must be refused with a 4xx (never a panic, a
 // 5xx, or an allocation sized by a hostile length), and only a 200 may leave
 // a session behind.
@@ -41,6 +42,16 @@ func FuzzRegisterFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(*blob, magic)
 	}
 	f.Add(mustMarshal(f, unseeded))
+	// The server reads the magic and the model blob before anything else and
+	// sizes the rest from the model: the prefix alone, the prefix cut inside
+	// the model, an unknown model, a model reference over maxModelRef, and
+	// the honest frame one byte long.
+	prefix := 8 + len(honest.Model)
+	f.Add(seed[:prefix])
+	f.Add(seed[:prefix-1])
+	f.Add(mustMarshal(f, registration{Model: "nope@1", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}))
+	f.Add(mustMarshal(f, registration{Model: string(make([]byte, maxModelRef+1)), Params: honest.Params}))
+	f.Add(append(append([]byte(nil), seed...), 0))
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := liveSessions(srv)

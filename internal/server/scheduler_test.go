@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -519,17 +520,20 @@ func TestOversizedBodies413(t *testing.T) {
 		t.Fatalf("oversized ciphertext: got %s, want 413", resp.Status)
 	}
 
-	// Valid JSON that only blows the limit mid-stream, so the 413 cannot be
-	// shadowed by a syntax 400.
+	// MaxBodyBytes bounds admin deploy bundles, the one body no model sizes:
+	// a bundle past it is a 413 mid-stream, before any decode could answer
+	// 400. (Registrations are sized by their model; see
+	// TestRegisterRejectsHostileFrames.)
 	_, _, tsSmall := newSchedServer(t, Options{MaxBodyBytes: 1 << 16})
-	big := []byte(`{"params":"` + strings.Repeat("A", 1<<17) + `"}`)
-	resp, err = http.Post(tsSmall.URL+"/v1/sessions", "application/json", bytes.NewReader(big))
+	big := make([]byte, 1<<17)
+	binary.LittleEndian.PutUint32(big, 0x5AF7CC08) // registry bundle magic
+	resp, err = http.Post(tsSmall.URL+"/v1/models", "application/octet-stream", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized registration: got %s, want 413", resp.Status)
+		t.Fatalf("oversized deploy bundle: got %s, want 413", resp.Status)
 	}
 }
 

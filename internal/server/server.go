@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -20,6 +21,7 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/registry"
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Options tune the serving front end. The zero value is usable.
@@ -58,8 +60,9 @@ type Options struct {
 	// registrations cannot pin key material (or lock out new sessions)
 	// forever. Negative disables eviction. Default 30 minutes.
 	SessionTTL time.Duration
-	// MaxBodyBytes caps request bodies (rotation-key sets and model-deploy
-	// bundles dominate). Default 1 GiB.
+	// MaxBodyBytes caps admin deploy bundles. Default 1 GiB. Registrations
+	// and ciphertexts are bounded by their model instead: a registration
+	// frame has one exact size, a ciphertext a largest one.
 	MaxBodyBytes int64
 	// QueueDepth is the per-session request queue. Default 1024.
 	QueueDepth int
@@ -354,7 +357,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// readBody reads a request body of at most limit bytes. When it cannot, it
+// readBody reads a request body of at most limit bytes into a buffer that
+// grows as the bytes arrive: only admin deploy bundles take this path, whose
+// size nothing bounds but Options.MaxBodyBytes, and an unreceived
+// Content-Length must never size a gigabyte allocation. When it cannot, it
 // has answered the request (413 over the limit, 400 otherwise) and reports
 // false.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
@@ -369,6 +375,48 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 		return nil, false
 	}
 	return buf.Bytes(), true
+}
+
+// readSized reads a body whose bound the model sets — a ciphertext, or the
+// rest of a registration frame — into one buffer, behind prefix (the bytes
+// already read). The body may total at most size bytes; with exact it must
+// total exactly size. The buffer holds min(Content-Length, size) bytes, so a
+// claimed length can shrink it but never grow it past the model's bound. A
+// Content-Length the bound refuses is answered before the body is read. When
+// it cannot read the body, it has answered the request (413 longer, 400
+// shorter or unreadable) and reports false.
+func readSized(w http.ResponseWriter, r *http.Request, prefix []byte, size int64, exact bool, what string) ([]byte, bool) {
+	n := size
+	if cl := r.ContentLength; cl >= 0 {
+		switch {
+		case cl > size:
+			writeError(w, http.StatusRequestEntityTooLarge, "%s of %d bytes exceeds the model's %d", what, cl, size)
+			return nil, false
+		case exact && cl < size:
+			writeError(w, http.StatusBadRequest, "%s of %d bytes, the model's is %d", what, cl, size)
+			return nil, false
+		}
+		n = cl
+	}
+	buf := make([]byte, n)
+	got := copy(buf, prefix)
+	read, err := io.ReadFull(r.Body, buf[got:])
+	got += read
+	switch {
+	case err == nil:
+		// A full buffer must also be the end of the body.
+		if m, _ := io.ReadFull(r.Body, make([]byte, 1)); m > 0 {
+			writeError(w, http.StatusRequestEntityTooLarge, "%s runs past the model's %d bytes", what, size)
+			return nil, false
+		}
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		writeError(w, http.StatusBadRequest, "reading %s: %v", what, err)
+		return nil, false
+	case exact:
+		writeError(w, http.StatusBadRequest, "%s ends at %d bytes, the model's is %d", what, got, size)
+		return nil, false
+	}
+	return buf[:got], true
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -438,25 +486,56 @@ type registerResponse struct {
 	Model     string `json:"model"`
 }
 
-// handleRegister is decode → validate → bind → insert. Every check on the
+// readPrefix reads a registration frame's magic and model blob, the only
+// bytes read before the model is known, and returns them with the model
+// reference. When it cannot, it has answered 400 and reports false.
+func readPrefix(w http.ResponseWriter, r *http.Request) ([]byte, string, bool) {
+	prefix := make([]byte, maxPrefix)
+	if _, err := io.ReadFull(r.Body, prefix[:8]); err != nil {
+		writeError(w, http.StatusBadRequest, "registration frame: reading the header: %v", err)
+		return nil, "", false
+	}
+	hdr := wire.NewReader("registration frame", prefix[:8])
+	hdr.Magic(registrationMagic)
+	n := hdr.Count(maxModelRef)
+	if err := hdr.Err(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, "", false
+	}
+	if _, err := io.ReadFull(r.Body, prefix[8:8+n]); err != nil {
+		writeError(w, http.StatusBadRequest, "registration frame: reading the model: %v", err)
+		return nil, "", false
+	}
+	return prefix[:8+n], string(prefix[8 : 8+n]), true
+}
+
+// handleRegister is resolve → read → decode → validate → bind → insert. The
+// model named in the frame's prefix fixes the frame's exact size, so an
+// unknown model is a 404 before the keys are read, and the keys are read
+// into one buffer of that size or refused (frame.go). Every check on the
 // shape of the uploaded keys lives in ckks (EvaluationKeySet.Validate), where
 // the shapes are defined; a key set that passes cannot panic the key-switch
 // loop at inference time.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r, s.opts.MaxBodyBytes, "registration")
+	prefix, ref, ok := readPrefix(w, r)
+	if !ok {
+		return
+	}
+	// Names may be versioned ("alpha@2") or bare ("alpha" — the newest live
+	// version). There is no default model: an empty name is unknown too.
+	dep, ok := s.reg.Resolve(ref)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown model %q", ref)
+		return
+	}
+	size := frameSize(ref, dep.ParamBytes(), dep.Params(), len(dep.Rotations()))
+	data, ok := readSized(w, r, prefix, int64(size), true, "registration frame")
 	if !ok {
 		return
 	}
 	var reg registration
 	if err := reg.UnmarshalBinary(data); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Names may be versioned ("alpha@2") or bare ("alpha" — the newest live
-	// version). There is no default model: an empty name is unknown too.
-	dep, ok := s.reg.Resolve(reg.Model)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown model %q", reg.Model)
 		return
 	}
 	if !bytes.Equal(reg.Params, dep.ParamBytes()) {
@@ -569,9 +648,8 @@ func (s *Server) lookup(id string) *session {
 
 // maxCiphertextBytes is the exact wire size of a ciphertext under the
 // model's parameters (header + two full-chain polys) with slack for the
-// poly headers. The infer endpoint caps bodies here rather than at the
-// key-upload limit, so a hostile client cannot pin a key-sized buffer per
-// request.
+// poly headers. The infer endpoint caps and sizes bodies here, so a hostile
+// client cannot pin more than a ciphertext's buffer per request.
 func maxCiphertextBytes(params *ckks.Parameters) int64 {
 	polyBytes := int64(8) + int64(params.MaxLevel()+1)*int64(params.N())*8
 	return 64 + 2*polyBytes
@@ -584,7 +662,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := sess.dep.Params()
-	data, ok := readBody(w, r, min(maxCiphertextBytes(params), s.opts.MaxBodyBytes), "ciphertext")
+	data, ok := readSized(w, r, nil, maxCiphertextBytes(params), false, "ciphertext")
 	if !ok {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,9 +169,16 @@ func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretK
 	return registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: rlk, RotationKeys: rks}
 }
 
+// rawBlob is a key blob already in wire form.
+type rawBlob []byte
+
+func (b rawBlob) AppendBinary(dst []byte) ([]byte, error) { return append(dst, b...), nil }
+
+// mustMarshal frames reg's fields as they stand, well-formed or not, with
+// the writer clients use.
 func mustMarshal(t testing.TB, reg registration) []byte {
 	t.Helper()
-	data, err := reg.MarshalBinary()
+	data, err := appendRegistration(nil, reg.Model, reg.Params, rawBlob(reg.RelinKey), rawBlob(reg.RotationKeys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,22 +305,49 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-12:], ^uint64(0))
 	cases["rotation residue 2^64-1"] = mustMarshal(t, hostile)
 
-	baseline := dep.Refs()
+	// Every row so far declares its true length. The size rows do not, or
+	// send no length at all (chunked, length -1), so the server has only the
+	// model's exact frame size to hold the body to. Rows with a read bound
+	// must be refused having read no more than the frame's prefix: the model
+	// alone decides an unknown model, and a Content-Length past the frame
+	// needs no key byte to refuse.
+	type row struct {
+		body    []byte
+		length  int64
+		want    int // 0: any 4xx
+		maxRead int // 0: unbounded
+	}
+	rows := map[string]row{}
 	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		rows[name] = row{body: body, length: int64(len(body))}
+	}
+	honestLen := int64(len(honestBytes))
+	long := append(append([]byte(nil), honestBytes...), 0)
+	rows["content-length one over the frame"] = row{long, honestLen + 1, http.StatusRequestEntityTooLarge, maxPrefix}
+	rows["content-length one under the frame"] = row{honestBytes[:honestLen-1], honestLen - 1, http.StatusBadRequest, maxPrefix}
+	rows["chunked body one byte short"] = row{honestBytes[:honestLen-1], -1, http.StatusBadRequest, 0}
+	rows["chunked body one byte long"] = row{long, -1, http.StatusRequestEntityTooLarge, 0}
+	rows["unknown model, keys unread"] = row{cases["unknown model"], -1, http.StatusNotFound, maxPrefix}
+	rows["model ref over maxModelRef"] = row{mustMarshal(t, registration{Model: strings.Repeat("m", maxModelRef+1), Params: honest.Params,
+		RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}), -1, http.StatusBadRequest, maxPrefix}
+
+	handler := srv.Handler()
+	baseline := dep.Refs()
+	for name, c := range rows {
+		body := &countingReader{r: bytes.NewReader(c.body)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", body)
+		req.ContentLength = c.length
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		msg := rec.Body.Bytes()
+		if rec.Code < 400 || rec.Code > 499 || (c.want != 0 && rec.Code != c.want) {
+			t.Errorf("%s: got %d %s, want a 4xx (%d if set)", name, rec.Code, msg, c.want)
 		}
-		msg, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if c.maxRead > 0 && body.n > c.maxRead {
+			t.Errorf("%s: the server read %d body bytes before refusing, more than the %d-byte prefix", name, body.n, c.maxRead)
 		}
-		if resp.StatusCode < 400 || resp.StatusCode > 499 {
-			t.Errorf("%s: got %s, want a 4xx", name, resp.Status)
-		}
-		if retiredKeyMagics[name] && (resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("magic"))) {
-			t.Errorf("%s: got %s %s, want a 400 naming the magic", name, resp.Status, msg)
+		if retiredKeyMagics[name] && (rec.Code != http.StatusBadRequest || !bytes.Contains(msg, []byte("magic"))) {
+			t.Errorf("%s: got %d %s, want a 400 naming the magic", name, rec.Code, msg)
 		}
 		if n, refs := liveSessions(srv), dep.Refs(); n != 0 || refs != baseline {
 			t.Fatalf("%s: left %d sessions and %d model refs (baseline %d)", name, n, refs, baseline)
@@ -348,10 +383,22 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes a handler has read from a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
 // TestRegisterLengthClaimDoesNotAllocate: lengths on the wire are claims.
-// A few hundred bytes claiming a gigabyte of key — at the frame level or in a
-// polynomial header inside a key — must be refused before anything is
-// allocated on the claim's say-so.
+// A frame claiming a gigabyte of key — at the frame level or in a polynomial
+// header inside a key — must be refused before anything is allocated on the
+// claim's say-so: the server allocates at most the body it was sent.
 func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	_, srv, _ := newTestServer(t)
 	dep := srv.reg.List()[0]
@@ -363,13 +410,19 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	frameClaim.Blob(dep.ParamBytes())
 	frameClaim.U32(1 << 30) // relinKey "length", with nothing behind it
 
-	var polyClaim wire.Writer
+	// The poly claim sits in a frame of the model's exact size (zeros behind
+	// the claim), so it passes the length check and reaches the key decoder:
+	// the server may allocate the frame the model fixes, nothing more.
+	params := dep.Params()
+	polyClaim := make(wire.Writer, 0, params.RelinKeyWireSize())
 	polyClaim.U32(0x5AF7CC13)         // relinearization-key magic
 	polyClaim.Bytes(make([]byte, 32)) // the key's seed
 	polyClaim.U32(64)                 // digits
 	polyClaim.U32(64)                 // limbs of the first poly
-	polyClaim.U32(1 << 20)            // N of the first poly, with nothing behind it
-	inKey := mustMarshal(t, registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim})
+	polyClaim.U32(1 << 20)            // N of the first poly, with zeros behind it
+	polyClaim = polyClaim[:cap(polyClaim)]
+	inKey := mustMarshal(t, registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim,
+		RotationKeys: make([]byte, params.RotationKeysWireSize(len(dep.Rotations())))})
 
 	for name, body := range map[string][]byte{"frame-level claim": frameClaim, "poly-level claim": inKey} {
 		post := func() int {
@@ -384,7 +437,7 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		post()
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(body))+256<<10 {
 			t.Errorf("%s: a %d-byte body made the server allocate %d bytes", name, len(body), got)
 		}
 	}

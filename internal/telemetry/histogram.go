@@ -84,57 +84,9 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Quantile returns an estimate of the q-quantile (q in [0,1]) in seconds,
-// interpolating linearly inside the landing bucket. An empty histogram
-// reports 0; samples in the overflow bucket report the top finite bound
-// (the histogram cannot see past it).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var snap [numBuckets + 1]uint64
-	var total uint64
-	for i := range h.counts {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range snap {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if float64(cum) >= rank {
-			if i == numBuckets {
-				return bucketBound(numBuckets - 1)
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = bucketBound(i - 1)
-			}
-			upper := bucketBound(i)
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lower + frac*(upper-lower)
-		}
-	}
-	return bucketBound(numBuckets - 1) // unreachable: cum == total >= rank
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's buckets, used
-// by the exposition writer and by tests asserting merge consistency.
+// by the exposition writer and by tests asserting merge consistency. Readers
+// take quantiles from the rendered buckets (/metrics), not from here.
 type HistogramSnapshot struct {
 	Counts [numBuckets + 1]uint64 // per-bucket counts; last is +Inf
 	Sum    time.Duration

@@ -152,13 +152,6 @@ func (f *metricFamily) with(values []string) *labeledSeries {
 	return s
 }
 
-func (f *metricFamily) find(values []string) *labeledSeries {
-	key := strings.Join(values, "\x00")
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.series[key]
-}
-
 // maxSeriesPerFamily bounds how many label sets one family ever holds, so
 // a label fed by an unbounded source (a model version per supersede, a
 // client-chosen value) costs dropped samples, never unbounded memory or
@@ -171,27 +164,9 @@ const maxSeriesPerFamily = 256
 // returns nil — the no-op Counter — and the existing series carry on.
 func (v *CounterVec) With(values ...string) *Counter { return v.fam.with(values).ctr }
 
-// Find returns the counter for the label values, or nil if it was never
-// created — a read-only lookup for stats surfaces.
-func (v *CounterVec) Find(values ...string) *Counter {
-	if s := v.fam.find(values); s != nil {
-		return s.ctr
-	}
-	return nil
-}
-
 // With returns the histogram for the given label values, creating it on
 // first use; past maxSeriesPerFamily series, nil (the no-op Histogram).
 func (v *HistogramVec) With(values ...string) *Histogram { return v.fam.with(values).hist }
-
-// Find returns the histogram for the label values, or nil if it was never
-// created.
-func (v *HistogramVec) Find(values ...string) *Histogram {
-	if s := v.fam.find(values); s != nil {
-		return s.hist
-	}
-	return nil
-}
 
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(v string) string {

@@ -64,27 +64,35 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestVecWithAndFind: With creates on first use and returns the same
-// series thereafter; Find never creates.
-func TestVecWithAndFind(t *testing.T) {
+// TestVecWithMintsOnce: With creates a series on first use and returns the
+// same one thereafter, and the exposition holds exactly the series With
+// minted — a label set never passed to it is not rendered.
+func TestVecWithMintsOnce(t *testing.T) {
 	r := NewRegistry()
 	v := r.NewCounterVec("x_total", "h", "k")
-	if got := v.Find("missing"); got != nil {
-		t.Fatal("Find must not create series")
-	}
 	c := v.With("a")
 	c.Inc()
 	if v.With("a") != c {
 		t.Fatal("With must return the same series for equal labels")
 	}
-	if got := v.Find("a"); got != c {
-		t.Fatal("Find must return the created series")
-	}
 	hv := r.NewHistogramVec("y_seconds", "h", "k")
 	hh := hv.With("a")
 	hh.Record(time.Millisecond)
-	if hv.Find("a") != hh || hv.Find("b") != nil {
-		t.Fatal("HistogramVec Find misbehaves")
+	if hv.With("a") != hh {
+		t.Fatal("HistogramVec.With must return the same series for equal labels")
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	if !strings.Contains(text, `x_total{k="a"} 1`) || !strings.Contains(text, `y_seconds_count{k="a"} 1`) {
+		t.Fatalf("minted series missing from the exposition:\n%s", text)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "{") && !strings.Contains(line, `k="a"`) {
+			t.Fatalf("exposition holds a series With never minted: %s", line)
+		}
 	}
 }
 
@@ -111,9 +119,6 @@ func TestVecSeriesCap(t *testing.T) {
 	}
 	v.With("overflow").Inc()
 	hv.With("overflow").Record(time.Millisecond)
-	if v.Find("overflow") != nil || hv.Find("overflow") != nil {
-		t.Fatal("Find sees a series past the cap")
-	}
 	var after strings.Builder
 	if err := r.WriteText(&after); err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func TestVecSeriesCap(t *testing.T) {
 	if after.String() != before.String() {
 		t.Fatal("exposition changed past the cap")
 	}
-	if v.With("0").Inc(); v.Find("0").Value() != 2 {
+	if v.With("0").Inc(); v.With("0").Value() != 2 {
 		t.Fatal("an existing series stopped counting at the cap")
 	}
 }
