@@ -3,54 +3,23 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured discussion. The serving
-// stack and its substrate (NTT, rotations, linear layers, the scheduler) are
-// measured by hennbench, bench/.
+// and see EXPERIMENTS.md for the paper-vs-measured discussion. Table 4 and
+// Fig. 1 price each PAF's encrypted ReLU on its own selected ring, so they
+// are the tab4 and fig1 experiments and examples/pareto, not a fixed-ring
+// benchmark here. The serving stack and its substrate (NTT, rotations,
+// linear layers, the scheduler) are measured by hennbench, bench/.
 package smartpaf_bench
 
 import (
 	"io"
 	"testing"
 
-	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/data"
 	"github.com/efficientfhe/smartpaf/internal/experiments"
-	"github.com/efficientfhe/smartpaf/internal/hepoly"
 	"github.com/efficientfhe/smartpaf/internal/nn"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/smartpaf"
 )
-
-// newBenchContext returns a PAF evaluator and an encrypted slot vector at
-// the top of an exact-depth chain.
-func newBenchContext(b *testing.B, logN int, levels int) (*hepoly.Evaluator, *ckks.Ciphertext) {
-	b.Helper()
-	logQ := make([]int, levels+1)
-	logQ[0] = 55
-	for i := 1; i <= levels; i++ {
-		logQ[i] = 45
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: []int{55}, LogScale: 45})
-	if err != nil {
-		b.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(params, 1)
-	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinearizationKey(sk)
-	enc := ckks.NewEncoder(params)
-	encr := ckks.NewEncryptor(params, pk, 2)
-	eval := ckks.NewEvaluator(params, rlk)
-	vals := make([]float64, params.Slots())
-	for i := range vals {
-		vals[i] = 0.5 * float64(i%8-4) / 4
-	}
-	pt, err := enc.EncodeReals(vals, params.MaxLevel(), params.DefaultScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return hepoly.NewEvaluator(eval), encr.Encrypt(pt)
-}
 
 // --- Table 2: depth accounting (and the PAF plaintext hot path) -------------
 
@@ -73,28 +42,6 @@ func BenchmarkPAFReLUPlaintext(b *testing.B) {
 		_ = c.ReLU(0.37)
 	}
 }
-
-// --- Table 4 / Fig. 1: encrypted ReLU latency per PAF form ------------------
-
-// benchEncryptedReLU measures one PAF's encrypted ReLU at a fixed ring so
-// relative latencies across forms reproduce the Table 4 ordering.
-func benchEncryptedReLU(b *testing.B, form string) {
-	c := paf.MustNew(form)
-	he, ct := newBenchContext(b, 11, hepoly.RequiredLevels(c, false))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := he.ReLU(c, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4ReLU_f1_g2(b *testing.B)     { benchEncryptedReLU(b, paf.FormF1G2) }
-func BenchmarkTable4ReLU_f2_g2(b *testing.B)     { benchEncryptedReLU(b, paf.FormF2G2) }
-func BenchmarkTable4ReLU_f2_g3(b *testing.B)     { benchEncryptedReLU(b, paf.FormF2G3) }
-func BenchmarkTable4ReLU_alpha7(b *testing.B)    { benchEncryptedReLU(b, paf.FormAlpha7) }
-func BenchmarkTable4ReLU_f1f1_g1g1(b *testing.B) { benchEncryptedReLU(b, paf.FormF1F1G1G1) }
-func BenchmarkTable4ReLU_alpha10(b *testing.B)   { benchEncryptedReLU(b, paf.FormAlpha10) }
 
 // --- Fig. 7: Coefficient Tuning ---------------------------------------------
 

@@ -1,9 +1,11 @@
-// Command ckksinfo inspects the CKKS parameter presets, the serving literal
-// registry.ParamsForMLP gives the demo model, and the per-PAF minimal
-// parameter sets used by the latency evaluation: prime chains, total modulus
-// bits including every special prime, the key-switching gadget (special
-// primes α, digits per level, wire bytes per switching key), slot counts, and the
-// depth requirements of every PAF form in Table 2.
+// Command ckksinfo inspects the CKKS parameter literals ckks.ChainLiteral
+// selects: the demo model's serving literal (what hennserve serves with no
+// -logn) and each PAF form's ReLU-plus-scaling literal (Table 4). It prints
+// prime chains, total modulus bits including every special prime against the
+// ring's 128-bit bound, the key-switching gadget (special primes α, digits
+// per level, wire bytes per switching key), slot counts, and the depth
+// requirements of every PAF form in Table 2. It exits 1 if a selected literal
+// exceeds its ring's bound.
 package main
 
 import (
@@ -14,70 +16,68 @@ import (
 	"strings"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
-	"github.com/efficientfhe/smartpaf/internal/experiments"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/registry"
 )
 
-// demoLogN is hennserve's default ring degree for the demo model.
-const demoLogN = 11
-
 func main() {
 	showPrimes := flag.Bool("primes", false, "print the concrete prime chains")
 	flag.Parse()
 
-	demo, err := registry.DemoModel(1, demoLogN)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ckksinfo: demo model: %v\n", err)
-		os.Exit(1)
-	}
-	sets := []struct {
+	demo, err := registry.DemoModel(1, 0)
+	check("demo model", err)
+	type set struct {
 		name string
 		lit  ckks.ParametersLiteral
-	}{
-		{"PN11", ckks.PN11},
-		{"PN12", ckks.PN12},
-		{"PN13", ckks.PN13},
-		{"PN14", ckks.PN14},
-		{"PN15Paper", ckks.PN15Paper},
-		{"serving", demo.Params},
+	}
+	sets := []set{{"serving", demo.Params}}
+	for _, form := range paf.AllFormsWithBaseline {
+		lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(form), true), 0)
+		check(form, err)
+		sets = append(sets, set{form, lit})
 	}
 	// logQP counts every special prime: a larger α buys fewer digits and
-	// smaller keys with modulus bits a security budget has to cover.
+	// smaller keys with modulus bits the ring's bound has to cover.
 	fmt.Println("CKKS parameter sets")
-	fmt.Println("set         N      slots   levels  logQP   scale  alpha  wire KB  digits at level 0..L")
+	fmt.Println("set         N      slots   levels  logQP   bound  128-bit  scale  alpha  wire KB  digits at level 0..L")
+	over := 0
 	for _, p := range sets {
 		params, err := ckks.NewParameters(p.lit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckksinfo: %s: %v\n", p.name, err)
-			os.Exit(1)
+		check(p.name, err)
+		compliant := "yes"
+		if !params.Compliant() {
+			compliant, over = "NO", over+1
 		}
 		top := params.MaxLevel()
 		digits := make([]string, top+1)
 		for l := range digits {
 			digits[l] = strconv.Itoa(params.Digits(l))
 		}
-		fmt.Printf("%-10s  %-6d %-7d %-7d %-7.1f 2^%-4d %-6d %-8.0f %s\n",
-			p.name, params.N(), params.Slots(), top, params.TotalLogQP(), p.lit.LogScale,
-			len(params.P()), float64(params.KeyWireSize())/1e3, strings.Join(digits, " "))
+		fmt.Printf("%-10s  %-6d %-7d %-7d %-7.1f %-6d %-8s 2^%-4d %-6d %-8.0f %s\n",
+			p.name, params.N(), params.Slots(), top, params.TotalLogQP(), ckks.MaxLogQP(params.LogN()), compliant,
+			p.lit.LogScale, len(params.P()), float64(params.KeyWireSize())/1e3, strings.Join(digits, " "))
 		if *showPrimes {
 			fmt.Printf("  Q = %v\n  P = %v\n", params.Q(), params.P())
 		}
 	}
+	fmt.Printf("serving = registry.ParamsForMLP(%s, 0), the literal hennserve prescribes by default\n", demo.Name)
 
-	fmt.Printf("serving = registry.ParamsForMLP(%s, LogN %d), the literal hennserve prescribes by default\n", demo.Name, demoLogN)
-
-	fmt.Println("\nPer-PAF ReLU requirements and minimal standard-compliant parameters")
-	fmt.Println("form        degree  depth  ReLU levels (+scaling)  minimal ring")
+	fmt.Println("\nPer-PAF ReLU requirements")
+	fmt.Println("form        degree  depth  ReLU levels (+scaling)")
 	for _, form := range paf.AllFormsWithBaseline {
 		c := paf.MustNew(form)
-		lit, err := experiments.ParamsForPAF(c, false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckksinfo: %s: %v\n", form, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-11s %-7d %-6d %-23d 2^%d\n",
-			form, c.Degree(), c.Depth(), hepoly.RequiredLevels(c, true), lit.LogN)
+		fmt.Printf("%-11s %-7d %-6d %d\n", form, c.Degree(), c.Depth(), hepoly.RequiredLevels(c, true))
+	}
+	if over > 0 {
+		fmt.Fprintf(os.Stderr, "ckksinfo: %d selected literal(s) exceed their ring's 128-bit bound\n", over)
+		os.Exit(1)
+	}
+}
+
+func check(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ckksinfo: %s: %v\n", what, err)
+		os.Exit(1)
 	}
 }

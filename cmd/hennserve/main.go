@@ -8,12 +8,12 @@
 //
 // Usage:
 //
-//	hennserve                               # the synthetic demo model on :8555
+//	hennserve                               # the synthetic demo model on :8555, 128-bit-compliant ring
 //	hennserve -train                        # a SMART-PAF-trained MLP
 //	hennserve -demo alpha -demo beta:13     # several demo models (name[:seed])
 //	hennserve -train -demo alpha -state ./deployed    # persist alpha@1.hemodel, serve
 //	hennserve -state ./deployed             # serve that directory again
-//	hennserve -addr :9000 -logn 12 -workers 4
+//	hennserve -addr :9000 -logn 10 -workers 4         # a small demo ring, not 128-bit compliant
 //	hennserve -state ./state -admin-token s3cret      # durable versioned catalog
 //	hennserve -log-requests -metrics-addr 127.0.0.1:8556  # access log + pprof/metrics plane
 //
@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/data"
 	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/nn"
@@ -59,7 +60,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8555", "listen address")
-		logN      = flag.Int("logn", 11, "ring degree log2 (demo sizes; production wants >= 14)")
+		logN      = flag.Int("logn", 0, "ring degree log2 for startup models; 0 selects each model's smallest 128-bit-compliant ring")
 		seed      = flag.Int64("seed", 7, "default model seed")
 		train     = flag.Bool("train", false, "add a SMART-PAF-trained MLP to the catalog")
 		workers   = flag.Int("workers", -1, "server-wide inference worker budget shared by all sessions and models (0/1 one worker, <0 all cores)")
@@ -99,9 +100,13 @@ func main() {
 		fail(err)
 	}
 	for _, d := range srv.Registry().List() {
-		m := d.Model()
-		fmt.Printf("hennserve: model %s (%d -> %d, %d levels), N=%d, %d rotation keys per session\n",
-			d.Ref(), m.InputDim, m.OutputDim, d.Levels(), 2*d.Params().Slots(), len(d.Rotations()))
+		m, p := d.Model(), d.Params()
+		compliance := "128-bit compliant"
+		if !p.Compliant() {
+			compliance = "NOT 128-bit compliant"
+		}
+		fmt.Printf("hennserve: model %s (%d -> %d, %d levels), N=%d, %d rotation keys per session, logQP %.0f bits against %d: %s\n",
+			d.Ref(), m.InputDim, m.OutputDim, d.Levels(), p.N(), len(d.Rotations()), p.TotalLogQP(), ckks.MaxLogQP(p.LogN()), compliance)
 	}
 	fmt.Printf("hennserve: %d model version(s), fair scheduling over a %d-worker shared budget\n",
 		srv.Registry().Len(), srv.Stats().Workers)

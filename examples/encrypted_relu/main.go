@@ -17,13 +17,10 @@ import (
 
 func main() {
 	// A development-scale ring with enough levels for the deepest form
-	// (alpha10 ReLU: 11 levels). LogN 12 keeps this quick on a laptop;
-	// swap in ckks.PN15Paper for the paper's N=32768/881-bit setup.
-	lit := ckks.ParametersLiteral{
-		LogN: 12,
-		LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45},
-		LogP: []int{55}, LogScale: 45,
-	}
+	// (alpha10 ReLU: 11 levels). LogN 12 keeps this quick on a laptop; LogN 0
+	// selects the 128-bit-compliant ring, the paper's N=32768 setup.
+	lit, err := ckks.ChainLiteral(12, hepoly.RequiredLevels(paf.MustNew(paf.FormAlpha10), false), 0)
+	check(err)
 	params, err := ckks.NewParameters(lit)
 	check(err)
 	fmt.Printf("CKKS: N=%d, %d levels, %.0f-bit modulus, %d slots\n\n",

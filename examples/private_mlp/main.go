@@ -50,13 +50,10 @@ func main() {
 
 	// 4. CKKS context sized exactly for the inference depth: a base prime
 	// plus one rescaling prime per required level, no slack to hide drift.
-	levels := mlp.LevelsRequired()
-	logQ := make([]int, levels+1)
-	logQ[0] = 55
-	for i := 1; i <= levels; i++ {
-		logQ[i] = 45
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: 12, LogQ: logQ, LogP: []int{55}, LogScale: 45})
+	// LogN 12 keeps this quick; LogN 0 selects the 128-bit-compliant ring.
+	lit, err := ckks.ChainLiteral(12, mlp.LevelsRequired(), 0)
+	check(err)
+	params, err := ckks.NewParameters(lit)
 	check(err)
 	kg := ckks.NewKeyGenerator(params, 7)
 	sk := kg.GenSecretKey()

@@ -17,8 +17,8 @@ import (
 )
 
 func TestParametersLiteralRoundtrip(t *testing.T) {
-	lit := PN12
-	lit.LogP = []int{55, 50} // two special primes of different sizes: the list survives, in order
+	// Two special primes of different sizes: the list survives, in order.
+	lit := ParametersLiteral{LogN: 12, LogQ: []int{55, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 50}, LogScale: 45}
 	data, err := lit.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func TestParametersLiteralBadInput(t *testing.T) {
 	if err := lit.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
 		t.Fatal("expected error on truncated input")
 	}
-	good, _ := PN11.MarshalBinary()
+	good, _ := testLit.MarshalBinary()
 	good[0] ^= 0xFF
 	if err := lit.UnmarshalBinary(good); err == nil {
 		t.Fatal("expected bad-magic error")

@@ -291,28 +291,63 @@ func (p *Parameters) RingP() *ring.Ring { return p.ringP }
 // paper's evaluation setup and the one a security budget is held against.
 func (p *Parameters) TotalLogQP() float64 { return logProduct(p.qi) + logProduct(p.pi) }
 
-// Preset parameter sets. PN11–PN13 are development/test sets sized for a
-// laptop-class CPU; PN15Paper mirrors the evaluation setup of the paper
-// (SEAL CKKS with N=32768 and ≈881-bit modulus). Each keeps a single special
-// prime (α = 1), as SEAL does: the paper's ring sizing counts P against the
-// modulus budget, and every extra special prime would come out of the chain.
-var (
-	// PN11 supports depth 2; used by fast unit tests.
-	PN11 = ParametersLiteral{LogN: 11, LogQ: []int{50, 40, 40}, LogP: []int{55}, LogScale: 40}
-	// PN12 supports depth 6; enough for the shallow PAFs (f1∘g2).
-	PN12 = ParametersLiteral{LogN: 12, LogQ: []int{55, 45, 45, 45, 45, 45, 45}, LogP: []int{55}, LogScale: 45}
-	// PN13 supports depth 12; enough for every PAF in Table 2 including the
-	// 27-degree minimax baseline plus the ReLU construction and one scaling
-	// multiplication.
-	PN13 = ParametersLiteral{LogN: 13, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{60}, LogScale: 45}
-	// PN14 is PN13 with a larger ring (closer to a secure configuration).
-	PN14 = ParametersLiteral{LogN: 14, LogQ: []int{60, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{60}, LogScale: 45}
-	// PN15Paper mirrors the paper's latency setup: N=32768 with a ≈881-bit
-	// modulus (60 + 14×54 + 60 = 876 bits; the remaining 5 bits of the
-	// paper's 881 come from SEAL's slightly larger special primes).
-	PN15Paper = ParametersLiteral{
-		LogN: 15,
-		LogQ: []int{60, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54, 54},
-		LogP: []int{60}, LogScale: 54,
+// heStandard maps LogN to the largest TotalLogQP the homomorphic encryption
+// security standard allows at 128-bit security with a ternary secret, the
+// table SEAL and Lattigo enforce. The paper's N = 2^15, ≈881-bit setup sits on
+// its last row.
+var heStandard = [...]int{10: 27, 11: 54, 12: 109, 13: 218, 14: 438, 15: 881}
+
+// MaxLogQP returns that bound for a ring of degree 2^logN, or 0 outside the
+// table (2^10..2^15), where no modulus counts as compliant.
+func MaxLogQP(logN int) int {
+	if logN < 0 || logN >= len(heStandard) {
+		return 0
 	}
-)
+	return heStandard[logN]
+}
+
+// Compliant reports whether the full modulus fits its ring's 128-bit bound.
+func (p *Parameters) Compliant() bool { return p.TotalLogQP() <= float64(MaxLogQP(p.logN)) }
+
+// ChainLiteral is the one place a parameter literal is shaped: exactly levels
+// 45-bit rescaling primes above a 55-bit base prime, scale 2^45, and α 55-bit
+// special primes. Each special prime covers a chain prime, so a key switch
+// uses ⌈limbs/α⌉ digits: a larger α buys smaller keys and fewer transforms
+// per rotation for 55 modulus bits. α is the largest value in [1, ⌈limbs/4⌉]
+// whose total fits MaxLogQP of the ring, or ⌈limbs/4⌉ when none does.
+//
+// logN 0 selects the smallest ring in the standard's table that holds the
+// chain at α = 1 and at least slots slots. An explicit logN is taken as
+// given, compliant or not, as long as it holds the slots.
+func ChainLiteral(logN, levels, slots int) (ParametersLiteral, error) {
+	const baseBits, scaleBits = 55, 45
+	logQP := func(alpha int) int { return baseBits*(1+alpha) + scaleBits*levels }
+	if logN == 0 {
+		top := len(heStandard) - 1
+		for n := top; n > 0 && logQP(1) <= heStandard[n] && slots <= 1<<(n-1); n-- {
+			logN = n
+		}
+		if logN == 0 {
+			return ParametersLiteral{}, fmt.Errorf("ckks: a %d-level chain with %d slots fits no 128-bit ring: %d modulus bits at α = 1, the cap is %d bits at N = 2^%d",
+				levels, slots, logQP(1), heStandard[top], top)
+		}
+	}
+	if logN < 1 || slots > 1<<(logN-1) {
+		return ParametersLiteral{}, fmt.Errorf("ckks: %d slots exceed the ring of LogN=%d", slots, logN)
+	}
+	alpha := (levels + 4) / 4 // ⌈limbs/4⌉
+	for a := alpha; a >= 1; a-- {
+		if logQP(a) <= MaxLogQP(logN) {
+			alpha = a
+			break
+		}
+	}
+	lit := ParametersLiteral{LogN: logN, LogQ: []int{baseBits}, LogScale: scaleBits}
+	for range levels {
+		lit.LogQ = append(lit.LogQ, scaleBits)
+	}
+	for range alpha {
+		lit.LogP = append(lit.LogP, baseBits)
+	}
+	return lit, nil
+}

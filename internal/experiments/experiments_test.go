@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
@@ -56,42 +58,21 @@ func TestStaticExperimentsOutput(t *testing.T) {
 	}
 }
 
-func TestParamsForPAFSizing(t *testing.T) {
-	// Table 2 depth ordering must map to ring sizes monotonically: the
-	// 27-degree baseline needs the largest ring, f1∘g2 the smallest.
-	lits := map[string]int{}
-	for _, form := range paf.AllFormsWithBaseline {
-		lit, err := ParamsForPAF(paf.MustNew(form), false)
-		if err != nil {
-			t.Fatalf("%s: %v", form, err)
-		}
-		lits[form] = lit.LogN
-		// LogQ chain must cover the ReLU + scaling levels.
-		c := paf.MustNew(form)
-		if got, want := len(lit.LogQ)-1, hepoly.RequiredLevels(c, true); got != want {
-			t.Errorf("%s: %d levels in chain, want %d", form, got, want)
-		}
-	}
-	if lits["f1_g2"] >= lits["alpha10"] {
-		t.Errorf("f1∘g2 ring (2^%d) should be smaller than alpha10's (2^%d)", lits["f1_g2"], lits["alpha10"])
-	}
-	// Fast mode shrinks rings uniformly.
-	fastLit, err := ParamsForPAF(paf.MustNew(paf.FormF1G2), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastLit.LogN != lits["f1_g2"]-4 {
-		t.Errorf("fast ring 2^%d, want 2^%d", fastLit.LogN, lits["f1_g2"]-4)
-	}
-}
-
 func TestMeasureReLULatencyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency measurement in -short mode")
 	}
-	cheap, _, err := MeasureReLULatency(paf.FormF1G2, true, 1)
+	cheap, lit, err := MeasureReLULatency(paf.FormF1G2, true, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Fast mode keeps the selected chain and shrinks its ring by 2^4.
+	full, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(paf.FormF1G2), true), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lit.LogN != full.LogN-4 || !slices.Equal(lit.LogQ, full.LogQ) || !slices.Equal(lit.LogP, full.LogP) {
+		t.Errorf("fast literal %+v, want %+v on LogN %d", lit, full, full.LogN-4)
 	}
 	expensive, _, err := MeasureReLULatency(paf.FormAlpha10, true, 1)
 	if err != nil {

@@ -16,57 +16,25 @@ func init() {
 	register("fig1", Fig1)
 }
 
-// heStandardMaxLogQP maps ring degree (LogN) to the maximum total modulus
-// bits of the homomorphic encryption security standard at 128-bit security
-// (the table SEAL and Lattigo enforce; the paper's N=32768/881-bit setup
-// sits exactly at this bound).
-var heStandardMaxLogQP = map[int]int{
-	12: 109,
-	13: 218,
-	14: 438,
-	15: 881,
-}
-
-// ParamsForPAF returns the smallest standard-compliant parameter set that
-// can evaluate the PAF's ReLU plus one Static-Scaling multiplication. This
-// per-PAF sizing is where most of the paper's latency gap comes from: a
-// shallow PAF fits a smaller ring, making every operation cheaper. In fast
-// mode the ring degree is uniformly reduced (keeping relative shapes) so the
-// measurement completes quickly on one core.
-func ParamsForPAF(c *paf.Composite, fast bool) (ckks.ParametersLiteral, error) {
-	levels := hepoly.RequiredLevels(c, true)
-	logQ := make([]int, levels+1)
-	logQ[0] = 60
-	for i := 1; i <= levels; i++ {
-		logQ[i] = 45
-	}
-	total := 60 + 45*levels + 60
-	logN := 0
-	for _, n := range []int{12, 13, 14, 15} {
-		if total <= heStandardMaxLogQP[n] {
-			logN = n
-			break
-		}
-	}
-	if logN == 0 {
-		return ckks.ParametersLiteral{}, fmt.Errorf("experiments: %s needs %d modulus bits, beyond N=2^15", c.Name, total)
-	}
-	if fast {
-		logN -= 4 // keep relative ring-size ratios, shrink absolute cost
-	}
-	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: []int{60}, LogScale: 45}, nil
-}
-
 // MeasureReLULatency builds a dedicated CKKS context for the PAF and times
-// one encrypted ReLU evaluation (averaged over iters).
+// one encrypted ReLU evaluation (averaged over iters). The literal is the
+// smallest 128-bit-compliant one that evaluates the PAF's ReLU plus one
+// Static-Scaling multiplication: this per-PAF sizing is where most of the
+// paper's latency gap comes from, as a shallow PAF fits a smaller ring and
+// makes every operation cheaper. In fast mode the same literal runs on a ring
+// 2^4 smaller (keeping relative shapes) so the measurement completes quickly
+// on one core.
 func MeasureReLULatency(form string, fast bool, iters int) (time.Duration, ckks.ParametersLiteral, error) {
 	c, err := paf.New(form)
 	if err != nil {
 		return 0, ckks.ParametersLiteral{}, err
 	}
-	lit, err := ParamsForPAF(c, fast)
+	lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(c, true), 0)
 	if err != nil {
 		return 0, lit, err
+	}
+	if fast {
+		lit.LogN -= 4
 	}
 	params, err := ckks.NewParameters(lit)
 	if err != nil {

@@ -19,22 +19,17 @@ func newHEContext(t testing.TB, levels int, rotations []int) (*Context, *ckks.En
 	return newHEContextLogN(t, 8, levels, rotations)
 }
 
-// newHEContextLogN sizes its literal the way registry.ParamsForMLP does (this
-// package cannot import it): an exact-depth chain and one 55-bit special
-// prime per four limbs, so the layer tests run on the serving gadget — one
-// special prime up to four limbs, two at five, three on a ten-limb chain.
+// newHEContextLogN builds on ckks.ChainLiteral's exact-depth chain at an
+// explicit ring too small for the 128-bit bound, so the layer tests run on
+// the serving gadget: one special prime up to four limbs, two at five, three
+// on a ten-limb chain.
 func newHEContextLogN(t testing.TB, logN, levels int, rotations []int) (*Context, *ckks.Encryptor, *ckks.Decryptor) {
 	t.Helper()
-	logQ := make([]int, levels+1)
-	logQ[0] = 55
-	for i := 1; i <= levels; i++ {
-		logQ[i] = 45
+	lit, err := ckks.ChainLiteral(logN, levels, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	logP := make([]int, (len(logQ)+3)/4)
-	for i := range logP {
-		logP[i] = 55
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45})
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
 	}

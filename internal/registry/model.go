@@ -79,45 +79,34 @@ func Dims(mlp *henn.MLP) (in, out int, err error) {
 	return in, out, nil
 }
 
-// ParamsForMLP sizes a parameter literal for the model's inference depth at
-// the given ring degree: a modulus chain of exactly LevelsRequired rescaling
-// levels (45-bit primes) above a 55-bit base prime. The budget is exact by
-// construction — inference lands on level 0 — so any drift between the
-// model's declared depth and what the evaluator consumes surfaces as a
-// level-exhaustion error instead of being masked by slack.
-//
-// This is the one place serving picks the key-switching gadget: α =
-// ⌈limbs/4⌉ special primes, so a key switch never uses more than four
-// digits, each the size of the base prime, so their product covers any α
-// chain primes. Fewer digits mean smaller evaluation keys and fewer
-// transforms per rotation; the price is α·55 bits of modulus beyond the
-// chain, which a deployment sized for security would take out of its budget.
+// ParamsForMLP sizes a parameter literal for the model's inference depth:
+// ckks.ChainLiteral's chain of exactly LevelsRequired rescaling levels, on the
+// given ring or, with logN 0, on the smallest 128-bit-compliant ring that
+// holds it and the widest layer. The budget is exact by construction —
+// inference lands on level 0 — so any drift between the model's declared
+// depth and what the evaluator consumes surfaces as a level-exhaustion error
+// instead of being masked by slack.
 func ParamsForMLP(mlp *henn.MLP, logN int) (ckks.ParametersLiteral, error) {
 	if _, _, err := Dims(mlp); err != nil {
 		return ckks.ParametersLiteral{}, fmt.Errorf("registry: %w", err)
 	}
-	slots := 1 << (logN - 1)
 	// Every layer (not just the envelope) must fit the slot vector.
+	width := 0
 	for _, l := range mlp.Layers {
-		if lin, ok := l.(*henn.Linear); ok && (lin.In > slots || lin.Out > slots) {
-			return ckks.ParametersLiteral{}, fmt.Errorf("registry: layer %dx%d exceeds %d slots at LogN=%d", lin.Out, lin.In, slots, logN)
+		if lin, ok := l.(*henn.Linear); ok {
+			width = max(width, lin.In, lin.Out)
 		}
 	}
-	levels := mlp.LevelsRequired()
-	logQ := make([]int, levels+1)
-	logQ[0] = 55
-	for i := 1; i <= levels; i++ {
-		logQ[i] = 45
+	lit, err := ckks.ChainLiteral(logN, mlp.LevelsRequired(), width)
+	if err != nil {
+		return lit, fmt.Errorf("registry: %w", err)
 	}
-	logP := make([]int, (len(logQ)+3)/4)
-	for i := range logP {
-		logP[i] = logQ[0]
-	}
-	return ckks.ParametersLiteral{LogN: logN, LogQ: logQ, LogP: logP, LogScale: 45}, nil
+	return lit, nil
 }
 
 // DemoModel builds a small frozen MLP (16 -> 8 -> 4 with an f1∘g2 PAF
-// activation) with seeded random weights, sized for the given ring degree.
+// activation) with seeded random weights, sized for the given ring degree (0
+// selects a 128-bit-compliant one).
 // It stands in for a SMART-PAF-trained network in demos, load experiments
 // and tests; cmd/hennserve can serve a trained model instead.
 func DemoModel(seed int64, logN int) (*Model, error) {
