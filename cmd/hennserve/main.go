@@ -16,6 +16,7 @@
 //	hennserve -addr :9000 -logn 10 -workers 4         # a small demo ring, not 128-bit compliant
 //	hennserve -state ./state -admin-token s3cret      # durable versioned catalog
 //	hennserve -log-requests -metrics-addr 127.0.0.1:8556  # access log + pprof/metrics plane
+//	hennserve -key-budget-mb 8192          # room for 13 demo sessions' keys (654 MB each)
 //
 // The -state directory is the one place bundles live on disk: every deployed
 // bundle (startup and hot-deployed alike) persists there as
@@ -68,7 +69,7 @@ func main() {
 		queue     = flag.Int("queue", 0, "per-session request queue depth (0 keeps the 1024 default)")
 		state     = flag.String("state", "", "state directory: every deployed bundle persists as <name>@<version>.hemodel and the catalog reloads on restart")
 		adminTok  = flag.String("admin-token", "", "bearer token required on the admin endpoints (POST/DELETE /v1/models*); empty leaves them open")
-		perModel  = flag.Int("max-sessions-per-model", 0, "cap on live sessions per model name across its versions (0: no per-model cap)")
+		budgetMB  = flag.Int64("key-budget-mb", server.DefaultKeyBudget>>20, "MiB of expanded evaluation keys all sessions may hold together; a registration past it is refused 429 before its keys are read (<= 0 keeps the default)")
 		logReqs   = flag.Bool("log-requests", false, "emit one structured access-log line per HTTP request (method, path, session, model, status, bytes, duration, trace id)")
 		debugAddr = flag.String("metrics-addr", "", "separate debug listen address serving /metrics and /debug/pprof/* (e.g. 127.0.0.1:8556); empty disables — /metrics stays on the API listener either way")
 	)
@@ -87,14 +88,18 @@ func main() {
 	if *logReqs {
 		accessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
+	budget := *budgetMB << 20
+	if budget <= 0 {
+		budget = server.DefaultKeyBudget
+	}
 	srv, err := server.New(server.Options{
-		Workers:             *workers,
-		SessionTTL:          *ttl,
-		QueueDepth:          *queue,
-		MaxSessionsPerModel: *perModel,
-		StateDir:            *state,
-		AdminToken:          *adminTok,
-		AccessLog:           accessLog,
+		Workers:    *workers,
+		SessionTTL: *ttl,
+		QueueDepth: *queue,
+		KeyBudget:  budget,
+		StateDir:   *state,
+		AdminToken: *adminTok,
+		AccessLog:  accessLog,
 	}, models...)
 	if err != nil {
 		fail(err)
@@ -105,8 +110,10 @@ func main() {
 		if !p.Compliant() {
 			compliance = "NOT 128-bit compliant"
 		}
-		fmt.Printf("hennserve: model %s (%d -> %d, %d levels), N=%d, %d rotation keys per session, logQP %.0f bits against %d: %s\n",
-			d.Ref(), m.InputDim, m.OutputDim, d.Levels(), p.N(), len(d.Rotations()), p.TotalLogQP(), ckks.MaxLogQP(p.LogN()), compliance)
+		keys := int64(p.EvaluationKeysSize(len(d.Rotations())))
+		fmt.Printf("hennserve: model %s (%d -> %d, %d levels), N=%d, %d rotation keys per session, logQP %.0f bits against %d: %s; %.1f MB of keys per session, %d sessions in the %d MiB key budget\n",
+			d.Ref(), m.InputDim, m.OutputDim, d.Levels(), p.N(), len(d.Rotations()), p.TotalLogQP(), ckks.MaxLogQP(p.LogN()), compliance,
+			float64(keys)/1e6, budget/keys, budget>>20)
 	}
 	fmt.Printf("hennserve: %d model version(s), fair scheduling over a %d-worker shared budget\n",
 		srv.Registry().Len(), srv.Stats().Workers)

@@ -82,6 +82,13 @@ func (p *Parameters) RelinKeyWireSize() int { return relinKeySize(p.KeyWireSize(
 // for n steps, and no conjugation key, under p.
 func (p *Parameters) RotationKeysWireSize(n int) int { return rotationKeysSize(n, p.KeyWireSize()) }
 
+// EvaluationKeysSize is the coefficient bytes an EvaluationKeySet of a
+// relinearization key and n rotation keys holds under p once Validate has
+// expanded its a_d: each digit of each key keeps b_d and a_d over Q and P.
+func (p *Parameters) EvaluationKeysSize(n int) int {
+	return (1 + n) * p.Digits(p.MaxLevel()) * 2 * (p.MaxLevel() + 1 + len(p.P())) * p.N() * 8
+}
+
 func writePoly(w *wire.Writer, p *ring.Poly) {
 	w.U32(uint32(len(p.Coeffs)))
 	w.U32(uint32(len(p.Coeffs[0])))

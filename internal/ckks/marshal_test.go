@@ -426,6 +426,49 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 	}
 }
 
+// TestEvaluationKeysSizeIsExpandedBytes: EvaluationKeysSize, what a server
+// charges a session against its key budget, is the coefficient bytes of a
+// key set decoded and validated the way a server holds it, a_d expanded.
+func TestEvaluationKeysSizeIsExpandedBytes(t *testing.T) {
+	for name, lit := range seededKeyLits {
+		tc := newTestContext(t, lit)
+		rlkBytes, err := tc.rlk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rksBytes, err := tc.kg.GenRotationKeys(tc.sk, seededKeySteps, false).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := EvaluationKeySet{Relin: new(RelinearizationKey), Rotations: new(RotationKeySet)}
+		if err := keys.Relin.UnmarshalBinary(rlkBytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := keys.Rotations.UnmarshalBinary(rksBytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := keys.Validate(tc.params, seededKeySteps); err != nil {
+			t.Fatal(err)
+		}
+		held, all := 0, []*SwitchingKey{&keys.Relin.SwitchingKey}
+		for _, key := range keys.Rotations.keys {
+			all = append(all, key)
+		}
+		for _, key := range all {
+			for _, d := range key.Digits {
+				for _, p := range []*ring.Poly{d.BQ, d.AQ, d.BP, d.AP} {
+					for _, limb := range p.Coeffs {
+						held += 8 * len(limb)
+					}
+				}
+			}
+		}
+		if want := tc.params.EvaluationKeysSize(len(seededKeySteps)); held != want {
+			t.Errorf("%s: the validated key set holds %d coefficient bytes, EvaluationKeysSize says %d", name, held, want)
+		}
+	}
+}
+
 // allocated reports the bytes f allocates on the heap.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats

@@ -40,11 +40,27 @@ func (c *Client) WithAdminToken(token string) *Client {
 	return &cc
 }
 
-// authorize attaches the admin bearer token when one is configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.admin != "" {
+// send issues one request, a non-nil body as application/octet-stream and
+// the admin mutations with the bearer token when one is configured, and
+// returns the response if its status is want. Any other status is the
+// server's error; that response comes back too, body closed, for its headers.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, want int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	if c.admin != "" && method != http.MethodGet && strings.HasPrefix(path, "/v1/models") {
 		req.Header.Set("Authorization", "Bearer "+c.admin)
 	}
+	resp, err := c.hc.Do(req)
+	if err == nil && resp.StatusCode != want {
+		defer resp.Body.Close()
+		err = apiError(resp)
+	}
+	return resp, err
 }
 
 // apiError surfaces the server's JSON error body.
@@ -61,18 +77,11 @@ func apiError(resp *http.Response) error {
 
 // getJSON fetches path and decodes the JSON response into out.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, path, nil, http.StatusOK)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("decoding %s response: %w", path, err)
 	}
@@ -129,18 +138,11 @@ func (c *Client) Trace(ctx context.Context, id string) (*telemetry.TraceSnapshot
 
 // Metrics fetches the server's Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, http.StatusOK)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiError(resp)
-	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", err
@@ -168,20 +170,11 @@ func (c *Client) post(ctx context.Context, path string, m *registry.Model) (*Mod
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	c.authorize(req)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodPost, path, data, http.StatusCreated)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, apiError(resp)
-	}
 	info := new(ModelInfo)
 	if err := json.NewDecoder(resp.Body).Decode(info); err != nil {
 		return nil, fmt.Errorf("decoding deploy response: %w", err)
@@ -193,20 +186,11 @@ func (c *Client) post(ctx context.Context, path string, m *registry.Model) (*Mod
 // retires every version, "name@N" just one. Bound sessions' pending
 // requests fail 410 and each stack is freed once drained.
 func (c *Client) Retire(ctx context.Context, name string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/models/"+url.PathEscape(name), nil)
+	resp, err := c.send(ctx, http.MethodDelete, "/v1/models/"+url.PathEscape(name), nil, http.StatusNoContent)
 	if err != nil {
 		return err
 	}
-	c.authorize(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return apiError(resp)
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // Session is a registered client session. The secret and public keys never
@@ -289,19 +273,11 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/sessions", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions", payload, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var reg registerResponse
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		return nil, fmt.Errorf("decoding registration: %w", err)
@@ -324,20 +300,11 @@ func (s *Session) ID() string { return s.id }
 // failing its queued requests. The session's local keys stay usable (e.g.
 // to decrypt responses already in flight).
 func (s *Session) Close(ctx context.Context) error {
-	url := fmt.Sprintf("%s/v1/sessions/%s", s.c.base, s.id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, url, nil)
+	resp, err := s.c.send(ctx, http.MethodDelete, "/v1/sessions/"+s.id, nil, http.StatusNoContent)
 	if err != nil {
 		return err
 	}
-	resp, err := s.c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return apiError(resp)
-	}
-	return nil
+	return resp.Body.Close()
 }
 
 // Model returns the info the session was built against.
@@ -359,20 +326,14 @@ func (s *Session) InferCiphertextTraced(ctx context.Context, ct *ckks.Ciphertext
 	if err != nil {
 		return nil, "", err
 	}
-	url := fmt.Sprintf("%s/v1/sessions/%s/infer", s.c.base, s.id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(data))
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := s.c.hc.Do(req)
-	if err != nil {
+	resp, err := s.c.send(ctx, http.MethodPost, "/v1/sessions/"+s.id+"/infer", data, http.StatusOK)
+	if resp == nil {
 		return nil, "", err
 	}
 	defer resp.Body.Close()
 	traceID := resp.Header.Get("X-Henn-Trace")
-	if resp.StatusCode != http.StatusOK {
-		return nil, traceID, apiError(resp)
+	if err != nil {
+		return nil, traceID, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {

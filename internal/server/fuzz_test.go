@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // ckks validation, in one handler.
 // Anything but an honest frame must be refused with a 4xx (never a panic, a
 // 5xx, or an allocation sized by a hostile length), and only a 200 may leave
-// a session behind.
+// a session behind. Once that session is deleted, nothing may stay charged
+// to the key budget.
 func FuzzRegisterFrame(f *testing.F) {
 	_, srv, _ := newTestServer(f)
 	dep := srv.reg.List()[0]
@@ -54,15 +56,19 @@ func FuzzRegisterFrame(f *testing.F) {
 	f.Add(append(append([]byte(nil), seed...), 0))
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		before := liveSessions(srv)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(data)))
-		registered := liveSessions(srv) - before
+		registered := liveSessions(srv)
+		var resp registerResponse
 		switch {
-		case rec.Code == http.StatusOK && registered == 1:
+		case rec.Code == http.StatusOK && registered == 1 &&
+			json.Unmarshal(rec.Body.Bytes(), &resp) == nil && srv.removeSession(resp.SessionID):
 		case rec.Code >= 400 && rec.Code < 500 && registered == 0:
 		default:
 			t.Fatalf("status %d with %d new sessions: %s", rec.Code, registered, rec.Body)
+		}
+		if charged, _ := keyCharge(srv); charged != 0 {
+			t.Fatalf("status %d left %d bytes charged to the key budget", rec.Code, charged)
 		}
 	})
 }

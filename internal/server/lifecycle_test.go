@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/registry"
 )
 
 // TestSupersedeDrainEndToEnd is the versioned-rollout acceptance path over
@@ -223,13 +228,19 @@ func TestAdminAuth(t *testing.T) {
 	}
 }
 
-// TestPerModelSessionQuota: one model cannot monopolize the session table —
-// registrations beyond Options.MaxSessionsPerModel 429 while other models
-// (and the same model after a session closes) still register.
-func TestPerModelSessionQuota(t *testing.T) {
+// TestKeyBudget: a session costs the key budget its expanded keys, whatever
+// its model. With room for one session, a second registration, to either
+// model, answers 429 having read no more than the frame's prefix; and each
+// way a session ends (delete, retire, TTL eviction) returns its charge, so
+// the next registration succeeds. Close returns what is left.
+func TestKeyBudget(t *testing.T) {
 	alpha := shapedModel(t, "alpha", 131, 16, 8, 4)
-	beta := shapedModel(t, "beta", 132, 12, 6, 3)
-	srv, err := New(Options{MaxSessionsPerModel: 1}, alpha, beta)
+	beta := shapedModel(t, "beta", 132, 16, 8, 4)
+	charge := sessionCharge(t, alpha)
+	if c := sessionCharge(t, beta); c != charge {
+		t.Fatalf("same-shape models cost %d and %d key bytes a session", charge, c)
+	}
+	srv, err := New(Options{KeyBudget: charge}, alpha, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,23 +248,132 @@ func TestPerModelSessionQuota(t *testing.T) {
 	ctx := context.Background()
 	client := NewClient(ts, nil)
 
+	dep, _ := srv.reg.Resolve("alpha")
+	kg := ckks.NewKeyGenerator(dep.Params(), 5)
+	sk := kg.GenSecretKey()
+	frame, err := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	refused := func(when string) {
+		t.Helper()
+		body := &countingReader{r: bytes.NewReader(frame)}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", body))
+		if rec.Code != http.StatusTooManyRequests || body.n > maxPrefix {
+			t.Fatalf("%s: got %d %s having read %d body bytes, want 429 within the %d-byte prefix",
+				when, rec.Code, rec.Body, body.n, maxPrefix)
+		}
+		if charged, live := keyCharge(srv); charged != charge || live != charge {
+			t.Fatalf("%s: %d bytes charged, %d held by live sessions, want %d", when, charged, live, charge)
+		}
+	}
+
 	first, err := client.NewSessionFor(ctx, "alpha", 141)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.NewSessionFor(ctx, "alpha", 142); err == nil || !strings.Contains(err.Error(), "429") {
-		t.Fatalf("over-quota registration: got %v, want 429", err)
-	}
-	// Another model has its own quota.
-	if _, err := client.NewSessionFor(ctx, "beta", 143); err != nil {
-		t.Fatalf("beta blocked by alpha's quota: %v", err)
-	}
-	// Freeing the slot reopens the model.
+	refused("alpha's session live")
 	if err := first.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.NewSessionFor(ctx, "alpha", 144); err != nil {
-		t.Fatalf("registration after the quota freed: %v", err)
+	if _, err := client.NewSessionFor(ctx, "beta", 142); err != nil {
+		t.Fatalf("registration after a delete: %v", err)
+	}
+	refused("beta's session live") // one budget for every model
+	if err := client.Retire(ctx, "beta"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.NewSessionFor(ctx, "alpha", 143); err != nil {
+		t.Fatalf("registration after a retire: %v", err)
+	}
+	refused("alpha's session live again")
+	srv.Close() // closes the live session, and its charge goes with it
+	if charged, _ := keyCharge(srv); charged != 0 {
+		t.Fatalf("%d bytes still charged after Close", charged)
+	}
+
+	// Every session idles past a nanosecond TTL: the janitor evicts each,
+	// and its charge with it.
+	srv, err = New(Options{KeyBudget: charge, SessionTTL: time.Nanosecond}, shapedModel(t, "alpha", 131, 16, 8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client = NewClient(newHTTPServer(t, srv), nil)
+	for i := range 2 {
+		if _, err := client.NewSessionFor(ctx, "alpha", int64(144+i)); err != nil {
+			t.Fatalf("registration %d, after %d TTL evictions: %v", i, i, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for charged, _ := keyCharge(srv); charged != 0; charged, _ = keyCharge(srv) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d bytes still charged a TTL past the session's last use", charged)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestKeyBudgetBurst: a parallel burst of registrations against a budget of
+// k sessions admits exactly k and refuses the rest 429, and the charge never
+// exceeds the budget on the way.
+func TestKeyBudgetBurst(t *testing.T) {
+	const k, burst = 3, 12
+	model, err := registry.DemoModel(11, testLogN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := k * sessionCharge(t, model)
+	_, srv, _ := newSchedServer(t, Options{KeyBudget: budget})
+	kg, sk := keyGen(t, srv, 3, nil)
+	frame := mustMarshal(t, frameFor(t, srv, kg, sk, srv.reg.List()[0].Rotations(), false))
+	handler := srv.Handler()
+
+	stop, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if charged, _ := keyCharge(srv); charged > budget {
+				t.Errorf("%d bytes charged against a %d-byte budget", charged, budget)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	var codes [burst]int
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(frame)))
+			codes[i] = rec.Code
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	admitted, refused := 0, 0
+	for _, code := range codes {
+		switch code {
+		case http.StatusOK:
+			admitted++
+		case http.StatusTooManyRequests:
+			refused++
+		}
+	}
+	if admitted != k || refused != burst-k {
+		t.Fatalf("statuses %v: %d admitted and %d refused 429, want %d and %d", codes, admitted, refused, k, burst-k)
+	}
+	if charged, live := keyCharge(srv); charged != budget || live != budget {
+		t.Fatalf("%d bytes charged, %d held by live sessions, want the %d-byte budget", charged, live, budget)
 	}
 }
 

@@ -62,9 +62,10 @@
 //	    name (an empty or unknown one is 404); params must byte-match that
 //	    model's prescribed literal; relinKey and rotationKeys are the
 //	    internal/ckks formats, shaped and reduced for those parameters,
-//	    and rotationKeys must cover exactly the model's rotation set. Evaluation keys only: no public key is sent,
-//	    and there is no JSON form. Registering against a retired or
-//	    draining version returns 410.
+//	    and rotationKeys must cover exactly the model's rotation set.
+//	    Evaluation keys only: no public key is sent, and there is no JSON
+//	    form. Registering against a retired or draining version returns
+//	    410; one the key budget (Options.KeyBudget) cannot hold, 429.
 //
 //	POST /v1/sessions/{id}/infer
 //	    raw marshaled ciphertext -> raw marshaled ciphertext

@@ -38,13 +38,11 @@ type Options struct {
 	// process-wide GOMAXPROCS/ring.SetParallelism setting — Workers counts
 	// units, not goroutines.
 	Workers int
-	// MaxSessions caps live sessions across all models. Default 64.
-	MaxSessions int
-	// MaxSessionsPerModel caps live sessions bound to any one model name
-	// (all of its versions together, so a mid-rollout model cannot double
-	// its share), stopping one popular model from monopolizing the global
-	// session table. 0 disables the per-model cap.
-	MaxSessionsPerModel int
+	// KeyBudget caps the bytes of expanded evaluation keys that live and
+	// registering sessions hold together, whatever their model (a session
+	// costs ckks.Parameters.EvaluationKeysSize): a registration past it is a
+	// 429 before its keys are read. 0 means DefaultKeyBudget.
+	KeyBudget int64
 	// StateDir persists every deployed bundle as <name>@<version>.hemodel
 	// so a restarted server reloads its catalog: hot deploys and supersedes
 	// are saved on publish, retired and superseded versions are removed.
@@ -72,9 +70,13 @@ type Options struct {
 	AccessLog *slog.Logger
 }
 
+// DefaultKeyBudget is Options.KeyBudget's default, 2 GiB: 72 sessions of the
+// 128-wide model at LogN 10 (29.8 MB of keys each), 3 of the demo at N = 2^15.
+const DefaultKeyBudget = 2 << 30
+
 func (o Options) withDefaults() Options {
-	if o.MaxSessions <= 0 {
-		o.MaxSessions = 64
+	if o.KeyBudget <= 0 {
+		o.KeyBudget = DefaultKeyBudget
 	}
 	if o.SessionTTL == 0 {
 		o.SessionTTL = 30 * time.Minute
@@ -114,10 +116,12 @@ type Server struct {
 	stageLat   *telemetry.HistogramVec
 
 	mu sync.RWMutex
-	// sessions is the live session table, guarded by mu. closed is not:
-	// it is created once and only ever closed under the lock, while
-	// readers select on it lock-free.
+	// sessions is the live session table and keyBytes the key budget's
+	// charge (its sessions plus registrations in flight), guarded by mu.
+	// closed is not: it is created once and only ever closed under the
+	// lock, while readers select on it lock-free.
 	sessions map[string]*session
+	keyBytes int64
 	closed   chan struct{}
 	wg       sync.WaitGroup
 }
@@ -128,8 +132,9 @@ type session struct {
 	// one registry reference from registration until removal.
 	dep *registry.Deployed
 	// ctx carries the evaluator bound to this client's evaluation keys.
-	ctx  *henn.Context
-	jobs chan *inferJob
+	ctx      *henn.Context
+	keyBytes int64 // what the keys cost the key budget
+	jobs     chan *inferJob
 	// done is closed when the session is deleted, evicted, or its model is
 	// retired; the scheduler fails its queued jobs and waiting handlers
 	// turn it into a 410.
@@ -240,16 +245,17 @@ func (s *Server) janitor() {
 }
 
 // closeSessions is the one session-teardown path. Under the lock, every
-// session match accepts leaves the table and has its done channel closed:
-// waiting handlers answer 410, and the session's next scheduler turn fails
-// whatever it still has queued. Each model reference is released after the
-// lock. It reports how many sessions it closed.
+// session match accepts leaves the table and the key budget and has its done
+// channel closed: waiting handlers answer 410, and its next scheduler turn
+// fails whatever it still has queued. Each model reference is released after
+// the lock. It reports how many sessions it closed.
 func (s *Server) closeSessions(match func(*session) bool) int {
 	var closed []*session
 	s.mu.Lock()
 	for id, sess := range s.sessions {
 		if match(sess) {
 			delete(s.sessions, id)
+			s.keyBytes -= sess.keyBytes
 			close(sess.done)
 			closed = append(closed, sess)
 		}
@@ -284,7 +290,7 @@ func (s *Server) retireModel(ref string) error {
 }
 
 // Close stops the scheduler: queued requests fail 503, running units finish
-// and answer, and Close returns once every worker and the janitor exited.
+// and answer; once every worker and the janitor exited, it closes every session.
 func (s *Server) Close() {
 	s.mu.Lock()
 	select {
@@ -295,6 +301,19 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.sched.stop()
 	s.wg.Wait()
+	s.closeSessions(func(*session) bool { return true })
+}
+
+// chargeKeys adds n bytes to the key budget's charge, or reports false when
+// the budget cannot hold them. A release (n < 0) always succeeds.
+func (s *Server) chargeKeys(n int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.keyBytes+n > s.opts.KeyBudget {
+		return false
+	}
+	s.keyBytes += n
+	return true
 }
 
 // Handler returns the HTTP API, wrapped in the telemetry middleware (see
@@ -509,9 +528,10 @@ func readPrefix(w http.ResponseWriter, r *http.Request) ([]byte, string, bool) {
 	return prefix[:8+n], string(prefix[8 : 8+n]), true
 }
 
-// handleRegister is resolve → read → decode → validate → bind → insert. The
-// model named in the frame's prefix fixes the frame's exact size, so an
-// unknown model is a 404 before the keys are read, and the keys are read
+// handleRegister is resolve → charge → read → decode → validate → bind →
+// insert. The model named in the frame's prefix fixes the frame's exact size
+// and its keys' cost, so an unknown model is a 404 and a registration the key
+// budget cannot hold a 429 before the keys are read, and the keys are read
 // into one buffer of that size or refused (frame.go). Every check on the
 // shape of the uploaded keys lives in ckks (EvaluationKeySet.Validate), where
 // the shapes are defined; a key set that passes cannot panic the key-switch
@@ -528,6 +548,18 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown model %q", ref)
 		return
 	}
+	charge := int64(dep.Params().EvaluationKeysSize(len(dep.Rotations())))
+	if !s.chargeKeys(charge) {
+		writeError(w, http.StatusTooManyRequests,
+			"key budget full: a session of model %q holds %d bytes of keys, the budget is %d", ref, charge, s.opts.KeyBudget)
+		return
+	}
+	inserted := false // until the session table takes the charge over, every exit returns it
+	defer func() {
+		if !inserted {
+			s.chargeKeys(-charge)
+		}
+	}()
 	size := frameSize(ref, dep.ParamBytes(), dep.Params(), len(dep.Rotations()))
 	data, ok := readSized(w, r, prefix, int64(size), true, "registration frame")
 	if !ok {
@@ -575,6 +607,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sess := &session{
 		dep:       dep,
 		ctx:       henn.NewContext(params, dep.Encoder(), eval),
+		keyBytes:  charge,
 		jobs:      make(chan *inferJob, s.opts.QueueDepth),
 		done:      make(chan struct{}),
 		unitLat:   s.unitLat.With(dep.Ref()),
@@ -598,31 +631,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	if len(s.sessions) >= s.opts.MaxSessions {
-		s.mu.Unlock()
-		dep.Release()
-		writeError(w, http.StatusTooManyRequests, "session limit (%d) reached", s.opts.MaxSessions)
-		return
-	}
-	if s.opts.MaxSessionsPerModel > 0 {
-		// The quota spans every version of the name: a model mid-rollout
-		// (old sessions draining on vN, new ones binding vN+1) gets one
-		// share of the table, not two.
-		n := 0
-		for _, other := range s.sessions {
-			if other.dep.Name() == dep.Name() {
-				n++
-			}
-		}
-		if n >= s.opts.MaxSessionsPerModel {
-			s.mu.Unlock()
-			dep.Release()
-			writeError(w, http.StatusTooManyRequests,
-				"model %q session limit (%d) reached", dep.Name(), s.opts.MaxSessionsPerModel)
-			return
-		}
-	}
 	s.sessions[sess.id] = sess
+	inserted = true
 	s.mu.Unlock()
 
 	// A retire can land between Bind and the insert above: its session

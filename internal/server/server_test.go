@@ -194,9 +194,32 @@ func liveSessions(srv *Server) int {
 	return n
 }
 
+// sessionCharge is what a session of m costs the key budget: its evaluation
+// keys, expanded.
+func sessionCharge(t testing.TB, m *registry.Model) int64 {
+	t.Helper()
+	params, err := ckks.NewParameters(m.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(params.EvaluationKeysSize(len(m.MLP.ServingRotations(params.Slots()))))
+}
+
+// keyCharge reports the key budget's charge and what the live sessions' keys
+// add up to; with no registration in flight the two must agree.
+func keyCharge(srv *Server) (charged, live int64) {
+	srv.mu.RLock()
+	defer srv.mu.RUnlock()
+	for _, sess := range srv.sessions {
+		live += int64(sess.dep.Params().EvaluationKeysSize(len(sess.dep.Rotations())))
+	}
+	return srv.keyBytes, live
+}
+
 // TestRegisterRejectsHostileFrames throws every malformed or ill-fitting
 // registration at POST /v1/sessions: each must be a 4xx at the door — never a
-// panic, a session, or a leaked model reference.
+// panic, a session, a leaked model reference, or a charge left on the key
+// budget (which would lock registrations out for good).
 func TestRegisterRejectsHostileFrames(t *testing.T) {
 	_, srv, ts := newTestServer(t)
 	dep := srv.reg.List()[0]
@@ -352,6 +375,9 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		if n, refs := liveSessions(srv), dep.Refs(); n != 0 || refs != baseline {
 			t.Fatalf("%s: left %d sessions and %d model refs (baseline %d)", name, n, refs, baseline)
 		}
+		if charged, _ := keyCharge(srv); charged != 0 {
+			t.Fatalf("%s: left %d bytes charged to the key budget", name, charged)
+		}
 	}
 
 	// Refusals happen before any arithmetic, so they leave the rings' pools
@@ -380,6 +406,9 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || liveSessions(srv) != 1 {
 		t.Fatalf("honest frame: got %s and %d sessions", resp.Status, liveSessions(srv))
+	}
+	if charged, live := keyCharge(srv); charged == 0 || charged != live {
+		t.Fatalf("honest frame: %d bytes charged, the session holds %d", charged, live)
 	}
 }
 

@@ -57,25 +57,27 @@ func (s *Server) initTelemetry() {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
-	m.NewGaugeFunc("henn_sessions",
-		"Live registered sessions.",
-		func() float64 {
+	// The session-table gauges read it under its lock.
+	locked := func(f func() float64) func() float64 {
+		return func() float64 {
 			s.mu.RLock()
-			n := len(s.sessions)
-			s.mu.RUnlock()
-			return float64(n)
-		})
-	m.NewGaugeFunc("henn_backlog",
-		"Accepted jobs waiting in session queues for a worker.",
-		func() float64 {
+			defer s.mu.RUnlock()
+			return f()
+		}
+	}
+	m.NewGaugeFunc("henn_sessions", "Live registered sessions.",
+		locked(func() float64 { return float64(len(s.sessions)) }))
+	m.NewGaugeFunc("henn_session_key_bytes",
+		"Expanded evaluation-key bytes live and registering sessions hold against the key budget.",
+		locked(func() float64 { return float64(s.keyBytes) }))
+	m.NewGaugeFunc("henn_backlog", "Accepted jobs waiting in session queues for a worker.",
+		locked(func() float64 {
 			n := 0
-			s.mu.RLock()
 			for _, sess := range s.sessions {
 				n += len(sess.jobs)
 			}
-			s.mu.RUnlock()
 			return float64(n)
-		})
+		}))
 	m.NewGaugeFunc("henn_workers",
 		"Resolved server-wide inference worker budget.",
 		func() float64 { return float64(s.sched.workers) })
