@@ -10,9 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus hennlint, the repo's seven invariant
-# analyzers (polypool, refbalance, cryptorand, ctcompare, wiremagic,
-# levelbudget, errsink). See internal/lint and
+# Static analysis: go vet plus hennlint, the repo's six invariant
+# analyzers (polypool, cryptorand, ctcompare, wiremagic, levelbudget,
+# errsink). See internal/lint and
 # `go run ./cmd/hennlint -list`.
 lint: vet
 	$(GO) run ./cmd/hennlint ./...

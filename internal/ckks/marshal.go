@@ -43,16 +43,20 @@ const (
 	maxRotationKeys = 1 << 16
 )
 
-// polySize and keySize are exact wire sizes: ciphertexts and key sets are
-// the payloads big enough that growing the Writer would copy megabytes, so
-// their marshalers allocate once.
-func polySize(p *ring.Poly) int { return 8 + 8*len(p.Coeffs)*len(p.Coeffs[0]) }
+// polySize, ciphertextSize and keySize are exact wire sizes: ciphertexts and
+// key sets are the payloads big enough that growing the Writer would copy
+// megabytes, so their marshalers allocate once.
+func polySize(limbs, n int) int { return 8 + 8*limbs*n }
+
+// ciphertextSize is the wire size of a ciphertext whose two components hold
+// limbs limbs of degree n.
+func ciphertextSize(limbs, n int) int { return 16 + 2*polySize(limbs, n) }
 
 // keySize is the wire size of a key whose digits digits each hold a BQ of
 // qLimbs and a BP of pLimbs limbs of degree n. Every key generated or decoded
 // has one shape for all its digits.
 func keySize(digits, qLimbs, pLimbs, n int) int {
-	return len(SwitchingKey{}.Seed) + 4 + digits*(16+8*(qLimbs+pLimbs)*n)
+	return len(SwitchingKey{}.Seed) + 4 + digits*(polySize(qLimbs, n)+polySize(pLimbs, n))
 }
 
 func (key *SwitchingKey) wireSize() int {
@@ -62,6 +66,10 @@ func (key *SwitchingKey) wireSize() int {
 	d := &key.Digits[0]
 	return keySize(len(key.Digits), len(d.BQ.Coeffs), len(d.BP.Coeffs), len(d.BQ.Coeffs[0]))
 }
+
+// CiphertextWireSize is the bytes a ciphertext at level under p occupies on
+// the wire; at MaxLevel it is the largest ciphertext p admits.
+func (p *Parameters) CiphertextWireSize(level int) int { return ciphertextSize(level+1, p.N()) }
 
 // KeyWireSize is the bytes one switching key under p — the relinearization
 // key or any rotation key — occupies on the wire.
@@ -162,7 +170,7 @@ func (lit *ParametersLiteral) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, 16+polySize(ct.C0)+polySize(ct.C1))
+	w := make(wire.Writer, 0, ciphertextSize(len(ct.C0.Coeffs), len(ct.C0.Coeffs[0])))
 	w.U32(ciphertextMagic)
 	w.U32(uint32(ct.Level))
 	w.F64(ct.Scale)

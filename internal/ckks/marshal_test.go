@@ -368,6 +368,8 @@ var seededKeySteps = []int{1, 2, 3, 8, 16, 33, 60}
 // client generated. Allocation stays bounded by the payload: the decode holds
 // the b_d (at most twice the payload), and the expansion adds the a_d in the
 // b_d's shape (no more than the decode allocated, plus one keystream per key).
+// The wire sizes a server sizes bodies by are pinned against the marshaled
+// bytes too: KeyWireSize, and CiphertextWireSize at every level.
 func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 	for name, lit := range seededKeyLits {
 		tc := newTestContext(t, lit)
@@ -382,6 +384,19 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 		}
 		if want := 4 + tc.params.KeyWireSize(); len(rlkBytes) != want {
 			t.Errorf("%s: relinearization key is %d bytes on the wire, KeyWireSize says %d", name, len(rlkBytes), want)
+		}
+		for level := 0; level <= tc.params.MaxLevel(); level++ {
+			pt, err := tc.enc.EncodeReals(make([]float64, tc.params.Slots()), level, tc.params.DefaultScale())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctBytes, err := tc.encr.Encrypt(pt).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.params.CiphertextWireSize(level); len(ctBytes) != want {
+				t.Errorf("%s: level-%d ciphertext is %d bytes on the wire, CiphertextWireSize says %d", name, level, len(ctBytes), want)
+			}
 		}
 		got := EvaluationKeySet{Relin: new(RelinearizationKey), Rotations: new(RotationKeySet)}
 		decoded := allocated(func() {

@@ -166,23 +166,6 @@ func FromModel(m *nn.Model) (*MLP, error) {
 	return out, nil
 }
 
-// DropCaches releases every linear layer's cached plan and encoded
-// plaintexts. A model registry calls this when a retired model finishes
-// draining, so a hot-deployed-then-retired network cannot pin slot-sized
-// caches for the life of the process.
-func (mlp *MLP) DropCaches() {
-	for _, l := range mlp.Layers {
-		lin, ok := l.(*Linear)
-		if !ok {
-			continue
-		}
-		lin.plan.Store(nil)
-		lin.ptMu.Lock()
-		lin.pts = nil
-		lin.ptMu.Unlock()
-	}
-}
-
 // LevelsRequired returns the multiplicative levels one inference consumes:
 // one per linear layer (diagonal plaintext product) plus DepthReLU+1 per
 // activation (the +1 is the 1/Scale input normalization).

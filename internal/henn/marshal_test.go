@@ -183,18 +183,6 @@ func TestMLPMarshalRejectsUnserializable(t *testing.T) {
 	}
 }
 
-// TestDropCaches: after a drop, plans rebuild on demand (same diagonals) and
-// nothing panics.
-func TestDropCaches(t *testing.T) {
-	mlp := testMLP(13)
-	before := mlp.ServingRotations(64)
-	mlp.DropCaches()
-	after := mlp.ServingRotations(64)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("rotations changed across DropCaches: %v vs %v", after, before)
-	}
-}
-
 // TestMLPWireFormatGolden pins the bytes of the MLP wire format: SHA-256 of
 // testMLP(5), generated at the commit before the format moved onto
 // internal/wire. Stored .hemodel files embed these bytes.

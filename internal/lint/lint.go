@@ -7,8 +7,6 @@
 //     decomposition must be returned (PutPoly, PutScratch, Release) on
 //     every path, or explicitly handed to the caller via a
 //     //hennlint:transfers-ownership annotation.
-//   - refbalance: registry Deployed.Retain must be balanced by a
-//     Deployed.Release on every path, so retired models actually drain.
 //   - cryptorand: math/rand must not leak into the crypto packages
 //     (internal/ckks, internal/ring) outside tests, unless a file
 //     carries a //hennlint:deterministic-sampling annotation explaining
@@ -25,10 +23,10 @@
 //     Encoder.Encode / Decoder.Decode is a finding unless audited with
 //     //hennlint:err-ok.
 //
-// One engine sits under two of the seven analyzers: the pairing engine
-// (pairing.go) runs polypool's and refbalance's acquire/release specs
-// over the flow walker (flow.go), which interprets a function body
-// statement by statement. The other five are single syntactic passes.
+// One of the six analyzers needs flow: the pairing engine (pairing.go)
+// runs polypool's acquire/release spec over the flow walker (flow.go),
+// which interprets a function body statement by statement. The other five
+// are single syntactic passes.
 // Mutex discipline, lock order, secret sinks and metric-label bounds are
 // held outside this package: by `go test -race`, a registry test on the
 // one lock nesting, redacting methods on the secret types, and a series
@@ -59,7 +57,7 @@ type Analyzer struct {
 
 // All returns the full hennlint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Polypool, Refbalance, Cryptorand, Ctcompare, Wiremagic, Levelbudget, Errsink}
+	return []*Analyzer{Polypool, Cryptorand, Ctcompare, Wiremagic, Levelbudget, Errsink}
 }
 
 // Pass carries one analyzer's view of one package.

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// The acquire/release pairing engine shared by polypool and refbalance.
+// The acquire/release pairing engine under polypool.
 //
 // It runs the statement walker (flow.go) over each function body
 // (declared functions and function literals are analyzed as
@@ -31,20 +31,15 @@ import (
 type pairSpec struct {
 	// acquire reports whether call hands its caller a resource (as its
 	// result) that must be released, and a human noun for it
-	// ("pooled poly"). May be nil.
+	// ("pooled poly").
 	acquire func(p *Pass, call *ast.CallExpr) (what string, ok bool)
-	// acquireRecv matches acquire calls whose tracked resource is the
-	// call's receiver rather than its result (registry Retain). May be
-	// nil.
-	acquireRecv func(p *Pass, call *ast.CallExpr) (recv ast.Expr, what string, ok bool)
 	// release reports the expression whose resource call releases.
 	release func(p *Pass, call *ast.CallExpr) (released ast.Expr, ok bool)
 	// resultType reports whether a value of type t is a resource under
-	// this spec. It scopes the shared transfers-ownership annotation: an
-	// annotated function only acts as an acquirer for the specs whose
-	// resource types it returns (keySwitch hands out pooled polys, not
-	// model references), and binding a multi-result acquire only tracks
-	// the results that are resources (not the trailing error).
+	// this spec. It scopes the transfers-ownership annotation: an
+	// annotated function only acts as an acquirer if it returns a
+	// resource, and binding a multi-result acquire only tracks the
+	// results that are resources (not the trailing error).
 	resultType func(t types.Type) bool
 }
 
@@ -61,7 +56,7 @@ const (
 )
 
 type resource struct {
-	name  string // identifier or receiver path, for messages
+	name  string // identifier, for messages
 	what  string // noun from the acquire matcher
 	state resState
 	pos   token.Pos // acquire site
@@ -157,10 +152,8 @@ type pairAnalysis struct {
 // isAcquire matches direct acquire calls and calls to same-package
 // annotated functions.
 func (a *pairAnalysis) isAcquire(call *ast.CallExpr) (string, bool) {
-	if a.spec.acquire != nil {
-		if what, ok := a.spec.acquire(a.pass, call); ok {
-			return what, true
-		}
+	if what, ok := a.spec.acquire(a.pass, call); ok {
+		return what, true
 	}
 	if fn := calleeFunc(a.pass.Info, call); fn != nil && a.annotated[fn] {
 		return "owned result of " + fn.Name(), true
@@ -375,16 +368,6 @@ func (a *pairAnalysis) handleCall(call *ast.CallExpr, st flowState, deferred boo
 			res.state = stReleased
 		}
 		return
-	}
-	if a.spec.acquireRecv != nil && !deferred {
-		if recv, what, ok := a.spec.acquireRecv(a.pass, call); ok {
-			key := exprKey(a.pass.Info, recv)
-			// A re-Retain on an already-live receiver folds into one
-			// obligation; the engine does not count references.
-			st[key] = &resource{name: types.ExprString(recv), what: what, state: stLive, pos: call.Pos()}
-			a.scanCallArgs(call, st)
-			return
-		}
 	}
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// defer func() { ... release(v) ... }() and friends.

@@ -5,8 +5,9 @@
 // list and retire. Reference counting makes retirement graceful: a retired
 // model disappears from the catalog immediately (new sessions cannot bind),
 // bound sessions are closed by the server (their queued jobs fail), and the
-// stack's caches are freed once the last bound session and in-flight
-// inference unit drain.
+// stack leaves the registry once the last bound session is released; the
+// garbage collector frees it, caches included, when the last unit running
+// on it answers.
 //
 // The deployable artifact itself has a binary wire format (Model.Marshal/
 // UnmarshalBinary, framing henn.MLP's own wire format) so models can be

@@ -67,7 +67,10 @@ const (
 // set (computing it warms every linear layer's plan cache), and
 // per-model counters. All fields are immutable after Deploy except the
 // counters and the lifecycle state, so any number of sessions and workers
-// can share one Deployed without locking.
+// can share one Deployed without locking. Nothing tears a stack down by
+// hand: once a retired or superseded version's last session releases it,
+// the registry lets go, and the garbage collector frees it, caches included,
+// when the last unit running on it answers.
 type Deployed struct {
 	model      *Model
 	version    int
@@ -87,11 +90,11 @@ type Deployed struct {
 	unitsRun atomic.Int64
 
 	mu    sync.Mutex
-	refs  int  // guarded by mu
+	refs  int  // bound sessions, guarded by mu
 	state int  // guarded by mu
 	freed bool // guarded by mu
 	// drained is closed when the stack stops serving (drain or retire) and
-	// the last reference is released.
+	// the last session is released.
 	drained chan struct{}
 }
 
@@ -148,30 +151,14 @@ func (d *Deployed) Bind() error {
 	return nil
 }
 
-// Retain takes an additional reference for an in-flight inference unit. It
-// never fails — a draining or retired model keeps serving its in-flight
-// units — so a caller that does not already hold a reference must check
-// afterwards that one still stands. The server's workers retain on behalf
-// of a session, then check the session is still open: a session is closed
-// before its bind reference is released, so a Retain that lands after the
-// stack was freed always sees it closed and releases without running.
-func (d *Deployed) Retain() {
-	d.mu.Lock()
-	d.refs++
-	d.mu.Unlock()
-}
-
-// Release drops one reference. When a draining or retired version's last
-// reference goes, the stack is freed: the MLP's plan and plaintext
-// caches are dropped, Drained is closed and the version leaves the catalog.
-// Freeing is idempotent — a worker's Retain racing the final session
-// Release can briefly resurrect the count after the free, and its own
-// Release must not free twice.
+// Release drops one session reference. When a draining or retired
+// version's last session goes, the stack is freed: Drained is closed and the
+// version leaves the catalog.
 func (d *Deployed) Release() {
 	d.mu.Lock()
 	if d.refs <= 0 {
 		d.mu.Unlock()
-		panic("registry: Release without a matching Bind/Retain")
+		panic("registry: Release without a matching Bind")
 	}
 	d.refs--
 	free := d.claimFreeLocked()
@@ -207,15 +194,13 @@ func (d *Deployed) setState(state int) {
 }
 
 func (d *Deployed) free() {
-	d.model.MLP.DropCaches()
 	close(d.drained)
 	if d.delist != nil {
 		d.delist()
 	}
 }
 
-// Refs reports the current reference count (bound sessions plus in-flight
-// units); primarily for tests and stats.
+// Refs reports how many sessions are bound; primarily for tests and stats.
 func (d *Deployed) Refs() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -238,9 +223,9 @@ func (d *Deployed) Draining() bool {
 	return d.state == stateDraining
 }
 
-// Drained is closed once a draining or retired version's last reference is
-// released and its caches are freed. For a live version the channel never
-// closes.
+// Drained is closed once a draining or retired version's last session is
+// released and the version leaves the catalog. For a live version the
+// channel never closes.
 func (d *Deployed) Drained() <-chan struct{} { return d.drained }
 
 // family is one model name's version history: the monotonic version counter
@@ -511,8 +496,8 @@ func (r *Registry) Len() int {
 // store — new Bind calls fail from this point — and returns their stacks so
 // the caller can close bound sessions. "name@N" retires that exact version;
 // a bare name retires every cataloged version (draining ones included). Each
-// stack's caches are freed once every bound session and in-flight unit has
-// released its reference (watch Drained for that moment).
+// stack is freed once every bound session has released its reference
+// (watch Drained for that moment).
 func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 	name, version, err := SplitRef(ref)
 	if err != nil {

@@ -107,8 +107,8 @@ func TestDeployValidation(t *testing.T) {
 }
 
 // TestRetireRefcountDrain is the graceful-retirement contract: a retired
-// stack is freed only after the last bound session and in-flight unit
-// release, and new binds fail from the moment of retirement.
+// stack is freed only after the last bound session releases, and new binds
+// fail from the moment of retirement.
 func TestRetireRefcountDrain(t *testing.T) {
 	r := New()
 	d, err := r.Deploy(testModel(t, "alpha", 8))
@@ -118,7 +118,6 @@ func TestRetireRefcountDrain(t *testing.T) {
 	if err := d.Bind(); err != nil { // a session
 		t.Fatal(err)
 	}
-	d.Retain() // an in-flight unit
 
 	if _, err := r.Retire("alpha"); err != nil {
 		t.Fatal(err)
@@ -126,12 +125,6 @@ func TestRetireRefcountDrain(t *testing.T) {
 	if err := d.Bind(); !errors.Is(err, ErrRetired) {
 		t.Fatalf("bind after retire: got %v, want ErrRetired", err)
 	}
-	select {
-	case <-d.Drained():
-		t.Fatal("drained with references outstanding")
-	default:
-	}
-	d.Release() // unit finishes
 	select {
 	case <-d.Drained():
 		t.Fatal("drained with the session still bound")
@@ -142,36 +135,6 @@ func TestRetireRefcountDrain(t *testing.T) {
 	case <-d.Drained():
 	case <-time.After(time.Second):
 		t.Fatal("stack not freed after the last release")
-	}
-}
-
-// TestRetainAfterFreeIsIdempotent: a scheduler Retain can race the final
-// session Release past the free; the trailing Release must not free (close
-// Drained) a second time.
-func TestRetainAfterFreeIsIdempotent(t *testing.T) {
-	r := New()
-	d, err := r.Deploy(testModel(t, "race", 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Bind(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Retire("race"); err != nil {
-		t.Fatal(err)
-	}
-	d.Release() // last session ref: frees, closes Drained
-	select {
-	case <-d.Drained():
-	default:
-		t.Fatal("not drained after the last release")
-	}
-	d.Retain() // late in-flight unit resurrects the count
-	d.Release()
-	select {
-	case <-d.Drained(): // still closed exactly once, no panic
-	default:
-		t.Fatal("drained channel reopened")
 	}
 }
 

@@ -171,7 +171,7 @@ func TestInferReadAllocBound(t *testing.T) {
 	rec := httptest.NewRecorder()
 	next := 0
 	perRun := allocatedPerRun(runs, func() {
-		data, ok := readSized(rec, reqs[next], nil, maxCiphertextBytes(params), false, "ciphertext")
+		data, ok := readSized(rec, reqs[next], nil, int64(params.CiphertextWireSize(params.MaxLevel())), false, "ciphertext")
 		next++
 		if !ok || len(data) != len(body) {
 			t.Fatalf("reading a %d-byte ciphertext: ok %v, %d bytes", len(body), ok, len(data))

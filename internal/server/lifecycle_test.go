@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/registry"
 )
 
@@ -558,4 +560,110 @@ func TestSupersedeRacingRegistration(t *testing.T) {
 	if err := holder.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// finalized returns a channel closed once the garbage collector frees obj.
+func finalized[T any](obj *T) <-chan struct{} {
+	gone := make(chan struct{})
+	runtime.SetFinalizer(obj, func(*T) { close(gone) })
+	return gone
+}
+
+// awaitCollected runs the garbage collector until gone closes (bounded).
+func awaitCollected(t *testing.T, gone <-chan struct{}, what string) {
+	t.Helper()
+	for range 200 {
+		runtime.GC()
+		select {
+		case <-gone:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatalf("%s was never collected", what)
+}
+
+// firstLinear returns the first linear layer of a cataloged version's
+// server-side stack.
+func firstLinear(t *testing.T, srv *Server, ref string) *henn.Linear {
+	t.Helper()
+	d, ok := srv.reg.Resolve(ref)
+	if !ok {
+		t.Fatalf("%s not in the catalog", ref)
+	}
+	return d.Model().MLP.Layers[0].(*henn.Linear)
+}
+
+// TestClosedSessionKeysCollected: once a session is deleted nothing pins its
+// keys. The scheduler's ring used to keep the last session it served in its
+// backing array, holding the evaluator and its expanded keys until a later
+// enqueue overwrote the slot.
+func TestClosedSessionKeysCollected(t *testing.T) {
+	model, srv, ts := newSchedServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Infer(ctx, make([]float64, model.InputDim)); err != nil {
+		t.Fatal(err)
+	}
+	gone := finalized(srv.lookup(sess.ID()).ctx.Eval)
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	awaitCollected(t, gone, "a closed session's evaluator")
+}
+
+// TestFreedStackCollected: the garbage collector frees a stack, caches and
+// all, once it is retired or drained and its last session is gone. Each
+// stack serves one inference first, so its plans and plaintexts are built.
+func TestFreedStackCollected(t *testing.T) {
+	ctx := context.Background()
+	t.Run("retired startup model", func(t *testing.T) {
+		// The model is built and passed to New here, so the test holds no
+		// reference to it.
+		srv, err := New(Options{}, shapedModel(t, "alpha", 131, 16, 8, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewClient(newHTTPServer(t, srv), nil)
+		sess, err := client.NewSession(ctx, 132)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Infer(ctx, make([]float64, 16)); err != nil {
+			t.Fatal(err)
+		}
+		gone := finalized(firstLinear(t, srv, "alpha@1"))
+		if err := client.Retire(ctx, "alpha"); err != nil {
+			t.Fatal(err)
+		}
+		awaitCollected(t, gone, "a retired stack's linear layer")
+	})
+	t.Run("superseded then drained", func(t *testing.T) {
+		srv, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewClient(newHTTPServer(t, srv), nil)
+		if _, err := client.Deploy(ctx, shapedModel(t, "beta", 133, 12, 6, 3)); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := client.NewSessionFor(ctx, "beta", 134)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Infer(ctx, make([]float64, 12)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Supersede(ctx, shapedModel(t, "beta", 135, 12, 6, 3)); err != nil {
+			t.Fatal(err)
+		}
+		gone := finalized(firstLinear(t, srv, "beta@1"))
+		if err := sess.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		awaitCollected(t, gone, "a drained stack's linear layer")
+	})
 }

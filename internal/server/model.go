@@ -45,13 +45,15 @@
 //	    serves sessions immediately as the next version of its name.
 //	    Deploying over a live name is 409 unless supersede=true, which
 //	    publishes vN+1 and gracefully drains vN: old sessions finish on
-//	    the old stack, whose caches free on its last reference.
+//	    the old stack, which leaves the catalog when its last session
+//	    goes and is freed, caches included, by the garbage collector.
 //
 //	DELETE /v1/models/{name}                  (admin)
 //	    Retire: "name" removes every version, "name@N" one version. The
 //	    catalog entry goes at once, bound sessions are closed (queued jobs
-//	    fail 410), in-flight units finish, and the stack's caches are
-//	    freed once drained. 204 on success.
+//	    fail 410), in-flight units finish, and the garbage collector frees
+//	    the stack, caches included, once the last of them answers. 204 on
+//	    success.
 //
 //	POST /v1/sessions
 //	    one binary frame (blob = u32 length | bytes, little-endian):

@@ -95,8 +95,13 @@ func (d *scheduler) take() (*session, *inferJob) {
 			d.ready.Wait()
 			continue
 		}
+		// Shift the ring and clear the vacated slot: a popped session must
+		// not stay reachable from the backing array, or a closed session's
+		// keys outlive it until a later enqueue overwrites the slot.
 		sess := d.ring[0]
-		d.ring = append(d.ring[:0], d.ring[1:]...)
+		n := copy(d.ring, d.ring[1:])
+		d.ring[n] = nil
+		d.ring = d.ring[:n]
 		sess.inRing = false
 		var job *inferJob
 		select {
@@ -119,13 +124,6 @@ func (d *scheduler) take() (*session, *inferJob) {
 // serve runs a taken job as a henn.Unit on the calling worker, or fails it
 // and everything its session still has queued if the session died.
 func (d *scheduler) serve(sess *session, job *inferJob) {
-	// The unit retains the model stack so a retire that lands while it
-	// executes cannot free the caches under it. Retain comes before the
-	// liveness check: closeSessions closes done before it releases the
-	// session's bind reference, so a Retain that lands after the stack was
-	// freed always sees the session closed and backs out without running.
-	sess.dep.Retain()
-	defer sess.dep.Release()
 	select {
 	case <-sess.done:
 		d.abort(job, errSessionClosed)

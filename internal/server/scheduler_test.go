@@ -510,7 +510,8 @@ func TestOversizedBodies413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge := make([]byte, maxCiphertextBytes(srv.reg.List()[0].Params())+1024)
+	params := srv.reg.List()[0].Params()
+	huge := make([]byte, params.CiphertextWireSize(params.MaxLevel())+1024)
 	resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -538,11 +539,8 @@ func TestOversizedBodies413(t *testing.T) {
 }
 
 // TestNoUnitOnFreedStack: a worker that takes a job of a session whose
-// model was retired and freed in the meantime aborts it. Its Retain lands
-// after the free and brings the count back up, but the liveness check after
-// it sees the closed session: no unit runs (no CKKS stage, so nothing
-// re-encodes the dropped plaintext caches), UnitsAborted goes up by one and
-// the count returns to 0.
+// model was retired and freed in the meantime aborts it: no unit runs (no
+// CKKS stage) and UnitsAborted goes up by one.
 func TestNoUnitOnFreedStack(t *testing.T) {
 	model, srv, ts := newSchedServer(t, Options{Workers: 1})
 	ctx := context.Background()
@@ -561,7 +559,7 @@ func TestNoUnitOnFreedStack(t *testing.T) {
 	select {
 	case <-dep.Drained():
 	case <-time.After(10 * time.Second):
-		t.Fatalf("retired stack never freed (%d refs)", dep.Refs())
+		t.Fatal("retired stack never freed")
 	}
 
 	pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), sess.params.MaxLevel(), sess.params.DefaultScale())
@@ -582,9 +580,6 @@ func TestNoUnitOnFreedStack(t *testing.T) {
 	if st.UnitsRun != before.UnitsRun || st.UnitsAborted != before.UnitsAborted+1 {
 		t.Fatalf("units run %d → %d, aborted %d → %d; want no run and one abort",
 			before.UnitsRun, st.UnitsRun, before.UnitsAborted, st.UnitsAborted)
-	}
-	if n := dep.Refs(); n != 0 {
-		t.Fatalf("%d refs left on the freed stack", n)
 	}
 	if n := stages.Load(); n != 0 {
 		t.Fatalf("%d CKKS stages ran on the freed stack", n)

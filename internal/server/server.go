@@ -274,8 +274,8 @@ func (s *Server) removeSession(id string) bool {
 
 // retireModel removes model versions from the catalog ("name" retires every
 // version, "name@N" just one) and closes every session bound to them: queued
-// jobs fail 410, in-flight units finish, and each stack is freed once its
-// last reference drains.
+// jobs fail 410, in-flight units finish, and each stack is freed once the
+// last of them answers.
 func (s *Server) retireModel(ref string) error {
 	deps, err := s.reg.Retire(ref)
 	if err != nil {
@@ -656,15 +656,6 @@ func (s *Server) lookup(id string) *session {
 	return s.sessions[id]
 }
 
-// maxCiphertextBytes is the exact wire size of a ciphertext under the
-// model's parameters (header + two full-chain polys) with slack for the
-// poly headers. The infer endpoint caps and sizes bodies here, so a hostile
-// client cannot pin more than a ciphertext's buffer per request.
-func maxCiphertextBytes(params *ckks.Parameters) int64 {
-	polyBytes := int64(8) + int64(params.MaxLevel()+1)*int64(params.N())*8
-	return 64 + 2*polyBytes
-}
-
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookup(r.PathValue("id"))
 	if sess == nil {
@@ -672,7 +663,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := sess.dep.Params()
-	data, ok := readSized(w, r, nil, maxCiphertextBytes(params), false, "ciphertext")
+	// A top-level ciphertext is the largest body the model admits, so a
+	// hostile client cannot pin more than one ciphertext's buffer.
+	data, ok := readSized(w, r, nil, int64(params.CiphertextWireSize(params.MaxLevel())), false, "ciphertext")
 	if !ok {
 		return
 	}

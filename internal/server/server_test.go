@@ -542,8 +542,10 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	}
 
 	// A well-formed ciphertext whose last coefficient is 2^64-1 decodes
-	// cleanly; evaluating it would panic a worker. So would one with a
-	// byte appended, which the decoder used to accept.
+	// cleanly; evaluating it would panic a worker (400). So would one with a
+	// byte appended, which the decoder used to accept: a top-level
+	// ciphertext is the largest body the model admits, so the byte past it
+	// is refused before any decode (413).
 	x := make([]float64, sess.params.Slots())
 	pt, err := sess.enc.EncodeReals(x, sess.params.MaxLevel(), sess.params.DefaultScale())
 	if err != nil {
@@ -555,14 +557,20 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	}
 	residue := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(residue[len(residue)-8:], ^uint64(0))
-	for name, body := range map[string][]byte{"residue 2^64-1": residue, "trailing byte": append(good, 0)} {
-		resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
+	for name, c := range map[string]struct {
+		body []byte
+		want int
+	}{
+		"residue 2^64-1": {residue, http.StatusBadRequest},
+		"trailing byte":  {append(good, 0), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: got %s, want 400", name, resp.Status)
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: got %s, want %d", name, resp.Status, c.want)
 		}
 	}
 }
@@ -584,13 +592,6 @@ func TestInferRejectsForeignScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := srv.reg.List()[0]
-	// The worker releases its unit's stack reference just after sending the
-	// result, so the client can return first: the baseline is the session's
-	// own bind reference alone.
-	deadline := time.Now().Add(10 * time.Second)
-	for dep.Refs() > 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	refs, ran := dep.Refs(), srv.Stats().UnitsRun
 
 	vec := make([]float64, sess.params.Slots())
