@@ -3,10 +3,11 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/hepoly"
@@ -37,24 +38,29 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
+// TestStaticExperimentsOutput pins the fast-mode output of every table that
+// trains nothing, byte for byte, against testdata/golden/<id>.txt.
 func TestStaticExperimentsOutput(t *testing.T) {
-	cases := map[string][]string{
-		"tab2":      {"alpha10", "f1_g2", "27", "10"},
-		"tab5":      {"Adam", "0.0001", "1e-05"},
-		"tab8":      {"f1∘g2", "depth", "total sign depth: 5"},
-		"appendixB": {"f1f1_g1g1", "17"},
+	for _, id := range []string{"tab1", "tab2", "tab5", "tab8", "appendixB"} {
+		t.Run(id, func(t *testing.T) { compareGolden(t, id) })
 	}
-	for id, wants := range cases {
-		var buf bytes.Buffer
-		if err := Run(id, Options{Fast: true, Seed: 1, W: &buf}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		out := buf.String()
-		for _, w := range wants {
-			if !strings.Contains(out, w) {
-				t.Errorf("%s output missing %q:\n%s", id, w, out)
-			}
-		}
+}
+
+// compareGolden runs experiment id in fast mode at seed 42 and compares its
+// whole output with testdata/golden/<id>.txt. To re-pin after an intended
+// change, copy the "got" block into the file.
+func compareGolden(t *testing.T, id string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Run(id, Options{Fast: true, Seed: 42, W: &buf}); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
+	if err != nil {
+		t.Fatalf("%v\ngot:\n%s", err, buf.String())
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("%s differs from testdata/golden/%s.txt; got:\n%s", id, id, got)
 	}
 }
 
@@ -104,22 +110,12 @@ func TestRenderTable(t *testing.T) {
 	}
 }
 
-// TestFig7FastEndToEnd is a reduced end-to-end run of the most important
-// training-free experiment; skipped in -short mode (it pretrains a model).
+// TestFig7FastEndToEnd pins the most important training-free experiment
+// end to end: pretraining, profiling, Coefficient Tuning and replacement at
+// seed 42; skipped in -short mode (it pretrains a model).
 func TestFig7FastEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig7 pretraining in -short mode")
 	}
-	start := time.Now()
-	var buf bytes.Buffer
-	if err := Run("fig7", Options{Fast: true, Seed: 42, W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, w := range []string{"Figure 7", "ReLU only", "MaxPooling", "f1_g2"} {
-		if !strings.Contains(out, w) {
-			t.Errorf("fig7 output missing %q", w)
-		}
-	}
-	t.Logf("fig7 fast completed in %s", time.Since(start).Round(time.Millisecond))
+	compareGolden(t, "fig7")
 }

@@ -1,7 +1,11 @@
 package smartpaf
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/data"
@@ -24,9 +28,7 @@ func testConfig(form string) Config {
 	cfg := DefaultConfig(form)
 	cfg.Epochs = 1
 	cfg.MaxGroupsPerStep = 1
-	cfg.BatchSize = 32
 	cfg.ProfileBatches = 2
-	cfg.ProfileBins = 32
 	return cfg
 }
 
@@ -148,6 +150,10 @@ func TestTechniquesLabel(t *testing.T) {
 	}
 }
 
+// TestPipelineSmartPAFRun runs the full pipeline on a tiny CNN7 and pins the
+// whole Result — every accuracy, curve point and event — against
+// testdata/golden/pipeline_run.txt. To re-pin after an intended change, copy
+// the "got" block into the file.
 func TestPipelineSmartPAFRun(t *testing.T) {
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1G2)
@@ -158,12 +164,6 @@ func TestPipelineSmartPAFRun(t *testing.T) {
 	res, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.OriginalAcc <= 0 {
-		t.Fatal("no original accuracy")
-	}
-	if len(res.Curve) == 0 {
-		t.Fatal("no training curve")
 	}
 	// Every slot must be replaced afterwards.
 	for _, s := range m.Slots() {
@@ -181,9 +181,29 @@ func TestPipelineSmartPAFRun(t *testing.T) {
 	if replaceEvents != len(m.Slots()) {
 		t.Fatalf("%d replace events for %d slots", replaceEvents, len(m.Slots()))
 	}
-	if res.FinalAccSS < 0 || res.FinalAccSS > 1 || res.FinalAccDS < 0 || res.FinalAccDS > 1 {
-		t.Fatal("accuracies out of range")
+	got := formatResult(res)
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "pipeline_run.txt"))
+	if err != nil {
+		t.Fatalf("%v\ngot:\n%s", err, got)
 	}
+	if got != string(want) {
+		t.Errorf("Result differs from testdata/golden/pipeline_run.txt; got:\n%s", got)
+	}
+}
+
+// formatResult renders every number a Result carries; %v prints the
+// shortest decimal that parses back to the same float64.
+func formatResult(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "original %v\ninitial %v\nfinal DS %v\nfinal SS %v\n",
+		r.OriginalAcc, r.InitialAcc, r.FinalAccDS, r.FinalAccSS)
+	for _, c := range r.Curve {
+		fmt.Fprintf(&b, "curve %d train %v val %v\n", c.Epoch, c.TrainAcc, c.ValAcc)
+	}
+	for _, e := range r.Events {
+		fmt.Fprintf(&b, "event %d %s %s\n", e.Epoch, e.Kind, e.Label)
+	}
+	return b.String()
 }
 
 func TestPipelineDirectBaselineRun(t *testing.T) {
