@@ -52,11 +52,9 @@ func BenchmarkFig7CT(b *testing.B) {
 		prof.Bins[i] = 1 / (1 + 25*x*x)
 	}
 	c := paf.MustNew(paf.FormF1G2)
-	opt := smartpaf.DefaultCTOptions()
-	opt.Iterations = 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = smartpaf.CoefficientTuning(c, prof, opt)
+		_ = smartpaf.CoefficientTuning(c, prof)
 	}
 }
 
@@ -68,7 +66,7 @@ func benchPipeline(b *testing.B, ct, pa, at bool) {
 	dcfg := data.Tiny()
 	train, val := data.Generate(dcfg)
 	base := nn.CNN7(2, dcfg.Classes, dcfg.Channels, dcfg.Size, dcfg.Size, 7)
-	smartpaf.Pretrain(base, train, 3, 32, 3e-3, 1)
+	smartpaf.Pretrain(base, train, 3, 3e-3, 1)
 	snap := base.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,6 +114,6 @@ func BenchmarkResNet18TrainStep(b *testing.B) {
 	opt := nn.NewAdam(1e-3, 1e-4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.TrainStep(m, nn.Batch{X: batch.X, Y: batch.Y}, nil, opt)
+		nn.TrainStep(m, batch, nil, opt)
 	}
 }

@@ -261,7 +261,7 @@ func trainedModel(seed int64, logN int) (*registry.Model, error) {
 	model := nn.MLP([]int{64, 24, dcfg.Classes}, seed)
 	fmt.Print("hennserve: pretraining MLP... ")
 	start := time.Now()
-	smartpaf.Pretrain(model, trainSet, 12, 32, 3e-3, 1)
+	smartpaf.Pretrain(model, trainSet, 12, 3e-3, 1)
 	cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 	cfg.Epochs, cfg.MaxGroupsPerStep = 2, 1
 	pipe, err := smartpaf.NewPipeline(model, trainSet, valSet, cfg)

@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("pretraining %s on %s (%d classes, %dx%d, %d train / %d val)...\n",
 		*model, *dataset, dcfg.Classes, dcfg.Size, dcfg.Size, dcfg.Train, dcfg.Val)
 	start := time.Now()
-	smartpaf.Pretrain(m, train, *pretrain, 32, 3e-3, *seed)
+	smartpaf.Pretrain(m, train, *pretrain, 3e-3, *seed)
 	fmt.Printf("pretrained in %s\n", time.Since(start).Round(time.Millisecond))
 
 	cfg := smartpaf.DefaultConfig(*form)

@@ -31,7 +31,7 @@ func main() {
 	train, val := data.Generate(dcfg)
 	model := nn.MLP([]int{64, 24, dcfg.Classes}, 5)
 	fmt.Print("training plaintext MLP... ")
-	smartpaf.Pretrain(model, train, 12, 32, 3e-3, 1)
+	smartpaf.Pretrain(model, train, 12, 3e-3, 1)
 	fmt.Println("done")
 
 	// 2. SMART-PAF: replace ReLUs with the cheap f1∘g2 PAF and fine-tune.

@@ -31,7 +31,7 @@ func main() {
 	}
 
 	// 3. Coefficient Tuning: refit the cheap PAF to that distribution.
-	tuned := smartpaf.CoefficientTuning(cheap, prof, smartpaf.DefaultCTOptions())
+	tuned := smartpaf.CoefficientTuning(cheap, prof)
 
 	// 4. Compare weighted ReLU error (the quantity CT minimizes).
 	before := smartpaf.WeightedReLUError(cheap, prof)

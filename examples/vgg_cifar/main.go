@@ -38,7 +38,7 @@ func main() {
 
 	fmt.Print("pretraining with exact operators... ")
 	start := time.Now()
-	smartpaf.Pretrain(model, train, 12, 32, 1e-3, 42)
+	smartpaf.Pretrain(model, train, 12, 1e-3, 42)
 	fmt.Printf("done in %s\n", time.Since(start).Round(time.Second))
 
 	cfg := smartpaf.DefaultConfig(paf.FormF1F1G1G1)

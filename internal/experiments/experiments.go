@@ -133,7 +133,7 @@ func newTestbed(arch archKind, dcfg data.Config, width, pretrainEpochs int, seed
 		}
 	}
 	m := tb.buildNew()
-	smartpaf.Pretrain(m, train, pretrainEpochs, 32, 1e-3, seed)
+	smartpaf.Pretrain(m, train, pretrainEpochs, 1e-3, seed)
 	tb.snap = m.Snapshot()
 	tb.origAcc = accuracy(m, val)
 	return tb
@@ -149,11 +149,7 @@ func (tb *testbed) fresh() *nn.Model {
 }
 
 func accuracy(m *nn.Model, ds *data.Dataset) float64 {
-	var batches []nn.Batch
-	for _, b := range ds.Batches(32, nil) {
-		batches = append(batches, nn.Batch{X: b.X, Y: b.Y})
-	}
-	return nn.Accuracy(m, batches)
+	return nn.Accuracy(m, ds.Batches(smartpaf.BatchSize, nil))
 }
 
 // pipelineConfig returns the training config scaled for the mode.

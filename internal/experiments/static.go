@@ -40,14 +40,13 @@ func Table2(opt Options) error {
 
 // Table5 echoes the training hyperparameters (paper Appendix A).
 func Table5(opt Options) error {
-	cfg := smartpaf.DefaultConfig(paf.FormF1F1G1G1)
 	t := newTable("Table 5 — baseline training parameters", "configuration", "value")
 	t.addRow("Replaced layer", "ReLU & MaxPooling")
 	t.addRow("Optimizer", "Adam")
-	t.addRow("learning rate for PAF", fmt.Sprint(cfg.LRPAF))
-	t.addRow("learning rate for other layers", fmt.Sprint(cfg.LRLinear))
-	t.addRow("Weight decay for PAF", fmt.Sprint(cfg.WDPAF))
-	t.addRow("Weight decay for other layers", fmt.Sprint(cfg.WDLinear))
+	t.addRow("learning rate for PAF", fmt.Sprint(smartpaf.LRPAF))
+	t.addRow("learning rate for other layers", fmt.Sprint(smartpaf.LRLinear))
+	t.addRow("Weight decay for PAF", fmt.Sprint(smartpaf.WDPAF))
+	t.addRow("Weight decay for other layers", fmt.Sprint(smartpaf.WDLinear))
 	t.addRow("BatchNorm Tracking", "False (batch statistics always)")
 	t.addRow("Dropout", "False (enabled by scheduler on overfitting)")
 	t.write(opt.W)

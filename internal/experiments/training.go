@@ -20,7 +20,7 @@ func init() {
 // it — the Fig. 7 measurement.
 func replaceAllEval(tb *testbed, form string, ct, includeMaxPool bool, opt Options) (float64, error) {
 	m := tb.fresh()
-	profiles := smartpaf.ProfileSlots(m, tb.train, 32, 4, 64)
+	profiles := smartpaf.ProfileSlots(m, tb.train, 4)
 	slots := m.Slots()
 	if !includeMaxPool {
 		slots = m.ReLUSlots()
@@ -31,7 +31,7 @@ func replaceAllEval(tb *testbed, form string, ct, includeMaxPool bool, opt Optio
 			return 0, err
 		}
 		if ct {
-			c = smartpaf.CoefficientTuning(c, profiles[s.Index], smartpaf.DefaultCTOptions())
+			c = smartpaf.CoefficientTuning(c, profiles[s.Index])
 		}
 		s.ReplaceWithPAF(c)
 	}

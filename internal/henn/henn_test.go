@@ -124,7 +124,7 @@ func TestEndToEndPrivateInference(t *testing.T) {
 	dcfg.Train, dcfg.Val = 200, 80
 	train, val := data.Generate(dcfg)
 	m := nn.MLP([]int{36, 16, dcfg.Classes}, 5)
-	smartpaf.Pretrain(m, train, 8, 32, 3e-3, 1)
+	smartpaf.Pretrain(m, train, 8, 3e-3, 1)
 
 	cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 	cfg.Epochs, cfg.MaxGroupsPerStep, cfg.ProfileBatches = 1, 1, 2

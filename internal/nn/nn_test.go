@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/efficientfhe/smartpaf/internal/data"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/tensor"
 )
@@ -395,10 +396,10 @@ func TestAdamReducesLoss(t *testing.T) {
 		y[i] = i % 3
 	}
 	opt := NewAdam(0.01, 0)
-	first := TrainStep(m, Batch{X: x, Y: y}, nil, opt)
+	first := TrainStep(m, data.Batch{X: x, Y: y}, nil, opt)
 	var last float64
 	for i := 0; i < 60; i++ {
-		last = TrainStep(m, Batch{X: x, Y: y}, nil, opt)
+		last = TrainStep(m, data.Batch{X: x, Y: y}, nil, opt)
 	}
 	if last >= first*0.7 {
 		t.Fatalf("Adam did not reduce loss: first %g last %g", first, last)
@@ -485,7 +486,7 @@ func TestAccuracyHelper(t *testing.T) {
 	m := MLP([]int{4, 4, 2}, 9)
 	x := randInput(6, 4, 1, 1)
 	y := []int{0, 1, 0, 1, 0, 1}
-	acc := Accuracy(m, []Batch{{X: x, Y: y}})
+	acc := Accuracy(m, []data.Batch{{X: x, Y: y}})
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %g out of range", acc)
 	}

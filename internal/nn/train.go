@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"github.com/efficientfhe/smartpaf/internal/data"
 	"github.com/efficientfhe/smartpaf/internal/tensor"
 )
 
@@ -35,16 +36,10 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, gra
 	return loss / float64(n), grad
 }
 
-// Batch is one minibatch of images and labels.
-type Batch struct {
-	X *tensor.Tensor
-	Y []int
-}
-
 // TrainStep runs forward, loss, backward and optimizer steps for one batch,
 // returning the loss. Optimizers may be nil (e.g. during Alternate Training
 // only one group steps).
-func TrainStep(m *Model, b Batch, optPAF, optLinear *Adam) float64 {
+func TrainStep(m *Model, b data.Batch, optPAF, optLinear *Adam) float64 {
 	m.ZeroGrad()
 	logits := m.Forward(b.X, true)
 	loss, grad := SoftmaxCrossEntropy(logits, b.Y)
@@ -70,7 +65,7 @@ func filterGroup(params []*Param, group string) []*Param {
 }
 
 // Accuracy evaluates top-1 accuracy over the provided batches.
-func Accuracy(m *Model, batches []Batch) float64 {
+func Accuracy(m *Model, batches []data.Batch) float64 {
 	var correct, total int
 	for _, b := range batches {
 		logits := m.Forward(b.X, false)

@@ -37,24 +37,35 @@ type Config struct {
 	// group, bounded by MaxGroupsPerStep for CPU budgets.
 	Epochs           int
 	MaxGroupsPerStep int
-	BatchSize        int
 
-	// Table 5 hyperparameters.
-	LRPAF, WDPAF       float64
-	LRLinear, WDLinear float64
-
-	// Profiling for CT and the running max.
+	// ProfileBatches bounds how many batches profiling (CT's histogram and
+	// the running max) reads.
 	ProfileBatches int
-	ProfileBins    int
-
-	// MinDelta is the accuracy-improvement threshold of the Fig. 6 detector.
-	MinDelta float64
 
 	Seed int64
 }
 
-// DefaultConfig returns the paper's Table 5 training hyperparameters with a
-// CPU-scale training-group shape.
+// The paper's fixed training recipe.
+const (
+	// BatchSize is the minibatch of pretraining, profiling, fine-tuning and
+	// every accuracy measurement.
+	BatchSize = 32
+
+	// Table 5: Adam's learning rate and weight decay for the PAF
+	// coefficients and for the other (linear) layers.
+	LRPAF, WDPAF       = 1e-4, 0.01
+	LRLinear, WDLinear = 1e-5, 0.1
+
+	// profileBins is the resolution of the histogram CT fits against.
+	profileBins = 64
+
+	// minDelta is the accuracy improvement the Fig. 6 detector counts as
+	// progress.
+	minDelta = 1e-4
+)
+
+// DefaultConfig returns all techniques on, with a CPU-scale training-group
+// shape.
 func DefaultConfig(form string) Config {
 	return Config{
 		Form:             form,
@@ -64,13 +75,8 @@ func DefaultConfig(form string) Config {
 		ReplaceMaxPool:   true,
 		Epochs:           3, // the paper uses E=20; scaled for CPU budgets
 		MaxGroupsPerStep: 2,
-		BatchSize:        32,
-		LRPAF:            1e-4, WDPAF: 0.01,
-		LRLinear: 1e-5, WDLinear: 0.1,
-		ProfileBatches: 4,
-		ProfileBins:    64,
-		MinDelta:       1e-4,
-		Seed:           42,
+		ProfileBatches:   4,
+		Seed:             42,
 	}
 }
 
@@ -79,7 +85,7 @@ func (c Config) Validate() error {
 	if _, err := paf.New(c.Form); err != nil {
 		return err
 	}
-	if c.Epochs < 1 || c.MaxGroupsPerStep < 1 || c.BatchSize < 1 {
+	if c.Epochs < 1 || c.MaxGroupsPerStep < 1 {
 		return fmt.Errorf("smartpaf: non-positive training-group shape %+v", c)
 	}
 	return nil

@@ -6,17 +6,14 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
 
-// CTOptions controls Coefficient Tuning.
-type CTOptions struct {
-	Iterations int     // Adam iterations on the weighted objective
-	LR         float64 // Adam learning rate
-	FloorMass  float64 // minimum weight per bin, keeps tails from collapsing
-}
-
-// DefaultCTOptions matches the settings used throughout the experiments.
-func DefaultCTOptions() CTOptions {
-	return CTOptions{Iterations: 400, LR: 0.02, FloorMass: 1e-3}
-}
+// Coefficient Tuning's optimizer: Adam iterations on the weighted objective,
+// its learning rate, and the minimum weight per bin, which keeps the tails
+// from collapsing.
+const (
+	ctIterations = 400
+	ctLR         = 0.02
+	ctFloorMass  = 1e-3
+)
 
 // CoefficientTuning (paper §4.2, Fig. 3) refines a PAF's stage coefficients
 // so the *operator it reconstructs* is most accurate where the profiled
@@ -31,14 +28,14 @@ func DefaultCTOptions() CTOptions {
 // construction multiplies by x/2), so a sign-weighted fit would waste
 // capacity exactly where it cannot help. The tuned composite is returned as
 // a new value; the input is unchanged.
-func CoefficientTuning(c *paf.Composite, prof *Profile, opt CTOptions) *paf.Composite {
+func CoefficientTuning(c *paf.Composite, prof *Profile) *paf.Composite {
 	tuned := c.Clone()
 	weights := prof.Weights()
 	// Floor the weights so regions with zero observed mass still anchor the
 	// polynomial (prevents wild extrapolation between bins).
 	for i := range weights {
-		if weights[i] < opt.FloorMass {
-			weights[i] = opt.FloorMass
+		if weights[i] < ctFloorMass {
+			weights[i] = ctFloorMass
 		}
 	}
 
@@ -58,7 +55,7 @@ func CoefficientTuning(c *paf.Composite, prof *Profile, opt CTOptions) *paf.Comp
 
 	before := fineGridReLUError(tuned, prof)
 
-	for t := 1; t <= opt.Iterations; t++ {
+	for t := 1; t <= ctIterations; t++ {
 		for i := range grad {
 			clear(grad[i])
 		}
@@ -88,7 +85,7 @@ func CoefficientTuning(c *paf.Composite, prof *Profile, opt CTOptions) *paf.Comp
 				vState[si][k] = beta2*vState[si][k] + (1-beta2)*g*g
 				mh := mState[si][k] / bc1
 				vh := vState[si][k] / bc2
-				s.Coeffs[k] -= opt.LR * mh / (math.Sqrt(vh) + eps)
+				s.Coeffs[k] -= ctLR * mh / (math.Sqrt(vh) + eps)
 			}
 		}
 	}
@@ -118,7 +115,7 @@ func fineGridReLUError(c *paf.Composite, prof *Profile) float64 {
 		}
 		w := weights[bin]
 		if w == 0 {
-			w = 1e-3
+			w = ctFloorMass
 		}
 		target := 0.0
 		if x > 0 {

@@ -16,7 +16,7 @@ func TestBuildAllPAFsParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := ProfileSlots(m, train, cfg.BatchSize, cfg.ProfileBatches, cfg.ProfileBins)
+	profiles := ProfileSlots(m, train, cfg.ProfileBatches)
 	slots := p.targetSlots()
 	if len(slots) < 2 {
 		t.Fatalf("want ≥ 2 slots to exercise the fan-out, got %d", len(slots))
@@ -27,7 +27,7 @@ func TestBuildAllPAFsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range slots {
-		a := CoefficientTuning(paf.MustNew(cfg.Form), profiles[s.Index], DefaultCTOptions())
+		a := CoefficientTuning(paf.MustNew(cfg.Form), profiles[s.Index])
 		b := fanned[i]
 		if len(a.Stages) != len(b.Stages) {
 			t.Fatalf("slot %d: stage count differs", i)

@@ -80,22 +80,14 @@ func NewPipeline(m *nn.Model, train, val *data.Dataset, cfg Config) (*Pipeline, 
 	}
 	return &Pipeline{
 		Model: m, Train: train, Val: val, Cfg: cfg,
-		valCache: val.Batches(cfg.BatchSize, nil),
-		trCache:  train.Batches(cfg.BatchSize, nil),
+		valCache: val.Batches(BatchSize, nil),
+		trCache:  train.Batches(BatchSize, nil),
 	}, nil
 }
 
-func (p *Pipeline) valAcc() float64 { return accuracyOf(p.Model, p.valCache) }
+func (p *Pipeline) valAcc() float64 { return nn.Accuracy(p.Model, p.valCache) }
 
-func (p *Pipeline) trainAcc() float64 { return accuracyOf(p.Model, p.trCache) }
-
-func accuracyOf(m *nn.Model, batches []data.Batch) float64 {
-	nb := make([]nn.Batch, len(batches))
-	for i, b := range batches {
-		nb[i] = nn.Batch{X: b.X, Y: b.Y}
-	}
-	return nn.Accuracy(m, nb)
-}
+func (p *Pipeline) trainAcc() float64 { return nn.Accuracy(p.Model, p.trCache) }
 
 func (p *Pipeline) event(kind EventKind, label string) {
 	p.events = append(p.events, Event{Epoch: p.epoch, Kind: kind, Label: label})
@@ -121,7 +113,7 @@ func (p *Pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.C
 			return err
 		}
 		if p.Cfg.CT {
-			c = CoefficientTuning(c, profiles[slots[i].Index], DefaultCTOptions())
+			c = CoefficientTuning(c, profiles[slots[i].Index])
 		}
 		out[i] = c
 		return nil
@@ -133,8 +125,8 @@ func (p *Pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.C
 // honouring frozen flags, then records the curve point.
 func (p *Pipeline) trainEpoch(optPAF, optLinear *nn.Adam) {
 	perm := p.Train.Shuffle(p.Cfg.Seed + int64(p.epoch))
-	for _, b := range p.Train.Batches(p.Cfg.BatchSize, perm) {
-		nn.TrainStep(p.Model, nn.Batch{X: b.X, Y: b.Y}, optPAF, optLinear)
+	for _, b := range p.Train.Batches(BatchSize, perm) {
+		nn.TrainStep(p.Model, b, optPAF, optLinear)
 	}
 	p.epoch++
 	p.curve = append(p.curve, CurvePoint{Epoch: p.epoch, TrainAcc: p.trainAcc(), ValAcc: p.valAcc()})
@@ -149,8 +141,8 @@ func (p *Pipeline) runStep(label string) {
 	applyAT := false // false: train PAF coefficients; true: train linear layers
 	dropoutOn := false
 
-	optPAF := nn.NewAdam(cfg.LRPAF, cfg.WDPAF)
-	optLinear := nn.NewAdam(cfg.LRLinear, cfg.WDLinear)
+	optPAF := nn.NewAdam(LRPAF, WDPAF)
+	optLinear := nn.NewAdam(LRLinear, WDLinear)
 
 	for group := 0; group < cfg.MaxGroupsPerStep; group++ {
 		// Select training targets.
@@ -199,7 +191,7 @@ func (p *Pipeline) runStep(label string) {
 			}
 		}
 
-		improved := groupBest > best+cfg.MinDelta
+		improved := groupBest > best+minDelta
 		if improved {
 			best = groupBest
 			bestSnap = p.Model.Snapshot()
@@ -248,7 +240,7 @@ func (p *Pipeline) Run() (*Result, error) {
 
 	// Profile the exact-operator model (Fig. 3 step 2). Needed by CT and by
 	// InitialAcc bookkeeping regardless, cheap enough to always run.
-	profiles := ProfileSlots(p.Model, p.Train, cfg.BatchSize, cfg.ProfileBatches, cfg.ProfileBins)
+	profiles := ProfileSlots(p.Model, p.Train, cfg.ProfileBatches)
 
 	slots := p.targetSlots()
 
@@ -327,12 +319,12 @@ func (p *Pipeline) seedRunningMax(s *nn.Slot, profiles []*Profile) {
 
 // Pretrain trains the exact-operator model for the given number of epochs
 // (producing the "Original Accuracy" reference row).
-func Pretrain(m *nn.Model, train *data.Dataset, epochs, batchSize int, lr float64, seed int64) {
+func Pretrain(m *nn.Model, train *data.Dataset, epochs int, lr float64, seed int64) {
 	opt := nn.NewAdam(lr, 1e-4)
 	for e := 0; e < epochs; e++ {
 		perm := train.Shuffle(seed + int64(e))
-		for _, b := range train.Batches(batchSize, perm) {
-			nn.TrainStep(m, nn.Batch{X: b.X, Y: b.Y}, nil, opt)
+		for _, b := range train.Batches(BatchSize, perm) {
+			nn.TrainStep(m, b, nil, opt)
 		}
 	}
 }

@@ -45,15 +45,15 @@ func (p *Profile) Weights() []float64 {
 }
 
 // ProfileSlots runs the model over up to maxBatches of the dataset and
-// records the input distribution at every slot (Fig. 3 step 2). Inputs are
-// normalized by the per-slot running max before binning, matching the view
-// a dynamically scaled PAF sees.
-func ProfileSlots(m *nn.Model, ds *data.Dataset, batchSize, maxBatches, bins int) []*Profile {
+// records the input distribution at every slot (Fig. 3 step 2) in
+// profileBins bins. Inputs are normalized by the per-slot running max before
+// binning, matching the view a dynamically scaled PAF sees.
+func ProfileSlots(m *nn.Model, ds *data.Dataset, maxBatches int) []*Profile {
 	slots := m.Slots()
 	profiles := make([]*Profile, len(slots))
 	raw := make([][]float64, len(slots)) // raw samples (subsampled)
 	for i := range profiles {
-		profiles[i] = &Profile{Bins: make([]float64, bins)}
+		profiles[i] = &Profile{Bins: make([]float64, profileBins)}
 	}
 	restores := make([]func(), len(slots))
 	for i, s := range slots {
@@ -82,7 +82,7 @@ func ProfileSlots(m *nn.Model, ds *data.Dataset, batchSize, maxBatches, bins int
 			p.N += len(x.Data)
 		})
 	}
-	batches := ds.Batches(batchSize, nil)
+	batches := ds.Batches(BatchSize, nil)
 	if len(batches) > maxBatches {
 		batches = batches[:maxBatches]
 	}
@@ -102,9 +102,9 @@ func ProfileSlots(m *nn.Model, ds *data.Dataset, batchSize, maxBatches, bins int
 			if u < -1 || u > 1 || math.IsNaN(u) {
 				continue
 			}
-			bin := int((u + 1) / 2 * float64(bins))
-			if bin >= bins {
-				bin = bins - 1
+			bin := int((u + 1) / 2 * profileBins)
+			if bin >= profileBins {
+				bin = profileBins - 1
 			}
 			p.Bins[bin]++
 		}

@@ -20,7 +20,7 @@ func tinySetup(t testing.TB, pretrainEpochs int) (*nn.Model, *data.Dataset, *dat
 	cfg := data.Tiny()
 	train, val := data.Generate(cfg)
 	m := nn.CNN7(2, cfg.Classes, cfg.Channels, cfg.Size, cfg.Size, 7)
-	Pretrain(m, train, pretrainEpochs, 32, 3e-3, 1)
+	Pretrain(m, train, pretrainEpochs, 3e-3, 1)
 	return m, train, val
 }
 
@@ -34,7 +34,7 @@ func testConfig(form string) Config {
 
 func TestProfileSlots(t *testing.T) {
 	m, train, _ := tinySetup(t, 1)
-	profiles := ProfileSlots(m, train, 32, 2, 32)
+	profiles := ProfileSlots(m, train, 2)
 	if len(profiles) != len(m.Slots()) {
 		t.Fatalf("%d profiles for %d slots", len(profiles), len(m.Slots()))
 	}
@@ -63,7 +63,7 @@ func TestProfileSlots(t *testing.T) {
 	}
 	// Probes must be removed: a second forward shouldn't change N.
 	n0 := profiles[0].N
-	b := train.Batches(32, nil)[0]
+	b := train.Batches(BatchSize, nil)[0]
 	m.Forward(b.X, false)
 	if profiles[0].N != n0 {
 		t.Fatal("probe not removed after profiling")
@@ -92,7 +92,7 @@ func TestCoefficientTuningImprovesWeightedError(t *testing.T) {
 	for _, form := range []string{paf.FormF1G2, paf.FormF2G2, paf.FormF1F1G1G1} {
 		c := paf.MustNew(form)
 		before := WeightedReLUError(c, prof)
-		tuned := CoefficientTuning(c, prof, DefaultCTOptions())
+		tuned := CoefficientTuning(c, prof)
 		after := WeightedReLUError(tuned, prof)
 		if after >= before {
 			t.Errorf("%s: CT did not reduce weighted error: %g -> %g", form, before, after)
@@ -115,7 +115,7 @@ func TestCTBenefitLargerForLowDegree(t *testing.T) {
 	ratio := func(form string) float64 {
 		c := paf.MustNew(form)
 		before := WeightedReLUError(c, prof)
-		after := WeightedReLUError(CoefficientTuning(c, prof, DefaultCTOptions()), prof)
+		after := WeightedReLUError(CoefficientTuning(c, prof), prof)
 		if after == 0 {
 			after = 1e-12
 		}
@@ -267,18 +267,15 @@ func TestCTImprovesInitialAccuracyDeepModel(t *testing.T) {
 	dcfg.Train = 300
 	train, val := data.Generate(dcfg)
 	m := nn.ResNet18(2, dcfg.Classes, dcfg.Channels, dcfg.Size, dcfg.Size, 7)
-	Pretrain(m, train, 12, 32, 3e-3, 1)
-	var valBatches []nn.Batch
-	for _, b := range val.Batches(32, nil) {
-		valBatches = append(valBatches, nn.Batch{X: b.X, Y: b.Y})
-	}
+	Pretrain(m, train, 12, 3e-3, 1)
+	valBatches := val.Batches(BatchSize, nil)
 	orig := nn.Accuracy(m, valBatches)
-	profiles := ProfileSlots(m, train, 32, 2, 32)
+	profiles := ProfileSlots(m, train, 2)
 	replaceAll := func(ct bool) float64 {
 		for _, s := range m.Slots() {
 			c := paf.MustNew(paf.FormF1G2)
 			if ct {
-				c = CoefficientTuning(c, profiles[s.Index], DefaultCTOptions())
+				c = CoefficientTuning(c, profiles[s.Index])
 			}
 			s.ReplaceWithPAF(c)
 		}
@@ -308,7 +305,7 @@ func TestCTGuardProtectsHighDegreeBaseline(t *testing.T) {
 	}
 	c := paf.MustNew(paf.FormAlpha10)
 	before := WeightedReLUError(c, prof)
-	tuned := CoefficientTuning(c, prof, DefaultCTOptions())
+	tuned := CoefficientTuning(c, prof)
 	after := WeightedReLUError(tuned, prof)
 	if after > before*2+1e-6 {
 		t.Fatalf("CT degraded alpha10: %g -> %g", before, after)
@@ -396,7 +393,7 @@ func TestRunReturnsDeployedModel(t *testing.T) {
 	dcfg.Train, dcfg.Val = 64, 32
 	train, val = data.Generate(dcfg)
 	mlp := nn.MLP([]int{16, 8, dcfg.Classes}, 3)
-	Pretrain(mlp, train, 2, 32, 3e-3, 1)
+	Pretrain(mlp, train, 2, 3e-3, 1)
 	if p, err = NewPipeline(mlp, train, val, testConfig(paf.FormF1G2)); err != nil {
 		t.Fatal(err)
 	}
