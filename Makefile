@@ -36,6 +36,9 @@ test-fast:
 clean-testcache:
 	$(GO) clean -testcache
 
+# The root bench_test.go: Coefficient Tuning (Fig. 7), one training pipeline
+# per Table 3 row, the plaintext PAF and one fine-tuning step. The paper's
+# tables are golden files under `go test`, not benchmarks.
 bench:
 	$(GO) test -bench . -benchmem -run XXX .
 

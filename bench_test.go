@@ -1,9 +1,11 @@
-// Package smartpaf_bench holds one testing.B benchmark per paper
-// table/figure, regenerating its data at reduced scale. Run with
+// Package smartpaf_bench times the units the paper side's tables are made of:
+// Coefficient Tuning (Fig. 7), one training pipeline (Table 3), the plaintext
+// PAF and one fine-tuning step. Run with
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured discussion. Table 4 and
+// and see EXPERIMENTS.md for the paper-vs-measured discussion. The tables
+// themselves are pinned by golden files in internal/experiments. Table 4 and
 // Fig. 1 price each PAF's encrypted ReLU on its own selected ring, so they
 // are the tab4 and fig1 experiments and examples/pareto, not a fixed-ring
 // benchmark here. The serving stack and its substrate (NTT, rotations,
@@ -11,29 +13,15 @@
 package smartpaf_bench
 
 import (
-	"io"
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/data"
-	"github.com/efficientfhe/smartpaf/internal/experiments"
 	"github.com/efficientfhe/smartpaf/internal/nn"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/smartpaf"
 )
 
-// --- Table 2: depth accounting (and the PAF plaintext hot path) -------------
-
-func BenchmarkTable2Depth(b *testing.B) {
-	forms := paf.AllFormsWithBaseline
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, name := range forms {
-			c := paf.MustNew(name)
-			_ = c.Depth()
-			_ = c.OpsReLU()
-		}
-	}
-}
+// --- the PAF plaintext hot path ---------------------------------------------
 
 func BenchmarkPAFReLUPlaintext(b *testing.B) {
 	c := paf.MustNew(paf.FormF1F1G1G1)
@@ -89,20 +77,6 @@ func benchPipeline(b *testing.B, ct, pa, at bool) {
 
 func BenchmarkTable3Baseline(b *testing.B) { benchPipeline(b, false, false, false) }
 func BenchmarkTable3SmartPAF(b *testing.B) { benchPipeline(b, true, true, true) }
-
-// --- static experiments end-to-end -------------------------------------------
-
-func BenchmarkStaticExperiments(b *testing.B) {
-	opt := experiments.Options{Fast: true, Seed: 1, W: io.Discard}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, id := range []string{"tab2", "tab5", "tab8", "appendixB"} {
-			if err := experiments.Run(id, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
 
 // --- nn training step (the unit of every fine-tuning epoch) -----------------
 

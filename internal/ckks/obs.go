@@ -6,9 +6,11 @@ import (
 )
 
 // StageObserver receives the duration of one completed CKKS primitive
-// stage. The serving layer installs one that feeds per-stage latency
-// histograms; nothing is installed by default and the disabled cost is a
-// single atomic pointer load per stage.
+// stage. It is process-wide, so it suits a tool that owns the process:
+// hennbench's layer pass counts stages through it, and tests use it to count
+// or hold primitives. The serving layer does not install one; it reads stage
+// time from each unit's trace. Nothing is installed by default and the
+// disabled cost is a single atomic pointer load per stage.
 //
 // Stage names: "key_switch", "rescale", "decompose_hoisted",
 // "rotate_hoisted", "rotate", "encode". Stages overlap where primitives
@@ -23,7 +25,7 @@ type StageObserver func(stage string, d time.Duration)
 var stageObs atomic.Pointer[StageObserver]
 
 // SetStageObserver installs the process-wide stage observer; nil removes
-// it. Intended to be called once at server start-up.
+// it.
 func SetStageObserver(f StageObserver) {
 	if f == nil {
 		stageObs.Store(nil)

@@ -560,6 +560,61 @@ func TestSupersedeRacingRegistration(t *testing.T) {
 	if err := holder.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+
+	// Retire arm: registrations race a DELETE of the whole family. Each one
+	// either lands before the retire, and the retire's session sweep closes
+	// it, or fails cleanly with 404 or 410. None may stay bound to a retired
+	// version or leave its charge on the key budget.
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		landed   []string
+		first    = make(chan struct{})
+		firstOne sync.Once
+	)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				sess, err := client.NewSessionFor(ctx, "alpha", 300+100*int64(g)+i)
+				if err != nil {
+					if !strings.Contains(err.Error(), "404") && !strings.Contains(err.Error(), "410") {
+						t.Errorf("registration racing a retire: got %v, want 404 or 410", err)
+					}
+					return
+				}
+				mu.Lock()
+				landed = append(landed, sess.ID())
+				mu.Unlock()
+				firstOne.Do(func() { close(first) })
+			}
+		}()
+	}
+	select {
+	case <-first:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no registration landed before the retire")
+	}
+	if err := client.Retire(ctx, "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for _, id := range landed {
+		if sess := srv.lookup(id); sess != nil {
+			t.Errorf("session %s still bound to %s after its retire", id, sess.dep.Ref())
+		}
+	}
+	if charged, live := keyCharge(srv); charged != 0 || live != 0 {
+		t.Errorf("key budget charge %d bytes (%d live) after the retire, want 0", charged, live)
+	}
+	metrics, err := client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics, "\nhenn_session_key_bytes 0\n") {
+		t.Errorf("henn_session_key_bytes is not 0 after the retire:\n%s", metrics)
+	}
 }
 
 // finalized returns a channel closed once the garbage collector frees obj.

@@ -31,7 +31,10 @@ type scheduler struct {
 
 	// The session-table lock nests outside the ring lock: enqueue paths
 	// may resolve a session under Server.mu before queueing here, and
-	// nothing ring-side ever calls back into the session table.
+	// nothing ring-side ever calls back into the session table. It also
+	// nests outside registry.Deployed.mu: registration binds its model and
+	// inserts the session under one hold of Server.mu, and no Deployed
+	// method calls back into the server.
 	mu       sync.Mutex
 	ready    *sync.Cond // signalled per enqueued job, broadcast on stop
 	ring     []*session // sessions with queued jobs, round-robin order, guarded by mu
@@ -143,6 +146,9 @@ func (d *scheduler) serve(sess *session, job *inferJob) {
 	out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
 	end := time.Now()
 	sess.unitLat.Record(end.Sub(start))
+	job.trace.EachStage(func(stage string, total time.Duration) {
+		d.srv.stageLat.With(stage).Record(total)
+	})
 	if err != nil {
 		job.trace.AddSpan("unit", start, end, [2]string{"error", err.Error()})
 	} else {

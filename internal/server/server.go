@@ -210,7 +210,6 @@ func New(opts Options, models ...*registry.Model) (*Server, error) {
 		s.compileLat.Record(d.CompileTime())
 	}
 	s.sched = newScheduler(s)
-	s.installObserver()
 	s.wg.Add(s.sched.workers)
 	for range s.sched.workers {
 		go s.sched.work()
@@ -590,19 +589,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Bind after all validation: a racing retire or supersede fails here
-	// with a clean 410 instead of binding a session to a stack being torn
-	// down (or drained behind a newer version).
-	if err := dep.Bind(); err != nil {
-		if errors.Is(err, registry.ErrDraining) {
-			writeError(w, http.StatusGone,
-				"model version %s is draining; register against %q for the newest version",
-				dep.Ref(), dep.Name())
-			return
-		}
-		writeError(w, http.StatusGone, "model %q retired", dep.Model().Name)
-		return
-	}
 	eval := ckks.NewEvaluator(params, keys.Relin).WithRotationKeys(keys.Rotations)
 	sess := &session{
 		dep:       dep,
@@ -616,33 +602,36 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sess.touch()
 	idBytes := make([]byte, 16)
 	if _, err := rand.Read(idBytes); err != nil {
-		dep.Release()
 		writeError(w, http.StatusInternalServerError, "session id: %v", err)
 		return
 	}
 	sess.id = hex.EncodeToString(idBytes)
 
+	// Bind after all validation, and bind and insert under one hold of
+	// s.mu: a retire or supersede that lands first fails Bind with a clean
+	// 410, and one that lands after finds the session in the table its
+	// session sweep reads.
 	s.mu.Lock()
 	select {
 	case <-s.closed:
-		s.mu.Unlock()
-		dep.Release()
+		err = errShuttingDown
+	default:
+		if err = dep.Bind(); err == nil {
+			s.sessions[sess.id] = sess
+			inserted = true
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case errors.Is(err, errShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
-	default:
-	}
-	s.sessions[sess.id] = sess
-	inserted = true
-	s.mu.Unlock()
-
-	// A retire can land between Bind and the insert above: its session
-	// sweep snapshots s.sessions and misses this one, which would leave a
-	// live session serving a retired model forever. Re-checking after the
-	// insert closes the window — either the sweep saw the session (then
-	// removeSession finds it already gone), or we tear it down here; the
-	// map removal makes the close/release exactly-once either way.
-	if dep.Retired() {
-		s.removeSession(sess.id)
+	case errors.Is(err, registry.ErrDraining):
+		writeError(w, http.StatusGone,
+			"model version %s is draining; register against %q for the newest version",
+			dep.Ref(), dep.Name())
+		return
+	case err != nil:
 		writeError(w, http.StatusGone, "model %q retired", dep.Model().Name)
 		return
 	}

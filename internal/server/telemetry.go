@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
 )
 
@@ -42,7 +41,7 @@ func (s *Server) initTelemetry() {
 	s.compileLat = m.NewHistogram("henn_model_compile_seconds",
 		"Deploy-time model compilation latency (parameter compilation and plan warming).")
 	s.stageLat = m.NewHistogramVec("henn_ckks_stage_seconds",
-		"Time spent inside CKKS primitive stages, summed across all units.", "stage")
+		"Time one inference unit spent in each CKKS stage, from the unit's trace.", "stage")
 
 	m.NewGaugeFunc("henn_uptime_seconds",
 		"Seconds since the server was built.",
@@ -90,16 +89,6 @@ func (s *Server) initTelemetry() {
 	m.NewCounterFunc("henn_units_aborted_total",
 		"Jobs failed without running (session deleted, model retired, shutdown).",
 		func() float64 { return float64(s.sched.unitsAborted.Load()) })
-}
-
-// installObserver points the process-global CKKS stage observer at this
-// server's histogram. When several servers live in one process (tests), the
-// most recently built one owns the stage stream; closing a server does not
-// uninstall it, because a later server may have replaced it already.
-func (s *Server) installObserver() {
-	ckks.SetStageObserver(func(stage string, d time.Duration) {
-		s.stageLat.With(stage).Record(d)
-	})
 }
 
 // MetricsHandler serves the Prometheus text exposition of the server's

@@ -108,6 +108,46 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// stageCount is one henn_ckks_stage_seconds_count sample line.
+var stageCount = regexp.MustCompile(`(?m)^henn_ckks_stage_seconds_count\{stage="([a-z_]+)"\} (\d+)$`)
+
+// TestStageTimeStaysWithItsServer: a server's stage histogram holds the
+// stage time of its own units and nobody else's. Stage time used to come
+// from the process-global CKKS observer, which the server built last took
+// over, so every server's samples landed in the last one's /metrics.
+func TestStageTimeStaysWithItsServer(t *testing.T) {
+	model, _, first := newTestServer(t)
+	_, _, second := newTestServer(t)
+	c, _, _ := inferOnce(t, first, model)
+	ctx := context.Background()
+
+	body, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]int{}
+	for _, m := range stageCount.FindAllStringSubmatch(body, -1) {
+		n, _ := strconv.Atoi(m[2])
+		stages[m[1]] = n
+	}
+	for _, stage := range []string{"rotate", "rotate_hoisted", "rescale", "paf_eval"} {
+		if stages[stage] == 0 {
+			t.Errorf("the inferring server's /metrics has no %q stage samples; got %v", stage, stages)
+		}
+	}
+	if _, ok := stages["key_switch"]; ok {
+		t.Error(`stage "key_switch" served; it is not a trace stage`)
+	}
+
+	body, err = NewClient(second.URL, nil).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stageCount.FindAllString(body, -1); len(got) > 0 {
+		t.Errorf("the idle server's /metrics has stage samples: %v", got)
+	}
+}
+
 // TestInferTraceBreakdown: the trace born at ingress must show the request's
 // journey — queue wait, unit — plus at least three CKKS stages
 // whose total accounts for the bulk of (and never exceeds) the unit span.

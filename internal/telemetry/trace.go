@@ -116,6 +116,19 @@ func (tr *Trace) StageEnd(name string, start time.Time) {
 	tr.mu.Unlock()
 }
 
+// EachStage calls f with every stage's accumulated total, in no set order.
+// f runs under the trace's lock, so it must not call back into the trace.
+func (tr *Trace) EachStage(f func(name string, total time.Duration)) {
+	if tr == nil {
+		return
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for name, agg := range tr.stages {
+		f(name, agg.total)
+	}
+}
+
 // TraceSnapshot is the JSON shape served at /v1/traces.
 type TraceSnapshot struct {
 	ID      string          `json:"id"`

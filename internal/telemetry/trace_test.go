@@ -20,6 +20,7 @@ func TestTraceNilSafe(t *testing.T) {
 		t.Fatal("nil StageStart must return the zero Time")
 	}
 	tr.StageEnd("stage", time.Time{})
+	tr.EachStage(func(string, time.Duration) { t.Fatal("nil trace has no stages") })
 	if snap := tr.Snapshot(); snap.ID != "" || len(snap.Spans) != 0 {
 		t.Fatal("nil snapshot must be empty")
 	}
@@ -60,6 +61,11 @@ func TestTraceSpansAndStages(t *testing.T) {
 	}
 	if snap.Stages[0].TotalUs < 600 {
 		t.Fatalf("rotate total %dµs, want >= 3x200µs", snap.Stages[0].TotalUs)
+	}
+	totals := map[string]time.Duration{}
+	tr.EachStage(func(name string, total time.Duration) { totals[name] = total })
+	if len(totals) != 1 || totals["rotate"].Microseconds() != snap.Stages[0].TotalUs {
+		t.Fatalf("EachStage totals %v, snapshot stages %+v", totals, snap.Stages)
 	}
 }
 
