@@ -104,6 +104,31 @@ func TestCoefficientTuningImprovesWeightedError(t *testing.T) {
 	}
 }
 
+// TestTunedCoefficientsGolden pins profiling and Coefficient Tuning to the
+// last bit: every slot's profiled max and its tuned f1∘g2 coefficients on a
+// tiny CNN7, against testdata/golden/tuned_coeffs.txt. Accuracies move in
+// steps of one sample; these numbers move with any change to the batch
+// size, the bin count or CT's optimizer. To re-pin after an intended change,
+// copy the "got" block into the file.
+func TestTunedCoefficientsGolden(t *testing.T) {
+	m, train, _ := tinySetup(t, 1)
+	var b strings.Builder
+	for i, prof := range ProfileSlots(m, train, 2) {
+		fmt.Fprintf(&b, "slot %d max %v\n", i, prof.Max)
+		for si, st := range CoefficientTuning(paf.MustNew(paf.FormF1G2), prof).Stages {
+			fmt.Fprintf(&b, "  stage %d %v\n", si, st.Coeffs)
+		}
+	}
+	got := b.String()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "tuned_coeffs.txt"))
+	if err != nil {
+		t.Fatalf("%v\ngot:\n%s", err, got)
+	}
+	if got != string(want) {
+		t.Errorf("tuned coefficients differ from testdata/golden/tuned_coeffs.txt; got:\n%s", got)
+	}
+}
+
 // TestCTBenefitLargerForLowDegree pins the Fig. 7 trend: CT helps low-degree
 // PAFs (f1∘g2) more than high-degree ones (α=7) in relative terms.
 func TestCTBenefitLargerForLowDegree(t *testing.T) {
