@@ -146,9 +146,9 @@ func (d *scheduler) serve(sess *session, job *inferJob) {
 	out, err := henn.Unit{Ctx: sess.ctx, MLP: sess.dep.Model().MLP, CT: job.ct, Trace: job.trace}.Run()
 	end := time.Now()
 	sess.unitLat.Record(end.Sub(start))
-	job.trace.EachStage(func(stage string, total time.Duration) {
+	for stage, total := range job.trace.StageTotals() {
 		d.srv.stageLat.With(stage).Record(total)
-	})
+	}
 	if err != nil {
 		job.trace.AddSpan("unit", start, end, [2]string{"error", err.Error()})
 	} else {

@@ -116,17 +116,19 @@ func (tr *Trace) StageEnd(name string, start time.Time) {
 	tr.mu.Unlock()
 }
 
-// EachStage calls f with every stage's accumulated total, in no set order.
-// f runs under the trace's lock, so it must not call back into the trace.
-func (tr *Trace) EachStage(f func(name string, total time.Duration)) {
+// StageTotals returns a copy of every stage's accumulated time, keyed by
+// stage name (nil on a nil trace).
+func (tr *Trace) StageTotals() map[string]time.Duration {
 	if tr == nil {
-		return
+		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	out := make(map[string]time.Duration, len(tr.stages))
 	for name, agg := range tr.stages {
-		f(name, agg.total)
+		out[name] = agg.total
 	}
+	return out
 }
 
 // TraceSnapshot is the JSON shape served at /v1/traces.

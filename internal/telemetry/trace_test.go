@@ -20,7 +20,9 @@ func TestTraceNilSafe(t *testing.T) {
 		t.Fatal("nil StageStart must return the zero Time")
 	}
 	tr.StageEnd("stage", time.Time{})
-	tr.EachStage(func(string, time.Duration) { t.Fatal("nil trace has no stages") })
+	if totals := tr.StageTotals(); totals != nil {
+		t.Fatalf("nil trace has stage totals %v", totals)
+	}
 	if snap := tr.Snapshot(); snap.ID != "" || len(snap.Spans) != 0 {
 		t.Fatal("nil snapshot must be empty")
 	}
@@ -62,10 +64,8 @@ func TestTraceSpansAndStages(t *testing.T) {
 	if snap.Stages[0].TotalUs < 600 {
 		t.Fatalf("rotate total %dµs, want >= 3x200µs", snap.Stages[0].TotalUs)
 	}
-	totals := map[string]time.Duration{}
-	tr.EachStage(func(name string, total time.Duration) { totals[name] = total })
-	if len(totals) != 1 || totals["rotate"].Microseconds() != snap.Stages[0].TotalUs {
-		t.Fatalf("EachStage totals %v, snapshot stages %+v", totals, snap.Stages)
+	if totals := tr.StageTotals(); len(totals) != 1 || totals["rotate"].Microseconds() != snap.Stages[0].TotalUs {
+		t.Fatalf("StageTotals %v, snapshot stages %+v", totals, snap.Stages)
 	}
 }
 
