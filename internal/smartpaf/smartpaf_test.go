@@ -108,8 +108,7 @@ func TestCoefficientTuningImprovesWeightedError(t *testing.T) {
 // last bit: every slot's profiled max and its tuned f1∘g2 coefficients on a
 // tiny CNN7, against testdata/golden/tuned_coeffs.txt. Accuracies move in
 // steps of one sample; these numbers move with any change to the batch
-// size, the bin count or CT's optimizer. To re-pin after an intended change,
-// copy the "got" block into the file.
+// size, the bin count or CT's optimizer.
 func TestTunedCoefficientsGolden(t *testing.T) {
 	m, train, _ := tinySetup(t, 1)
 	var b strings.Builder
@@ -119,13 +118,19 @@ func TestTunedCoefficientsGolden(t *testing.T) {
 			fmt.Fprintf(&b, "  stage %d %v\n", si, st.Coeffs)
 		}
 	}
-	got := b.String()
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "tuned_coeffs.txt"))
+	compareGolden(t, "tuned_coeffs.txt", b.String())
+}
+
+// compareGolden compares got with testdata/golden/<name>. To re-pin after an
+// intended change, copy the "got" block into the file.
+func compareGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 	if err != nil {
 		t.Fatalf("%v\ngot:\n%s", err, got)
 	}
 	if got != string(want) {
-		t.Errorf("tuned coefficients differ from testdata/golden/tuned_coeffs.txt; got:\n%s", got)
+		t.Errorf("%s differs from testdata/golden/%s; got:\n%s", name, name, got)
 	}
 }
 
@@ -177,8 +182,7 @@ func TestTechniquesLabel(t *testing.T) {
 
 // TestPipelineSmartPAFRun runs the full pipeline on a tiny CNN7 and pins the
 // whole Result — every accuracy, curve point and event — against
-// testdata/golden/pipeline_run.txt. To re-pin after an intended change, copy
-// the "got" block into the file.
+// testdata/golden/pipeline_run.txt.
 func TestPipelineSmartPAFRun(t *testing.T) {
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1G2)
@@ -206,14 +210,7 @@ func TestPipelineSmartPAFRun(t *testing.T) {
 	if replaceEvents != len(m.Slots()) {
 		t.Fatalf("%d replace events for %d slots", replaceEvents, len(m.Slots()))
 	}
-	got := formatResult(res)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "pipeline_run.txt"))
-	if err != nil {
-		t.Fatalf("%v\ngot:\n%s", err, got)
-	}
-	if got != string(want) {
-		t.Errorf("Result differs from testdata/golden/pipeline_run.txt; got:\n%s", got)
-	}
+	compareGolden(t, "pipeline_run.txt", formatResult(res))
 }
 
 // formatResult renders every number a Result carries; %v prints the
