@@ -54,10 +54,10 @@ func SplitRef(ref string) (name string, version int, err error) {
 const (
 	stateLive = iota
 	// stateDraining: superseded — no new binds, existing sessions keep
-	// serving until they release; the stack frees on the last reference.
+	// serving until they release; the last release delists the version.
 	stateDraining
-	// stateRetired: removed from the catalog, bound sessions are being
-	// closed by the server; frees on the last reference.
+	// stateRetired: already out of the catalog, bound sessions are being
+	// closed by the server.
 	stateRetired
 )
 
@@ -68,9 +68,9 @@ const (
 // per-model counters. All fields are immutable after Deploy except the
 // counters and the lifecycle state, so any number of sessions and workers
 // can share one Deployed without locking. Nothing tears a stack down by
-// hand: once a retired or superseded version's last session releases it,
-// the registry lets go, and the garbage collector frees it, caches included,
-// when the last unit running on it answers.
+// hand: a retired version leaves the catalog at once, a superseded one when
+// its last session releases it, and the garbage collector frees the stack,
+// caches included, once the last unit running on it answers.
 type Deployed struct {
 	model      *Model
 	version    int
@@ -83,19 +83,15 @@ type Deployed struct {
 	// compilation plus plan warming); the server's telemetry plane
 	// records it per deploy.
 	compileTime time.Duration
-	// delist removes this version from its registry's catalog once the
-	// stack frees; set at publish time, nil for never-published stacks.
-	delist func()
+	// reg is the registry that cataloged this version, which a draining
+	// version leaves on its last release; nil for never-published stacks.
+	reg *Registry
 
 	unitsRun atomic.Int64
 
 	mu    sync.Mutex
-	refs  int  // bound sessions, guarded by mu
-	state int  // guarded by mu
-	freed bool // guarded by mu
-	// drained is closed when the stack stops serving (drain or retire) and
-	// the last session is released.
-	drained chan struct{}
+	refs  int // bound sessions, guarded by mu
+	state int // guarded by mu
 }
 
 // Model returns the deployed artifact (treat as read-only).
@@ -151,9 +147,8 @@ func (d *Deployed) Bind() error {
 	return nil
 }
 
-// Release drops one session reference. When a draining or retired
-// version's last session goes, the stack is freed: Drained is closed and the
-// version leaves the catalog.
+// Release drops one session reference. A draining version's last release
+// takes it out of the catalog: it refuses Bind, so once idle it stays idle.
 func (d *Deployed) Release() {
 	d.mu.Lock()
 	if d.refs <= 0 {
@@ -161,42 +156,25 @@ func (d *Deployed) Release() {
 		panic("registry: Release without a matching Bind")
 	}
 	d.refs--
-	free := d.claimFreeLocked()
+	drained := d.state == stateDraining && d.refs == 0
 	d.mu.Unlock()
-	if free {
-		d.free()
+	if drained {
+		d.reg.delist(d)
 	}
-}
-
-// claimFreeLocked reports (once) that the stack should be freed now.
-// Callers hold d.mu.
-func (d *Deployed) claimFreeLocked() bool {
-	if d.state != stateLive && d.refs == 0 && !d.freed {
-		d.freed = true
-		return true
-	}
-	return false
 }
 
 // setState moves the lifecycle forward (never backward: a retire of an
-// already-draining version sticks), freeing immediately when nothing is
-// bound.
+// already-draining version sticks). A version that starts draining with no
+// session bound leaves the catalog at once; a retired one is already out.
 func (d *Deployed) setState(state int) {
 	d.mu.Lock()
 	if state > d.state {
 		d.state = state
 	}
-	free := d.claimFreeLocked()
+	drained := d.state == stateDraining && d.refs == 0
 	d.mu.Unlock()
-	if free {
-		d.free()
-	}
-}
-
-func (d *Deployed) free() {
-	close(d.drained)
-	if d.delist != nil {
-		d.delist()
+	if drained {
+		d.reg.delist(d)
 	}
 }
 
@@ -207,14 +185,6 @@ func (d *Deployed) Refs() int {
 	return d.refs
 }
 
-// Retired reports whether the version has been retired (not merely
-// superseded).
-func (d *Deployed) Retired() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state == stateRetired
-}
-
 // Draining reports whether the version was superseded and is serving only
 // its existing sessions until they release.
 func (d *Deployed) Draining() bool {
@@ -223,11 +193,6 @@ func (d *Deployed) Draining() bool {
 	return d.state == stateDraining
 }
 
-// Drained is closed once a draining or retired version's last session is
-// released and the version leaves the catalog. For a live version the
-// channel never closes.
-func (d *Deployed) Drained() <-chan struct{} { return d.drained }
-
 // family is one model name's version history: the monotonic version counter
 // plus every version still in the catalog (live or draining). The counter
 // survives full retirement so version numbers are never reused — a draining
@@ -235,16 +200,19 @@ func (d *Deployed) Drained() <-chan struct{} { return d.drained }
 type family struct {
 	next     int               // guarded by Registry.mu
 	versions map[int]*Deployed // guarded by Registry.mu
+	// live is the one version new sessions bind and a bare name resolves
+	// to, nil while every version is draining or gone; guarded by
+	// Registry.mu.
+	live *Deployed
 }
 
 // Registry is the concurrency-safe versioned model catalog. An optional
 // Store (UseStore) persists every deployed bundle so a restart reloads the
 // catalog.
 type Registry struct {
-	// Registry.mu nests outside Deployed.mu: list/resolve paths hold mu
-	// while querying a Deployed's drain state (liveLocked), and
-	// Deployed.free runs only after d.mu is released, because delisting
-	// takes mu (TestDelistRunsOutsideStackLock).
+	// mu and Deployed.mu are never held together: the catalog answers from
+	// its own fields, and a stack delists itself only after releasing its
+	// lock (TestCatalogReadsIgnoreStackLock).
 	mu       sync.RWMutex
 	families map[string]*family // guarded by mu
 	store    *Store             // guarded by mu
@@ -281,12 +249,13 @@ func (r *Registry) UseStore(s *Store) (warnings []error) {
 		// last. A crash between a supersede's Save(vN+1) and Remove(vN)
 		// leaves both files behind: finish the interrupted rollout by
 		// restoring only the newest.
-		if i+1 < len(restored) && restored[i+1].Name() == d.Name() {
-			warnings = append(warnings, fmt.Errorf("%s: superseded by a newer stored version; dropped", d.Ref()))
-			s.Remove(d.Name(), d.version)
+		name := d.model.Name
+		if i+1 < len(restored) && restored[i+1].model.Name == name {
+			warnings = append(warnings, fmt.Errorf("%s: superseded by a newer stored version; dropped", Ref(name, d.version)))
+			s.Remove(name, d.version)
 			continue
 		}
-		r.insertLocked(r.familyLocked(d.Name()), d)
+		r.insertLocked(r.familyLocked(name), d)
 	}
 	return warnings
 }
@@ -331,7 +300,6 @@ func compile(m *Model) (*Deployed, error) {
 		// not pay the O(slots·Out) derivation.
 		rotations:   m.MLP.ServingRotations(slots),
 		compileTime: time.Since(start),
-		drained:     make(chan struct{}),
 	}, nil
 }
 
@@ -346,38 +314,21 @@ func (r *Registry) familyLocked(name string) *family {
 	return f
 }
 
-// insertLocked catalogs d in f at d.version and keeps the counter monotonic
-// past it. Callers hold r.mu.
+// insertLocked catalogs d in f at d.version as the name's live version and
+// keeps the counter monotonic past it. Callers hold r.mu.
 func (r *Registry) insertLocked(f *family, d *Deployed) {
-	name, version := d.Name(), d.version
-	f.versions[version] = d
-	f.next = max(f.next, version+1)
-	d.delist = func() { r.delistVersion(name, version) }
+	f.versions[d.version] = d
+	f.next = max(f.next, d.version+1)
+	f.live = d
+	d.reg = r
 }
 
-// delistVersion drops a freed version from the catalog (no-op if a Retire
-// already removed it).
-func (r *Registry) delistVersion(name string, version int) {
+// delist drops a drained version from the catalog (a no-op if a Retire
+// already removed it). Families are never deleted, so d's is there.
+func (r *Registry) delist(d *Deployed) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		delete(f.versions, version)
-	}
-}
-
-// liveLocked returns the family's newest live version, nil if none.
-// Callers hold Registry.mu.
-func (f *family) liveLocked() *Deployed {
-	var best *Deployed
-	for _, d := range f.versions {
-		if d.Draining() || d.Retired() {
-			continue
-		}
-		if best == nil || d.version > best.version {
-			best = d
-		}
-	}
-	return best
+	delete(r.families[d.model.Name].versions, d.version)
 }
 
 // Deploy validates and compiles the model into a serving stack and publishes
@@ -389,18 +340,18 @@ func (f *family) liveLocked() *Deployed {
 func (r *Registry) Deploy(m *Model) (*Deployed, error) { return r.publish(m, false) }
 
 // Supersede publishes the model as the next version of its name and drains
-// every live older version: existing sessions keep serving the old stacks
-// until they release (the stack frees on the last reference), while new
-// binds land on the new version. Superseding a name with no live version is
-// equivalent to Deploy.
+// the live older version: existing sessions keep serving the old stack until
+// they release (the last release delists it), while new binds land on the
+// new version. Superseding a name with no live version is equivalent to
+// Deploy.
 func (r *Registry) Supersede(m *Model) (*Deployed, error) { return r.publish(m, true) }
 
 // publish is Deploy's and Supersede's one path. Compilation runs before the
-// catalog lock; the version is then chosen, saved, the drained versions'
-// files removed and the new version inserted in one critical section, so the
+// catalog lock; the version is then chosen, saved, the drained version's
+// file removed and the new version inserted in one critical section, so the
 // store changes together with the catalog and a failed Save publishes
-// nothing. The drains start after the lock is released, because a stack
-// that frees on the spot delists itself under it.
+// nothing. The drain starts after the lock is released, because a stack
+// that is idle delists itself under it.
 func (r *Registry) publish(m *Model, supersede bool) (*Deployed, error) {
 	d, err := compile(m)
 	if err != nil {
@@ -408,31 +359,26 @@ func (r *Registry) publish(m *Model, supersede bool) (*Deployed, error) {
 	}
 	r.mu.Lock()
 	f := r.familyLocked(m.Name)
-	var old []*Deployed
-	for _, prev := range f.versions {
-		if !prev.Draining() && !prev.Retired() {
-			old = append(old, prev)
-		}
-	}
-	if len(old) > 0 && !supersede {
+	prev := f.live
+	if prev != nil && !supersede {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q is live as %s (supersede to upgrade)", ErrExists, m.Name, f.liveLocked().Ref())
+		return nil, fmt.Errorf("%w: %q is live as %s (supersede to upgrade)", ErrExists, m.Name, Ref(m.Name, prev.version))
 	}
 	d.version = f.next
 	if r.store != nil {
 		if err := r.store.Save(m, d.version); err != nil {
 			r.mu.Unlock()
-			return nil, fmt.Errorf("registry: persisting %s: %w", d.Ref(), err)
+			return nil, fmt.Errorf("registry: persisting %s: %w", Ref(m.Name, d.version), err)
 		}
 		// A draining version never serves a new session (or a restart), so
 		// its bundle leaves the store at drain start, not drain end.
-		for _, prev := range old {
+		if prev != nil {
 			r.store.Remove(m.Name, prev.version)
 		}
 	}
 	r.insertLocked(f, d)
 	r.mu.Unlock()
-	for _, prev := range old {
+	if prev != nil {
 		prev.setState(stateDraining)
 	}
 	return d, nil
@@ -440,8 +386,8 @@ func (r *Registry) publish(m *Model, supersede bool) (*Deployed, error) {
 
 // Resolve returns the deployed stack for a reference: "name@N" pins that
 // exact version (returned even while draining, so its catalog entry stays
-// inspectable; Bind reports the drain), a bare name resolves to the newest
-// live version.
+// inspectable; Bind reports the drain), a bare name resolves to the live
+// version.
 func (r *Registry) Resolve(ref string) (*Deployed, bool) {
 	name, version, err := SplitRef(ref)
 	if err != nil {
@@ -457,8 +403,7 @@ func (r *Registry) Resolve(ref string) (*Deployed, bool) {
 		d, ok := f.versions[version]
 		return d, ok
 	}
-	d := f.liveLocked()
-	return d, d != nil
+	return f.live, f.live != nil
 }
 
 // List returns every cataloged version (live and draining), sorted by name
@@ -495,9 +440,9 @@ func (r *Registry) Len() int {
 // Retire removes model versions from the catalog and their bundles from the
 // store — new Bind calls fail from this point — and returns their stacks so
 // the caller can close bound sessions. "name@N" retires that exact version;
-// a bare name retires every cataloged version (draining ones included). Each
-// stack is freed once every bound session has released its reference
-// (watch Drained for that moment).
+// a bare name retires every cataloged version (draining ones included).
+// Retiring the live version leaves the name with none until the next
+// Deploy.
 func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 	name, version, err := SplitRef(ref)
 	if err != nil {
@@ -509,6 +454,9 @@ func (r *Registry) Retire(ref string) ([]*Deployed, error) {
 		for v, d := range f.versions {
 			if version == 0 || v == version {
 				delete(f.versions, v)
+				if d == f.live {
+					f.live = nil
+				}
 				if r.store != nil {
 					r.store.Remove(name, v)
 				}

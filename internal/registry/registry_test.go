@@ -107,8 +107,8 @@ func TestDeployValidation(t *testing.T) {
 }
 
 // TestRetireRefcountDrain is the graceful-retirement contract: a retired
-// stack is freed only after the last bound session releases, and new binds
-// fail from the moment of retirement.
+// version leaves the catalog and refuses new binds from the moment of
+// retirement, while its bound session keeps its reference until it releases.
 func TestRetireRefcountDrain(t *testing.T) {
 	r := New()
 	d, err := r.Deploy(testModel(t, "alpha", 8))
@@ -125,88 +125,105 @@ func TestRetireRefcountDrain(t *testing.T) {
 	if err := d.Bind(); !errors.Is(err, ErrRetired) {
 		t.Fatalf("bind after retire: got %v, want ErrRetired", err)
 	}
-	select {
-	case <-d.Drained():
-		t.Fatal("drained with the session still bound")
-	default:
+	if _, ok := r.Resolve("alpha@1"); ok {
+		t.Fatal("retired version still in the catalog")
+	}
+	if d.Refs() != 1 {
+		t.Fatalf("retire dropped the bound session's reference: %d refs", d.Refs())
 	}
 	d.Release() // session closes
-	select {
-	case <-d.Drained():
-	case <-time.After(time.Second):
-		t.Fatal("stack not freed after the last release")
+	if d.Refs() != 0 {
+		t.Fatalf("%d refs after the last release", d.Refs())
 	}
 }
 
-// TestDelistRunsOutsideStackLock pins the tree's one lock nesting,
-// Registry.mu outside Deployed.mu (liveLocked reads a stack's state under
-// the catalog lock). Delisting a freed stack takes Registry.mu, so it must
-// run with the stack's own lock released, or the two orders form a cycle.
-// Each way a stack frees — its last Release, a Retire, a Supersede — is
-// checked with TryLock at the moment the delist runs.
-func TestDelistRunsOutsideStackLock(t *testing.T) {
+// TestCatalogReadsIgnoreStackLock pins that Registry.mu and Deployed.mu are
+// never held together. While a stack's own lock is held — the live
+// version's, then a draining one's — every catalog read and a conflicting
+// Deploy still return, because none of them reads a stack's state under the
+// catalog lock. And a draining version's last Release, which delists it
+// under the catalog lock, has let go of its own lock first.
+func TestCatalogReadsIgnoreStackLock(t *testing.T) {
 	r := New()
-	watch := func(d *Deployed) *int {
-		calls := new(int)
-		delist := d.delist
-		d.delist = func() {
-			*calls++
-			if !d.mu.TryLock() {
-				t.Errorf("%s delisted while its stack lock is held", d.Ref())
-			} else {
-				d.mu.Unlock()
-			}
-			delist()
-		}
-		return calls
+	d1, err := r.Deploy(testModel(t, "alpha", 13))
+	if err != nil {
+		t.Fatal(err)
 	}
-	deploy := func(name string) *Deployed {
-		d, err := r.Deploy(testModel(t, name, 13))
-		if err != nil {
-			t.Fatal(err)
+	if err := d1.Bind(); err != nil { // keeps alpha@1 draining
+		t.Fatal(err)
+	}
+	d2, err := r.Supersede(testModel(t, "alpha", 14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conflict := testModel(t, "alpha", 15)
+	reads := []struct {
+		name string
+		run  func()
+	}{
+		{"Resolve(alpha)", func() { r.Resolve("alpha") }},
+		{"Resolve(alpha@1)", func() { r.Resolve("alpha@1") }},
+		{"List", func() { r.List() }},
+		{"Len", func() { r.Len() }},
+		{"Deploy over the live name", func() { r.Deploy(conflict) }},
+	}
+	for _, held := range []*Deployed{d2, d1} {
+		held.mu.Lock()
+		for _, read := range reads {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				read.run()
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				held.mu.Unlock()
+				t.Fatalf("%s waited on %s's stack lock", read.name, held.Ref())
+			}
 		}
-		return d
+		held.mu.Unlock()
 	}
 
-	released := deploy("released")
-	if err := released.Bind(); err != nil {
-		t.Fatal(err)
+	r.mu.Lock()
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		d1.Release() // waits for r.mu to delist alpha@1
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if d1.mu.TryLock() {
+			refs := d1.refs
+			d1.mu.Unlock()
+			if refs == 0 {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			r.mu.Unlock()
+			t.Fatal("the last Release holds its stack lock while it waits for the catalog")
+		}
+		runtime.Gosched()
 	}
-	if _, err := r.Retire("released"); err != nil {
-		t.Fatal(err)
-	}
-	releasedCalls := watch(released)
-	released.Release()
-	retired := deploy("retired")
-	retiredCalls := watch(retired)
-	if _, err := r.Retire("retired"); err != nil {
-		t.Fatal(err)
-	}
-	superseded := deploy("superseded")
-	supersededCalls := watch(superseded)
-	if _, err := r.Supersede(testModel(t, "superseded", 14)); err != nil {
-		t.Fatal(err)
-	}
-	if *releasedCalls != 1 || *retiredCalls != 1 || *supersededCalls != 1 {
-		t.Fatalf("delists on last Release, Retire, Supersede: %d, %d, %d; want one each", *releasedCalls, *retiredCalls, *supersededCalls)
+	r.mu.Unlock()
+	<-released
+	if _, ok := r.Resolve("alpha@1"); ok {
+		t.Fatal("drained version still in the catalog")
 	}
 }
 
 // TestRetireIdleFreesImmediately: retiring a model nothing is bound to
-// drains on the spot.
+// takes it out of the catalog on the spot.
 func TestRetireIdleFreesImmediately(t *testing.T) {
 	r := New()
-	d, err := r.Deploy(testModel(t, "idle", 9))
-	if err != nil {
+	if _, err := r.Deploy(testModel(t, "idle", 9)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Retire("idle"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-d.Drained():
-	default:
-		t.Fatal("idle retire did not free the stack")
+	if _, ok := r.Resolve("idle@1"); ok || r.Len() != 0 {
+		t.Fatal("idle retire left the version in the catalog")
 	}
 }
 
@@ -236,13 +253,11 @@ func TestConcurrentDeployRetire(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				d.Release()
-				select {
-				case <-d.Drained():
-				case <-time.After(5 * time.Second):
-					t.Error("stack never drained")
+				if _, ok := r.Resolve(d.Ref()); ok {
+					t.Errorf("%s still in the catalog after its retire", d.Ref())
 					return
 				}
+				d.Release()
 			}
 		}(g)
 	}
@@ -355,7 +370,7 @@ func TestVersionedSupersedeLifecycle(t *testing.T) {
 	if d2.Version() != 2 {
 		t.Fatalf("supersede published v%d, want v2", d2.Version())
 	}
-	if !d1.Draining() || d1.Retired() {
+	if !d1.Draining() {
 		t.Fatal("superseded version not draining")
 	}
 
@@ -377,18 +392,11 @@ func TestVersionedSupersedeLifecycle(t *testing.T) {
 		t.Fatalf("catalog has %d versions mid-drain, want 2", r.Len())
 	}
 
-	// The old session finishes: the v1 stack frees and leaves the catalog.
-	select {
-	case <-d1.Drained():
-		t.Fatal("drained with the old session still bound")
-	default:
+	// The old session finishes: the v1 stack leaves the catalog with it.
+	if _, ok := r.Resolve("alpha@1"); !ok {
+		t.Fatal("draining version left the catalog with the old session still bound")
 	}
 	d1.Release()
-	select {
-	case <-d1.Drained():
-	case <-time.After(time.Second):
-		t.Fatal("old version not freed after its last release")
-	}
 	if _, ok := r.Resolve("alpha@1"); ok {
 		t.Fatal("fully drained version still in the catalog")
 	}
@@ -399,20 +407,17 @@ func TestVersionedSupersedeLifecycle(t *testing.T) {
 }
 
 // TestSupersedeIdleDrainsInstantly: superseding a version nothing is bound
-// to frees it on the spot.
+// to takes it out of the catalog on the spot.
 func TestSupersedeIdleDrainsInstantly(t *testing.T) {
 	r := New()
-	d1, err := r.Deploy(testModel(t, "idle", 3))
-	if err != nil {
+	if _, err := r.Deploy(testModel(t, "idle", 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Supersede(testModel(t, "idle", 4)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-d1.Drained():
-	default:
-		t.Fatal("idle supersede did not free the old stack")
+	if _, ok := r.Resolve("idle@1"); ok {
+		t.Fatal("idle supersede left the old version in the catalog")
 	}
 	if r.Len() != 1 {
 		t.Fatalf("catalog has %d versions, want just the successor", r.Len())
@@ -462,8 +467,8 @@ func TestRetireExactVersion(t *testing.T) {
 	if len(deps) != 1 || deps[0] != d2 {
 		t.Fatalf("Retire(alpha@2) removed %v", deps)
 	}
-	if !d2.Retired() {
-		t.Fatal("exact-version retire did not retire the stack")
+	if err := d2.Bind(); !errors.Is(err, ErrRetired) {
+		t.Fatalf("bind after an exact-version retire: got %v, want ErrRetired", err)
 	}
 	// v1 is still draining and still pinned by its reference.
 	if got, ok := r.Resolve("alpha@1"); !ok || got != d1 {
@@ -474,6 +479,50 @@ func TestRetireExactVersion(t *testing.T) {
 		t.Fatal("bare name resolved with only a draining version left")
 	}
 	d1.Release()
+}
+
+// TestDeployAfterLiveRetire: retiring the live version by exact reference
+// while an older one drains leaves the name with no live version, so a plain
+// Deploy publishes the next version as the bare name's target, and the
+// draining version stays pinned until its last Release delists it.
+func TestDeployAfterLiveRetire(t *testing.T) {
+	r := New()
+	d1, err := r.Deploy(testModel(t, "alpha", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d1.Bind(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Supersede(testModel(t, "alpha", 17)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Retire("alpha@2"); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := r.Deploy(testModel(t, "alpha", 18))
+	if err != nil {
+		t.Fatalf("deploy with only a draining version left: %v", err)
+	}
+	if d3.Version() != 3 {
+		t.Fatalf("deploy after the live retire got version %d, want 3", d3.Version())
+	}
+	if got, ok := r.Resolve("alpha"); !ok || got != d3 {
+		t.Fatal("bare name did not resolve to the new deploy")
+	}
+	if got, ok := r.Resolve("alpha@1"); !ok || got != d1 {
+		t.Fatal("draining version lost while its session is bound")
+	}
+	if err := d1.Bind(); !errors.Is(err, ErrDraining) {
+		t.Fatalf("bind on the draining version: got %v, want ErrDraining", err)
+	}
+	d1.Release()
+	if _, ok := r.Resolve("alpha@1"); ok {
+		t.Fatal("draining version still in the catalog after its last release")
+	}
+	if got, ok := r.Resolve("alpha"); !ok || got != d3 || r.Len() != 1 {
+		t.Fatalf("catalog after the drain holds %d versions, want only alpha@3", r.Len())
+	}
 }
 
 // TestStorePersistReloadRetire is the durability round trip: a second
@@ -640,10 +689,11 @@ func TestConcurrentSupersedeChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Exactly one live version survives the churn.
+	// Exactly one live version survives the churn (the catalog never holds
+	// a retired one).
 	live := 0
 	for _, d := range r.List() {
-		if !d.Draining() && !d.Retired() {
+		if !d.Draining() {
 			live++
 		}
 	}
@@ -735,7 +785,7 @@ func TestRetireRacingSupersedeLeavesNoBundle(t *testing.T) {
 			onDisk = append(onDisk, Ref(e.Model.Name, e.Version))
 		}
 		for _, d := range r.List() {
-			if !d.Draining() && !d.Retired() {
+			if !d.Draining() {
 				live = append(live, d.Ref())
 			}
 		}

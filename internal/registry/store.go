@@ -97,10 +97,12 @@ type StoredModel struct {
 	Version int
 }
 
-// Load reads every bundle in the state directory, sorted by file name for a
-// deterministic catalog. Files that are misnamed, truncated, corrupt, or
-// whose embedded model name disagrees with the file name are skipped, each
-// contributing a warning — hostile state must never block startup.
+// Load reads every bundle in the state directory, sorted by model name and
+// then by numeric version, so alpha@10 follows alpha@9: UseStore relies on a
+// name's newest version coming last. Files that are misnamed, truncated,
+// corrupt, or whose embedded model name disagrees with the file name are
+// skipped, each contributing a warning — hostile state must never block
+// startup.
 func (s *Store) Load() ([]StoredModel, []error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/paf"
@@ -307,11 +306,10 @@ func TestHotDeployAndRetireMidTraffic(t *testing.T) {
 	if _, err := client.NewSessionFor(ctx, "alpha", 54); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("registration against a retired model: got %v, want 404", err)
 	}
-	// The stack drains and frees once its in-flight unit (if any) finishes.
-	select {
-	case <-dep.Drained():
-	case <-time.After(10 * time.Second):
-		t.Fatal("retired alpha stack never drained")
+	// The retired version left the catalog at once, and closing its
+	// session released the stack.
+	if _, ok := srv.Registry().Resolve(dep.Ref()); ok || dep.Refs() != 0 {
+		t.Fatalf("retired alpha still cataloged (%v) or bound (%d refs)", ok, dep.Refs())
 	}
 	// Retiring an unknown name is 404.
 	if err := client.Retire(ctx, "alpha"); err == nil || !strings.Contains(err.Error(), "404") {

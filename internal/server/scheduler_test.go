@@ -501,8 +501,8 @@ func TestServerAcceptsMinimumChain(t *testing.T) {
 	}
 }
 
-// TestOversizedBodies413: blowing the body cap is 413 Request Entity Too
-// Large on both the infer and register endpoints, not a generic 400.
+// TestOversizedBodies413: blowing a body cap is 413 Request Entity Too
+// Large, not a generic 400, for a ciphertext and for a deploy bundle.
 func TestOversizedBodies413(t *testing.T) {
 	_, srv, ts := newSchedServer(t, Options{})
 	ctx := context.Background()
@@ -521,20 +521,16 @@ func TestOversizedBodies413(t *testing.T) {
 		t.Fatalf("oversized ciphertext: got %s, want 413", resp.Status)
 	}
 
-	// MaxBodyBytes bounds admin deploy bundles, the one body no model sizes:
-	// a bundle past it is a 413 mid-stream, before any decode could answer
-	// 400. (Registrations are sized by their model; see
-	// TestRegisterRejectsHostileFrames.)
-	_, _, tsSmall := newSchedServer(t, Options{MaxBodyBytes: 1 << 16})
+	// readBody bounds admin deploy bundles (at maxBundleBytes), the one body
+	// no model sizes: a bundle past its limit is a 413 mid-stream, before
+	// any decode could answer 400. (Registrations are sized by their model;
+	// see TestRegisterRejectsHostileFrames.)
 	big := make([]byte, 1<<17)
 	binary.LittleEndian.PutUint32(big, 0x5AF7CC08) // registry bundle magic
-	resp, err = http.Post(tsSmall.URL+"/v1/models", "application/octet-stream", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized deploy bundle: got %s, want 413", resp.Status)
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/models", bytes.NewReader(big))
+	if _, ok := readBody(rec, req, 1<<16, "model bundle"); ok || rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized deploy bundle: got %d, want 413", rec.Code)
 	}
 }
 
@@ -556,10 +552,8 @@ func TestNoUnitOnFreedStack(t *testing.T) {
 	if err := srv.retireModel(dep.Ref()); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-dep.Drained():
-	case <-time.After(10 * time.Second):
-		t.Fatal("retired stack never freed")
+	if _, ok := srv.Registry().Resolve(dep.Ref()); ok || dep.Refs() != 0 {
+		t.Fatalf("retired stack still cataloged (%v) or bound (%d refs)", ok, dep.Refs())
 	}
 
 	pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), sess.params.MaxLevel(), sess.params.DefaultScale())

@@ -58,10 +58,6 @@ type Options struct {
 	// registrations cannot pin key material (or lock out new sessions)
 	// forever. Negative disables eviction. Default 30 minutes.
 	SessionTTL time.Duration
-	// MaxBodyBytes caps admin deploy bundles. Default 1 GiB. Registrations
-	// and ciphertexts are bounded by their model instead: a registration
-	// frame has one exact size, a ciphertext a largest one.
-	MaxBodyBytes int64
 	// QueueDepth is the per-session request queue. Default 1024.
 	QueueDepth int
 	// AccessLog, when set, receives one structured record per HTTP request
@@ -69,6 +65,11 @@ type Options struct {
 	// Nil disables access logging; cmd/hennserve wires -log-requests here.
 	AccessLog *slog.Logger
 }
+
+// maxBundleBytes caps admin deploy bundles, the one body no model sizes.
+// Registrations and ciphertexts are bounded by their model instead: a
+// registration frame has one exact size, a ciphertext a largest one.
+const maxBundleBytes = 1 << 30
 
 // DefaultKeyBudget is Options.KeyBudget's default, 2 GiB: 72 sessions of the
 // 128-wide model at LogN 10 (29.8 MB of keys each), 3 of the demo at N = 2^15.
@@ -80,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SessionTTL == 0 {
 		o.SessionTTL = 30 * time.Minute
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 30
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
@@ -377,7 +375,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // readBody reads a request body of at most limit bytes into a buffer that
 // grows as the bytes arrive: only admin deploy bundles take this path, whose
-// size nothing bounds but Options.MaxBodyBytes, and an unreceived
+// size nothing bounds but maxBundleBytes, and an unreceived
 // Content-Length must never size a gigabyte allocation. When it cannot, it
 // has answered the request (413 over the limit, 400 otherwise) and reports
 // false.
@@ -461,7 +459,7 @@ func (s *Server) handleModelNamed(w http.ResponseWriter, r *http.Request) {
 // serving the old stack until they disconnect or TTL out, new registrations
 // bind the new version.
 func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r, s.opts.MaxBodyBytes, "model bundle")
+	data, ok := readBody(w, r, maxBundleBytes, "model bundle")
 	if !ok {
 		return
 	}
