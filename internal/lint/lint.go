@@ -24,13 +24,13 @@
 //     //hennlint:err-ok.
 //
 // One of the six analyzers needs flow: the pairing engine (pairing.go)
-// runs polypool's acquire/release spec over the flow walker (flow.go),
+// runs polypool's acquire/release pairs over the flow walker (flow.go),
 // which interprets a function body statement by statement. The other five
 // are single syntactic passes.
 // Mutex discipline, lock order, secret sinks and metric-label bounds are
-// held outside this package: by `go test -race`, a registry test on the
-// one lock nesting, redacting methods on the secret types, and a series
-// cap in internal/telemetry.
+// held outside this package: by `go test -race`, a registry test that the
+// catalog never waits on a stack's lock, redacting methods on the secret
+// types, and a series cap in internal/telemetry.
 //
 // The suite runs as `make lint` (via cmd/hennlint) and is enforced in CI.
 // It is built directly on go/ast and go/types — the module vendors no

@@ -27,22 +27,6 @@ import (
 // resource released on only one arm of a branch will still be caught on
 // any path that reaches a return while it is provably live.
 
-// pairSpec configures one acquire/release discipline.
-type pairSpec struct {
-	// acquire reports whether call hands its caller a resource (as its
-	// result) that must be released, and a human noun for it
-	// ("pooled poly").
-	acquire func(p *Pass, call *ast.CallExpr) (what string, ok bool)
-	// release reports the expression whose resource call releases.
-	release func(p *Pass, call *ast.CallExpr) (released ast.Expr, ok bool)
-	// resultType reports whether a value of type t is a resource under
-	// this spec. It scopes the transfers-ownership annotation: an
-	// annotated function only acts as an acquirer if it returns a
-	// resource, and binding a multi-result acquire only tracks the
-	// results that are resources (not the trailing error).
-	resultType func(t types.Type) bool
-}
-
 // transfersOwnership is the directive that lets a function hand an
 // acquired resource to its caller via a return value.
 const transfersOwnership = "transfers-ownership"
@@ -92,8 +76,9 @@ func (st flowState) merge(other flowState) {
 	// stays live into the join (the other arm never knew it).
 }
 
-// runPairing applies spec to every function-shaped body in the package.
-func runPairing(p *Pass, spec *pairSpec) {
+// runPairing applies polypool's acquire, release and isPoolResource to
+// every function-shaped body in the package.
+func runPairing(p *Pass) error {
 	// Same-package functions annotated transfers-ownership also act as
 	// acquirers: their callers own the returned resources.
 	annotated := map[*types.Func]bool{}
@@ -107,7 +92,7 @@ func runPairing(p *Pass, spec *pairSpec) {
 			if !ok {
 				continue
 			}
-			if !returnsResource(fn, spec.resultType) {
+			if !returnsResource(fn) {
 				continue
 			}
 			annotated[fn] = true
@@ -129,7 +114,7 @@ func runPairing(p *Pass, spec *pairSpec) {
 			}
 			if body != nil {
 				a := &pairAnalysis{
-					pass: p, spec: spec, annotated: annotated,
+					pass: p, annotated: annotated,
 					fnPos: n.Pos(), fnEnd: n.End(),
 					transfers: hasDirective(doc, transfersOwnership),
 				}
@@ -138,11 +123,11 @@ func runPairing(p *Pass, spec *pairSpec) {
 			return true
 		})
 	}
+	return nil
 }
 
 type pairAnalysis struct {
 	pass      *Pass
-	spec      *pairSpec
 	annotated map[*types.Func]bool
 	fnPos     token.Pos
 	fnEnd     token.Pos
@@ -152,7 +137,7 @@ type pairAnalysis struct {
 // isAcquire matches direct acquire calls and calls to same-package
 // annotated functions.
 func (a *pairAnalysis) isAcquire(call *ast.CallExpr) (string, bool) {
-	if what, ok := a.spec.acquire(a.pass, call); ok {
+	if what, ok := acquire(a.pass, call); ok {
 		return what, true
 	}
 	if fn := calleeFunc(a.pass.Info, call); fn != nil && a.annotated[fn] {
@@ -287,15 +272,15 @@ func (a *pairAnalysis) handleBind(lhs, rhs []ast.Expr, tok token.Token, st flowS
 	}
 }
 
-// returnsResource reports whether any of fn's results is a resource
-// under the spec's type predicate.
-func returnsResource(fn *types.Func, isResource func(types.Type) bool) bool {
+// returnsResource reports whether any of fn's results is a pool resource:
+// an annotated function only acts as an acquirer if it returns one.
+func returnsResource(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false
 	}
 	for i := 0; i < sig.Results().Len(); i++ {
-		if isResource(sig.Results().At(i).Type()) {
+		if isPoolResource(sig.Results().At(i).Type()) {
 			return true
 		}
 	}
@@ -312,7 +297,7 @@ func (a *pairAnalysis) bindAcquire(l ast.Expr, what string, pos token.Pos, tok t
 	}
 	// Only track the results that are resources (skip the error of a
 	// (resource, error) acquire).
-	if obj := a.pass.Info.ObjectOf(id); obj == nil || !a.spec.resultType(obj.Type()) {
+	if obj := a.pass.Info.ObjectOf(id); obj == nil || !isPoolResource(obj.Type()) {
 		return
 	}
 	if tok == token.ASSIGN {
@@ -362,7 +347,7 @@ func (a *pairAnalysis) storeInto(l, r ast.Expr, st flowState) {
 // updates state, a bare acquire is an immediate leak, and anything else
 // is scanned for escapes and release-bearing closures.
 func (a *pairAnalysis) handleCall(call *ast.CallExpr, st flowState, deferred bool) {
-	if released, ok := a.spec.release(a.pass, call); ok {
+	if released, ok := release(a.pass, call); ok {
 		key := exprKey(a.pass.Info, released)
 		if res, tracked := st[key]; tracked {
 			res.state = stReleased
@@ -443,7 +428,7 @@ func (a *pairAnalysis) scanClosure(fl *ast.FuncLit, st flowState) {
 		if !ok {
 			return true
 		}
-		if released, ok := a.spec.release(a.pass, call); ok {
+		if released, ok := release(a.pass, call); ok {
 			if res, tracked := st[exprKey(a.pass.Info, released)]; tracked {
 				res.state = stReleased
 			}

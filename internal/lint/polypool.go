@@ -24,7 +24,7 @@ import (
 var Polypool = &Analyzer{
 	Name: "polypool",
 	Doc:  "pooled ring polynomials and scratch buffers must be released on every path",
-	Run:  runPolypool,
+	Run:  runPairing,
 }
 
 var polypoolAcquires = []struct {
@@ -37,34 +37,31 @@ var polypoolAcquires = []struct {
 	{"Evaluator", "NewPlainSum", "plaintext-product sum"},
 }
 
-func runPolypool(p *Pass) error {
-	spec := &pairSpec{
-		resultType: isPoolResource,
-		acquire: func(p *Pass, call *ast.CallExpr) (string, bool) {
-			for _, m := range polypoolAcquires {
-				if _, ok := methodCall(p.Info, call, m.recv, m.method); ok {
-					return m.what, true
-				}
-			}
-			return "", false
-		},
-		release: func(p *Pass, call *ast.CallExpr) (ast.Expr, bool) {
-			if _, ok := methodCall(p.Info, call, "Ring", "PutPoly"); ok && len(call.Args) == 1 {
-				return call.Args[0], true
-			}
-			if _, ok := methodCall(p.Info, call, "Ring", "PutScratch"); ok && len(call.Args) == 1 {
-				return call.Args[0], true
-			}
-			for _, owner := range []string{"HoistedDecomposition", "PlainSum"} {
-				if recv, ok := methodCall(p.Info, call, owner, "Release"); ok {
-					return recv, true
-				}
-			}
-			return nil, false
-		},
+// acquire reports whether call hands its caller a pool resource (as its
+// result) that must be released, and a human noun for it ("pooled poly").
+func acquire(p *Pass, call *ast.CallExpr) (what string, ok bool) {
+	for _, m := range polypoolAcquires {
+		if _, ok := methodCall(p.Info, call, m.recv, m.method); ok {
+			return m.what, true
+		}
 	}
-	runPairing(p, spec)
-	return nil
+	return "", false
+}
+
+// release reports the expression whose pool resource call releases.
+func release(p *Pass, call *ast.CallExpr) (released ast.Expr, ok bool) {
+	if _, ok := methodCall(p.Info, call, "Ring", "PutPoly"); ok && len(call.Args) == 1 {
+		return call.Args[0], true
+	}
+	if _, ok := methodCall(p.Info, call, "Ring", "PutScratch"); ok && len(call.Args) == 1 {
+		return call.Args[0], true
+	}
+	for _, owner := range []string{"HoistedDecomposition", "PlainSum"} {
+		if recv, ok := methodCall(p.Info, call, owner, "Release"); ok {
+			return recv, true
+		}
+	}
+	return nil, false
 }
 
 // isPoolResource matches the types polypool tracks: pooled polynomials,
