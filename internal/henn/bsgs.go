@@ -18,96 +18,122 @@ import (
 // non-empty blocks — O(√slots) keys and key switches instead of one per
 // non-zero diagonal. Plaintext diagonals are rotated for free.
 
-// linearPlan is a Linear compiled for one slot count. It is the one source
-// of both the rotation steps a client generates keys for (rotations) and
-// the loops ApplyLinear runs, so the keys advertised and the keys used
-// cannot disagree.
+// linearPlan is a Linear compiled for one input shape: an encoder (and so a
+// parameter set), an input level and an input scale. It holds the layer's
+// encoded diagonals and bias, the only plaintexts the layer keeps.
 type linearPlan struct {
-	slots, n1 int
-	babies    []int        // ascending baby steps b ∈ [1, n1) that some block uses
-	blocks    []giantBlock // non-empty giant blocks, ascending
-	bias      []float64    // B padded to the slot count; nil without a bias
+	enc    *ckks.Encoder
+	level  int
+	scale  float64
+	n1     int
+	babies []int           // ascending baby steps b ∈ [1, n1) that some block uses
+	blocks []giantBlock    // non-empty giant blocks, ascending
+	bias   *ckks.Plaintext // B at level−1 and the input's scale; nil without a bias
 }
 
-// giantBlock is one inner sum Σ_b vec ⊙ rot(x, b), rotated by step.
+// giantBlock is one inner sum Σ_b pt ⊙ rot(x, b), rotated by step.
 type giantBlock struct {
 	step  int // g·n1; the first block (g = 0) is not rotated
 	terms []blockTerm
 }
 
-// blockTerm is diagonal d = step + baby of its block.
+// blockTerm is diagonal d = step + baby of its block, encoded at the plan's
+// level with the level's prime as scale.
 type blockTerm struct {
 	baby int
-	vec  []float64 // u_d rotated by −step: slot (i+step) mod slots holds W[i][(i+d) mod slots]
+	pt   *ckks.Plaintext
 }
 
-// compile builds the plan for the slot count. Out is clamped to the slot
-// count: rows beyond it cannot appear in a slot vector (such a layer fails
-// ApplyLinear's dimension check anyway; compiling it must still not panic).
-func (l *Linear) compile(slots int) *linearPlan {
-	n1 := int(math.Ceil(math.Sqrt(float64(slots))))
-	p := &linearPlan{slots: slots, n1: n1}
+// babyStride is n1 = ⌈√slots⌉, the number of baby steps per giant step.
+func babyStride(slots int) int { return int(math.Ceil(math.Sqrt(float64(slots)))) }
+
+// diagonals calls f, ascending in d, for every diagonal d = step + baby of W
+// at the slot count that holds a non-zero weight, where step = d − d mod n1.
+// vec is u_d rotated by −step — slot (i+step) mod slots holds
+// W[i][(i+d) mod slots] — and is reused by the next call. It is the one
+// walk behind both the keys a client generates (ServingRotations) and the
+// loops ApplyLinear runs (compile), so the keys advertised and the keys used
+// cannot disagree. Out is clamped to the slot count: rows beyond it cannot
+// appear in a slot vector (such a layer fails ApplyLinear's dimension check
+// anyway; walking it must still not panic).
+func (l *Linear) diagonals(slots int, f func(step, baby int, vec []float64)) {
+	n1 := babyStride(slots)
 	rows := min(l.Out, slots)
-	usesBaby := make([]bool, n1)
+	vec := make([]float64, slots)
 	for d := 0; d < slots; d++ {
 		step := d - d%n1
-		var vec []float64
+		nonZero := false
 		for i := 0; i < rows; i++ {
 			j := (i + d) % slots
 			if j < l.In && l.W[i][j] != 0 {
-				if vec == nil {
-					vec = make([]float64, slots)
-				}
 				vec[(i+step)%slots] = l.W[i][j]
+				nonZero = true
 			}
 		}
-		if vec == nil {
-			continue
+		if nonZero {
+			f(step, d-step, vec)
+			clear(vec)
+		}
+	}
+}
+
+// compile encodes the layer for inputs at level and scale under ctx's
+// encoder. A diagonal's scale is the level's prime, so the product lands
+// back on the input's scale after the rescale; the bias is encoded at the
+// rescaled level and the input's scale.
+func (l *Linear) compile(ctx *Context, level int, scale float64) (*linearPlan, error) {
+	slots := ctx.Params.Slots()
+	p := &linearPlan{enc: ctx.Enc, level: level, scale: scale, n1: babyStride(slots)}
+	constScale := float64(ctx.Params.Q()[level])
+	usesBaby := make([]bool, p.n1)
+	var err error
+	l.diagonals(slots, func(step, baby int, vec []float64) {
+		if err != nil {
+			return
+		}
+		var pt *ckks.Plaintext
+		if pt, err = ctx.Enc.EncodeReals(vec, level, constScale); err != nil {
+			return
 		}
 		if len(p.blocks) == 0 || p.blocks[len(p.blocks)-1].step != step {
 			p.blocks = append(p.blocks, giantBlock{step: step})
 		}
 		blk := &p.blocks[len(p.blocks)-1]
-		blk.terms = append(blk.terms, blockTerm{baby: d - step, vec: vec})
-		usesBaby[d-step] = true
+		blk.terms = append(blk.terms, blockTerm{baby: baby, pt: pt})
+		usesBaby[baby] = true
+	})
+	if err != nil {
+		return nil, err
 	}
-	for b := 1; b < n1; b++ {
+	if len(p.blocks) == 0 {
+		return nil, fmt.Errorf("henn: all-zero weight matrix")
+	}
+	for b := 1; b < p.n1; b++ {
 		if usesBaby[b] {
 			p.babies = append(p.babies, b)
 		}
 	}
 	if l.B != nil {
-		p.bias = make([]float64, slots)
-		copy(p.bias, l.B)
-	}
-	return p
-}
-
-// rotations lists the plan's rotation steps, ascending: the baby steps,
-// then the giant steps (every one ≥ n1).
-func (p *linearPlan) rotations() []int {
-	steps := append([]int(nil), p.babies...)
-	for _, blk := range p.blocks {
-		if blk.step != 0 {
-			steps = append(steps, blk.step)
+		if p.bias, err = ctx.Enc.EncodeReals(l.B, level-1, scale); err != nil {
+			return nil, err
 		}
 	}
-	return steps
+	return p, nil
 }
 
 // ServingRotations returns the sorted rotation steps Infer uses at the
-// slot count: the union of every linear layer's plan. It compiles (and
-// caches) those plans, so a registry that calls it at deploy time takes the
-// O(slots·Out) derivation off the first inference.
+// slot count: every linear layer's baby steps and giant steps. It walks the
+// weights each call and keeps nothing.
 func (mlp *MLP) ServingRotations(slots int) []int {
 	seen := map[int]bool{}
 	for _, l := range mlp.Layers {
 		if lin, ok := l.(*Linear); ok {
-			for _, s := range lin.planFor(slots).rotations() {
-				seen[s] = true
-			}
+			lin.diagonals(slots, func(step, baby int, _ []float64) {
+				seen[step], seen[baby] = true, true
+			})
 		}
 	}
+	delete(seen, 0)
 	out := make([]int, 0, len(seen))
 	for s := range seen {
 		out = append(out, s)
@@ -126,7 +152,9 @@ func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphe
 }
 
 // ApplyLinear computes Wx + b on the encrypted vector, consuming one level.
-// The result keeps the input's scale.
+// The result keeps the input's scale. It runs the layer's plan, compiling
+// one that replaces it when ct's level or scale or ctx's encoder differ
+// from the plan's.
 func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	slots := ctx.Params.Slots()
 	if l.In > slots || l.Out > slots {
@@ -135,11 +163,18 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	if ct.Level < 1 {
 		return nil, fmt.Errorf("henn: no level left for linear layer")
 	}
-	plan := l.planFor(slots)
-	if len(plan.blocks) == 0 {
-		return nil, fmt.Errorf("henn: all-zero weight matrix")
+	tr := ctx.trace
+	plan := l.plan.Load()
+	if plan == nil || plan.enc != ctx.Enc || plan.level != ct.Level || plan.scale != ct.Scale {
+		mark := tr.StageStart()
+		var err error
+		plan, err = l.compile(ctx, ct.Level, ct.Scale)
+		tr.StageEnd("encode", mark)
+		if err != nil {
+			return nil, err
+		}
+		l.plan.Store(plan)
 	}
-	constScale := float64(ctx.Params.Q()[ct.Level]) // lands back on ct.Scale after rescale
 
 	// Every baby rotation shares one hoisted digit decomposition of ct's c1,
 	// so each costs only the permuted key multiply-accumulate. The giant
@@ -151,7 +186,6 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	// rotated block once it is added into the running sum, the rescaled sum
 	// once the bias is added.
 	eval := ctx.Eval
-	tr := ctx.trace
 	mark := tr.StageStart()
 	dec := eval.DecomposeHoisted(ct)
 	tr.StageEnd("decompose_hoisted", mark)
@@ -187,13 +221,7 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 		// One lazily reduced accumulation, one reduction per block.
 		for _, t := range blk.terms {
 			mark := tr.StageStart()
-			pt, err := l.encodedPlaintext(ctx.Enc, blk.step+t.baby, ct.Level, constScale, t.vec)
-			tr.StageEnd("encode", mark)
-			if err != nil {
-				return nil, err
-			}
-			mark = tr.StageStart()
-			err = inner.MulPlainThenAdd(rot[t.baby], pt)
+			err := inner.MulPlainThenAdd(rot[t.baby], t.pt)
 			tr.StageEnd("mul_plain", mark)
 			if err != nil {
 				return nil, err
@@ -238,13 +266,7 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	}
 	defer eval.Recycle(out)
 	mark = tr.StageStart()
-	pt, err := l.encodedPlaintext(ctx.Enc, biasIndex, out.Level, out.Scale, plan.bias)
-	tr.StageEnd("encode", mark)
-	if err != nil {
-		return nil, err
-	}
-	mark = tr.StageStart()
-	biased, err := eval.AddPlain(out, pt)
+	biased, err := eval.AddPlain(out, plan.bias)
 	tr.StageEnd("add_plain", mark)
 	return biased, err
 }

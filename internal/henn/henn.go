@@ -10,7 +10,6 @@ package henn
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
@@ -22,75 +21,17 @@ import (
 
 // Linear is a plaintext-weight fully connected layer applied to an encrypted
 // activation vector laid out in the first In slots. Weights are static once
-// the layer is built (deployment freezes them), so the layer is compiled
-// once per slot count and the plan cached — the serving hot path must not
-// re-derive an O(slots·Out) structure on every inference.
+// the layer is built (deployment freezes them), so the layer keeps one plan:
+// its diagonals and bias encoded for the encoder, input level and input
+// scale it last ran under. The serving door admits one input shape, so a
+// served layer encodes once; an input of another shape, or another encoder,
+// compiles a plan that replaces it.
 type Linear struct {
 	In, Out int
 	W       [][]float64 // W[i][j]: weight from input j to output i
 	B       []float64
 
 	plan atomic.Pointer[linearPlan]
-
-	ptMu sync.RWMutex
-	pts  map[ptKey]*ckks.Plaintext // guarded by ptMu
-}
-
-// planFor returns the cached plan for the slot count, compiling it on first
-// use. Concurrent first users may each compile; the plans are identical.
-func (l *Linear) planFor(slots int) *linearPlan {
-	if p := l.plan.Load(); p != nil && p.slots == slots {
-		return p
-	}
-	p := l.compile(slots)
-	l.plan.Store(p)
-	return p
-}
-
-// ptKey identifies one cached encoding of a plan vector by what the plan
-// fixes. The encoder pointer scopes the cache to a parameter set, so one
-// Linear reused under different parameters (tests do this) cannot alias
-// encodings.
-type ptKey struct {
-	enc   *ckks.Encoder
-	d     int // diagonal index, or biasIndex
-	level int
-}
-
-const biasIndex = -1
-
-// encodedPlaintext memoizes the encoding of a plan vector. Plaintexts are
-// read-only to the evaluator, so every request and session can share them;
-// this takes per-diagonal encoding off the serving hot path.
-//
-// The first encoding of a (vector, level) stays for the life of the plan. A
-// diagonal's scale is the level's prime; the bias takes the scale of the
-// ciphertext reaching it, which every layer derives from the input's — and
-// the serving door admits one input scale. A caller arriving at another
-// (library use) is handed a fresh encoding that is not kept. The cache
-// therefore holds at most (diagonals + 1) × admissible input levels entries
-// per encoder, and nothing a client sends can evict one.
-func (l *Linear) encodedPlaintext(enc *ckks.Encoder, d, level int, scale float64, vec []float64) (*ckks.Plaintext, error) {
-	key := ptKey{enc: enc, d: d, level: level}
-	l.ptMu.RLock()
-	pt := l.pts[key]
-	l.ptMu.RUnlock()
-	if pt != nil && pt.Scale == scale {
-		return pt, nil
-	}
-	fresh, err := enc.EncodeReals(vec, level, scale)
-	if err != nil || pt != nil {
-		return fresh, err
-	}
-	l.ptMu.Lock()
-	if l.pts == nil {
-		l.pts = map[ptKey]*ckks.Plaintext{}
-	}
-	if _, raced := l.pts[key]; !raced {
-		l.pts[key] = fresh
-	}
-	l.ptMu.Unlock()
-	return fresh, nil
 }
 
 // Activation is a deployed PAF activation: out = Scale·relu_p(x/Scale).

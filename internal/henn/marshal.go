@@ -162,8 +162,8 @@ func readActivation(r *wire.Reader) *Activation {
 	return &Activation{PAF: c, Scale: scale}
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded MLP has
-// cold caches; a registry deploy warms them before serving traffic.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded MLP's
+// linear layers have no plan; each encodes one on its first inference.
 func (mlp *MLP) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("henn: MLP", data)
 	r.Magic(mlpMagic)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,11 +226,12 @@ func TestInferRefusesShallowCiphertext(t *testing.T) {
 	}
 }
 
-// TestPlaintextCacheKeyedByPlan: the shared plaintext cache is keyed by
-// (vector, level), so ciphertexts at any number of distinct scales neither
-// grow it nor displace an entry — and are still evaluated at their own
-// scale.
-func TestPlaintextCacheKeyedByPlan(t *testing.T) {
+// TestLinearKeepsOnePlan: a layer holds one encoded plan, for the input
+// shape it last ran on. A second input of that shape reuses the very plan;
+// an input at another scale or level, or under another encoder, is evaluated
+// correctly and its plan replaces the old one. Goroutines alternating two
+// shapes on one layer (the swap under -race) all get correct outputs.
+func TestLinearKeepsOnePlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	lin := randomLinear(rng, 8, 8)
 	mlp := &MLP{Layers: []any{lin}}
@@ -238,40 +240,83 @@ func TestPlaintextCacheKeyedByPlan(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64() - 0.5
 	}
-	vec := make([]float64, ctx.Params.Slots())
-	copy(vec, x)
 	want := mlp.InferPlain(x)
-	var warm map[ptKey]*ckks.Plaintext
-	for i := 0; i <= 64; i++ {
-		scale := ctx.Params.DefaultScale() * (1 + float64(i)/(1<<10))
-		pt, err := ctx.Enc.EncodeReals(vec, 2, scale)
+	apply := func(ctx *Context, encryptor *ckks.Encryptor, decryptor *ckks.Decryptor, level int, scale float64) error {
+		vec := make([]float64, ctx.Params.Slots())
+		copy(vec, x)
+		pt, err := ctx.Enc.EncodeReals(vec, level, scale)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		out, err := ctx.ApplyLinear(lin, encryptor.Encrypt(pt))
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		got := ctx.Enc.DecodeReals(decryptor.Decrypt(out))
 		for j := range want {
 			if d := math.Abs(got[j] - want[j]); d > 1e-4 {
-				t.Fatalf("scale %d: output %d off by %g", i, j, d)
+				return fmt.Errorf("level %d, scale %g: output %d off by %g", level, scale, j, d)
 			}
 		}
-		if warm == nil {
-			warm = map[ptKey]*ckks.Plaintext{}
-			for k, v := range lin.pts {
-				warm[k] = v
-			}
-			continue
+		return nil
+	}
+	top, scale := ctx.Params.MaxLevel(), ctx.Params.DefaultScale()
+	foreign := scale * (1 + 1.0/(1<<10))
+
+	if err := apply(ctx, encryptor, decryptor, top, scale); err != nil {
+		t.Fatal(err)
+	}
+	first := lin.plan.Load()
+	if err := apply(ctx, encryptor, decryptor, top, scale); err != nil {
+		t.Fatal(err)
+	}
+	if lin.plan.Load() != first {
+		t.Fatal("a second input of the same shape compiled a new plan")
+	}
+
+	other, otherEnc, otherDec := newHEContext(t, 2, mlp.ServingRotations(128))
+	for _, c := range []struct {
+		name  string
+		ctx   *Context
+		enc   *ckks.Encryptor
+		dec   *ckks.Decryptor
+		level int
+		scale float64
+	}{
+		// Each row differs from the one before in one field only.
+		{"another scale", ctx, encryptor, decryptor, top, foreign},
+		{"another level", ctx, encryptor, decryptor, top - 1, foreign},
+		{"another encoder", other, otherEnc, otherDec, top - 1, foreign},
+	} {
+		before := lin.plan.Load()
+		if err := apply(c.ctx, c.enc, c.dec, c.level, c.scale); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(lin.pts) != len(warm) {
-			t.Fatalf("scale %d: cache grew from %d to %d entries", i, len(warm), len(lin.pts))
-		}
-		for k, v := range warm {
-			if lin.pts[k] != v {
-				t.Fatalf("scale %d: cache entry %+v was replaced", i, k)
-			}
+		p := lin.plan.Load()
+		if p == before || p.enc != c.ctx.Enc || p.level != c.level || p.scale != c.scale {
+			t.Fatalf("%s: the plan was not replaced by one for the new shape", c.name)
 		}
 	}
+
+	t.Run("alternating shapes", func(t *testing.T) {
+		shapes := [2]struct {
+			level int
+			scale float64
+		}{{top, scale}, {top - 1, foreign}}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 6 {
+					s := shapes[(g+i)%2]
+					if err := apply(ctx, encryptor, decryptor, s.level, s.scale); err != nil {
+						t.Errorf("goroutine %d, run %d: %v", g, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }

@@ -103,7 +103,7 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 	succeed() // after the failures and the pool shuffles, still the same bytes
 }
 
-// checkSteadyState warms run (the pools, and any plaintext cache), fails if
+// checkSteadyState warms run (the pools, and the layer's plan), fails if
 // a warm call allocates more than bound bytes — off under -race, whose
 // sync.Pool drops a quarter of all puts at random — and checks both rings'
 // pools of every parameter set for a poly returned twice. It runs on one P,

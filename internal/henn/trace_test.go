@@ -32,7 +32,8 @@ func smallTestMLP(t testing.TB) (*Context, *MLP, *ckks.Encryptor, *ckks.Decrypto
 // TestUnitTraceStages runs one Unit with a trace attached and checks the
 // stage breakdown: the CKKS primitive stages the serving path executes all
 // appear, and their total accounts for the bulk of the unit's wall time —
-// the property the /v1/traces endpoint's breakdown rests on.
+// the property the /v1/traces endpoint's breakdown rests on. The "encode"
+// stage is the layer's plan being built, so a second unit does not record it.
 func TestUnitTraceStages(t *testing.T) {
 	ctx, mlp, encryptor, _ := smallTestMLP(t)
 	vec := make([]float64, ctx.Params.Slots())
@@ -78,6 +79,17 @@ func TestUnitTraceStages(t *testing.T) {
 	// A traced run must not leave a trace behind on the shared context.
 	if ctx.trace != nil {
 		t.Fatal("shared Context mutated by WithTrace")
+	}
+
+	// The layer's plan is built now: a second unit encodes nothing.
+	again := telemetry.NewTrace("unit-test-again")
+	if _, err := (Unit{Ctx: ctx, MLP: mlp, CT: ct, Trace: again}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range again.Snapshot().Stages {
+		if s.Name == "encode" {
+			t.Fatalf("a unit on a built plan recorded %d encode samples", s.Count)
+		}
 	}
 }
 

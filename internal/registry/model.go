@@ -1,14 +1,13 @@
 // Package registry is the model-lifecycle subsystem of the serving stack: it
-// maps model names to compiled serving stacks — a frozen henn.MLP with warmed
-// linear-layer plans, the prescribed CKKS parameters, the rotation-step set
-// sessions must cover, and per-model counters — with concurrency-safe deploy,
-// supersede, list and retire. Counting bound sessions makes both graceful: a
-// retired model leaves the catalog at once (new sessions cannot bind) and
-// the server closes its bound sessions (their queued jobs fail); a
-// superseded version refuses new sessions and leaves the catalog when its
-// last session releases it. Nothing frees a stack by hand: the garbage
-// collector takes it, caches included, once the last unit running on it
-// answers.
+// maps model names to compiled serving stacks — a frozen henn.MLP, the
+// prescribed CKKS parameters, the rotation-step set sessions must cover, and
+// per-model counters — with concurrency-safe deploy, supersede, list and
+// retire. Counting bound sessions makes both graceful: a retired model
+// leaves the catalog at once (new sessions cannot bind) and the server
+// closes its bound sessions (their queued jobs fail); a superseded version
+// refuses new sessions and leaves the catalog when its last session releases
+// it. Nothing frees a stack by hand: the garbage collector takes it, caches
+// included, once the last unit running on it answers.
 //
 // The deployable artifact itself has a binary wire format (Model.Marshal/
 // UnmarshalBinary, framing henn.MLP's own wire format) so models can be

@@ -64,8 +64,8 @@ const (
 // Deployed is one compiled serving stack: a model version plus everything
 // derived from it at deploy time — compiled parameters, a shared encoder, the
 // canonical parameter-literal bytes sessions must match, the rotation-step
-// set (computing it warms every linear layer's plan cache), and
-// per-model counters. All fields are immutable after Deploy except the
+// set, and per-model counters. Each linear layer encodes its one plan on the
+// first inference, not here. All fields are immutable after Deploy except the
 // counters and the lifecycle state, so any number of sessions and workers
 // can share one Deployed without locking. Nothing tears a stack down by
 // hand: a retired version leaves the catalog at once, a superseded one when
@@ -80,7 +80,7 @@ type Deployed struct {
 	levels     int
 	rotations  []int
 	// compileTime is how long compile spent building the stack (parameter
-	// compilation plus plan warming); the server's telemetry plane
+	// compilation plus the rotation-step walk); the server's telemetry plane
 	// records it per deploy.
 	compileTime time.Duration
 	// reg is the registry that cataloged this version, which a draining
@@ -261,7 +261,7 @@ func (r *Registry) UseStore(s *Store) (warnings []error) {
 }
 
 // compile validates the model and builds its serving stack (expensive:
-// parameter compilation and plan warming), outside any catalog lock.
+// parameter compilation), outside any catalog lock.
 func compile(m *Model) (*Deployed, error) {
 	start := time.Now()
 	if err := m.Validate(); err != nil {
@@ -294,10 +294,8 @@ func compile(m *Model) (*Deployed, error) {
 		enc:        ckks.NewEncoder(params),
 		paramBytes: paramBytes,
 		levels:     need,
-		// The steps of the compiled linear-layer plans inference iterates:
-		// clients generate exactly these keys. Deriving them compiles (and
-		// caches) the plans, so the first inference after a hot deploy does
-		// not pay the O(slots·Out) derivation.
+		// The steps of the diagonal walk every linear-layer plan is
+		// compiled from: clients generate exactly these keys.
 		rotations:   m.MLP.ServingRotations(slots),
 		compileTime: time.Since(start),
 	}, nil

@@ -141,9 +141,8 @@ func TestRegisterAllocBound(t *testing.T) {
 	}
 }
 
-// TestInferReadAllocBound: an infer body is read into one buffer sized by its
-// Content-Length (capped at the model's largest ciphertext), so reading it
-// allocates the ciphertext once. Growing a buffer as it arrived allocated it
+// TestInferReadAllocBound: an infer body is read into one buffer of the
+// model's one ciphertext size, so reading it allocates the ciphertext once. Growing a buffer as it arrived allocated it
 // 3.2 times. The ciphertext is servingLit's, large enough that rounding its
 // buffer up to whole pages stays inside the bound.
 func TestInferReadAllocBound(t *testing.T) {
@@ -171,7 +170,7 @@ func TestInferReadAllocBound(t *testing.T) {
 	rec := httptest.NewRecorder()
 	next := 0
 	perRun := allocatedPerRun(runs, func() {
-		data, ok := readSized(rec, reqs[next], nil, int64(params.CiphertextWireSize(params.MaxLevel())), false, "ciphertext")
+		data, ok := readSized(rec, reqs[next], nil, int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
 		next++
 		if !ok || len(data) != len(body) {
 			t.Fatalf("reading a %d-byte ciphertext: ok %v, %d bytes", len(body), ok, len(data))

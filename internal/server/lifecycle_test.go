@@ -672,8 +672,9 @@ func TestClosedSessionKeysCollected(t *testing.T) {
 }
 
 // TestFreedStackCollected: the garbage collector frees a stack, caches and
-// all, once it is retired or drained and its last session is gone. Each
-// stack serves one inference first, so its plans and plaintexts are built.
+// all, once it is retired or drained and its last session is gone, or once
+// its server is closed while the model lives on in another. Each stack
+// serves one inference first, so its plans and plaintexts are built.
 func TestFreedStackCollected(t *testing.T) {
 	ctx := context.Background()
 	t.Run("retired startup model", func(t *testing.T) {
@@ -721,5 +722,39 @@ func TestFreedStackCollected(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaitCollected(t, gone, "a drained stack's linear layer")
+	})
+	t.Run("model redeployed in another server", func(t *testing.T) {
+		model := shapedModel(t, "gamma", 136, 12, 6, 3)
+		infer := func(url string, seed int64) {
+			sess, err := NewClient(url, nil).NewSession(ctx, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Infer(ctx, make([]float64, 12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Server A lives only in this closure; the layers it ran keep no
+		// reference to its encoder once B runs them.
+		gone := func() <-chan struct{} {
+			srv, err := New(Options{}, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			defer func() {
+				hs.Close()
+				srv.Close()
+			}()
+			infer(hs.URL, 137)
+			d, _ := srv.reg.Resolve("gamma@1")
+			return finalized(d.Encoder())
+		}()
+		srv, err := New(Options{}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		infer(newHTTPServer(t, srv), 138)
+		awaitCollected(t, gone, "a closed server's encoder")
 	})
 }

@@ -41,7 +41,7 @@
 //
 //	POST /v1/models[?supersede=true]          (admin)
 //	    raw marshaled registry.Model bundle -> catalog entry (201)
-//	    Hot deploy: the model is validated, compiled and warmed, then
+//	    Hot deploy: the model is validated and compiled, then
 //	    serves sessions immediately as the next version of its name.
 //	    Deploying over a live name is 409 unless supersede=true, which
 //	    publishes vN+1 and gracefully drains vN: old sessions finish on
@@ -75,8 +75,10 @@
 //	    scheduler: strict round-robin over per-session queues, one job per
 //	    session turn, taken by a bounded set of workers, so one worker
 //	    budget serves the whole catalog. The input ciphertext must arrive
-//	    at level >= the model's advertised levels (one inference consumes
-//	    exactly that many). Requests on a session whose model was retired return 410.
+//	    at the prescribed literal's top level and default scale, exactly
+//	    the ciphertext Session.Infer sends; any other level or scale is a
+//	    400 (each linear layer keeps one plan, encoded for that one input
+//	    shape). Requests on a session whose model was retired return 410.
 //
 //	GET  /v1/stats
 //	    -> scheduler counters plus per-model-version sessions/backlog/

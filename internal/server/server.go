@@ -393,28 +393,22 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 	return buf.Bytes(), true
 }
 
-// readSized reads a body whose bound the model sets — a ciphertext, or the
+// readSized reads a body whose size the model sets — a ciphertext, or the
 // rest of a registration frame — into one buffer, behind prefix (the bytes
-// already read). The body may total at most size bytes; with exact it must
-// total exactly size. The buffer holds min(Content-Length, size) bytes, so a
-// claimed length can shrink it but never grow it past the model's bound. A
-// Content-Length the bound refuses is answered before the body is read. When
-// it cannot read the body, it has answered the request (413 longer, 400
-// shorter or unreadable) and reports false.
-func readSized(w http.ResponseWriter, r *http.Request, prefix []byte, size int64, exact bool, what string) ([]byte, bool) {
-	n := size
-	if cl := r.ContentLength; cl >= 0 {
-		switch {
-		case cl > size:
-			writeError(w, http.StatusRequestEntityTooLarge, "%s of %d bytes exceeds the model's %d", what, cl, size)
-			return nil, false
-		case exact && cl < size:
-			writeError(w, http.StatusBadRequest, "%s of %d bytes, the model's is %d", what, cl, size)
-			return nil, false
-		}
-		n = cl
+// already read). The body must total exactly size bytes. A Content-Length
+// other than size is answered before the body is read. When it cannot read
+// the body, it has answered the request (413 longer, 400 shorter or
+// unreadable) and reports false.
+func readSized(w http.ResponseWriter, r *http.Request, prefix []byte, size int64, what string) ([]byte, bool) {
+	switch cl := r.ContentLength; {
+	case cl > size:
+		writeError(w, http.StatusRequestEntityTooLarge, "%s of %d bytes exceeds the model's %d", what, cl, size)
+		return nil, false
+	case cl >= 0 && cl < size:
+		writeError(w, http.StatusBadRequest, "%s of %d bytes, the model's is %d", what, cl, size)
+		return nil, false
 	}
-	buf := make([]byte, n)
+	buf := make([]byte, size)
 	got := copy(buf, prefix)
 	read, err := io.ReadFull(r.Body, buf[got:])
 	got += read
@@ -428,11 +422,11 @@ func readSized(w http.ResponseWriter, r *http.Request, prefix []byte, size int64
 	case err != io.EOF && err != io.ErrUnexpectedEOF:
 		writeError(w, http.StatusBadRequest, "reading %s: %v", what, err)
 		return nil, false
-	case exact:
+	default:
 		writeError(w, http.StatusBadRequest, "%s ends at %d bytes, the model's is %d", what, got, size)
 		return nil, false
 	}
-	return buf[:got], true
+	return buf, true
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -558,7 +552,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	size := frameSize(ref, dep.ParamBytes(), dep.Params(), len(dep.Rotations()))
-	data, ok := readSized(w, r, prefix, int64(size), true, "registration frame")
+	data, ok := readSized(w, r, prefix, int64(size), "registration frame")
 	if !ok {
 		return
 	}
@@ -650,20 +644,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := sess.dep.Params()
-	// A top-level ciphertext is the largest body the model admits, so a
-	// hostile client cannot pin more than one ciphertext's buffer.
-	data, ok := readSized(w, r, nil, int64(params.CiphertextWireSize(params.MaxLevel())), false, "ciphertext")
+	// Every linear layer keeps one plan, encoded for one input level and
+	// scale, so the door admits one input shape: the prescribed literal's
+	// top level and default scale, what every client encrypts at. Another
+	// shape would make each layer re-encode.
+	data, ok := readSized(w, r, nil, int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
 	if !ok {
 		return
 	}
 	ct := new(ckks.Ciphertext)
 	err := ct.UnmarshalBinary(data)
 	if err == nil {
-		err = ct.Validate(params, sess.dep.Levels())
+		err = ct.Validate(params, params.MaxLevel())
 	}
-	// Every layer's scale derives from the input's, and the bias plaintexts
-	// the model's sessions share are encoded at it: one scale is admissible,
-	// the one every client encrypts at.
 	if err == nil && ct.Scale != params.DefaultScale() {
 		err = fmt.Errorf("ciphertext scale %g, want the parameters' default %g", ct.Scale, params.DefaultScale())
 	}

@@ -575,15 +575,27 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 	}
 }
 
-// TestInferRejectsForeignScales: a ciphertext's scale is a client-chosen
-// float that would flow into every layer's scale and the bias encodings the
-// model's sessions share, so the door admits only the parameters' default.
-// Each of N distinct finite positive scales is a 400 that runs no unit
-// (nothing reaches the shared plaintext cache) and leaks no model reference.
+// TestInferRejectsForeignScales: a ciphertext's level and scale are client
+// choices that would flow into every layer, and each linear layer keeps one
+// plan, encoded for one input level and scale. So the door admits only the
+// prescribed literal's top level and default scale. The model has one spare
+// level, so a ciphertext one level below the top still holds the levels one
+// inference consumes. Each of N distinct finite positive scales, and that
+// level, is a 400 that runs no unit (no layer re-encodes) and leaks no model
+// reference.
 func TestInferRejectsForeignScales(t *testing.T) {
-	model, srv, ts := newTestServer(t)
+	model, err := registry.DemoModel(11, testLogN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Params.LogQ = append(model.Params.LogQ, model.Params.LogScale) // one spare level
+	srv, err := New(Options{Workers: -1}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, srv)
 	ctx := context.Background()
-	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 7)
+	sess, err := NewClient(ts, nil).NewSession(ctx, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,29 +606,39 @@ func TestInferRejectsForeignScales(t *testing.T) {
 	dep := srv.reg.List()[0]
 	refs, ran := dep.Refs(), srv.Stats().UnitsRun
 
-	vec := make([]float64, sess.params.Slots())
-	pt, err := sess.enc.EncodeReals(vec, sess.params.MaxLevel(), sess.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
+	encrypt := func(level int) *ckks.Ciphertext {
+		pt, err := sess.enc.EncodeReals(make([]float64, sess.params.Slots()), level, sess.params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.encr.Encrypt(pt)
 	}
-	ct := sess.encr.Encrypt(pt)
+	top := sess.params.MaxLevel()
+	if top-1 < dep.Levels() {
+		t.Fatalf("the model has no spare level: top %d, needs %d", top, dep.Levels())
+	}
+	rows := map[string]*ckks.Ciphertext{"level MaxLevel-1": encrypt(top - 1)}
 	for i := 1; i <= 32; i++ {
+		ct := encrypt(top)
 		ct.Scale = sess.params.DefaultScale() * (1 + float64(i)/(1<<20))
+		rows[fmt.Sprintf("scale %g", ct.Scale)] = ct
+	}
+	for name, ct := range rows {
 		body, err := ct.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Post(ts+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("scale %g: got %s, want 400", ct.Scale, resp.Status)
+			t.Fatalf("%s: got %s, want 400", name, resp.Status)
 		}
 	}
 	if st := srv.Stats(); st.UnitsRun != ran || st.Backlog != 0 || dep.Refs() != refs {
-		t.Fatalf("foreign scales ran %d units, left backlog %d and %d model refs (baseline %d)",
+		t.Fatalf("foreign shapes ran %d units, left backlog %d and %d model refs (baseline %d)",
 			st.UnitsRun-ran, st.Backlog, dep.Refs(), refs)
 	}
 	if _, err := sess.Infer(ctx, x); err != nil {

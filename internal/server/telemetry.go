@@ -39,7 +39,7 @@ func (s *Server) initTelemetry() {
 	s.queueWait = m.NewHistogramVec("henn_queue_wait_seconds",
 		"Time from request enqueue to a worker starting its unit, by model version.", "model")
 	s.compileLat = m.NewHistogram("henn_model_compile_seconds",
-		"Deploy-time model compilation latency (parameter compilation and plan warming).")
+		"Deploy-time model compilation latency (parameter compilation and the rotation-step walk).")
 	s.stageLat = m.NewHistogramVec("henn_ckks_stage_seconds",
 		"Time one inference unit spent in each CKKS stage, from the unit's trace.", "stage")
 
