@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
+	"github.com/efficientfhe/smartpaf/internal/ring"
 )
 
 // Linear layers are evaluated with the Halevi–Shoup baby-step/giant-step
@@ -154,7 +156,8 @@ func (ctx *Context) ApplyLinearBSGS(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphe
 // ApplyLinear computes Wx + b on the encrypted vector, consuming one level.
 // The result keeps the input's scale. It runs the layer's plan, compiling
 // one that replaces it when ct's level or scale or ctx's encoder differ
-// from the plan's.
+// from the plan's, and fans the plan's rotations across the ring's workers
+// (ring.ForEachWorker); the result is the same bytes at every width.
 func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	slots := ctx.Params.Slots()
 	if l.In > slots || l.Out > slots {
@@ -181,11 +184,25 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	// rotations act on per-block inner sums — all distinct ciphertexts — so
 	// they stay on the plain path.
 	//
+	// Both loops fan through the ring's gate, one job per key switch: the
+	// baby rotations only read the decomposition, and a giant block only
+	// reads the baby rotations. A job is worth far more than a fan's
+	// hand-off, where a limb is not; while the layer holds the gate, the
+	// limb fans inside its jobs run serially, and when another fan holds it
+	// the layer runs serially on this goroutine. Each worker sums its blocks
+	// into its own accumulator, and the accumulators are added after the
+	// fan: modular addition is exact in any order, so the output is the same
+	// bytes at every width. A stage recorded inside a fan is charged its
+	// share of the fan's wall time.
+	//
 	// Every intermediate is pooled and handed back: the baby rotations when
 	// the layer is done, each block's inner sum once it is rotated, each
-	// rotated block once it is added into the running sum, the rescaled sum
-	// once the bias is added.
+	// rotated block once it is added into its worker's sum, the workers'
+	// sums once added, the rescaled sum once the bias is added.
 	eval := ctx.Eval
+	cost := keySwitchCost(ctx.Params, ct.Level)
+	var failure atomic.Pointer[error] // the first failed job's error; later jobs skip
+	fail := func(err error) { failure.CompareAndSwap(nil, &err) }
 	mark := tr.StageStart()
 	dec := eval.DecomposeHoisted(ct)
 	tr.StageEnd("decompose_hoisted", mark)
@@ -199,59 +216,73 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 			}
 		}
 	}()
-	for _, b := range plan.babies {
+	width := 1
+	ring.ForEachWorker(len(plan.babies), cost, func(w int) { width = w }, func(_, i int) {
+		if failure.Load() != nil {
+			return
+		}
+		b := plan.babies[i]
 		mark := tr.StageStart()
 		r, err := eval.RotateHoisted(dec, b)
-		tr.StageEnd("rotate_hoisted", mark)
+		tr.StageEndShare("rotate_hoisted", mark, width)
 		if err != nil {
-			return nil, fmt.Errorf("henn: baby rotation %d: %w", b, err)
+			fail(fmt.Errorf("henn: baby rotation %d: %w", b, err))
+			return
 		}
 		rot[b] = r
+	})
+	if err := failure.Load(); err != nil {
+		return nil, *err
 	}
 
-	inner := eval.NewPlainSum(ct.Level)
-	defer inner.Release()
+	var sums []*ckks.PlainSum
+	var accs []*ckks.Ciphertext // accs[w]: the sum of the blocks worker w ran
+	ring.ForEachWorker(len(plan.blocks), cost, func(w int) {
+		width = w
+		sums, accs = make([]*ckks.PlainSum, w), make([]*ckks.Ciphertext, w)
+		for i := range sums {
+			sums[i] = eval.NewPlainSum(ct.Level)
+		}
+	}, func(w, i int) {
+		if failure.Load() != nil {
+			return
+		}
+		block, err := ctx.giantBlock(plan.blocks[i], rot, sums[w], width)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if accs[w] == nil {
+			accs[w] = block
+			return
+		}
+		err = eval.AddInPlace(accs[w], block)
+		eval.Recycle(block)
+		if err != nil {
+			fail(err)
+		}
+	})
 	var acc *ckks.Ciphertext
 	defer func() {
 		if acc != nil {
 			eval.Recycle(acc)
 		}
 	}()
-	for _, blk := range plan.blocks {
-		// One lazily reduced accumulation, one reduction per block.
-		for _, t := range blk.terms {
-			mark := tr.StageStart()
-			err := inner.MulPlainThenAdd(rot[t.baby], t.pt)
-			tr.StageEnd("mul_plain", mark)
-			if err != nil {
-				return nil, err
+	for w, a := range accs {
+		sums[w].Release()
+		switch {
+		case a == nil:
+		case acc == nil:
+			acc = a
+		default:
+			if err := eval.AddInPlace(acc, a); err != nil {
+				fail(err)
 			}
+			eval.Recycle(a)
 		}
-		mark := tr.StageStart()
-		block, err := inner.Sum()
-		tr.StageEnd("mul_plain", mark)
-		if err != nil {
-			return nil, err
-		}
-		if blk.step != 0 {
-			mark = tr.StageStart()
-			rotated, err := eval.Rotate(block, blk.step)
-			tr.StageEnd("rotate", mark)
-			eval.Recycle(block)
-			if err != nil {
-				return nil, fmt.Errorf("henn: giant rotation %d: %w", blk.step, err)
-			}
-			block = rotated
-		}
-		if acc == nil {
-			acc = block
-			continue
-		}
-		err = eval.AddInPlace(acc, block)
-		eval.Recycle(block)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err := failure.Load(); err != nil {
+		return nil, *err
 	}
 
 	mark = tr.StageStart()
@@ -269,4 +300,40 @@ func (ctx *Context) ApplyLinear(l *Linear, ct *ckks.Ciphertext) (*ckks.Ciphertex
 	biased, err := eval.AddPlain(out, plan.bias)
 	tr.StageEnd("add_plain", mark)
 	return biased, err
+}
+
+// giantBlock computes one giant block on a fan worker: the block's inner
+// sum, in the worker's own PlainSum, rotated by the block's step.
+func (ctx *Context) giantBlock(blk giantBlock, rot []*ckks.Ciphertext, inner *ckks.PlainSum, width int) (*ckks.Ciphertext, error) {
+	tr, eval := ctx.trace, ctx.Eval
+	// One lazily reduced accumulation, one reduction per block.
+	for _, t := range blk.terms {
+		mark := tr.StageStart()
+		err := inner.MulPlainThenAdd(rot[t.baby], t.pt)
+		tr.StageEndShare("mul_plain", mark, width)
+		if err != nil {
+			return nil, err
+		}
+	}
+	mark := tr.StageStart()
+	block, err := inner.Sum()
+	tr.StageEndShare("mul_plain", mark, width)
+	if err != nil || blk.step == 0 {
+		return block, err
+	}
+	mark = tr.StageStart()
+	rotated, err := eval.Rotate(block, blk.step)
+	tr.StageEndShare("rotate", mark, width)
+	eval.Recycle(block)
+	if err != nil {
+		return nil, fmt.Errorf("henn: giant rotation %d: %w", blk.step, err)
+	}
+	return rotated, nil
+}
+
+// keySwitchCost is one rotation's work in the units of ring.ForEachWorker's
+// cost hint at level: the key multiply-accumulate's two products per gadget
+// digit on every limb of Q·P, the hint the key switch's own limb fan passes.
+func keySwitchCost(p *ckks.Parameters, level int) int {
+	return 2 * p.Digits(level) * (level + 1 + len(p.P())) * p.N()
 }

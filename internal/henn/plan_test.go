@@ -113,7 +113,7 @@ func TestSingleBSGSPathServesEveryShape(t *testing.T) {
 				if len(steps) > parent+1 {
 					t.Errorf("%d rotation keys; the two-path design advertised %d", len(steps), parent)
 				}
-				n1 := int(math.Ceil(math.Sqrt(float64(slots))))
+				n1 := babyStride(slots)
 				var wantHoisted, wantPlain int64
 				for _, l := range mlp.Layers {
 					for _, s := range (&MLP{Layers: []any{l}}).ServingRotations(slots) {

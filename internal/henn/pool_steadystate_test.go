@@ -60,7 +60,10 @@ func assertNoDoublePut(t *testing.T, rq *ring.Ring) {
 // scratch-slice headers, and a failure only the latter; one leaked level-4
 // poly per call adds 40 KB and one leaked P poly 16 KB, so each bound sits
 // half a P poly above its measured steady state (109 KB and 41 KB), and both
-// rings' pools are checked for a poly returned twice.
+// rings' pools are checked for a poly returned twice. On two Ps, where the
+// layer fans its baby rotations and giant blocks, calls missing the last
+// giant key or the first baby key return every poly once too, and the next
+// success is still the first's bytes.
 func TestLinearBSGSPoolSteadyState(t *testing.T) {
 	const levels = 4
 	rng := rand.New(rand.NewSource(23))
@@ -68,8 +71,10 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 	mlp := &MLP{Layers: []any{lin}}
 	steps := mlp.ServingRotations(512)
 	ctx, encryptor, _ := newHEContextLogN(t, 10, levels, steps)
-	// The same keys minus the last giant step: the layer fails late.
+	// The same keys minus the last giant step: the layer fails late. Minus
+	// the first baby step: it fails among the baby rotations.
 	broken, _, _ := newHEContextLogN(t, 10, levels, steps[:len(steps)-1])
+	noBaby, _, _ := newHEContextLogN(t, 10, levels, steps[1:])
 
 	vec := make([]float64, ctx.Params.Slots())
 	for i := 0; i < lin.In; i++ {
@@ -98,9 +103,38 @@ func TestLinearBSGSPoolSteadyState(t *testing.T) {
 			t.Fatal("the layer succeeded without its last giant-step key")
 		}
 	}
-	checkSteadyState(t, "success", succeed, 117e3, ctx.Params, broken.Params)
-	checkSteadyState(t, "missing key", fail, 50e3, ctx.Params, broken.Params)
+	failBaby := func() {
+		if _, err := noBaby.ApplyLinear(lin, ct); err == nil {
+			t.Fatal("the layer succeeded without its first baby-step key")
+		}
+	}
+	params := []*ckks.Parameters{ctx.Params, broken.Params, noBaby.Params}
+	checkSteadyState(t, "success", succeed, 117e3, params...)
+	checkSteadyState(t, "missing key", fail, 50e3, params...)
 	succeed() // after the failures and the pool shuffles, still the same bytes
+
+	// Fanned over its baby rotations and giant blocks, a failing layer
+	// still hands every intermediate back once, whichever worker held it.
+	checkFannedPools(t, fail, params...)
+	checkFannedPools(t, failBaby, params...)
+	succeed()
+}
+
+// checkFannedPools runs run a few times on at least two Ps, where the
+// linear layer's fans really fan, and checks both rings' pools of every
+// parameter set for a poly returned twice. It bounds no allocation: on
+// several Ps a pool's per-P slot is out of reach of a goroutine that
+// migrated, so the bytes a call allocates vary from run to run.
+func checkFannedPools(t *testing.T, run func(), params ...*ckks.Parameters) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	for _, p := range params {
+		assertNoDoublePut(t, p.RingQ())
+		assertNoDoublePut(t, p.RingP())
+	}
 }
 
 // checkSteadyState warms run (the pools, and the layer's plan), fails if

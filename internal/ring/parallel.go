@@ -6,22 +6,26 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the RNS-limb worker pool: independent per-limb work
-// (NTT/INTT across limbs, pointwise limb arithmetic, key-switch
-// decomposition and accumulation, mod-down base extension) is fanned across up to Parallelism()
-// goroutines, with a serial fallback when the job is too small to amortize
-// the fan-out or when another fan-out is already in flight.
+// This file implements the substrate's one worker pool: independent jobs are
+// fanned across up to Parallelism() goroutines, with a serial fallback when
+// the work is too small to amortize the fan-out or when another fan-out is
+// already in flight. Jobs come at two grains. The coarse one is a whole key
+// switch: henn's linear layer fans its baby rotations and its giant blocks,
+// each job worth milliseconds. The fine one is an RNS limb (NTT/INTT across
+// limbs, pointwise limb arithmetic, key-switch decomposition and
+// accumulation, mod-down base extension), each job worth tens of
+// microseconds; it fans only when nothing coarser holds the gate.
 //
 // The design deliberately relies on the Go scheduler as the underlying
-// thread pool: workers are plain goroutines pulling limb indices from an
+// thread pool: workers are plain goroutines pulling job indices from an
 // atomic counter, so nested calls and concurrent evaluators cannot deadlock
 // on a fixed-size queue. A single in-flight fan-out gate keeps the total
 // goroutine count bounded at Parallelism() even when many callers hit the
 // substrate at once — in that regime the callers themselves already provide
-// the concurrency, and per-limb fan-out would only add scheduling overhead.
+// the concurrency, and a nested fan-out would only add scheduling overhead.
 
 // MinParallelWork is the minimum number of coefficient operations
-// (jobs × per-job cost) below which limb fan-out falls back to the serial
+// (jobs × per-job cost) below which a fan-out falls back to the serial
 // path. It is sized by measurement, not by the cost of a goroutine: waking
 // a second core and joining on it costs 50–80 µs on the 2-vCPU reference
 // box, and a transform's coefficient costs about 10 ns since the butterflies

@@ -34,9 +34,10 @@ type Options struct {
 	// cmd/hennserve defaults to it). Each of the Workers goroutines takes
 	// one job per session turn, round-robin across sessions with queued
 	// work, and runs it itself.
-	// Within a unit, the ring substrate's limb fan-out still follows the
-	// process-wide GOMAXPROCS/ring.SetParallelism setting — Workers counts
-	// units, not goroutines.
+	// Within a unit, each linear layer fans its rotations across the
+	// process-wide GOMAXPROCS/ring.SetParallelism width while no other fan
+	// holds the ring's gate, so a one-worker budget still uses the idle
+	// cores — Workers counts units, not goroutines.
 	Workers int
 	// KeyBudget caps the bytes of expanded evaluation keys that live and
 	// registering sessions hold together, whatever their model (a session

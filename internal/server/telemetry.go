@@ -41,7 +41,7 @@ func (s *Server) initTelemetry() {
 	s.compileLat = m.NewHistogram("henn_model_compile_seconds",
 		"Deploy-time model compilation latency (parameter compilation and the rotation-step walk).")
 	s.stageLat = m.NewHistogramVec("henn_ckks_stage_seconds",
-		"Time one inference unit spent in each CKKS stage, from the unit's trace.", "stage")
+		"Time one inference unit spent in each CKKS stage, from the unit's trace; a stage run inside a fan is charged its share of the fan's wall time.", "stage")
 
 	m.NewGaugeFunc("henn_uptime_seconds",
 		"Seconds since the server was built.",

@@ -97,11 +97,19 @@ func (tr *Trace) StageStart() time.Time {
 
 // StageEnd accumulates time since start into the named stage total. A
 // zero start (disabled trace at StageStart time) is dropped.
-func (tr *Trace) StageEnd(name string, start time.Time) {
+func (tr *Trace) StageEnd(name string, start time.Time) { tr.StageEndShare(name, start, 1) }
+
+// StageEndShare is StageEnd for a stage that ran as one job of a fan of
+// width goroutines: it is charged its time since start divided by width.
+// Each goroutine's jobs take at most the fan's wall time, so a fan's stages
+// add up to at most that wall time, and stage totals stay within the
+// request's time however its work was fanned. The stage still counts one
+// sample.
+func (tr *Trace) StageEndShare(name string, start time.Time, width int) {
 	if tr == nil || start.IsZero() {
 		return
 	}
-	d := time.Since(start)
+	d := time.Since(start) / time.Duration(max(width, 1))
 	tr.mu.Lock()
 	if tr.stages == nil {
 		tr.stages = map[string]*stageAgg{}

@@ -69,6 +69,31 @@ func TestTraceSpansAndStages(t *testing.T) {
 	}
 }
 
+// TestStageEndShare: a stage run inside a fan of width w is charged a w-th
+// of its time and still counts one sample; a width below one charges the
+// whole time.
+func TestStageEndShare(t *testing.T) {
+	tr := NewTrace("fan")
+	for _, width := range []int{4, 0} {
+		mark := tr.StageStart()
+		time.Sleep(2 * time.Millisecond)
+		tr.StageEndShare(fmt.Sprint("w", width), mark, width)
+		elapsed := time.Since(mark)
+		got := tr.StageTotals()[fmt.Sprint("w", width)]
+		share := time.Duration(max(width, 1))
+		if got > elapsed/share || got < 2*time.Millisecond/share {
+			t.Errorf("width %d: charged %v of %v elapsed, want a %d-th", width, got, elapsed, share)
+		}
+	}
+	for _, s := range tr.Snapshot().Stages {
+		if s.Count != 1 {
+			t.Errorf("stage %q counted %d samples, want 1", s.Name, s.Count)
+		}
+	}
+	var nilTrace *Trace
+	nilTrace.StageEndShare("stage", time.Now(), 2)
+}
+
 // TestTraceSpanCap: traces stop growing at the span cap and count drops.
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("cap")
