@@ -30,13 +30,12 @@ const scaleTol = 1e-6
 // and reduced once at the end (ring.MulAcc128); every value an operation
 // returns is a canonical residue, identical under any fan-out width.
 //
-// Results come from the ring pool too: Add, Sub, Neg, AddPlain, MulPlain,
+// Results come from the ring pool too: Add, Sub, AddPlain, MulPlain,
 // MulRelin, MulRelinRescale, Rescale, MulConst, MulConstTargetScale, Rotate,
-// RotateHoisted, Conjugate, ConjugateHoisted and PlainSum.Sum build their
-// result from pooled polys, and the fused ops hand their own intermediate
-// back. The caller owns the result and may return it with Recycle once it
-// is dead, so a chain of ops reuses a few buffers instead of allocating one
-// per step. Recycling is optional: a result never recycled is collected by
+// RotateHoisted and PlainSum.Sum build their result from pooled polys, and
+// the fused ops hand their own intermediate back. The caller owns the result
+// and may return it with Recycle once it is dead, so a chain of ops reuses a
+// few buffers instead of allocating one per step. Recycling is optional: a result never recycled is collected by
 // the GC like any other value. No op recycles a ciphertext it was given.
 type Evaluator struct {
 	params *Parameters
@@ -99,15 +98,6 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	rq.Sub(a.C0, b.C0, out.C0)
 	rq.Sub(a.C1, b.C1, out.C1)
 	return out, nil
-}
-
-// Neg returns -a.
-func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
-	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.GetPolyRaw(a.Level), C1: rq.GetPolyRaw(a.Level), Scale: a.Scale, Level: a.Level}
-	rq.Neg(a.C0, out.C0)
-	rq.Neg(a.C1, out.C1)
-	return out
 }
 
 // AddPlain returns ct + pt (scales must match).

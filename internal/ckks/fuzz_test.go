@@ -76,7 +76,7 @@ func FuzzEvaluationKeysUnmarshal(f *testing.F) {
 		}{
 			{rlk, func() []*SwitchingKey { return []*SwitchingKey{&rlk.SwitchingKey} }},
 			{rks, func() []*SwitchingKey {
-				keys := []*SwitchingKey{rks.conjugation}
+				var keys []*SwitchingKey
 				for _, key := range rks.keys {
 					keys = append(keys, key)
 				}

@@ -15,8 +15,8 @@ import (
 // multiply-accumulate against that step's switching key.
 //
 // A plain Rotate is the same arithmetic with a decomposition that lives for
-// one call (Evaluator.galoisOnce), so Rotate(ct, k) and
-// RotateHoisted(DecomposeHoisted(ct), k) return identical bytes.
+// one call, so Rotate(ct, k) and RotateHoisted(DecomposeHoisted(ct), k)
+// return identical bytes.
 
 // HoistedDecomposition is the reusable, step-independent part of a rotation:
 // the gadget digits of a ciphertext's c1 raised to the full Q·P basis, in NTT
@@ -72,25 +72,10 @@ func (ev *Evaluator) RotateHoisted(dec *HoistedDecomposition, step int) (*Cipher
 	if err != nil {
 		return nil, err
 	}
-	return ev.galoisHoisted(dec, ev.params.galoisElement(norm), swk), nil
-}
-
-// ConjugateHoisted applies complex conjugation against the decomposition.
-func (ev *Evaluator) ConjugateHoisted(dec *HoistedDecomposition) (*Ciphertext, error) {
-	swk, err := ev.conjugationKey()
-	if err != nil {
-		return nil, err
-	}
-	return ev.galoisHoisted(dec, 2*ev.params.N()-1, swk), nil
-}
-
-// galoisHoisted is galois on a caller-held decomposition, observed as one
-// "rotate_hoisted" stage.
-func (ev *Evaluator) galoisHoisted(dec *HoistedDecomposition, k int, swk *SwitchingKey) *Ciphertext {
 	mark := stageClock()
-	out := ev.galois(dec, k, swk)
+	out := ev.galois(dec, ev.params.galoisElement(norm), swk)
 	stageDone("rotate_hoisted", mark)
-	return out
+	return out, nil
 }
 
 // galois computes (φ(c0) + KS(φ(c1)), KS(φ(c1))) for the ciphertext dec was

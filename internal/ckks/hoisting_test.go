@@ -55,16 +55,16 @@ func TestGaloisNTTIndexMatchesCoefficientAutomorphism(t *testing.T) {
 var wideDigits = ParametersLiteral{LogN: testLit.LogN, LogQ: testLit.LogQ, LogP: []int{55, 55}, LogScale: testLit.LogScale}
 
 // TestRotateHoistedMatchesRotate: the two rotation paths are one arithmetic.
-// For a full rotation set — negative and wrapped steps included — and for
-// conjugation, at the top level and on a rescaled ciphertext, a plain
-// rotation and a hoisted one off a shared decomposition return the same
-// bytes, and those decrypt to the expected plaintext shift.
+// For a full rotation set — negative and wrapped steps included — at the
+// top level and on a rescaled ciphertext, a plain rotation and a hoisted one
+// off a shared decomposition return the same bytes, and those decrypt to the
+// expected plaintext shift.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	slots := 64 // testLit has LogN 7
 	steps := []int{1, 3, 7, 13, 31, slots - 1, -2, -slots + 5, slots + 5}
 	for _, lit := range []ParametersLiteral{testLit, wideDigits} {
 		tc := newTestContext(t, lit)
-		tc.eval.WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, steps, true))
+		tc.eval.WithRotationKeys(tc.kg.GenRotationKeys(tc.sk, steps, false))
 		values := randomComplex(rand.New(rand.NewSource(52)), slots, 0.5)
 		pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
 		top := tc.encr.Encrypt(pt)
@@ -97,14 +97,6 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 				if e := maxErr(want, tc.enc.Decode(tc.decr.Decrypt(hoisted))); e > 1e-4 {
 					t.Fatalf("α=%d level %d step %d: rotation error %g", len(lit.LogP), c.ct.Level, step, e)
 				}
-			}
-			hoisted, err1 := tc.eval.ConjugateHoisted(dec)
-			plain, err2 := tc.eval.Conjugate(c.ct)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if !ctEqual(hoisted, plain) {
-				t.Fatalf("α=%d level %d: hoisted and plain conjugation differ", len(lit.LogP), c.ct.Level)
 			}
 			dec.Release()
 		}
@@ -148,7 +140,7 @@ func TestKeySwitchesLeaveInputsUntouched(t *testing.T) {
 // TestRotateHoistedZeroAndErrors covers the degenerate paths: step 0 copies,
 // missing keys error exactly like the plain path.
 func TestRotateHoistedZeroAndErrors(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{1}, false)
+	tc, _ := newRotationContext(t, []int{1})
 	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()), 1, tc.params.DefaultScale())
 	ct := tc.encr.Encrypt(pt)
 	dec := tc.eval.DecomposeHoisted(ct)
@@ -170,9 +162,6 @@ func TestRotateHoistedZeroAndErrors(t *testing.T) {
 	if _, err := bare.RotateHoisted(bareDec, 1); err == nil {
 		t.Fatal("expected no-keys error")
 	}
-	if _, err := bare.ConjugateHoisted(bareDec); err == nil {
-		t.Fatal("expected no-conjugation-key error")
-	}
 }
 
 // TestRotateHoistedConcurrentSharedEvaluator drives hoisted rotations from
@@ -182,7 +171,7 @@ func TestRotateHoistedZeroAndErrors(t *testing.T) {
 // the serial reference (each limb's sum is reduced once, whoever computes it).
 func TestRotateHoistedConcurrentSharedEvaluator(t *testing.T) {
 	steps := []int{1, 3, 7, -2}
-	tc, _ := newRotationContext(t, steps, false)
+	tc, _ := newRotationContext(t, steps)
 	rng := rand.New(rand.NewSource(55))
 	values := randomComplex(rng, tc.params.Slots(), 1)
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())

@@ -23,19 +23,20 @@ import (
 //	ParametersLiteral:  magic | u32 LogN | u32 LogScale | u32 nq | nq×u32 LogQ | u32 np | np×u32 LogP
 //	Ciphertext:         magic | u32 level | f64 scale | poly C0 | poly C1
 //	RelinearizationKey: magic | key
-//	RotationKeySet:     magic | u32 n | n×(u32 step | key), ascending | u32 conj | [key]
+//	RotationKeySet:     magic | u32 n | n×(u32 step | key), ascending
 //
 // A key's public a_d are not on the wire: its seed expands to them
 // (expandA), and only the parameters' moduli make that possible, so a decoded
 // key holds its b_d alone until EvaluationKeySet.Validate expands the rest.
-// The key formats took new magics twice: when the gadget went from one digit
-// per chain prime to grouped digits (same layout, new meaning), and when the
-// a_d gave way to the seed. A payload from either side of a change fails at
-// the front door.
+// The key formats took new magics when the gadget went from one digit per
+// chain prime to grouped digits (same layout, new meaning), when the a_d gave
+// way to the seed, and — the rotation-key set alone — when its trailing
+// optional key went. A payload from either side of a change fails at the
+// front door.
 const (
 	ciphertextMagic  = uint32(0x5AF7CC09)
 	paramsMagic      = uint32(0x5AF7CC0E)
-	rotationKeyMagic = uint32(0x5AF7CC12)
+	rotationKeyMagic = uint32(0x5AF7CC14)
 	relinKeyMagic    = uint32(0x5AF7CC13)
 
 	maxLimbs        = 64 // chain length; bounds special primes and gadget digits too
@@ -78,16 +79,16 @@ func (p *Parameters) KeyWireSize() int {
 }
 
 // relinKeySize and rotationKeysSize are the exact wire sizes of a
-// relinearization key and of a rotation-key set of n keys (conjugation key
-// not counted) whose every key takes keyBytes.
+// relinearization key and of a rotation-key set of n keys whose every key
+// takes keyBytes.
 func relinKeySize(keyBytes int) int        { return 4 + keyBytes }
-func rotationKeysSize(n, keyBytes int) int { return 12 + n*(4+keyBytes) } // magic, count, conjugation flag
+func rotationKeysSize(n, keyBytes int) int { return 8 + n*(4+keyBytes) } // magic, count
 
 // RelinKeyWireSize is the marshaled size of a relinearization key under p.
 func (p *Parameters) RelinKeyWireSize() int { return relinKeySize(p.KeyWireSize()) }
 
 // RotationKeysWireSize is the marshaled size of a rotation-key set with keys
-// for n steps, and no conjugation key, under p.
+// for n steps under p.
 func (p *Parameters) RotationKeysWireSize(n int) int { return rotationKeysSize(n, p.KeyWireSize()) }
 
 // EvaluationKeysSize is the coefficient bytes an EvaluationKeySet of a
@@ -275,11 +276,7 @@ func (rks *RotationKeySet) MarshalBinary() ([]byte, error) {
 		keyBytes = key.wireSize()
 		break
 	}
-	size := rotationKeysSize(len(rks.keys), keyBytes)
-	if rks.conjugation != nil {
-		size += rks.conjugation.wireSize()
-	}
-	return rks.AppendBinary(make([]byte, 0, size))
+	return rks.AppendBinary(make([]byte, 0, rotationKeysSize(len(rks.keys), keyBytes)))
 }
 
 // AppendBinary appends the set's wire form to b. Steps are written in sorted
@@ -293,12 +290,6 @@ func (rks *RotationKeySet) AppendBinary(b []byte) ([]byte, error) {
 		w.U32(uint32(step))
 		writeKey(&w, rks.keys[step])
 	}
-	if rks.conjugation == nil {
-		w.U32(0)
-	} else {
-		w.U32(1)
-		writeKey(&w, rks.conjugation)
-	}
 	return w, nil
 }
 
@@ -311,7 +302,12 @@ func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("ckks: rotation keys", data)
 	r.Magic(rotationKeyMagic)
 	var ref *SwitchingKey
-	next := func() *SwitchingKey {
+	keys := map[int]*SwitchingKey{}
+	for n := r.Count(maxRotationKeys); n > 0 && r.Err() == nil; n-- {
+		step := int(r.U32())
+		if _, dup := keys[step]; dup || step == 0 || step > maxDegree {
+			r.Fail("rotation step %d is zero, implausible or repeated", step)
+		}
 		key := readKey(r)
 		if ref == nil {
 			ref = key
@@ -320,27 +316,11 @@ func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
 			!sameShape(key.Digits[0].BQ, ref.Digits[0].BQ) || !sameShape(key.Digits[0].BP, ref.Digits[0].BP)) {
 			r.Fail("rotation keys disagree on digit count, limb counts or ring degree")
 		}
-		return key
-	}
-	keys := map[int]*SwitchingKey{}
-	for n := r.Count(maxRotationKeys); n > 0 && r.Err() == nil; n-- {
-		step := int(r.U32())
-		if _, dup := keys[step]; dup || step == 0 || step > maxDegree {
-			r.Fail("rotation step %d is zero, implausible or repeated", step)
-		}
-		keys[step] = next()
-	}
-	var conjugation *SwitchingKey
-	switch conj := r.U32(); conj {
-	case 0:
-	case 1:
-		conjugation = next()
-	default:
-		r.Fail("implausible conjugation flag %d", conj)
+		keys[step] = key
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	rks.keys, rks.conjugation = keys, conjugation
+	rks.keys = keys
 	return nil
 }

@@ -214,11 +214,11 @@ func TestSwitchingKeyRoundtripRotates(t *testing.T) {
 	}
 }
 
-// TestRotationKeySetRoundtrip checks the container metadata: step set and
-// conjugation flag survive, and equal sets serialize identically.
+// TestRotationKeySetRoundtrip checks the container metadata: the step set
+// survives, and equal sets serialize identically.
 func TestRotationKeySetRoundtrip(t *testing.T) {
 	tc := newTestContext(t, testLit)
-	rks := tc.kg.GenRotationKeys(tc.sk, []int{1, 5, 2, 5, -1}, true)
+	rks := tc.kg.GenRotationKeys(tc.sk, []int{1, 5, 2, 5, -1}, false)
 
 	data, err := rks.MarshalBinary()
 	if err != nil {
@@ -238,37 +238,12 @@ func TestRotationKeySetRoundtrip(t *testing.T) {
 			t.Fatalf("steps %v after roundtrip, want %v", gotSteps, wantSteps)
 		}
 	}
-	if got.conjugation == nil {
-		t.Fatal("conjugation key lost in roundtrip")
-	}
 	data2, err := got.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, data2) {
 		t.Fatal("re-marshaling a roundtripped set changed the bytes")
-	}
-
-	// Conjugation still works under the roundtripped set once its a_d are
-	// expanded (Validate would refuse the conjugation key).
-	for _, key := range got.keys {
-		tc.params.expandA(key)
-	}
-	tc.params.expandA(got.conjugation)
-	eval := NewEvaluator(tc.params, tc.rlk).WithRotationKeys(&got)
-	rng := rand.New(rand.NewSource(92))
-	values := randomComplex(rng, tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
-	conj, err := eval.Conjugate(tc.encr.Encrypt(pt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, len(values))
-	for i := range values {
-		want[i] = complex(real(values[i]), -imag(values[i]))
-	}
-	if e := maxErr(want, tc.enc.Decode(tc.decr.Decrypt(conj))); e > 1e-5 {
-		t.Fatalf("conjugation under roundtripped key fails: %g", e)
 	}
 }
 
@@ -290,14 +265,20 @@ func TestRotationKeySetBadInput(t *testing.T) {
 	if err := rks.UnmarshalBinary(good[:len(good)-5]); err == nil {
 		t.Fatal("expected error on truncated digits")
 	}
+	// The retired layout ended in a u32 flag for an optional extra key.
+	if err := rks.UnmarshalBinary(append(good, 0, 0, 0, 0)); err == nil {
+		t.Fatal("expected error on a trailing key flag")
+	}
 }
 
 // TestPerPrimeEraPayloadsRefused: the literal and the key formats changed
 // meaning when the gadget went to grouped digits (a key's layout did not
 // change shape, so nothing else would tell the two apart), and the keys
-// changed layout again when a seed replaced their a_d. A payload carrying a
-// retired magic — a per-prime or unseeded key from an old client, a literal
-// persisted by an old server — fails at the front door, naming the magic.
+// changed layout again when a seed replaced their a_d; the rotation-key set
+// changed once more when its trailing key flag went. A payload carrying a
+// retired magic — a per-prime, unseeded or flagged key from an old client, a
+// literal persisted by an old server — fails at the front door, naming the
+// magic.
 func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rks := tc.kg.GenRotationKeys(tc.sk, []int{1}, false)
@@ -312,6 +293,7 @@ func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 		"unseeded rotation keys":   {rks, new(RotationKeySet), 0x5AF7CC0F},
 		"unseeded relin key":       {tc.rlk, new(RelinearizationKey), 0x5AF7CC10},
 		"standalone switching key": {tc.rlk, new(RelinearizationKey), 0x5AF7CC11},
+		"flagged rotation keys":    {rks, new(RotationKeySet), 0x5AF7CC12},
 	} {
 		data, err := c.value.MarshalBinary()
 		if err != nil {
@@ -523,9 +505,6 @@ func TestSeededKeyDecodersRefuseMalformedKeys(t *testing.T) {
 			return out
 		}
 		seedOnly := append(append([]byte(nil), format.payload[:count]...), 0, 0, 0, 0)
-		if format.name == "rotation keys" {
-			seedOnly = append(seedOnly, 0, 0, 0, 0) // no conjugation key
-		}
 		for name, data := range map[string][]byte{
 			"truncated seed":            format.payload[:format.at+20],
 			"one digit more than sent":  withCount(digits + 1),
@@ -557,8 +536,8 @@ func TestSeededKeyDecodersRefuseMalformedKeys(t *testing.T) {
 func TestWireSeedsAreDistinctAndOneWay(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	steps := []int{1, 2, 3, 5, 8, 13, 21, 34, 55}
-	rks := tc.kg.GenRotationKeys(tc.sk, steps, true)
-	keys := map[int64]*SwitchingKey{relinTag: &tc.rlk.SwitchingKey, int64(2*tc.params.N() - 1): rks.conjugation}
+	rks := tc.kg.GenRotationKeys(tc.sk, steps, false)
+	keys := map[int64]*SwitchingKey{relinTag: &tc.rlk.SwitchingKey}
 	for _, step := range rks.Steps() {
 		keys[int64(tc.params.galoisElement(step))] = rks.keys[step]
 	}

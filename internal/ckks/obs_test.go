@@ -13,7 +13,7 @@ import (
 // it stops the reports. The observer is process-global, so the test
 // restores the disabled state before returning.
 func TestStageObserver(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{1}, false)
+	tc, _ := newRotationContext(t, []int{1})
 	rng := rand.New(rand.NewSource(31))
 	values := randomComplex(rng, tc.params.Slots(), 1)
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())

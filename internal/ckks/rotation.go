@@ -8,11 +8,9 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/ring"
 )
 
-// RotationKeySet holds switching keys for slot rotations (by step) and
-// complex conjugation.
+// RotationKeySet holds switching keys for slot rotations, by step.
 type RotationKeySet struct {
-	keys        map[int]*SwitchingKey // step -> key for φ_{5^step}(s)
-	conjugation *SwitchingKey
+	keys map[int]*SwitchingKey // step -> key for φ_{5^step}(s)
 }
 
 // Steps lists the normalized rotation steps the set has keys for, sorted.
@@ -68,13 +66,14 @@ func deriveSeed(seed, tag int64) int64 {
 }
 
 // GenRotationKeys builds switching keys for the given rotation steps
-// (positive = rotate slot vector left) and, when conjugation is true, for
-// complex conjugation. Keys are independent, so generation fans across all
-// cores (rotation-key sets dominate serving-session setup otherwise); each
-// key's randomness — its error stream and its public seed — is derived from
-// the generator seed and its Galois element, keeping the result
-// deterministic under any schedule.
-func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation bool) *RotationKeySet {
+// (positive = rotate slot vector left). Keys are independent, so generation
+// fans across all cores (rotation-key sets dominate serving-session setup
+// otherwise); each key's randomness — its error stream and its public seed —
+// is derived from the generator seed and its Galois element, keeping the
+// result deterministic under any schedule. The ignored third parameter is a
+// shim for bench/layers.go, which still passes false where it once could ask
+// for a complex-conjugation key; ROADMAP item 1d deletes it.
+func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *RotationKeySet {
 	uniq := make([]int, 0, len(steps))
 	seen := map[int]bool{}
 	for _, step := range steps {
@@ -86,10 +85,6 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 		uniq = append(uniq, norm)
 	}
 
-	jobs := len(uniq)
-	if conjugation {
-		jobs++
-	}
 	// The coefficient-domain secret is the same for every key: compute it
 	// once and share it read-only across the jobs (applyAutomorphism only
 	// reads its source).
@@ -100,14 +95,11 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 	}
 	rq.INTT(skCoeff)
 
-	generated := make([]*SwitchingKey, jobs)
+	generated := make([]*SwitchingKey, len(uniq))
 	// The error func is vestigial here (key generation cannot fail); parallel.For
 	// is the repo-wide index fan.
-	_ = parallel.For(jobs, parallel.Workers(-1), func(i int) error {
-		k := 2*kg.params.N() - 1 // conjugation element, used by the extra job
-		if i < len(uniq) {
-			k = kg.params.galoisElement(uniq[i])
-		}
+	_ = parallel.For(len(uniq), parallel.Workers(-1), func(i int) error {
+		k := kg.params.galoisElement(uniq[i])
 		sub := &KeyGenerator{
 			params:   kg.params,
 			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
@@ -125,9 +117,6 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugation 
 	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
 	for i, norm := range uniq {
 		rks.keys[norm] = generated[i]
-	}
-	if conjugation {
-		rks.conjugation = generated[len(uniq)]
 	}
 	return rks
 }
@@ -156,7 +145,16 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ev.galoisOnce(ct, ev.params.galoisElement(norm), swk), nil
+	// The decomposition lives only for the call: the same arithmetic as a
+	// hoisted rotation, so Rotate and RotateHoisted return the same bytes.
+	mark := stageClock()
+	dec := ev.decompose(ct.C1, ct.Level)
+	dec.ct = ct
+	out := ev.galois(dec, ev.params.galoisElement(norm), swk)
+	dec.Release()
+	stageDone("key_switch", mark)
+	stageDone("rotate", mark)
+	return out, nil
 }
 
 // rotationKey returns the switching key for a normalized, non-zero step.
@@ -169,35 +167,4 @@ func (ev *Evaluator) rotationKey(norm int) (*SwitchingKey, error) {
 		return nil, fmt.Errorf("ckks: no rotation key for step %d", norm)
 	}
 	return swk, nil
-}
-
-// conjugationKey returns the switching key for complex conjugation.
-func (ev *Evaluator) conjugationKey() (*SwitchingKey, error) {
-	if ev.rks == nil || ev.rks.conjugation == nil {
-		return nil, fmt.Errorf("ckks: evaluator has no conjugation key")
-	}
-	return ev.rks.conjugation, nil
-}
-
-// Conjugate applies complex conjugation to all slots.
-func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	swk, err := ev.conjugationKey()
-	if err != nil {
-		return nil, err
-	}
-	return ev.galoisOnce(ct, 2*ev.params.N()-1, swk), nil
-}
-
-// galoisOnce applies a Galois automorphism with a decomposition that lives
-// only for the call: the same arithmetic as a hoisted rotation, so Rotate and
-// RotateHoisted return the same bytes.
-func (ev *Evaluator) galoisOnce(ct *Ciphertext, k int, swk *SwitchingKey) *Ciphertext {
-	mark := stageClock()
-	dec := ev.decompose(ct.C1, ct.Level)
-	dec.ct = ct
-	out := ev.galois(dec, k, swk)
-	dec.Release()
-	stageDone("key_switch", mark)
-	stageDone("rotate", mark)
-	return out
 }

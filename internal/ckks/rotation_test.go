@@ -1,21 +1,20 @@
 package ckks
 
 import (
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
 
-func newRotationContext(t *testing.T, steps []int, conj bool) (*testContext, *RotationKeySet) {
+func newRotationContext(t *testing.T, steps []int) (*testContext, *RotationKeySet) {
 	t.Helper()
 	tc := newTestContext(t, testLit)
-	rks := tc.kg.GenRotationKeys(tc.sk, steps, conj)
+	rks := tc.kg.GenRotationKeys(tc.sk, steps, false)
 	tc.eval.WithRotationKeys(rks)
 	return tc, rks
 }
 
 func TestRotateMatchesPlaintextShift(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{1, 3, 7}, false)
+	tc, _ := newRotationContext(t, []int{1, 3, 7})
 	rng := rand.New(rand.NewSource(21))
 	values := randomComplex(rng, tc.params.Slots(), 1)
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
@@ -46,7 +45,7 @@ func TestRotateMatchesPlaintextShift(t *testing.T) {
 
 func TestRotateNegativeAndWraparound(t *testing.T) {
 	slots := 64 // testLit has LogN 7
-	tc, _ := newRotationContext(t, []int{-2, slots + 5}, false)
+	tc, _ := newRotationContext(t, []int{-2, slots + 5})
 	rng := rand.New(rand.NewSource(22))
 	values := randomComplex(rng, slots, 1)
 	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
@@ -69,7 +68,7 @@ func TestRotateNegativeAndWraparound(t *testing.T) {
 }
 
 func TestRotateZeroIsIdentity(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{1}, false)
+	tc, _ := newRotationContext(t, []int{1})
 	values := make([]complex128, tc.params.Slots())
 	values[0] = 1
 	pt, _ := tc.enc.Encode(values, 1, tc.params.DefaultScale())
@@ -84,7 +83,7 @@ func TestRotateZeroIsIdentity(t *testing.T) {
 }
 
 func TestRotateMissingKey(t *testing.T) {
-	tc, _ := newRotationContext(t, []int{1}, false)
+	tc, _ := newRotationContext(t, []int{1})
 	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()), 1, tc.params.DefaultScale())
 	ct := tc.encr.Encrypt(pt)
 	if _, err := tc.eval.Rotate(ct, 5); err == nil {
@@ -96,29 +95,9 @@ func TestRotateMissingKey(t *testing.T) {
 	}
 }
 
-func TestConjugate(t *testing.T) {
-	tc, _ := newRotationContext(t, nil, true)
-	rng := rand.New(rand.NewSource(23))
-	values := randomComplex(rng, tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(values, tc.params.MaxLevel(), tc.params.DefaultScale())
-	ct := tc.encr.Encrypt(pt)
-	conj, err := tc.eval.Conjugate(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tc.enc.Decode(tc.decr.Decrypt(conj))
-	want := make([]complex128, len(values))
-	for i, v := range values {
-		want[i] = cmplx.Conj(v)
-	}
-	if e := maxErr(want, got); e > 1e-4 {
-		t.Fatalf("conjugation error %g", e)
-	}
-}
-
 func TestRotateComposesWithArithmetic(t *testing.T) {
 	// rot(a) + rot(b) == rot(a+b): rotation must commute with addition.
-	tc, _ := newRotationContext(t, []int{4}, false)
+	tc, _ := newRotationContext(t, []int{4})
 	rng := rand.New(rand.NewSource(24))
 	a := randomComplex(rng, tc.params.Slots(), 1)
 	b := randomComplex(rng, tc.params.Slots(), 1)
@@ -193,8 +172,8 @@ func TestGaloisElementMatchesNaivePowerLoop(t *testing.T) {
 // worker schedules.
 func TestGenRotationKeysDeterministic(t *testing.T) {
 	tc := newTestContext(t, testLit)
-	a := tc.kg.GenRotationKeys(tc.sk, []int{1, 2, 9}, true)
-	b := NewKeyGenerator(tc.params, 12345).GenRotationKeys(tc.sk, []int{9, 1, 2, 1}, true)
+	a := tc.kg.GenRotationKeys(tc.sk, []int{1, 2, 9}, false)
+	b := NewKeyGenerator(tc.params, 12345).GenRotationKeys(tc.sk, []int{9, 1, 2, 1}, false)
 	ab, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

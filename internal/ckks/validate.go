@@ -62,7 +62,7 @@ type EvaluationKeySet struct {
 // Validate checks the set against params and the rotation steps the circuit
 // uses: every key has the gadget digits params prescribe, its b_d shaped and
 // reduced for params, and the rotation keys cover exactly steps — a client may
-// not pin key material the circuit never touches — with no conjugation key.
+// not pin key material the circuit never touches.
 // A set that passes then gets every key's a_d expanded from its seed: only
 // params' moduli make that possible, and a key built under params expands to
 // the b_d's shape, with every residue canonical by construction.
@@ -79,9 +79,6 @@ func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 	have := ek.Rotations.Steps()
 	if !slices.Equal(have, want) {
 		return fmt.Errorf("ckks: rotation keys cover steps %v, the model uses exactly %v", have, want)
-	}
-	if ek.Rotations.conjugation != nil {
-		return fmt.Errorf("ckks: the model does not use conjugation; drop the conjugation key")
 	}
 	for _, step := range have {
 		if err := validateKey(params, ek.Rotations.keys[step]); err != nil {

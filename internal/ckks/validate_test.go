@@ -52,23 +52,22 @@ func TestValidateRejectsNonCanonicalResidues(t *testing.T) {
 }
 
 // TestEvaluationKeySetValidateShapes covers the rest of the contract: the
-// step set is exact, conjugation is refused, and keys built for other
-// parameters are refused whichever dimension differs.
+// step set is exact, and keys built for other parameters are refused
+// whichever dimension differs.
 func TestEvaluationKeySetValidateShapes(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	steps := []int{1, 2, 4}
-	gen := func(c *testContext, steps []int, conj bool) EvaluationKeySet {
-		return EvaluationKeySet{Relin: c.rlk, Rotations: c.kg.GenRotationKeys(c.sk, steps, conj)}
+	gen := func(c *testContext, steps []int) EvaluationKeySet {
+		return EvaluationKeySet{Relin: c.rlk, Rotations: c.kg.GenRotationKeys(c.sk, steps, false)}
 	}
 	shallow, halfRing := testLit, testLit
 	shallow.LogQ = testLit.LogQ[:3]
 	halfRing.LogN = testLit.LogN - 1
 	for name, ek := range map[string]EvaluationKeySet{
-		"missing step":       gen(tc, []int{1, 2}, false),
-		"extra step":         gen(tc, []int{1, 2, 4, 8}, false),
-		"conjugation key":    gen(tc, steps, true),
-		"shallower chain":    gen(newTestContext(t, shallow), steps, false),
-		"smaller ring":       gen(newTestContext(t, halfRing), steps, false),
+		"missing step":       gen(tc, []int{1, 2}),
+		"extra step":         gen(tc, []int{1, 2, 4, 8}),
+		"shallower chain":    gen(newTestContext(t, shallow), steps),
+		"smaller ring":       gen(newTestContext(t, halfRing), steps),
 		"no rotation keys":   {Relin: tc.rlk},
 		"no relinearization": {Rotations: tc.kg.GenRotationKeys(tc.sk, steps, false)},
 	} {
@@ -76,7 +75,7 @@ func TestEvaluationKeySetValidateShapes(t *testing.T) {
 			t.Errorf("%s: validated", name)
 		}
 	}
-	if err := gen(tc, steps, false).Validate(tc.params, []int{4, 1, 2, 1}); err != nil {
+	if err := gen(tc, steps).Validate(tc.params, []int{4, 1, 2, 1}); err != nil {
 		t.Errorf("unsorted, repeated step list rejected: %v", err)
 	}
 }

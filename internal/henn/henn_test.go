@@ -112,8 +112,10 @@ func TestServingRotationsAndLevels(t *testing.T) {
 }
 
 // TestEndToEndPrivateInference trains a small MLP with the SMART-PAF
-// pipeline, converts it for encrypted inference, and verifies encrypted
-// logits match the plaintext deployed model.
+// pipeline, converts it for encrypted inference, and runs every validation
+// image through it encrypted: each image's encrypted logits match the
+// plaintext deployed model's, its encrypted argmax is the plaintext one, and
+// the encrypted top-1 accuracy is exactly the pipeline's FinalAccSS.
 func TestEndToEndPrivateInference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
@@ -132,7 +134,8 @@ func TestEndToEndPrivateInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Run(); err != nil {
+	res, err := pipe.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,34 +146,54 @@ func TestEndToEndPrivateInference(t *testing.T) {
 	levels := mlp.LevelsRequired()
 	ctx, encryptor, decryptor := newHEContext(t, levels+1, mlp.ServingRotations(128))
 
-	// Encrypt one validation image and infer.
-	x, label := val.Sample(0)
-	vec := make([]float64, ctx.Params.Slots())
-	copy(vec, x.Data)
-	pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
+	// argmax breaks ties toward the lower class, as nn.Accuracy does.
+	argmax := func(v []float64) int {
+		best := 0
+		for j := range v {
+			if v[j] > v[best] {
+				best = j
+			}
+		}
+		return best
 	}
-	ct := encryptor.Encrypt(pt)
-	out, err := ctx.Infer(mlp, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encLogits := ctx.Enc.DecodeReals(decryptor.Decrypt(out))[:dcfg.Classes]
-	plainLogits := mlp.InferPlain(x.Data)[:dcfg.Classes]
-	for i := range plainLogits {
-		if d := math.Abs(encLogits[i] - plainLogits[i]); d > 1e-2*(1+math.Abs(plainLogits[i])) {
-			t.Fatalf("logit %d: encrypted %g plaintext %g", i, encLogits[i], plainLogits[i])
+	correct := 0
+	for i := 0; i < val.Len(); i++ {
+		x, label := val.Sample(i)
+		vec := make([]float64, ctx.Params.Slots())
+		copy(vec, x.Data)
+		pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.Infer(mlp, encryptor.Encrypt(pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		encLogits := ctx.Enc.DecodeReals(decryptor.Decrypt(out))[:dcfg.Classes]
+		plainLogits := mlp.InferPlain(x.Data)[:dcfg.Classes]
+		for j := range plainLogits {
+			if d := math.Abs(encLogits[j] - plainLogits[j]); d > 1e-2*(1+math.Abs(plainLogits[j])) {
+				t.Fatalf("image %d logit %d: encrypted %g plaintext %g", i, j, encLogits[j], plainLogits[j])
+			}
+		}
+		// The plaintext deployed model and the nn.Model must agree too.
+		logitsNN := m.Forward(x, false)
+		for j := range plainLogits {
+			if d := math.Abs(plainLogits[j] - logitsNN.Data[j]); d > 1e-9 {
+				t.Fatalf("image %d: henn/nn disagreement at logit %d: %g vs %g", i, j, plainLogits[j], logitsNN.Data[j])
+			}
+		}
+		pred := argmax(encLogits)
+		if want := argmax(plainLogits); pred != want {
+			t.Fatalf("image %d: encrypted argmax %d, plaintext %d", i, pred, want)
+		}
+		if pred == label {
+			correct++
 		}
 	}
-	// The plaintext deployed model and the nn.Model must agree too.
-	logitsNN := m.Forward(x, false)
-	for i := range plainLogits {
-		if d := math.Abs(plainLogits[i] - logitsNN.Data[i]); d > 1e-9 {
-			t.Fatalf("henn/nn disagreement at logit %d: %g vs %g", i, plainLogits[i], logitsNN.Data[i])
-		}
+	if acc := float64(correct) / float64(val.Len()); acc != res.FinalAccSS {
+		t.Fatalf("encrypted top-1 accuracy %d/%d = %g, the pipeline's FinalAccSS is %g", correct, val.Len(), acc, res.FinalAccSS)
 	}
-	_ = label
 }
 
 func TestFromModelRejectsUndeployed(t *testing.T) {

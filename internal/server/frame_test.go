@@ -22,8 +22,10 @@ var servingLit = ckks.ParametersLiteral{LogN: 10, LogQ: []int{55, 45, 45, 45, 45
 // servingLit's keys from seed 28 over goldenFrameSteps. It was taken at the
 // commit before the frame was written in one pass, where the client
 // marshaled each key set and then copied both into the frame: the one-pass
-// writer must send the same bytes.
-const goldenFrameDigest = "22aa5e22771b85fc87da82ee841c67e752e0023badb567bbba2806280cd27974"
+// writer must send the same bytes. It was re-pinned when the rotation-key
+// set lost its trailing key flag: the frame moved by that flag and the new
+// magic alone.
+const goldenFrameDigest = "222f4cd3525a1ceca680a47e3c543c586ea9ca743f1cf2a066014e7cb07b0abd"
 
 var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
 

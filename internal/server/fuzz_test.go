@@ -20,7 +20,7 @@ func FuzzRegisterFrame(f *testing.F) {
 	_, srv, _ := newTestServer(f)
 	dep := srv.reg.List()[0]
 	kg, sk := keyGen(f, srv, 3, nil)
-	honest := frameFor(f, srv, kg, sk, dep.Rotations(), false)
+	honest := frameFor(f, srv, kg, sk, dep.Rotations())
 	seed := mustMarshal(f, honest)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -44,6 +44,13 @@ func FuzzRegisterFrame(f *testing.F) {
 		binary.LittleEndian.PutUint32(*blob, magic)
 	}
 	f.Add(mustMarshal(f, unseeded))
+	// And as a client from before the rotation-key set lost its trailing
+	// flag for an optional extra key: the old magic, and the flag (0) behind
+	// the last key.
+	flagged := honest
+	flagged.RotationKeys = binary.LittleEndian.AppendUint32(append([]byte(nil), honest.RotationKeys...), 0)
+	binary.LittleEndian.PutUint32(flagged.RotationKeys, 0x5AF7CC12)
+	f.Add(mustMarshal(f, flagged))
 	// The server reads the magic and the model blob before anything else and
 	// sizes the rest from the model: the prefix alone, the prefix cut inside
 	// the model, an unknown model, a model reference over maxModelRef, and

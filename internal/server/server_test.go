@@ -155,14 +155,14 @@ func keyGen(t testing.TB, srv *Server, seed int64, vary func(*ckks.ParametersLit
 
 // frameFor builds the registration frame a client would send for the test
 // server's model with keys from kg covering steps.
-func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int, conj bool) registration {
+func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int) registration {
 	t.Helper()
 	dep := srv.reg.List()[0]
 	rlk, err := kg.GenRelinearizationKey(sk).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rks, err := kg.GenRotationKeys(sk, steps, conj).MarshalBinary()
+	rks, err := kg.GenRotationKeys(sk, steps, false).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	dep := srv.reg.List()[0]
 	steps := dep.Rotations()
 	kg, sk := keyGen(t, srv, 3, nil)
-	honest := frameFor(t, srv, kg, sk, steps, false)
+	honest := frameFor(t, srv, kg, sk, steps)
 	honestBytes := mustMarshal(t, honest)
 
 	cases := map[string][]byte{
@@ -236,9 +236,8 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		"unknown model":  mustMarshal(t, registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
 		"params differ":  mustMarshal(t, registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
 		"keys swapped":   mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
-		"missing step":   mustMarshal(t, frameFor(t, srv, kg, sk, steps[1:], false)),
-		"extra step":     mustMarshal(t, frameFor(t, srv, kg, sk, append([]int{31}, steps...), false)), // the 16x8x4 demo model never rotates by 31
-		"conjugation":    mustMarshal(t, frameFor(t, srv, kg, sk, steps, true)),
+		"missing step":   mustMarshal(t, frameFor(t, srv, kg, sk, steps[1:])),
+		"extra step":     mustMarshal(t, frameFor(t, srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
 		"garbage in key": mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
 	}
 
@@ -259,28 +258,27 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := one[8 : len(one)-4] // between (magic | count) and the conjugation flag
+	entry := one[8:] // after (magic | count)
 	var dup wire.Writer
 	dup.Bytes(one[:4])
 	dup.U32(2)
 	dup.Bytes(entry)
 	dup.Bytes(entry)
-	dup.U32(0)
 	cases["duplicate step"] = mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
 
 	// Keys that decode cleanly but were built for other parameters must be
 	// refused here, not panic the key-switch loop at inference time.
 	kgHalf, skHalf := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogN-- })
-	cases["wrong-N digits"] = mustMarshal(t, frameFor(t, srv, kgHalf, skHalf, steps, false))
+	cases["wrong-N digits"] = mustMarshal(t, frameFor(t, srv, kgHalf, skHalf, steps))
 	kgShallow, skShallow := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogQ = lit.LogQ[:3] })
-	cases["shallower chain"] = mustMarshal(t, frameFor(t, srv, kgShallow, skShallow, steps, false))
+	cases["shallower chain"] = mustMarshal(t, frameFor(t, srv, kgShallow, skShallow, steps))
 
 	// So must keys built for another gadget on the right chain: one special
 	// prime where the model prescribes three gives a digit per chain prime
 	// and single-limb P components; and a key whose every P component is a
 	// limb short decodes cleanly too (its digits agree with each other).
 	kgOne, skOne := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogP = lit.LogP[:1] })
-	cases["digits of another gadget"] = mustMarshal(t, frameFor(t, srv, kgOne, skOne, steps, false))
+	cases["digits of another gadget"] = mustMarshal(t, frameFor(t, srv, kgOne, skOne, steps))
 	short := kg.GenRelinearizationKey(sk)
 	for i := range short.Digits {
 		d := &short.Digits[i]
@@ -292,10 +290,10 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	}
 	cases["P components a limb short"] = mustMarshal(t, hostile)
 
-	// Payloads from before grouped digits, and keys from before seeds, carry
-	// retired magics: a per-prime key has the same layout as a grouped one,
-	// so the magic is all that tells an old client's upload from a current
-	// one. A retired key magic is a 400 naming the magic, before any poly is
+	// Payloads from before grouped digits, keys from before seeds, and
+	// rotation keys from before their trailing key flag went carry retired
+	// magics: a per-prime key has the same layout as a grouped one, so the
+	// magic is all that tells an old client's upload from a current one. A retired key magic is a 400 naming the magic, before any poly is
 	// decoded (the literal is refused earlier, by its byte comparison).
 	retiredKeyMagics := map[string]bool{}
 	for name, retired := range map[string]struct {
@@ -307,6 +305,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		"per-prime era relin key":     {&hostile.RelinKey, 0x5AF7CC0B},
 		"unseeded rotation keys":      {&hostile.RotationKeys, 0x5AF7CC0F},
 		"unseeded relin key":          {&hostile.RelinKey, 0x5AF7CC10},
+		"flagged rotation keys":       {&hostile.RotationKeys, 0x5AF7CC12},
 	} {
 		hostile = honest
 		*retired.blob = append([]byte(nil), *retired.blob...)
@@ -317,15 +316,15 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 
 	// Residues at or above their modulus decode cleanly and would panic the
 	// first modular multiply that touches them. The last coefficient of a
-	// relinearization key is in the last P limb of AP of the last digit; of
-	// a rotation-key set, just before the conjugation flag.
+	// relinearization key is in the last P limb of BP of the last digit; so
+	// is the last coefficient of a rotation-key set.
 	hostile = honest
 	hostile.RelinKey = append([]byte(nil), honest.RelinKey...)
 	binary.LittleEndian.PutUint64(hostile.RelinKey[len(hostile.RelinKey)-8:], ^uint64(0))
 	cases["relin residue 2^64-1"] = mustMarshal(t, hostile)
 	hostile = honest
 	hostile.RotationKeys = append([]byte(nil), honest.RotationKeys...)
-	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-12:], ^uint64(0))
+	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-8:], ^uint64(0))
 	cases["rotation residue 2^64-1"] = mustMarshal(t, hostile)
 
 	// Every row so far declares its true length. The size rows do not, or

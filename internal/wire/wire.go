@@ -23,8 +23,9 @@
 //	0x5AF7CC0F  retired (ckks.RotationKeySet carrying every a_d)
 //	0x5AF7CC10  retired (ckks.RelinearizationKey carrying every a_d)
 //	0x5AF7CC11  retired (standalone ckks.SwitchingKey; no successor)
-//	0x5AF7CC12  ckks.RotationKeySet (each key a seed for its a_d, then its b_d)
+//	0x5AF7CC12  retired (ckks.RotationKeySet with a conjugation flag)
 //	0x5AF7CC13  ckks.RelinearizationKey (a seed for its a_d, then its b_d)
+//	0x5AF7CC14  ckks.RotationKeySet (each key a seed for its a_d, then its b_d)
 package wire
 
 import (
