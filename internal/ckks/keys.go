@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Plaintext is an encoded message: an NTT-domain ring element plus the scale
@@ -140,14 +142,38 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 }
 
 // GenRelinearizationKey builds the relinearization key: the switching key
-// from s^2 to s.
+// from s^2 to s. It is the in-process front-end: the key comes back whole,
+// a_d and b_d in fresh polys, for an evaluator in this process.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
+	s2Q := kg.secretSquared(sk)
+	rlk := &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
+	kg.params.RingQ().PutPoly(s2Q)
+	return rlk
+}
+
+// AppendRelinearizationKey is GenRelinearizationKey's append front-end: it
+// appends the key's wire form (RelinearizationKey.AppendBinary's bytes) to b
+// and keeps no key. Its errors come from the generator's sampler, in the order
+// GenRelinearizationKey draws them, so the bytes are the ones marshaling that
+// key gives.
+func (kg *KeyGenerator) AppendRelinearizationKey(b []byte, sk *SecretKey) []byte {
+	w := wire.Writer(slices.Grow(b, kg.params.RelinKeyWireSize()))
+	w.U32(relinKeyMagic)
+	s2Q := kg.secretSquared(sk)
+	kg.appendKey(&w, sk, s2Q, kg.publicSeed(relinTag))
+	kg.params.RingQ().PutPoly(s2Q)
+	return w
+}
+
+// secretSquared returns s^2 in NTT domain over Q, the relinearization key's
+// source, in a pooled poly.
+//
+//hennlint:transfers-ownership the caller owns the returned poly and must PutPoly it
+func (kg *KeyGenerator) secretSquared(sk *SecretKey) *ring.Poly {
 	rq := kg.params.RingQ()
 	s2Q := rq.GetPolyRaw(kg.params.MaxLevel())
 	rq.MulCoeffs(sk.Q, sk.Q, s2Q)
-	rlk := &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
-	rq.PutPoly(s2Q)
-	return rlk
+	return s2Q
 }
 
 // publicSeed is the wire seed of the switching key tagged tag: SHA-256 over a
@@ -161,66 +187,107 @@ func (kg *KeyGenerator) publicSeed(tag int64) [32]byte {
 	return sha256.Sum256(msg)
 }
 
-// expandA draws every digit's public a_d from key.Seed: one keystream per
-// key, the Q limbs and then the P limbs of each digit in turn. Independent
-// uniform residues per prime are exactly a uniform element of R_QP (CRT). Key
-// generation and EvaluationKeySet.Validate both run it, so a key decoded and
-// validated on a server holds the bytes its client generated.
+// drawA draws one digit's public a_d from ks into aQ and aP, its Q limbs and
+// then its P limbs. Independent uniform residues per prime are exactly a
+// uniform element of R_QP (CRT). Key generation and expandA both draw through
+// it, digit after digit from one keystream per key, so a key expanded on a
+// server holds the a_d its client generated.
+func (p *Parameters) drawA(ks *ring.KeyStream, aQ, aP *ring.Poly) {
+	p.RingQ().UniformTo(ks, aQ)
+	p.RingP().UniformTo(ks, aP)
+}
+
+// expandA draws every digit's public a_d from key.Seed into fresh polys.
+// EvaluationKeySet.Validate runs it on each decoded key.
 func (p *Parameters) expandA(key *SwitchingKey) {
 	ks := ring.NewKeyStream(key.Seed)
 	for i := range key.Digits {
 		d := &key.Digits[i]
-		d.AQ = p.RingQ().Uniform(ks, p.MaxLevel())
-		d.AP = p.RingP().Uniform(ks, len(p.P())-1)
+		d.AQ, d.AP = p.RingQ().NewPoly(p.MaxLevel()), p.RingP().NewPoly(len(p.P())-1)
+		p.drawA(ks, d.AQ, d.AP)
 	}
 }
 
-// genKey builds the switching key with public seed seed from sourceQ (NTT
-// domain, the key being switched *from*) to the canonical secret. Only the Q
-// embedding of the source is needed: the gadget term P·g_d·source vanishes
-// modulo every special prime. The key's a_d and b_d are its only
-// allocations: each digit's error is drawn into one signed buffer and
-// embedded into pooled polys.
-func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) *SwitchingKey {
+// genDigit is the one place key-generation arithmetic lives: digit d of the
+// switching key from sourceQ (NTT domain, the key being switched *from*) to
+// the canonical secret. It draws a_d from the key's keystream ks into aQ, aP,
+// samples e_d from kg's sampler, and writes b_d = -a_d·s + e_d + P·g_d·source
+// into bQ, bP. All four are overwritten, so they may come from GetPolyRaw.
+// Only the Q embedding of the source is needed: the gadget term vanishes
+// modulo every special prime. signed is N coefficients of scratch: e_d must
+// be one small integer polynomial, so it is sampled signed once and embedded
+// into pooled polys over both rings.
+func (kg *KeyGenerator) genDigit(sk *SecretKey, sourceQ *ring.Poly, d int, ks *ring.KeyStream, signed []int64, aQ, aP, bQ, bP *ring.Poly) {
 	L := kg.params.MaxLevel()
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
+	kg.params.drawA(ks, aQ, aP)
+
+	kg.samplerQ.GaussianSignedTo(signed)
+	eQ, eP := rq.GetPolyRaw(L), rp.GetPolyRaw(len(rp.Moduli)-1)
+	rq.SetSignedCoeffsTo(signed, eQ)
+	rp.SetSignedCoeffsTo(signed, eP)
+	rq.NTT(eQ)
+	rp.NTT(eP)
+
+	rq.MulCoeffs(aQ, sk.Q, bQ)
+	rq.Neg(bQ, bQ)
+	rq.Add(bQ, eQ, bQ)
+	// Add P·g_d·source: the gadget term lives only on the digit's own
+	// limbs, where it is (P mod q_i)·source.
+	lo, hi, _ := kg.params.digit(d, L)
+	for i := lo; i < hi; i++ {
+		qi := kg.params.Q()[i]
+		pModQi := productMod(rp.Moduli, qi)
+		srcLimb, bLimb := sourceQ.Coeffs[i], bQ.Coeffs[i]
+		for j := range bLimb {
+			bLimb[j] = ring.AddMod(bLimb[j], ring.MulMod(srcLimb[j], pModQi, qi), qi)
+		}
+	}
+
+	rp.MulCoeffs(aP, sk.P, bP)
+	rp.Neg(bP, bP)
+	rp.Add(bP, eP, bP)
+	rq.PutPoly(eQ)
+	rp.PutPoly(eP)
+}
+
+// genKey is genDigit's in-process front-end: the switching key with public
+// seed seed from sourceQ, every digit's a_d and b_d in fresh polys, which are
+// its only large allocations.
+func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) *SwitchingKey {
+	L, lp := kg.params.MaxLevel(), len(kg.params.P())-1
+	rq, rp := kg.params.RingQ(), kg.params.RingP()
 	key := &SwitchingKey{Seed: seed, Digits: make([]EvaluationKeyDigit, kg.params.Digits(L))}
-	kg.params.expandA(key)
+	ks := ring.NewKeyStream(seed)
 	signed := make([]int64, rq.N)
 	for d := range key.Digits {
 		dig := &key.Digits[d]
-		// The error e_d must be one small integer polynomial, so it is
-		// sampled signed once and embedded into both rings.
-		kg.samplerQ.GaussianSignedTo(signed)
-		eQ, eP := rq.GetPolyRaw(L), rp.GetPolyRaw(len(rp.Moduli)-1)
-		rq.SetSignedCoeffsTo(signed, eQ)
-		rp.SetSignedCoeffsTo(signed, eP)
-		rq.NTT(eQ)
-		rp.NTT(eP)
-
-		bQ := rq.NewPoly(L)
-		rq.MulCoeffs(dig.AQ, sk.Q, bQ)
-		rq.Neg(bQ, bQ)
-		rq.Add(bQ, eQ, bQ)
-		// Add P·g_d·source: the gadget term lives only on the digit's own
-		// limbs, where it is (P mod q_i)·source.
-		lo, hi, _ := kg.params.digit(d, L)
-		for i := lo; i < hi; i++ {
-			qi := kg.params.Q()[i]
-			pModQi := productMod(rp.Moduli, qi)
-			srcLimb, bLimb := sourceQ.Coeffs[i], bQ.Coeffs[i]
-			for j := range bLimb {
-				bLimb[j] = ring.AddMod(bLimb[j], ring.MulMod(srcLimb[j], pModQi, qi), qi)
-			}
-		}
-
-		bP := rp.NewPoly(len(rp.Moduli) - 1)
-		rp.MulCoeffs(dig.AP, sk.P, bP)
-		rp.Neg(bP, bP)
-		rp.Add(bP, eP, bP)
-		dig.BQ, dig.BP = bQ, bP
-		rq.PutPoly(eQ)
-		rp.PutPoly(eP)
+		dig.AQ, dig.AP, dig.BQ, dig.BP = rq.NewPoly(L), rp.NewPoly(lp), rq.NewPoly(L), rp.NewPoly(lp)
+		kg.genDigit(sk, sourceQ, d, ks, signed, dig.AQ, dig.AP, dig.BQ, dig.BP)
 	}
 	return key
+}
+
+// appendKey is genDigit's append front-end: it writes the switching key
+// genKey would return, in writeKey's wire form, to w. Each digit's a_d, e_d
+// and b_d live in pooled scratch that goes back to the pools once the digit's
+// b_d is on the wire, so the bytes written are the only memory the key keeps.
+func (kg *KeyGenerator) appendKey(w *wire.Writer, sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) {
+	L, lp := kg.params.MaxLevel(), len(kg.params.P())-1
+	rq, rp := kg.params.RingQ(), kg.params.RingP()
+	digits := kg.params.Digits(L)
+	w.Bytes(seed[:])
+	w.U32(uint32(digits))
+	ks := ring.NewKeyStream(seed)
+	signed := make([]int64, rq.N)
+	for d := 0; d < digits; d++ {
+		aQ, aP, bQ, bP := rq.GetPolyRaw(L), rp.GetPolyRaw(lp), rq.GetPolyRaw(L), rp.GetPolyRaw(lp)
+		kg.genDigit(sk, sourceQ, d, ks, signed, aQ, aP, bQ, bP)
+		writePoly(w, bQ)
+		writePoly(w, bP)
+		rq.PutPoly(aQ)
+		rp.PutPoly(aP)
+		rq.PutPoly(bQ)
+		rp.PutPoly(bP)
+	}
 }

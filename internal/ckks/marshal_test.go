@@ -423,6 +423,40 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 	}
 }
 
+// TestAppendFrontEndsMatchMarshal: the append front-ends write, behind
+// whatever b already holds, the bytes the in-process front-ends' keys marshal
+// to, drawing from the samplers in the same order; the rotation steps are
+// normalized, deduplicated and sorted on the way, as GenRotationKeys and the
+// wire form have them.
+func TestAppendFrontEndsMatchMarshal(t *testing.T) {
+	steps := []int{60, -1, 3, 0, 1, 3, 2, 16, 33, 8}
+	for name, lit := range seededKeyLits {
+		params, err := NewParameters(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := NewKeyGenerator(params, 9)
+		sk := kg.GenSecretKey()
+		rlk, err := kg.GenRelinearizationKey(sk).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rks, err := kg.GenRotationKeys(sk, steps, false).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg = NewKeyGenerator(params, 9)
+		sk = kg.GenSecretKey()
+		prefix := []byte("prefix")
+		got := kg.AppendRelinearizationKey(prefix, sk)
+		got = kg.AppendRotationKeys(got, sk, steps)
+		want := append(append(prefix, rlk...), rks...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d appended bytes differ from the %d marshaled", name, len(got), len(want))
+		}
+	}
+}
+
 // TestEvaluationKeysSizeIsExpandedBytes: EvaluationKeysSize, what a server
 // charges a session against its key budget, is the coefficient bytes of a
 // key set decoded and validated the way a server holds it, a_d expanded.

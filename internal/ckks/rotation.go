@@ -2,10 +2,12 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/efficientfhe/smartpaf/internal/parallel"
 	"github.com/efficientfhe/smartpaf/internal/ring"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // RotationKeySet holds switching keys for slot rotations, by step.
@@ -66,25 +68,67 @@ func deriveSeed(seed, tag int64) int64 {
 }
 
 // GenRotationKeys builds switching keys for the given rotation steps
-// (positive = rotate slot vector left). Keys are independent, so generation
-// fans across all cores (rotation-key sets dominate serving-session setup
-// otherwise); each key's randomness — its error stream and its public seed —
-// is derived from the generator seed and its Galois element, keeping the
-// result deterministic under any schedule. The ignored third parameter is a
-// shim for bench/layers.go, which still passes false where it once could ask
-// for a complex-conjugation key; ROADMAP item 1d deletes it.
+// (positive = rotate slot vector left). It is the in-process front-end: the
+// keys come back whole, a_d and b_d in fresh polys, for an evaluator in this
+// process. The ignored third parameter is a shim for bench/layers.go, which
+// still passes false where it once could ask for a complex-conjugation key;
+// ROADMAP item 1d deletes it.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *RotationKeySet {
-	uniq := make([]int, 0, len(steps))
-	seen := map[int]bool{}
-	for _, step := range steps {
-		norm := normalizeStep(step, kg.params.Slots())
-		if norm == 0 || seen[norm] {
-			continue
-		}
-		seen[norm] = true
-		uniq = append(uniq, norm)
+	uniq := kg.rotationSteps(steps)
+	generated := make([]*SwitchingKey, len(uniq))
+	kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
+		generated[i] = sub.genKey(sk, srcQ, seed)
+	})
+	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
+	for i, norm := range uniq {
+		rks.keys[norm] = generated[i]
 	}
+	return rks
+}
 
+// AppendRotationKeys is GenRotationKeys' append front-end: it appends the
+// set's wire form (RotationKeySet.AppendBinary's bytes) to b and keeps no
+// key. Every key takes KeyWireSize bytes, so each key's byte range is fixed
+// before any is generated, and the keys still fan across cores, each job
+// writing only its own range.
+func (kg *KeyGenerator) AppendRotationKeys(b []byte, sk *SecretKey, steps []int) []byte {
+	uniq := kg.rotationSteps(steps)
+	keyBytes := kg.params.KeyWireSize()
+	w := wire.Writer(slices.Grow(b, rotationKeysSize(len(uniq), keyBytes)))
+	w.U32(rotationKeyMagic)
+	w.U32(uint32(len(uniq)))
+	first := len(w)
+	w = w[:first+len(uniq)*(4+keyBytes)]
+	kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
+		at := first + i*(4+keyBytes)
+		kw := w[at : at : at+4+keyBytes] // appends stay inside this key's range
+		kw.U32(uint32(uniq[i]))
+		sub.appendKey(&kw, sk, srcQ, seed)
+	})
+	return w
+}
+
+// rotationSteps normalizes steps, drops zero and repeats, and sorts them: the
+// order the wire form lists keys in.
+func (kg *KeyGenerator) rotationSteps(steps []int) []int {
+	uniq := make([]int, 0, len(steps))
+	for _, step := range steps {
+		if norm := normalizeStep(step, kg.params.Slots()); norm != 0 {
+			uniq = append(uniq, norm)
+		}
+	}
+	slices.Sort(uniq)
+	return slices.Compact(uniq)
+}
+
+// eachRotationKey calls gen once per step of uniq with what that key's
+// generation needs: a generator whose error sampler is derived from the
+// generator seed and the key's Galois element k, the source secret φ_k(s) in
+// NTT domain over Q (pooled, returned once gen is done) and the key's public
+// seed. Keys are independent, so the calls fan across all cores (rotation-key
+// sets dominate serving-session setup otherwise); each key's randomness
+// depends on k alone, keeping the result deterministic under any schedule.
+func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, gen func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte)) {
 	// The coefficient-domain secret is the same for every key: compute it
 	// once and share it read-only across the jobs (applyAutomorphism only
 	// reads its source).
@@ -95,7 +139,6 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 	}
 	rq.INTT(skCoeff)
 
-	generated := make([]*SwitchingKey, len(uniq))
 	// The error func is vestigial here (key generation cannot fail); parallel.For
 	// is the repo-wide index fan.
 	_ = parallel.For(len(uniq), parallel.Workers(-1), func(i int) error {
@@ -104,21 +147,14 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 			params:   kg.params,
 			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
 		}
-		// Source secret φ_k(s) in NTT domain over Q.
 		srcQ := rq.GetPolyRaw(skCoeff.Level())
 		applyAutomorphism(rq, skCoeff, k, srcQ)
 		rq.NTT(srcQ)
-		generated[i] = sub.genKey(sk, srcQ, kg.publicSeed(int64(k)))
+		gen(i, sub, srcQ, kg.publicSeed(int64(k)))
 		rq.PutPoly(srcQ)
 		return nil
 	})
 	rq.PutPoly(skCoeff)
-
-	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
-	for i, norm := range uniq {
-		rks.keys[norm] = generated[i]
-	}
-	return rks
 }
 
 func normalizeStep(step, slots int) int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/efficientfhe/smartpaf/internal/parallel"
 	"github.com/efficientfhe/smartpaf/internal/ring"
 )
 
@@ -63,9 +64,11 @@ type EvaluationKeySet struct {
 // uses: every key has the gadget digits params prescribe, its b_d shaped and
 // reduced for params, and the rotation keys cover exactly steps — a client may
 // not pin key material the circuit never touches.
-// A set that passes then gets every key's a_d expanded from its seed: only
-// params' moduli make that possible, and a key built under params expands to
-// the b_d's shape, with every residue canonical by construction.
+// A set that passes then gets every key's a_d expanded from its seed, one key
+// per job across all cores unless the set is small: only params' moduli make
+// that possible, and a key
+// built under params expands to the b_d's shape, with every residue canonical
+// by construction.
 func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 	if ek.Relin == nil || ek.Rotations == nil {
 		return fmt.Errorf("ckks: evaluation key set is incomplete")
@@ -85,10 +88,23 @@ func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 			return fmt.Errorf("ckks: rotation key for step %d: %w", step, err)
 		}
 	}
-	params.expandA(&ek.Relin.SwitchingKey)
-	for _, key := range ek.Rotations.keys {
-		params.expandA(key)
+	keys := []*SwitchingKey{&ek.Relin.SwitchingKey}
+	for _, step := range have {
+		keys = append(keys, ek.Rotations.keys[step])
 	}
+	// Each key expands from its own keystream, so the keys fan across all
+	// cores, one per job as GenRotationKeys' are, with the same bytes under
+	// any schedule. A set whose a_d hold fewer coefficients than
+	// ring.MinParallelWork expands serially: that fan loses to its hand-off.
+	// The error func is vestigial: expansion cannot fail.
+	workers := parallel.Workers(-1)
+	if params.EvaluationKeysSize(len(have))/16 < ring.MinParallelWork {
+		workers = 1
+	}
+	_ = parallel.For(len(keys), workers, func(i int) error {
+		params.expandA(keys[i])
+		return nil
+	})
 	return nil
 }
 

@@ -50,10 +50,16 @@ func (ks *KeyStream) Uint64() uint64 {
 // uniform loop: Sampler.Uniform and the expansion of a seeded key both run it.
 func (r *Ring) Uniform(src interface{ Uint64() uint64 }, level int) *Poly {
 	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		uniformLimb(src, r.Moduli[i].Q, p.Coeffs[i])
-	}
+	r.UniformTo(src, p)
 	return p
+}
+
+// UniformTo is Uniform into p, at p's level: every limb is overwritten, so p
+// may come from GetPolyRaw.
+func (r *Ring) UniformTo(src interface{ Uint64() uint64 }, p *Poly) {
+	for i, limb := range p.Coeffs {
+		uniformLimb(src, r.Moduli[i].Q, limb)
+	}
 }
 
 // uniformLimb fills dst with values uniform in [0, q) without modulo bias:

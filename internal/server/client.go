@@ -261,18 +261,13 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	kg := ckks.NewKeyGenerator(params, seed)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	rlk := kg.GenRelinearizationKey(sk)
-	rks := kg.GenRotationKeys(sk, info.Rotations, false)
 
 	// Pin the exact version the info (and the keys derived from it)
 	// describe: a supersede landing between the info fetch and this
 	// registration must 410 cleanly instead of silently binding the new
-	// version under the old version's parameters. The keys marshal straight
-	// into the frame.
-	payload, err := marshalRegistration(info.Ref(), info.Params, params, rlk, rks)
-	if err != nil {
-		return nil, err
-	}
+	// version under the old version's parameters. The keys are generated
+	// straight into the frame, so the client never holds a whole key.
+	payload := keysIntoFrame(kg, sk, info.Ref(), info.Params, params, info.Rotations)
 	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions", payload, http.StatusOK)
 	if err != nil {
 		return nil, err

@@ -50,38 +50,33 @@ func frameSize(ref string, paramBytes []byte, params *ckks.Parameters, steps int
 		4 + params.RelinKeyWireSize() + 4 + params.RotationKeysWireSize(steps)
 }
 
-// marshalRegistration builds the frame a client uploads: one pass, into one
-// buffer of the frame's exact size.
-func marshalRegistration(ref string, paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) ([]byte, error) {
-	size := frameSize(ref, paramBytes, params, len(rks.Steps()))
-	return appendRegistration(make([]byte, 0, size), ref, paramBytes, rlk, rks)
+// keysIntoFrame is the frame a client uploads for the model ref names: it
+// generates kg's relinearization key, then its rotation keys for steps,
+// straight into one buffer of the frame's exact size, with ckks' append
+// front-ends. No whole key exists on the way: each digit's a_d and b_d are
+// pooled scratch, so the frame is the only large buffer it allocates.
+func keysIntoFrame(kg *ckks.KeyGenerator, sk *ckks.SecretKey, ref string, paramBytes []byte, params *ckks.Parameters, steps []int) []byte {
+	return appendRegistration(make([]byte, 0, frameSize(ref, paramBytes, params, len(steps))), ref, paramBytes,
+		func(b []byte) []byte { return kg.AppendRelinearizationKey(b, sk) },
+		func(b []byte) []byte { return kg.AppendRotationKeys(b, sk, steps) })
 }
 
-// appender is a value that appends its own wire form, as the ckks key
-// formats do.
-type appender interface {
-	AppendBinary(b []byte) ([]byte, error)
-}
-
-// appendRegistration appends a registration frame to b in one pass: each key
-// blob's length is written behind it once the key has appended itself, so
-// no key is marshaled anywhere but into the frame.
-func appendRegistration(b []byte, model string, params []byte, relinKey, rotationKeys appender) ([]byte, error) {
+// appendRegistration appends a registration frame to b in one pass. Each key
+// blob's length is written behind it once relinKey or rotationKeys has
+// appended the key's wire form, so no key is marshaled anywhere but into the
+// frame.
+func appendRegistration(b []byte, model string, params []byte, relinKey, rotationKeys func([]byte) []byte) []byte {
 	w := wire.Writer(b)
 	w.U32(registrationMagic)
 	w.Blob([]byte(model))
 	w.Blob(params)
-	for _, key := range []appender{relinKey, rotationKeys} {
+	for _, key := range []func([]byte) []byte{relinKey, rotationKeys} {
 		at := len(w)
 		w.U32(0)
-		out, err := key.AppendBinary(w)
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
-		w = out
+		w = key(w)
+		binary.LittleEndian.PutUint32(w[at:], uint32(len(w)-at-4))
 	}
-	return w, nil
+	return w
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The byte fields are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -29,6 +30,10 @@ const goldenFrameDigest = "222f4cd3525a1ceca680a47e3c543c586ea9ca743f1cf2a066014
 
 var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
 
+// TestRegistrationFrameGolden pins the frame two ways: built from keys
+// generated whole and then marshaled, and built the way clients build it, with
+// every key generated straight into the frame. The append front-end fans the
+// rotation keys across cores, so it runs on one P and on four.
 func TestRegistrationFrameGolden(t *testing.T) {
 	params, err := ckks.NewParameters(servingLit)
 	if err != nil {
@@ -38,19 +43,98 @@ func TestRegistrationFrameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg := ckks.NewKeyGenerator(params, 28)
-	sk := kg.GenSecretKey()
-	rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
-	frame, err := marshalRegistration("golden@1", paramBytes, params, rlk, rks)
+	check := func(t *testing.T, frame []byte) {
+		t.Helper()
+		sum := sha256.Sum256(frame)
+		if got := hex.EncodeToString(sum[:]); got != goldenFrameDigest {
+			t.Errorf("registration frame: %d bytes digest %s, want %s", len(frame), got, goldenFrameDigest)
+		}
+		if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want || cap(frame) != want {
+			t.Errorf("frame of %d bytes in a %d-byte buffer; frameSize says %d", len(frame), cap(frame), want)
+		}
+	}
+	t.Run("marshaled", func(t *testing.T) {
+		kg := ckks.NewKeyGenerator(params, 28)
+		sk := kg.GenSecretKey()
+		check(t, marshalRegistration("golden@1", paramBytes, params,
+			kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)))
+	})
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("generated-into-frame/GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			kg := ckks.NewKeyGenerator(params, 28)
+			check(t, keysIntoFrame(kg, kg.GenSecretKey(), "golden@1", paramBytes, params, goldenFrameSteps))
+		})
+	}
+}
+
+// marshalRegistration builds the frame from keys generated whole, a_d and
+// b_d in fresh polys, each key then marshaled into the frame: the reference
+// keysIntoFrame must match byte for byte.
+func marshalRegistration(ref string, paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) []byte {
+	return appendRegistration(make([]byte, 0, frameSize(ref, paramBytes, params, len(rks.Steps()))), ref, paramBytes,
+		appendWhole(rlk), appendWhole(rks))
+}
+
+// appendWhole adapts a whole key's AppendBinary, which cannot fail, to
+// appendRegistration.
+func appendWhole(key interface{ AppendBinary([]byte) ([]byte, error) }) func([]byte) []byte {
+	return func(b []byte) []byte {
+		out, err := key.AppendBinary(b)
+		if err != nil {
+			panic(err)
+		}
+		return out
+	}
+}
+
+// TestKeysIntoFrameMatchesMarshaled: generating the keys straight into the
+// frame sends the bytes that generating them whole and marshaling them sent,
+// with the public key drawn in between as a client draws it, for the demo
+// model and the 128-wide serving literal over three seeds.
+func TestKeysIntoFrameMatchesMarshaled(t *testing.T) {
+	demo, err := registry.DemoModel(11, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(frame)
-	if got := hex.EncodeToString(sum[:]); got != goldenFrameDigest {
-		t.Errorf("registration frame: %d bytes digest %s, want %s", len(frame), got, goldenFrameDigest)
+	srv, err := New(Options{Workers: 1}, demo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want || cap(frame) != want {
-		t.Errorf("frame of %d bytes in a %d-byte buffer; frameSize says %d", len(frame), cap(frame), want)
+	defer srv.Close()
+	dep := srv.reg.List()[0]
+	served, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, ref  string
+		params     *ckks.Parameters
+		paramBytes []byte
+		steps      []int
+	}{
+		{"demo", dep.Ref(), dep.Params(), dep.ParamBytes(), dep.Rotations()},
+		{"servingLit", "golden@1", served, servedBytes, goldenFrameSteps},
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			kg := ckks.NewKeyGenerator(tc.params, seed)
+			sk := kg.GenSecretKey()
+			kg.GenPublicKey(sk)
+			want := marshalRegistration(tc.ref, tc.paramBytes, tc.params,
+				kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, tc.steps, false))
+			kg = ckks.NewKeyGenerator(tc.params, seed)
+			sk = kg.GenSecretKey()
+			kg.GenPublicKey(sk)
+			if got := keysIntoFrame(kg, sk, tc.ref, tc.paramBytes, tc.params, tc.steps); !bytes.Equal(got, want) {
+				t.Errorf("%s, seed %d: the %d-byte frame generated into place differs from the %d-byte marshaled one",
+					tc.name, seed, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -91,13 +175,45 @@ func TestFrameAllocBound(t *testing.T) {
 	rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
 	var frame []byte
 	perRun := allocatedPerRun(3, func() {
-		if frame, err = marshalRegistration("golden@1", paramBytes, params, rlk, rks); err != nil {
-			t.Fatal(err)
-		}
+		frame = marshalRegistration("golden@1", paramBytes, params, rlk, rks)
 	})
 	t.Logf("a %d-byte frame allocates %.0f bytes (%.3fx)", len(frame), perRun, perRun/float64(len(frame)))
 	if perRun > 1.05*float64(len(frame)) {
 		t.Errorf("building a %d-byte frame allocates %.0f bytes, over 1.05x the payload", len(frame), perRun)
+	}
+}
+
+// TestKeysIntoFrameAllocBound: a client generates its keys straight into the
+// frame, each digit's a_d, e_d and b_d in pooled scratch, so generating both
+// keys allocates the frame and little else. Generating the keys whole and
+// then marshaling them allocates every a_d and b_d besides the frame: about
+// 3x.
+func TestKeysIntoFrameAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds do not hold under -race")
+	}
+	params, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 28)
+	sk := kg.GenSecretKey()
+	var frame []byte
+	perRun := allocatedPerRun(3, func() {
+		frame = keysIntoFrame(kg, sk, "golden@1", paramBytes, params, goldenFrameSteps)
+	})
+	whole := allocatedPerRun(3, func() {
+		marshalRegistration("golden@1", paramBytes, params,
+			kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false))
+	})
+	t.Logf("a %d-byte frame: generating the keys into it allocates %.0f bytes (%.3fx), generating them whole and marshaling %.0f (%.3fx)",
+		len(frame), perRun, perRun/float64(len(frame)), whole, whole/float64(len(frame)))
+	if perRun > 1.05*float64(len(frame)) {
+		t.Errorf("generating keys into a %d-byte frame allocates %.0f bytes, over 1.05x the frame", len(frame), perRun)
 	}
 }
 
@@ -123,11 +239,8 @@ func TestRegisterAllocBound(t *testing.T) {
 	dep := srv.reg.List()[0]
 	kg := ckks.NewKeyGenerator(dep.Params(), 28)
 	sk := kg.GenSecretKey()
-	frame, err := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+	frame := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
 		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	handler := srv.Handler()
 	perRun := allocatedPerRun(3, func() {
 		rec := httptest.NewRecorder()

@@ -21,7 +21,7 @@ func FuzzRegisterFrame(f *testing.F) {
 	dep := srv.reg.List()[0]
 	kg, sk := keyGen(f, srv, 3, nil)
 	honest := frameFor(f, srv, kg, sk, dep.Rotations())
-	seed := mustMarshal(f, honest)
+	seed := marshalFrame(honest)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:4+4+len(honest.Model)+4+len(honest.Params)]) // header only
@@ -36,21 +36,21 @@ func FuzzRegisterFrame(f *testing.F) {
 		*blob = append([]byte(nil), *blob...)
 		binary.LittleEndian.PutUint32(*blob, magic)
 	}
-	f.Add(mustMarshal(f, old))
+	f.Add(marshalFrame(old))
 	// And as a client from before seeded keys would frame it.
 	unseeded := honest
 	for blob, magic := range map[*[]byte]uint32{&unseeded.RelinKey: 0x5AF7CC10, &unseeded.RotationKeys: 0x5AF7CC0F} {
 		*blob = append([]byte(nil), *blob...)
 		binary.LittleEndian.PutUint32(*blob, magic)
 	}
-	f.Add(mustMarshal(f, unseeded))
+	f.Add(marshalFrame(unseeded))
 	// And as a client from before the rotation-key set lost its trailing
 	// flag for an optional extra key: the old magic, and the flag (0) behind
 	// the last key.
 	flagged := honest
 	flagged.RotationKeys = binary.LittleEndian.AppendUint32(append([]byte(nil), honest.RotationKeys...), 0)
 	binary.LittleEndian.PutUint32(flagged.RotationKeys, 0x5AF7CC12)
-	f.Add(mustMarshal(f, flagged))
+	f.Add(marshalFrame(flagged))
 	// The server reads the magic and the model blob before anything else and
 	// sizes the rest from the model: the prefix alone, the prefix cut inside
 	// the model, an unknown model, a model reference over maxModelRef, and
@@ -58,8 +58,8 @@ func FuzzRegisterFrame(f *testing.F) {
 	prefix := 8 + len(honest.Model)
 	f.Add(seed[:prefix])
 	f.Add(seed[:prefix-1])
-	f.Add(mustMarshal(f, registration{Model: "nope@1", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}))
-	f.Add(mustMarshal(f, registration{Model: string(make([]byte, maxModelRef+1)), Params: honest.Params}))
+	f.Add(marshalFrame(registration{Model: "nope@1", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}))
+	f.Add(marshalFrame(registration{Model: string(make([]byte, maxModelRef+1)), Params: honest.Params}))
 	f.Add(append(append([]byte(nil), seed...), 0))
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -254,11 +254,8 @@ func TestKeyBudget(t *testing.T) {
 	dep, _ := srv.reg.Resolve("alpha")
 	kg := ckks.NewKeyGenerator(dep.Params(), 5)
 	sk := kg.GenSecretKey()
-	frame, err := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+	frame := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
 		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	handler := srv.Handler()
 	refused := func(when string) {
 		t.Helper()
@@ -331,7 +328,7 @@ func TestKeyBudgetBurst(t *testing.T) {
 	budget := k * sessionCharge(t, model)
 	_, srv, _ := newSchedServer(t, Options{KeyBudget: budget})
 	kg, sk := keyGen(t, srv, 3, nil)
-	frame := mustMarshal(t, frameFor(t, srv, kg, sk, srv.reg.List()[0].Rotations()))
+	frame := marshalFrame(frameFor(t, srv, kg, sk, srv.reg.List()[0].Rotations()))
 	handler := srv.Handler()
 
 	stop, watched := make(chan struct{}), make(chan struct{})

@@ -171,7 +171,7 @@ func TestModelSelectionRules(t *testing.T) {
 	}
 	// The server has no default model: a well-formed registration frame
 	// with an empty model name is an unknown model.
-	frame := mustMarshal(t, registration{Params: srv.reg.List()[0].ParamBytes()})
+	frame := marshalFrame(registration{Params: srv.reg.List()[0].ParamBytes()})
 	resp, err := http.Post(ts+"/v1/sessions", "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)

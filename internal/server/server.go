@@ -113,6 +113,7 @@ type Server struct {
 	queueWait  *telemetry.HistogramVec
 	compileLat *telemetry.Histogram
 	stageLat   *telemetry.HistogramVec
+	regLat     *telemetry.HistogramVec // handleRegister's phases
 
 	mu sync.RWMutex
 	// sessions is the live session table and keyBytes the key budget's
@@ -552,11 +553,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			s.chargeKeys(-charge)
 		}
 	}()
+	// Each phase that completes is timed into henn_register_seconds.
+	mark := time.Now()
+	phaseDone := func(phase string) {
+		now := time.Now()
+		s.regLat.With(phase).Record(now.Sub(mark))
+		mark = now
+	}
 	size := frameSize(ref, dep.ParamBytes(), dep.Params(), len(dep.Rotations()))
 	data, ok := readSized(w, r, prefix, int64(size), "registration frame")
 	if !ok {
 		return
 	}
+	phaseDone("read")
 	var reg registration
 	if err := reg.UnmarshalBinary(data); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -575,12 +584,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		err = keys.Rotations.UnmarshalBinary(reg.RotationKeys)
 	}
 	if err == nil {
+		phaseDone("decode")
 		err = keys.Validate(params, dep.Rotations())
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "evaluation keys: %v", err)
 		return
 	}
+	phaseDone("validate")
 
 	eval := ckks.NewEvaluator(params, keys.Relin).WithRotationKeys(keys.Rotations)
 	sess := &session{

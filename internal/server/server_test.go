@@ -169,20 +169,15 @@ func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretK
 	return registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: rlk, RotationKeys: rks}
 }
 
-// rawBlob is a key blob already in wire form.
-type rawBlob []byte
+// rawBlob appends a key blob already in wire form.
+func rawBlob(blob []byte) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, blob...) }
+}
 
-func (b rawBlob) AppendBinary(dst []byte) ([]byte, error) { return append(dst, b...), nil }
-
-// mustMarshal frames reg's fields as they stand, well-formed or not, with
+// marshalFrame frames reg's fields as they stand, well-formed or not, with
 // the writer clients use.
-func mustMarshal(t testing.TB, reg registration) []byte {
-	t.Helper()
-	data, err := appendRegistration(nil, reg.Model, reg.Params, rawBlob(reg.RelinKey), rawBlob(reg.RotationKeys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+func marshalFrame(reg registration) []byte {
+	return appendRegistration(nil, reg.Model, reg.Params, rawBlob(reg.RelinKey), rawBlob(reg.RotationKeys))
 }
 
 // liveSessions sums the per-model session counts of a stats snapshot.
@@ -226,19 +221,19 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	steps := dep.Rotations()
 	kg, sk := keyGen(t, srv, 3, nil)
 	honest := frameFor(t, srv, kg, sk, steps)
-	honestBytes := mustMarshal(t, honest)
+	honestBytes := marshalFrame(honest)
 
 	cases := map[string][]byte{
 		"wrong magic":    append([]byte{0x0E}, honestBytes[1:]...),
 		"legacy JSON":    []byte(`{"model":"","params":"AQID","publicKey":"","relinKey":"","rotationKeys":""}`),
 		"trailing byte":  append(append([]byte(nil), honestBytes...), 0),
 		"empty body":     {},
-		"unknown model":  mustMarshal(t, registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
-		"params differ":  mustMarshal(t, registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
-		"keys swapped":   mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
-		"missing step":   mustMarshal(t, frameFor(t, srv, kg, sk, steps[1:])),
-		"extra step":     mustMarshal(t, frameFor(t, srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
-		"garbage in key": mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
+		"unknown model":  marshalFrame(registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
+		"params differ":  marshalFrame(registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
+		"keys swapped":   marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
+		"missing step":   marshalFrame(frameFor(t, srv, kg, sk, steps[1:])),
+		"extra step":     marshalFrame(frameFor(t, srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
+		"garbage in key": marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
 	}
 
 	// Truncation at every field boundary, and inside every length prefix.
@@ -264,21 +259,21 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	dup.U32(2)
 	dup.Bytes(entry)
 	dup.Bytes(entry)
-	cases["duplicate step"] = mustMarshal(t, registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
+	cases["duplicate step"] = marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
 
 	// Keys that decode cleanly but were built for other parameters must be
 	// refused here, not panic the key-switch loop at inference time.
 	kgHalf, skHalf := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogN-- })
-	cases["wrong-N digits"] = mustMarshal(t, frameFor(t, srv, kgHalf, skHalf, steps))
+	cases["wrong-N digits"] = marshalFrame(frameFor(t, srv, kgHalf, skHalf, steps))
 	kgShallow, skShallow := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogQ = lit.LogQ[:3] })
-	cases["shallower chain"] = mustMarshal(t, frameFor(t, srv, kgShallow, skShallow, steps))
+	cases["shallower chain"] = marshalFrame(frameFor(t, srv, kgShallow, skShallow, steps))
 
 	// So must keys built for another gadget on the right chain: one special
 	// prime where the model prescribes three gives a digit per chain prime
 	// and single-limb P components; and a key whose every P component is a
 	// limb short decodes cleanly too (its digits agree with each other).
 	kgOne, skOne := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogP = lit.LogP[:1] })
-	cases["digits of another gadget"] = mustMarshal(t, frameFor(t, srv, kgOne, skOne, steps))
+	cases["digits of another gadget"] = marshalFrame(frameFor(t, srv, kgOne, skOne, steps))
 	short := kg.GenRelinearizationKey(sk)
 	for i := range short.Digits {
 		d := &short.Digits[i]
@@ -288,7 +283,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	if hostile.RelinKey, err = short.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
-	cases["P components a limb short"] = mustMarshal(t, hostile)
+	cases["P components a limb short"] = marshalFrame(hostile)
 
 	// Payloads from before grouped digits, keys from before seeds, and
 	// rotation keys from before their trailing key flag went carry retired
@@ -310,7 +305,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		hostile = honest
 		*retired.blob = append([]byte(nil), *retired.blob...)
 		binary.LittleEndian.PutUint32(*retired.blob, retired.magic)
-		cases[name] = mustMarshal(t, hostile)
+		cases[name] = marshalFrame(hostile)
 		retiredKeyMagics[name] = retired.blob != &hostile.Params
 	}
 
@@ -321,11 +316,11 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	hostile = honest
 	hostile.RelinKey = append([]byte(nil), honest.RelinKey...)
 	binary.LittleEndian.PutUint64(hostile.RelinKey[len(hostile.RelinKey)-8:], ^uint64(0))
-	cases["relin residue 2^64-1"] = mustMarshal(t, hostile)
+	cases["relin residue 2^64-1"] = marshalFrame(hostile)
 	hostile = honest
 	hostile.RotationKeys = append([]byte(nil), honest.RotationKeys...)
 	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-8:], ^uint64(0))
-	cases["rotation residue 2^64-1"] = mustMarshal(t, hostile)
+	cases["rotation residue 2^64-1"] = marshalFrame(hostile)
 
 	// Every row so far declares its true length. The size rows do not, or
 	// send no length at all (chunked, length -1), so the server has only the
@@ -350,7 +345,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	rows["chunked body one byte short"] = row{honestBytes[:honestLen-1], -1, http.StatusBadRequest, 0}
 	rows["chunked body one byte long"] = row{long, -1, http.StatusRequestEntityTooLarge, 0}
 	rows["unknown model, keys unread"] = row{cases["unknown model"], -1, http.StatusNotFound, maxPrefix}
-	rows["model ref over maxModelRef"] = row{mustMarshal(t, registration{Model: strings.Repeat("m", maxModelRef+1), Params: honest.Params,
+	rows["model ref over maxModelRef"] = row{marshalFrame(registration{Model: strings.Repeat("m", maxModelRef+1), Params: honest.Params,
 		RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}), -1, http.StatusBadRequest, maxPrefix}
 
 	handler := srv.Handler()
@@ -449,7 +444,7 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	polyClaim.U32(64)                 // limbs of the first poly
 	polyClaim.U32(1 << 20)            // N of the first poly, with zeros behind it
 	polyClaim = polyClaim[:cap(polyClaim)]
-	inKey := mustMarshal(t, registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim,
+	inKey := marshalFrame(registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim,
 		RotationKeys: make([]byte, params.RotationKeysWireSize(len(dep.Rotations())))})
 
 	for name, body := range map[string][]byte{"frame-level claim": frameClaim, "poly-level claim": inKey} {

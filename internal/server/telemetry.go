@@ -43,6 +43,9 @@ func (s *Server) initTelemetry() {
 	s.stageLat = m.NewHistogramVec("henn_ckks_stage_seconds",
 		"Time one inference unit spent in each CKKS stage, from the unit's trace; a stage run inside a fan is charged its share of the fan's wall time.", "stage")
 
+	s.regLat = m.NewHistogramVec("henn_register_seconds",
+		"Time one session registration spent in each phase that completed: read (the frame off the wire), decode (frame and keys) and validate (key checks and the a_d expansion).", "phase")
+
 	m.NewGaugeFunc("henn_uptime_seconds",
 		"Seconds since the server was built.",
 		func() float64 { return time.Since(s.start).Seconds() })

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
 )
@@ -107,6 +110,54 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("/metrics still serves a worker-pool family; workers take jobs themselves")
 	}
 }
+
+// TestRegisterPhasesOnMetrics: a registration times its read, decode and
+// validate phases into henn_register_seconds, and a frame refused in one
+// phase records the phases before it and none after.
+func TestRegisterPhasesOnMetrics(t *testing.T) {
+	_, srv, ts := newTestServer(t)
+	dep := srv.reg.List()[0]
+	kg := ckks.NewKeyGenerator(dep.Params(), 3)
+	frame := keysIntoFrame(kg, kg.GenSecretKey(), dep.Ref(), dep.ParamBytes(), dep.Params(), dep.Rotations())
+	post := func(body []byte, want int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("registration: %s, want %d", resp.Status, want)
+		}
+	}
+	counts := func() map[string]int {
+		t.Helper()
+		body, err := NewClient(ts.URL, nil).Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for _, m := range registerCount.FindAllStringSubmatch(body, -1) {
+			out[m[1]], _ = strconv.Atoi(m[2])
+		}
+		return out
+	}
+
+	post(frame, http.StatusOK)
+	if got, want := counts(), map[string]int{"read": 1, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
+		t.Errorf("after one registration the phase counts are %v, want %v", got, want)
+	}
+	// The literal's last byte is the decode phase's to refuse.
+	foreign := bytes.Clone(frame)
+	foreign[4+4+len(dep.Ref())+4+len(dep.ParamBytes())-1] ^= 1
+	post(foreign, http.StatusBadRequest)
+	if got, want := counts(), map[string]int{"read": 2, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
+		t.Errorf("after a frame refused in decode the phase counts are %v, want %v", got, want)
+	}
+}
+
+// registerCount is one henn_register_seconds_count sample line.
+var registerCount = regexp.MustCompile(`(?m)^henn_register_seconds_count\{phase="([a-z]+)"\} (\d+)$`)
 
 // stageCount is one henn_ckks_stage_seconds_count sample line.
 var stageCount = regexp.MustCompile(`(?m)^henn_ckks_stage_seconds_count\{stage="([a-z_]+)"\} (\d+)$`)
