@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // goldenEvalDigests pins the bytes of the evaluator's outputs: SHA-256 of
-// the marshaled results goldenEvalOutputs computes from fixed seeds.
+// the results goldenEvalOutputs computes from fixed seeds, in digestBytes'
+// fixed layout.
 // Reduction strategy and fan-out are implementation details; the canonical
 // residues an operation returns are not, so every digest must hold under any
 // fan-out width. The rescale digests date from the commit before the NTT
@@ -74,15 +76,33 @@ func goldenEvalOutputs(t testing.TB) map[string]*Ciphertext {
 	return out
 }
 
+// digestBytes is the layout the golden digests hash: the magic 0x5AF7CC09,
+// the level, the scale, then each component's limb count, degree and every
+// residue in 8 bytes — the ciphertext wire format of the day the digests were
+// taken. They pin the residues an evaluation returns, so they hash this fixed
+// layout, not whatever form MarshalBinary writes now.
+func digestBytes(ct *Ciphertext) []byte {
+	var w wire.Writer
+	w.U32(0x5AF7CC09)
+	w.U32(uint32(ct.Level))
+	w.F64(ct.Scale)
+	for _, p := range []*ring.Poly{ct.C0, ct.C1} {
+		w.U32(uint32(len(p.Coeffs)))
+		w.U32(uint32(len(p.Coeffs[0])))
+		for _, limb := range p.Coeffs {
+			for _, c := range limb {
+				w.U64(c)
+			}
+		}
+	}
+	return w
+}
+
 func TestEvaluatorOutputsGolden(t *testing.T) {
 	for _, width := range []int{1, 0, 4} {
 		ring.SetParallelism(width)
 		for name, ct := range goldenEvalOutputs(t) {
-			data, err := ct.MarshalBinary()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sum := sha256.Sum256(data)
+			sum := sha256.Sum256(digestBytes(ct))
 			if got := hex.EncodeToString(sum[:]); got != goldenEvalDigests[name] {
 				t.Errorf("parallelism %d: %s: digest %s, want %s", width, name, got, goldenEvalDigests[name])
 			}

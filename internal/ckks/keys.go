@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
 	"github.com/efficientfhe/smartpaf/internal/wire"
@@ -152,10 +153,10 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 }
 
 // AppendRelinearizationKey is GenRelinearizationKey's append front-end: it
-// appends the key's wire form (RelinearizationKey.AppendBinary's bytes) to b
-// and keeps no key. Its errors come from the generator's sampler, in the order
-// GenRelinearizationKey draws them, so the bytes are the ones marshaling that
-// key gives.
+// appends the key's packed wire form (RelinearizationKey.AppendWire's bytes
+// under the generator's parameters) to b and keeps no key. Its errors come
+// from the generator's sampler, in the order GenRelinearizationKey draws
+// them, so the bytes are the ones writing that key gives.
 func (kg *KeyGenerator) AppendRelinearizationKey(b []byte, sk *SecretKey) []byte {
 	w := wire.Writer(slices.Grow(b, kg.params.RelinKeyWireSize()))
 	w.U32(relinKeyMagic)
@@ -268,10 +269,26 @@ func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte)
 	return key
 }
 
+// signedScratch lends appendKey genDigit's N coefficients of error scratch,
+// so a client generating its keys into the frame allocates them once per
+// core rather than once per key.
+var signedScratch sync.Pool // of *[]int64
+
+// borrowSigned takes N coefficients of scratch from signedScratch; return
+// them with signedScratch.Put.
+func borrowSigned(n int) *[]int64 {
+	if s, ok := signedScratch.Get().(*[]int64); ok && len(*s) == n {
+		return s
+	}
+	s := make([]int64, n)
+	return &s
+}
+
 // appendKey is genDigit's append front-end: it writes the switching key
-// genKey would return, in writeKey's wire form, to w. Each digit's a_d, e_d
-// and b_d live in pooled scratch that goes back to the pools once the digit's
-// b_d is on the wire, so the bytes written are the only memory the key keeps.
+// genKey would return, in writeKey's wire form packed at the generator's
+// prime widths, to w. Each digit's a_d, e_d and b_d live in pooled scratch
+// that goes back to the pools once the digit's b_d is on the wire, so the
+// bytes written are the only memory the key keeps.
 func (kg *KeyGenerator) appendKey(w *wire.Writer, sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) {
 	L, lp := kg.params.MaxLevel(), len(kg.params.P())-1
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
@@ -279,12 +296,13 @@ func (kg *KeyGenerator) appendKey(w *wire.Writer, sk *SecretKey, sourceQ *ring.P
 	w.Bytes(seed[:])
 	w.U32(uint32(digits))
 	ks := ring.NewKeyStream(seed)
-	signed := make([]int64, rq.N)
+	signed := borrowSigned(rq.N)
+	defer signedScratch.Put(signed)
 	for d := 0; d < digits; d++ {
 		aQ, aP, bQ, bP := rq.GetPolyRaw(L), rp.GetPolyRaw(lp), rq.GetPolyRaw(L), rp.GetPolyRaw(lp)
-		kg.genDigit(sk, sourceQ, d, ks, signed, aQ, aP, bQ, bP)
-		writePoly(w, bQ)
-		writePoly(w, bP)
+		kg.genDigit(sk, sourceQ, d, ks, *signed, aQ, aP, bQ, bP)
+		writePoly(w, bQ, kg.params.Q())
+		writePoly(w, bP, kg.params.P())
 		rq.PutPoly(aQ)
 		rp.PutPoly(aP)
 		rq.PutPoly(bQ)

@@ -17,65 +17,102 @@ import (
 // shapes that agree with each other, a sane scale); whether the shapes and
 // residues fit a parameter set is Validate's job (validate.go).
 //
-// Layouts (little-endian; poly = u32 limbs | u32 N | limbs×N u64,
-// key = 32-byte seed | u32 digits | per digit: poly BQ | poly BP):
+// Layouts (little-endian; poly = u32 limbs | u32 N | limbs×u8 w | per limb N
+// residues of w bytes; key = 32-byte seed | u32 digits | per digit: poly BQ |
+// poly BP):
 //
 //	ParametersLiteral:  magic | u32 LogN | u32 LogScale | u32 nq | nq×u32 LogQ | u32 np | np×u32 LogP
 //	Ciphertext:         magic | u32 level | f64 scale | poly C0 | poly C1
 //	RelinearizationKey: magic | key
 //	RotationKeySet:     magic | u32 n | n×(u32 step | key), ascending
 //
+// Each limb carries its own residue width w (3..8 bytes), so decoders need no
+// parameters. A writer that holds the Parameters (AppendWire with p) packs limb
+// i at its prime's width, ⌈bits.Len64(q_i)/8⌉ bytes — 6 or 7 for the 45- to
+// 56-bit primes the chains use — and that packed form is what crosses the
+// network; MarshalBinary, which holds none, writes every residue in 8 bytes
+// through the same code. The exact sizes (CiphertextWireSize, KeyWireSize,
+// RelinKeyWireSize, RotationKeysWireSize) are the packed ones.
+//
 // A key's public a_d are not on the wire: its seed expands to them
 // (expandA), and only the parameters' moduli make that possible, so a decoded
 // key holds its b_d alone until EvaluationKeySet.Validate expands the rest.
 // The key formats took new magics when the gadget went from one digit per
 // chain prime to grouped digits (same layout, new meaning), when the a_d gave
-// way to the seed, and — the rotation-key set alone — when its trailing
-// optional key went. A payload from either side of a change fails at the
+// way to the seed, when — the rotation-key set alone — its trailing optional
+// key went, and, with the ciphertext's, when residues went from 8 bytes each
+// to per-limb widths. A payload from either side of a change fails at the
 // front door.
 const (
-	ciphertextMagic  = uint32(0x5AF7CC09)
+	ciphertextMagic  = uint32(0x5AF7CC15)
 	paramsMagic      = uint32(0x5AF7CC0E)
-	rotationKeyMagic = uint32(0x5AF7CC14)
-	relinKeyMagic    = uint32(0x5AF7CC13)
+	rotationKeyMagic = uint32(0x5AF7CC17)
+	relinKeyMagic    = uint32(0x5AF7CC16)
 
 	maxLimbs        = 64 // chain length; bounds special primes and gadget digits too
 	maxDegree       = 1 << 20
 	maxRotationKeys = 1 << 16
 )
 
-// polySize, ciphertextSize and keySize are exact wire sizes: ciphertexts and
-// key sets are the payloads big enough that growing the Writer would copy
-// megabytes, so their marshalers allocate once.
-func polySize(limbs, n int) int { return 8 + 8*limbs*n }
-
-// ciphertextSize is the wire size of a ciphertext whose two components hold
-// limbs limbs of degree n.
-func ciphertextSize(limbs, n int) int { return 16 + 2*polySize(limbs, n) }
-
-// keySize is the wire size of a key whose digits digits each hold a BQ of
-// qLimbs and a BP of pLimbs limbs of degree n. Every key generated or decoded
-// has one shape for all its digits.
-func keySize(digits, qLimbs, pLimbs, n int) int {
-	return len(SwitchingKey{}.Seed) + 4 + digits*(polySize(qLimbs, n)+polySize(pLimbs, n))
+// limbWidth is the bytes each residue of limb i of a poly over moduli takes
+// on the wire: its prime's width, or 8 when moduli is nil (a writer that
+// holds no parameters).
+func limbWidth(moduli []uint64, i int) int {
+	if moduli == nil {
+		return wire.MaxWidth
+	}
+	return wire.ResidueWidth(moduli[i])
 }
 
+// wireModuli is what a writer under p packs residues to: p's Q and P primes,
+// or none, every residue in 8 bytes, when p is nil.
+func wireModuli(p *Parameters) (q, sp []uint64) {
+	if p == nil {
+		return nil, nil
+	}
+	return p.Q(), p.P()
+}
+
+// polySize, ciphertextSize and keySize are exact wire sizes: ciphertexts and
+// key sets are the payloads big enough that growing the Writer would copy
+// megabytes, so their writers allocate once. polySize is the wire size of a
+// poly of limbs limbs of degree n over moduli.
+func polySize(moduli []uint64, limbs, n int) int {
+	size := 8 + limbs
+	for i := 0; i < limbs; i++ {
+		size += n * limbWidth(moduli, i)
+	}
+	return size
+}
+
+// ciphertextSize is the wire size of a ciphertext whose two components hold
+// limbs limbs of degree n over q.
+func ciphertextSize(q []uint64, limbs, n int) int { return 16 + 2*polySize(q, limbs, n) }
+
+// keySize is the wire size of a key whose digits digits each hold a BQ of
+// qLimbs limbs over q and a BP of pLimbs limbs over sp, of degree n. Every key
+// generated or decoded has one shape for all its digits.
+func keySize(q, sp []uint64, digits, qLimbs, pLimbs, n int) int {
+	return len(SwitchingKey{}.Seed) + 4 + digits*(polySize(q, qLimbs, n)+polySize(sp, pLimbs, n))
+}
+
+// wireSize is the key's size on the wire at 8 bytes a residue.
 func (key *SwitchingKey) wireSize() int {
 	if len(key.Digits) == 0 {
-		return keySize(0, 0, 0, 0)
+		return keySize(nil, nil, 0, 0, 0, 0)
 	}
 	d := &key.Digits[0]
-	return keySize(len(key.Digits), len(d.BQ.Coeffs), len(d.BP.Coeffs), len(d.BQ.Coeffs[0]))
+	return keySize(nil, nil, len(key.Digits), len(d.BQ.Coeffs), len(d.BP.Coeffs), len(d.BQ.Coeffs[0]))
 }
 
 // CiphertextWireSize is the bytes a ciphertext at level under p occupies on
-// the wire; at MaxLevel it is the largest ciphertext p admits.
-func (p *Parameters) CiphertextWireSize(level int) int { return ciphertextSize(level+1, p.N()) }
+// the wire, packed; at MaxLevel it is the largest ciphertext p admits.
+func (p *Parameters) CiphertextWireSize(level int) int { return ciphertextSize(p.Q(), level+1, p.N()) }
 
 // KeyWireSize is the bytes one switching key under p — the relinearization
-// key or any rotation key — occupies on the wire.
+// key or any rotation key — occupies on the wire, packed.
 func (p *Parameters) KeyWireSize() int {
-	return keySize(p.Digits(p.MaxLevel()), p.MaxLevel()+1, len(p.P()), p.N())
+	return keySize(p.Q(), p.P(), p.Digits(p.MaxLevel()), p.MaxLevel()+1, len(p.P()), p.N())
 }
 
 // relinKeySize and rotationKeysSize are the exact wire sizes of a
@@ -84,10 +121,10 @@ func (p *Parameters) KeyWireSize() int {
 func relinKeySize(keyBytes int) int        { return 4 + keyBytes }
 func rotationKeysSize(n, keyBytes int) int { return 8 + n*(4+keyBytes) } // magic, count
 
-// RelinKeyWireSize is the marshaled size of a relinearization key under p.
+// RelinKeyWireSize is the packed size of a relinearization key under p.
 func (p *Parameters) RelinKeyWireSize() int { return relinKeySize(p.KeyWireSize()) }
 
-// RotationKeysWireSize is the marshaled size of a rotation-key set with keys
+// RotationKeysWireSize is the packed size of a rotation-key set with keys
 // for n steps under p.
 func (p *Parameters) RotationKeysWireSize(n int) int { return rotationKeysSize(n, p.KeyWireSize()) }
 
@@ -98,11 +135,15 @@ func (p *Parameters) EvaluationKeysSize(n int) int {
 	return (1 + n) * p.Digits(p.MaxLevel()) * 2 * (p.MaxLevel() + 1 + len(p.P())) * p.N() * 8
 }
 
-func writePoly(w *wire.Writer, p *ring.Poly) {
+// writePoly writes p with limb i at limbWidth(moduli, i) bytes a residue.
+func writePoly(w *wire.Writer, p *ring.Poly, moduli []uint64) {
 	w.U32(uint32(len(p.Coeffs)))
 	w.U32(uint32(len(p.Coeffs[0])))
-	for _, limb := range p.Coeffs {
-		w.U64s(limb)
+	for i := range p.Coeffs {
+		w.U8(uint8(limbWidth(moduli, i)))
+	}
+	for i, limb := range p.Coeffs {
+		w.Residues(limb, limbWidth(moduli, i))
 	}
 }
 
@@ -112,9 +153,10 @@ func readPoly(r *wire.Reader) *ring.Poly {
 	if limbs == 0 || n == 0 {
 		r.Fail("implausible poly header (%d limbs, N=%d)", limbs, n)
 	}
-	p := &ring.Poly{Coeffs: make([][]uint64, limbs)}
-	for i := range p.Coeffs {
-		p.Coeffs[i] = r.U64s(n)
+	widths := r.Bytes(limbs)
+	p := &ring.Poly{Coeffs: make([][]uint64, len(widths))}
+	for i, width := range widths {
+		p.Coeffs[i] = r.Residues(n, int(width))
 	}
 	if r.Err() != nil {
 		return nil
@@ -169,15 +211,24 @@ func (lit *ParametersLiteral) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler: AppendWire without
+// parameters, every residue in 8 bytes, into a buffer of the exact size.
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
-	w := make(wire.Writer, 0, ciphertextSize(len(ct.C0.Coeffs), len(ct.C0.Coeffs[0])))
+	return ct.AppendWire(make([]byte, 0, ciphertextSize(nil, len(ct.C0.Coeffs), len(ct.C0.Coeffs[0]))), nil), nil
+}
+
+// AppendWire appends the ciphertext's wire form to b, packed at p's prime
+// widths: CiphertextWireSize(ct.Level) bytes, what a client sends and a
+// server answers. A nil p writes every residue in 8 bytes.
+func (ct *Ciphertext) AppendWire(b []byte, p *Parameters) []byte {
+	q, _ := wireModuli(p)
+	w := wire.Writer(b)
 	w.U32(ciphertextMagic)
 	w.U32(uint32(ct.Level))
 	w.F64(ct.Scale)
-	writePoly(&w, ct.C0)
-	writePoly(&w, ct.C1)
-	return w, nil
+	writePoly(&w, ct.C0, q)
+	writePoly(&w, ct.C1, q)
+	return w
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -200,13 +251,14 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// writeKey serializes a switching key: its seed and each digit's b_d.
-func writeKey(w *wire.Writer, key *SwitchingKey) {
+// writeKey serializes a switching key: its seed and each digit's b_d, BQ
+// packed over q and BP over sp.
+func writeKey(w *wire.Writer, key *SwitchingKey, q, sp []uint64) {
 	w.Bytes(key.Seed[:])
 	w.U32(uint32(len(key.Digits)))
 	for i := range key.Digits {
-		writePoly(w, key.Digits[i].BQ)
-		writePoly(w, key.Digits[i].BP)
+		writePoly(w, key.Digits[i].BQ, q)
+		writePoly(w, key.Digits[i].BP, sp)
 	}
 }
 
@@ -239,19 +291,21 @@ func readKey(r *wire.Reader) *SwitchingKey {
 	return key
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler: AppendBinary into a
-// buffer of the exact size.
+// MarshalBinary implements encoding.BinaryMarshaler: AppendWire without
+// parameters, every residue in 8 bytes, into a buffer of the exact size.
 func (rlk *RelinearizationKey) MarshalBinary() ([]byte, error) {
-	return rlk.AppendBinary(make([]byte, 0, relinKeySize(rlk.wireSize())))
+	return rlk.AppendWire(make([]byte, 0, relinKeySize(rlk.wireSize())), nil), nil
 }
 
-// AppendBinary appends the key's wire form to b, the way the registration
-// frame embeds it without an intermediate copy.
-func (rlk *RelinearizationKey) AppendBinary(b []byte) ([]byte, error) {
+// AppendWire appends the key's wire form to b, packed at the widths of p,
+// the parameters the key was generated under: RelinKeyWireSize bytes. A nil
+// p writes every residue in 8 bytes.
+func (rlk *RelinearizationKey) AppendWire(b []byte, p *Parameters) []byte {
+	q, sp := wireModuli(p)
 	w := wire.Writer(b)
 	w.U32(relinKeyMagic)
-	writeKey(&w, &rlk.SwitchingKey)
-	return w, nil
+	writeKey(&w, &rlk.SwitchingKey, q, sp)
+	return w
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The key holds no a_d
@@ -267,30 +321,34 @@ func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler: AppendBinary into a
-// buffer of the exact size. Every key of a set, generated or decoded, has
-// one shape, so any one of them sizes the rest.
+// MarshalBinary implements encoding.BinaryMarshaler: AppendWire without
+// parameters, every residue in 8 bytes, into a buffer of the exact size.
+// Every key of a set, generated or decoded, has one shape, so any one of
+// them sizes the rest.
 func (rks *RotationKeySet) MarshalBinary() ([]byte, error) {
 	keyBytes := 0
 	for _, key := range rks.keys {
 		keyBytes = key.wireSize()
 		break
 	}
-	return rks.AppendBinary(make([]byte, 0, rotationKeysSize(len(rks.keys), keyBytes)))
+	return rks.AppendWire(make([]byte, 0, rotationKeysSize(len(rks.keys), keyBytes)), nil), nil
 }
 
-// AppendBinary appends the set's wire form to b. Steps are written in sorted
-// order so equal sets serialize identically.
-func (rks *RotationKeySet) AppendBinary(b []byte) ([]byte, error) {
+// AppendWire appends the set's wire form to b, packed at the widths of p,
+// the parameters its keys were generated under; a nil p writes every residue
+// in 8 bytes. Steps are written in sorted order so equal sets serialize
+// identically.
+func (rks *RotationKeySet) AppendWire(b []byte, p *Parameters) []byte {
+	q, sp := wireModuli(p)
 	steps := rks.Steps()
 	w := wire.Writer(b)
 	w.U32(rotationKeyMagic)
 	w.U32(uint32(len(steps)))
 	for _, step := range steps {
 		w.U32(uint32(step))
-		writeKey(&w, rks.keys[step])
+		writeKey(&w, rks.keys[step], q, sp)
 	}
-	return w, nil
+	return w
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Keys must agree on

@@ -59,6 +59,8 @@ func TestParametersLiteralBadInput(t *testing.T) {
 	}
 }
 
+// TestCiphertextRoundtripDecrypts: a ciphertext survives the wire in both
+// forms, packed at the parameters' widths and at 8 bytes a residue.
 func TestCiphertextRoundtripDecrypts(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rng := rand.New(rand.NewSource(77))
@@ -66,20 +68,22 @@ func TestCiphertextRoundtripDecrypts(t *testing.T) {
 	pt, _ := tc.enc.Encode(values, 2, tc.params.DefaultScale())
 	ct := tc.encr.Encrypt(pt)
 
-	data, err := ct.MarshalBinary()
+	eight, err := ct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Ciphertext
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.Level != ct.Level || got.Scale != ct.Scale {
-		t.Fatalf("metadata mismatch: (%d, %g) vs (%d, %g)", got.Level, got.Scale, ct.Level, ct.Scale)
-	}
-	dec := tc.enc.Decode(tc.decr.Decrypt(&got))
-	if e := maxErr(values, dec); e > 1e-6 {
-		t.Fatalf("roundtripped ciphertext decrypts with error %g", e)
+	for form, data := range map[string][]byte{"8-byte": eight, "packed": ct.AppendWire(nil, tc.params)} {
+		var got Ciphertext
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatalf("%s: %v", form, err)
+		}
+		if got.Level != ct.Level || got.Scale != ct.Scale || !got.C0.Equal(ct.C0) || !got.C1.Equal(ct.C1) {
+			t.Fatalf("%s: the ciphertext differs after the round trip", form)
+		}
+		dec := tc.enc.Decode(tc.decr.Decrypt(&got))
+		if e := maxErr(values, dec); e > 1e-6 {
+			t.Fatalf("%s: roundtripped ciphertext decrypts with error %g", form, e)
+		}
 	}
 }
 
@@ -139,8 +143,8 @@ func TestCiphertextRejectsDegreeMismatch(t *testing.T) {
 	w.U32(ciphertextMagic)
 	w.U32(uint32(ct.Level))
 	w.F64(ct.Scale)
-	writePoly(&w, ct.C0)
-	writePoly(&w, shrunk)
+	writePoly(&w, ct.C0, tc.params.Q())
+	writePoly(&w, shrunk, tc.params.Q())
 	var got Ciphertext
 	if err := got.UnmarshalBinary(w); err == nil {
 		t.Fatal("C0/C1 ring-degree mismatch unmarshaled without error")
@@ -275,13 +279,19 @@ func TestRotationKeySetBadInput(t *testing.T) {
 // meaning when the gadget went to grouped digits (a key's layout did not
 // change shape, so nothing else would tell the two apart), and the keys
 // changed layout again when a seed replaced their a_d; the rotation-key set
-// changed once more when its trailing key flag went. A payload carrying a
-// retired magic — a per-prime, unseeded or flagged key from an old client, a
-// literal persisted by an old server — fails at the front door, naming the
-// magic.
+// changed once more when its trailing key flag went; and the ciphertext and
+// both key formats when residues went from 8 bytes each to per-limb widths. A
+// payload carrying a retired magic — a per-prime, unseeded, flagged or 8-byte
+// key or ciphertext from an old client, a literal persisted by an old server
+// — fails at the front door, naming the magic.
 func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rks := tc.kg.GenRotationKeys(tc.sk, []int{1}, false)
+	pt, err := tc.enc.EncodeReals(make([]float64, tc.params.Slots()), tc.params.MaxLevel(), tc.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tc.encr.Encrypt(pt)
 	for name, c := range map[string]struct {
 		value   encoding.BinaryMarshaler
 		fresh   encoding.BinaryUnmarshaler
@@ -294,6 +304,9 @@ func TestPerPrimeEraPayloadsRefused(t *testing.T) {
 		"unseeded relin key":       {tc.rlk, new(RelinearizationKey), 0x5AF7CC10},
 		"standalone switching key": {tc.rlk, new(RelinearizationKey), 0x5AF7CC11},
 		"flagged rotation keys":    {rks, new(RotationKeySet), 0x5AF7CC12},
+		"8-byte ciphertext":        {ct, new(Ciphertext), 0x5AF7CC09},
+		"8-byte relin key":         {tc.rlk, new(RelinearizationKey), 0x5AF7CC13},
+		"8-byte rotation keys":     {rks, new(RotationKeySet), 0x5AF7CC14},
 	} {
 		data, err := c.value.MarshalBinary()
 		if err != nil {
@@ -321,9 +334,9 @@ func TestRotationKeySetRejectsMixedShapes(t *testing.T) {
 	w.U32(rotationKeyMagic)
 	w.U32(2)
 	w.U32(1)
-	writeKey(&w, keyA)
+	writeKey(&w, keyA, nil, nil)
 	w.U32(3)
-	writeKey(&w, keyB)
+	writeKey(&w, keyB, nil, nil)
 	w.U32(0)
 	var rks RotationKeySet
 	if err := rks.UnmarshalBinary(w); err == nil {
@@ -345,25 +358,20 @@ var seededKeyLits = map[string]ParametersLiteral{
 var seededKeySteps = []int{1, 2, 3, 8, 16, 33, 60}
 
 // TestSeededKeysDecodeToGeneratorBytes: a key crosses the wire as its seed
-// and its b_d; decoding and validating it — what a server does — rebuilds
-// the a_d byte for byte, so the server evaluates under the very key the
-// client generated. Allocation stays bounded by the payload: the decode holds
-// the b_d (at most twice the payload), and the expansion adds the a_d in the
-// b_d's shape (no more than the decode allocated, plus one keystream per key).
-// The wire sizes a server sizes bodies by are pinned against the marshaled
-// bytes too: KeyWireSize, and CiphertextWireSize at every level.
+// and its b_d, packed at the primes' widths; decoding and validating it —
+// what a server does — rebuilds the a_d byte for byte, so the server
+// evaluates under the very key the client generated. Allocation stays bounded
+// by the payload: the decode holds the b_d (at most twice the payload), and
+// the expansion adds the a_d in the b_d's shape (no more than the decode
+// allocated, plus one keystream per key). The wire sizes a server sizes
+// bodies by are pinned against the packed bytes too: KeyWireSize, and
+// CiphertextWireSize at every level.
 func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 	for name, lit := range seededKeyLits {
 		tc := newTestContext(t, lit)
 		rks := tc.kg.GenRotationKeys(tc.sk, seededKeySteps, false)
-		rlkBytes, err := tc.rlk.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rksBytes, err := rks.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rlkBytes := tc.rlk.AppendWire(nil, tc.params)
+		rksBytes := rks.AppendWire(nil, tc.params)
 		if want := 4 + tc.params.KeyWireSize(); len(rlkBytes) != want {
 			t.Errorf("%s: relinearization key is %d bytes on the wire, KeyWireSize says %d", name, len(rlkBytes), want)
 		}
@@ -372,10 +380,7 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctBytes, err := tc.encr.Encrypt(pt).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctBytes := tc.encr.Encrypt(pt).AppendWire(nil, tc.params)
 			if want := tc.params.CiphertextWireSize(level); len(ctBytes) != want {
 				t.Errorf("%s: level-%d ciphertext is %d bytes on the wire, CiphertextWireSize says %d", name, level, len(ctBytes), want)
 			}
@@ -424,8 +429,8 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 }
 
 // TestAppendFrontEndsMatchMarshal: the append front-ends write, behind
-// whatever b already holds, the bytes the in-process front-ends' keys marshal
-// to, drawing from the samplers in the same order; the rotation steps are
+// whatever b already holds, the bytes the in-process front-ends' keys pack to
+// under the same parameters, drawing from the samplers in the same order; the rotation steps are
 // normalized, deduplicated and sorted on the way, as GenRotationKeys and the
 // wire form have them.
 func TestAppendFrontEndsMatchMarshal(t *testing.T) {
@@ -437,14 +442,8 @@ func TestAppendFrontEndsMatchMarshal(t *testing.T) {
 		}
 		kg := NewKeyGenerator(params, 9)
 		sk := kg.GenSecretKey()
-		rlk, err := kg.GenRelinearizationKey(sk).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rks, err := kg.GenRotationKeys(sk, steps, false).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rlk := kg.GenRelinearizationKey(sk).AppendWire(nil, params)
+		rks := kg.GenRotationKeys(sk, steps, false).AppendWire(nil, params)
 		kg = NewKeyGenerator(params, 9)
 		sk = kg.GenSecretKey()
 		prefix := []byte("prefix")
@@ -620,4 +619,166 @@ func BenchmarkExpandDigitVsKeySwitch(b *testing.B) {
 			rq.PutPoly(e1)
 		}
 	})
+}
+
+// packedSizeLits are the literals the packed sizes are pinned at: the
+// 128-wide serving chain at LogN 10, the 27-degree alpha10 benchmark model's
+// fifteen-limb chain with four special primes, and the demo model's literal
+// on the ring a compliant server selects for it (2^15).
+var packedSizeLits = map[string]ParametersLiteral{
+	"serving":   seededKeyLits["serving"],
+	"paf-heavy": {LogN: 10, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55, 55}, LogScale: 45},
+	"served":    {LogN: 15, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55}, LogScale: 45},
+}
+
+// TestPackedSizesMatchPayloads: CiphertextWireSize, RelinKeyWireSize and
+// RotationKeysWireSize are the lengths of real payloads packed under each
+// literal — a top-level ciphertext, the relinearization key and a two-key
+// set, generated straight into the wire form as a client does — so a server's
+// exact-size checks admit what clients send. The 45- and 55-bit primes take 6
+// and 7 bytes a residue, not 8.
+func TestPackedSizesMatchPayloads(t *testing.T) {
+	for name, lit := range packedSizeLits {
+		params, err := NewParameters(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg := NewKeyGenerator(params, 5)
+		sk := kg.GenSecretKey()
+		pt, err := NewEncoder(params).EncodeReals(make([]float64, params.Slots()), params.MaxLevel(), params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := NewEncryptor(params, kg.GenPublicKey(sk), 5).Encrypt(pt)
+		eight, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, c := range map[string]struct{ got, want int }{
+			"ciphertext":        {len(ct.AppendWire(nil, params)), params.CiphertextWireSize(params.MaxLevel())},
+			"relin key":         {len(kg.AppendRelinearizationKey(nil, sk)), params.RelinKeyWireSize()},
+			"rotation-key set":  {len(kg.AppendRotationKeys(nil, sk, []int{1, 5})), params.RotationKeysWireSize(2)},
+			"8-byte ciphertext": {len(eight), ciphertextSize(nil, params.MaxLevel()+1, params.N())},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: a %s is %d bytes, its size says %d", name, what, c.got, c.want)
+			}
+		}
+		// The 55-bit base and special primes pack to 7 bytes, the 45-bit
+		// rescaling primes to 6; each poly adds its header and a width byte
+		// per limb.
+		L, alpha, n := params.MaxLevel(), len(params.P()), params.N()
+		wantCt := 16 + 2*(8+L+1+n*(7+6*L))
+		wantKey := 32 + 4 + params.Digits(L)*(8+L+1+n*(7+6*L)+8+alpha+n*7*alpha)
+		if params.CiphertextWireSize(L) != wantCt || params.KeyWireSize() != wantKey {
+			t.Errorf("%s: a ciphertext packs to %d bytes and a key to %d, want %d and %d",
+				name, params.CiphertextWireSize(L), params.KeyWireSize(), wantCt, wantKey)
+		}
+		t.Logf("%s: a top-level ciphertext packs %d → %d bytes (%.3fx), a key %d → %d bytes (%.3fx)", name,
+			len(eight), wantCt, float64(wantCt)/float64(len(eight)),
+			keySize(nil, nil, params.Digits(L), L+1, alpha, n), wantKey, float64(wantKey)/float64(keySize(nil, nil, params.Digits(L), L+1, alpha, n)))
+	}
+}
+
+// TestDecodersRefuseHostileWidths: a residue width outside 3..8 is refused
+// by every decoder. Widths that shift bytes between the first two limbs at an
+// unchanged total keep the payload's length, so they pass a server's
+// exact-size check and may even decode; the widened limb then reads its
+// neighbor's bytes as high bytes, and Validate refuses the residues at or
+// above their prime. So it does a single residue equal to its prime, while
+// one below it passes.
+func TestDecodersRefuseHostileWidths(t *testing.T) {
+	tc := newTestContext(t, testLit)
+	steps := []int{1}
+	pt, err := tc.enc.EncodeReals(make([]float64, tc.params.Slots()), tc.params.MaxLevel(), tc.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tc.encr.Encrypt(pt)
+	validate := map[string]func([]byte) error{
+		"ciphertext": func(data []byte) error {
+			var got Ciphertext
+			if err := got.UnmarshalBinary(data); err != nil {
+				return err
+			}
+			return got.Validate(tc.params, tc.params.MaxLevel())
+		},
+		"relin key": func(data []byte) error {
+			keys := EvaluationKeySet{Relin: new(RelinearizationKey), Rotations: new(RotationKeySet)}
+			if err := keys.Relin.UnmarshalBinary(data); err != nil {
+				return err
+			}
+			if err := keys.Rotations.UnmarshalBinary(tc.kg.GenRotationKeys(tc.sk, steps, false).AppendWire(nil, tc.params)); err != nil {
+				return err
+			}
+			return keys.Validate(tc.params, steps)
+		},
+		"rotation keys": func(data []byte) error {
+			keys := EvaluationKeySet{Relin: new(RelinearizationKey), Rotations: new(RotationKeySet)}
+			if err := keys.Relin.UnmarshalBinary(tc.rlk.AppendWire(nil, tc.params)); err != nil {
+				return err
+			}
+			if err := keys.Rotations.UnmarshalBinary(data); err != nil {
+				return err
+			}
+			return keys.Validate(tc.params, steps)
+		},
+	}
+	payloads := map[string][]byte{
+		"ciphertext":    ct.AppendWire(nil, tc.params),
+		"relin key":     tc.rlk.AppendWire(nil, tc.params),
+		"rotation keys": tc.kg.GenRotationKeys(tc.sk, steps, false).AppendWire(nil, tc.params),
+	}
+	for format, honest := range payloads {
+		at := hostileWidthsAt[format] // the first poly's first width byte
+		if err := validate[format](honest); err != nil {
+			t.Fatalf("%s: the honest payload is refused: %v", format, err)
+		}
+		rows := map[string][]byte{}
+		for _, width := range []byte{0, 2, 9} {
+			rows[fmt.Sprintf("width %d", width)] = withBytes(honest, at, width)
+		}
+		w0, w1 := honest[at], honest[at+1]
+		rows["widths shifted toward limb 0"] = withBytes(honest, at, w0+1, w1-1)
+		rows["widths shifted toward limb 1"] = withBytes(honest, at, w0-1, w1+1)
+		// The first residue of the first limb is its first w0 bytes behind
+		// the widths; the first poly's limbs are over the chain's first prime.
+		first := at + int(binary.LittleEndian.Uint32(honest[at-8:]))
+		q := tc.params.Q()[0]
+		rows["residue equal to its prime"] = withResidue(honest, first, int(w0), q)
+		for name, data := range rows {
+			if len(data) != len(honest) {
+				t.Fatalf("%s %s: the row changed the payload's length", format, name)
+			}
+			if err := validate[format](data); err == nil {
+				t.Errorf("%s: %s passed decode and Validate", format, name)
+			}
+		}
+		if err := validate[format](withResidue(honest, first, int(w0), q-1)); err != nil {
+			t.Errorf("%s: a residue one below its prime is refused: %v", format, err)
+		}
+	}
+}
+
+// hostileWidthsAt is the offset of the first poly's first width byte in each
+// packed format: behind the magic, the ciphertext's level and scale, a key's
+// seed and digit count (and a rotation key's set count and step), and the
+// poly's limb count and degree.
+var hostileWidthsAt = map[string]int{"ciphertext": 4 + 4 + 8 + 8, "relin key": 4 + 32 + 4 + 8, "rotation keys": 4 + 4 + 4 + 32 + 4 + 8}
+
+// withBytes returns a copy of data with the bytes at off replaced by bs.
+func withBytes(data []byte, off int, bs ...byte) []byte {
+	out := bytes.Clone(data)
+	copy(out[off:], bs)
+	return out
+}
+
+// withResidue returns a copy of data with the width-byte residue at off set
+// to v.
+func withResidue(data []byte, off, width int, v uint64) []byte {
+	out := bytes.Clone(data)
+	for k := 0; k < width; k++ {
+		out[off+k] = byte(v >> (8 * k))
+	}
+	return out
 }

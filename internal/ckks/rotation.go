@@ -87,10 +87,10 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 }
 
 // AppendRotationKeys is GenRotationKeys' append front-end: it appends the
-// set's wire form (RotationKeySet.AppendBinary's bytes) to b and keeps no
-// key. Every key takes KeyWireSize bytes, so each key's byte range is fixed
-// before any is generated, and the keys still fan across cores, each job
-// writing only its own range.
+// set's packed wire form (RotationKeySet.AppendWire's bytes under the
+// generator's parameters) to b and keeps no key. Every key takes KeyWireSize
+// bytes, so each key's byte range is fixed before any is generated, and the
+// keys still fan across cores, each job writing only its own range.
 func (kg *KeyGenerator) AppendRotationKeys(b []byte, sk *SecretKey, steps []int) []byte {
 	uniq := kg.rotationSteps(steps)
 	keyBytes := kg.params.KeyWireSize()

@@ -9,10 +9,11 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
 	"github.com/efficientfhe/smartpaf/internal/ring"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // goldenLayerDigests pins the bytes of the layer evaluators' outputs:
-// SHA-256 of the marshaled ciphertexts goldenLayerOutputs computes from
+// SHA-256 of the ciphertexts goldenLayerOutputs computes from
 // fixed seeds, on the serving gadget of a ten-limb chain (three special
 // primes, four digits). How a sum is reduced or fanned never changes the
 // canonical residues that come out; the gadget does, so these were
@@ -119,6 +120,28 @@ func TestActivationOutputsGolden(t *testing.T) {
 	checkGoldenDigests(t, goldenActivationOutputs, goldenActivationDigests)
 }
 
+// digestBytes is the layout the golden digests hash: the magic 0x5AF7CC09,
+// the level, the scale, then each component's limb count, degree and every
+// residue in 8 bytes — the ciphertext wire format of the day the digests were
+// taken. They pin the residues an evaluation returns, so they hash this fixed
+// layout, not whatever form MarshalBinary writes now.
+func digestBytes(ct *ckks.Ciphertext) []byte {
+	var w wire.Writer
+	w.U32(0x5AF7CC09)
+	w.U32(uint32(ct.Level))
+	w.F64(ct.Scale)
+	for _, p := range []*ring.Poly{ct.C0, ct.C1} {
+		w.U32(uint32(len(p.Coeffs)))
+		w.U32(uint32(len(p.Coeffs[0])))
+		for _, limb := range p.Coeffs {
+			for _, c := range limb {
+				w.U64(c)
+			}
+		}
+	}
+	return w
+}
+
 // checkGoldenDigests compares every output's SHA-256 with its pinned digest
 // at fan-out widths 1, the default and 4.
 func checkGoldenDigests(t *testing.T, outputs func(testing.TB) map[string]*ckks.Ciphertext, digests map[string]string) {
@@ -126,11 +149,7 @@ func checkGoldenDigests(t *testing.T, outputs func(testing.TB) map[string]*ckks.
 	for _, width := range []int{1, 0, 4} {
 		ring.SetParallelism(width)
 		for name, ct := range outputs(t) {
-			data, err := ct.MarshalBinary()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			sum := sha256.Sum256(data)
+			sum := sha256.Sum256(digestBytes(ct))
 			if got := hex.EncodeToString(sum[:]); got != digests[name] {
 				t.Errorf("parallelism %d: %s: digest %s, want %s", width, name, got, digests[name])
 			}

@@ -317,10 +317,7 @@ func (s *Session) InferCiphertext(ctx context.Context, ct *ckks.Ciphertext) (*ck
 // with Client.Trace once the response has been written (the server retains
 // a bounded ring of completed traces).
 func (s *Session) InferCiphertextTraced(ctx context.Context, ct *ckks.Ciphertext) (*ckks.Ciphertext, string, error) {
-	data, err := ct.MarshalBinary()
-	if err != nil {
-		return nil, "", err
-	}
+	data := ct.AppendWire(make([]byte, 0, s.params.CiphertextWireSize(ct.Level)), s.params)
 	resp, err := s.c.send(ctx, http.MethodPost, "/v1/sessions/"+s.id+"/infer", data, http.StatusOK)
 	if resp == nil {
 		return nil, "", err
@@ -330,15 +327,39 @@ func (s *Session) InferCiphertextTraced(ctx context.Context, ct *ckks.Ciphertext
 	if err != nil {
 		return nil, traceID, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	// A result is one ciphertext, no larger than a top-level one, so the read
+	// stops there: a faulty server or proxy cannot make the client allocate
+	// without bound. A declared length under that sizes the buffer exactly.
+	limit := int64(s.params.CiphertextWireSize(s.params.MaxLevel()))
+	if cl := resp.ContentLength; cl >= 0 && cl < limit {
+		limit = cl
+	}
+	body, err := readAtMost(resp.Body, limit)
 	if err != nil {
-		return nil, traceID, err
+		return nil, traceID, fmt.Errorf("reading result ciphertext: %w", err)
 	}
 	out := new(ckks.Ciphertext)
 	if err := out.UnmarshalBinary(body); err != nil {
 		return nil, traceID, fmt.Errorf("decoding result ciphertext: %w", err)
 	}
 	return out, traceID, nil
+}
+
+// readAtMost reads r to its end into one buffer of limit bytes and fails if
+// r runs past them.
+func readAtMost(r io.Reader, limit int64) ([]byte, error) {
+	buf := make([]byte, limit)
+	n, err := io.ReadFull(r, buf)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return buf[:n], nil
+	case err != nil:
+		return nil, err
+	}
+	if m, _ := io.ReadFull(r, make([]byte, 1)); m > 0 {
+		return nil, fmt.Errorf("body runs past %d bytes", limit)
+	}
+	return buf, nil
 }
 
 // Infer encrypts the input vector, runs it through the server and returns

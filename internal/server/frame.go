@@ -14,9 +14,9 @@ import (
 //
 // It carries evaluation keys only: the public key encrypts and the secret key
 // decrypts, and the server does neither. Each key in the two key blobs is a
-// 32-byte seed and its b_d: the uniform a_d, half of every key, never cross
-// the wire, and ckks.EvaluationKeySet.Validate regenerates them under the
-// model's moduli.
+// 32-byte seed and its b_d, every residue at its prime's byte width: the
+// uniform a_d, half of every key, never cross the wire, and
+// ckks.EvaluationKeySet.Validate regenerates them under the model's moduli.
 //
 // The frame leads with the model so the server can size the rest before
 // reading it. It reads the magic and the model blob alone (at most
@@ -53,8 +53,9 @@ func frameSize(ref string, paramBytes []byte, params *ckks.Parameters, steps int
 // keysIntoFrame is the frame a client uploads for the model ref names: it
 // generates kg's relinearization key, then its rotation keys for steps,
 // straight into one buffer of the frame's exact size, with ckks' append
-// front-ends. No whole key exists on the way: each digit's a_d and b_d are
-// pooled scratch, so the frame is the only large buffer it allocates.
+// front-ends, which pack each b_d at params' prime widths. No whole key
+// exists on the way: each digit's a_d and b_d are pooled scratch, so the
+// frame is the only large buffer it allocates.
 func keysIntoFrame(kg *ckks.KeyGenerator, sk *ckks.SecretKey, ref string, paramBytes []byte, params *ckks.Parameters, steps []int) []byte {
 	return appendRegistration(make([]byte, 0, frameSize(ref, paramBytes, params, len(steps))), ref, paramBytes,
 		func(b []byte) []byte { return kg.AppendRelinearizationKey(b, sk) },

@@ -20,7 +20,7 @@ func FuzzRegisterFrame(f *testing.F) {
 	_, srv, _ := newTestServer(f)
 	dep := srv.reg.List()[0]
 	kg, sk := keyGen(f, srv, 3, nil)
-	honest := frameFor(f, srv, kg, sk, dep.Rotations())
+	honest := frameFor(srv, kg, sk, dep.Rotations())
 	seed := marshalFrame(honest)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -51,6 +51,29 @@ func FuzzRegisterFrame(f *testing.F) {
 	flagged.RotationKeys = binary.LittleEndian.AppendUint32(append([]byte(nil), honest.RotationKeys...), 0)
 	binary.LittleEndian.PutUint32(flagged.RotationKeys, 0x5AF7CC12)
 	f.Add(marshalFrame(flagged))
+	// And as a client from before residues were packed to their primes'
+	// widths: the 8-byte keys under their old magics.
+	eight := honest
+	var err error
+	if eight.RelinKey, err = kg.GenRelinearizationKey(sk).MarshalBinary(); err == nil {
+		eight.RotationKeys, err = kg.GenRotationKeys(sk, dep.Rotations(), false).MarshalBinary()
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	for blob, magic := range map[*[]byte]uint32{&eight.RelinKey: 0x5AF7CC13, &eight.RotationKeys: 0x5AF7CC14} {
+		binary.LittleEndian.PutUint32(*blob, magic)
+	}
+	f.Add(marshalFrame(eight))
+	// Residue widths the decoder refuses, and widths that shift a byte
+	// between the relinearization key's first two limbs at the frame's size.
+	const relinWidths = 4 + 32 + 4 + 8
+	for _, widths := range [][]byte{{0}, {2}, {9}, {honest.RelinKey[relinWidths] + 1, honest.RelinKey[relinWidths+1] - 1}} {
+		hostile := honest
+		hostile.RelinKey = bytes.Clone(honest.RelinKey)
+		copy(hostile.RelinKey[relinWidths:], widths)
+		f.Add(marshalFrame(hostile))
+	}
 	// The server reads the magic and the model blob before anything else and
 	// sizes the rest from the model: the prefix alone, the prefix cut inside
 	// the model, an unknown model, a model reference over maxModelRef, and

@@ -328,7 +328,7 @@ func TestKeyBudgetBurst(t *testing.T) {
 	budget := k * sessionCharge(t, model)
 	_, srv, _ := newSchedServer(t, Options{KeyBudget: budget})
 	kg, sk := keyGen(t, srv, 3, nil)
-	frame := marshalFrame(frameFor(t, srv, kg, sk, srv.reg.List()[0].Rotations()))
+	frame := marshalFrame(frameFor(srv, kg, sk, srv.reg.List()[0].Rotations()))
 	handler := srv.Handler()
 
 	stop, watched := make(chan struct{}), make(chan struct{})

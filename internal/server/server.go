@@ -12,6 +12,7 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,6 +115,7 @@ type Server struct {
 	compileLat *telemetry.Histogram
 	stageLat   *telemetry.HistogramVec
 	regLat     *telemetry.HistogramVec // handleRegister's phases
+	payloads   *telemetry.CounterVec   // wire payload bytes read and written, by kind
 
 	mu sync.RWMutex
 	// sessions is the live session table and keyBytes the key budget's
@@ -566,6 +568,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	phaseDone("read")
+	s.payloads.With("register").Add(uint64(len(data)))
 	var reg registration
 	if err := reg.UnmarshalBinary(data); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -664,6 +667,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	s.payloads.With("infer_request").Add(uint64(len(data)))
 	ct := new(ckks.Ciphertext)
 	err := ct.UnmarshalBinary(data)
 	if err == nil {
@@ -710,13 +714,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusUnprocessableEntity, "inference: %v", res.err)
 			return
 		}
-		out, err := res.ct.MarshalBinary()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
-			return
-		}
+		out := res.ct.AppendWire(make([]byte, 0, params.CiphertextWireSize(res.ct.Level)), params)
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(out)
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+		n, _ := w.Write(out)
+		s.payloads.With("infer_response").Add(uint64(n))
 	}
 	// Every accepted job gets a result, even across Close: the scheduler
 	// fails queued jobs 503 and running units answer. A completed result

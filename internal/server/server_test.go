@@ -154,19 +154,12 @@ func keyGen(t testing.TB, srv *Server, seed int64, vary func(*ckks.ParametersLit
 }
 
 // frameFor builds the registration frame a client would send for the test
-// server's model with keys from kg covering steps.
-func frameFor(t testing.TB, srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int) registration {
-	t.Helper()
+// server's model with keys from kg covering steps, packed under kg's
+// parameters.
+func frameFor(srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int) registration {
 	dep := srv.reg.List()[0]
-	rlk, err := kg.GenRelinearizationKey(sk).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rks, err := kg.GenRotationKeys(sk, steps, false).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: rlk, RotationKeys: rks}
+	return registration{Model: dep.Ref(), Params: dep.ParamBytes(),
+		RelinKey: kg.AppendRelinearizationKey(nil, sk), RotationKeys: kg.AppendRotationKeys(nil, sk, steps)}
 }
 
 // rawBlob appends a key blob already in wire form.
@@ -220,7 +213,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	dep := srv.reg.List()[0]
 	steps := dep.Rotations()
 	kg, sk := keyGen(t, srv, 3, nil)
-	honest := frameFor(t, srv, kg, sk, steps)
+	honest := frameFor(srv, kg, sk, steps)
 	honestBytes := marshalFrame(honest)
 
 	cases := map[string][]byte{
@@ -231,8 +224,8 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		"unknown model":  marshalFrame(registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
 		"params differ":  marshalFrame(registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
 		"keys swapped":   marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
-		"missing step":   marshalFrame(frameFor(t, srv, kg, sk, steps[1:])),
-		"extra step":     marshalFrame(frameFor(t, srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
+		"missing step":   marshalFrame(frameFor(srv, kg, sk, steps[1:])),
+		"extra step":     marshalFrame(frameFor(srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
 		"garbage in key": marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
 	}
 
@@ -249,10 +242,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	cases["cut one byte short"] = honestBytes[:len(honestBytes)-1]
 
 	// A duplicate step: the single-key set's entry (step | digits), twice.
-	one, err := kg.GenRotationKeys(sk, steps[:1], false).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := kg.AppendRotationKeys(nil, sk, steps[:1])
 	entry := one[8:] // after (magic | count)
 	var dup wire.Writer
 	dup.Bytes(one[:4])
@@ -264,32 +254,68 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	// Keys that decode cleanly but were built for other parameters must be
 	// refused here, not panic the key-switch loop at inference time.
 	kgHalf, skHalf := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogN-- })
-	cases["wrong-N digits"] = marshalFrame(frameFor(t, srv, kgHalf, skHalf, steps))
+	cases["wrong-N digits"] = marshalFrame(frameFor(srv, kgHalf, skHalf, steps))
 	kgShallow, skShallow := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogQ = lit.LogQ[:3] })
-	cases["shallower chain"] = marshalFrame(frameFor(t, srv, kgShallow, skShallow, steps))
+	cases["shallower chain"] = marshalFrame(frameFor(srv, kgShallow, skShallow, steps))
 
 	// So must keys built for another gadget on the right chain: one special
 	// prime where the model prescribes three gives a digit per chain prime
 	// and single-limb P components; and a key whose every P component is a
 	// limb short decodes cleanly too (its digits agree with each other).
 	kgOne, skOne := keyGen(t, srv, 3, func(lit *ckks.ParametersLiteral) { lit.LogP = lit.LogP[:1] })
-	cases["digits of another gadget"] = marshalFrame(frameFor(t, srv, kgOne, skOne, steps))
+	cases["digits of another gadget"] = marshalFrame(frameFor(srv, kgOne, skOne, steps))
 	short := kg.GenRelinearizationKey(sk)
 	for i := range short.Digits {
 		d := &short.Digits[i]
 		d.BP = d.BP.Truncate(d.BP.Level() - 1)
 	}
 	hostile := honest
-	if hostile.RelinKey, err = short.MarshalBinary(); err != nil {
-		t.Fatal(err)
-	}
+	hostile.RelinKey = short.AppendWire(nil, dep.Params())
 	cases["P components a limb short"] = marshalFrame(hostile)
 
-	// Payloads from before grouped digits, keys from before seeds, and
-	// rotation keys from before their trailing key flag went carry retired
-	// magics: a per-prime key has the same layout as a grouped one, so the
-	// magic is all that tells an old client's upload from a current one. A retired key magic is a 400 naming the magic, before any poly is
-	// decoded (the literal is refused earlier, by its byte comparison).
+	// A client from before residues were packed sends every residue in 8
+	// bytes: its frame is longer than the model's, and refused on length
+	// alone.
+	eight := honest
+	var err error
+	if eight.RelinKey, err = kg.GenRelinearizationKey(sk).MarshalBinary(); err == nil {
+		eight.RotationKeys, err = kg.GenRotationKeys(sk, steps, false).MarshalBinary()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["every residue in 8 bytes"] = marshalFrame(eight)
+
+	// Residue widths the decoder refuses (0, 2 and 9 bytes) on the first limb
+	// of each key blob, and widths that shift a byte between its first two
+	// limbs: the frame keeps its length, and the widened limb reads residues
+	// at or above its prime.
+	for _, k := range []struct {
+		name string
+		at   int // the first poly's first width byte
+		blob func(*registration) *[]byte
+	}{
+		{"relin key", 4 + 32 + 4 + 8, func(r *registration) *[]byte { return &r.RelinKey }},
+		{"rotation keys", 4 + 4 + 4 + 32 + 4 + 8, func(r *registration) *[]byte { return &r.RotationKeys }},
+	} {
+		blob := *k.blob(&honest)
+		w0, w1 := blob[k.at], blob[k.at+1]
+		for name, widths := range map[string][]byte{"width 0": {0}, "width 2": {2}, "width 9": {9},
+			"widths shifted toward limb 0": {w0 + 1, w1 - 1}, "widths shifted toward limb 1": {w0 - 1, w1 + 1}} {
+			hostile = honest
+			*k.blob(&hostile) = bytes.Clone(blob)
+			copy((*k.blob(&hostile))[k.at:], widths)
+			cases[k.name+" "+name] = marshalFrame(hostile)
+		}
+	}
+
+	// Payloads from before grouped digits, keys from before seeds, rotation
+	// keys from before their trailing key flag went, and keys from before
+	// residues were packed to their primes' widths carry retired magics: a
+	// per-prime key has the same layout as a grouped one, so the magic is all
+	// that tells an old client's upload from a current one. A retired key
+	// magic is a 400 naming the magic, before any poly is decoded (the
+	// literal is refused earlier, by its byte comparison).
 	retiredKeyMagics := map[string]bool{}
 	for name, retired := range map[string]struct {
 		blob  *[]byte
@@ -301,6 +327,8 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		"unseeded rotation keys":      {&hostile.RotationKeys, 0x5AF7CC0F},
 		"unseeded relin key":          {&hostile.RelinKey, 0x5AF7CC10},
 		"flagged rotation keys":       {&hostile.RotationKeys, 0x5AF7CC12},
+		"8-byte era rotation keys":    {&hostile.RotationKeys, 0x5AF7CC14},
+		"8-byte era relin key":        {&hostile.RelinKey, 0x5AF7CC13},
 	} {
 		hostile = honest
 		*retired.blob = append([]byte(nil), *retired.blob...)
@@ -312,7 +340,9 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	// Residues at or above their modulus decode cleanly and would panic the
 	// first modular multiply that touches them. The last coefficient of a
 	// relinearization key is in the last P limb of BP of the last digit; so
-	// is the last coefficient of a rotation-key set.
+	// is the last coefficient of a rotation-key set. Its last 8 bytes hold
+	// that residue and the top of the one before: all ones there puts the
+	// last residue at 2^(8w)-1 for its width w, above any w-byte prime.
 	hostile = honest
 	hostile.RelinKey = append([]byte(nil), honest.RelinKey...)
 	binary.LittleEndian.PutUint64(hostile.RelinKey[len(hostile.RelinKey)-8:], ^uint64(0))
@@ -438,11 +468,12 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	// the server may allocate the frame the model fixes, nothing more.
 	params := dep.Params()
 	polyClaim := make(wire.Writer, 0, params.RelinKeyWireSize())
-	polyClaim.U32(0x5AF7CC13)         // relinearization-key magic
-	polyClaim.Bytes(make([]byte, 32)) // the key's seed
-	polyClaim.U32(64)                 // digits
-	polyClaim.U32(64)                 // limbs of the first poly
-	polyClaim.U32(1 << 20)            // N of the first poly, with zeros behind it
+	polyClaim.U32(0x5AF7CC16)                    // relinearization-key magic
+	polyClaim.Bytes(make([]byte, 32))            // the key's seed
+	polyClaim.U32(64)                            // digits
+	polyClaim.U32(64)                            // limbs of the first poly
+	polyClaim.U32(1 << 20)                       // N of the first poly
+	polyClaim.Bytes(bytes.Repeat([]byte{8}, 64)) // 8-byte residues, with zeros behind them
 	polyClaim = polyClaim[:cap(polyClaim)]
 	inKey := marshalFrame(registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim,
 		RotationKeys: make([]byte, params.RotationKeysWireSize(len(dep.Rotations())))})
@@ -535,28 +566,49 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 		t.Fatalf("hostile ciphertext: got %s, want 400", resp.Status)
 	}
 
-	// A well-formed ciphertext whose last coefficient is 2^64-1 decodes
-	// cleanly; evaluating it would panic a worker (400). So would one with a
-	// byte appended, which the decoder used to accept: a top-level
-	// ciphertext is the largest body the model admits, so the byte past it
-	// is refused before any decode (413).
+	// A well-formed ciphertext whose last coefficient is all ones in its
+	// width decodes cleanly; evaluating it would panic a worker (400). So
+	// would one with a byte appended, which the decoder used to accept: a
+	// top-level ciphertext is the largest body the model admits, so the byte
+	// past it is refused before any decode (413), and so is the same
+	// ciphertext with every residue in 8 bytes, as a client from before
+	// residues were packed sends it. Widths the decoder refuses, widths that
+	// shift a byte between the first two limbs at the body's size (the
+	// widened limb reads residues at or above its prime) and the 8-byte era's
+	// magic on a body of the right size are 400s.
 	x := make([]float64, sess.params.Slots())
 	pt, err := sess.enc.EncodeReals(x, sess.params.MaxLevel(), sess.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := sess.encr.Encrypt(pt).MarshalBinary()
+	ct := sess.encr.Encrypt(pt)
+	good := ct.AppendWire(nil, sess.params)
+	eight, err := ct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	residue := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(residue[len(residue)-8:], ^uint64(0))
+	const widths = 4 + 4 + 8 + 8 // magic, level, scale, the first poly's limbs and N
+	withBytes := func(off int, bs ...byte) []byte {
+		out := bytes.Clone(good)
+		copy(out[off:], bs)
+		return out
+	}
+	w0, w1 := good[widths], good[widths+1]
 	for name, c := range map[string]struct {
 		body []byte
 		want int
 	}{
-		"residue 2^64-1": {residue, http.StatusBadRequest},
-		"trailing byte":  {append(good, 0), http.StatusRequestEntityTooLarge},
+		"residue all ones":             {residue, http.StatusBadRequest},
+		"trailing byte":                {append(bytes.Clone(good), 0), http.StatusRequestEntityTooLarge},
+		"every residue in 8 bytes":     {eight, http.StatusRequestEntityTooLarge},
+		"width 0":                      {withBytes(widths, 0), http.StatusBadRequest},
+		"width 2":                      {withBytes(widths, 2), http.StatusBadRequest},
+		"width 9":                      {withBytes(widths, 9), http.StatusBadRequest},
+		"widths shifted toward limb 0": {withBytes(widths, w0+1, w1-1), http.StatusBadRequest},
+		"widths shifted toward limb 1": {withBytes(widths, w0-1, w1+1), http.StatusBadRequest},
+		"8-byte era magic":             {withBytes(0, 0x09, 0xCC, 0xF7, 0x5A), http.StatusBadRequest},
 	} {
 		resp, err = http.Post(ts.URL+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(c.body))
 		if err != nil {
@@ -566,6 +618,59 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Fatalf("%s: got %s, want %d", name, resp.Status, c.want)
 		}
+	}
+}
+
+// TestClientBoundsResultRead: a session reads an infer result into one
+// buffer of at most a top-level ciphertext's size, so a faulty server or
+// proxy that streams past it — with no length or under a claimed one — gets
+// an error back, not an allocation of whatever it sends. A body of exactly
+// the bound is read, and fails only as the garbage it is.
+func TestClientBoundsResultRead(t *testing.T) {
+	model, err := registry.DemoModel(11, testLogN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := ckks.NewParameters(model.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 5)
+	pt, err := ckks.NewEncoder(params).EncodeReals(make([]float64, params.Slots()), params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := ckks.NewEncryptor(params, kg.GenPublicKey(kg.GenSecretKey()), 5).Encrypt(pt)
+	bound := params.CiphertextWireSize(params.MaxLevel())
+	for name, c := range map[string]struct {
+		size    int
+		declare bool
+		want    string
+	}{
+		"streamed four times the bound": {4 * bound, false, "runs past"},
+		"streamed one byte past":        {bound + 1, false, "runs past"},
+		"declared four times the bound": {4 * bound, true, "runs past"},
+		"streamed exactly the bound":    {bound, false, "decoding result"},
+		"declared exactly the bound":    {bound, true, "decoding result"},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			if c.declare {
+				w.Header().Set("Content-Length", fmt.Sprint(c.size))
+			}
+			chunk := make([]byte, 4096)
+			for sent := 0; sent < c.size; sent += len(chunk) {
+				if _, err := w.Write(chunk[:min(len(chunk), c.size-sent)]); err != nil {
+					return
+				}
+				w.(http.Flusher).Flush()
+			}
+		}))
+		sess := &Session{c: NewClient(ts.URL, nil), id: "s", params: params}
+		if _, _, err := sess.InferCiphertextTraced(context.Background(), ct); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, c.want)
+		}
+		ts.Close()
 	}
 }
 
@@ -618,10 +723,7 @@ func TestInferRejectsForeignScales(t *testing.T) {
 		rows[fmt.Sprintf("scale %g", ct.Scale)] = ct
 	}
 	for name, ct := range rows {
-		body, err := ct.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := ct.AppendWire(nil, sess.params)
 		resp, err := http.Post(ts+"/v1/sessions/"+sess.ID()+"/infer", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -45,6 +45,8 @@ func (s *Server) initTelemetry() {
 
 	s.regLat = m.NewHistogramVec("henn_register_seconds",
 		"Time one session registration spent in each phase that completed: read (the frame off the wire), decode (frame and keys) and validate (key checks and the a_d expansion).", "phase")
+	s.payloads = m.NewCounterVec("henn_payload_bytes_total",
+		"Wire payload bytes, by kind: read in full (register: registration frames; infer_request: input ciphertexts) and written (infer_response: result ciphertexts).", "kind")
 
 	m.NewGaugeFunc("henn_uptime_seconds",
 		"Seconds since the server was built.",

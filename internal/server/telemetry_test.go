@@ -61,7 +61,7 @@ var metricLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? \S+$`)
 // Prometheus text exposition with the per-model histograms and runtime
 // gauges the issue promises.
 func TestMetricsEndpoint(t *testing.T) {
-	model, _, ts := newTestServer(t)
+	model, srv, ts := newTestServer(t)
 	c, _, _ := inferOnce(t, ts, model)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -109,7 +109,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(body, "henn_pool_") {
 		t.Error("/metrics still serves a worker-pool family; workers take jobs themselves")
 	}
+
+	// One registration and one inference: the payload counters hold the
+	// frame's exact size, the top-level ciphertext's and the result's, each
+	// packed at the primes' widths.
+	dep := srv.reg.List()[0]
+	params := dep.Params()
+	payload := map[string]int{}
+	for _, m := range payloadBytes.FindAllStringSubmatch(body, -1) {
+		payload[m[1]], _ = strconv.Atoi(m[2])
+	}
+	if got, want := payload["register"], frameSize(dep.Ref(), dep.ParamBytes(), params, len(dep.Rotations())); got != want {
+		t.Errorf("register payload bytes %d, want the frame's %d", got, want)
+	}
+	if got, want := payload["infer_request"], params.CiphertextWireSize(params.MaxLevel()); got != want {
+		t.Errorf("infer_request payload bytes %d, want a top-level ciphertext's %d", got, want)
+	}
+	if got, want := payload["infer_response"], params.CiphertextWireSize(params.MaxLevel()-dep.Levels()); got != want {
+		t.Errorf("infer_response payload bytes %d, want a level-%d ciphertext's %d", got, params.MaxLevel()-dep.Levels(), want)
+	}
 }
+
+// payloadBytes is one henn_payload_bytes_total sample line.
+var payloadBytes = regexp.MustCompile(`(?m)^henn_payload_bytes_total\{kind="([a-z_]+)"\} (\d+)$`)
 
 // TestRegisterPhasesOnMetrics: a registration times its read, decode and
 // validate phases into henn_register_seconds, and a frame refused in one

@@ -1,11 +1,14 @@
 // Package wire is the one codec under every binary format in the repository:
-// little-endian scalars, raw slices, and u32-length-prefixed blobs, framed by
-// a leading magic. A Writer appends to a byte slice and cannot fail. A Reader
-// walks a byte slice with a sticky error: after the first failure every read
-// returns zero, so decoders read straight through and check Err (or Done)
-// once. Count is the only source of an allocation size, and every slice read
-// refuses a size larger than the bytes remaining — a decoder's allocation is
-// bounded by its payload, never by a header.
+// little-endian scalars, raw slices, residues packed to a byte width, and
+// u32-length-prefixed blobs, framed by a leading magic. A Writer appends to a
+// byte slice and cannot fail. A Reader walks a byte slice with a sticky error:
+// after the first failure every read returns zero, so decoders read straight
+// through and check Err (or Done) once. Count is the only source of an
+// allocation size, and every slice read refuses a size larger than the bytes
+// remaining, so a header never sets an allocation. A slice read allocates at
+// most 8/3 of the bytes it consumes: 8 bytes per value, and a residue takes at
+// least 3 on the wire. A decoder's allocation is therefore bounded by 8/3 of
+// its payload, plus whatever it keeps per element of its own.
 //
 // Every format leads with its own magic, so a mis-routed payload fails at the
 // front door. The registry, in allocation order:
@@ -14,7 +17,7 @@
 //	0x5AF7CC06  retired (ckks.RotationKeySet, one gadget digit per chain prime)
 //	0x5AF7CC07  henn.MLP
 //	0x5AF7CC08  registry.Model bundle (.hemodel, POST /v1/models)
-//	0x5AF7CC09  ckks.Ciphertext
+//	0x5AF7CC09  retired (ckks.Ciphertext, every residue in 8 bytes)
 //	0x5AF7CC0A  retired (ckks.PublicKey; public keys no longer cross the wire)
 //	0x5AF7CC0B  retired (ckks.RelinearizationKey, per-prime digits)
 //	0x5AF7CC0C  retired (ckks.SwitchingKey, per-prime digits)
@@ -24,8 +27,11 @@
 //	0x5AF7CC10  retired (ckks.RelinearizationKey carrying every a_d)
 //	0x5AF7CC11  retired (standalone ckks.SwitchingKey; no successor)
 //	0x5AF7CC12  retired (ckks.RotationKeySet with a conjugation flag)
-//	0x5AF7CC13  ckks.RelinearizationKey (a seed for its a_d, then its b_d)
-//	0x5AF7CC14  ckks.RotationKeySet (each key a seed for its a_d, then its b_d)
+//	0x5AF7CC13  retired (ckks.RelinearizationKey, every residue in 8 bytes)
+//	0x5AF7CC14  retired (ckks.RotationKeySet, every residue in 8 bytes)
+//	0x5AF7CC15  ckks.Ciphertext (residues at a per-limb byte width)
+//	0x5AF7CC16  ckks.RelinearizationKey (a seed for its a_d, then its b_d at per-limb widths)
+//	0x5AF7CC17  ckks.RotationKeySet (each key a seed for its a_d, then its b_d at per-limb widths)
 package wire
 
 import (
@@ -33,11 +39,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Writer accumulates a payload; convert it to []byte when done.
 type Writer []byte
 
+func (w *Writer) U8(v uint8)    { *w = append(*w, v) }
 func (w *Writer) U32(v uint32)  { *w = binary.LittleEndian.AppendUint32(*w, v) }
 func (w *Writer) U64(v uint64)  { *w = binary.LittleEndian.AppendUint64(*w, v) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -46,13 +55,39 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 func (w *Writer) Bytes(b []byte) { *w = append(*w, b...) }
 func (w *Writer) Blob(b []byte)  { w.U32(uint32(len(b))); w.Bytes(b) }
 
-// U64s and F64s append the values raw, without a length.
-func (w *Writer) U64s(vs []uint64) {
-	for _, v := range vs {
-		w.U64(v)
+// Residue widths: a residue takes MinWidth to MaxWidth bytes on the wire.
+const (
+	MinWidth = 3
+	MaxWidth = 8
+)
+
+// ResidueWidth is the byte width of the residues modulo q: the fewest bytes
+// that hold q's bit length (⌈bits.Len64(q)/8⌉).
+func ResidueWidth(q uint64) int { return (bits.Len64(q) + 7) / 8 }
+
+// Residues appends each value in its low width bytes, little-endian and
+// without a length; width is MinWidth..MaxWidth and every value must fit it.
+// Each value is one 8-byte store, whose high bytes the next value's store
+// overwrites; only the last values, where fewer than 8 bytes of the run
+// remain, go byte by byte. So the writes stay inside the run's own bytes.
+func (w *Writer) Residues(vs []uint64, width int) {
+	n := len(vs) * width
+	*w = slices.Grow(*w, n)
+	at := len(*w)
+	*w = (*w)[:at+n]
+	run := (*w)[at:]
+	i, off := 0, 0
+	for ; off+8 <= n; i, off = i+1, off+width {
+		binary.LittleEndian.PutUint64(run[off:], vs[i])
+	}
+	for ; i < len(vs); i, off = i+1, off+width {
+		for k := 0; k < width; k++ {
+			run[off+k] = byte(vs[i] >> (8 * k))
+		}
 	}
 }
 
+// F64s appends the values raw, without a length.
 func (w *Writer) F64s(vs []float64) {
 	for _, v := range vs {
 		w.F64(v)
@@ -134,15 +169,29 @@ func (r *Reader) Count(max int) int {
 // Blob reads a u32 length of at most max and returns that many bytes.
 func (r *Reader) Blob(max int) []byte { return r.Bytes(r.Count(max)) }
 
-// U64s reads n raw values; n comes from Count.
-func (r *Reader) U64s(n int) []uint64 {
-	b := r.Bytes(8 * n)
+// Residues reads n values written by Writer.Residues at width bytes each;
+// n comes from Count, and a width outside MinWidth..MaxWidth fails. Each
+// value is one 8-byte load masked to width bytes, the last few (where fewer
+// than 8 bytes of the run remain) byte by byte. The values come back as read:
+// whether they are below their modulus is the decoder's check.
+func (r *Reader) Residues(n, width int) []uint64 {
+	if width < MinWidth || width > MaxWidth {
+		r.Fail("residue width %d outside %d..%d", width, MinWidth, MaxWidth)
+	}
+	b := r.Bytes(n * width)
 	if b == nil {
 		return nil
 	}
 	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = binary.LittleEndian.Uint64(b[8*i:])
+	mask := ^uint64(0) >> (64 - 8*width)
+	i, off := 0, 0
+	for ; off+8 <= len(b); i, off = i+1, off+width {
+		vs[i] = binary.LittleEndian.Uint64(b[off:]) & mask
+	}
+	for ; i < n; i, off = i+1, off+width {
+		for k := width - 1; k >= 0; k-- {
+			vs[i] = vs[i]<<8 | uint64(b[off+k])
+		}
 	}
 	return vs
 }
