@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
+	"io"
 	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -152,18 +152,22 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 	return rlk
 }
 
-// AppendRelinearizationKey is GenRelinearizationKey's append front-end: it
-// appends the key's packed wire form (RelinearizationKey.AppendWire's bytes
-// under the generator's parameters) to b and keeps no key. Its errors come
-// from the generator's sampler, in the order GenRelinearizationKey draws
-// them, so the bytes are the ones writing that key gives.
-func (kg *KeyGenerator) AppendRelinearizationKey(b []byte, sk *SecretKey) []byte {
-	w := wire.Writer(slices.Grow(b, kg.params.RelinKeyWireSize()))
-	w.U32(relinKeyMagic)
+// WriteRelinearizationKey is GenRelinearizationKey's streaming front-end: it
+// writes the key's packed wire form (RelinearizationKey.AppendWire's bytes
+// under the generator's parameters, RelinKeyWireSize of them) to w from one
+// buffer of that size and keeps no key. Its errors come from the generator's
+// sampler, in the order GenRelinearizationKey draws them, so the bytes are
+// the ones writing that key gives.
+func (kg *KeyGenerator) WriteRelinearizationKey(w io.Writer, sk *SecretKey) error {
+	b := borrowKeyBuffer(kg.params.RelinKeyWireSize())
+	defer keyScratch.Put(b)
+	kw := wire.Writer((*b)[:0])
+	kw.U32(relinKeyMagic)
 	s2Q := kg.secretSquared(sk)
-	kg.appendKey(&w, sk, s2Q, kg.publicSeed(relinTag))
+	kg.appendKey(&kw, sk, s2Q, kg.publicSeed(relinTag))
 	kg.params.RingQ().PutPoly(s2Q)
-	return w
+	_, err := w.Write(kw)
+	return err
 }
 
 // secretSquared returns s^2 in NTT domain over Q, the relinearization key's
@@ -270,8 +274,8 @@ func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte)
 }
 
 // signedScratch lends appendKey genDigit's N coefficients of error scratch,
-// so a client generating its keys into the frame allocates them once per
-// core rather than once per key.
+// so a client streaming its keys allocates them once per core rather than
+// once per key.
 var signedScratch sync.Pool // of *[]int64
 
 // borrowSigned takes N coefficients of scratch from signedScratch; return
@@ -282,6 +286,21 @@ func borrowSigned(n int) *[]int64 {
 	}
 	s := make([]int64, n)
 	return &s
+}
+
+// keyScratch lends the streaming writers their buffers of one key's wire
+// bytes (a relinearization key, or a rotation key behind its step: the same
+// size), so the relinearization key's buffer serves a rotation key next.
+var keyScratch sync.Pool // of *[]byte
+
+// borrowKeyBuffer takes a buffer of size bytes from keyScratch; return it
+// with keyScratch.Put.
+func borrowKeyBuffer(size int) *[]byte {
+	if b, ok := keyScratch.Get().(*[]byte); ok && len(*b) == size {
+		return b
+	}
+	b := make([]byte, size)
+	return &b
 }
 
 // appendKey is genDigit's append front-end: it writes the switching key

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -351,34 +352,118 @@ func (rks *RotationKeySet) AppendWire(b []byte, p *Parameters) []byte {
 	return w
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Keys must agree on
-// one shape across the whole set (readKey only checks within a key): a set
-// mixing ring degrees or chain lengths would panic the key-switch loop
-// instead of erroring here. No key holds its a_d until
-// EvaluationKeySet.Validate expands them.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. No key holds its
+// a_d until EvaluationKeySet.Validate expands them.
 func (rks *RotationKeySet) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader("ckks: rotation keys", data)
 	r.Magic(rotationKeyMagic)
-	var ref *SwitchingKey
-	keys := map[int]*SwitchingKey{}
+	keys := rotationKeys{byStep: map[int]*SwitchingKey{}}
 	for n := r.Count(maxRotationKeys); n > 0 && r.Err() == nil; n-- {
-		step := int(r.U32())
-		if _, dup := keys[step]; dup || step == 0 || step > maxDegree {
-			r.Fail("rotation step %d is zero, implausible or repeated", step)
-		}
-		key := readKey(r)
-		if ref == nil {
-			ref = key
-		}
-		if r.Err() == nil && (len(key.Digits) != len(ref.Digits) ||
-			!sameShape(key.Digits[0].BQ, ref.Digits[0].BQ) || !sameShape(key.Digits[0].BP, ref.Digits[0].BP)) {
-			r.Fail("rotation keys disagree on digit count, limb counts or ring degree")
-		}
-		keys[step] = key
+		keys.read(r)
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	rks.keys = keys
+	rks.keys = keys.byStep
 	return nil
+}
+
+// rotationKeys is a rotation-key set being decoded, one key at a time.
+type rotationKeys struct {
+	byStep map[int]*SwitchingKey
+	ref    *SwitchingKey // the set's first key
+}
+
+// read decodes the set's next key, its step and then the key, from r. Keys
+// must agree on one shape across the whole set (readKey only checks within a
+// key): a set mixing ring degrees or chain lengths would panic the key-switch
+// loop instead of erroring here.
+func (set *rotationKeys) read(r *wire.Reader) {
+	step := int(r.U32())
+	if _, dup := set.byStep[step]; dup || step == 0 || step > maxDegree {
+		r.Fail("rotation step %d is zero, implausible or repeated", step)
+	}
+	key := readKey(r)
+	if set.ref == nil {
+		set.ref = key
+	}
+	if r.Err() == nil && (len(key.Digits) != len(set.ref.Digits) ||
+		!sameShape(key.Digits[0].BQ, set.ref.Digits[0].BQ) || !sameShape(key.Digits[0].BP, set.ref.Digits[0].BP)) {
+		r.Fail("rotation keys disagree on digit count, limb counts or ring degree")
+	}
+	set.byStep[step] = key
+}
+
+// KeyReader decodes key blobs off a stream in the packed sizes its
+// parameters give them. Every key takes KeyWireSize bytes, so each is read
+// whole into one buffer of that size, which the reader keeps for the next,
+// and decoded there by the decoders UnmarshalBinary runs: a reader holds one
+// key's wire bytes besides the keys it returns.
+type KeyReader struct {
+	p   *Parameters
+	src io.Reader
+	buf []byte
+}
+
+// NewKeyReader reads key blobs under p off src.
+func (p *Parameters) NewKeyReader(src io.Reader) *KeyReader { return &KeyReader{p: p, src: src} }
+
+// next reads the stream's next n bytes into the reader's buffer. A stream
+// that ends first fails with io.ErrUnexpectedEOF.
+func (kr *KeyReader) next(what string, n int) ([]byte, error) {
+	if cap(kr.buf) < n {
+		kr.buf = make([]byte, n)
+	}
+	b := kr.buf[:n]
+	if _, err := io.ReadFull(kr.src, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	return b, nil
+}
+
+// RelinearizationKey reads a relinearization key, RelinKeyWireSize bytes.
+func (kr *KeyReader) RelinearizationKey() (*RelinearizationKey, error) {
+	b, err := kr.next("ckks: relinearization key", kr.p.RelinKeyWireSize())
+	if err != nil {
+		return nil, err
+	}
+	rlk := new(RelinearizationKey)
+	if err := rlk.UnmarshalBinary(b); err != nil {
+		return nil, err
+	}
+	return rlk, nil
+}
+
+// RotationKeys reads a rotation-key set of n keys, RotationKeysWireSize(n)
+// bytes: its head, then each key behind its step. A set that declares
+// another count fails before any key is read.
+func (kr *KeyReader) RotationKeys(n int) (*RotationKeySet, error) {
+	const what = "ckks: rotation keys"
+	b, err := kr.next(what, 8)
+	if err != nil {
+		return nil, err
+	}
+	r := wire.NewReader(what, b)
+	r.Magic(rotationKeyMagic)
+	if count := r.Count(maxRotationKeys); r.Err() == nil && count != n {
+		r.Fail("%d keys, want %d", count, n)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	keys := rotationKeys{byStep: map[int]*SwitchingKey{}}
+	for ; n > 0; n-- {
+		if b, err = kr.next(what, 4+kr.p.KeyWireSize()); err != nil {
+			return nil, err
+		}
+		r = wire.NewReader(what, b)
+		keys.read(r)
+		if err := r.Done(); err != nil {
+			return nil, err
+		}
+	}
+	return &RotationKeySet{keys: keys.byStep}, nil
 }

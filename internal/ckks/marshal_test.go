@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -428,12 +430,13 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 	}
 }
 
-// TestAppendFrontEndsMatchMarshal: the append front-ends write, behind
-// whatever b already holds, the bytes the in-process front-ends' keys pack to
-// under the same parameters, drawing from the samplers in the same order; the rotation steps are
-// normalized, deduplicated and sorted on the way, as GenRotationKeys and the
-// wire form have them.
-func TestAppendFrontEndsMatchMarshal(t *testing.T) {
+// TestKeyWritersMatchMarshal: the streaming front-ends write, behind
+// whatever the stream already holds, the bytes the in-process front-ends'
+// keys pack to under the same parameters, drawing from the samplers in the
+// same order; the rotation steps are normalized, deduplicated and sorted on
+// the way, as GenRotationKeys and the wire form have them. The rotation keys
+// fan across cores and reach the stream in step order, on one P and on four.
+func TestKeyWritersMatchMarshal(t *testing.T) {
 	steps := []int{60, -1, 3, 0, 1, 3, 2, 16, 33, 8}
 	for name, lit := range seededKeyLits {
 		params, err := NewParameters(lit)
@@ -444,15 +447,107 @@ func TestAppendFrontEndsMatchMarshal(t *testing.T) {
 		sk := kg.GenSecretKey()
 		rlk := kg.GenRelinearizationKey(sk).AppendWire(nil, params)
 		rks := kg.GenRotationKeys(sk, steps, false).AppendWire(nil, params)
-		kg = NewKeyGenerator(params, 9)
-		sk = kg.GenSecretKey()
-		prefix := []byte("prefix")
-		got := kg.AppendRelinearizationKey(prefix, sk)
-		got = kg.AppendRotationKeys(got, sk, steps)
-		want := append(append(prefix, rlk...), rks...)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: %d appended bytes differ from the %d marshaled", name, len(got), len(want))
+		want := append(append([]byte("prefix"), rlk...), rks...)
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			kg = NewKeyGenerator(params, 9)
+			sk = kg.GenSecretKey()
+			got := bytes.NewBufferString("prefix")
+			err := kg.WriteRelinearizationKey(got, sk)
+			if err == nil {
+				err = kg.WriteRotationKeys(got, sk, steps)
+			}
+			runtime.GOMAXPROCS(prev)
+			if err != nil || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s, GOMAXPROCS=%d: %d streamed bytes (%v) differ from the %d marshaled", name, procs, got.Len(), err, len(want))
+			}
 		}
+	}
+}
+
+// failAfter is a stream that takes n bytes and fails every write after them.
+type failAfter struct{ n, writes int }
+
+var errStreamFull = errors.New("stream full")
+
+func (f *failAfter) Write(b []byte) (int, error) {
+	f.writes++
+	if len(b) > f.n {
+		return 0, errStreamFull
+	}
+	f.n -= len(b)
+	return len(b), nil
+}
+
+// TestWriteRotationKeysStopsAtWriteError: a stream that fails part-way
+// through a set stops the fan. WriteRotationKeys returns the stream's error
+// and writes nothing after it, whatever the number of workers.
+func TestWriteRotationKeysStopsAtWriteError(t *testing.T) {
+	params, err := NewParameters(seededKeyLits["serving"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(params, 9)
+	sk := kg.GenSecretKey()
+	entry := 4 + params.KeyWireSize()
+	for _, procs := range []int{1, 4} {
+		for _, keys := range []int{0, 1, 5} {
+			prev := runtime.GOMAXPROCS(procs)
+			stream := &failAfter{n: 8 + keys*entry}
+			err := kg.WriteRotationKeys(stream, sk, seededKeySteps)
+			runtime.GOMAXPROCS(prev)
+			if !errors.Is(err, errStreamFull) || stream.writes != keys+2 {
+				t.Errorf("GOMAXPROCS=%d, a stream full after %d keys: %d writes, error %v; want %d writes and the stream's error",
+					procs, keys, stream.writes, err, keys+2)
+			}
+		}
+	}
+}
+
+// TestKeyReaderReadsOneKeyAtATime: a KeyReader under the parameters reads
+// each key whole into one reused buffer, so decoding a relinearization key
+// and a rotation-key set off a stream allocates the decoded b_d and one
+// key's wire bytes, not the blobs. It refuses a set declaring another count
+// having read only the set's head.
+func TestKeyReaderReadsOneKeyAtATime(t *testing.T) {
+	params, err := NewParameters(seededKeyLits["serving"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(params, 9)
+	sk := kg.GenSecretKey()
+	var blobs bytes.Buffer
+	if err := kg.WriteRelinearizationKey(&blobs, sk); err != nil {
+		t.Fatal(err)
+	}
+	if err := kg.WriteRotationKeys(&blobs, sk, seededKeySteps); err != nil {
+		t.Fatal(err)
+	}
+	payload := blobs.Bytes()
+	keys := 1 + len(seededKeySteps)
+	bQ := params.EvaluationKeysSize(len(seededKeySteps)) / 2 // decoded b_d, 8 bytes a residue
+	var rlk *RelinearizationKey
+	var rks *RotationKeySet
+	alloc := allocated(func() {
+		kr := params.NewKeyReader(bytes.NewReader(payload))
+		if rlk, err = kr.RelinearizationKey(); err == nil {
+			rks, err = kr.RotationKeys(len(seededKeySteps))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(rlk.AppendWire(nil, params), rks.AppendWire(nil, params)...); !bytes.Equal(got, payload) {
+		t.Fatal("the keys read off the stream re-pack to other bytes")
+	}
+	t.Logf("%d keys of %d wire bytes: decoding allocated %d bytes, the b_d take %d", keys, params.KeyWireSize(), alloc, bQ)
+	if bound := uint64(bQ + 4 + params.KeyWireSize() + keys*4096); alloc > bound && !raceEnabled {
+		t.Errorf("decoding %d keys off a stream allocated %d bytes, over their b_d and one key's wire bytes (%d)", keys, alloc, bound)
+	}
+
+	rest := bytes.NewReader(payload[params.RelinKeyWireSize():])
+	if _, err := params.NewKeyReader(rest).RotationKeys(len(seededKeySteps) - 1); err == nil || rest.Len() != len(payload)-params.RelinKeyWireSize()-8 {
+		t.Errorf("a set of %d keys read as one of %d: error %v, %d bytes left unread", len(seededKeySteps), len(seededKeySteps)-1, err, rest.Len())
 	}
 }
 
@@ -631,6 +726,15 @@ var packedSizeLits = map[string]ParametersLiteral{
 	"served":    {LogN: 15, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55}, LogScale: 45},
 }
 
+// streamedLen is the bytes write puts on a stream.
+func streamedLen(t *testing.T, write func(io.Writer) error) int {
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Len()
+}
+
 // TestPackedSizesMatchPayloads: CiphertextWireSize, RelinKeyWireSize and
 // RotationKeysWireSize are the lengths of real payloads packed under each
 // literal — a top-level ciphertext, the relinearization key and a two-key
@@ -656,8 +760,8 @@ func TestPackedSizesMatchPayloads(t *testing.T) {
 		}
 		for what, c := range map[string]struct{ got, want int }{
 			"ciphertext":        {len(ct.AppendWire(nil, params)), params.CiphertextWireSize(params.MaxLevel())},
-			"relin key":         {len(kg.AppendRelinearizationKey(nil, sk)), params.RelinKeyWireSize()},
-			"rotation-key set":  {len(kg.AppendRotationKeys(nil, sk, []int{1, 5})), params.RotationKeysWireSize(2)},
+			"relin key":         {streamedLen(t, func(w io.Writer) error { return kg.WriteRelinearizationKey(w, sk) }), params.RelinKeyWireSize()},
+			"rotation-key set":  {streamedLen(t, func(w io.Writer) error { return kg.WriteRotationKeys(w, sk, []int{1, 5}) }), params.RotationKeysWireSize(2)},
 			"8-byte ciphertext": {len(eight), ciphertextSize(nil, params.MaxLevel()+1, params.N())},
 		} {
 			if c.got != c.want {

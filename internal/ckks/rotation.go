@@ -2,8 +2,10 @@ package ckks
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/parallel"
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -76,8 +78,10 @@ func deriveSeed(seed, tag int64) int64 {
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *RotationKeySet {
 	uniq := kg.rotationSteps(steps)
 	generated := make([]*SwitchingKey, len(uniq))
-	kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
+	// Only gen's errors stop the fan, and generating a key cannot fail.
+	_ = kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
 		generated[i] = sub.genKey(sk, srcQ, seed)
+		return nil
 	})
 	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
 	for i, norm := range uniq {
@@ -86,26 +90,104 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 	return rks
 }
 
-// AppendRotationKeys is GenRotationKeys' append front-end: it appends the
+// WriteRotationKeys is GenRotationKeys' streaming front-end: it writes the
 // set's packed wire form (RotationKeySet.AppendWire's bytes under the
-// generator's parameters) to b and keeps no key. Every key takes KeyWireSize
-// bytes, so each key's byte range is fixed before any is generated, and the
-// keys still fan across cores, each job writing only its own range.
-func (kg *KeyGenerator) AppendRotationKeys(b []byte, sk *SecretKey, steps []int) []byte {
+// generator's parameters, RotationKeysWireSize of them) to w and keeps no
+// key. The keys fan across cores as GenRotationKeys' do, each generated into
+// a buffer of its wire size and written in step order through a keyWindow of
+// one buffer a worker. The first write error stops it: keys being generated
+// finish, and no other starts.
+func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []int) error {
 	uniq := kg.rotationSteps(steps)
-	keyBytes := kg.params.KeyWireSize()
-	w := wire.Writer(slices.Grow(b, rotationKeysSize(len(uniq), keyBytes)))
-	w.U32(rotationKeyMagic)
-	w.U32(uint32(len(uniq)))
-	first := len(w)
-	w = w[:first+len(uniq)*(4+keyBytes)]
-	kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
-		at := first + i*(4+keyBytes)
-		kw := w[at : at : at+4+keyBytes] // appends stay inside this key's range
+	var head wire.Writer
+	head.U32(rotationKeyMagic)
+	head.U32(uint32(len(uniq)))
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	win := newKeyWindow(w, min(parallel.Workers(-1), len(uniq)), 4+kg.params.KeyWireSize())
+	defer win.release()
+	return kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
+		kw, err := win.take(i)
+		if err != nil {
+			return err
+		}
 		kw.U32(uint32(uniq[i]))
 		sub.appendKey(&kw, sk, srcQ, seed)
+		return win.put(i, kw)
 	})
-	return w
+}
+
+// keyWindow puts keys generated out of order onto w in order. Key i is
+// generated into buffer i mod len(bufs), which is free once key i-len(bufs)
+// is on the wire, so the buffers, borrowed from keyScratch, are all the key
+// bytes a writer holds. Whichever job completes the key due next writes it,
+// and every ready key behind it.
+type keyWindow struct {
+	w    io.Writer
+	size int // bytes of one key's buffer
+	mu   sync.Mutex
+	turn sync.Cond // broadcast when a key goes onto the wire or a write fails
+	bufs []*[]byte
+	// ready reports, by buffer, that it holds a key not yet on the wire.
+	ready []bool
+	next  int   // the key due on the wire
+	busy  bool  // a job is writing
+	err   error // the first write error
+}
+
+func newKeyWindow(w io.Writer, n, size int) *keyWindow {
+	n = max(n, 1)
+	win := &keyWindow{w: w, size: size, bufs: make([]*[]byte, n), ready: make([]bool, n)}
+	win.turn.L = &win.mu
+	return win
+}
+
+// take waits until key i may be generated and returns its buffer, empty, or
+// the write error that stopped the window.
+func (win *keyWindow) take(i int) (wire.Writer, error) {
+	win.mu.Lock()
+	defer win.mu.Unlock()
+	for i >= win.next+len(win.bufs) && win.err == nil {
+		win.turn.Wait()
+	}
+	if win.err != nil {
+		return nil, win.err
+	}
+	b := &win.bufs[i%len(win.bufs)]
+	if *b == nil {
+		*b = borrowKeyBuffer(win.size)
+	}
+	return (**b)[:0], nil
+}
+
+// release returns the window's buffers to keyScratch once no job holds one.
+func (win *keyWindow) release() {
+	for _, b := range win.bufs {
+		if b != nil {
+			keyScratch.Put(b)
+		}
+	}
+}
+
+// put hands key i, generated into b, back to the window, and writes the keys
+// now due unless another job is writing them. It reports the first write
+// error.
+func (win *keyWindow) put(i int, b wire.Writer) error {
+	win.mu.Lock()
+	defer win.mu.Unlock()
+	win.ready[i%len(win.bufs)] = true
+	*win.bufs[i%len(win.bufs)] = b
+	for due := win.next % len(win.bufs); !win.busy && win.err == nil && win.ready[due]; due = win.next % len(win.bufs) {
+		win.busy = true
+		win.mu.Unlock()
+		_, err := win.w.Write(*win.bufs[due])
+		win.mu.Lock()
+		win.busy, win.ready[due], win.err = false, false, err
+		win.next++
+		win.turn.Broadcast()
+	}
+	return win.err
 }
 
 // rotationSteps normalizes steps, drops zero and repeats, and sorts them: the
@@ -128,33 +210,31 @@ func (kg *KeyGenerator) rotationSteps(steps []int) []int {
 // seed. Keys are independent, so the calls fan across all cores (rotation-key
 // sets dominate serving-session setup otherwise); each key's randomness
 // depends on k alone, keeping the result deterministic under any schedule.
-func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, gen func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte)) {
+// The first error gen returns stops the fan and is returned.
+func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, gen func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error) error {
 	// The coefficient-domain secret is the same for every key: compute it
 	// once and share it read-only across the jobs (applyAutomorphism only
 	// reads its source).
 	rq := kg.params.RingQ()
 	skCoeff := rq.GetPolyRaw(sk.Q.Level())
+	defer rq.PutPoly(skCoeff)
 	for i, limb := range sk.Q.Coeffs {
 		copy(skCoeff.Coeffs[i], limb)
 	}
 	rq.INTT(skCoeff)
 
-	// The error func is vestigial here (key generation cannot fail); parallel.For
-	// is the repo-wide index fan.
-	_ = parallel.For(len(uniq), parallel.Workers(-1), func(i int) error {
+	return parallel.For(len(uniq), parallel.Workers(-1), func(i int) error {
 		k := kg.params.galoisElement(uniq[i])
 		sub := &KeyGenerator{
 			params:   kg.params,
 			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
 		}
 		srcQ := rq.GetPolyRaw(skCoeff.Level())
+		defer rq.PutPoly(srcQ)
 		applyAutomorphism(rq, skCoeff, k, srcQ)
 		rq.NTT(srcQ)
-		gen(i, sub, srcQ, kg.publicSeed(int64(k)))
-		rq.PutPoly(srcQ)
-		return nil
+		return gen(i, sub, srcQ, kg.publicSeed(int64(k)))
 	})
-	rq.PutPoly(skCoeff)
 }
 
 func normalizeStep(step, slots int) int {

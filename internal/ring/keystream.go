@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
+	"math/bits"
 )
 
 // KeyStream expands a 32-byte public seed into 64-bit words: the AES-256-CTR
@@ -35,13 +36,35 @@ func NewKeyStream(seed [32]byte) *KeyStream {
 
 // Uint64 returns the next word of the stream, little-endian.
 func (ks *KeyStream) Uint64() uint64 {
+	ks.refill()
+	v := binary.LittleEndian.Uint64(ks.buf[ks.off:])
+	ks.off += 8
+	return v
+}
+
+// refill generates the next chunk once every buffered word is used.
+func (ks *KeyStream) refill() {
 	if ks.off == len(ks.buf) {
 		ks.ctr.XORKeyStream(ks.buf[:], zeros[:])
 		ks.off = 0
 	}
-	v := binary.LittleEndian.Uint64(ks.buf[ks.off:])
-	ks.off += 8
-	return v
+}
+
+// fill is uniformLimb over the keystream: the same words in the same order,
+// taken from the buffer a chunk at a time rather than a call a word.
+func (ks *KeyStream) fill(u uniformMod, dst []uint64) {
+	for j := 0; j < len(dst); {
+		ks.refill()
+		buf := ks.buf[ks.off:]
+		n := 0
+		for ; n < len(buf) && j < len(dst); n += 8 {
+			if v := binary.LittleEndian.Uint64(buf[n:]); v < u.max {
+				dst[j] = u.reduce(v)
+				j++
+			}
+		}
+		ks.off += n
+	}
 }
 
 // Uniform fills a fresh polynomial at the given level with residues drawn
@@ -63,14 +86,41 @@ func (r *Ring) UniformTo(src interface{ Uint64() uint64 }, p *Poly) {
 }
 
 // uniformLimb fills dst with values uniform in [0, q) without modulo bias:
-// a word at or above the largest multiple of q that fits is drawn again.
+// a word at or above the largest multiple of q that fits is drawn again. A
+// KeyStream hands over its buffered words a chunk at a time (fill); any other
+// source takes one call a word.
 func uniformLimb(src interface{ Uint64() uint64 }, q uint64, dst []uint64) {
-	max := ^uint64(0) - ^uint64(0)%q
+	u := newUniformMod(q)
+	if ks, ok := src.(*KeyStream); ok {
+		ks.fill(u, dst)
+		return
+	}
 	for j := range dst {
 		v := src.Uint64()
-		for v >= max {
+		for v >= u.max {
 			v = src.Uint64()
 		}
-		dst[j] = v % q
+		dst[j] = u.reduce(v)
 	}
+}
+
+// uniformMod holds uniformLimb's constants for q: the rejection bound max
+// and the Barrett constant m = ⌊2^64/q⌋. The quotient estimate ⌊v·m/2^64⌋
+// falls short of ⌊v/q⌋ by at most one, so reduce is exact after one
+// conditional subtraction, with no hardware divide.
+type uniformMod struct{ q, max, m uint64 }
+
+func newUniformMod(q uint64) uniformMod {
+	m, _ := bits.Div64(1, 0, q)
+	return uniformMod{q: q, max: ^uint64(0) - ^uint64(0)%q, m: m}
+}
+
+// reduce returns v mod q.
+func (u uniformMod) reduce(v uint64) uint64 {
+	quo, _ := bits.Mul64(v, u.m)
+	r := v - quo*u.q
+	if r >= u.q {
+		r -= u.q
+	}
+	return r
 }

@@ -378,6 +378,54 @@ func TestUniformNoModuloBias(t *testing.T) {
 	}
 }
 
+// wordByWord is the keystream's uniform loop one interface call a word,
+// reduced with a hardware divide: the reference fill must match.
+type wordByWord struct{ ks *KeyStream }
+
+func (w wordByWord) Uint64() uint64 { return w.ks.Uint64() }
+
+// TestKeyStreamFillMatchesWordByWord: the keystream's chunked uniform loop
+// keeps the same words, rejects the same words and reduces them to the same
+// residues as drawing one word a call and taking v % q, across chunk
+// boundaries and limbs of odd lengths. The moduli include 3·2^62, where a
+// quarter of the words are rejected, and 2^30, where the Barrett quotient is
+// a shift.
+func TestKeyStreamFillMatchesWordByWord(t *testing.T) {
+	for _, q := range []uint64{3 << 62, 1 << 30, (1 << 61) - 1, 1<<45 + 1<<17 + 1, 3} {
+		var seed [32]byte
+		seed[0] = byte(q)
+		chunked, ref := NewKeyStream(seed), wordByWord{NewKeyStream(seed)}
+		for _, n := range []int{1, 127, 128, 129, 1000, 3} {
+			got := make([]uint64, n)
+			uniformLimb(chunked, q, got)
+			max := ^uint64(0) - ^uint64(0)%q
+			for j := range got {
+				v := ref.Uint64()
+				for v >= max {
+					v = ref.Uint64()
+				}
+				if got[j] != v%q {
+					t.Fatalf("q=%d, limb of %d: residue %d is %d, want %d", q, n, j, got[j], v%q)
+				}
+			}
+		}
+		if a, b := chunked.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("q=%d: the streams part after the fills (%#x, %#x)", q, a, b)
+		}
+	}
+}
+
+// BenchmarkUniformKeyStream draws one 2^15-coefficient limb of a 45-bit
+// prime from a keystream, as expandA and key generation do.
+func BenchmarkUniformKeyStream(b *testing.B) {
+	dst := make([]uint64, 1<<15)
+	ks := NewKeyStream([32]byte{1})
+	b.SetBytes(int64(8 * len(dst)))
+	for i := 0; i < b.N; i++ {
+		uniformLimb(ks, 1<<45+1<<17+1, dst)
+	}
+}
+
 // TestSamplerReuse: a reused sampler's state only advances — no later draw
 // repeats its first, whatever is drawn in between — and a new sampler with
 // the same seed replays the whole sequence (lattigo once shipped a uniform

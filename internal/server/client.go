@@ -45,11 +45,21 @@ func (c *Client) WithAdminToken(token string) *Client {
 // returns the response if its status is want. Any other status is the
 // server's error; that response comes back too, body closed, for its headers.
 func (c *Client) send(ctx context.Context, method, path string, body []byte, want int) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+	var r io.Reader
+	if body != nil {
+		r = bytes.NewReader(body)
+	}
+	return c.stream(ctx, method, path, r, int64(len(body)), want)
+}
+
+// stream is send with a body of size bytes read off r as the request goes.
+func (c *Client) stream(ctx context.Context, method, path string, r io.Reader, size int64, want int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, r)
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
+	if r != nil {
+		req.ContentLength = size
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	if c.admin != "" && method != http.MethodGet && strings.HasPrefix(path, "/v1/models") {
@@ -266,15 +276,32 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	// describe: a supersede landing between the info fetch and this
 	// registration must 410 cleanly instead of silently binding the new
 	// version under the old version's parameters. The keys are generated
-	// straight into the frame, so the client never holds a whole key.
-	payload := keysIntoFrame(kg, sk, info.Ref(), info.Params, params, info.Rotations)
-	resp, err := c.send(ctx, http.MethodPost, "/v1/sessions", payload, http.StatusOK)
+	// straight onto the request body, so the client never holds the frame.
+	body, gen := io.Pipe()
+	generated := make(chan struct{})
+	go func() {
+		defer close(generated)
+		gen.CloseWithError(writeRegistration(gen, kg, sk, info.Ref(), info.Params, params, info.Rotations))
+	}()
+	resp, err := c.stream(ctx, http.MethodPost, "/v1/sessions", body,
+		int64(frameSize(info.Ref(), info.Params, params, len(info.Rotations))), http.StatusOK)
+	// However the request ended, nothing reads the body any more: a
+	// generator still writing stops at its next write, and no goroutine
+	// outlives the call.
+	body.Close()
+	<-generated
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// The answer is a session id and a model reference: a faulty server or
+	// proxy cannot make the client read more than maxRegisterResponse.
+	answer, err := readAtMost(resp.Body, maxRegisterResponse)
+	if err != nil {
+		return nil, fmt.Errorf("reading registration: %w", err)
+	}
 	var reg registerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+	if err := json.Unmarshal(answer, &reg); err != nil {
 		return nil, fmt.Errorf("decoding registration: %w", err)
 	}
 	return &Session{
@@ -287,6 +314,10 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 		decr:   ckks.NewDecryptor(params, sk),
 	}, nil
 }
+
+// maxRegisterResponse bounds the registration answer: a 32-digit session id
+// and a model reference of at most maxModelRef bytes, in JSON.
+const maxRegisterResponse = 1 << 12
 
 // ID returns the server-assigned session id.
 func (s *Session) ID() string { return s.id }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
+	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // servingLit is hennbench's 128-wide serving literal: LogN 10, ten limbs,
@@ -33,9 +35,9 @@ const goldenFrameDigest = "6f5229b7946066d6826fd515f1092306c27d0e8c34cdf862e7dac
 var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
 
 // TestRegistrationFrameGolden pins the frame two ways: built from keys
-// generated whole and then marshaled, and built the way clients build it, with
-// every key generated straight into the frame. The append front-end fans the
-// rotation keys across cores, so it runs on one P and on four.
+// generated whole and then marshaled, and streamed the way clients send it,
+// with every key generated straight onto the stream. The rotation keys fan
+// across cores on their way to the stream, so it runs on one P and on four.
 func TestRegistrationFrameGolden(t *testing.T) {
 	params, err := ckks.NewParameters(servingLit)
 	if err != nil {
@@ -51,8 +53,8 @@ func TestRegistrationFrameGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != goldenFrameDigest {
 			t.Errorf("registration frame: %d bytes digest %s, want %s", len(frame), got, goldenFrameDigest)
 		}
-		if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want || cap(frame) != want {
-			t.Errorf("frame of %d bytes in a %d-byte buffer; frameSize says %d", len(frame), cap(frame), want)
+		if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want {
+			t.Errorf("frame of %d bytes; frameSize says %d", len(frame), want)
 		}
 	}
 	t.Run("marshaled", func(t *testing.T) {
@@ -65,22 +67,33 @@ func TestRegistrationFrameGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("generated-into-frame/GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			kg := ckks.NewKeyGenerator(params, 28)
-			check(t, keysIntoFrame(kg, kg.GenSecretKey(), "golden@1", paramBytes, params, goldenFrameSteps))
+			check(t, clientFrame(kg, kg.GenSecretKey(), "golden@1", paramBytes, params, goldenFrameSteps))
 		})
 	}
 }
 
 // marshalRegistration builds the frame from keys generated whole, a_d and
-// b_d in fresh polys, each key then packed into the frame under params: the
-// reference keysIntoFrame must match byte for byte.
+// b_d in fresh polys, each key then packed into the frame's one buffer under
+// params: the reference the streamed frame must match byte for byte.
 func marshalRegistration(ref string, paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) []byte {
-	return appendRegistration(make([]byte, 0, frameSize(ref, paramBytes, params, len(rks.Steps()))), ref, paramBytes,
-		func(b []byte) []byte { return rlk.AppendWire(b, params) },
-		func(b []byte) []byte { return rks.AppendWire(b, params) })
+	w := make(wire.Writer, 0, frameSize(ref, paramBytes, params, len(rks.Steps())))
+	w.U32(registrationMagic)
+	w.Blob([]byte(ref))
+	w.Blob(paramBytes)
+	w.U32(uint32(params.RelinKeyWireSize()))
+	w = rlk.AppendWire(w, params)
+	w.U32(uint32(params.RotationKeysWireSize(len(rks.Steps()))))
+	return rks.AppendWire(w, params)
 }
 
-// TestKeysIntoFrameMatchesMarshaled: generating the keys straight into the
-// frame sends the bytes that generating them whole and marshaling them sent,
+// clientFrame is the frame a client streams for the model ref names, with
+// kg's keys for steps, collected in memory.
+func clientFrame(kg *ckks.KeyGenerator, sk *ckks.SecretKey, ref string, paramBytes []byte, params *ckks.Parameters, steps []int) []byte {
+	return streamed(func(w io.Writer) error { return writeRegistration(w, kg, sk, ref, paramBytes, params, steps) })
+}
+
+// TestKeysIntoFrameMatchesMarshaled: generating the keys straight onto the
+// stream sends the bytes that generating them whole and marshaling them sent,
 // with the public key drawn in between as a client draws it, for the demo
 // model and the 128-wide serving literal over three seeds.
 func TestKeysIntoFrameMatchesMarshaled(t *testing.T) {
@@ -121,19 +134,19 @@ func TestKeysIntoFrameMatchesMarshaled(t *testing.T) {
 			kg = ckks.NewKeyGenerator(tc.params, seed)
 			sk = kg.GenSecretKey()
 			kg.GenPublicKey(sk)
-			if got := keysIntoFrame(kg, sk, tc.ref, tc.paramBytes, tc.params, tc.steps); !bytes.Equal(got, want) {
-				t.Errorf("%s, seed %d: the %d-byte frame generated into place differs from the %d-byte marshaled one",
+			if got := clientFrame(kg, sk, tc.ref, tc.paramBytes, tc.params, tc.steps); !bytes.Equal(got, want) {
+				t.Errorf("%s, seed %d: the %d-byte streamed frame differs from the %d-byte marshaled one",
 					tc.name, seed, len(got), len(want))
 			}
 		}
 	}
 }
 
-// allocatedPerRun is the bytes f allocates per call once warm, on one P with
-// the collector off (so the ring pools keep what they are given), as the
+// allocatedPerRun is the bytes f allocates per call once warm, on procs Ps
+// with the collector off (so the ring pools keep what they are given), as the
 // pool steady-state tests measure.
-func allocatedPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+func allocatedPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	var before, after runtime.MemStats
@@ -145,40 +158,18 @@ func allocatedPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestFrameAllocBound: a client builds its registration frame by marshaling
-// each key into the frame's one exactly sized buffer, so beyond the keys it
-// already holds it allocates the payload once. Marshaling each key set and
-// then copying both into the frame allocated it twice.
-func TestFrameAllocBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation bounds do not hold under -race")
-	}
-	params, err := ckks.NewParameters(servingLit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paramBytes, err := servingLit.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := ckks.NewKeyGenerator(params, 28)
-	sk := kg.GenSecretKey()
-	rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
-	var frame []byte
-	perRun := allocatedPerRun(3, func() {
-		frame = marshalRegistration("golden@1", paramBytes, params, rlk, rks)
-	})
-	t.Logf("a %d-byte frame allocates %.0f bytes (%.3fx)", len(frame), perRun, perRun/float64(len(frame)))
-	if perRun > 1.05*float64(len(frame)) {
-		t.Errorf("building a %d-byte frame allocates %.0f bytes, over 1.05x the payload", len(frame), perRun)
-	}
-}
+// frameSlack is the fixed allocation the streaming bounds allow besides key
+// buffers: pooled error scratch and polys per P, goroutines, and a decoded
+// key set's slice and poly headers.
+const frameSlack = 512 << 10
 
-// TestKeysIntoFrameAllocBound: a client generates its keys straight into the
-// frame, each digit's a_d, e_d and b_d in pooled scratch, so generating both
-// keys allocates the frame and little else. Generating the keys whole and
-// then marshaling them allocates every a_d and b_d besides the frame: about
-// 3x.
+// TestKeysIntoFrameAllocBound: a client streams its keys onto the request
+// body, each key generated into a buffer of its own wire size, one for the
+// relinearization key and one a worker for the rotation keys, each digit's
+// a_d, e_d and b_d in pooled scratch. So writing a frame allocates at most
+// (workers + 1) key buffers and fixed slack, on one P and on four, however
+// large the frame. Building the frame in one buffer allocated the frame;
+// generating the keys whole and then marshaling them about 3x the frame.
 func TestKeysIntoFrameAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds do not hold under -race")
@@ -193,30 +184,77 @@ func TestKeysIntoFrameAllocBound(t *testing.T) {
 	}
 	kg := ckks.NewKeyGenerator(params, 28)
 	sk := kg.GenSecretKey()
-	var frame []byte
-	perRun := allocatedPerRun(3, func() {
-		frame = keysIntoFrame(kg, sk, "golden@1", paramBytes, params, goldenFrameSteps)
-	})
-	whole := allocatedPerRun(3, func() {
+	frame := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps))
+	whole := allocatedPerRun(1, 3, func() {
 		marshalRegistration("golden@1", paramBytes, params,
 			kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false))
 	})
-	t.Logf("a %d-byte frame: generating the keys into it allocates %.0f bytes (%.3fx), generating them whole and marshaling %.0f (%.3fx)",
-		len(frame), perRun, perRun/float64(len(frame)), whole, whole/float64(len(frame)))
-	if perRun > 1.05*float64(len(frame)) {
-		t.Errorf("generating keys into a %d-byte frame allocates %.0f bytes, over 1.05x the frame", len(frame), perRun)
+	for _, procs := range []int{1, 4} {
+		perRun := allocatedPerRun(procs, 3, func() {
+			if err := writeRegistration(io.Discard, kg, sk, "golden@1", paramBytes, params, goldenFrameSteps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		bound := float64((procs+1)*params.KeyWireSize() + frameSlack)
+		t.Logf("a %d-byte frame of %d-byte keys, GOMAXPROCS=%d: streaming it allocates %.0f bytes (%.3fx the frame, %.3fx the bound); generating the keys whole and marshaling %.0f (%.3fx)",
+			frame, params.KeyWireSize(), procs, perRun, perRun/float64(frame), perRun/bound, whole, whole/float64(frame))
+		if perRun > bound {
+			t.Errorf("GOMAXPROCS=%d: streaming a %d-byte frame allocates %.0f bytes, over %d key buffers and the slack (%.0f)",
+				procs, frame, perRun, procs+1, bound)
+		}
 	}
 }
 
-// TestRegisterAllocBound: the server holds a registration to the size its
-// model fixes and reads it into one buffer of that size, so a registration
-// allocates the body once, the b_d decoded out of it once, and the a_d
-// expanded from their seeds once, and a session's fixed cost. Decoded b_d and
-// expanded a_d are 8 bytes a residue, half of EvaluationKeysSize each; the
-// body packs residues to 6 or 7 bytes. The slack is a tenth of the body, as
-// when the three were each the payload's size and the bound read 3.1x the
-// payload. Growing a buffer as the body arrived allocated the body 2.25
-// times: 4.09x the payload in all here, 4.26x on the 128-wide model.
+// keyBufferWriter discards what it is written and records the distinct
+// buffers that key-sized writes come from.
+type keyBufferWriter struct {
+	keyBytes int
+	bufs     map[*byte]bool
+}
+
+func (w *keyBufferWriter) Write(p []byte) (int, error) {
+	if len(p) == w.keyBytes {
+		w.bufs[&p[0]] = true
+	}
+	return len(p), nil
+}
+
+// TestKeysIntoFrameHoldsOneKeyAWorker: the key bytes a streaming client
+// holds are its key buffers, one for the relinearization key and one a
+// worker for the rotation keys, however many keys the frame carries. Every
+// key reaches the stream from one of them.
+func TestKeysIntoFrameHoldsOneKeyAWorker(t *testing.T) {
+	params, err := ckks.NewParameters(servingLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, 28)
+	sk := kg.GenSecretKey()
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		w := &keyBufferWriter{keyBytes: 4 + params.KeyWireSize(), bufs: map[*byte]bool{}}
+		err := writeRegistration(w, kg, sk, "golden@1", paramBytes, params, goldenFrameSteps)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.bufs) > procs+1 {
+			t.Errorf("GOMAXPROCS=%d: %d keys came from %d buffers, more than %d", procs, 1+len(goldenFrameSteps), len(w.bufs), procs+1)
+		}
+	}
+}
+
+// TestRegisterAllocBound: the server decodes a registration's keys off the
+// body one at a time, each read whole into one reused buffer of a key's wire
+// size, so a registration allocates the b_d decoded, the a_d expanded from
+// their seeds (the two are EvaluationKeysSize), one key's wire bytes, and a
+// session's fixed cost, whatever the frame's size. Reading the body into one
+// buffer of the frame's size first allocated the frame besides: 1.1x the
+// body and the key bytes was the bound then.
 func TestRegisterAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds do not hold under -race")
@@ -236,7 +274,7 @@ func TestRegisterAllocBound(t *testing.T) {
 	frame := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
 		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
 	handler := srv.Handler()
-	perRun := allocatedPerRun(3, func() {
+	perRun := allocatedPerRun(1, 3, func() {
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(frame)))
 		if rec.Code != http.StatusOK {
@@ -245,11 +283,11 @@ func TestRegisterAllocBound(t *testing.T) {
 		srv.closeSessions(func(*session) bool { return true })
 	})
 	keys := float64(dep.Params().EvaluationKeysSize(len(dep.Rotations()))) // decoded b_d and expanded a_d
-	bound := 1.1*float64(len(frame)) + keys
+	bound := keys + float64(dep.Params().KeyWireSize()+frameSlack)
 	t.Logf("a %d-byte registration of %.0f key bytes allocates %.0f bytes (%.2fx the body, %.3fx the bound)",
 		len(frame), keys, perRun, perRun/float64(len(frame)), perRun/bound)
 	if perRun > bound {
-		t.Errorf("registering a %d-byte frame allocates %.0f bytes, over the body, its %.0f key bytes and a tenth of the body (%.0f)",
+		t.Errorf("registering a %d-byte frame allocates %.0f bytes, over its %.0f key bytes, one key's wire bytes and the slack (%.0f)",
 			len(frame), perRun, keys, bound)
 	}
 }
@@ -279,8 +317,8 @@ func TestInferReadAllocBound(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	next := 0
-	perRun := allocatedPerRun(runs, func() {
-		data, ok := readSized(rec, reqs[next], nil, int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
+	perRun := allocatedPerRun(1, runs, func() {
+		data, ok := readSized(rec, reqs[next], int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
 		next++
 		if !ok || len(data) != len(body) {
 			t.Fatalf("reading a %d-byte ciphertext: ok %v, %d bytes", len(body), ok, len(data))

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -754,4 +756,141 @@ func TestFreedStackCollected(t *testing.T) {
 		infer(newHTTPServer(t, srv), 138)
 		awaitCollected(t, gone, "a closed server's encoder")
 	})
+}
+
+// generatorRunning reports whether any goroutine is still streaming a
+// registration's keys.
+func generatorRunning() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("server.writeRegistration"))
+}
+
+// TestStreamedRegistrationLeavesNoGoroutine: a client streams its keys onto
+// the registration body from a generator goroutine. A registration refused
+// at the prefix (404 unknown model, 429 key budget full), refused at bind
+// (410 draining), refused by a server that then stops reading, or whose
+// context is cancelled mid-upload returns an error with that generator
+// already stopped, and once the servers are closed the goroutine count is
+// back at its baseline.
+func TestStreamedRegistrationLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	alpha := shapedModel(t, "alpha", 151, 16, 8, 4)
+	srv, err := New(Options{KeyBudget: 2 * sessionCharge(t, alpha)}, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	// The stalling server reads a little of a registration, then reads
+	// nothing until the client gives up and drops the connection: the keys
+	// are still being generated then.
+	uploading, dropped := make(chan struct{}), make(chan struct{})
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadFull(r.Body, make([]byte, 1<<10)); err == nil {
+			close(uploading)
+		}
+		<-dropped
+		_, _ = io.Copy(io.Discard, r.Body)
+	}))
+	t.Cleanup(func() {
+		stall.Close()
+		ts.Close()
+		srv.Close()
+	})
+	ctx := context.Background()
+	client := NewClient(ts.URL, nil)
+	info, err := client.ModelNamed(ctx, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", what, err, want)
+		}
+		if generatorRunning() {
+			t.Errorf("%s: the key generator outlived the registration", what)
+		}
+	}
+
+	// Two sessions fill the budget; the first keeps version 1 draining once
+	// it is superseded, and leaving retires it.
+	var live [2]*Session
+	for i := range live {
+		if live[i], err = client.NewSessionFor(ctx, "alpha", int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = client.newSession(ctx, info, 3)
+	refused("key budget full", err, "429")
+	if err := live[1].Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Registry().Supersede(shapedModel(t, "alpha", 152, 16, 8, 4)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.newSession(ctx, info, 4)
+	refused("draining version", err, "410")
+	if err := live[0].Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.newSession(ctx, info, 5)
+	refused("unknown model", err, "404")
+
+	// Mid-upload: the 128-wide serving literal with 24 rotation keys is an
+	// 8 MB frame, more than the loopback buffers take before the server reads.
+	paramBytes, err := servingLit.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := &ModelInfo{Name: "wide", Version: 1, Params: paramBytes}
+	for step := 1; step <= 24; step++ {
+		wide.Rotations = append(wide.Rotations, step)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	go func() {
+		<-uploading
+		cancel()
+	}()
+	_, err = NewClient(stall.URL, nil).newSession(cctx, wide, 6)
+	refused("cancelled mid-upload", err, context.Canceled.Error())
+	close(dropped)
+
+	// A server that answers before it has read the frame, and then neither
+	// reads nor hangs up, leaves the body's writer blocked: the client must
+	// stop the generator itself.
+	answered := make(chan struct{})
+	early := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		const msg = `{"error":"unknown model"}`
+		w.Header().Set("Content-Length", strconv.Itoa(len(msg)))
+		w.WriteHeader(http.StatusNotFound)
+		_, _ = io.WriteString(w, msg)
+		w.(http.Flusher).Flush()
+		<-answered
+	}))
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewClient(early.URL, nil).newSession(ctx, wide, 7)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+		refused("answered before the frame was read", err, "404")
+	case <-time.After(20 * time.Second):
+		t.Error("answered before the frame was read: the registration did not return")
+	}
+	close(answered)
+
+	early.Close()
+	stall.Close()
+	ts.Close()
+	srv.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after teardown, %d before:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

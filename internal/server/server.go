@@ -397,29 +397,42 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 	return buf.Bytes(), true
 }
 
-// readSized reads a body whose size the model sets — a ciphertext, or the
-// rest of a registration frame — into one buffer, behind prefix (the bytes
-// already read). The body must total exactly size bytes. A Content-Length
-// other than size is answered before the body is read. When it cannot read
-// the body, it has answered the request (413 longer, 400 shorter or
-// unreadable) and reports false.
-func readSized(w http.ResponseWriter, r *http.Request, prefix []byte, size int64, what string) ([]byte, bool) {
+// checkLength answers a request whose Content-Length is not size, the body
+// size its model sets (413 longer, 400 shorter), before any of the body is
+// read, and reports whether it did not. A body without a declared length
+// passes: its reader holds it to size.
+func checkLength(w http.ResponseWriter, r *http.Request, size int64, what string) bool {
 	switch cl := r.ContentLength; {
 	case cl > size:
 		writeError(w, http.StatusRequestEntityTooLarge, "%s of %d bytes exceeds the model's %d", what, cl, size)
-		return nil, false
+		return false
 	case cl >= 0 && cl < size:
 		writeError(w, http.StatusBadRequest, "%s of %d bytes, the model's is %d", what, cl, size)
+		return false
+	}
+	return true
+}
+
+// runsPast reports whether r holds a byte more: a body read to the size its
+// model sets must end there.
+func runsPast(r io.Reader) bool {
+	n, _ := io.ReadFull(r, make([]byte, 1))
+	return n > 0
+}
+
+// readSized reads a ciphertext body, whose size the model sets, into one
+// buffer of that size. The body must total exactly size bytes. When it
+// cannot read the body, it has answered the request (413 longer, 400 shorter
+// or unreadable) and reports false.
+func readSized(w http.ResponseWriter, r *http.Request, size int64, what string) ([]byte, bool) {
+	if !checkLength(w, r, size, what) {
 		return nil, false
 	}
 	buf := make([]byte, size)
-	got := copy(buf, prefix)
-	read, err := io.ReadFull(r.Body, buf[got:])
-	got += read
+	got, err := io.ReadFull(r.Body, buf)
 	switch {
 	case err == nil:
-		// A full buffer must also be the end of the body.
-		if m, _ := io.ReadFull(r.Body, make([]byte, 1)); m > 0 {
+		if runsPast(r.Body) {
 			writeError(w, http.StatusRequestEntityTooLarge, "%s runs past the model's %d bytes", what, size)
 			return nil, false
 		}
@@ -525,12 +538,14 @@ func readPrefix(w http.ResponseWriter, r *http.Request) ([]byte, string, bool) {
 
 // handleRegister is resolve → charge → read → decode → validate → bind →
 // insert. The model named in the frame's prefix fixes the frame's exact size
-// and its keys' cost, so an unknown model is a 404 and a registration the key
-// budget cannot hold a 429 before the keys are read, and the keys are read
-// into one buffer of that size or refused (frame.go). Every check on the
-// shape of the uploaded keys lives in ckks (EvaluationKeySet.Validate), where
-// the shapes are defined; a key set that passes cannot panic the key-switch
-// loop at inference time.
+// and its keys' cost, so an unknown model is a 404, a registration the key
+// budget cannot hold a 429 and a declared length other than the frame's a
+// 413 or 400, all before the keys are read. The rest of the frame is decoded
+// as it arrives, never held whole (frame.go): the literal must match the
+// model's before any key byte is read, and the keys are decoded off the body
+// one at a time. Every check on the shape of the uploaded keys lives in ckks
+// (EvaluationKeySet.Validate), where the shapes are defined; a key set that
+// passes cannot panic the key-switch loop at inference time.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	prefix, ref, ok := readPrefix(w, r)
 	if !ok {
@@ -562,35 +577,47 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.regLat.With(phase).Record(now.Sub(mark))
 		mark = now
 	}
-	size := frameSize(ref, dep.ParamBytes(), dep.Params(), len(dep.Rotations()))
-	data, ok := readSized(w, r, prefix, int64(size), "registration frame")
-	if !ok {
+	params := dep.Params()
+	size := int64(frameSize(ref, dep.ParamBytes(), params, len(dep.Rotations())))
+	if !checkLength(w, r, size, "registration frame") {
+		return
+	}
+	// rest is the frame behind the prefix; what it has left unread tells how
+	// far a short body got.
+	rest := &io.LimitedReader{R: r.Body, N: size - int64(len(prefix))}
+	refuse := func(err error) {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			writeError(w, http.StatusBadRequest, "registration frame ends at %d bytes, the model's is %d", size-rest.N, size)
+			return
+		}
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+	literal := make([]byte, len(dep.ParamBytes()))
+	err := readLength(rest, len(literal), "parameter literal")
+	if err == nil {
+		_, err = io.ReadFull(rest, literal)
+	}
+	if err == nil && !bytes.Equal(literal, dep.ParamBytes()) {
+		err = fmt.Errorf("session parameters do not match model %q's prescribed literal; fetch GET /v1/models/%s",
+			dep.Model().Name, dep.Model().Name)
+	}
+	if err != nil {
+		refuse(err)
 		return
 	}
 	phaseDone("read")
-	s.payloads.With("register").Add(uint64(len(data)))
-	var reg registration
-	if err := reg.UnmarshalBinary(data); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !bytes.Equal(reg.Params, dep.ParamBytes()) {
-		writeError(w, http.StatusBadRequest,
-			"session parameters do not match model %q's prescribed literal; fetch GET /v1/models/%s",
-			dep.Model().Name, dep.Model().Name)
-		return
-	}
-	params := dep.Params()
-	keys := ckks.EvaluationKeySet{Relin: new(ckks.RelinearizationKey), Rotations: new(ckks.RotationKeySet)}
-	err := keys.Relin.UnmarshalBinary(reg.RelinKey)
-	if err == nil {
-		err = keys.Rotations.UnmarshalBinary(reg.RotationKeys)
-	}
-	if err == nil {
-		phaseDone("decode")
-		err = keys.Validate(params, dep.Rotations())
-	}
+	keys, err := readKeys(rest, params, len(dep.Rotations()))
 	if err != nil {
+		refuse(fmt.Errorf("evaluation keys: %w", err))
+		return
+	}
+	if runsPast(r.Body) {
+		writeError(w, http.StatusRequestEntityTooLarge, "registration frame runs past the model's %d bytes", size)
+		return
+	}
+	phaseDone("decode")
+	s.payloads.With("register").Add(uint64(size))
+	if err := keys.Validate(params, dep.Rotations()); err != nil {
 		writeError(w, http.StatusBadRequest, "evaluation keys: %v", err)
 		return
 	}
@@ -663,7 +690,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// scale, so the door admits one input shape: the prescribed literal's
 	// top level and default scale, what every client encrypts at. Another
 	// shape would make each layer re-encode.
-	data, ok := readSized(w, r, nil, int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
+	data, ok := readSized(w, r, int64(params.CiphertextWireSize(params.MaxLevel())), "ciphertext")
 	if !ok {
 		return
 	}

@@ -153,24 +153,42 @@ func keyGen(t testing.TB, srv *Server, seed int64, vary func(*ckks.ParametersLit
 	return kg, kg.GenSecretKey()
 }
 
+// registration is a registration frame's fields as a test builds them,
+// well-formed or not (see frame.go for the layout).
+type registration struct {
+	Model                          string
+	Params, RelinKey, RotationKeys []byte
+}
+
 // frameFor builds the registration frame a client would send for the test
 // server's model with keys from kg covering steps, packed under kg's
 // parameters.
 func frameFor(srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int) registration {
 	dep := srv.reg.List()[0]
 	return registration{Model: dep.Ref(), Params: dep.ParamBytes(),
-		RelinKey: kg.AppendRelinearizationKey(nil, sk), RotationKeys: kg.AppendRotationKeys(nil, sk, steps)}
+		RelinKey:     streamed(func(w io.Writer) error { return kg.WriteRelinearizationKey(w, sk) }),
+		RotationKeys: streamed(func(w io.Writer) error { return kg.WriteRotationKeys(w, sk, steps) })}
 }
 
-// rawBlob appends a key blob already in wire form.
-func rawBlob(blob []byte) func([]byte) []byte {
-	return func(b []byte) []byte { return append(b, blob...) }
+// streamed is the bytes write puts on a stream; writing to memory cannot
+// fail.
+func streamed(write func(io.Writer) error) []byte {
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
 }
 
-// marshalFrame frames reg's fields as they stand, well-formed or not, with
-// the writer clients use.
+// marshalFrame frames reg's fields as they stand, well-formed or not.
 func marshalFrame(reg registration) []byte {
-	return appendRegistration(nil, reg.Model, reg.Params, rawBlob(reg.RelinKey), rawBlob(reg.RotationKeys))
+	var w wire.Writer
+	w.U32(registrationMagic)
+	w.Blob([]byte(reg.Model))
+	w.Blob(reg.Params)
+	w.Blob(reg.RelinKey)
+	w.Blob(reg.RotationKeys)
+	return w
 }
 
 // liveSessions sums the per-model session counts of a stats snapshot.
@@ -242,7 +260,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	cases["cut one byte short"] = honestBytes[:len(honestBytes)-1]
 
 	// A duplicate step: the single-key set's entry (step | digits), twice.
-	one := kg.AppendRotationKeys(nil, sk, steps[:1])
+	one := streamed(func(w io.Writer) error { return kg.WriteRotationKeys(w, sk, steps[:1]) })
 	entry := one[8:] // after (magic | count)
 	var dup wire.Writer
 	dup.Bytes(one[:4])
@@ -495,6 +513,59 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: a %d-byte body made the server allocate %d bytes", name, len(body), got)
 		}
 	}
+
+	// A body that declares the frame's length and stalls — after the prefix,
+	// or after the literal at the first key byte — holds the server to what
+	// it has read: at most one key's buffer, never the frame.
+	kg, sk := keyGen(t, srv, 3, nil)
+	honest := marshalFrame(frameFor(srv, kg, sk, dep.Rotations()))
+	for name, at := range map[string]int{"after the prefix": 8 + len(dep.Ref()), "at the first key byte": 8 + len(dep.Ref()) + 4 + len(dep.ParamBytes()) + 4} {
+		body := &stallingReader{data: honest[:at], stalled: make(chan struct{}), release: make(chan struct{})}
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", body)
+		req.ContentLength = int64(len(honest))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			handler.ServeHTTP(rec, req)
+		}()
+		<-body.stalled
+		runtime.ReadMemStats(&after)
+		close(body.release)
+		<-answered
+		bound := uint64(4+params.KeyWireSize()) + 64<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound || uint64(len(honest)) <= bound {
+			t.Errorf("%s: a %d-byte frame stalled at byte %d with the server holding %d bytes, over one key's %d bytes and the slack",
+				name, len(honest), at, got, params.KeyWireSize())
+		}
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: a frame ending where it stalled got %d, want 400", name, rec.Code)
+		}
+	}
+}
+
+// stallingReader yields data, then blocks the next read until release is
+// closed, reporting the stall on stalled, and ends there.
+type stallingReader struct {
+	data             []byte
+	stalled, release chan struct{}
+}
+
+func (s *stallingReader) Read(p []byte) (int, error) {
+	if len(s.data) > 0 {
+		n := copy(p, s.data)
+		s.data = s.data[n:]
+		return n, nil
+	}
+	select {
+	case <-s.release:
+	default:
+		close(s.stalled)
+		<-s.release
+	}
+	return 0, io.EOF
 }
 
 // TestSessionDelete covers the lifecycle endpoint: a closed session 404s
@@ -625,7 +696,8 @@ func TestInferUnknownSessionAndHostileCiphertext(t *testing.T) {
 // buffer of at most a top-level ciphertext's size, so a faulty server or
 // proxy that streams past it — with no length or under a claimed one — gets
 // an error back, not an allocation of whatever it sends. A body of exactly
-// the bound is read, and fails only as the garbage it is.
+// the bound is read, and fails only as the garbage it is. The registration
+// answer is bounded the same way.
 func TestClientBoundsResultRead(t *testing.T) {
 	model, err := registry.DemoModel(11, testLogN)
 	if err != nil {
@@ -671,6 +743,29 @@ func TestClientBoundsResultRead(t *testing.T) {
 			t.Errorf("%s: got %v, want an error containing %q", name, err, c.want)
 		}
 		ts.Close()
+	}
+
+	// A registration's answer is a session id and a model reference: an
+	// endless JSON body fails at maxRegisterResponse instead of growing.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = io.WriteString(w, `{"sessionID":"`)
+		chunk := bytes.Repeat([]byte("a"), 4096)
+		for {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer ts.Close()
+	paramBytes, err := model.Params.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &ModelInfo{Name: "endless", Version: 1, Params: paramBytes, Rotations: model.MLP.ServingRotations(params.Slots())}
+	if _, err := NewClient(ts.URL, nil).newSession(context.Background(), info, 5); err == nil || !strings.Contains(err.Error(), "runs past") {
+		t.Errorf("endless registration answer: got %v, want an error containing %q", err, "runs past")
 	}
 }
 

@@ -135,12 +135,13 @@ var payloadBytes = regexp.MustCompile(`(?m)^henn_payload_bytes_total\{kind="([a-
 
 // TestRegisterPhasesOnMetrics: a registration times its read, decode and
 // validate phases into henn_register_seconds, and a frame refused in one
-// phase records the phases before it and none after.
+// phase records the phases before it and none after. The read phase ends
+// once the literal has matched; decode reads and decodes the keys.
 func TestRegisterPhasesOnMetrics(t *testing.T) {
 	_, srv, ts := newTestServer(t)
 	dep := srv.reg.List()[0]
 	kg := ckks.NewKeyGenerator(dep.Params(), 3)
-	frame := keysIntoFrame(kg, kg.GenSecretKey(), dep.Ref(), dep.ParamBytes(), dep.Params(), dep.Rotations())
+	frame := clientFrame(kg, kg.GenSecretKey(), dep.Ref(), dep.ParamBytes(), dep.Params(), dep.Rotations())
 	post := func(body []byte, want int) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(body))
@@ -169,10 +170,18 @@ func TestRegisterPhasesOnMetrics(t *testing.T) {
 	if got, want := counts(), map[string]int{"read": 1, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
 		t.Errorf("after one registration the phase counts are %v, want %v", got, want)
 	}
-	// The literal's last byte is the decode phase's to refuse.
+	// The literal's last byte is the read phase's to refuse.
+	literalEnd := 4 + 4 + len(dep.Ref()) + 4 + len(dep.ParamBytes())
 	foreign := bytes.Clone(frame)
-	foreign[4+4+len(dep.Ref())+4+len(dep.ParamBytes())-1] ^= 1
+	foreign[literalEnd-1] ^= 1
 	post(foreign, http.StatusBadRequest)
+	if got, want := counts(), map[string]int{"read": 1, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
+		t.Errorf("after a frame refused in read the phase counts are %v, want %v", got, want)
+	}
+	// The relinearization key's magic is the decode phase's.
+	badKey := bytes.Clone(frame)
+	badKey[literalEnd+4] ^= 1
+	post(badKey, http.StatusBadRequest)
 	if got, want := counts(), map[string]int{"read": 2, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
 		t.Errorf("after a frame refused in decode the phase counts are %v, want %v", got, want)
 	}
