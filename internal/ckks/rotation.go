@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/parallel"
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -93,10 +92,12 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 // WriteRotationKeys is GenRotationKeys' streaming front-end: it writes the
 // set's packed wire form (RotationKeySet.AppendWire's bytes under the
 // generator's parameters, RotationKeysWireSize of them) to w and keeps no
-// key. The keys fan across cores as GenRotationKeys' do, each generated into
-// a buffer of its wire size and written in step order through a keyWindow of
-// one buffer a worker. The first write error stops it: keys being generated
-// finish, and no other starts.
+// key. The keys fan across cores as GenRotationKeys' do and reach w in step
+// order: key i is generated into buffer i mod n, one a worker, once key i-n
+// has been written from it, and is written once key i-1 has been. written[i]
+// closes when key i is on w. The first write error closes stop and stops
+// the fan: keys being generated finish, keys waiting for a buffer or their
+// turn return the error, and no key is written after it.
 func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []int) error {
 	uniq := kg.rotationSteps(steps)
 	var head wire.Writer
@@ -105,89 +106,54 @@ func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []in
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	win := newKeyWindow(w, min(parallel.Workers(-1), len(uniq)), 4+kg.params.KeyWireSize())
-	defer win.release()
-	return kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
-		kw, err := win.take(i)
-		if err != nil {
+	bufs := make([]*[]byte, min(parallel.Workers(-1), len(uniq)))
+	written := make([]chan struct{}, len(uniq))
+	for i := range written {
+		written[i] = make(chan struct{})
+	}
+	stop := make(chan struct{})
+	var werr error // set before stop closes
+	// wait blocks until key i is on w, or returns the write error that
+	// stopped the writer.
+	wait := func(i int) error {
+		if i < 0 {
+			return nil
+		}
+		select {
+		case <-written[i]:
+			return nil
+		case <-stop:
+			return werr
+		}
+	}
+	err := kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
+		if err := wait(i - len(bufs)); err != nil {
 			return err
 		}
+		b := &bufs[i%len(bufs)]
+		if *b == nil {
+			*b = borrowKeyBuffer(4 + kg.params.KeyWireSize())
+		}
+		kw := wire.Writer((**b)[:0])
 		kw.U32(uint32(uniq[i]))
 		sub.appendKey(&kw, sk, srcQ, seed)
-		return win.put(i, kw)
+		if err := wait(i - 1); err != nil {
+			return err
+		}
+		if _, err := w.Write(kw); err != nil {
+			werr = err
+			close(stop)
+			return err
+		}
+		close(written[i])
+		return nil
 	})
-}
-
-// keyWindow puts keys generated out of order onto w in order. Key i is
-// generated into buffer i mod len(bufs), which is free once key i-len(bufs)
-// is on the wire, so the buffers, borrowed from keyScratch, are all the key
-// bytes a writer holds. Whichever job completes the key due next writes it,
-// and every ready key behind it.
-type keyWindow struct {
-	w    io.Writer
-	size int // bytes of one key's buffer
-	mu   sync.Mutex
-	turn sync.Cond // broadcast when a key goes onto the wire or a write fails
-	bufs []*[]byte
-	// ready reports, by buffer, that it holds a key not yet on the wire.
-	ready []bool
-	next  int   // the key due on the wire
-	busy  bool  // a job is writing
-	err   error // the first write error
-}
-
-func newKeyWindow(w io.Writer, n, size int) *keyWindow {
-	n = max(n, 1)
-	win := &keyWindow{w: w, size: size, bufs: make([]*[]byte, n), ready: make([]bool, n)}
-	win.turn.L = &win.mu
-	return win
-}
-
-// take waits until key i may be generated and returns its buffer, empty, or
-// the write error that stopped the window.
-func (win *keyWindow) take(i int) (wire.Writer, error) {
-	win.mu.Lock()
-	defer win.mu.Unlock()
-	for i >= win.next+len(win.bufs) && win.err == nil {
-		win.turn.Wait()
-	}
-	if win.err != nil {
-		return nil, win.err
-	}
-	b := &win.bufs[i%len(win.bufs)]
-	if *b == nil {
-		*b = borrowKeyBuffer(win.size)
-	}
-	return (**b)[:0], nil
-}
-
-// release returns the window's buffers to keyScratch once no job holds one.
-func (win *keyWindow) release() {
-	for _, b := range win.bufs {
+	for _, b := range bufs {
 		if b != nil {
 			keyScratch.Put(b)
 		}
 	}
-}
-
-// put hands key i, generated into b, back to the window, and writes the keys
-// now due unless another job is writing them. It reports the first write
-// error.
-func (win *keyWindow) put(i int, b wire.Writer) error {
-	win.mu.Lock()
-	defer win.mu.Unlock()
-	win.ready[i%len(win.bufs)] = true
-	*win.bufs[i%len(win.bufs)] = b
-	for due := win.next % len(win.bufs); !win.busy && win.err == nil && win.ready[due]; due = win.next % len(win.bufs) {
-		win.busy = true
-		win.mu.Unlock()
-		_, err := win.w.Write(*win.bufs[due])
-		win.mu.Lock()
-		win.busy, win.ready[due], win.err = false, false, err
-		win.next++
-		win.turn.Broadcast()
-	}
-	return win.err
+	return err
 }
 
 // rotationSteps normalizes steps, drops zero and repeats, and sorts them: the

@@ -276,15 +276,15 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	// describe: a supersede landing between the info fetch and this
 	// registration must 410 cleanly instead of silently binding the new
 	// version under the old version's parameters. The keys are generated
-	// straight onto the request body, so the client never holds the frame.
+	// straight onto the request body, so the client never holds it.
 	body, gen := io.Pipe()
 	generated := make(chan struct{})
 	go func() {
 		defer close(generated)
-		gen.CloseWithError(writeRegistration(gen, kg, sk, info.Ref(), info.Params, params, info.Rotations))
+		gen.CloseWithError(writeRegistration(gen, kg, sk, info.Params, info.Rotations))
 	}()
-	resp, err := c.stream(ctx, http.MethodPost, "/v1/sessions", body,
-		int64(frameSize(info.Ref(), info.Params, params, len(info.Rotations))), http.StatusOK)
+	resp, err := c.stream(ctx, http.MethodPost, "/v1/sessions?model="+url.QueryEscape(info.Ref()), body,
+		int64(frameSize(info.Params, params, len(info.Rotations))), http.StatusOK)
 	// However the request ended, nothing reads the body any more: a
 	// generator still writing stops at its next write, and no goroutine
 	// outlives the call.
@@ -316,7 +316,7 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 }
 
 // maxRegisterResponse bounds the registration answer: a 32-digit session id
-// and a model reference of at most maxModelRef bytes, in JSON.
+// and the versioned model reference, in JSON.
 const maxRegisterResponse = 1 << 12
 
 // ID returns the server-assigned session id.

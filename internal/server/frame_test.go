@@ -14,30 +14,34 @@ import (
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/registry"
-	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // servingLit is hennbench's 128-wide serving literal: LogN 10, ten limbs,
 // three special primes.
 var servingLit = ckks.ParametersLiteral{LogN: 10, LogQ: []int{55, 45, 45, 45, 45, 45, 45, 45, 45, 45}, LogP: []int{55, 55, 55}, LogScale: 45}
 
-// goldenFrameDigest is the SHA-256 of the registration frame for
-// servingLit's keys from seed 28 over goldenFrameSteps. It was taken at the
-// commit before the frame was written in one pass, where the client
-// marshaled each key set and then copied both into the frame: the one-pass
-// writer must send the same bytes. It was re-pinned when the rotation-key
-// set lost its trailing key flag: the frame moved by that flag and the new
-// magic alone. It was re-pinned again when residues went onto the wire at
-// their primes' byte widths: new key magics, a width byte per limb, 6 or 7
-// bytes a residue, and the same residues.
-const goldenFrameDigest = "6f5229b7946066d6826fd515f1092306c27d0e8c34cdf862e7dac550483a7a30"
+// goldenFrameDigest is the SHA-256 of the registration body for
+// servingLit's keys from seed 28 over goldenFrameSteps. It was re-pinned
+// when the route took the model: the body is retiredFrameDigest's frame with
+// its magic, its model blob and its three u32 lengths cut out.
+const goldenFrameDigest = "0e13f726ab9c4e61b7cd667827f16c207bb83a0a2545f3f35c849abee3bdeb64"
+
+// retiredFrameDigest is the SHA-256 of the same keys in the retired frame,
+// naming the model "golden@1": the digest the body was pinned by before the
+// route took the model. That frame was first pinned at the commit before it
+// was written in one pass, re-pinned when the rotation-key set lost its
+// trailing key flag, and again when residues went onto the wire at their
+// primes' byte widths.
+const retiredFrameDigest = "6f5229b7946066d6826fd515f1092306c27d0e8c34cdf862e7dac550483a7a30"
 
 var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
 
-// TestRegistrationFrameGolden pins the frame two ways: built from keys
+// TestRegistrationFrameGolden pins the body two ways: built from keys
 // generated whole and then marshaled, and streamed the way clients send it,
 // with every key generated straight onto the stream. The rotation keys fan
 // across cores on their way to the stream, so it runs on one P and on four.
+// The marshaled keys inside the retired frame still hash to its digest: the
+// route change moved no key byte.
 func TestRegistrationFrameGolden(t *testing.T) {
 	params, err := ckks.NewParameters(servingLit)
 	if err != nil {
@@ -47,49 +51,51 @@ func TestRegistrationFrameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(t *testing.T, frame []byte) {
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	check := func(t *testing.T, body []byte) {
 		t.Helper()
-		sum := sha256.Sum256(frame)
-		if got := hex.EncodeToString(sum[:]); got != goldenFrameDigest {
-			t.Errorf("registration frame: %d bytes digest %s, want %s", len(frame), got, goldenFrameDigest)
+		if got := digest(body); got != goldenFrameDigest {
+			t.Errorf("registration body: %d bytes digest %s, want %s", len(body), got, goldenFrameDigest)
 		}
-		if want := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps)); len(frame) != want {
-			t.Errorf("frame of %d bytes; frameSize says %d", len(frame), want)
+		if want := frameSize(paramBytes, params, len(goldenFrameSteps)); len(body) != want {
+			t.Errorf("body of %d bytes; frameSize says %d", len(body), want)
 		}
 	}
 	t.Run("marshaled", func(t *testing.T) {
 		kg := ckks.NewKeyGenerator(params, 28)
 		sk := kg.GenSecretKey()
-		check(t, marshalRegistration("golden@1", paramBytes, params,
-			kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)))
+		rlk, rks := kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false)
+		check(t, marshalRegistration(paramBytes, params, rlk, rks))
+		retired := retiredFrame("golden@1", registration{Params: paramBytes,
+			RelinKey: rlk.AppendWire(nil, params), RotationKeys: rks.AppendWire(nil, params)})
+		if got := digest(retired); got != retiredFrameDigest {
+			t.Errorf("the keys in the retired frame: digest %s, want %s", got, retiredFrameDigest)
+		}
 	})
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("generated-into-frame/GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			kg := ckks.NewKeyGenerator(params, 28)
-			check(t, clientFrame(kg, kg.GenSecretKey(), "golden@1", paramBytes, params, goldenFrameSteps))
+			check(t, clientFrame(kg, kg.GenSecretKey(), paramBytes, goldenFrameSteps))
 		})
 	}
 }
 
-// marshalRegistration builds the frame from keys generated whole, a_d and
-// b_d in fresh polys, each key then packed into the frame's one buffer under
-// params: the reference the streamed frame must match byte for byte.
-func marshalRegistration(ref string, paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) []byte {
-	w := make(wire.Writer, 0, frameSize(ref, paramBytes, params, len(rks.Steps())))
-	w.U32(registrationMagic)
-	w.Blob([]byte(ref))
-	w.Blob(paramBytes)
-	w.U32(uint32(params.RelinKeyWireSize()))
-	w = rlk.AppendWire(w, params)
-	w.U32(uint32(params.RotationKeysWireSize(len(rks.Steps()))))
-	return rks.AppendWire(w, params)
+// marshalRegistration builds the body from keys generated whole, a_d and b_d
+// in fresh polys, each key then packed into the body's one buffer under
+// params: the reference the streamed body must match byte for byte.
+func marshalRegistration(paramBytes []byte, params *ckks.Parameters, rlk *ckks.RelinearizationKey, rks *ckks.RotationKeySet) []byte {
+	w := append(make([]byte, 0, frameSize(paramBytes, params, len(rks.Steps()))), paramBytes...)
+	return rks.AppendWire(rlk.AppendWire(w, params), params)
 }
 
-// clientFrame is the frame a client streams for the model ref names, with
-// kg's keys for steps, collected in memory.
-func clientFrame(kg *ckks.KeyGenerator, sk *ckks.SecretKey, ref string, paramBytes []byte, params *ckks.Parameters, steps []int) []byte {
-	return streamed(func(w io.Writer) error { return writeRegistration(w, kg, sk, ref, paramBytes, params, steps) })
+// clientFrame is the body a client streams with kg's keys for steps,
+// collected in memory.
+func clientFrame(kg *ckks.KeyGenerator, sk *ckks.SecretKey, paramBytes []byte, steps []int) []byte {
+	return streamed(func(w io.Writer) error { return writeRegistration(w, kg, sk, paramBytes, steps) })
 }
 
 // TestKeysIntoFrameMatchesMarshaled: generating the keys straight onto the
@@ -116,25 +122,25 @@ func TestKeysIntoFrameMatchesMarshaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name, ref  string
+		name       string
 		params     *ckks.Parameters
 		paramBytes []byte
 		steps      []int
 	}{
-		{"demo", dep.Ref(), dep.Params(), dep.ParamBytes(), dep.Rotations()},
-		{"servingLit", "golden@1", served, servedBytes, goldenFrameSteps},
+		{"demo", dep.Params(), dep.ParamBytes(), dep.Rotations()},
+		{"servingLit", served, servedBytes, goldenFrameSteps},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			kg := ckks.NewKeyGenerator(tc.params, seed)
 			sk := kg.GenSecretKey()
 			kg.GenPublicKey(sk)
-			want := marshalRegistration(tc.ref, tc.paramBytes, tc.params,
+			want := marshalRegistration(tc.paramBytes, tc.params,
 				kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, tc.steps, false))
 			kg = ckks.NewKeyGenerator(tc.params, seed)
 			sk = kg.GenSecretKey()
 			kg.GenPublicKey(sk)
-			if got := clientFrame(kg, sk, tc.ref, tc.paramBytes, tc.params, tc.steps); !bytes.Equal(got, want) {
+			if got := clientFrame(kg, sk, tc.paramBytes, tc.steps); !bytes.Equal(got, want) {
 				t.Errorf("%s, seed %d: the %d-byte streamed frame differs from the %d-byte marshaled one",
 					tc.name, seed, len(got), len(want))
 			}
@@ -184,14 +190,14 @@ func TestKeysIntoFrameAllocBound(t *testing.T) {
 	}
 	kg := ckks.NewKeyGenerator(params, 28)
 	sk := kg.GenSecretKey()
-	frame := frameSize("golden@1", paramBytes, params, len(goldenFrameSteps))
+	frame := frameSize(paramBytes, params, len(goldenFrameSteps))
 	whole := allocatedPerRun(1, 3, func() {
-		marshalRegistration("golden@1", paramBytes, params,
+		marshalRegistration(paramBytes, params,
 			kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, goldenFrameSteps, false))
 	})
 	for _, procs := range []int{1, 4} {
 		perRun := allocatedPerRun(procs, 3, func() {
-			if err := writeRegistration(io.Discard, kg, sk, "golden@1", paramBytes, params, goldenFrameSteps); err != nil {
+			if err := writeRegistration(io.Discard, kg, sk, paramBytes, goldenFrameSteps); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -237,7 +243,7 @@ func TestKeysIntoFrameHoldsOneKeyAWorker(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		w := &keyBufferWriter{keyBytes: 4 + params.KeyWireSize(), bufs: map[*byte]bool{}}
-		err := writeRegistration(w, kg, sk, "golden@1", paramBytes, params, goldenFrameSteps)
+		err := writeRegistration(w, kg, sk, paramBytes, goldenFrameSteps)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -271,14 +277,14 @@ func TestRegisterAllocBound(t *testing.T) {
 	dep := srv.reg.List()[0]
 	kg := ckks.NewKeyGenerator(dep.Params(), 28)
 	sk := kg.GenSecretKey()
-	frame := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+	frame := marshalRegistration(dep.ParamBytes(), dep.Params(),
 		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
 	handler := srv.Handler()
 	perRun := allocatedPerRun(1, 3, func() {
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(frame)))
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), bytes.NewReader(frame)))
 		if rec.Code != http.StatusOK {
-			t.Fatalf("honest frame: %d %s", rec.Code, rec.Body)
+			t.Fatalf("honest body: %d %s", rec.Code, rec.Body)
 		}
 		srv.closeSessions(func(*session) bool { return true })
 	})

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// FuzzRegisterFrame throws arbitrary bytes at POST /v1/sessions — prefix
-// read, model resolution, the sized body read, frame decode, key decode and
+// FuzzRegisterFrame throws arbitrary bodies at POST /v1/sessions?model= for
+// the test model — the sized body read, the literal match, key decode and
 // ckks validation, in one handler.
-// Anything but an honest frame must be refused with a 4xx (never a panic, a
+// Anything but an honest body must be refused with a 4xx (never a panic, a
 // 5xx, or an allocation sized by a hostile length), and only a 200 may leave
 // a session behind. Once that session is deleted, nothing may stay charged
 // to the key budget.
@@ -24,12 +24,12 @@ func FuzzRegisterFrame(f *testing.F) {
 	seed := marshalFrame(honest)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:4+4+len(honest.Model)+4+len(honest.Params)]) // header only
+	f.Add(seed[:len(honest.Params)]) // the literal only
 	f.Add([]byte{})
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt)
-	// The same frame as a client from before grouped digits would frame it:
+	// The same body as a client from before grouped digits would frame it:
 	// retired magics on the literal and on both keys.
 	old := honest
 	for blob, magic := range map[*[]byte]uint32{&old.Params: 0x5AF7CC05, &old.RelinKey: 0x5AF7CC0B, &old.RotationKeys: 0x5AF7CC06} {
@@ -74,20 +74,22 @@ func FuzzRegisterFrame(f *testing.F) {
 		copy(hostile.RelinKey[relinWidths:], widths)
 		f.Add(marshalFrame(hostile))
 	}
-	// The server reads the magic and the model blob before anything else and
-	// sizes the rest from the model: the prefix alone, the prefix cut inside
-	// the model, an unknown model, a model reference over maxModelRef, and
-	// the honest frame one byte long.
-	prefix := 8 + len(honest.Model)
-	f.Add(seed[:prefix])
-	f.Add(seed[:prefix-1])
-	f.Add(marshalFrame(registration{Model: "nope@1", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}))
-	f.Add(marshalFrame(registration{Model: string(make([]byte, maxModelRef+1)), Params: honest.Params}))
+	// The server sizes the body from the model the query names: the honest
+	// body one byte long and one byte short, cut behind the relinearization
+	// key, with its key payloads swapped, and the same payloads in the
+	// retired frame, which led with the model, whole and cut to the body's
+	// size.
 	f.Add(append(append([]byte(nil), seed...), 0))
+	f.Add(seed[:len(seed)-1])
+	f.Add(seed[:len(honest.Params)+len(honest.RelinKey)])
+	f.Add(marshalFrame(registration{Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}))
+	retired := retiredFrame(dep.Ref(), honest)
+	f.Add(retired)
+	f.Add(retired[:len(seed)])
 	handler := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(data)))
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), bytes.NewReader(data)))
 		registered := liveSessions(srv)
 		var resp registerResponse
 		switch {

@@ -235,7 +235,7 @@ func TestAdminAuth(t *testing.T) {
 
 // TestKeyBudget: a session costs the key budget its expanded keys, whatever
 // its model. With room for one session, a second registration, to either
-// model, answers 429 having read no more than the frame's prefix; and each
+// model, answers 429 having read no body byte; and each
 // way a session ends (delete, retire, TTL eviction) returns its charge, so
 // the next registration succeeds. Close returns what is left.
 func TestKeyBudget(t *testing.T) {
@@ -256,17 +256,17 @@ func TestKeyBudget(t *testing.T) {
 	dep, _ := srv.reg.Resolve("alpha")
 	kg := ckks.NewKeyGenerator(dep.Params(), 5)
 	sk := kg.GenSecretKey()
-	frame := marshalRegistration(dep.Ref(), dep.ParamBytes(), dep.Params(),
+	frame := marshalRegistration(dep.ParamBytes(), dep.Params(),
 		kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, dep.Rotations(), false))
 	handler := srv.Handler()
 	refused := func(when string) {
 		t.Helper()
 		body := &countingReader{r: bytes.NewReader(frame)}
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", body))
-		if rec.Code != http.StatusTooManyRequests || body.n > maxPrefix {
-			t.Fatalf("%s: got %d %s having read %d body bytes, want 429 within the %d-byte prefix",
-				when, rec.Code, rec.Body, body.n, maxPrefix)
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), body))
+		if rec.Code != http.StatusTooManyRequests || body.n > 0 {
+			t.Fatalf("%s: got %d %s having read %d body bytes, want 429 with none read",
+				when, rec.Code, rec.Body, body.n)
 		}
 		if charged, live := keyCharge(srv); charged != charge || live != charge {
 			t.Fatalf("%s: %d bytes charged, %d held by live sessions, want %d", when, charged, live, charge)
@@ -330,7 +330,8 @@ func TestKeyBudgetBurst(t *testing.T) {
 	budget := k * sessionCharge(t, model)
 	_, srv, _ := newSchedServer(t, Options{KeyBudget: budget})
 	kg, sk := keyGen(t, srv, 3, nil)
-	frame := marshalFrame(frameFor(srv, kg, sk, srv.reg.List()[0].Rotations()))
+	dep := srv.reg.List()[0]
+	frame := marshalFrame(frameFor(srv, kg, sk, dep.Rotations()))
 	handler := srv.Handler()
 
 	stop, watched := make(chan struct{}), make(chan struct{})
@@ -355,7 +356,7 @@ func TestKeyBudgetBurst(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(frame)))
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), bytes.NewReader(frame)))
 			codes[i] = rec.Code
 		}()
 	}
@@ -767,11 +768,11 @@ func generatorRunning() bool {
 
 // TestStreamedRegistrationLeavesNoGoroutine: a client streams its keys onto
 // the registration body from a generator goroutine. A registration refused
-// at the prefix (404 unknown model, 429 key budget full), refused at bind
-// (410 draining), refused by a server that then stops reading, or whose
-// context is cancelled mid-upload returns an error with that generator
-// already stopped, and once the servers are closed the goroutine count is
-// back at its baseline.
+// before a body byte is read (404 unknown model, 429 key budget full),
+// refused at bind (410 draining), refused by a server that then stops
+// reading, or whose context is cancelled mid-upload returns an error with
+// that generator already stopped, and once the servers are closed the
+// goroutine count is back at its baseline.
 func TestStreamedRegistrationLeavesNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	alpha := shapedModel(t, "alpha", 151, 16, 8, 4)
@@ -837,7 +838,7 @@ func TestStreamedRegistrationLeavesNoGoroutine(t *testing.T) {
 	refused("unknown model", err, "404")
 
 	// Mid-upload: the 128-wide serving literal with 24 rotation keys is an
-	// 8 MB frame, more than the loopback buffers take before the server reads.
+	// 8 MB body, more than the loopback buffers take before the server reads.
 	paramBytes, err := servingLit.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -855,7 +856,7 @@ func TestStreamedRegistrationLeavesNoGoroutine(t *testing.T) {
 	refused("cancelled mid-upload", err, context.Canceled.Error())
 	close(dropped)
 
-	// A server that answers before it has read the frame, and then neither
+	// A server that answers before it has read the body, and then neither
 	// reads nor hangs up, leaves the body's writer blocked: the client must
 	// stop the generator itself.
 	answered := make(chan struct{})
@@ -874,9 +875,9 @@ func TestStreamedRegistrationLeavesNoGoroutine(t *testing.T) {
 	}()
 	select {
 	case err = <-done:
-		refused("answered before the frame was read", err, "404")
+		refused("answered before the body was read", err, "404")
 	case <-time.After(20 * time.Second):
-		t.Error("answered before the frame was read: the registration did not return")
+		t.Error("answered before the body was read: the registration did not return")
 	}
 	close(answered)
 

@@ -55,16 +55,17 @@
 //	    the stack, caches included, once the last of them answers. 204 on
 //	    success.
 //
-//	POST /v1/sessions
-//	    one binary frame (blob = u32 length | bytes, little-endian):
-//	      u32 0x5AF7CC0D | blob model | blob params | blob relinKey | blob rotationKeys
+//	POST /v1/sessions?model=<ref>
+//	    three internal/ckks payloads back to back, each behind its magic:
+//	      ParametersLiteral | RelinearizationKey | RotationKeySet
 //	    -> {sessionID, model}
 //	    Binds the session to a deployed model; the response model is the
 //	    versioned reference ("alpha@2"). model is a bare or versioned
-//	    name (an empty or unknown one is 404); params must byte-match that
-//	    model's prescribed literal; relinKey and rotationKeys are the
-//	    internal/ckks formats, shaped and reduced for those parameters,
-//	    and rotationKeys must cover exactly the model's rotation set.
+//	    name (an empty or unknown one is 404, before any body byte is
+//	    read); the model fixes the body's exact length (any other is 413
+//	    or 400); the literal must byte-match the model's prescribed one;
+//	    the keys must be shaped and reduced for those parameters, and the
+//	    rotation keys must cover exactly the model's rotation set.
 //	    Evaluation keys only: no public key is sent, and there is no JSON
 //	    form. Registering against a retired or draining version returns
 //	    410; one the key budget (Options.KeyBudget) cannot hold, 429.

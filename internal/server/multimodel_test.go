@@ -169,8 +169,8 @@ func TestModelSelectionRules(t *testing.T) {
 	if _, err := client.NewSessionFor(ctx, "gamma", 1); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown model: got %v, want 404", err)
 	}
-	// The server has no default model: a well-formed registration frame
-	// with an empty model name is an unknown model.
+	// The server has no default model: a registration that names no model
+	// is for an unknown model.
 	frame := marshalFrame(registration{Params: srv.reg.List()[0].ParamBytes()})
 	resp, err := http.Post(ts+"/v1/sessions", "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {

@@ -301,6 +301,70 @@ func TestDeadSessionJobsNeverRun(t *testing.T) {
 	}
 }
 
+// TestInferQueueFull429: a session's queue holds QueueDepth jobs beside the
+// one its worker runs. With one worker held on the first request and the
+// second queued, the third finds the queue full and answers 429 at once;
+// the first two then answer with the plaintext model's prediction.
+func TestInferQueueFull429(t *testing.T) {
+	model, srv, ts := newSchedServer(t, Options{Workers: 1, QueueDepth: 1})
+	ctx := context.Background()
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(78))
+	var inputs [2][]float64
+	for i := range inputs {
+		inputs[i] = make([]float64, model.InputDim)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	type answer struct {
+		logits []float64
+		err    error
+	}
+	var answers [2]chan answer
+	infer := func(i int) {
+		answers[i] = make(chan answer, 1)
+		go func() {
+			logits, err := sess.Infer(ctx, inputs[i])
+			answers[i] <- answer{logits, err}
+		}()
+	}
+
+	started, releaseWorker := holdWorker(t)
+	infer(0)
+	select {
+	case <-started:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the first request never reached the worker")
+	}
+	infer(1)
+	pollStats(t, srv, func(st Stats) bool { return st.Backlog == 1 }, "the second request queued")
+	// A door that waited for room would hold this request until the worker
+	// is released, which happens only after it answers.
+	third, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if _, err := sess.Infer(third, inputs[0]); err == nil || !strings.Contains(err.Error(), "session queue full") || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("third request with the worker held and the queue full: got %v, want 429 session queue full", err)
+	}
+
+	releaseWorker()
+	for i, ch := range answers {
+		a := <-ch
+		if a.err != nil {
+			t.Fatalf("request %d: %v", i, a.err)
+		}
+		if want := model.MLP.InferPlain(inputs[i])[:model.OutputDim]; argmax(a.logits) != argmax(want) {
+			t.Errorf("request %d: encrypted argmax %d, plaintext %d", i, argmax(a.logits), argmax(want))
+		}
+	}
+	if st := srv.Stats(); st.UnitsRun != 2 || st.UnitsAborted != 0 {
+		t.Fatalf("%d units run and %d aborted, want 2 and 0", st.UnitsRun, st.UnitsAborted)
+	}
+}
+
 // TestIdleWorkersShareOneSession: with two workers idle, one session's two
 // jobs run at once (hennbench's linear_heavy is one session with two
 // clients): a session whose job is running stays open to the next idle

@@ -22,7 +22,6 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/henn"
 	"github.com/efficientfhe/smartpaf/internal/registry"
 	"github.com/efficientfhe/smartpaf/internal/telemetry"
-	"github.com/efficientfhe/smartpaf/internal/wire"
 )
 
 // Options tune the serving front end. The zero value is usable.
@@ -70,7 +69,7 @@ type Options struct {
 
 // maxBundleBytes caps admin deploy bundles, the one body no model sizes.
 // Registrations and ciphertexts are bounded by their model instead: a
-// registration frame has one exact size, a ciphertext a largest one.
+// registration body has one exact size, a ciphertext a largest one.
 const maxBundleBytes = 1 << 30
 
 // DefaultKeyBudget is Options.KeyBudget's default, 2 GiB: 72 sessions of the
@@ -513,49 +512,23 @@ type registerResponse struct {
 	Model     string `json:"model"`
 }
 
-// readPrefix reads a registration frame's magic and model blob, the only
-// bytes read before the model is known, and returns them with the model
-// reference. When it cannot, it has answered 400 and reports false.
-func readPrefix(w http.ResponseWriter, r *http.Request) ([]byte, string, bool) {
-	prefix := make([]byte, maxPrefix)
-	if _, err := io.ReadFull(r.Body, prefix[:8]); err != nil {
-		writeError(w, http.StatusBadRequest, "registration frame: reading the header: %v", err)
-		return nil, "", false
-	}
-	hdr := wire.NewReader("registration frame", prefix[:8])
-	hdr.Magic(registrationMagic)
-	n := hdr.Count(maxModelRef)
-	if err := hdr.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, "", false
-	}
-	if _, err := io.ReadFull(r.Body, prefix[8:8+n]); err != nil {
-		writeError(w, http.StatusBadRequest, "registration frame: reading the model: %v", err)
-		return nil, "", false
-	}
-	return prefix[:8+n], string(prefix[8 : 8+n]), true
-}
-
 // handleRegister is resolve → charge → read → decode → validate → bind →
-// insert. The model named in the frame's prefix fixes the frame's exact size
-// and its keys' cost, so an unknown model is a 404, a registration the key
-// budget cannot hold a 429 and a declared length other than the frame's a
-// 413 or 400, all before the keys are read. The rest of the frame is decoded
-// as it arrives, never held whole (frame.go): the literal must match the
-// model's before any key byte is read, and the keys are decoded off the body
-// one at a time. Every check on the shape of the uploaded keys lives in ckks
+// insert. The model the query names fixes the body's exact size and its
+// keys' cost, so an unknown model is a 404, a registration the key budget
+// cannot hold a 429 and a declared length other than the body's a 413 or
+// 400, all before a body byte is read. The body is decoded as it arrives,
+// never held whole (frame.go): the literal must match the model's before any
+// key byte is read, and the keys are decoded off the body one at a time.
+// Every check on the shape of the uploaded keys lives in ckks
 // (EvaluationKeySet.Validate), where the shapes are defined; a key set that
 // passes cannot panic the key-switch loop at inference time.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	prefix, ref, ok := readPrefix(w, r)
-	if !ok {
-		return
-	}
 	// Names may be versioned ("alpha@2") or bare ("alpha" — the newest live
 	// version). There is no default model: an empty name is unknown too.
+	ref := r.URL.Query().Get("model")
 	dep, ok := s.reg.Resolve(ref)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown model %q", ref)
+		writeError(w, http.StatusNotFound, "unknown model %q: name it in the model query parameter, POST /v1/sessions?model=name or name@version", ref)
 		return
 	}
 	charge := int64(dep.Params().EvaluationKeysSize(len(dep.Rotations())))
@@ -578,25 +551,22 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		mark = now
 	}
 	params := dep.Params()
-	size := int64(frameSize(ref, dep.ParamBytes(), params, len(dep.Rotations())))
-	if !checkLength(w, r, size, "registration frame") {
+	size := int64(frameSize(dep.ParamBytes(), params, len(dep.Rotations())))
+	if !checkLength(w, r, size, "registration body") {
 		return
 	}
-	// rest is the frame behind the prefix; what it has left unread tells how
-	// far a short body got.
-	rest := &io.LimitedReader{R: r.Body, N: size - int64(len(prefix))}
+	// rest is the body to its model's size; what it has left unread tells
+	// how far a short body got.
+	rest := &io.LimitedReader{R: r.Body, N: size}
 	refuse := func(err error) {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			writeError(w, http.StatusBadRequest, "registration frame ends at %d bytes, the model's is %d", size-rest.N, size)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			writeError(w, http.StatusBadRequest, "registration body ends at %d bytes, the model's is %d", size-rest.N, size)
 			return
 		}
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
 	literal := make([]byte, len(dep.ParamBytes()))
-	err := readLength(rest, len(literal), "parameter literal")
-	if err == nil {
-		_, err = io.ReadFull(rest, literal)
-	}
+	_, err := io.ReadFull(rest, literal)
 	if err == nil && !bytes.Equal(literal, dep.ParamBytes()) {
 		err = fmt.Errorf("session parameters do not match model %q's prescribed literal; fetch GET /v1/models/%s",
 			dep.Model().Name, dep.Model().Name)
@@ -606,13 +576,18 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	phaseDone("read")
-	keys, err := readKeys(rest, params, len(dep.Rotations()))
+	var keys ckks.EvaluationKeySet
+	kr := params.NewKeyReader(rest)
+	keys.Relin, err = kr.RelinearizationKey()
+	if err == nil {
+		keys.Rotations, err = kr.RotationKeys(len(dep.Rotations()))
+	}
 	if err != nil {
 		refuse(fmt.Errorf("evaluation keys: %w", err))
 		return
 	}
 	if runsPast(r.Body) {
-		writeError(w, http.StatusRequestEntityTooLarge, "registration frame runs past the model's %d bytes", size)
+		writeError(w, http.StatusRequestEntityTooLarge, "registration body runs past the model's %d bytes", size)
 		return
 	}
 	phaseDone("decode")

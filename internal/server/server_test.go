@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -153,19 +155,17 @@ func keyGen(t testing.TB, srv *Server, seed int64, vary func(*ckks.ParametersLit
 	return kg, kg.GenSecretKey()
 }
 
-// registration is a registration frame's fields as a test builds them,
-// well-formed or not (see frame.go for the layout).
+// registration is a registration body's three payloads as a test builds
+// them, well-formed or not (see frame.go for the layout).
 type registration struct {
-	Model                          string
 	Params, RelinKey, RotationKeys []byte
 }
 
-// frameFor builds the registration frame a client would send for the test
+// frameFor builds the registration body a client would send for the test
 // server's model with keys from kg covering steps, packed under kg's
 // parameters.
 func frameFor(srv *Server, kg *ckks.KeyGenerator, sk *ckks.SecretKey, steps []int) registration {
-	dep := srv.reg.List()[0]
-	return registration{Model: dep.Ref(), Params: dep.ParamBytes(),
+	return registration{Params: srv.reg.List()[0].ParamBytes(),
 		RelinKey:     streamed(func(w io.Writer) error { return kg.WriteRelinearizationKey(w, sk) }),
 		RotationKeys: streamed(func(w io.Writer) error { return kg.WriteRotationKeys(w, sk, steps) })}
 }
@@ -180,16 +180,26 @@ func streamed(write func(io.Writer) error) []byte {
 	return b.Bytes()
 }
 
-// marshalFrame frames reg's fields as they stand, well-formed or not.
+// marshalFrame lays reg's payloads back to back as they stand, well-formed
+// or not.
 func marshalFrame(reg registration) []byte {
+	return slices.Concat(reg.Params, reg.RelinKey, reg.RotationKeys)
+}
+
+// retiredFrame lays reg out as clients did before the route named the model:
+// a magic, the model and each payload behind a u32 length.
+func retiredFrame(ref string, reg registration) []byte {
 	var w wire.Writer
-	w.U32(registrationMagic)
-	w.Blob([]byte(reg.Model))
+	w.U32(0x5AF7CC0D)
+	w.Blob([]byte(ref))
 	w.Blob(reg.Params)
 	w.Blob(reg.RelinKey)
 	w.Blob(reg.RotationKeys)
 	return w
 }
+
+// registerPath is the registration route for the model ref names.
+func registerPath(ref string) string { return "/v1/sessions?model=" + url.QueryEscape(ref) }
 
 // liveSessions sums the per-model session counts of a stats snapshot.
 func liveSessions(srv *Server) int {
@@ -235,28 +245,25 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	honestBytes := marshalFrame(honest)
 
 	cases := map[string][]byte{
-		"wrong magic":    append([]byte{0x0E}, honestBytes[1:]...),
+		"wrong magic":    append([]byte{0x0F}, honestBytes[1:]...),
 		"legacy JSON":    []byte(`{"model":"","params":"AQID","publicKey":"","relinKey":"","rotationKeys":""}`),
 		"trailing byte":  append(append([]byte(nil), honestBytes...), 0),
 		"empty body":     {},
-		"unknown model":  marshalFrame(registration{Model: "nope", Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
-		"params differ":  marshalFrame(registration{Model: honest.Model, Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
-		"keys swapped":   marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
+		"params differ":  marshalFrame(registration{Params: []byte{1, 2, 3}, RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}),
+		"keys swapped":   marshalFrame(registration{Params: honest.Params, RelinKey: honest.RotationKeys, RotationKeys: honest.RelinKey}),
 		"missing step":   marshalFrame(frameFor(srv, kg, sk, steps[1:])),
 		"extra step":     marshalFrame(frameFor(srv, kg, sk, append([]int{31}, steps...))), // the 16x8x4 demo model never rotates by 31
-		"garbage in key": marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
+		"garbage in key": marshalFrame(registration{Params: honest.Params, RelinKey: []byte{9}, RotationKeys: honest.RotationKeys}),
 	}
 
-	// Truncation at every field boundary, and inside every length prefix.
-	for off, fields := 4, [][]byte{[]byte(honest.Model), honest.Params, honest.RelinKey, honest.RotationKeys}; len(fields) > 0; fields = fields[1:] {
-		cases[fmt.Sprintf("cut inside the length at %d", off)] = honestBytes[:off+2]
-		cases[fmt.Sprintf("cut after the length at %d", off)] = honestBytes[:off+4]
-		off += 4 + len(fields[0])
-		if len(fields) > 1 {
-			cases[fmt.Sprintf("cut at the field boundary %d", off)] = honestBytes[:off]
+	// Truncation at every payload boundary, and inside every payload's magic.
+	for off, payloads := 0, [][]byte{honest.Params, honest.RelinKey, honest.RotationKeys}; len(payloads) > 0; payloads = payloads[1:] {
+		cases[fmt.Sprintf("cut inside the magic at %d", off)] = honestBytes[:off+2]
+		off += len(payloads[0])
+		if len(payloads) > 1 {
+			cases[fmt.Sprintf("cut at the payload boundary %d", off)] = honestBytes[:off]
 		}
 	}
-	cases["cut before the magic ends"] = honestBytes[:3]
 	cases["cut one byte short"] = honestBytes[:len(honestBytes)-1]
 
 	// A duplicate step: the single-key set's entry (step | digits), twice.
@@ -267,7 +274,7 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	dup.U32(2)
 	dup.Bytes(entry)
 	dup.Bytes(entry)
-	cases["duplicate step"] = marshalFrame(registration{Model: honest.Model, Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
+	cases["duplicate step"] = marshalFrame(registration{Params: honest.Params, RelinKey: honest.RelinKey, RotationKeys: dup})
 
 	// Keys that decode cleanly but were built for other parameters must be
 	// refused here, not panic the key-switch loop at inference time.
@@ -370,17 +377,19 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	binary.LittleEndian.PutUint64(hostile.RotationKeys[len(hostile.RotationKeys)-8:], ^uint64(0))
 	cases["rotation residue 2^64-1"] = marshalFrame(hostile)
 
-	// Every row so far declares its true length. The size rows do not, or
-	// send no length at all (chunked, length -1), so the server has only the
-	// model's exact frame size to hold the body to. Rows with a read bound
-	// must be refused having read no more than the frame's prefix: the model
-	// alone decides an unknown model, and a Content-Length past the frame
-	// needs no key byte to refuse.
+	// Every row so far names the model and declares its true length. The
+	// size rows do not declare it, or send no length at all (chunked, length
+	// -1), so the server has only the model's exact body size to hold the
+	// body to. The model rows name no model, or one the server does not
+	// serve. Rows marked unread must be refused having read no body byte: the
+	// query alone decides an unknown model, and a Content-Length other than
+	// the body's needs no byte to refuse.
 	type row struct {
-		body    []byte
-		length  int64
-		want    int // 0: any 4xx
-		maxRead int // 0: unbounded
+		path   string // "": the model's registration route
+		body   []byte
+		length int64
+		want   int  // 0: any 4xx
+		unread bool // refused before any body byte is read
 	}
 	rows := map[string]row{}
 	for name, body := range cases {
@@ -388,19 +397,29 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 	}
 	honestLen := int64(len(honestBytes))
 	long := append(append([]byte(nil), honestBytes...), 0)
-	rows["content-length one over the frame"] = row{long, honestLen + 1, http.StatusRequestEntityTooLarge, maxPrefix}
-	rows["content-length one under the frame"] = row{honestBytes[:honestLen-1], honestLen - 1, http.StatusBadRequest, maxPrefix}
-	rows["chunked body one byte short"] = row{honestBytes[:honestLen-1], -1, http.StatusBadRequest, 0}
-	rows["chunked body one byte long"] = row{long, -1, http.StatusRequestEntityTooLarge, 0}
-	rows["unknown model, keys unread"] = row{cases["unknown model"], -1, http.StatusNotFound, maxPrefix}
-	rows["model ref over maxModelRef"] = row{marshalFrame(registration{Model: strings.Repeat("m", maxModelRef+1), Params: honest.Params,
-		RelinKey: honest.RelinKey, RotationKeys: honest.RotationKeys}), -1, http.StatusBadRequest, maxPrefix}
+	rows["content-length one over the body"] = row{"", long, honestLen + 1, http.StatusRequestEntityTooLarge, true}
+	rows["content-length one under the body"] = row{"", honestBytes[:honestLen-1], honestLen - 1, http.StatusBadRequest, true}
+	rows["chunked body one byte short"] = row{"", honestBytes[:honestLen-1], -1, http.StatusBadRequest, false}
+	rows["chunked body one byte long"] = row{"", long, -1, http.StatusRequestEntityTooLarge, false}
+	rows["unknown model, keys unread"] = row{registerPath("nope"), honestBytes, -1, http.StatusNotFound, true}
+	rows["empty model"] = row{registerPath(""), honestBytes, -1, http.StatusNotFound, true}
+	rows["no model parameter"] = row{"/v1/sessions", honestBytes, -1, http.StatusNotFound, true}
+	rows["a 161-byte model name"] = row{registerPath(strings.Repeat("m", 161)), honestBytes, -1, http.StatusNotFound, true}
+	// A client from before the route named the model sends the same payloads
+	// inside the retired frame. Declared, its length is not the body's;
+	// unsized, its leading magic fails the literal.
+	retired := retiredFrame(dep.Ref(), honest)
+	rows["retired frame"] = row{"", retired, int64(len(retired)), http.StatusRequestEntityTooLarge, true}
+	rows["retired frame, unsized"] = row{"", retired, -1, http.StatusBadRequest, false}
 
 	handler := srv.Handler()
 	baseline := dep.Refs()
 	for name, c := range rows {
 		body := &countingReader{r: bytes.NewReader(c.body)}
-		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", body)
+		if c.path == "" {
+			c.path = registerPath(dep.Ref())
+		}
+		req := httptest.NewRequest(http.MethodPost, c.path, body)
 		req.ContentLength = c.length
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
@@ -408,8 +427,14 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		if rec.Code < 400 || rec.Code > 499 || (c.want != 0 && rec.Code != c.want) {
 			t.Errorf("%s: got %d %s, want a 4xx (%d if set)", name, rec.Code, msg, c.want)
 		}
-		if c.maxRead > 0 && body.n > c.maxRead {
-			t.Errorf("%s: the server read %d body bytes before refusing, more than the %d-byte prefix", name, body.n, c.maxRead)
+		if c.unread && body.n > 0 {
+			t.Errorf("%s: the server read %d body bytes before refusing, want none", name, body.n)
+		}
+		if rec.Code == http.StatusNotFound && !bytes.Contains(msg, []byte("model query parameter")) {
+			t.Errorf("%s: got 404 %s, want a message naming the model query parameter", name, msg)
+		}
+		if name == "retired frame, unsized" && !bytes.Contains(msg, []byte("prescribed literal")) {
+			t.Errorf("%s: got %d %s, want the literal refused", name, rec.Code, msg)
 		}
 		if retiredKeyMagics[name] && (rec.Code != http.StatusBadRequest || !bytes.Contains(msg, []byte("magic"))) {
 			t.Errorf("%s: got %d %s, want a 400 naming the magic", name, rec.Code, msg)
@@ -440,17 +465,17 @@ func TestRegisterRejectsHostileFrames(t *testing.T) {
 		}
 	}
 
-	// The honest frame the cases were derived from registers.
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(honestBytes))
+	// The honest body the cases were derived from registers.
+	resp, err := http.Post(ts.URL+registerPath(dep.Ref()), "application/octet-stream", bytes.NewReader(honestBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || liveSessions(srv) != 1 {
-		t.Fatalf("honest frame: got %s and %d sessions", resp.Status, liveSessions(srv))
+		t.Fatalf("honest body: got %s and %d sessions", resp.Status, liveSessions(srv))
 	}
 	if charged, live := keyCharge(srv); charged == 0 || charged != live {
-		t.Fatalf("honest frame: %d bytes charged, the session holds %d", charged, live)
+		t.Fatalf("honest body: %d bytes charged, the session holds %d", charged, live)
 	}
 }
 
@@ -467,19 +492,25 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestRegisterLengthClaimDoesNotAllocate: lengths on the wire are claims.
-// A frame claiming a gigabyte of key — at the frame level or in a polynomial
-// header inside a key — must be refused before anything is allocated on the
-// claim's say-so: the server allocates at most the body it was sent.
+// A body claiming a gigabyte of keys — in a rotation-key set's count or in a
+// polynomial header inside a key — must be refused before anything is
+// allocated on the claim's say-so: the server allocates at most the body it
+// was sent.
 func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	_, srv, _ := newTestServer(t)
 	dep := srv.reg.List()[0]
 	handler := srv.Handler()
+	kg, sk := keyGen(t, srv, 3, nil)
+	honest := frameFor(srv, kg, sk, dep.Rotations())
 
-	var frameClaim wire.Writer
-	frameClaim.U32(registrationMagic)
-	frameClaim.Blob([]byte(dep.Ref()))
-	frameClaim.Blob(dep.ParamBytes())
-	frameClaim.U32(1 << 30) // relinKey "length", with nothing behind it
+	// Both claims sit in a body of the model's exact size (zeros behind the
+	// claim), so they pass the length check and reach the key decoder: the
+	// server may allocate the body the model fixes, nothing more.
+	countClaim := make(wire.Writer, 0, len(honest.RotationKeys))
+	countClaim.U32(0x5AF7CC17) // rotation-key-set magic
+	countClaim.U32(1 << 30)    // keys, with zeros behind them
+	countClaim = countClaim[:cap(countClaim)]
+	inSet := marshalFrame(registration{Params: dep.ParamBytes(), RelinKey: honest.RelinKey, RotationKeys: countClaim})
 
 	// The poly claim sits in a frame of the model's exact size (zeros behind
 	// the claim), so it passes the length check and reaches the key decoder:
@@ -493,13 +524,13 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 	polyClaim.U32(1 << 20)                       // N of the first poly
 	polyClaim.Bytes(bytes.Repeat([]byte{8}, 64)) // 8-byte residues, with zeros behind them
 	polyClaim = polyClaim[:cap(polyClaim)]
-	inKey := marshalFrame(registration{Model: dep.Ref(), Params: dep.ParamBytes(), RelinKey: polyClaim,
+	inKey := marshalFrame(registration{Params: dep.ParamBytes(), RelinKey: polyClaim,
 		RotationKeys: make([]byte, params.RotationKeysWireSize(len(dep.Rotations())))})
 
-	for name, body := range map[string][]byte{"frame-level claim": frameClaim, "poly-level claim": inKey} {
+	for name, body := range map[string][]byte{"key-count claim": inSet, "poly-level claim": inKey} {
 		post := func() int {
 			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), bytes.NewReader(body)))
 			return rec.Code
 		}
 		if code := post(); code != http.StatusBadRequest { // also warms lazily built state
@@ -514,15 +545,14 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 		}
 	}
 
-	// A body that declares the frame's length and stalls — after the prefix,
-	// or after the literal at the first key byte — holds the server to what
-	// it has read: at most one key's buffer, never the frame.
-	kg, sk := keyGen(t, srv, 3, nil)
-	honest := marshalFrame(frameFor(srv, kg, sk, dep.Rotations()))
-	for name, at := range map[string]int{"after the prefix": 8 + len(dep.Ref()), "at the first key byte": 8 + len(dep.Ref()) + 4 + len(dep.ParamBytes()) + 4} {
-		body := &stallingReader{data: honest[:at], stalled: make(chan struct{}), release: make(chan struct{})}
-		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", body)
-		req.ContentLength = int64(len(honest))
+	// A body that declares its length and stalls — inside the literal, or
+	// after it at the first key byte — holds the server to what it has read:
+	// at most one key's buffer, never the body.
+	whole := marshalFrame(honest)
+	for name, at := range map[string]int{"inside the literal": len(dep.ParamBytes()) / 2, "at the first key byte": len(dep.ParamBytes())} {
+		body := &stallingReader{data: whole[:at], stalled: make(chan struct{}), release: make(chan struct{})}
+		req := httptest.NewRequest(http.MethodPost, registerPath(dep.Ref()), body)
+		req.ContentLength = int64(len(whole))
 		rec := httptest.NewRecorder()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -536,12 +566,12 @@ func TestRegisterLengthClaimDoesNotAllocate(t *testing.T) {
 		close(body.release)
 		<-answered
 		bound := uint64(4+params.KeyWireSize()) + 64<<10
-		if got := after.TotalAlloc - before.TotalAlloc; got > bound || uint64(len(honest)) <= bound {
-			t.Errorf("%s: a %d-byte frame stalled at byte %d with the server holding %d bytes, over one key's %d bytes and the slack",
-				name, len(honest), at, got, params.KeyWireSize())
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound || uint64(len(whole)) <= bound {
+			t.Errorf("%s: a %d-byte body stalled at byte %d with the server holding %d bytes, over one key's %d bytes and the slack",
+				name, len(whole), at, got, params.KeyWireSize())
 		}
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: a frame ending where it stalled got %d, want 400", name, rec.Code)
+			t.Errorf("%s: a body ending where it stalled got %d, want 400", name, rec.Code)
 		}
 	}
 }

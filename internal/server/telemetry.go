@@ -44,9 +44,9 @@ func (s *Server) initTelemetry() {
 		"Time one inference unit spent in each CKKS stage, from the unit's trace; a stage run inside a fan is charged its share of the fan's wall time.", "stage")
 
 	s.regLat = m.NewHistogramVec("henn_register_seconds",
-		"Time one session registration spent in each phase that completed: read (the frame off the wire), decode (frame and keys) and validate (key checks and the a_d expansion).", "phase")
+		"Time one session registration spent in each phase that completed: read (the parameter literal off the wire, matched), decode (the keys off the wire) and validate (key checks and the a_d expansion).", "phase")
 	s.payloads = m.NewCounterVec("henn_payload_bytes_total",
-		"Wire payload bytes, by kind: read in full (register: registration frames; infer_request: input ciphertexts) and written (infer_response: result ciphertexts).", "kind")
+		"Wire payload bytes, by kind: read in full (register: registration bodies; infer_request: input ciphertexts) and written (infer_response: result ciphertexts).", "kind")
 
 	m.NewGaugeFunc("henn_uptime_seconds",
 		"Seconds since the server was built.",

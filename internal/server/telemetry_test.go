@@ -111,7 +111,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// One registration and one inference: the payload counters hold the
-	// frame's exact size, the top-level ciphertext's and the result's, each
+	// registration body's exact size, the top-level ciphertext's and the result's, each
 	// packed at the primes' widths.
 	dep := srv.reg.List()[0]
 	params := dep.Params()
@@ -119,8 +119,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, m := range payloadBytes.FindAllStringSubmatch(body, -1) {
 		payload[m[1]], _ = strconv.Atoi(m[2])
 	}
-	if got, want := payload["register"], frameSize(dep.Ref(), dep.ParamBytes(), params, len(dep.Rotations())); got != want {
-		t.Errorf("register payload bytes %d, want the frame's %d", got, want)
+	if got, want := payload["register"], frameSize(dep.ParamBytes(), params, len(dep.Rotations())); got != want {
+		t.Errorf("register payload bytes %d, want the body's %d", got, want)
 	}
 	if got, want := payload["infer_request"], params.CiphertextWireSize(params.MaxLevel()); got != want {
 		t.Errorf("infer_request payload bytes %d, want a top-level ciphertext's %d", got, want)
@@ -134,17 +134,17 @@ func TestMetricsEndpoint(t *testing.T) {
 var payloadBytes = regexp.MustCompile(`(?m)^henn_payload_bytes_total\{kind="([a-z_]+)"\} (\d+)$`)
 
 // TestRegisterPhasesOnMetrics: a registration times its read, decode and
-// validate phases into henn_register_seconds, and a frame refused in one
+// validate phases into henn_register_seconds, and a body refused in one
 // phase records the phases before it and none after. The read phase ends
 // once the literal has matched; decode reads and decodes the keys.
 func TestRegisterPhasesOnMetrics(t *testing.T) {
 	_, srv, ts := newTestServer(t)
 	dep := srv.reg.List()[0]
 	kg := ckks.NewKeyGenerator(dep.Params(), 3)
-	frame := clientFrame(kg, kg.GenSecretKey(), dep.Ref(), dep.ParamBytes(), dep.Params(), dep.Rotations())
+	frame := clientFrame(kg, kg.GenSecretKey(), dep.ParamBytes(), dep.Rotations())
 	post := func(body []byte, want int) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/sessions", "application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+registerPath(dep.Ref()), "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,19 +171,19 @@ func TestRegisterPhasesOnMetrics(t *testing.T) {
 		t.Errorf("after one registration the phase counts are %v, want %v", got, want)
 	}
 	// The literal's last byte is the read phase's to refuse.
-	literalEnd := 4 + 4 + len(dep.Ref()) + 4 + len(dep.ParamBytes())
+	literalEnd := len(dep.ParamBytes())
 	foreign := bytes.Clone(frame)
 	foreign[literalEnd-1] ^= 1
 	post(foreign, http.StatusBadRequest)
 	if got, want := counts(), map[string]int{"read": 1, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
-		t.Errorf("after a frame refused in read the phase counts are %v, want %v", got, want)
+		t.Errorf("after a body refused in read the phase counts are %v, want %v", got, want)
 	}
 	// The relinearization key's magic is the decode phase's.
 	badKey := bytes.Clone(frame)
-	badKey[literalEnd+4] ^= 1
+	badKey[literalEnd] ^= 1
 	post(badKey, http.StatusBadRequest)
 	if got, want := counts(), map[string]int{"read": 2, "decode": 1, "validate": 1}; !maps.Equal(got, want) {
-		t.Errorf("after a frame refused in decode the phase counts are %v, want %v", got, want)
+		t.Errorf("after a body refused in decode the phase counts are %v, want %v", got, want)
 	}
 }
 

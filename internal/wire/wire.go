@@ -21,7 +21,7 @@
 //	0x5AF7CC0A  retired (ckks.PublicKey; public keys no longer cross the wire)
 //	0x5AF7CC0B  retired (ckks.RelinearizationKey, per-prime digits)
 //	0x5AF7CC0C  retired (ckks.SwitchingKey, per-prime digits)
-//	0x5AF7CC0D  server registration frame (POST /v1/sessions)
+//	0x5AF7CC0D  retired (server registration frame; POST /v1/sessions?model= takes three ckks payloads)
 //	0x5AF7CC0E  ckks.ParametersLiteral
 //	0x5AF7CC0F  retired (ckks.RotationKeySet carrying every a_d)
 //	0x5AF7CC10  retired (ckks.RelinearizationKey carrying every a_d)
