@@ -72,7 +72,8 @@ serve-demo:
 examples:
 	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/}; done
 
-# Short fuzz pass over the modular-arithmetic primitives, the residue codec
+# Short fuzz pass over the modular-arithmetic primitives, the transforms
+# (against their radix-2 references), the residue codec
 # and the wire decoders an endpoint exposes (one target per invocation is a
 # `go test` restriction). The evaluation-key and registration-frame seeds are tens to
 # hundreds of kilobytes, so their minimizers are capped or they would eat
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzMulModShoup -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzPowMod -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzAcc128 -fuzztime 10s ./internal/ring/
+	$(GO) test -run XXX -fuzz FuzzNTTMatchesReference -fuzztime 10s ./internal/ring/
 	$(GO) test -run XXX -fuzz FuzzResidues -fuzztime 10s ./internal/wire/
 	$(GO) test -run XXX -fuzz FuzzCiphertextUnmarshal -fuzztime 10s ./internal/ckks/
 	$(GO) test -run XXX -fuzz FuzzEvaluationKeysUnmarshal -fuzztime 10s -fuzzminimizetime 2s ./internal/ckks/

@@ -124,6 +124,24 @@ func TestParameterValidation(t *testing.T) {
 	if _, err := NewParameters(chain(ring.MaxAcc128Terms)); err != nil {
 		t.Errorf("a %d-limb chain: %v", ring.MaxAcc128Terms, err)
 	}
+	// A product divides by P and one chain prime at once, a basis of α+1
+	// primes, which a base extension caps at MaxAcc128Terms−1: the widest
+	// gadget compiles, one special prime more is refused by name rather
+	// than by the extender inside precompute.
+	special := func(alpha int) ParametersLiteral {
+		lit := chain(3)
+		lit.LogP = make([]int, alpha)
+		for i := range lit.LogP {
+			lit.LogP[i] = 30
+		}
+		return lit
+	}
+	if _, err := NewParameters(special(ring.MaxAcc128Terms - 2)); err != nil {
+		t.Errorf("%d special primes: %v", ring.MaxAcc128Terms-2, err)
+	}
+	if _, err := NewParameters(special(ring.MaxAcc128Terms - 1)); err == nil || !strings.Contains(err.Error(), "special primes, at most") {
+		t.Errorf("%d special primes: got %v, want the special-prime bound", ring.MaxAcc128Terms-1, err)
+	}
 	// The widest primes the substrate supports compile: GenPrimes used to
 	// answer LogQ/LogP = ring.MaxModulusBits with 62-bit primes that
 	// NewModulus then refused.

@@ -31,7 +31,7 @@ const scaleTol = 1e-6
 // returns is a canonical residue, identical under any fan-out width.
 //
 // Results come from the ring pool too: Add, Sub, AddPlain, MulPlain,
-// MulRelin, MulRelinRescale, Rescale, MulConst, MulConstTargetScale, Rotate,
+// MulRelinRescale, Rescale, MulConst, MulConstTargetScale, Rotate,
 // RotateHoisted and PlainSum.Sum build their result from pooled polys, and
 // the fused ops hand their own intermediate back. The caller owns the result
 // and may return it with Recycle once it is dead, so a chain of ops reuses a
@@ -126,32 +126,6 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return out
 }
 
-// MulRelin multiplies two ciphertexts and relinearizes the degree-2 term.
-// The result scale is the product of the operand scales; callers normally
-// Rescale next.
-func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	if ev.rlk == nil {
-		return nil, fmt.Errorf("ckks: evaluator has no relinearization key")
-	}
-	a, b, level := ev.alignLevels(a, b)
-	rq := ev.params.RingQ()
-
-	// Every limb of the three is fully overwritten by MulCoeffs below.
-	d0, d1, d2 := rq.GetPolyRaw(level), rq.GetPolyRaw(level), rq.GetPolyRaw(level)
-	rq.MulCoeffs(a.C0, b.C0, d0)
-	rq.MulCoeffs(a.C0, b.C1, d1)
-	rq.MulCoeffsThenAdd(a.C1, b.C0, d1)
-	rq.MulCoeffs(a.C1, b.C1, d2)
-
-	e0, e1 := ev.keySwitch(d2, ev.rlk.Digits, level)
-	rq.Add(d0, e0, d0)
-	rq.Add(d1, e1, d1)
-	rq.PutPoly(d2)
-	rq.PutPoly(e0)
-	rq.PutPoly(e1)
-	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale, Level: level}, nil
-}
-
 // decompose splits c (NTT domain, limbs 0..level) into its gadget digits and
 // raises each to every limb of Q_level and to P: digit d is c modulo the
 // product D_d of its own primes q_{dα}..q_{(d+1)α-1} (cut at the level),
@@ -221,9 +195,10 @@ func (ev *Evaluator) decompose(c *ring.Poly, level int) *HoistedDecomposition {
 }
 
 // switchKey multiplies a decomposition by a gadget key (relinearization or
-// rotation) and divides by P, returning the (c0, c1) correction over
-// Q_level: Σ_d φ(digit_d) ⊙ evk_d equals P·φ(c)·source + small error over
-// Q_level·P, and modDown's rounded division leaves φ(c)·source + tiny error.
+// rotation), returning the (c0, c1) correction over Q_level·P, each as its Q
+// limbs and its P limbs: Σ_d φ(digit_d) ⊙ evk_d equals P·φ(c)·source + small
+// error, and a modDown by P (or, for a product, by P·q_level) is the rounded
+// division that leaves φ(c)·source + tiny error.
 // φ is the Galois automorphism whose NTT-domain gather table is idx; nil is
 // the identity (relinearization). Permuting the raised digits is sound
 // because φ is a ring homomorphism modulo every prime: the permuted digits
@@ -234,8 +209,8 @@ func (ev *Evaluator) decompose(c *ring.Poly, level int) *HoistedDecomposition {
 // they fan with no state to merge, and every value returned is a canonical
 // residue, identical under any fan-out width.
 //
-//hennlint:transfers-ownership both returned polys are pooled; the caller must PutPoly them
-func (ev *Evaluator) switchKey(dec *HoistedDecomposition, digits []EvaluationKeyDigit, idx []int32) (*ring.Poly, *ring.Poly) {
+//hennlint:transfers-ownership the four returned polys are pooled; the caller must PutPoly them
+func (ev *Evaluator) switchKey(dec *HoistedDecomposition, digits []EvaluationKeyDigit, idx []int32) (*ring.Poly, *ring.Poly, *ring.Poly, *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	n, level, alpha := ev.params.N(), dec.level, len(rp.Moduli)
 
@@ -282,26 +257,7 @@ func (ev *Evaluator) switchKey(dec *HoistedDecomposition, digits []EvaluationKey
 	for _, buf := range scratch {
 		rq.PutScratch(buf)
 	}
-	ev.modDown(&ev.params.byP, level+1, [2]modDownOperand{
-		{src: p0.Coeffs, in: q0, out: q0},
-		{src: p1.Coeffs, in: q1, out: q1},
-	})
-	rp.PutPoly(p0)
-	rp.PutPoly(p1)
-	return q0, q1
-}
-
-// keySwitch applies a gadget key to an NTT-domain ciphertext component d2 at
-// the given level, returning the (c0, c1) correction over Q.
-//
-//hennlint:transfers-ownership both returned polys are pooled; the caller must PutPoly them
-func (ev *Evaluator) keySwitch(d2 *ring.Poly, digits []EvaluationKeyDigit, level int) (*ring.Poly, *ring.Poly) {
-	mark := stageClock()
-	dec := ev.decompose(d2, level)
-	ks0, ks1 := ev.switchKey(dec, digits, nil)
-	dec.Release()
-	stageDone("key_switch", mark)
-	return ks0, ks1
+	return q0, q1, p0, p1
 }
 
 // modDownOperand is one polynomial of a modDown: src are the NTT-domain
@@ -315,9 +271,10 @@ type modDownOperand struct {
 // modDown divides by the divisor's modulus D, rounding to nearest: for each
 // operand and each limb j < limbs, out_j = (in_j − [x]_D)·D⁻¹ mod q_j, where
 // [x]_D in [−D/2, D/2) is read off the src residues and lifted to q_j by the
-// divisor's base extension. It is both halves of the scheme's modulus
-// switching: Rescale divides by the top chain prime, a key switch by P. The
-// two operands of a ciphertext go through one fan.
+// divisor's base extension. It is every modulus switch of the scheme:
+// Rescale divides by the top chain prime q_ℓ, a rotation's key switch by P,
+// and a product, relinearized and rescaled at once, by P·q_ℓ. The two
+// operands of a ciphertext go through one fan.
 func (ev *Evaluator) modDown(div *divisor, limbs int, ops [2]modDownOperand) {
 	rq := ev.params.RingQ()
 	n := ev.params.N()
@@ -386,16 +343,63 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// MulRelinRescale is the common fused sequence multiply → relinearize →
-// rescale.
+// MulRelinRescale multiplies two ciphertexts, relinearizes the degree-2
+// term and rescales by the top prime q_ℓ of their level in one division:
+// the key switch leaves u ≈ P·d2·s² over Q_ℓ·P, the other terms are lifted
+// onto it as P·d0 and P·d1, and one modDown by P·q_ℓ returns
+// (d0 + d1·s + d2·s²)/q_ℓ over Q_{ℓ−1}, at scale a.Scale·b.Scale/q_ℓ. One
+// rounding instead of two moves a coefficient by at most one from
+// relinearizing then rescaling. It is one "key_switch" stage.
 func (ev *Evaluator) MulRelinRescale(a, b *Ciphertext) (*Ciphertext, error) {
-	prod, err := ev.MulRelin(a, b)
-	if err != nil {
-		return nil, err
+	if ev.rlk == nil {
+		return nil, fmt.Errorf("ckks: evaluator has no relinearization key")
 	}
-	out, err := ev.Rescale(prod)
-	ev.Recycle(prod)
-	return out, err
+	a, b, level := ev.alignLevels(a, b)
+	if level == 0 {
+		return nil, fmt.Errorf("ckks: cannot rescale below level 0")
+	}
+	params := ev.params
+	rq, rp, alpha := params.RingQ(), params.RingP(), len(params.pi)
+
+	// Every limb of the three is fully overwritten by MulCoeffs below.
+	d0, d1, d2 := rq.GetPolyRaw(level), rq.GetPolyRaw(level), rq.GetPolyRaw(level)
+	rq.MulCoeffs(a.C0, b.C0, d0)
+	rq.MulCoeffs(a.C0, b.C1, d1)
+	rq.MulCoeffsThenAdd(a.C1, b.C0, d1)
+	rq.MulCoeffs(a.C1, b.C1, d2)
+
+	mark := stageClock()
+	dec := ev.decompose(d2, level)
+	u0, u1, p0, p1 := ev.switchKey(dec, ev.rlk.Digits, nil)
+	dec.Release()
+	// P·d vanishes modulo P, so only the Q limbs take it.
+	ds, us := [2]*ring.Poly{d0, d1}, [2]*ring.Poly{u0, u1}
+	ring.ForEachWorker(2*(level+1), params.N(), nil, func(_, job int) {
+		c, j := job&1, job>>1
+		q, w, wShoup := rq.Moduli[j].Q, params.pModQ[j], params.pModQShoup[j]
+		d, u := ds[c].Coeffs[j], us[c].Coeffs[j]
+		for k := range u {
+			u[k] = ring.AddMod(u[k], ring.MulModShoup(d[k], w, wShoup, q), q)
+		}
+	})
+	out := &Ciphertext{
+		C0:    rq.GetPolyRaw(level - 1), // modDown writes every limb
+		C1:    rq.GetPolyRaw(level - 1),
+		Scale: a.Scale * b.Scale / float64(params.Q()[level]),
+		Level: level - 1,
+	}
+	// The divisor's primes are P's, then q_ℓ.
+	ev.modDown(&params.byPTop[level], level, [2]modDownOperand{
+		{src: append(p0.Coeffs[:alpha:alpha], u0.Coeffs[level]), in: u0, out: out.C0},
+		{src: append(p1.Coeffs[:alpha:alpha], u1.Coeffs[level]), in: u1, out: out.C1},
+	})
+	for _, p := range []*ring.Poly{d0, d1, d2, u0, u1} {
+		rq.PutPoly(p)
+	}
+	rp.PutPoly(p0)
+	rp.PutPoly(p1)
+	stageDone("key_switch", mark)
+	return out, nil
 }
 
 // scalarRNS encodes round(c*scale) as per-limb residues.

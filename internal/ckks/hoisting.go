@@ -87,7 +87,13 @@ func (ev *Evaluator) galois(dec *HoistedDecomposition, k int, swk *SwitchingKey)
 	n := ev.params.N()
 	idx := ev.params.galoisNTTIndex(k)
 
-	ks0, ks1 := ev.switchKey(dec, swk.Digits, idx)
+	ks0, ks1, p0, p1 := ev.switchKey(dec, swk.Digits, idx)
+	ev.modDown(&ev.params.byP, dec.level+1, [2]modDownOperand{
+		{src: p0.Coeffs, in: ks0, out: ks0},
+		{src: p1.Coeffs, in: ks1, out: ks1},
+	})
+	dec.rp.PutPoly(p0)
+	dec.rp.PutPoly(p1)
 	out := &Ciphertext{C0: ks0, C1: ks1, Scale: ct.Scale, Level: dec.level}
 	ring.ForEachWorker(dec.level+1, n, nil, func(_, j int) {
 		qj := rq.Moduli[j].Q

@@ -709,7 +709,7 @@ func BenchmarkExpandDigitVsKeySwitch(b *testing.B) {
 		}
 		c1 := tc.encr.Encrypt(pt).C1
 		for i := 0; i < b.N; i++ {
-			e0, e1 := tc.eval.keySwitch(c1, tc.rlk.Digits, level)
+			e0, e1 := keySwitch(tc.eval, c1, tc.rlk.Digits, level)
 			rq.PutPoly(e0)
 			rq.PutPoly(e1)
 		}

@@ -16,7 +16,9 @@ import (
 // "rotate_hoisted", "rotate", "encode". Stages overlap where primitives
 // nest — "rotate" and "rotate_hoisted" both include the "key_switch" (or
 // hoisted multiply-accumulate) work they perform — so totals are per-stage
-// views, not a partition of wall time.
+// views, not a partition of wall time. A MulRelinRescale is one
+// "key_switch": its rescale is part of the key switch's division, so
+// "rescale" counts only Rescale's own calls.
 //
 // Observers must be fast and must not call back into the evaluator; they
 // run inline on the hot path, possibly from many goroutines at once.

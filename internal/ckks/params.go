@@ -54,9 +54,13 @@ type Parameters struct {
 	// ⌊l/α⌋·α..l — to every prime of Q then P. At level l it serves the
 	// (possibly short) last digit; a full digit d uses digitExt[(d+1)α−1].
 	digitExt []*ring.BasisExtender
-	// byTop[l] divides by q_l (Rescale at level l); byP divides by P.
-	byTop []divisor
-	byP   divisor
+	// byTop[l] divides by q_l (Rescale at level l), byP by P (a rotation's
+	// key switch) and byPTop[l] by P·q_l (a product at level l, relinearized
+	// and rescaled in one division; its primes are P's, then q_l).
+	// pModQ[j] = P mod q_j lifts the product onto its key switch's Q·P.
+	byTop, byPTop     []divisor
+	byP               divisor
+	pModQ, pModQShoup []uint64
 
 	// galoisIdx caches the NTT-domain slot permutation of each Galois
 	// automorphism (k -> []int32), built lazily on first use. Read-mostly, so
@@ -90,8 +94,9 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if len(lit.LogQ) > ring.MaxAcc128Terms {
 		return nil, fmt.Errorf("ckks: modulus chain of %d limbs exceeds %d", len(lit.LogQ), ring.MaxAcc128Terms)
 	}
-	if len(lit.LogP) >= ring.MaxAcc128Terms {
-		return nil, fmt.Errorf("ckks: %d special primes, at most %d supported", len(lit.LogP), ring.MaxAcc128Terms-1)
+	// A product divides by P·q_ℓ: a basis of α+1 primes.
+	if len(lit.LogP) > ring.MaxAcc128Terms-2 {
+		return nil, fmt.Errorf("ckks: %d special primes, at most %d supported (a product divides by them and one chain prime at once)", len(lit.LogP), ring.MaxAcc128Terms-2)
 	}
 	if lit.LogScale < 20 || lit.LogScale > 60 {
 		return nil, fmt.Errorf("ckks: LogScale=%d out of range [20,60]", lit.LogScale)
@@ -176,15 +181,21 @@ func (p *Parameters) precompute() error {
 	L, alpha := len(p.qi), len(p.pi)
 	all := append(append([]*ring.Modulus{}, p.ringQ.Moduli...), p.ringP.Moduli...)
 	p.digitExt = make([]*ring.BasisExtender, L)
-	p.byTop = make([]divisor, L)
+	p.byTop, p.byPTop = make([]divisor, L), make([]divisor, L)
+	p.pModQ, p.pModQShoup = make([]uint64, L), make([]uint64, L)
 	var err error
-	for l := 0; l < L; l++ {
+	for l, q := range p.ringQ.Moduli {
 		if p.digitExt[l], err = ring.NewBasisExtender(p.ringQ.Moduli[l/alpha*alpha:l+1], all); err != nil {
 			return err
 		}
 		if p.byTop[l], err = newDivisor(p.ringQ.Moduli[l:l+1], p.ringQ.Moduli[:l]); err != nil {
 			return err
 		}
+		if p.byPTop[l], err = newDivisor(append(p.ringP.Moduli[:alpha:alpha], q), p.ringQ.Moduli[:l]); err != nil {
+			return err
+		}
+		p.pModQ[l] = productMod(p.ringP.Moduli, q.Q)
+		p.pModQShoup[l], _ = bits.Div64(p.pModQ[l], 0, q.Q)
 	}
 	p.byP, err = newDivisor(p.ringP.Moduli, p.ringQ.Moduli)
 	return err

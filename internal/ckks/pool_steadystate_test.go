@@ -42,7 +42,7 @@ func TestEvaluatorPoolSteadyState(t *testing.T) {
 			steady float64
 		}{
 			{"rotate", func() (*Ciphertext, error) { return eval.Rotate(ct, 1) }, 24},
-			{"mul-relin-rescale", func() (*Ciphertext, error) { return eval.MulRelinRescale(ct, ct) }, 46},
+			{"mul-relin-rescale", func() (*Ciphertext, error) { return eval.MulRelinRescale(ct, ct) }, 36},
 			{"mul-const-target-scale", func() (*Ciphertext, error) { return eval.MulConstTargetScale(ct, 0.5, ct.Scale) }, 15},
 			{"rescale", func() (*Ciphertext, error) { return eval.Rescale(ct) }, 11},
 			{"add", func() (*Ciphertext, error) { return eval.Add(ct, ct) }, 9},

@@ -12,7 +12,11 @@
 // All moduli are required to be below 2^61 (MaxModulusBits). Single products
 // reduce through a 128-bit intermediate (math/bits.Mul64/Div64); the hot
 // loops instead reduce once at their boundary — lazy butterflies in the
-// transforms (ntt.go) and unreduced 128-bit sums of products (acc128.go).
+// transforms (ntt.go), whose values stay below 4q (forward) or 2q (inverse)
+// between stages and are folded to [0, q) only at the last, and unreduced
+// 128-bit sums of products (acc128.go). The transforms run two butterfly
+// stages per pass over the coefficients (radix 4), with the same twiddles
+// and bounds as one stage per pass, so they return the same residues.
 package ring
 
 import (

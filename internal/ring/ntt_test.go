@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// refNTT and refINTT are the fully reduced butterflies the package used
-// before the transforms went lazy, kept as the reference: every value is a
-// canonical residue after every step. Modulus.NTT/INTT must return exactly
-// the same residues.
+// refNTT and refINTT are the fully reduced radix-2 butterflies the package
+// used before the transforms went lazy and then radix 4, kept as the
+// reference: one stage per pass, every value a canonical residue after every
+// step. Modulus.NTT/INTT must return exactly the same residues.
 func refNTT(m *Modulus, a []uint64) {
 	n, q := m.N, m.Q
 	t := n
@@ -51,9 +51,10 @@ func refINTT(m *Modulus, a []uint64) {
 
 // TestNTTMatchesReference: bit-identity with the fully reduced transforms
 // over every supported prime width, on random inputs and on the inputs that
-// drive the lazy intermediates to their bounds.
+// drive the lazy intermediates to their bounds. The degrees cover odd and
+// even stage counts; 2^15 is the ring the demo model is served on.
 func TestNTTMatchesReference(t *testing.T) {
-	for _, n := range []int{16, 32, 256, 1024, 8192} {
+	for _, n := range []int{16, 32, 256, 1024, 2048, 8192, 1 << 15} {
 		for _, bitSize := range []int{20, 30, 45, 55, 60, 61} {
 			q, err := GenPrime(bitSize, n, nil)
 			if err != nil {
@@ -103,9 +104,10 @@ func TestNTTMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNTTSmallestDegree: the transforms special-case their last stage, so
-// the degrees with few stages get their own round trip and reference check
-// (lattigo 6.1 shipped an inverse NTT that was wrong at small degree).
+// TestNTTSmallestDegree: the transforms special-case their first and last
+// stages, so the degrees with few stages get their own round trip and
+// reference check in both directions (lattigo 6.1 shipped an inverse NTT
+// that was wrong at small degree).
 func TestNTTSmallestDegree(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		q, err := GenPrime(30, n, nil)
@@ -126,15 +128,61 @@ func TestNTTSmallestDegree(t *testing.T) {
 		refNTT(m, ref)
 		back := append([]uint64(nil), fwd...)
 		m.INTT(back)
+		inv, invRef := append([]uint64(nil), a...), append([]uint64(nil), a...)
+		m.INTT(inv)
+		refINTT(m, invRef)
 		for i := range a {
 			if fwd[i] != ref[i] {
 				t.Fatalf("N=%d: NTT differs from the reference at %d", n, i)
+			}
+			if inv[i] != invRef[i] {
+				t.Fatalf("N=%d: INTT differs from the reference at %d", n, i)
 			}
 			if back[i] != a[i] {
 				t.Fatalf("N=%d: INTT∘NTT is not the identity at %d", n, i)
 			}
 		}
 	}
+}
+
+// FuzzNTTMatchesReference: at any degree up to 2^15 and any prime width,
+// both transforms of canonical inputs equal the radix-2 references.
+func FuzzNTTMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(50))
+	f.Add(int64(2), uint8(15), uint8(61))
+	f.Add(int64(3), uint8(1), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, logN, width uint8) {
+		n, bitSize := 1<<(1+int(logN)%15), 20+int(width)%(MaxModulusBits-19)
+		q, err := GenPrime(bitSize, n, nil)
+		if err != nil {
+			t.Skip(err) // no prime of that width is ≡ 1 mod 2N
+		}
+		m, err := NewModulus(q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = rng.Uint64() % q
+		}
+		for _, tr := range []struct {
+			name      string
+			got, want func(*Modulus, []uint64)
+		}{
+			{"NTT", (*Modulus).NTT, refNTT},
+			{"INTT", (*Modulus).INTT, refINTT},
+		} {
+			got, want := append([]uint64(nil), a...), append([]uint64(nil), a...)
+			tr.got(m, got)
+			tr.want(m, want)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("N=%d q=%d seed=%d: %s differs from the reference at %d: got %d want %d", n, q, seed, tr.name, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 // TestGenPrimesBuildModuli: every prime GenPrimes hands out must be one

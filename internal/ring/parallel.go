@@ -28,9 +28,9 @@ import (
 // (jobs × per-job cost) below which a fan-out falls back to the serial
 // path. It is sized by measurement, not by the cost of a goroutine: waking
 // a second core and joining on it costs 50–80 µs on the 2-vCPU reference
-// box, and a transform's coefficient costs about 10 ns since the butterflies
-// went lazy, so a fan only wins once the serial job is worth well over
-// 2 × 80 µs / 10 ns = 16 384 coefficients (EXPERIMENTS.md has the table).
+// box, and a transform's coefficient costs about 12 ns at N = 1024 with
+// lazy radix-4 butterflies, so a fan only wins once the serial job is worth
+// well over 2 × 80 µs / 12 ns ≈ 13 000 coefficients (EXPERIMENTS.md).
 // 1<<15 keeps a whole-polynomial NTT, Add or MulCoeffs at N = 1024 serial
 // even with a 10-limb chain — fanning those lost to the hand-off — while
 // the key switch's fans over gadget digits and over the limbs of Q·P, jobs
