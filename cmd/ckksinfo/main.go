@@ -33,7 +33,7 @@ func main() {
 	}
 	sets := []set{{"serving", demo.Params}}
 	for _, form := range paf.AllFormsWithBaseline {
-		lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(form), true), 0)
+		lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(form)), 0)
 		check(form, err)
 		sets = append(sets, set{form, lit})
 	}
@@ -67,7 +67,7 @@ func main() {
 	fmt.Println("form        degree  depth  ReLU levels (+scaling)")
 	for _, form := range paf.AllFormsWithBaseline {
 		c := paf.MustNew(form)
-		fmt.Printf("%-11s %-7d %-6d %d\n", form, c.Degree(), c.Depth(), hepoly.RequiredLevels(c, true))
+		fmt.Printf("%-11s %-7d %-6d %d\n", form, c.Degree(), c.Depth(), hepoly.RequiredLevels(c))
 	}
 	if over > 0 {
 		fmt.Fprintf(os.Stderr, "ckksinfo: %d selected literal(s) exceed their ring's 128-bit bound\n", over)

@@ -19,7 +19,7 @@ func main() {
 	// A development-scale ring with enough levels for the deepest form
 	// (alpha10 ReLU: 11 levels). LogN 12 keeps this quick on a laptop; LogN 0
 	// selects the 128-bit-compliant ring, the paper's N=32768 setup.
-	lit, err := ckks.ChainLiteral(12, hepoly.RequiredLevels(paf.MustNew(paf.FormAlpha10), false), 0)
+	lit, err := ckks.ChainLiteral(12, paf.MustNew(paf.FormAlpha10).DepthReLU(), 0)
 	check(err)
 	params, err := ckks.NewParameters(lit)
 	check(err)
@@ -50,7 +50,7 @@ func main() {
 		ct := encryptor.Encrypt(pt)
 
 		start := time.Now()
-		out, err := he.ReLU(c, ct)
+		out, err := he.ReLUScaled(c, ct, 1)
 		check(err)
 		lat := time.Since(start)
 

@@ -73,7 +73,7 @@ func TestMeasureReLULatencyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fast mode keeps the selected chain and shrinks its ring by 2^4.
-	full, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(paf.FormF1G2), true), 0)
+	full, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(paf.MustNew(paf.FormF1G2)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func MeasureReLULatency(form string, fast bool, iters int) (time.Duration, ckks.
 	if err != nil {
 		return 0, ckks.ParametersLiteral{}, err
 	}
-	lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(c, true), 0)
+	lit, err := ckks.ChainLiteral(0, hepoly.RequiredLevels(c), 0)
 	if err != nil {
 		return 0, lit, err
 	}
@@ -60,12 +60,12 @@ func MeasureReLULatency(form string, fast bool, iters int) (time.Duration, ckks.
 	ct := encryptor.Encrypt(pt)
 
 	// One warmup, then timed iterations.
-	if _, err := he.ReLU(c, ct); err != nil {
+	if _, err := he.ReLUScaled(c, ct, 1); err != nil {
 		return 0, lit, err
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := he.ReLU(c, ct); err != nil {
+		if _, err := he.ReLUScaled(c, ct, 1); err != nil {
 			return 0, lit, err
 		}
 	}

@@ -16,8 +16,8 @@ func init() {
 }
 
 // Table2 regenerates the paper's Table 2: PAF forms with their degree and
-// multiplication depth, extended with the operation counts our latency model
-// uses. (The paper's degree labels for f1²∘g1² and α=7 are internally
+// multiplication depth, extended with Appendix C's operation counts (which
+// hepoly's compiled plan performs). (The paper's degree labels for f1²∘g1² and α=7 are internally
 // inconsistent; we report the sum of stage degrees beside the paper's label.)
 func Table2(opt Options) error {
 	t := newTable("Table 2 — PAF forms, degree and multiplication depth",

@@ -108,8 +108,8 @@ func FromModel(m *nn.Model) (*MLP, error) {
 }
 
 // LevelsRequired returns the multiplicative levels one inference consumes:
-// one per linear layer (diagonal plaintext product) plus DepthReLU+1 per
-// activation (the +1 is the 1/Scale input normalization).
+// one per linear layer (diagonal plaintext product) plus
+// hepoly.RequiredLevels per activation.
 func (mlp *MLP) LevelsRequired() int {
 	total := 0
 	for _, l := range mlp.Layers {
@@ -117,7 +117,7 @@ func (mlp *MLP) LevelsRequired() int {
 		case *Linear:
 			total++
 		case *Activation:
-			total += v.PAF.DepthReLU() + 1
+			total += hepoly.RequiredLevels(v.PAF)
 		}
 	}
 	return total

@@ -169,15 +169,20 @@ func checkSteadyState(t *testing.T, name string, run func(), bound float64, para
 // activation: a warm alpha10 ApplyActivation at LogN=10, on its exact-depth
 // chain, draws every intermediate from the ring pools and puts it back once
 // — the normalised input, each stage's even-power ladder, term chains and
-// partial sums, each stage's output, the half-sign and the linear term —
-// and so does a call whose ciphertext has levels for the normalisation and
-// the first two stages but not the third, which fails holding the second
-// stage's output. The caller recycles each warm output after comparing it
-// with the first. Before the activation's intermediates were pooled, a
-// success allocated 12.1 MB and a failure 8.0 MB; now they allocate 64 KB
-// and 46 KB of ciphertext structs, level views, closures and
-// scratch-slice headers. The smallest poly a leak could cost is a level-1
-// one (16 KB), so each bound sits half of that above its steady state.
+// partial sums, each stage's output, the half-sign and the linear term.
+// So does a call whose ciphertext has levels for the normalisation and the
+// first two stages but not the third: its plan refuses it before any
+// product, holding only the normalised input. So does a call whose last
+// stage's top coefficient (1e30) cannot be encoded: MulConstTargetScale
+// refuses it after two stages ran, with the third stage's ladder, its
+// partial sum and the second stage's output in hand. The caller recycles
+// each warm output after comparing it with the first. Before the
+// activation's intermediates were pooled, a success allocated 12.1 MB and
+// a failure 8.0 MB; now a success allocates 64 KB of ciphertext structs,
+// level views, closures and scratch-slice headers, the short call 2 KB and
+// the mid-plan failure 57 KB. The smallest poly a leak could cost is a
+// level-1 one (16 KB), so each bound sits half of that above its steady
+// state (the short call's bound predates its plan and is kept).
 func TestActivationPoolSteadyState(t *testing.T) {
 	act := &Activation{PAF: paf.MustNew(paf.FormAlpha10), Scale: 4}
 	levels := (&MLP{Layers: []any{act}}).LevelsRequired()
@@ -219,7 +224,18 @@ func TestActivationPoolSteadyState(t *testing.T) {
 			t.Fatal("the activation succeeded without levels for its last stage")
 		}
 	}
+	// The same activation with its last stage's top coefficient out of
+	// encoding range.
+	huge := &Activation{PAF: act.PAF.Clone(), Scale: act.Scale}
+	top := huge.PAF.Stages[len(huge.PAF.Stages)-1]
+	top.Coeffs[len(top.Coeffs)-1] = 1e30
+	failMid := func() {
+		if _, err := ctx.ApplyActivation(huge, ct); err == nil {
+			t.Fatal("the activation encoded a 1e30 coefficient")
+		}
+	}
 	checkSteadyState(t, "success", succeed, 72e3, ctx.Params)
 	checkSteadyState(t, "last stage short", fail, 54e3, ctx.Params)
+	checkSteadyState(t, "mid-plan failure", failMid, 65e3, ctx.Params)
 	succeed() // after the failures and the pool shuffles, still the same bytes
 }

@@ -4,13 +4,15 @@
 // coefficient folded into the first multiplication of each term, so a
 // degree-n stage consumes exactly ⌈log2(n+1)⌉ levels.
 //
-// Scale management is exact: a per-term planner solves for the constant
-// encoding scale that makes every term land at the caller's scale, so all
-// additions are between identically-scaled ciphertexts.
+// The schedule is stated once: compile plans it for one input level and
+// scale before any ciphertext operation, refusing a stage the level cannot
+// pay for and solving each term's constant scale so that every term lands at
+// the input's scale (all additions are between identically-scaled
+// ciphertexts). One executor, run, performs the plan.
 //
 // Intermediates go back to the ring pool once they are dead
-// (ckks.Evaluator.Recycle). A ciphertext the caller passed in never does:
-// the caller owns its inputs and the result.
+// (ckks.Evaluator.Recycle), on failure too. A ciphertext the caller passed
+// in never does: the caller owns its inputs and the result.
 package hepoly
 
 import (
@@ -21,8 +23,8 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
 
-// Evaluator evaluates odd polynomials, composite PAFs, and the derived
-// ReLU/Max operators on ciphertexts.
+// Evaluator evaluates the ReLU and Max operators of composite PAFs on
+// ciphertexts.
 type Evaluator struct {
 	ev *ckks.Evaluator
 }
@@ -33,165 +35,107 @@ func NewEvaluator(ev *ckks.Evaluator) *Evaluator {
 	return &Evaluator{ev: ev}
 }
 
-// evenLadder computes x^2, x^4, ..., x^(2^count) with one squaring each.
-func (he *Evaluator) evenLadder(ct *ckks.Ciphertext, count int) ([]*ckks.Ciphertext, error) {
-	ladder := make([]*ckks.Ciphertext, count)
-	cur := ct
-	for i := 0; i < count; i++ {
-		sq, err := he.ev.MulRelinRescale(cur, cur)
-		if err != nil {
-			return nil, fmt.Errorf("hepoly: even ladder step %d: %w", i, err)
-		}
-		ladder[i] = sq
-		cur = sq
-	}
-	return ladder, nil
+// RequiredLevels returns the levels a deployed activation with this PAF
+// consumes: the Static Scaling input normalisation (one constant multiply
+// that scales the input into [-1,1]) plus the ReLU's DepthReLU.
+func RequiredLevels(c *paf.Composite) int {
+	return c.DepthReLU() + 1
 }
 
-// ladderSize returns how many squarings the even-power ladder needs for an
-// odd polynomial of the given degree: enough to cover (degree-1)/2 in binary.
-func ladderSize(degree int) int {
-	return bits.Len(uint((degree - 1) / 2))
+// term is a stage's non-zero monomial coeff·x·x^(2k), one factor x^(2^(b+1))
+// per set bit b of k; scale is the constant product's target, solved so that
+// the chain of products lands at the stage's input scale.
+type term struct {
+	k            int
+	coeff, scale float64
 }
 
-// EvalOdd evaluates the odd polynomial p on ct. The result lands at the same
-// scale as ct, ⌈log2(deg+1)⌉ levels below it.
-func (he *Evaluator) EvalOdd(p *paf.OddPoly, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	deg := p.Degree()
-	need := paf.DepthOfDegree(deg)
-	if ct.Level < need {
-		return nil, fmt.Errorf("hepoly: degree-%d stage needs %d levels, ciphertext has %d", deg, need, ct.Level)
-	}
-	ladder, err := he.evenLadder(ct, ladderSize(deg))
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, e := range ladder {
-			he.ev.Recycle(e)
-		}
-	}()
+// stage is one odd polynomial: ladder squarings x², x⁴, …, x^(2^ladder),
+// then its terms summed.
+type stage struct {
+	ladder int
+	terms  []term
+}
 
-	targetScale := ct.Scale
-	q := he.ev.Params().Q()
+// plan is the Appendix C schedule of factor·(lin + x·p(x)) for one composite
+// p and one input level and scale.
+type plan struct {
+	name   string
+	factor float64
+	stages []stage
+}
 
-	var sum *ckks.Ciphertext
-	for k, c := range p.Coeffs {
-		if c == 0 {
-			continue
+// compile states c's schedule for an input at (level, scale), with factor
+// folded into the last stage's coefficients and applied to the linear term.
+// It fails if a stage, or the final x·p(x) product, has no level to pay for.
+func compile(params *ckks.Parameters, c *paf.Composite, factor float64, level int, scale float64) (*plan, error) {
+	q := params.Q()
+	p := &plan{name: c.Name, factor: factor, stages: make([]stage, len(c.Stages))}
+	for i, s := range c.Stages {
+		deg := s.Degree()
+		if need := paf.DepthOfDegree(deg); level < need {
+			return nil, fmt.Errorf("hepoly: stage %d of %s: degree-%d stage needs %d levels, ciphertext has %d", i, c.Name, deg, need, level)
 		}
-		m := k // the term is x · x^(2k): bit b of k set means one factor ladder[b] = x^(2^(b+1))
-		// Plan the chain to solve for the constant target scale.
-		level := ct.Level - 1 // after the constant multiplication
-		mult := 1.0           // ∏ s_e / ∏ q_used relative factor
-		for bit := 0; (1 << bit) <= m; bit++ {
-			if m&(1<<bit) == 0 {
+		// x^(2^(b+1)), the ladder's b-th square, sits at level-1-b and at
+		// scale sq[b+1], as MulRelinRescale leaves it.
+		st := stage{ladder: bits.Len(uint((deg - 1) / 2)), terms: make([]term, 0, len(s.Coeffs))}
+		sq := append(make([]float64, 0, st.ladder+1), scale)
+		for b := 0; b < st.ladder; b++ {
+			sq = append(sq, sq[b]*sq[b]/float64(q[level-b]))
+		}
+		out := level
+		for k, coeff := range s.Coeffs {
+			if coeff == 0 {
 				continue
 			}
-			e := ladder[bit]
-			newLevel := min(level, e.Level) - 1
-			mult *= e.Scale / float64(q[min(level, e.Level)])
-			level = newLevel
-		}
-		constTarget := targetScale / mult
-
-		term, err := he.ev.MulConstTargetScale(ct, c, constTarget)
-		if err != nil {
-			return nil, fmt.Errorf("hepoly: term degree %d: %w", 2*k+1, err)
-		}
-		for bit := 0; (1 << bit) <= m; bit++ {
-			if m&(1<<bit) == 0 {
-				continue
+			if i == len(c.Stages)-1 {
+				coeff *= factor
 			}
-			next, err := he.ev.MulRelinRescale(term, ladder[bit])
-			he.ev.Recycle(term)
-			if err != nil {
-				return nil, fmt.Errorf("hepoly: term degree %d power 2^%d: %w", 2*k+1, bit+1, err)
+			l, mult := level-1, 1.0 // after the constant product; ∏ s_e/q_used
+			for r := uint(k); r != 0; r &= r - 1 {
+				b := bits.TrailingZeros(r)
+				l = min(l, level-1-b)
+				mult *= sq[b+1] / float64(q[l])
+				l--
 			}
-			term = next
+			st.terms = append(st.terms, term{k: k, coeff: coeff, scale: scale / mult})
+			out = min(out, l)
 		}
-		// Pin the exactly-planned scale to suppress float bookkeeping dust.
-		term.Scale = targetScale
-		if sum == nil {
-			sum = term
-			continue
+		if len(st.terms) == 0 {
+			return nil, fmt.Errorf("hepoly: stage %d of %s has no nonzero coefficients", i, c.Name)
 		}
-		// Accumulate into whichever of the two sits lower: the sum keeps only
-		// the limbs both have, and the other is superseded.
-		if term.Level < sum.Level {
-			sum, term = term, sum
-		}
-		err = he.ev.AddInPlace(sum, term)
-		he.ev.Recycle(term)
-		if err != nil {
-			return nil, fmt.Errorf("hepoly: accumulating degree %d: %w", 2*k+1, err)
-		}
+		p.stages[i] = st
+		level = out
 	}
-	if sum == nil {
-		return nil, fmt.Errorf("hepoly: polynomial has no nonzero coefficients")
+	if level < 1 {
+		return nil, fmt.Errorf("hepoly: %s leaves no level for the x·p(x) product", c.Name)
 	}
-	return sum, nil
+	return p, nil
 }
 
-// EvalComposite applies the stages of a composite PAF in order; the result
-// approximates sign(message) at the input's scale, Depth() levels below.
-func (he *Evaluator) EvalComposite(c *paf.Composite, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	cur := ct
-	for i, stage := range c.Stages {
-		next, err := he.EvalOdd(stage, cur)
-		if cur != ct {
+// run executes p on x: each stage in turn, then x·p(x) with factor·lin
+// added on the product's limbs.
+func (he *Evaluator) run(p *plan, x, lin *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	cur := x
+	for i, st := range p.stages {
+		next, err := he.stage(st, cur)
+		if cur != x {
 			he.ev.Recycle(cur)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("hepoly: stage %d of %s: %w", i, c.Name, err)
+			return nil, fmt.Errorf("hepoly: stage %d of %s: %w", i, p.name, err)
 		}
 		cur = next
 	}
-	return cur, nil
-}
-
-// scaledLastStage clones c with the final stage's coefficients multiplied by
-// factor, folding a constant into the sign approximation for free.
-func scaledLastStage(c *paf.Composite, factor float64) *paf.Composite {
-	cc := c.Clone()
-	last := cc.Stages[len(cc.Stages)-1]
-	for i := range last.Coeffs {
-		last.Coeffs[i] *= factor
-	}
-	return cc
-}
-
-// ReLU evaluates relu(x) ≈ (x + x·p(x))/2 on the ciphertext, consuming
-// Depth()+1 levels.
-func (he *Evaluator) ReLU(c *paf.Composite, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	return he.ReLUScaled(c, ct, 1)
-}
-
-// ReLUScaled evaluates γ·relu(x) ≈ (γ·x + γ·x·p(x))/2 with the constant γ
-// folded into the existing coefficient multiplications, so it costs no
-// extra level. This is how Static Scaling's output rescaling (s·relu(x/s))
-// deploys for free.
-func (he *Evaluator) ReLUScaled(c *paf.Composite, ct *ckks.Ciphertext, gamma float64) (*ckks.Ciphertext, error) {
-	half, err := he.EvalComposite(scaledLastStage(c, gamma/2), ct) // γ·p(x)/2
+	prod, err := he.ev.MulRelinRescale(x, cur) // factor·x·p(x)
+	he.ev.Recycle(cur)
 	if err != nil {
 		return nil, err
 	}
-	prod, err := he.ev.MulRelinRescale(ct, half) // γ·x·p(x)/2
-	he.ev.Recycle(half)
-	if err != nil {
-		return nil, err
-	}
-	return he.addLinearTerm(prod, ct, gamma/2)
-}
-
-// addLinearTerm folds the linear term into prod: prod += factor·x, evaluated one
-// level below x and added on prod's limbs. prod is the caller's to keep on
-// success and is recycled on failure.
-func (he *Evaluator) addLinearTerm(prod, x *ckks.Ciphertext, factor float64) (*ckks.Ciphertext, error) {
-	xh, err := he.ev.MulConstTargetScale(x, factor, prod.Scale)
+	l, err := he.ev.MulConstTargetScale(lin, p.factor, prod.Scale)
 	if err == nil {
-		err = he.ev.AddInPlace(prod, xh)
-		he.ev.Recycle(xh)
+		err = he.ev.AddInPlace(prod, l)
+		he.ev.Recycle(l)
 	}
 	if err != nil {
 		he.ev.Recycle(prod)
@@ -200,28 +144,83 @@ func (he *Evaluator) addLinearTerm(prod, x *ckks.Ciphertext, factor float64) (*c
 	return prod, nil
 }
 
+// stage evaluates one stage on ct: its ladder, then per term one constant
+// product and one ciphertext product per set bit of k, summed at ct's scale
+// on the limbs all terms share.
+func (he *Evaluator) stage(st stage, ct *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	ladder := make([]*ckks.Ciphertext, 0, st.ladder)
+	defer func() {
+		for _, e := range ladder {
+			he.ev.Recycle(e)
+		}
+	}()
+	for cur := ct; len(ladder) < st.ladder; {
+		sq, err := he.ev.MulRelinRescale(cur, cur)
+		if err != nil {
+			return nil, fmt.Errorf("even ladder step %d: %w", len(ladder), err)
+		}
+		ladder, cur = append(ladder, sq), sq
+	}
+	var sum *ckks.Ciphertext
+	for _, t := range st.terms {
+		term, err := he.ev.MulConstTargetScale(ct, t.coeff, t.scale)
+		for r := uint(t.k); err == nil && r != 0; r &= r - 1 {
+			prev := term
+			term, err = he.ev.MulRelinRescale(prev, ladder[bits.TrailingZeros(r)])
+			he.ev.Recycle(prev)
+		}
+		if err == nil {
+			// Pin the exactly-planned scale to suppress float bookkeeping dust.
+			term.Scale = ct.Scale
+			if sum == nil {
+				sum = term
+				continue
+			}
+			// Accumulate into whichever of the two sits lower: the sum keeps
+			// only the limbs both have, and the other is superseded.
+			if term.Level < sum.Level {
+				sum, term = term, sum
+			}
+			err = he.ev.AddInPlace(sum, term)
+			he.ev.Recycle(term)
+		}
+		if err != nil {
+			if sum != nil {
+				he.ev.Recycle(sum)
+			}
+			return nil, fmt.Errorf("term degree %d: %w", 2*t.k+1, err)
+		}
+	}
+	return sum, nil
+}
+
+// ReLUScaled evaluates γ·relu(x) ≈ (γ·x + γ·x·p(x))/2 with the constant γ
+// folded into the existing coefficient multiplications, so it costs no
+// extra level: DepthReLU() levels. This is how Static Scaling's output
+// rescaling (s·relu(x/s)) deploys for free.
+func (he *Evaluator) ReLUScaled(c *paf.Composite, ct *ckks.Ciphertext, gamma float64) (*ckks.Ciphertext, error) {
+	p, err := compile(he.ev.Params(), c, gamma/2, ct.Level, ct.Scale)
+	if err != nil {
+		return nil, err
+	}
+	return he.run(p, ct, ct)
+}
+
 // Max evaluates max(a,b) ≈ ((a+b) + (a-b)·p(a-b))/2.
 func (he *Evaluator) Max(c *paf.Composite, a, b *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	p, err := compile(he.ev.Params(), c, 0.5, min(a.Level, b.Level), a.Scale)
+	if err != nil {
+		return nil, err
+	}
 	d, err := he.ev.Sub(a, b)
 	if err != nil {
 		return nil, err
 	}
 	defer he.ev.Recycle(d)
-	half, err := he.EvalComposite(scaledLastStage(c, 0.5), d)
-	if err != nil {
-		return nil, err
-	}
-	prod, err := he.ev.MulRelinRescale(d, half)
-	he.ev.Recycle(half)
-	if err != nil {
-		return nil, err
-	}
 	sum, err := he.ev.Add(a, b)
 	if err != nil {
-		he.ev.Recycle(prod)
 		return nil, err
 	}
-	out, err := he.addLinearTerm(prod, sum, 0.5)
-	he.ev.Recycle(sum)
-	return out, err
+	defer he.ev.Recycle(sum)
+	return he.run(p, d, sum)
 }

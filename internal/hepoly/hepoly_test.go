@@ -3,7 +3,10 @@ package hepoly
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/efficientfhe/smartpaf/internal/ckks"
 	"github.com/efficientfhe/smartpaf/internal/paf"
@@ -80,52 +83,48 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
-func TestEvalOddMatchesPlaintext(t *testing.T) {
-	hc := newHEContext(t)
-	vals := testVector(hc.params.Slots(), 1)
-	ct := hc.encryptReals(t, vals)
+// oneStage is the composite of the single odd polynomial with these
+// coefficients.
+func oneStage(coeffs ...float64) *paf.Composite {
+	return &paf.Composite{Name: "p", Stages: []*paf.OddPoly{paf.NewOddPoly(coeffs)}}
+}
 
-	p := paf.NewOddPoly([]float64{1.5, -0.5, 0.25, -0.03}) // degree 7
-	out, err := hc.he.EvalOdd(p, ct)
+// checkReLU encrypts vals, runs ReLUScaled(c, ·, gamma) and holds the result
+// to gamma·c.ReLU within tol, to DepthReLU() levels, and to the scale the
+// plan promises: every stage lands at the input's scale, so the x·p(x)
+// product sits at exactly ct.Scale²/q.
+func (hc *heContext) checkReLU(t *testing.T, c *paf.Composite, vals []float64, gamma, tol float64) *ckks.Ciphertext {
+	t.Helper()
+	ct := hc.encryptReals(t, vals)
+	out, err := hc.he.ReLUScaled(c, ct, gamma)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", c.Name, err)
 	}
 	want := make([]float64, len(vals))
 	for i, v := range vals {
-		want[i] = p.Eval(v)
+		want[i] = gamma * c.ReLU(v)
 	}
-	if d := maxAbsDiff(want, hc.decryptReals(out)); d > 1e-4 {
-		t.Fatalf("EvalOdd error %g", d)
+	if d := maxAbsDiff(want, hc.decryptReals(out)); d > tol {
+		t.Errorf("%s (degree %d): encrypted vs plaintext error %g", c.Name, c.Degree(), d)
 	}
-	// Depth: degree 7 must consume exactly 3 levels.
-	if got, want := hc.params.MaxLevel()-out.Level, 3; got != want {
-		t.Fatalf("levels consumed = %d want %d", got, want)
+	if got := ct.Level - out.Level; got != c.DepthReLU() {
+		t.Errorf("%s (degree %d): consumed %d levels, want DepthReLU %d", c.Name, c.Degree(), got, c.DepthReLU())
 	}
-	// Scale restored to input scale exactly.
-	if out.Scale != ct.Scale {
-		t.Fatalf("scale %g != input %g", out.Scale, ct.Scale)
+	if want := ct.Scale * ct.Scale / float64(hc.params.Q()[out.Level+1]); out.Scale != want {
+		t.Errorf("%s: output scale %g, want %g: a stage did not land at the input's scale", c.Name, out.Scale, want)
 	}
+	return out
+}
+
+func TestEvalOddMatchesPlaintext(t *testing.T) {
+	hc := newHEContext(t)
+	// Degree 7: three levels for the stage, one for x·p(x).
+	hc.checkReLU(t, oneStage(1.5, -0.5, 0.25, -0.03), testVector(hc.params.Slots(), 1), 2, 1e-4)
 }
 
 func TestEvalOddDegreeOne(t *testing.T) {
 	hc := newHEContext(t)
-	vals := testVector(hc.params.Slots(), 2)
-	ct := hc.encryptReals(t, vals)
-	p := paf.NewOddPoly([]float64{-2.5})
-	out, err := hc.he.EvalOdd(p, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, len(vals))
-	for i, v := range vals {
-		want[i] = -2.5 * v
-	}
-	if d := maxAbsDiff(want, hc.decryptReals(out)); d > 1e-5 {
-		t.Fatalf("degree-1 error %g", d)
-	}
-	if hc.params.MaxLevel()-out.Level != 1 {
-		t.Fatal("degree-1 should consume exactly 1 level")
-	}
+	hc.checkReLU(t, oneStage(-2.5), testVector(hc.params.Slots(), 2), 1, 1e-5)
 }
 
 func TestEvalOddAllDegreesConsumeAnalyticDepth(t *testing.T) {
@@ -139,23 +138,7 @@ func TestEvalOddAllDegreesConsumeAnalyticDepth(t *testing.T) {
 				coeffs[i] = -coeffs[i]
 			}
 		}
-		p := paf.NewOddPoly(coeffs)
-		ct := hc.encryptReals(t, vals)
-		out, err := hc.he.EvalOdd(p, ct)
-		if err != nil {
-			t.Fatalf("degree %d: %v", p.Degree(), err)
-		}
-		want := paf.DepthOfDegree(p.Degree())
-		if got := hc.params.MaxLevel() - out.Level; got != want {
-			t.Fatalf("degree %d: consumed %d levels, analytic %d", p.Degree(), got, want)
-		}
-		ref := make([]float64, len(vals))
-		for i, v := range vals {
-			ref[i] = p.Eval(v)
-		}
-		if d := maxAbsDiff(ref, hc.decryptReals(out)); d > 1e-4 {
-			t.Fatalf("degree %d: error %g", p.Degree(), d)
-		}
+		hc.checkReLU(t, oneStage(coeffs...), vals, 1, 1e-4)
 	}
 }
 
@@ -163,45 +146,13 @@ func TestEvalCompositeMatchesPlaintextForAllForms(t *testing.T) {
 	hc := newHEContext(t)
 	vals := testVector(hc.params.Slots(), 4)
 	for _, name := range paf.AllFormsWithBaseline {
-		c := paf.MustNew(name)
-		ct := hc.encryptReals(t, vals)
-		out, err := hc.he.EvalComposite(c, ct)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := hc.params.MaxLevel() - out.Level; got != c.Depth() {
-			t.Errorf("%s: consumed %d levels, Table 2 depth %d", name, got, c.Depth())
-		}
-		want := make([]float64, len(vals))
-		for i, v := range vals {
-			want[i] = c.Eval(v)
-		}
-		if d := maxAbsDiff(want, hc.decryptReals(out)); d > 1e-2 {
-			t.Errorf("%s: encrypted vs plaintext error %g", name, d)
-		}
+		hc.checkReLU(t, paf.MustNew(name), vals, 1, 1e-2)
 	}
 }
 
 func TestReLUEncrypted(t *testing.T) {
 	hc := newHEContext(t)
-	vals := testVector(hc.params.Slots(), 5)
-	c := paf.MustNew(paf.FormAlpha7)
-	ct := hc.encryptReals(t, vals)
-	out, err := hc.he.ReLU(c, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Against the PAF's own plaintext ReLU (tight tolerance: same math).
-	wantPAF := make([]float64, len(vals))
-	for i, v := range vals {
-		wantPAF[i] = c.ReLU(v)
-	}
-	if d := maxAbsDiff(wantPAF, hc.decryptReals(out)); d > 1e-2 {
-		t.Fatalf("encrypted vs plaintext PAF ReLU differ by %g", d)
-	}
-	if got := hc.params.MaxLevel() - out.Level; got != c.DepthReLU() {
-		t.Fatalf("ReLU consumed %d levels, want %d", got, c.DepthReLU())
-	}
+	hc.checkReLU(t, paf.MustNew(paf.FormAlpha7), testVector(hc.params.Slots(), 5), 1, 1e-2)
 }
 
 func TestMaxEncrypted(t *testing.T) {
@@ -230,41 +181,109 @@ func TestMaxEncrypted(t *testing.T) {
 	}
 }
 
+// countStages counts the CKKS stages recorded while f runs, by name.
+func countStages(f func()) map[string]int {
+	var mu sync.Mutex
+	n := map[string]int{}
+	ckks.SetStageObserver(func(stage string, _ time.Duration) {
+		mu.Lock()
+		n[stage]++
+		mu.Unlock()
+	})
+	defer ckks.SetStageObserver(nil)
+	f()
+	return n
+}
+
+// TestEvalOddInsufficientLevels: a stage the input level cannot pay for, or
+// a composite that leaves no level for x·p(x), is refused by compile, before
+// any ciphertext operation.
 func TestEvalOddInsufficientLevels(t *testing.T) {
 	hc := newHEContext(t)
-	vals := testVector(hc.params.Slots(), 8)
-	ct := hc.encryptReals(t, vals)
-	low := hc.eval.DropLevel(ct, 1)
-	p := paf.NewOddPoly([]float64{1, -0.5, 0.25}) // degree 5, needs 3
-	if _, err := hc.he.EvalOdd(p, low); err == nil {
-		t.Fatal("expected insufficient-level error")
+	ct := hc.encryptReals(t, testVector(hc.params.Slots(), 8))
+	alpha7 := paf.MustNew(paf.FormAlpha7)
+	for _, tc := range []struct {
+		c     *paf.Composite
+		level int
+	}{
+		{oneStage(1, -0.5, 0.25), 2},      // degree 5 needs 3
+		{oneStage(1, -0.5, 0.25), 3},      // and one more for x·p(x)
+		{alpha7, alpha7.DepthReLU() - 2},  // the last stage short
+		{alpha7, alpha7.DepthReLU() - 1},  // the product short
+		{paf.MustNew(paf.FormAlpha10), 1}, // the first stage short
+	} {
+		var err error
+		ops := countStages(func() { _, err = hc.he.ReLUScaled(tc.c, hc.eval.DropLevel(ct, tc.level), 1) })
+		if err == nil {
+			t.Errorf("%s at level %d: expected an insufficient-level error", tc.c.Name, tc.level)
+		}
+		if len(ops) != 0 {
+			t.Errorf("%s at level %d: %v ran before the refusal", tc.c.Name, tc.level, ops)
+		}
 	}
 }
 
 func TestEvalOddRejectsZeroPolynomial(t *testing.T) {
 	hc := newHEContext(t)
 	ct := hc.encryptReals(t, testVector(hc.params.Slots(), 9))
-	if _, err := hc.he.EvalOdd(paf.NewOddPoly([]float64{0, 0}), ct); err == nil {
+	if _, err := hc.he.ReLUScaled(oneStage(0, 0), ct, 1); err == nil {
 		t.Fatal("expected error for all-zero polynomial")
 	}
 }
 
+// TestLadderSize: compile gives a degree-d stage enough squarings to cover
+// (d-1)/2 in binary.
 func TestLadderSize(t *testing.T) {
+	hc := newHEContext(t)
 	cases := map[int]int{1: 0, 3: 1, 5: 2, 7: 2, 9: 3, 13: 3, 15: 3, 27: 4}
 	for deg, want := range cases {
-		if got := ladderSize(deg); got != want {
-			t.Errorf("ladderSize(%d) = %d want %d", deg, got, want)
+		coeffs := make([]float64, (deg+1)/2)
+		for i := range coeffs {
+			coeffs[i] = 1
+		}
+		p, err := compile(hc.params, oneStage(coeffs...), 1, hc.params.MaxLevel(), hc.params.DefaultScale())
+		if err != nil {
+			t.Fatalf("degree %d: %v", deg, err)
+		}
+		if got := p.stages[0].ladder; got != want {
+			t.Errorf("degree %d: ladder of %d squarings, want %d", deg, got, want)
 		}
 	}
 }
 
 func TestRequiredLevels(t *testing.T) {
 	c := paf.MustNew(paf.FormF1G2)
-	if RequiredLevels(c, false) != 6 {
-		t.Fatalf("f1∘g2 ReLU levels = %d want 6", RequiredLevels(c, false))
+	if got := RequiredLevels(c); got != 7 {
+		t.Fatalf("f1∘g2 deployed activation levels = %d want 7 (ReLU 6, normalisation 1)", got)
 	}
-	if RequiredLevels(c, true) != 7 {
-		t.Fatal("scaling should add one level")
+}
+
+// TestPlanMatchesPaperCounts: for every form, at the exact-depth level and
+// one above, ReLUScaled consumes DepthReLU() levels and performs Appendix
+// C's operation count: one key switch per ciphertext product (each
+// MulRelinRescale is one) and one rescale per constant product.
+func TestPlanMatchesPaperCounts(t *testing.T) {
+	hc := newHEContext(t)
+	ct := hc.encryptReals(t, testVector(hc.params.Slots(), 11))
+	for _, name := range paf.AllFormsWithBaseline {
+		c := paf.MustNew(name)
+		want := c.OpsReLU()
+		for _, level := range []int{c.DepthReLU(), c.DepthReLU() + 1} {
+			var out *ckks.Ciphertext
+			var err error
+			ops := countStages(func() { out, err = hc.he.ReLUScaled(c, hc.eval.DropLevel(ct, level), 1) })
+			if err != nil {
+				t.Fatalf("%s at level %d: %v", name, level, err)
+			}
+			if got := level - out.Level; got != c.DepthReLU() {
+				t.Errorf("%s at level %d: consumed %d levels, want %d", name, level, got, c.DepthReLU())
+			}
+			if ops["key_switch"] != want.CtMults || ops["rescale"] != want.ConstMults {
+				t.Errorf("%s at level %d: %d key switches and %d rescales, Appendix C counts %d ciphertext and %d constant products",
+					name, level, ops["key_switch"], ops["rescale"], want.CtMults, want.ConstMults)
+			}
+			hc.eval.Recycle(out)
+		}
 	}
 }
 
@@ -273,24 +292,24 @@ func TestReLUScaledFoldsConstant(t *testing.T) {
 	vals := testVector(hc.params.Slots(), 10)
 	c := paf.MustNew(paf.FormF1G2)
 	const gamma = 3.25
-	ct := hc.encryptReals(t, vals)
-	out, err := hc.he.ReLUScaled(c, ct, gamma)
+	// Folding must not cost an extra level: checkReLU holds both to
+	// DepthReLU.
+	hc.checkReLU(t, c, vals, gamma, 1e-2)
+	// The plan carries the folded coefficients; the composite is untouched.
+	p, err := compile(hc.params, c, gamma/2, hc.params.MaxLevel(), hc.params.DefaultScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, len(vals))
-	for i, v := range vals {
-		want[i] = gamma * c.ReLU(v)
+	fresh := paf.MustNew(paf.FormF1G2)
+	last := len(c.Stages) - 1
+	for i, s := range c.Stages {
+		if !slices.Equal(s.Coeffs, fresh.Stages[i].Coeffs) {
+			t.Fatalf("stage %d's coefficients moved: %v, want %v", i, s.Coeffs, fresh.Stages[i].Coeffs)
+		}
 	}
-	if d := maxAbsDiff(want, hc.decryptReals(out)); d > 1e-2 {
-		t.Fatalf("scaled relu error %g", d)
-	}
-	// Folding must not cost an extra level vs plain ReLU.
-	plain, err := hc.he.ReLU(c, hc.encryptReals(t, vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Level != plain.Level {
-		t.Fatalf("ReLUScaled consumed %d levels vs ReLU's %d", hc.params.MaxLevel()-out.Level, hc.params.MaxLevel()-plain.Level)
+	for _, tm := range p.stages[last].terms {
+		if want := c.Stages[last].Coeffs[tm.k] * (gamma / 2); tm.coeff != want {
+			t.Errorf("last stage term %d: coefficient %g, want %g", tm.k, tm.coeff, want)
+		}
 	}
 }

@@ -236,7 +236,7 @@ func (c *Composite) SignError(eps float64, grid int) float64 {
 }
 
 // OpCount tallies the homomorphic operations of the Appendix C evaluation
-// strategy, used by the analytic latency model in internal/hepoly.
+// strategy, printed by experiments' Table 2 and pinned to hepoly's plan.
 type OpCount struct {
 	CtMults    int // ciphertext × ciphertext multiplications (with relin)
 	ConstMults int // ciphertext × scalar multiplications (with rescale)

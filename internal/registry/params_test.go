@@ -92,7 +92,7 @@ func TestSelectedRingsMeetHEStandard(t *testing.T) {
 		rows = append(rows, row{name, levels, lit})
 	}
 	for _, form := range paf.AllFormsWithBaseline {
-		levels := hepoly.RequiredLevels(paf.MustNew(form), true)
+		levels := hepoly.RequiredLevels(paf.MustNew(form))
 		lit, err := ckks.ChainLiteral(0, levels, 0)
 		add(form, levels, lit, err)
 	}
