@@ -49,6 +49,28 @@ func TestGaloisNTTIndexMatchesCoefficientAutomorphism(t *testing.T) {
 	}
 }
 
+// applyAutomorphism computes out(X) = in(X^k) in coefficient domain, per
+// limb: coefficient i maps to index i·k mod 2N, negated when it crosses N.
+// It is the definitional automorphism the NTT-domain tables are checked
+// against. out must not alias in.
+func applyAutomorphism(r *ring.Ring, in *ring.Poly, k int, out *ring.Poly) {
+	n := r.N
+	m := 2 * n
+	for limb := range in.Coeffs {
+		q := r.Moduli[limb].Q
+		src := in.Coeffs[limb]
+		dst := out.Coeffs[limb]
+		for i := 0; i < n; i++ {
+			j := i * k % m
+			if j < n {
+				dst[j] = src[i]
+			} else {
+				dst[j-n] = ring.NegMod(src[i], q)
+			}
+		}
+	}
+}
+
 // wideDigits is testLit with two special primes: digits of two limbs and a
 // last digit of one, so tests that loop over both literals cover α = 1 and a
 // grouped gadget with a short digit.

@@ -435,7 +435,8 @@ func TestSeededKeysDecodeToGeneratorBytes(t *testing.T) {
 // keys pack to under the same parameters, drawing from the samplers in the
 // same order; the rotation steps are normalized, deduplicated and sorted on
 // the way, as GenRotationKeys and the wire form have them. The rotation keys
-// fan across cores and reach the stream in step order, on one P and on four.
+// fan across cores and reach the stream in step order, on one P, on three
+// (eight keys leave the last round uneven) and on four.
 func TestKeyWritersMatchMarshal(t *testing.T) {
 	steps := []int{60, -1, 3, 0, 1, 3, 2, 16, 33, 8}
 	for name, lit := range seededKeyLits {
@@ -448,7 +449,7 @@ func TestKeyWritersMatchMarshal(t *testing.T) {
 		rlk := kg.GenRelinearizationKey(sk).AppendWire(nil, params)
 		rks := kg.GenRotationKeys(sk, steps, false).AppendWire(nil, params)
 		want := append(append([]byte("prefix"), rlk...), rks...)
-		for _, procs := range []int{1, 4} {
+		for _, procs := range []int{1, 3, 4} {
 			prev := runtime.GOMAXPROCS(procs)
 			kg = NewKeyGenerator(params, 9)
 			sk = kg.GenSecretKey()
@@ -481,7 +482,8 @@ func (f *failAfter) Write(b []byte) (int, error) {
 
 // TestWriteRotationKeysStopsAtWriteError: a stream that fails part-way
 // through a set stops the fan. WriteRotationKeys returns the stream's error
-// and writes nothing after it, whatever the number of workers.
+// and writes nothing after it, whatever the number of workers: with three,
+// seven keys leave the last round uneven.
 func TestWriteRotationKeysStopsAtWriteError(t *testing.T) {
 	params, err := NewParameters(seededKeyLits["serving"])
 	if err != nil {
@@ -490,7 +492,7 @@ func TestWriteRotationKeysStopsAtWriteError(t *testing.T) {
 	kg := NewKeyGenerator(params, 9)
 	sk := kg.GenSecretKey()
 	entry := 4 + params.KeyWireSize()
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 3, 4} {
 		for _, keys := range []int{0, 1, 5} {
 			prev := runtime.GOMAXPROCS(procs)
 			stream := &failAfter{n: 8 + keys*entry}

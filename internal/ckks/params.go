@@ -240,28 +240,35 @@ func (p *Parameters) digit(d, level int) (lo, hi int, ext *ring.BasisExtender) {
 }
 
 // galoisNTTIndex returns the permutation table applying the automorphism
-// X→X^k directly in the NTT domain: out[t] = in[tab[t]] per limb. The
-// bit-reversed negacyclic NTT stores at slot t the evaluation at
-// ψ^(2·bitrev(t)+1); the automorphism moves to that slot the evaluation at
-// exponent k·(2·bitrev(t)+1) mod 2N, which is again odd (k is odd), so the
-// permutation needs no sign fix-ups — the coefficient-domain negations are
-// absorbed by the evaluation-point relabeling. Tables are built once per
-// Galois element and cached.
+// X→X^k directly in the NTT domain (fillGaloisNTTIndex), cached per Galois
+// element: an evaluator applies the same few automorphisms on every call.
 func (p *Parameters) galoisNTTIndex(k int) []int32 {
 	if v, ok := p.galoisIdx.Load(k); ok {
 		return v.([]int32)
 	}
+	v, _ := p.galoisIdx.LoadOrStore(k, p.fillGaloisNTTIndex(make([]int32, p.N()), k))
+	return v.([]int32)
+}
+
+// fillGaloisNTTIndex writes into tab, N entries, and returns the table
+// applying X→X^k in the NTT domain: out[t] = in[tab[t]] per limb (gather).
+// The bit-reversed negacyclic NTT stores at slot t the evaluation at
+// ψ^(2·bitrev(t)+1); the automorphism moves to that slot the evaluation at
+// exponent k·(2·bitrev(t)+1) mod 2N, which is again odd (k is odd), so the
+// permutation needs no sign fix-ups — the coefficient-domain negations are
+// absorbed by the evaluation-point relabeling. Key generation builds each
+// rotation key's table once this way, into one table a worker, and caches
+// none: on a client the tables would outlive the keys they built.
+func (p *Parameters) fillGaloisNTTIndex(tab []int32, k int) []int32 {
 	n := p.N()
 	logN := p.logN
 	mask := 2*n - 1
-	tab := make([]int32, n)
-	for t := 0; t < n; t++ {
+	for t := range tab[:n] {
 		e := 2*int(bitRev(uint64(t), logN)) + 1
 		src := (e * k) & mask
 		tab[t] = int32(bitRev(uint64((src-1)>>1), logN))
 	}
-	v, _ := p.galoisIdx.LoadOrStore(k, tab)
-	return v.([]int32)
+	return tab
 }
 
 // bitRev reverses the lowest nbits bits of v.

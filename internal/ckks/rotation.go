@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/efficientfhe/smartpaf/internal/parallel"
 	"github.com/efficientfhe/smartpaf/internal/ring"
@@ -36,28 +37,6 @@ func (p *Parameters) galoisElement(step int) int {
 	return int(ring.PowMod(5, uint64(step), uint64(m)))
 }
 
-// applyAutomorphism computes out(X) = in(X^k) in coefficient domain, per
-// limb: coefficient i maps to index i·k mod 2N, negated when it crosses N.
-// The map is a bijection on [0, N), so every coefficient of out is written;
-// out may come from GetPolyRaw. out must not alias in.
-func applyAutomorphism(r *ring.Ring, in *ring.Poly, k int, out *ring.Poly) {
-	n := r.N
-	m := 2 * n
-	for limb := range in.Coeffs {
-		q := r.Moduli[limb].Q
-		src := in.Coeffs[limb]
-		dst := out.Coeffs[limb]
-		for i := 0; i < n; i++ {
-			j := i * k % m
-			if j < n {
-				dst[j] = src[i]
-			} else {
-				dst[j-n] = ring.NegMod(src[i], q)
-			}
-		}
-	}
-}
-
 // deriveSeed mixes the generator seed with a per-key tag (splitmix64 finisher)
 // so every switching key draws from an independent deterministic stream — the
 // set is reproducible regardless of generation order or worker count.
@@ -77,10 +56,8 @@ func deriveSeed(seed, tag int64) int64 {
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *RotationKeySet {
 	uniq := kg.rotationSteps(steps)
 	generated := make([]*SwitchingKey, len(uniq))
-	// Only gen's errors stop the fan, and generating a key cannot fail.
-	_ = kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
+	kg.eachRotationKey(sk, uniq, parallel.Workers(-1), func(_, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
 		generated[i] = sub.genKey(sk, srcQ, seed)
-		return nil
 	})
 	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
 	for i, norm := range uniq {
@@ -92,12 +69,12 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *Rot
 // WriteRotationKeys is GenRotationKeys' streaming front-end: it writes the
 // set's packed wire form (RotationKeySet.AppendWire's bytes under the
 // generator's parameters, RotationKeysWireSize of them) to w and keeps no
-// key. The keys fan across cores as GenRotationKeys' do and reach w in step
-// order: key i is generated into buffer i mod n, one a worker, once key i-n
-// has been written from it, and is written once key i-1 has been. written[i]
-// closes when key i is on w. The first write error closes stop and stops
-// the fan: keys being generated finish, keys waiting for a buffer or their
-// turn return the error, and no key is written after it.
+// key. The keys fan across cores as GenRotationKeys' do, each worker
+// generating into its one pooled key buffer, and reach w in step order: key
+// i is written once turn, the count of keys on w, reaches i. The first write
+// error stops the fan and wakes every worker waiting on its turn: keys being
+// generated finish, no key is generated or written after it, and the error
+// is returned.
 func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []int) error {
 	uniq := kg.rotationSteps(steps)
 	var head wire.Writer
@@ -107,53 +84,48 @@ func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []in
 		return err
 	}
 	bufs := make([]*[]byte, min(parallel.Workers(-1), len(uniq)))
-	written := make([]chan struct{}, len(uniq))
-	for i := range written {
-		written[i] = make(chan struct{})
+	var (
+		mu   sync.Mutex
+		next = sync.NewCond(&mu) // broadcast when turn moves
+		turn int                 // keys written to w, or tried
+		werr error               // the write error that stopped the fan
+	)
+	// await blocks until turn reaches i and returns the write error, if any.
+	await := func(i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for turn < i && werr == nil {
+			next.Wait()
+		}
+		return werr
 	}
-	stop := make(chan struct{})
-	var werr error // set before stop closes
-	// wait blocks until key i is on w, or returns the write error that
-	// stopped the writer.
-	wait := func(i int) error {
-		if i < 0 {
-			return nil
+	kg.eachRotationKey(sk, uniq, len(bufs), func(worker, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
+		if await(0) != nil {
+			return
 		}
-		select {
-		case <-written[i]:
-			return nil
-		case <-stop:
-			return werr
-		}
-	}
-	err := kg.eachRotationKey(sk, uniq, func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error {
-		if err := wait(i - len(bufs)); err != nil {
-			return err
-		}
-		b := &bufs[i%len(bufs)]
+		b := &bufs[worker]
 		if *b == nil {
 			*b = borrowKeyBuffer(4 + kg.params.KeyWireSize())
 		}
 		kw := wire.Writer((**b)[:0])
 		kw.U32(uint32(uniq[i]))
 		sub.appendKey(&kw, sk, srcQ, seed)
-		if err := wait(i - 1); err != nil {
-			return err
+		if await(i) != nil {
+			return
 		}
-		if _, err := w.Write(kw); err != nil {
-			werr = err
-			close(stop)
-			return err
-		}
-		close(written[i])
-		return nil
+		// Only the worker whose turn it is writes, so only it sets werr.
+		_, err := w.Write(kw)
+		mu.Lock()
+		werr, turn = err, turn+1
+		next.Broadcast()
+		mu.Unlock()
 	})
 	for _, b := range bufs {
 		if b != nil {
 			keyScratch.Put(b)
 		}
 	}
-	return err
+	return werr
 }
 
 // rotationSteps normalizes steps, drops zero and repeats, and sorts them: the
@@ -169,37 +141,36 @@ func (kg *KeyGenerator) rotationSteps(steps []int) []int {
 	return slices.Compact(uniq)
 }
 
-// eachRotationKey calls gen once per step of uniq with what that key's
-// generation needs: a generator whose error sampler is derived from the
-// generator seed and the key's Galois element k, the source secret φ_k(s) in
-// NTT domain over Q (pooled, returned once gen is done) and the key's public
-// seed. Keys are independent, so the calls fan across all cores (rotation-key
-// sets dominate serving-session setup otherwise); each key's randomness
-// depends on k alone, keeping the result deterministic under any schedule.
-// The first error gen returns stops the fan and is returned.
-func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, gen func(i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) error) error {
-	// The coefficient-domain secret is the same for every key: compute it
-	// once and share it read-only across the jobs (applyAutomorphism only
-	// reads its source).
+// eachRotationKey calls gen once per step of uniq, on up to workers
+// parallel.Fan workers, with the worker's id and what that key's generation
+// needs: a generator whose error sampler is derived from the generator seed
+// and the key's Galois element k, the source secret φ_k(s) over Q (pooled,
+// returned once gen is done) and the key's public seed. φ_k(s) is built the
+// way the evaluator applies φ_k to a ciphertext: the NTT-domain secret
+// gathered through k's permutation table, built once for the key into the
+// worker's table and cached nowhere. Keys are independent, so the calls fan
+// across cores (rotation-key sets dominate serving-session setup otherwise);
+// each key's randomness depends on k alone, keeping the result deterministic
+// under any schedule.
+func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, workers int, gen func(worker, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte)) {
 	rq := kg.params.RingQ()
-	skCoeff := rq.GetPolyRaw(sk.Q.Level())
-	defer rq.PutPoly(skCoeff)
-	for i, limb := range sk.Q.Coeffs {
-		copy(skCoeff.Coeffs[i], limb)
-	}
-	rq.INTT(skCoeff)
-
-	return parallel.For(len(uniq), parallel.Workers(-1), func(i int) error {
+	tabs := make([][]int32, workers) // one Galois table a worker, refilled per key
+	parallel.Fan(len(uniq), workers, func(worker, i int) {
 		k := kg.params.galoisElement(uniq[i])
 		sub := &KeyGenerator{
 			params:   kg.params,
-			samplerQ: ring.NewSampler(kg.params.RingQ(), deriveSeed(kg.seed, int64(k))),
+			samplerQ: ring.NewSampler(rq, deriveSeed(kg.seed, int64(k))),
 		}
-		srcQ := rq.GetPolyRaw(skCoeff.Level())
+		srcQ := rq.GetPolyRaw(sk.Q.Level())
 		defer rq.PutPoly(srcQ)
-		applyAutomorphism(rq, skCoeff, k, srcQ)
-		rq.NTT(srcQ)
-		return gen(i, sub, srcQ, kg.publicSeed(int64(k)))
+		if tabs[worker] == nil {
+			tabs[worker] = make([]int32, rq.N)
+		}
+		idx := kg.params.fillGaloisNTTIndex(tabs[worker], k)
+		for j, limb := range sk.Q.Coeffs {
+			gather(srcQ.Coeffs[j], limb, idx)
+		}
+		gen(worker, i, sub, srcQ, kg.publicSeed(int64(k)))
 	})
 }
 

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -169,20 +170,34 @@ func TestGaloisElementMatchesNaivePowerLoop(t *testing.T) {
 // TestGenRotationKeysDeterministic pins the parallel key generation design:
 // every switching key draws from a stream derived from (seed, Galois
 // element), so the set is bit-identical across runs, step orderings and
-// worker schedules.
+// worker schedules — on one P, on three (an uneven last round) and on four.
+// Generation builds each key's Galois table and caches none on the
+// parameters.
 func TestGenRotationKeysDeterministic(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	a := tc.kg.GenRotationKeys(tc.sk, []int{1, 2, 9}, false)
-	b := NewKeyGenerator(tc.params, 12345).GenRotationKeys(tc.sk, []int{9, 1, 2, 1}, false)
 	ab, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ab) != string(bb) {
-		t.Fatal("rotation key sets differ across orderings/runs")
+	for _, procs := range []int{1, 3, 4} {
+		params, err := NewParameters(testLit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := runtime.GOMAXPROCS(procs)
+		b := NewKeyGenerator(params, 12345).GenRotationKeys(tc.sk, []int{9, 1, 2, 1}, false)
+		runtime.GOMAXPROCS(prev)
+		bb, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(ab) != string(bb) {
+			t.Errorf("GOMAXPROCS=%d: rotation key sets differ across orderings/runs", procs)
+		}
+		params.galoisIdx.Range(func(k, _ any) bool {
+			t.Errorf("GOMAXPROCS=%d: key generation cached the Galois table of k=%v", procs, k)
+			return true
+		})
 	}
 }

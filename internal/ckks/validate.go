@@ -65,10 +65,10 @@ type EvaluationKeySet struct {
 // reduced for params, and the rotation keys cover exactly steps — a client may
 // not pin key material the circuit never touches.
 // A set that passes then gets every key's a_d expanded from its seed, one key
-// per job across all cores unless the set is small: only params' moduli make
-// that possible, and a key
-// built under params expands to the b_d's shape, with every residue canonical
-// by construction.
+// per parallel.Fan job across all cores unless the set is small: only params'
+// moduli make that possible, and a key built under params expands to the
+// b_d's shape, with every residue canonical by construction; expansion cannot
+// fail.
 func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 	if ek.Relin == nil || ek.Rotations == nil {
 		return fmt.Errorf("ckks: evaluation key set is incomplete")
@@ -96,15 +96,11 @@ func (ek EvaluationKeySet) Validate(params *Parameters, steps []int) error {
 	// cores, one per job as GenRotationKeys' are, with the same bytes under
 	// any schedule. A set whose a_d hold fewer coefficients than
 	// ring.MinParallelWork expands serially: that fan loses to its hand-off.
-	// The error func is vestigial: expansion cannot fail.
 	workers := parallel.Workers(-1)
 	if params.EvaluationKeysSize(len(have))/16 < ring.MinParallelWork {
 		workers = 1
 	}
-	_ = parallel.For(len(keys), workers, func(i int) error {
-		params.expandA(keys[i])
-		return nil
-	})
+	parallel.Fan(len(keys), workers, func(_, i int) { params.expandA(keys[i]) })
 	return nil
 }
 

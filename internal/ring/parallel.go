@@ -2,27 +2,32 @@ package ring
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"github.com/efficientfhe/smartpaf/internal/parallel"
 )
 
-// This file implements the substrate's one worker pool: independent jobs are
-// fanned across up to Parallelism() goroutines, with a serial fallback when
-// the work is too small to amortize the fan-out or when another fan-out is
-// already in flight. Jobs come at two grains. The coarse one is a whole key
-// switch: henn's linear layer fans its baby rotations and its giant blocks,
-// each job worth milliseconds. The fine one is an RNS limb (NTT/INTT across
-// limbs, pointwise limb arithmetic, key-switch decomposition and
-// accumulation, mod-down base extension), each job worth tens of
-// microseconds; it fans only when nothing coarser holds the gate.
+// This file is the substrate's fan gate: independent jobs are fanned across
+// up to Parallelism() workers by parallel.Fan, the tree's one worker loop,
+// with a serial fallback when the work is too small to amortize the fan-out
+// or when another fan-out is already in flight. Jobs come at two grains. The
+// coarse one is a whole key switch: henn's linear layer fans its baby
+// rotations and its giant blocks, each job worth milliseconds. The fine one
+// is an RNS limb (NTT/INTT across limbs, pointwise limb arithmetic,
+// key-switch decomposition and accumulation, mod-down base extension), each
+// job worth tens of microseconds; it fans only when nothing coarser holds
+// the gate.
 //
-// The design deliberately relies on the Go scheduler as the underlying
-// thread pool: workers are plain goroutines pulling job indices from an
-// atomic counter, so nested calls and concurrent evaluators cannot deadlock
-// on a fixed-size queue. A single in-flight fan-out gate keeps the total
-// goroutine count bounded at Parallelism() even when many callers hit the
-// substrate at once — in that regime the callers themselves already provide
-// the concurrency, and a nested fan-out would only add scheduling overhead.
+// The loop relies on the Go scheduler as the underlying thread pool: workers
+// are plain goroutines pulling job indices from an atomic counter, so nested
+// calls and concurrent evaluators cannot deadlock on a fixed-size queue. The
+// single in-flight gate keeps the total goroutine count bounded at
+// Parallelism() even when many callers hit the substrate at once — in that
+// regime the callers themselves already provide the concurrency, and a
+// nested fan-out would only add scheduling overhead. The gate is the
+// substrate's alone: key registration fans through parallel.Fan directly,
+// so a client generating keys never waits on, or takes, the gate an
+// inference holds.
 
 // MinParallelWork is the minimum number of coefficient operations
 // (jobs × per-job cost) below which a fan-out falls back to the serial
@@ -66,8 +71,8 @@ func Parallelism() int {
 }
 
 // ForEachWorker runs f(w, i) for every i in [0, jobs), fanning the calls
-// across worker goroutines when jobs*costPerJob ≥ MinParallelWork and no
-// other fan-out is in flight. f must treat distinct indices as independent:
+// across parallel.Fan's workers when jobs*costPerJob ≥ MinParallelWork and
+// no other fan-out is in flight. f must treat distinct indices as independent:
 // no ordering between indices is guaranteed and they may run on different
 // goroutines. w is the executing worker's identity, so callers can keep
 // per-worker state (the key-switch limb fan gives each worker its own
@@ -80,41 +85,15 @@ func Parallelism() int {
 // returns only after every f has returned.
 func ForEachWorker(jobs, costPerJob int, setup func(workers int), f func(worker, i int)) {
 	w := min(Parallelism(), jobs)
-	if w <= 1 || jobs*costPerJob < MinParallelWork ||
-		!fanOutActive.CompareAndSwap(0, 1) {
-		if setup != nil {
-			setup(1)
-		}
-		for i := 0; i < jobs; i++ {
-			f(0, i)
-		}
-		return
+	if w <= 1 || jobs*costPerJob < MinParallelWork || !fanOutActive.CompareAndSwap(0, 1) {
+		w = 1
+	} else {
+		defer fanOutActive.Store(0)
 	}
-	defer fanOutActive.Store(0)
 	if setup != nil {
 		setup(w)
 	}
-	var next atomic.Int64
-	worker := func(id int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= jobs {
-				return
-			}
-			f(id, i)
-		}
-	}
-	// The calling goroutine is worker zero; only w-1 goroutines are spawned.
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for g := 1; g < w; g++ {
-		go func(id int) {
-			defer wg.Done()
-			worker(id)
-		}(g)
-	}
-	worker(0)
-	wg.Wait()
+	parallel.Fan(jobs, w, f)
 }
 
 // forLimbs fans f over the limbs 0..level of a ring, costing each limb at

@@ -92,6 +92,59 @@ func TestRegisterInferDecrypt(t *testing.T) {
 	}
 }
 
+// TestSeedRebuildsSessionKeys pins the coupling hennbench's traced pass
+// rests on: a session's secret is the first draw of NewKeyGenerator(params,
+// seed), so a caller holding only the seed and the model's parameters
+// rebuilds sk (and a public key under it) the way bench/traced.go does. A key
+// generator that reorders its sampler draws breaks that; this test then
+// decrypts garbage. It encrypts with its own encryptor, sends the ciphertext
+// through the registered session and checks the decryption against the
+// plaintext model.
+func TestSeedRebuildsSessionKeys(t *testing.T) {
+	model, _, ts := newTestServer(t)
+	ctx := context.Background()
+	const seed = 4242
+	sess, err := NewClient(ts.URL, nil).NewSession(ctx, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := sess.Model()
+	var lit ckks.ParametersLiteral
+	if err := lit.UnmarshalBinary(info.Params); err != nil {
+		t.Fatal(err)
+	}
+	params, err := ckks.NewParameters(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params, seed)
+	sk := kg.GenSecretKey()
+	enc := ckks.NewEncoder(params)
+	encr := ckks.NewEncryptor(params, kg.GenPublicKey(sk), 8)
+	decr := ckks.NewDecryptor(params, sk)
+
+	rng := rand.New(rand.NewSource(6))
+	x := make([]float64, params.Slots())
+	for i := range x[:info.InputDim] {
+		x[i] = rng.Float64()*2 - 1
+	}
+	pt, err := enc.EncodeReals(x, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sess.InferCiphertext(ctx, encr.Encrypt(pt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := enc.DecodeReals(decr.Decrypt(out))[:info.OutputDim]
+	want := model.MLP.InferPlain(x[:info.InputDim])[:model.OutputDim]
+	for i := range want {
+		if d := got[i] - want[i]; d > 1e-3 || d < -1e-3 {
+			t.Fatalf("logit %d: rebuilt keys decrypt %g, plain %g", i, got[i], want[i])
+		}
+	}
+}
+
 // TestConcurrentClientsBatch hammers one session from many goroutines —
 // every client must get its own correct result back (results are
 // order-sensitive: each input is distinct).
