@@ -228,6 +228,24 @@ func TestEncodeRejectsOversizedInput(t *testing.T) {
 	}
 }
 
+// TestDistinctSeedsGiveDistinctSecrets: int64 seeds that math/rand folded
+// together (it reduces a seed modulo 2^31−1, so every secret was one of fewer
+// than 2^31) give distinct secret keys, as do neighbouring seeds.
+func TestDistinctSeedsGiveDistinctSecrets(t *testing.T) {
+	params, err := NewParameters(testLit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 1<<31 - 1
+	for _, seeds := range [][2]int64{{42, 42 + m}, {7, 7 - m}, {42, 43}} {
+		a := NewKeyGenerator(params, seeds[0]).GenSecretKey()
+		b := NewKeyGenerator(params, seeds[1]).GenSecretKey()
+		if a.Q.Equal(b.Q) {
+			t.Errorf("seeds %d and %d give the same secret key", seeds[0], seeds[1])
+		}
+	}
+}
+
 func TestEncryptDecrypt(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	rng := rand.New(rand.NewSource(3))

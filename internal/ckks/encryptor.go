@@ -7,7 +7,7 @@ import (
 )
 
 // Encryptor encrypts plaintexts under a public key. It is safe for
-// concurrent use: the only mutable state is the deterministic sampler, whose
+// concurrent use: the only mutable state is the seeded sampler, whose
 // draws are serialized under a mutex (so concurrent callers interleave the
 // random stream but each still obtains a valid, fresh encryption; serial
 // callers get the exact seeded sequence).
@@ -19,9 +19,11 @@ type Encryptor struct {
 	sampler *ring.Sampler // guarded by mu
 }
 
-// NewEncryptor returns a deterministic (seeded) encryptor.
+// NewEncryptor returns a deterministic (seeded) encryptor: it draws from the
+// stream of ring.SeedKey(seed) under its own label.
 func NewEncryptor(params *Parameters, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: ring.NewSampler(params.RingQ(), seed)}
+	key := ring.StreamKey(ring.SeedKey(seed), encryptorLabel, 0)
+	return &Encryptor{params: params, pk: pk, sampler: ring.NewKeyedSampler(params.RingQ(), key)}
 }
 
 // Encrypt produces (v·b + e0 + m, v·a + e1) at the plaintext's level.
@@ -31,16 +33,16 @@ func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 
 	// Draw all randomness under the lock, in the same order as the original
 	// serial path; the (deterministic) arithmetic happens outside it.
+	eSigned := make([]int64, 2*rq.N) // e0, then e1
 	enc.mu.Lock()
-	vSigned := enc.sampler.TernarySigned(0.5)
-	e0Signed := enc.sampler.GaussianSigned()
-	e1Signed := enc.sampler.GaussianSigned()
+	vSigned := enc.sampler.TernarySigned(4)
+	enc.sampler.GaussianSigned(eSigned)
 	enc.mu.Unlock()
 
 	v := rq.SetSignedCoeffs(vSigned, level)
 	rq.NTT(v)
-	e0 := rq.SetSignedCoeffs(e0Signed, level)
-	e1 := rq.SetSignedCoeffs(e1Signed, level)
+	e0 := rq.SetSignedCoeffs(eSigned[:rq.N], level)
+	e1 := rq.SetSignedCoeffs(eSigned[rq.N:], level)
 	rq.NTT(e0)
 	rq.NTT(e1)
 

@@ -21,16 +21,20 @@ import (
 // beside a precision table that did not. They moved again, beside the same
 // unmoved table, when switching keys began drawing a_d from a seeded AES-CTR
 // keystream: other keys, so other noise in every key switch. The rescale
-// digests use no key and did not move.
+// digests used no key and did not move then. All of them moved, beside the
+// same unmoved table, when the secret, the errors and the encryption mask
+// came to be drawn from AES-256-CTR keystreams rather than math/rand: another
+// secret and another encryption of every input. The same sampler and
+// derivation on the commit before give these digests.
 var goldenEvalDigests = map[string]string{
-	"small/rotate":            "adbe9d4db71f3957ea2d1fd8276666d344c11c4450027d27ed2d99ec48db11df",
-	"small/rotate-hoisted":    "adbe9d4db71f3957ea2d1fd8276666d344c11c4450027d27ed2d99ec48db11df",
-	"small/mul-relin-rescale": "c8356fa17ee5ec17ea5025920d19a4fd0b9f81b279f8ab24f5efc680f5960bdf",
-	"small/rescale":           "8ee63bcbc9bf44dd907f28bf080d98d10281b9561fa3a5915c166c70405ec076",
-	"wide/rotate":             "4692e7548794fa42e6df2237c0abc14cb81b8f1e79b8fcdcc6e2b3f2ee30b92b",
-	"wide/rotate-hoisted":     "4692e7548794fa42e6df2237c0abc14cb81b8f1e79b8fcdcc6e2b3f2ee30b92b",
-	"wide/mul-relin-rescale":  "dc060ba8e668134858a91fa1373ba7a643f7dcc53516075160ef5c8844b5ee27",
-	"wide/rescale":            "565f5eb96623c7e40368695facbac1cd6be5170d434ec54ac306e9b79c3270a8",
+	"small/rotate":            "55634dbe21a5b2ac8bcba78416ed3667481ac5b96858e514d83da5bfa57324f0",
+	"small/rotate-hoisted":    "55634dbe21a5b2ac8bcba78416ed3667481ac5b96858e514d83da5bfa57324f0",
+	"small/mul-relin-rescale": "449c8de770b6498d0bca4257222645a2c8e62e27431db35c10c808a32d52fb3d",
+	"small/rescale":           "fde750f34f86849f053524c1341e75cd4db69c6a486f666a1c94061781c508c5",
+	"wide/rotate":             "e6e2e1bdeb2f7f8c663c825801338dece8bce5b4c06f3c90d620ec21845a2f48",
+	"wide/rotate-hoisted":     "e6e2e1bdeb2f7f8c663c825801338dece8bce5b4c06f3c90d620ec21845a2f48",
+	"wide/mul-relin-rescale":  "fac2b5d3483ad75b421bc5acc7831d324716add548cc1cd8dc914989dd8a329f",
+	"wide/rescale":            "ba6b1d546094da3080764471d9d5747894bf1168ace2ac5e4518b7ab4ca5e3dc",
 }
 
 // goldenEvalLits: the suite's tiny chain with one special prime, and a LogN=10

@@ -1,8 +1,6 @@
 package ckks
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,26 +82,40 @@ type RelinearizationKey struct {
 	SwitchingKey
 }
 
-// relinTag is the relinearization key's tag in publicSeed. Rotation keys are
-// tagged with their Galois element, which is odd, so no key shares it.
+// relinTag is the relinearization key's tag in its stream keys. Rotation keys
+// are tagged with their Galois element, which is odd, so no key shares it.
 const relinTag = 0
+
+// The labels of the streams derived from a widened seed (ring.StreamKey).
+// A generator's secret stream gives the secret key and the public key; each
+// switching key has a secret error stream and a public a_d stream, under its
+// tag. The a_d stream's key is the seed the key ships, so no other stream
+// may share its label. An encryptor draws its masks and errors from its own.
+const (
+	secretLabel    = "smartpaf ckks secret"
+	errorLabel     = "smartpaf ckks switching-key error"
+	publicLabel    = "smartpaf ckks switching-key a_d seed"
+	encryptorLabel = "smartpaf ckks encryptor"
+)
 
 // KeyGenerator produces the key material. Deterministic given the seed.
 type KeyGenerator struct {
-	params   *Parameters
-	samplerQ *ring.Sampler
-	seed     int64
+	params *Parameters
+	key    [32]byte      // the widened seed: every stream's key derives from it
+	secret *ring.Sampler // the secret stream
 }
 
-// Format redacts the generator's seed and sampler state under every verb.
+// Format redacts the generator's key and sampler state under every verb.
 func (KeyGenerator) Format(f fmt.State, _ rune) { fmt.Fprint(f, "ckks.KeyGenerator{REDACTED}") }
 
-// NewKeyGenerator returns a generator seeded deterministically.
+// NewKeyGenerator returns a generator seeded deterministically: its streams
+// derive from ring.SeedKey(seed).
 func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
+	key := ring.SeedKey(seed)
 	return &KeyGenerator{
-		params:   params,
-		samplerQ: ring.NewSampler(params.RingQ(), seed),
-		seed:     seed,
+		params: params,
+		key:    key,
+		secret: ring.NewKeyedSampler(params.RingQ(), ring.StreamKey(key, secretLabel, 0)),
 	}
 }
 
@@ -112,7 +124,7 @@ func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	// Sample the signed coefficients once, then embed into both rings so the
 	// Q and P views are the same secret.
-	signed := kg.samplerQ.TernarySigned(2.0 / 3.0)
+	signed := kg.secret.TernarySigned(3)
 	skQ, skP := kg.embed(signed)
 	return &SecretKey{Q: skQ, P: skP}
 }
@@ -132,8 +144,8 @@ func (kg *KeyGenerator) embed(signed []int64) (*ring.Poly, *ring.Poly) {
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	L := kg.params.MaxLevel()
 	rq := kg.params.RingQ()
-	a := kg.samplerQ.Uniform(L)
-	e := kg.samplerQ.Gaussian(L)
+	a := kg.secret.Uniform(L)
+	e := kg.secret.Gaussian(L)
 	rq.NTT(e)
 	b := rq.NewPoly(L)
 	rq.MulCoeffs(a, sk.Q, b)
@@ -147,7 +159,7 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 // a_d and b_d in fresh polys, for an evaluator in this process.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
 	s2Q := kg.secretSquared(sk)
-	rlk := &RelinearizationKey{*kg.genKey(sk, s2Q, kg.publicSeed(relinTag))}
+	rlk := &RelinearizationKey{*kg.genKey(sk, s2Q, relinTag)}
 	kg.params.RingQ().PutPoly(s2Q)
 	return rlk
 }
@@ -155,16 +167,16 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 // WriteRelinearizationKey is GenRelinearizationKey's streaming front-end: it
 // writes the key's packed wire form (RelinearizationKey.AppendWire's bytes
 // under the generator's parameters, RelinKeyWireSize of them) to w from one
-// buffer of that size and keeps no key. Its errors come from the generator's
-// sampler, in the order GenRelinearizationKey draws them, so the bytes are
-// the ones writing that key gives.
+// buffer of that size and keeps no key. It draws from the streams
+// GenRelinearizationKey draws from, so the bytes are the ones writing that
+// key gives.
 func (kg *KeyGenerator) WriteRelinearizationKey(w io.Writer, sk *SecretKey) error {
 	b := borrowKeyBuffer(kg.params.RelinKeyWireSize())
 	defer keyScratch.Put(b)
 	kw := wire.Writer((*b)[:0])
 	kw.U32(relinKeyMagic)
 	s2Q := kg.secretSquared(sk)
-	kg.appendKey(&kw, sk, s2Q, kg.publicSeed(relinTag))
+	kg.appendKey(&kw, sk, s2Q, relinTag)
 	kg.params.RingQ().PutPoly(s2Q)
 	_, err := w.Write(kw)
 	return err
@@ -181,15 +193,14 @@ func (kg *KeyGenerator) secretSquared(sk *SecretKey) *ring.Poly {
 	return s2Q
 }
 
-// publicSeed is the wire seed of the switching key tagged tag: SHA-256 over a
-// domain label, the generator seed and the tag. It must be one-way: the
-// generator seed leads to the secret key, and so does anything the secret or
-// error samplers are seeded with (deriveSeed is invertible).
-func (kg *KeyGenerator) publicSeed(tag int64) [32]byte {
-	msg := []byte("smartpaf ckks switching-key a_d seed\x00")
-	msg = binary.LittleEndian.AppendUint64(msg, uint64(kg.seed))
-	msg = binary.LittleEndian.AppendUint64(msg, uint64(tag))
-	return sha256.Sum256(msg)
+// keyStreams returns the streams of the switching key tagged tag: the
+// public seed it ships, the keystream of its a_d under that seed, and the
+// sampler of its secret errors e_d. Both keys are SHA-256 of the generator's
+// key under their own label, so the seed on the wire leads to neither the
+// generator's key nor any error.
+func (kg *KeyGenerator) keyStreams(tag uint64) (seed [32]byte, ks *ring.KeyStream, errs *ring.Sampler) {
+	seed = ring.StreamKey(kg.key, publicLabel, tag)
+	return seed, ring.NewKeyStream(seed), ring.NewKeyedSampler(kg.params.RingQ(), ring.StreamKey(kg.key, errorLabel, tag))
 }
 
 // drawA draws one digit's public a_d from ks into aQ and aP, its Q limbs and
@@ -216,18 +227,19 @@ func (p *Parameters) expandA(key *SwitchingKey) {
 // genDigit is the one place key-generation arithmetic lives: digit d of the
 // switching key from sourceQ (NTT domain, the key being switched *from*) to
 // the canonical secret. It draws a_d from the key's keystream ks into aQ, aP,
-// samples e_d from kg's sampler, and writes b_d = -a_d·s + e_d + P·g_d·source
-// into bQ, bP. All four are overwritten, so they may come from GetPolyRaw.
+// samples e_d from the key's error sampler errs, and writes
+// b_d = -a_d·s + e_d + P·g_d·source into bQ, bP. All four are overwritten, so
+// they may come from GetPolyRaw.
 // Only the Q embedding of the source is needed: the gadget term vanishes
 // modulo every special prime. signed is N coefficients of scratch: e_d must
 // be one small integer polynomial, so it is sampled signed once and embedded
 // into pooled polys over both rings.
-func (kg *KeyGenerator) genDigit(sk *SecretKey, sourceQ *ring.Poly, d int, ks *ring.KeyStream, signed []int64, aQ, aP, bQ, bP *ring.Poly) {
+func (kg *KeyGenerator) genDigit(sk *SecretKey, sourceQ *ring.Poly, d int, ks *ring.KeyStream, errs *ring.Sampler, signed []int64, aQ, aP, bQ, bP *ring.Poly) {
 	L := kg.params.MaxLevel()
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
 	kg.params.drawA(ks, aQ, aP)
 
-	kg.samplerQ.GaussianSignedTo(signed)
+	errs.GaussianSigned(signed)
 	eQ, eP := rq.GetPolyRaw(L), rp.GetPolyRaw(len(rp.Moduli)-1)
 	rq.SetSignedCoeffsTo(signed, eQ)
 	rp.SetSignedCoeffsTo(signed, eP)
@@ -256,19 +268,19 @@ func (kg *KeyGenerator) genDigit(sk *SecretKey, sourceQ *ring.Poly, d int, ks *r
 	rp.PutPoly(eP)
 }
 
-// genKey is genDigit's in-process front-end: the switching key with public
-// seed seed from sourceQ, every digit's a_d and b_d in fresh polys, which are
-// its only large allocations.
-func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) *SwitchingKey {
+// genKey is genDigit's in-process front-end: the switching key tagged tag
+// from sourceQ, every digit's a_d and b_d in fresh polys, which are its only
+// large allocations.
+func (kg *KeyGenerator) genKey(sk *SecretKey, sourceQ *ring.Poly, tag uint64) *SwitchingKey {
 	L, lp := kg.params.MaxLevel(), len(kg.params.P())-1
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
+	seed, ks, errs := kg.keyStreams(tag)
 	key := &SwitchingKey{Seed: seed, Digits: make([]EvaluationKeyDigit, kg.params.Digits(L))}
-	ks := ring.NewKeyStream(seed)
 	signed := make([]int64, rq.N)
 	for d := range key.Digits {
 		dig := &key.Digits[d]
 		dig.AQ, dig.AP, dig.BQ, dig.BP = rq.NewPoly(L), rp.NewPoly(lp), rq.NewPoly(L), rp.NewPoly(lp)
-		kg.genDigit(sk, sourceQ, d, ks, signed, dig.AQ, dig.AP, dig.BQ, dig.BP)
+		kg.genDigit(sk, sourceQ, d, ks, errs, signed, dig.AQ, dig.AP, dig.BQ, dig.BP)
 	}
 	return key
 }
@@ -308,18 +320,18 @@ func borrowKeyBuffer(size int) *[]byte {
 // prime widths, to w. Each digit's a_d, e_d and b_d live in pooled scratch
 // that goes back to the pools once the digit's b_d is on the wire, so the
 // bytes written are the only memory the key keeps.
-func (kg *KeyGenerator) appendKey(w *wire.Writer, sk *SecretKey, sourceQ *ring.Poly, seed [32]byte) {
+func (kg *KeyGenerator) appendKey(w *wire.Writer, sk *SecretKey, sourceQ *ring.Poly, tag uint64) {
 	L, lp := kg.params.MaxLevel(), len(kg.params.P())-1
 	rq, rp := kg.params.RingQ(), kg.params.RingP()
 	digits := kg.params.Digits(L)
+	seed, ks, errs := kg.keyStreams(tag)
 	w.Bytes(seed[:])
 	w.U32(uint32(digits))
-	ks := ring.NewKeyStream(seed)
 	signed := borrowSigned(rq.N)
 	defer signedScratch.Put(signed)
 	for d := 0; d < digits; d++ {
 		aQ, aP, bQ, bP := rq.GetPolyRaw(L), rp.GetPolyRaw(lp), rq.GetPolyRaw(L), rp.GetPolyRaw(lp)
-		kg.genDigit(sk, sourceQ, d, ks, *signed, aQ, aP, bQ, bP)
+		kg.genDigit(sk, sourceQ, d, ks, errs, *signed, aQ, aP, bQ, bP)
 		writePoly(w, bQ, kg.params.Q())
 		writePoly(w, bP, kg.params.P())
 		rq.PutPoly(aQ)

@@ -660,30 +660,42 @@ func TestSeededKeyDecodersRefuseMalformedKeys(t *testing.T) {
 }
 
 // TestWireSeedsAreDistinctAndOneWay: every key a generator makes ships its
-// own seed, and no seed carries a value the secret or error samplers were
-// seeded with — the generator seed, or deriveSeed's output for any tag the
-// generator used — at any offset: those lead back to the secret key.
+// own seed, and no seed carries, at any offset, eight bytes of a key the
+// secret or error streams derive from — the generator's widened key, its
+// secret stream's key, or the error stream's key of any tag the generator
+// used — nor the int64 seed itself: those lead back to the secret key. No
+// key's error stream is the stream its a_d come from.
 func TestWireSeedsAreDistinctAndOneWay(t *testing.T) {
 	tc := newTestContext(t, testLit)
 	steps := []int{1, 2, 3, 5, 8, 13, 21, 34, 55}
 	rks := tc.kg.GenRotationKeys(tc.sk, steps, false)
-	keys := map[int64]*SwitchingKey{relinTag: &tc.rlk.SwitchingKey}
+	keys := map[uint64]*SwitchingKey{relinTag: &tc.rlk.SwitchingKey}
 	for _, step := range rks.Steps() {
-		keys[int64(tc.params.galoisElement(step))] = rks.keys[step]
+		keys[uint64(tc.params.galoisElement(step))] = rks.keys[step]
 	}
-	secretSeeds := map[int64]bool{tc.kg.seed: true}
+	secretKeys := [][32]byte{tc.kg.key, ring.StreamKey(tc.kg.key, secretLabel, 0)}
 	for tag := range keys {
-		secretSeeds[deriveSeed(tc.kg.seed, tag)] = true
+		secretKeys = append(secretKeys, ring.StreamKey(tc.kg.key, errorLabel, tag))
 	}
-	seen := map[[32]byte]int64{}
+	secretWords := map[uint64]bool{12345: true} // newTestContext's seed
+	for _, k := range secretKeys {
+		for off := 0; off+8 <= len(k); off++ {
+			secretWords[binary.LittleEndian.Uint64(k[off:])] = true
+		}
+	}
+	seen := map[[32]byte]uint64{}
 	for tag, key := range keys {
 		if other, dup := seen[key.Seed]; dup {
 			t.Errorf("keys tagged %d and %d share a wire seed", tag, other)
 		}
 		seen[key.Seed] = tag
+		seed, ks, errs := tc.kg.keyStreams(tag)
+		if errs.Uniform(0).Equal(tc.params.RingQ().Uniform(ks, 0)) || seed != key.Seed {
+			t.Errorf("key tagged %d: its errors are drawn from its public a_d stream, or it ships another seed", tag)
+		}
 		for off := 0; off+8 <= len(key.Seed); off++ {
-			if v := int64(binary.LittleEndian.Uint64(key.Seed[off:])); secretSeeds[v] {
-				t.Errorf("key tagged %d: its wire seed holds a sampler seed at offset %d", tag, off)
+			if secretWords[binary.LittleEndian.Uint64(key.Seed[off:])] {
+				t.Errorf("key tagged %d: its wire seed holds secret stream bytes at offset %d", tag, off)
 			}
 		}
 	}

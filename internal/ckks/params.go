@@ -8,9 +8,12 @@
 // slot rotation via a grouped-digit (hybrid) gadget with α special primes,
 // rescaling, and exact scale management for constant multiplication.
 //
-// The implementation favours clarity and reproducibility over raw speed and
-// deterministic math/rand sampling over cryptographic randomness; the NOTE
-// on ring.Sampler gives the substitution rationale.
+// The implementation favours clarity and reproducibility over raw speed.
+// Every secret, error, mask and public a_d is drawn from an AES-256-CTR
+// keystream (ring.KeyStream) whose key derives from the caller's int64 seed
+// by SHA-256 (ring.SeedKey, ring.StreamKey): distinct seeds give distinct
+// keys, but a small seed is found by search; the NOTE on ring.Sampler says
+// what a deployment must add.
 //
 // All scheme objects (Encoder, Encryptor, Decryptor, Evaluator) are safe
 // for concurrent use after construction: one set of keys and one evaluator

@@ -37,16 +37,6 @@ func (p *Parameters) galoisElement(step int) int {
 	return int(ring.PowMod(5, uint64(step), uint64(m)))
 }
 
-// deriveSeed mixes the generator seed with a per-key tag (splitmix64 finisher)
-// so every switching key draws from an independent deterministic stream — the
-// set is reproducible regardless of generation order or worker count.
-func deriveSeed(seed, tag int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(tag)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // GenRotationKeys builds switching keys for the given rotation steps
 // (positive = rotate slot vector left). It is the in-process front-end: the
 // keys come back whole, a_d and b_d in fresh polys, for an evaluator in this
@@ -56,8 +46,8 @@ func deriveSeed(seed, tag int64) int64 {
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, _ bool) *RotationKeySet {
 	uniq := kg.rotationSteps(steps)
 	generated := make([]*SwitchingKey, len(uniq))
-	kg.eachRotationKey(sk, uniq, parallel.Workers(-1), func(_, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
-		generated[i] = sub.genKey(sk, srcQ, seed)
+	kg.eachRotationKey(sk, uniq, parallel.Workers(-1), func(_, i int, srcQ *ring.Poly, tag uint64) {
+		generated[i] = kg.genKey(sk, srcQ, tag)
 	})
 	rks := &RotationKeySet{keys: make(map[int]*SwitchingKey, len(uniq))}
 	for i, norm := range uniq {
@@ -99,7 +89,7 @@ func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []in
 		}
 		return werr
 	}
-	kg.eachRotationKey(sk, uniq, len(bufs), func(worker, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte) {
+	kg.eachRotationKey(sk, uniq, len(bufs), func(worker, i int, srcQ *ring.Poly, tag uint64) {
 		if await(0) != nil {
 			return
 		}
@@ -109,7 +99,7 @@ func (kg *KeyGenerator) WriteRotationKeys(w io.Writer, sk *SecretKey, steps []in
 		}
 		kw := wire.Writer((**b)[:0])
 		kw.U32(uint32(uniq[i]))
-		sub.appendKey(&kw, sk, srcQ, seed)
+		kg.appendKey(&kw, sk, srcQ, tag)
 		if await(i) != nil {
 			return
 		}
@@ -143,24 +133,19 @@ func (kg *KeyGenerator) rotationSteps(steps []int) []int {
 
 // eachRotationKey calls gen once per step of uniq, on up to workers
 // parallel.Fan workers, with the worker's id and what that key's generation
-// needs: a generator whose error sampler is derived from the generator seed
-// and the key's Galois element k, the source secret φ_k(s) over Q (pooled,
-// returned once gen is done) and the key's public seed. φ_k(s) is built the
-// way the evaluator applies φ_k to a ciphertext: the NTT-domain secret
-// gathered through k's permutation table, built once for the key into the
-// worker's table and cached nowhere. Keys are independent, so the calls fan
-// across cores (rotation-key sets dominate serving-session setup otherwise);
-// each key's randomness depends on k alone, keeping the result deterministic
-// under any schedule.
-func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, workers int, gen func(worker, i int, sub *KeyGenerator, srcQ *ring.Poly, seed [32]byte)) {
+// needs: the source secret φ_k(s) over Q (pooled, returned once gen is done)
+// and the key's tag, its Galois element k, from which its error and a_d
+// streams derive (keyStreams). φ_k(s) is built the way the evaluator applies
+// φ_k to a ciphertext: the NTT-domain secret gathered through k's permutation
+// table, built once for the key into the worker's table and cached nowhere.
+// Keys are independent, so the calls fan across cores (rotation-key sets
+// dominate serving-session setup otherwise); each key's randomness depends on
+// k alone, keeping the result deterministic under any schedule.
+func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, workers int, gen func(worker, i int, srcQ *ring.Poly, tag uint64)) {
 	rq := kg.params.RingQ()
 	tabs := make([][]int32, workers) // one Galois table a worker, refilled per key
 	parallel.Fan(len(uniq), workers, func(worker, i int) {
 		k := kg.params.galoisElement(uniq[i])
-		sub := &KeyGenerator{
-			params:   kg.params,
-			samplerQ: ring.NewSampler(rq, deriveSeed(kg.seed, int64(k))),
-		}
 		srcQ := rq.GetPolyRaw(sk.Q.Level())
 		defer rq.PutPoly(srcQ)
 		if tabs[worker] == nil {
@@ -170,7 +155,7 @@ func (kg *KeyGenerator) eachRotationKey(sk *SecretKey, uniq []int, workers int, 
 		for j, limb := range sk.Q.Coeffs {
 			gather(srcQ.Coeffs[j], limb, idx)
 		}
-		gen(worker, i, sub, srcQ, kg.publicSeed(int64(k)))
+		gen(worker, i, srcQ, uint64(k))
 	})
 }
 

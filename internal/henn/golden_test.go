@@ -20,10 +20,12 @@ import (
 // regenerated when key switching went to grouped digits, under the rule of
 // registry.TestPrecisionTable: a digest moves only beside a precision table
 // that did not. They moved again, beside the same table, when switching keys
-// began drawing a_d from a seeded AES-CTR keystream (other keys, other noise).
+// began drawing a_d from a seeded AES-CTR keystream (other keys, other noise),
+// and again, beside the same table, when the secret, the errors and the
+// encryption mask followed onto keystreams (another secret, other inputs).
 var goldenLayerDigests = map[string]string{
-	"apply-linear-bsgs": "5e8cc953e9617998d9a3aec75f308182f1530b726a3e02dcb2c87e65156c0f9a",
-	"unit-run":          "feb0fee3722b7e6e23143b4a7d51a8befa4523bb9e584bc1c694b411ec49534f",
+	"apply-linear-bsgs": "c19ec13be023cc79e2a4591b7a963a41a6fb2268790c62f66ddca958d2034558",
+	"unit-run":          "d6d6f19454a722f718b0f185e43467762b5bdf54a5a96a7ce64dbb0e03a9be15",
 }
 
 func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
@@ -70,15 +72,17 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 // a caller's ciphertext handed back at all — changes these bytes. They were
 // generated before the activation drew its intermediates from the pool, and
 // regenerated when the relinearization key's a_d came to be expanded from a
-// seed (other key, other noise; the pooling was already pinned by then).
+// seed (other key, other noise; the pooling was already pinned by then), and
+// when the secret, the errors and the encryption mask came to be drawn from
+// AES-256-CTR keystreams rather than math/rand.
 var goldenActivationDigests = map[string]string{
-	"relu-scaled/alpha10":   "437779994337df9ce3f5df3abbe46363dc6992022309d42055d05c8ce8bcf8c2",
-	"relu-scaled/f1f1_g1g1": "dca3ea6b36d55ba477bb905b355c8194a3affafb0fcc9e2c328ea84f552a12c5",
-	"relu-scaled/alpha7":    "c2e1be5833f2a32c7945c24d42ec2b203d3d1a2117f87dcb257375878a58eaf0",
-	"relu-scaled/f2_g3":     "602b0807cc12a25e0b090e0fe752fbce0a2ac02d20463fa09e55e0dd52d8821d",
-	"relu-scaled/f2_g2":     "8dadb74c6ff76f02aa67ad9486736ae294d4c1f90dfd46894bee2a4c39b54938",
-	"relu-scaled/f1_g2":     "a5494cb7eaf993890119bfd329fe6b11b783181a68b05ee9529c2b80f0521999",
-	"max/alpha10":           "4e6c2e940bb3712de4da9edf83d75ece41fe65233d546bc85008f35eafb6d3d8",
+	"relu-scaled/alpha10":   "6038823bb83d85c013238395758739137fd3e40f75682f412cd833946b9102fb",
+	"relu-scaled/f1f1_g1g1": "70c487190a410789e3994d837cd28a6d11fca66c60ac16785440ac81128a4d18",
+	"relu-scaled/alpha7":    "d30ae0466e6616a41ce1a99f80d4bfa78c0e4d4c80adb14d48f38c4f0dce203e",
+	"relu-scaled/f2_g3":     "0297be1bd6e29331b11d29e7164fecac20ad08ab3c6e08e54d52fb021d602151",
+	"relu-scaled/f2_g2":     "3d359305da7ac3bdf5016fd54a19315229fad3fbd1720d739f03802da5de587a",
+	"relu-scaled/f1_g2":     "a1dda16933ef81838fe13b23653e06d3d423ed5b875ade5b6fe7fa6ecabc0970",
+	"max/alpha10":           "49f406866ec87e05b95b4389ecbdd39a2c7ce074809780d4c4b0b8759787c9fa",
 }
 
 func goldenActivationOutputs(t testing.TB) map[string]*ckks.Ciphertext {

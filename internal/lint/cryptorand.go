@@ -10,17 +10,13 @@ import (
 // non-test files of the crypto packages — any package whose import path
 // ends in "ckks" or "ring". Sampling secrets from a seedable,
 // non-cryptographic generator is the kind of mistake that survives every
-// functional test; where it is intentional (this repository trades
-// crypto/rand for reproducible experiments), the importing file must
-// carry a //hennlint:deterministic-sampling annotation whose trailing
-// text documents the rationale.
+// functional test. There is no escape: reproducible sampling draws from a
+// seeded ring.KeyStream (AES-256-CTR).
 var Cryptorand = &Analyzer{
 	Name: "cryptorand",
-	Doc:  "math/rand must not leak into internal/ckks or internal/ring without a deterministic-sampling annotation",
+	Doc:  "math/rand must not leak into internal/ckks or internal/ring",
 	Run:  runCryptorand,
 }
-
-const deterministicSampling = "deterministic-sampling"
 
 func runCryptorand(p *Pass) error {
 	switch path.Base(p.Path) {
@@ -38,14 +34,9 @@ func runCryptorand(p *Pass) error {
 			if err != nil {
 				continue
 			}
-			if ipath != "math/rand" && ipath != "math/rand/v2" {
-				continue
+			if ipath == "math/rand" || ipath == "math/rand/v2" {
+				p.Reportf(imp.Pos(), "%s imported in a crypto package; use crypto/rand, or a seeded ring.KeyStream where draws must replay", ipath)
 			}
-			if fileHasDirective(f, deterministicSampling) {
-				continue
-			}
-			p.Reportf(imp.Pos(), "%s imported in a crypto package; use crypto/rand, or annotate this file with %s%s <why deterministic sampling is sound here>",
-				ipath, directivePrefix, deterministicSampling)
 		}
 	}
 	return nil

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCryptorand covers the in-scope fixture (directory named "ring",
-// with one violating file and one carrying the deterministic-sampling
-// annotation).
+// with two violating files: a plain import, and one under the retired
+// deterministic-sampling annotation, which no longer exempts it).
 func TestCryptorand(t *testing.T) {
 	linttest.Run(t, "ring", lint.Cryptorand)
 }

@@ -8,9 +8,7 @@
 //     every path, or explicitly handed to the caller via a
 //     //hennlint:transfers-ownership annotation.
 //   - cryptorand: math/rand must not leak into the crypto packages
-//     (internal/ckks, internal/ring) outside tests, unless a file
-//     carries a //hennlint:deterministic-sampling annotation explaining
-//     why deterministic sampling is intended.
+//     (internal/ckks, internal/ring) outside tests.
 //   - ctcompare: secrets and tokens must be compared in constant time
 //     (crypto/subtle), never with == or bytes.Equal.
 //   - wiremagic: every UnmarshalBinary must lead with the internal/wire
@@ -157,19 +155,6 @@ func hasDirective(cg *ast.CommentGroup, name string) bool {
 func isDirective(text, name string) bool {
 	rest, ok := strings.CutPrefix(text, directivePrefix)
 	return ok && (rest == name || strings.HasPrefix(rest, name+" "))
-}
-
-// fileHasDirective reports whether any comment in the file carries the
-// named annotation. File-level annotations (cryptorand's
-// deterministic-sampling) may sit anywhere in the file, conventionally
-// next to the import they justify.
-func fileHasDirective(f *ast.File, name string) bool {
-	for _, cg := range f.Comments {
-		if hasDirective(cg, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // directiveLines returns the lines carrying the named directive in f,

@@ -1,7 +1,7 @@
 package ring
 
-//hennlint:deterministic-sampling fixture for the annotation escape hatch
-import "math/rand"
+//hennlint:deterministic-sampling the retired escape hatch exempts nothing
+import "math/rand" // want "math/rand imported in a crypto package"
 
 func noise(seed int64) float64 {
 	return rand.New(rand.NewSource(seed)).NormFloat64()

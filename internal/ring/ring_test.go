@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -273,26 +274,56 @@ func TestPolyMulCoeffsThenAdd(t *testing.T) {
 	}
 }
 
+// TestTernaryAndGaussianRanges: the samplers' supports and first moments.
+// Ternary coefficients lie in {-1, 0, 1}, nonzero with the density asked
+// for (2/3 for the secret, 1/2 for the encryption mask) and balanced in
+// sign. Gaussian coefficients satisfy |e| ≤ 19 (6σ, rounded), are balanced
+// in sign and have the variance of a rounded normal, σ² + 1/12. Every moment
+// must fall within 5 standard errors of its expectation over 2^16 draws.
 func TestTernaryAndGaussianRanges(t *testing.T) {
 	r := newTestRing(t, 256, 0)
 	s := NewSampler(r, 44)
-	nonzero := 0
-	for _, c := range s.TernarySigned(0.67) {
-		if c < -1 || c > 1 {
-			t.Fatalf("ternary coefficient %d out of {-1,0,1}", c)
-		}
-		if c != 0 {
-			nonzero++
+	const draws = 1 << 16
+	within := func(what string, got, want, se float64) {
+		t.Helper()
+		if math.Abs(got-want) > 5*se {
+			t.Errorf("%s %.5f, want %.5f ± 5·%.5f", what, got, want, se)
 		}
 	}
-	if nonzero == 0 || nonzero == r.N {
-		t.Fatalf("suspicious ternary density: %d/%d nonzero", nonzero, r.N)
+	for _, m := range []uint64{3, 4} {
+		var nonzero, sum float64
+		for i := 0; i < draws/r.N; i++ {
+			for _, c := range s.TernarySigned(m) {
+				if c < -1 || c > 1 {
+					t.Fatalf("ternary coefficient %d out of {-1,0,1}", c)
+				}
+				nonzero += float64(c * c)
+				sum += float64(c)
+			}
+		}
+		p := 2 / float64(m)
+		within(fmt.Sprintf("m=%d: ternary density", m), nonzero/draws, p, math.Sqrt(p*(1-p)/draws))
+		within(fmt.Sprintf("m=%d: ternary mean", m), sum/draws, 0, math.Sqrt(p/draws))
 	}
-	g := s.Gaussian(0)
-	lifted := r.CenteredLimb(g, 0)
+	vals := make([]int64, draws)
+	s.GaussianSigned(vals)
+	var m1, m2, m4 float64
+	for _, v := range vals {
+		if v > 19 || v < -19 {
+			t.Fatalf("gaussian sample %d outside |e| <= 19", v)
+		}
+		m1 += float64(v)
+		m2 += float64(v * v)
+		m4 += float64(v * v * v * v)
+	}
+	m1, m2, m4 = m1/draws, m2/draws, m4/draws
+	within("gaussian mean", m1, 0, math.Sqrt(m2/draws))
+	within("gaussian variance", m2, 3.2*3.2+1.0/12, math.Sqrt((m4-m2*m2)/draws))
+	// The polynomial door embeds the same distribution into every limb.
+	lifted := r.CenteredLimb(s.Gaussian(0), 0)
 	for _, v := range lifted {
-		if v > 6*4 || v < -6*4 {
-			t.Fatalf("gaussian sample %d outside rejection bound", v)
+		if v > 19 || v < -19 {
+			t.Fatalf("gaussian coefficient %d outside |e| <= 19", v)
 		}
 	}
 }
@@ -356,23 +387,26 @@ func TestPolyCopyTruncate(t *testing.T) {
 	}
 }
 
-// uniformUint64 draws one value uniform in [0, q) under Uniform's rule.
+// uniformUint64 draws one value uniform in [0, q) from rng: a test input.
 func uniformUint64(rng *rand.Rand, q uint64) uint64 {
-	var v [1]uint64
-	uniformLimb(rng, q, v[:])
-	return v[0]
+	max := ^uint64(0) - ^uint64(0)%q
+	for {
+		if v := rng.Uint64(); v < max {
+			return v % q
+		}
+	}
 }
 
 func TestUniformNoModuloBias(t *testing.T) {
 	// Statistical smoke test: mean of uniform samples should be ~q/2.
 	q := uint64(1 << 30)
-	rng := rand.New(rand.NewSource(2))
+	vals := make([]uint64, 20000)
+	uniformLimb(NewKeyStream([32]byte{2}), q, vals)
 	var sum float64
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		sum += float64(uniformUint64(rng, q))
+	for _, v := range vals {
+		sum += float64(v)
 	}
-	mean := sum / trials
+	mean := sum / float64(len(vals))
 	if mean < float64(q)*0.48 || mean > float64(q)*0.52 {
 		t.Fatalf("uniform mean %.0f far from q/2=%.0f", mean, float64(q)/2)
 	}
@@ -435,7 +469,7 @@ func TestSamplerReuse(t *testing.T) {
 	draws := func(s *Sampler) []*Poly {
 		var out []*Poly
 		for i := 0; i < 4; i++ {
-			out = append(out, s.Uniform(1), r.SetSignedCoeffs(s.TernarySigned(0.5), 1), s.Gaussian(1))
+			out = append(out, s.Uniform(1), r.SetSignedCoeffs(s.TernarySigned(4), 1), s.Gaussian(1))
 		}
 		return out
 	}
@@ -452,10 +486,16 @@ func TestSamplerReuse(t *testing.T) {
 	}
 }
 
-// TestSamplerRedacted: a sampler prints nothing of its state, under any verb.
+// TestSamplerRedacted: a sampler, and the keystream under it, print nothing
+// of their state, under any verb.
 func TestSamplerRedacted(t *testing.T) {
 	s := NewSampler(newTestRing(t, 64, 1), 987654321)
 	if out := fmt.Sprintf("%v %+v %#v %v", s, *s, s, []*Sampler{s}); strings.ContainsAny(out, "0123456789") {
 		t.Fatalf("sampler state printed: %s", out)
+	}
+	ks := NewKeyStream([32]byte{9})
+	ks.Uint64()
+	if out := fmt.Sprintf("%v %+v %#v %x %s", ks, *ks, ks, ks, []*KeyStream{ks}); strings.ContainsAny(out, "0123456789") {
+		t.Fatalf("keystream state printed: %s", out)
 	}
 }

@@ -23,8 +23,10 @@ var servingLit = ckks.ParametersLiteral{LogN: 10, LogQ: []int{55, 45, 45, 45, 45
 // goldenFrameDigest is the SHA-256 of the registration body for
 // servingLit's keys from seed 28 over goldenFrameSteps. It was re-pinned
 // when the route took the model: the body is retiredFrameDigest's frame with
-// its magic, its model blob and its three u32 lengths cut out.
-const goldenFrameDigest = "0e13f726ab9c4e61b7cd667827f16c207bb83a0a2545f3f35c849abee3bdeb64"
+// its magic, its model blob and its three u32 lengths cut out. Both digests
+// moved when the secret and every error came to be drawn from AES-256-CTR
+// keystreams rather than math/rand: other keys, in the same layout.
+const goldenFrameDigest = "1d4924213a9a06bd876670f2af40e11e5b2a5135ebd78e6d6e37d67e4f3b7e78"
 
 // retiredFrameDigest is the SHA-256 of the same keys in the retired frame,
 // naming the model "golden@1": the digest the body was pinned by before the
@@ -32,7 +34,7 @@ const goldenFrameDigest = "0e13f726ab9c4e61b7cd667827f16c207bb83a0a2545f3f35c849
 // was written in one pass, re-pinned when the rotation-key set lost its
 // trailing key flag, and again when residues went onto the wire at their
 // primes' byte widths.
-const retiredFrameDigest = "6f5229b7946066d6826fd515f1092306c27d0e8c34cdf862e7dac550483a7a30"
+const retiredFrameDigest = "09fd798121881937c780864142eb72704ff0e790279b0d33457a1af206c7468b"
 
 var goldenFrameSteps = []int{1, 2, 3, 8, 16, 33, 60}
 
