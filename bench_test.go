@@ -65,11 +65,7 @@ func benchPipeline(b *testing.B, ct, pa, at bool) {
 		cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 		cfg.CT, cfg.PA, cfg.AT = ct, pa, at
 		cfg.Epochs, cfg.MaxGroupsPerStep, cfg.ProfileBatches = 1, 1, 1
-		p, err := smartpaf.NewPipeline(m, train, val, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Run(); err != nil {
+		if _, err := smartpaf.Run(m, train, val, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

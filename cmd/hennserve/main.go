@@ -264,11 +264,7 @@ func trainedModel(seed int64, logN int) (*registry.Model, error) {
 	smartpaf.Pretrain(model, trainSet, 12, 3e-3, 1)
 	cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 	cfg.Epochs, cfg.MaxGroupsPerStep = 2, 1
-	pipe, err := smartpaf.NewPipeline(model, trainSet, valSet, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pipe.Run()
+	res, err := smartpaf.Run(model, trainSet, valSet, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -72,14 +72,10 @@ func main() {
 	cfg.MaxGroupsPerStep = *groups
 	cfg.Seed = *seed
 
-	pipe, err := smartpaf.NewPipeline(m, train, val, cfg)
-	if err != nil {
-		fatal(err)
-	}
 	fmt.Printf("running %s with %s (%d non-polynomial slots)...\n",
 		cfg.TechniquesLabel(), *form, len(m.Slots()))
 	start = time.Now()
-	res, err := pipe.Run()
+	res, err := smartpaf.Run(m, train, val, cfg)
 	if err != nil {
 		fatal(err)
 	}

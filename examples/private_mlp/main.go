@@ -37,9 +37,7 @@ func main() {
 	// 2. SMART-PAF: replace ReLUs with the cheap f1∘g2 PAF and fine-tune.
 	cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 	cfg.Epochs, cfg.MaxGroupsPerStep = 2, 1
-	pipe, err := smartpaf.NewPipeline(model, train, val, cfg)
-	check(err)
-	res, err := pipe.Run()
+	res, err := smartpaf.Run(model, train, val, cfg)
 	check(err)
 	fmt.Printf("accuracy: original %.1f%% -> post-replacement %.1f%% -> fine-tuned %.1f%% (SS: %.1f%%)\n",
 		res.OriginalAcc*100, res.InitialAcc*100, res.FinalAccDS*100, res.FinalAccSS*100)

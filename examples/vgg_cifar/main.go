@@ -44,12 +44,10 @@ func main() {
 	cfg := smartpaf.DefaultConfig(paf.FormF1F1G1G1)
 	cfg.Epochs = 1
 	cfg.MaxGroupsPerStep = 1
-	pipe, err := smartpaf.NewPipeline(model, train, val, cfg)
-	check(err)
 
 	fmt.Printf("running %s with %s...\n", cfg.TechniquesLabel(), cfg.Form)
 	start = time.Now()
-	res, err := pipe.Run()
+	res, err := smartpaf.Run(model, train, val, cfg)
 	check(err)
 	fmt.Printf("pipeline done in %s (%d fine-tuning epochs)\n\n", time.Since(start).Round(time.Second), len(res.Curve))
 

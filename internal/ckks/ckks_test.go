@@ -280,7 +280,12 @@ func TestHomomorphicAddSub(t *testing.T) {
 		t.Fatalf("add error %g", e)
 	}
 
-	diff, err := tc.eval.Sub(sum, cb)
+	// The evaluator has no Sub: subtract by adding cb's negation.
+	rq := tc.params.RingQ()
+	negB := &Ciphertext{C0: rq.NewPoly(cb.Level), C1: rq.NewPoly(cb.Level), Scale: cb.Scale, Level: cb.Level}
+	rq.Neg(cb.C0, negB.C0)
+	rq.Neg(cb.C1, negB.C1)
+	diff, err := tc.eval.Add(sum, negB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ const scaleTol = 1e-6
 // and reduced once at the end (ring.MulAcc128); every value an operation
 // returns is a canonical residue, identical under any fan-out width.
 //
-// Results come from the ring pool too: Add, Sub, AddPlain, MulPlain,
+// Results come from the ring pool too: Add, AddPlain, MulPlain,
 // MulRelinRescale, Rescale, MulConst, MulConstTargetScale, Rotate,
 // RotateHoisted and PlainSum.Sum build their result from pooled polys, and
 // the fused ops hand their own intermediate back. The caller owns the result
@@ -84,19 +84,6 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: a.Scale, Level: level}
 	rq.Add(a.C0, b.C0, out.C0)
 	rq.Add(a.C1, b.C1, out.C1)
-	return out, nil
-}
-
-// Sub returns a - b.
-func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.checkScales(a.Scale, b.Scale); err != nil {
-		return nil, err
-	}
-	a, b, level := ev.alignLevels(a, b)
-	rq := ev.params.RingQ()
-	out := &Ciphertext{C0: rq.GetPolyRaw(level), C1: rq.GetPolyRaw(level), Scale: a.Scale, Level: level}
-	rq.Sub(a.C0, b.C0, out.C0)
-	rq.Sub(a.C1, b.C1, out.C1)
 	return out, nil
 }
 

@@ -79,7 +79,8 @@ func TestMulRelinRescaleWithinOneOfTwoStep(t *testing.T) {
 			}
 			for c, pair := range [][2]*ring.Poly{{got.C0, want.C0}, {got.C1, want.C1}} {
 				diff := rq.NewPoly(level - 1)
-				rq.Sub(pair[0], pair[1], diff)
+				rq.Neg(pair[1], diff)
+				rq.Add(pair[0], diff, diff)
 				rq.INTT(diff)
 				for k := range n {
 					var first int64

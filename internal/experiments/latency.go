@@ -109,11 +109,7 @@ func Table4(opt Options) error {
 		cfg := pipelineConfig(form, opt)
 		cfg.CT, cfg.PA, cfg.AT = true, true, true
 		cfg.ReplaceMaxPool = true
-		p, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := p.Run()
+		res, err := smartpaf.Run(tb.fresh(), tb.train, tb.val, cfg)
 		if err != nil {
 			return err
 		}
@@ -158,11 +154,7 @@ func Fig1(opt Options) error {
 		cfg := pipelineConfig(form, opt)
 		cfg.CT, cfg.PA, cfg.AT = true, true, true
 		cfg.ReplaceMaxPool = true
-		p, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := p.Run()
+		res, err := smartpaf.Run(tb.fresh(), tb.train, tb.val, cfg)
 		if err != nil {
 			return err
 		}
@@ -172,11 +164,7 @@ func Fig1(opt Options) error {
 		cfgP := pipelineConfig(form, opt)
 		cfgP.CT, cfgP.PA, cfgP.AT = false, false, false
 		cfgP.ReplaceMaxPool = true
-		pp, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfgP)
-		if err != nil {
-			return err
-		}
-		resP, err := pp.Run()
+		resP, err := smartpaf.Run(tb.fresh(), tb.train, tb.val, cfgP)
 		if err != nil {
 			return err
 		}

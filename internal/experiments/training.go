@@ -104,11 +104,7 @@ func Fig8(opt Options) error {
 			cfg.AT = false
 			cfg.ReplaceMaxPool = false
 			st.mut(&cfg)
-			p, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfg)
-			if err != nil {
-				return err
-			}
-			res, err := p.Run()
+			res, err := smartpaf.Run(tb.fresh(), tb.train, tb.val, cfg)
 			if err != nil {
 				return err
 			}
@@ -191,11 +187,7 @@ func table3Cell(tb *testbed, form string, row table3Row, includeMaxPool bool, op
 	cfg := pipelineConfig(form, opt)
 	cfg.CT, cfg.PA, cfg.AT = row.ct, row.pa, row.at
 	cfg.ReplaceMaxPool = includeMaxPool
-	p, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfg)
-	if err != nil {
-		return "", err
-	}
-	res, err := p.Run()
+	res, err := smartpaf.Run(tb.fresh(), tb.train, tb.val, cfg)
 	if err != nil {
 		return "", err
 	}
@@ -216,11 +208,7 @@ func Fig9(opt Options) error {
 		cfg := pipelineConfig(form, opt)
 		cfg.ReplaceMaxPool = true
 		mut(&cfg)
-		p, err := smartpaf.NewPipeline(tb.fresh(), tb.train, tb.val, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return p.Run()
+		return smartpaf.Run(tb.fresh(), tb.train, tb.val, cfg)
 	}
 
 	baseline, err := runCurve("baseline", func(c *smartpaf.Config) { c.CT, c.PA, c.AT = false, false, false })

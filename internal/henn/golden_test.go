@@ -66,7 +66,7 @@ func goldenLayerOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 }
 
 // goldenActivationDigests pins the activation alone: ReLUScaled on every PAF
-// form and Max on alpha10, all from one input on alpha10's exact-depth chain.
+// form, all from one input on alpha10's exact-depth chain.
 // alpha10's degree-27 composite creates and drops more ciphertexts than any
 // other stage, so a poly handed back to the ring pool one op too early — or
 // a caller's ciphertext handed back at all — changes these bytes. They were
@@ -82,26 +82,21 @@ var goldenActivationDigests = map[string]string{
 	"relu-scaled/f2_g3":     "0297be1bd6e29331b11d29e7164fecac20ad08ab3c6e08e54d52fb021d602151",
 	"relu-scaled/f2_g2":     "3d359305da7ac3bdf5016fd54a19315229fad3fbd1720d739f03802da5de587a",
 	"relu-scaled/f1_g2":     "a1dda16933ef81838fe13b23653e06d3d423ed5b875ade5b6fe7fa6ecabc0970",
-	"max/alpha10":           "49f406866ec87e05b95b4389ecbdd39a2c7ce074809780d4c4b0b8759787c9fa",
 }
 
 func goldenActivationOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 	rng := rand.New(rand.NewSource(29))
 	alpha10 := paf.MustNew(paf.FormAlpha10)
 	ctx, encryptor, _ := newHEContextLogN(t, 9, alpha10.DepthReLU(), nil)
-	encrypt := func(amplitude float64) *ckks.Ciphertext {
-		vec := make([]float64, ctx.Params.Slots())
-		for i := range vec {
-			vec[i] = (rng.Float64()*2 - 1) * amplitude
-		}
-		pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return encryptor.Encrypt(pt)
+	vec := make([]float64, ctx.Params.Slots())
+	for i := range vec {
+		vec[i] = rng.Float64()*2 - 1
 	}
-	// Max's PAF needs |a−b| ≤ 1, as Static Scaling guarantees in deployment.
-	x, a, b := encrypt(1), encrypt(0.5), encrypt(0.5)
+	pt, err := ctx.Enc.EncodeReals(vec, ctx.Params.MaxLevel(), ctx.Params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := encryptor.Encrypt(pt)
 	must := func(ct *ckks.Ciphertext, err error) *ckks.Ciphertext {
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +107,6 @@ func goldenActivationOutputs(t testing.TB) map[string]*ckks.Ciphertext {
 	for _, form := range paf.AllFormsWithBaseline {
 		out["relu-scaled/"+form] = must(ctx.HE.ReLUScaled(paf.MustNew(form), x, 4))
 	}
-	out["max/alpha10"] = must(ctx.HE.Max(alpha10, a, b))
 	return out
 }
 

@@ -130,11 +130,7 @@ func TestEndToEndPrivateInference(t *testing.T) {
 
 	cfg := smartpaf.DefaultConfig(paf.FormF1G2)
 	cfg.Epochs, cfg.MaxGroupsPerStep, cfg.ProfileBatches = 1, 1, 2
-	pipe, err := smartpaf.NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pipe.Run()
+	res, err := smartpaf.Run(m, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,7 @@
-// Package hepoly evaluates PAFs (composite odd polynomials) on CKKS
-// ciphertexts using the depth-optimal strategy of the paper's Appendix C:
+// Package hepoly evaluates one operator on CKKS ciphertexts: the scaled ReLU
+// of a PAF (a composite odd polynomial), the activation of the MLPs the
+// encrypted stack serves. It uses the depth-optimal strategy of the paper's
+// Appendix C:
 // exponentiation by squaring over an even-power ladder with the scalar
 // coefficient folded into the first multiplication of each term, so a
 // degree-n stage consumes exactly ⌈log2(n+1)⌉ levels.
@@ -23,8 +25,8 @@ import (
 	"github.com/efficientfhe/smartpaf/internal/paf"
 )
 
-// Evaluator evaluates the ReLU and Max operators of composite PAFs on
-// ciphertexts.
+// Evaluator evaluates the one operator the encrypted stack serves, a
+// composite PAF's (scaled) ReLU, on ciphertexts.
 type Evaluator struct {
 	ev *ckks.Evaluator
 }
@@ -57,8 +59,8 @@ type stage struct {
 	terms  []term
 }
 
-// plan is the Appendix C schedule of factor·(lin + x·p(x)) for one composite
-// p and one input level and scale.
+// plan is the Appendix C schedule of factor·(x + x·p(x)) for one composite p
+// and one input level and scale.
 type plan struct {
 	name   string
 	factor float64
@@ -66,7 +68,7 @@ type plan struct {
 }
 
 // compile states c's schedule for an input at (level, scale), with factor
-// folded into the last stage's coefficients and applied to the linear term.
+// folded into the last stage's coefficients and applied to the linear term x.
 // It fails if a stage, or the final x·p(x) product, has no level to pay for.
 func compile(params *ckks.Parameters, c *paf.Composite, factor float64, level int, scale float64) (*plan, error) {
 	q := params.Q()
@@ -113,9 +115,9 @@ func compile(params *ckks.Parameters, c *paf.Composite, factor float64, level in
 	return p, nil
 }
 
-// run executes p on x: each stage in turn, then x·p(x) with factor·lin
-// added on the product's limbs.
-func (he *Evaluator) run(p *plan, x, lin *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+// run executes p on x: each stage in turn, then x·p(x) with factor·x added
+// on the product's limbs.
+func (he *Evaluator) run(p *plan, x *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	cur := x
 	for i, st := range p.stages {
 		next, err := he.stage(st, cur)
@@ -132,7 +134,7 @@ func (he *Evaluator) run(p *plan, x, lin *ckks.Ciphertext) (*ckks.Ciphertext, er
 	if err != nil {
 		return nil, err
 	}
-	l, err := he.ev.MulConstTargetScale(lin, p.factor, prod.Scale)
+	l, err := he.ev.MulConstTargetScale(x, p.factor, prod.Scale)
 	if err == nil {
 		err = he.ev.AddInPlace(prod, l)
 		he.ev.Recycle(l)
@@ -203,24 +205,5 @@ func (he *Evaluator) ReLUScaled(c *paf.Composite, ct *ckks.Ciphertext, gamma flo
 	if err != nil {
 		return nil, err
 	}
-	return he.run(p, ct, ct)
-}
-
-// Max evaluates max(a,b) ≈ ((a+b) + (a-b)·p(a-b))/2.
-func (he *Evaluator) Max(c *paf.Composite, a, b *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	p, err := compile(he.ev.Params(), c, 0.5, min(a.Level, b.Level), a.Scale)
-	if err != nil {
-		return nil, err
-	}
-	d, err := he.ev.Sub(a, b)
-	if err != nil {
-		return nil, err
-	}
-	defer he.ev.Recycle(d)
-	sum, err := he.ev.Add(a, b)
-	if err != nil {
-		return nil, err
-	}
-	defer he.ev.Recycle(sum)
-	return he.run(p, d, sum)
+	return he.run(p, ct)
 }

@@ -155,32 +155,6 @@ func TestReLUEncrypted(t *testing.T) {
 	hc.checkReLU(t, paf.MustNew(paf.FormAlpha7), testVector(hc.params.Slots(), 5), 1, 1e-2)
 }
 
-func TestMaxEncrypted(t *testing.T) {
-	hc := newHEContext(t)
-	// PAF max requires |a-b| ≤ 1: exactly the invariant Static Scaling
-	// maintains in deployment. Use half-range inputs.
-	a := testVector(hc.params.Slots(), 6)
-	b := testVector(hc.params.Slots(), 7)
-	for i := range a {
-		a[i] *= 0.5
-		b[i] *= 0.5
-	}
-	c := paf.MustNew(paf.FormAlpha7)
-	cta := hc.encryptReals(t, a)
-	ctb := hc.encryptReals(t, b)
-	out, err := hc.he.Max(c, cta, ctb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, len(a))
-	for i := range a {
-		want[i] = c.Max(a[i], b[i])
-	}
-	if d := maxAbsDiff(want, hc.decryptReals(out)); d > 1e-2 {
-		t.Fatalf("encrypted max error %g", d)
-	}
-}
-
 // countStages counts the CKKS stages recorded while f runs, by name.
 func countStages(f func()) map[string]int {
 	var mu sync.Mutex

@@ -166,18 +166,14 @@ func (p *PAFMaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			inBase := (b*c + ch) * h * w
 			outBase := (b*c + ch) * p.geom.OutH * p.geom.OutW
 			for oh := 0; oh < p.geom.OutH; oh++ {
+				khLo, khHi := p.geom.Taps(oh, h)
 				for ow := 0; ow < p.geom.OutW; ow++ {
+					kwLo, kwHi := p.geom.Taps(ow, w)
 					var win []int
-					for kh := 0; kh < p.Kernel; kh++ {
+					for kh := khLo; kh < khHi; kh++ {
 						ih := oh*p.Stride + kh - p.Pad
-						if ih < 0 || ih >= h {
-							continue
-						}
-						for kw := 0; kw < p.Kernel; kw++ {
+						for kw := kwLo; kw < kwHi; kw++ {
 							iw := ow*p.Stride + kw - p.Pad
-							if iw < 0 || iw >= w {
-								continue
-							}
 							win = append(win, inBase+ih*w+iw)
 						}
 					}

@@ -178,7 +178,6 @@ func TestRingOpsParallelMatchSerial(t *testing.T) {
 	}
 	ops := []op{
 		{"Add", func(out *Poly) { r.Add(a, b, out) }},
-		{"Sub", func(out *Poly) { r.Sub(a, b, out) }},
 		{"Neg", func(out *Poly) { r.Neg(a, out) }},
 		{"MulCoeffs", func(out *Poly) { r.MulCoeffs(a, b, out) }},
 		{"MulCoeffsThenAdd", func(out *Poly) { r.MulCoeffsThenAdd(a, b, out) }},

@@ -98,18 +98,6 @@ func (r *Ring) Add(a, b, out *Poly) {
 	})
 }
 
-// Sub sets out = a - b limb-wise up to the smallest common level.
-func (r *Ring) Sub(a, b, out *Poly) {
-	level := minLevel(a, b, out)
-	r.forLimbs(level, func(_, i int) {
-		q := r.Moduli[i].Q
-		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = SubMod(ai[j], bi[j], q)
-		}
-	})
-}
-
 // Neg sets out = -a limb-wise.
 func (r *Ring) Neg(a, out *Poly) {
 	level := minLevel(a, out)

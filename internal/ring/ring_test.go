@@ -242,12 +242,13 @@ func TestPolyAddSubNeg(t *testing.T) {
 	b := s.Uniform(2)
 	sum := r.NewPoly(2)
 	r.Add(a, b, sum)
-	diff := r.NewPoly(2)
-	r.Sub(sum, b, diff)
-	if !diff.Equal(a) {
-		t.Fatal("(a+b)-b != a")
-	}
 	neg := r.NewPoly(2)
+	r.Neg(b, neg)
+	diff := r.NewPoly(2)
+	r.Add(sum, neg, diff)
+	if !diff.Equal(a) {
+		t.Fatal("(a+b)+(-b) != a")
+	}
 	r.Neg(a, neg)
 	zero := r.NewPoly(2)
 	r.Add(a, neg, zero)

@@ -285,18 +285,25 @@ func (c *Client) newSession(ctx context.Context, info *ModelInfo, seed int64) (*
 	}()
 	resp, err := c.stream(ctx, http.MethodPost, "/v1/sessions?model="+url.QueryEscape(info.Ref()), body,
 		int64(frameSize(info.Params, params, len(info.Rotations))), http.StatusOK)
-	// However the request ended, nothing reads the body any more: a
-	// generator still writing stops at its next write, and no goroutine
-	// outlives the call.
-	body.Close()
-	<-generated
 	if err != nil {
+		// Nothing reads the body any more: a generator still writing stops
+		// at its next write, and no goroutine outlives the call.
+		body.Close()
+		<-generated
 		return nil, err
 	}
-	defer resp.Body.Close()
+	// The server took the whole frame, so the generator has written its last
+	// byte. The transport owns the body now: it may read it once more, to
+	// EOF, after Do returns, and closes it itself; closing it here would fail
+	// that read and the connection with it. A server that answers without
+	// reading the frame loses the connection once the answer is closed, and
+	// the transport closes the body then, so the wait below ends either way.
+	//
 	// The answer is a session id and a model reference: a faulty server or
 	// proxy cannot make the client read more than maxRegisterResponse.
 	answer, err := readAtMost(resp.Body, maxRegisterResponse)
+	resp.Body.Close()
+	<-generated
 	if err != nil {
 		return nil, fmt.Errorf("reading registration: %w", err)
 	}

@@ -852,6 +852,63 @@ func TestClientBoundsResultRead(t *testing.T) {
 	}
 }
 
+// lateReadTransport takes exactly a request's declared body, answers with a
+// canned registration and hands the body on unread past that length, the way
+// net/http's transport may still read it to EOF after Do has returned.
+type lateReadTransport chan io.ReadCloser
+
+func (rt lateReadTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if _, err := io.CopyN(io.Discard, req.Body, req.ContentLength); err != nil {
+		req.Body.Close()
+		return nil, err
+	}
+	rt <- req.Body
+	answer := []byte(`{"sessionID":"late","model":"late@1"}`)
+	return &http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        http.Header{},
+		Body:          io.NopCloser(bytes.NewReader(answer)),
+		ContentLength: int64(len(answer)),
+		Request:       req,
+	}, nil
+}
+
+// TestRegistrationLeavesBodyToTransport: once a registration succeeds, the
+// client leaves its body to the transport. A read past the declared length
+// after newSession has returned sees EOF, not a closed pipe (regression:
+// newSession closed the body as soon as Do returned, so net/http's EOF
+// check could fail the connection and the answer read with it, after the
+// server had registered the session).
+func TestRegistrationLeavesBodyToTransport(t *testing.T) {
+	model, err := registry.DemoModel(11, testLogN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes, err := model.Params.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := ckks.NewParameters(model.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &ModelInfo{Name: "late", Version: 1, Params: paramBytes, Rotations: model.MLP.ServingRotations(params.Slots())}
+	bodies := make(lateReadTransport, 1)
+	c := NewClient("http://127.0.0.1:1", &http.Client{Transport: bodies})
+	sess, err := c.newSession(context.Background(), info, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.ID() != "late" {
+		t.Fatalf("session id %q, want %q", sess.ID(), "late")
+	}
+	body := <-bodies
+	defer body.Close()
+	if n, err := body.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("late read of the registration body: %d bytes, %v; want EOF", n, err)
+	}
+}
+
 // TestInferRejectsForeignScales: a ciphertext's level and scale are client
 // choices that would flow into every layer, and each linear layer keeps one
 // plan, encoded for one input level and scale. So the door admits only the

@@ -10,12 +10,9 @@ import (
 // Tuning fan across every core unconditionally: the fanned build equals
 // CoefficientTuning applied one slot at a time, bit for bit, in slot order.
 func TestBuildAllPAFsParallelMatchesSerial(t *testing.T) {
-	m, train, val := tinySetup(t, 1)
+	m, train, _ := tinySetup(t, 1)
 	cfg := testConfig(paf.FormF1G2)
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &pipeline{model: m, cfg: cfg}
 	profiles := ProfileSlots(m, train, cfg.ProfileBatches)
 	slots := p.targetSlots()
 	if len(slots) < 2 {

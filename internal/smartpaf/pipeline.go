@@ -54,12 +54,12 @@ type Result struct {
 	Events []Event
 }
 
-// Pipeline drives SMART-PAF (or a baseline ablation) over a model.
-type Pipeline struct {
-	Model *nn.Model
-	Train *data.Dataset
-	Val   *data.Dataset
-	Cfg   Config
+// pipeline is one Run's state: SMART-PAF (or a baseline ablation) driven
+// over a model.
+type pipeline struct {
+	model *nn.Model
+	train *data.Dataset
+	cfg   Config
 
 	epoch    int
 	curve    []CurvePoint
@@ -72,47 +72,34 @@ type Pipeline struct {
 	restrictPAF *nn.Slot
 }
 
-// NewPipeline wires a pipeline; the model should already be pretrained with
-// exact operators.
-func NewPipeline(m *nn.Model, train, val *data.Dataset, cfg Config) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Pipeline{
-		Model: m, Train: train, Val: val, Cfg: cfg,
-		valCache: val.Batches(BatchSize, nil),
-		trCache:  train.Batches(BatchSize, nil),
-	}, nil
-}
+func (p *pipeline) valAcc() float64 { return nn.Accuracy(p.model, p.valCache) }
 
-func (p *Pipeline) valAcc() float64 { return nn.Accuracy(p.Model, p.valCache) }
+func (p *pipeline) trainAcc() float64 { return nn.Accuracy(p.model, p.trCache) }
 
-func (p *Pipeline) trainAcc() float64 { return nn.Accuracy(p.Model, p.trCache) }
-
-func (p *Pipeline) event(kind EventKind, label string) {
+func (p *pipeline) event(kind EventKind, label string) {
 	p.events = append(p.events, Event{Epoch: p.epoch, Kind: kind, Label: label})
 }
 
 // targetSlots returns the slots to replace under the config.
-func (p *Pipeline) targetSlots() []*nn.Slot {
-	if p.Cfg.ReplaceMaxPool {
-		return p.Model.Slots()
+func (p *pipeline) targetSlots() []*nn.Slot {
+	if p.cfg.ReplaceMaxPool {
+		return p.model.Slots()
 	}
-	return p.Model.ReLUSlots()
+	return p.model.ReLUSlots()
 }
 
 // buildAllPAFs constructs the replacement composite for every target slot,
 // applying CT when enabled. The per-slot fits are independent and
 // deterministic, so they fan across all cores without changing a bit of the
 // result; out[i] belongs to slots[i].
-func (p *Pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.Composite, error) {
+func (p *pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.Composite, error) {
 	out := make([]*paf.Composite, len(slots))
 	err := parallel.For(len(slots), parallel.Workers(-1), func(i int) error {
-		c, err := paf.New(p.Cfg.Form)
+		c, err := paf.New(p.cfg.Form)
 		if err != nil {
 			return err
 		}
-		if p.Cfg.CT {
+		if p.cfg.CT {
 			c = CoefficientTuning(c, profiles[slots[i].Index])
 		}
 		out[i] = c
@@ -123,10 +110,10 @@ func (p *Pipeline) buildAllPAFs(slots []*nn.Slot, profiles []*Profile) ([]*paf.C
 
 // trainEpoch runs one epoch over the training set with per-group optimizers
 // honouring frozen flags, then records the curve point.
-func (p *Pipeline) trainEpoch(optPAF, optLinear *nn.Adam) {
-	perm := p.Train.Shuffle(p.Cfg.Seed + int64(p.epoch))
-	for _, b := range p.Train.Batches(BatchSize, perm) {
-		nn.TrainStep(p.Model, b, optPAF, optLinear)
+func (p *pipeline) trainEpoch(optPAF, optLinear *nn.Adam) {
+	perm := p.train.Shuffle(p.cfg.Seed + int64(p.epoch))
+	for _, b := range p.train.Batches(BatchSize, perm) {
+		nn.TrainStep(p.model, b, optPAF, optLinear)
 	}
 	p.epoch++
 	p.curve = append(p.curve, CurvePoint{Epoch: p.epoch, TrainAcc: p.trainAcc(), ValAcc: p.valAcc()})
@@ -134,10 +121,10 @@ func (p *Pipeline) trainEpoch(optPAF, optLinear *nn.Adam) {
 
 // runStep executes one Fig. 6 step: training groups with SWA, improvement
 // detection, dropout-on-overfit, and (optionally) alternate training.
-func (p *Pipeline) runStep(label string) {
-	cfg := p.Cfg
+func (p *pipeline) runStep(label string) {
+	cfg := p.cfg
 	best := p.valAcc()
-	bestSnap := p.Model.Snapshot()
+	bestSnap := p.model.Snapshot()
 	applyAT := false // false: train PAF coefficients; true: train linear layers
 	dropoutOn := false
 
@@ -148,14 +135,14 @@ func (p *Pipeline) runStep(label string) {
 		// Select training targets.
 		pafFrozen := cfg.AT && applyAT
 		if cfg.AT {
-			p.Model.SetGroupFrozen(nn.GroupPAF, applyAT)
-			p.Model.SetGroupFrozen(nn.GroupLinear, !applyAT)
+			p.model.SetGroupFrozen(nn.GroupPAF, applyAT)
+			p.model.SetGroupFrozen(nn.GroupLinear, !applyAT)
 		} else {
-			p.Model.SetGroupFrozen(nn.GroupPAF, false)
-			p.Model.SetGroupFrozen(nn.GroupLinear, false)
+			p.model.SetGroupFrozen(nn.GroupPAF, false)
+			p.model.SetGroupFrozen(nn.GroupLinear, false)
 		}
 		if p.restrictPAF != nil && !pafFrozen {
-			p.Model.SetGroupFrozen(nn.GroupPAF, true)
+			p.model.SetGroupFrozen(nn.GroupPAF, true)
 			for _, prm := range p.restrictPAF.PAFLayer().Params() {
 				prm.Frozen = false
 			}
@@ -166,27 +153,27 @@ func (p *Pipeline) runStep(label string) {
 		var groupBestSnap [][]float64
 		for e := 0; e < cfg.Epochs; e++ {
 			p.trainEpoch(optPAF, optLinear)
-			swa.Accumulate(p.Model)
+			swa.Accumulate(p.model)
 			if acc := p.curve[len(p.curve)-1].ValAcc; acc > groupBest {
 				groupBest = acc
-				groupBestSnap = p.Model.Snapshot()
+				groupBestSnap = p.model.Snapshot()
 			}
 		}
 		// Try the SWA average; keep whichever of {per-epoch best, SWA} wins.
-		cur := p.Model.Snapshot()
+		cur := p.model.Snapshot()
 		if avg := swa.Average(); avg != nil {
-			if err := p.Model.Restore(avg); err == nil {
+			if err := p.model.Restore(avg); err == nil {
 				if acc := p.valAcc(); acc > groupBest {
 					groupBest = acc
 					groupBestSnap = avg
 					p.event(EventSWA, label)
-				} else if err := p.Model.Restore(cur); err != nil {
+				} else if err := p.model.Restore(cur); err != nil {
 					panic(err)
 				}
 			}
 		}
 		if groupBestSnap != nil {
-			if err := p.Model.Restore(groupBestSnap); err != nil {
+			if err := p.model.Restore(groupBestSnap); err != nil {
 				panic(err)
 			}
 		}
@@ -194,14 +181,14 @@ func (p *Pipeline) runStep(label string) {
 		improved := groupBest > best+minDelta
 		if improved {
 			best = groupBest
-			bestSnap = p.Model.Snapshot()
+			bestSnap = p.model.Snapshot()
 			p.event(EventBest, label)
 			applyAT = false
 			continue
 		}
 		if p.overfitting() && !dropoutOn {
 			dropoutOn = true
-			p.Model.SetDropoutEnabled(true)
+			p.model.SetDropoutEnabled(true)
 			p.event(EventDropout, label)
 			continue
 		}
@@ -212,17 +199,17 @@ func (p *Pipeline) runStep(label string) {
 		}
 		break
 	}
-	if err := p.Model.Restore(bestSnap); err != nil {
+	if err := p.model.Restore(bestSnap); err != nil {
 		panic(err)
 	}
-	p.Model.SetDropoutEnabled(false)
-	p.Model.SetGroupFrozen(nn.GroupPAF, false)
-	p.Model.SetGroupFrozen(nn.GroupLinear, false)
+	p.model.SetDropoutEnabled(false)
+	p.model.SetGroupFrozen(nn.GroupPAF, false)
+	p.model.SetGroupFrozen(nn.GroupLinear, false)
 }
 
 // overfitting applies the paper's empirical condition:
 // training accuracy > validation accuracy + 10%.
-func (p *Pipeline) overfitting() bool {
+func (p *pipeline) overfitting() bool {
 	if len(p.curve) == 0 {
 		return false
 	}
@@ -230,17 +217,25 @@ func (p *Pipeline) overfitting() bool {
 	return last.TrainAcc > last.ValAcc+0.10
 }
 
-// Run executes the configured strategy and reports the Table 3 metrics. It
-// leaves the model as it measured FinalAccSS: deployed, every replaced slot
+// Run executes the configured strategy on m, which should already be
+// pretrained with exact operators, and reports the Table 3 metrics. It
+// leaves m as it measured FinalAccSS: deployed, every replaced slot
 // statically scaled.
-func (p *Pipeline) Run() (*Result, error) {
-	cfg := p.Cfg
+func Run(m *nn.Model, train, val *data.Dataset, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p := &pipeline{
+		model: m, train: train, cfg: cfg,
+		valCache: val.Batches(BatchSize, nil),
+		trCache:  train.Batches(BatchSize, nil),
+	}
 	res := &Result{Config: cfg}
 	res.OriginalAcc = p.valAcc()
 
 	// Profile the exact-operator model (Fig. 3 step 2). Needed by CT and by
 	// InitialAcc bookkeeping regardless, cheap enough to always run.
-	profiles := ProfileSlots(p.Model, p.Train, cfg.ProfileBatches)
+	profiles := ProfileSlots(m, train, cfg.ProfileBatches)
 
 	slots := p.targetSlots()
 
@@ -289,13 +284,13 @@ func (p *Pipeline) Run() (*Result, error) {
 
 	// Static Scaling conversion: freeze scales to running maxima and measure
 	// the FHE-deployable accuracy.
-	if err := p.Model.Deploy(); err != nil {
+	if err := m.Deploy(); err != nil {
 		return nil, err
 	}
 	if cfg.ReplaceMaxPool {
 		// ReLU-only runs keep exact MaxPool, so full FHE compatibility holds
 		// only when every slot was replaced.
-		if err := p.Model.CheckFHECompatible(); err != nil {
+		if err := m.CheckFHECompatible(); err != nil {
 			return nil, fmt.Errorf("smartpaf: deployed model not FHE-compatible: %w", err)
 		}
 	}
@@ -308,7 +303,7 @@ func (p *Pipeline) Run() (*Result, error) {
 
 // seedRunningMax initializes the slot's running max from the profile so SS
 // conversion works even if training never raises it.
-func (p *Pipeline) seedRunningMax(s *nn.Slot, profiles []*Profile) {
+func (p *pipeline) seedRunningMax(s *nn.Slot, profiles []*Profile) {
 	if s.Index >= len(profiles) || profiles[s.Index] == nil {
 		return
 	}

@@ -186,11 +186,7 @@ func TestTechniquesLabel(t *testing.T) {
 func TestPipelineSmartPAFRun(t *testing.T) {
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1G2)
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	res, err := Run(m, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +228,7 @@ func TestPipelineDirectBaselineRun(t *testing.T) {
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1G2)
 	cfg.CT, cfg.PA, cfg.AT = false, false, false
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	res, err := Run(m, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +248,7 @@ func TestPipelineReLUOnly(t *testing.T) {
 	m, train, val := tinySetup(t, 1)
 	cfg := testConfig(paf.FormF1G2)
 	cfg.ReplaceMaxPool = false
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil {
+	if _, err := Run(m, train, val, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range m.Slots() {
@@ -337,7 +325,7 @@ func TestCTGuardProtectsHighDegreeBaseline(t *testing.T) {
 func TestPipelineRejectsBadConfig(t *testing.T) {
 	m, train, val := tinySetup(t, 0)
 	cfg := testConfig("bogus")
-	if _, err := NewPipeline(m, train, val, cfg); err == nil {
+	if _, err := Run(m, train, val, cfg); err == nil {
 		t.Fatal("expected config error")
 	}
 }
@@ -347,11 +335,7 @@ func TestDirectProgressiveTrainingMode(t *testing.T) {
 	cfg := testConfig(paf.FormF1G2)
 	cfg.CT, cfg.PA, cfg.AT = false, false, false
 	cfg.DirectProgressiveTraining = true
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	res, err := Run(m, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +363,7 @@ func TestPipelineSSAccuracyPopulated(t *testing.T) {
 	// maxima captured during training.
 	m, train, val := tinySetup(t, 2)
 	cfg := testConfig(paf.FormF1F1G1G1)
-	p, err := NewPipeline(m, train, val, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
+	res, err := Run(m, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +379,7 @@ func TestPipelineSSAccuracyPopulated(t *testing.T) {
 // Scaling before returning, and callers that did not redeploy failed).
 func TestRunReturnsDeployedModel(t *testing.T) {
 	m, train, val := tinySetup(t, 1)
-	p, err := NewPipeline(m, train, val, testConfig(paf.FormF1G2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil {
+	if _, err := Run(m, train, val, testConfig(paf.FormF1G2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CheckFHECompatible(); err != nil {
@@ -416,10 +392,7 @@ func TestRunReturnsDeployedModel(t *testing.T) {
 	train, val = data.Generate(dcfg)
 	mlp := nn.MLP([]int{16, 8, dcfg.Classes}, 3)
 	Pretrain(mlp, train, 2, 3e-3, 1)
-	if p, err = NewPipeline(mlp, train, val, testConfig(paf.FormF1G2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(); err != nil {
+	if _, err := Run(mlp, train, val, testConfig(paf.FormF1G2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := henn.FromModel(mlp); err != nil {

@@ -170,25 +170,34 @@ func Geometry(inC, inH, inW, kernel, stride, pad int) ConvGeom {
 	return ConvGeom{InC: inC, InH: inH, InW: inW, Kernel: kernel, Stride: stride, Pad: pad, OutH: outH, OutW: outW}
 }
 
-// Im2Col expands x [N,C,H,W] into [N*outH*outW, C*k*k] patches.
+// Taps returns the kernel offsets [lo, hi) whose input index
+// o·Stride + k − Pad, for output index o along an axis of size in, falls
+// inside [0, in): the in-bounds part of one window along that axis, in tap
+// order. The range is empty when no tap lands inside.
+func (g ConvGeom) Taps(o, in int) (lo, hi int) {
+	start := o*g.Stride - g.Pad
+	return max(0, -start), min(g.Kernel, in-start)
+}
+
+// Im2Col expands x [N,C,H,W] into [N*outH*outW, C*k*k] patches; taps that
+// fall in the padding stay zero.
 func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	n := x.Shape[0]
 	cols := New(n*g.OutH*g.OutW, g.InC*g.Kernel*g.Kernel)
 	colW := g.InC * g.Kernel * g.Kernel
 	for b := 0; b < n; b++ {
 		for oh := 0; oh < g.OutH; oh++ {
+			khLo, khHi := g.Taps(oh, g.InH)
 			for ow := 0; ow < g.OutW; ow++ {
+				kwLo, kwHi := g.Taps(ow, g.InW)
 				row := ((b*g.OutH+oh)*g.OutW + ow) * colW
 				for c := 0; c < g.InC; c++ {
 					base := (b*g.InC + c) * g.InH * g.InW
-					for kh := 0; kh < g.Kernel; kh++ {
+					for kh := khLo; kh < khHi; kh++ {
 						ih := oh*g.Stride + kh - g.Pad
-						for kw := 0; kw < g.Kernel; kw++ {
+						for kw := kwLo; kw < kwHi; kw++ {
 							iw := ow*g.Stride + kw - g.Pad
-							idx := row + (c*g.Kernel+kh)*g.Kernel + kw
-							if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
-								cols.Data[idx] = x.Data[base+ih*g.InW+iw]
-							}
+							cols.Data[row+(c*g.Kernel+kh)*g.Kernel+kw] = x.Data[base+ih*g.InW+iw]
 						}
 					}
 				}
@@ -205,20 +214,16 @@ func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
 	colW := g.InC * g.Kernel * g.Kernel
 	for b := 0; b < n; b++ {
 		for oh := 0; oh < g.OutH; oh++ {
+			khLo, khHi := g.Taps(oh, g.InH)
 			for ow := 0; ow < g.OutW; ow++ {
+				kwLo, kwHi := g.Taps(ow, g.InW)
 				row := ((b*g.OutH+oh)*g.OutW + ow) * colW
 				for c := 0; c < g.InC; c++ {
 					base := (b*g.InC + c) * g.InH * g.InW
-					for kh := 0; kh < g.Kernel; kh++ {
+					for kh := khLo; kh < khHi; kh++ {
 						ih := oh*g.Stride + kh - g.Pad
-						if ih < 0 || ih >= g.InH {
-							continue
-						}
-						for kw := 0; kw < g.Kernel; kw++ {
+						for kw := kwLo; kw < kwHi; kw++ {
 							iw := ow*g.Stride + kw - g.Pad
-							if iw < 0 || iw >= g.InW {
-								continue
-							}
 							x.Data[base+ih*g.InW+iw] += cols.Data[row+(c*g.Kernel+kh)*g.Kernel+kw]
 						}
 					}

@@ -99,6 +99,31 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// TestTapsMatchesBoundsCheck: the range Taps returns holds exactly the
+// kernel offsets a per-tap bounds check admits, for every output index of
+// every small geometry, padding wider than the kernel included.
+func TestTapsMatchesBoundsCheck(t *testing.T) {
+	for kernel := 1; kernel <= 4; kernel++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 4; pad++ {
+				for in := 1; in <= 7; in++ {
+					g := Geometry(1, in, in, kernel, stride, pad)
+					for o := 0; o < g.OutH; o++ {
+						lo, hi := g.Taps(o, in)
+						for k := 0; k < kernel; k++ {
+							i := o*stride + k - pad
+							if inside, inRange := i >= 0 && i < in, k >= lo && k < hi; inside != inRange {
+								t.Fatalf("kernel %d stride %d pad %d in %d: output %d tap %d reads %d, range [%d, %d)",
+									kernel, stride, pad, in, o, k, i, lo, hi)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1: columns are exactly the pixels.
 	x := New(1, 2, 3, 3)
